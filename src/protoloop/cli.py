@@ -40,7 +40,6 @@ from .specialist import TrainConfig
 from .uncertainty import Partition, partition_by_quantile, partition_report
 from .volume import (
     LabelVolume,
-    Shape3,
     load_array,
     load_manifest,
     save_array,
@@ -58,16 +57,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise _UsageError(message)
-
-
-def _parse_window(text: str) -> Shape3:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"window must be D,H,W — got {text!r}")
-    try:
-        return Shape3(*(int(p) for p in parts))
-    except ValueError as exc:
-        raise ValueError(f"bad window {text!r}: {exc}") from exc
 
 
 def _resolve_threads(value: int | None) -> int:
@@ -125,8 +114,6 @@ def _pipeline_config(args, rounds: int, refine: bool = True) -> PipelineConfig:
         q_unc=getattr(args, "q_unc", None) or 0.9,
         seed=args.seed,
         refine=refine,
-        window=_parse_window(args.window) if getattr(args, "window", None) else None,
-        stride=getattr(args, "stride", None) or 64,
         threads=_resolve_threads(args.threads),
         val_manifest_path=Path(args.val_manifest) if getattr(args, "val_manifest", None) else None,
         truth_dir=Path(args.truth) if args.truth else None,
@@ -456,8 +443,6 @@ def build_parser() -> _Parser:
     p.add_argument("--q-unc", type=float, default=None, help="certainty quantile (default 0.9)")
     p.add_argument("--iters", type=int, default=None, help="training iterations per round")
     p.add_argument("--batch", type=int, default=None, help="voxels per training batch")
-    p.add_argument("--window", default=None, help="inference window D,H,W (default: full volume)")
-    p.add_argument("--stride", type=int, default=None, help="window stride (default 64)")
     p.add_argument("--val-manifest", default=None, help="labeled manifest for model selection")
     p.set_defaults(func=_cmd_run)
 

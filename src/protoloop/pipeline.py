@@ -3,8 +3,11 @@
 Features are extracted (or ingested) exactly once, persisted under the run
 directory, and reused by every later round; after the initial round the raw
 volumes are never re-encoded, which is asserted via the extractor call
-counter.  Each round is written to its own directory via a temp-dir rename so
-a crash never corrupts previously persisted rounds.
+counter.  Per volume the pipeline keeps the feature grid plus one float64
+z-scored intensity volume; per-voxel feature rows are never materialized, and
+inference covers each whole volume with no windowing.  Each round is written
+to its own directory via a temp-dir rename so a crash never corrupts
+previously persisted rounds.
 """
 from __future__ import annotations
 
@@ -13,10 +16,8 @@ import os
 import shutil
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import encoder as encoder_mod
 from .encoder import EncoderParams, FeatureGrid, GlobalFeature, global_feature
@@ -28,7 +29,6 @@ from .specialist import (
     TrainAssets,
     TrainConfig,
     TrainVolumeData,
-    build_feature_matrix,
     infer,
     load_params,
     save_params,
@@ -39,13 +39,11 @@ from .uncertainty import (
     SampleUncertainty,
     partition_by_quantile,
     partition_report,
-    sample_uncertainty,
 )
 from .volume import (
     DatasetManifest,
     IntensityVolume,
     LabelVolume,
-    Shape3,
     load_array,
     load_manifest,
     save_array,
@@ -76,8 +74,6 @@ class PipelineConfig:
     q_unc: float = 0.9
     seed: int = 0
     refine: bool = True
-    window: Shape3 | None = None  # None = full-volume inference
-    stride: int = 64
     threads: int = 1
     val_manifest_path: Path | None = None
     truth_dir: Path | None = None  # enables ground-truth quality tracking
@@ -96,8 +92,6 @@ class PipelineConfig:
             raise ValueError(f"knn={self.knn} must be >= 1")
         if not 0.0 < self.q_unc <= 1.0:
             raise ValueError(f"q_unc={self.q_unc} outside (0, 1]")
-        if self.stride < 1:
-            raise ValueError(f"stride={self.stride} must be >= 1")
         if self.threads < 1:
             raise ValueError(f"threads={self.threads} must be >= 1")
 
@@ -122,23 +116,22 @@ class RoundState:
 # feature preparation
 
 class FeatureStore:
-    """Feature grids, global features, and per-voxel matrices for one run.
+    """Feature grids, global features, and factorized voxel features for one run.
 
     Grids are computed (or ingested) at most once per volume and persisted
     under ``<out>/features`` so later rounds and resumed processes reload them
-    instead of touching the extractor again.
+    instead of touching the extractor again.  ``features`` holds each volume's
+    cell table and z volume; the raw intensities are not kept.
     """
 
     def __init__(self, config: PipelineConfig, manifest: DatasetManifest):
         self.config = config
         self.manifest = manifest
         self.features_dir = config.out_dir / "features"
-        self.volumes: dict[str, IntensityVolume] = {}
+        self.features: dict[str, TrainVolumeData] = {}
         self.grids: dict[str, FeatureGrid] = {}
         self.global_features: dict[str, GlobalFeature] = {}
         self.extract_counts: dict[str, int] = {}
-        self.matrix_builds: dict[str, int] = {}
-        self._matrices: dict[str, np.ndarray] = {}
 
     def _grid_path(self, vol_id: str, prefix: str) -> Path:
         return self.features_dir / f"{prefix}{vol_id}.features.vxar"
@@ -181,15 +174,15 @@ class FeatureStore:
         def one(entry):
             vol = self._load_volume(entry)
             grid = self._grid_for(entry, vol, extract_allowed, prefix="")
-            return entry.vol_id, vol, grid
+            return entry.vol_id, TrainVolumeData.from_volume(entry.vol_id, vol, grid), grid
 
         if self.config.threads > 1:
             with ThreadPoolExecutor(max_workers=self.config.threads) as pool:
                 results = list(pool.map(one, entries))
         else:
             results = [one(e) for e in entries]
-        for vol_id, vol, grid in results:
-            self.volumes[vol_id] = vol
+        for vol_id, feats, grid in results:
+            self.features[vol_id] = feats
             self.grids[vol_id] = grid
         encoder_mod.uniform_channel_count(self.grids)
         for vol_id in sorted(self.grids):
@@ -208,15 +201,6 @@ class FeatureStore:
             json.dumps(doc, indent=2, sort_keys=True) + "\n"
         )
 
-    def matrix(self, vol_id: str) -> np.ndarray:
-        """Per-voxel feature matrix, built at most once per volume per process."""
-        if vol_id not in self._matrices:
-            self.matrix_builds[vol_id] = self.matrix_builds.get(vol_id, 0) + 1
-            self._matrices[vol_id] = build_feature_matrix(
-                self.volumes[vol_id], self.grids[vol_id]
-            )
-        return self._matrices[vol_id]
-
 
 @dataclass
 class PipelineContext:
@@ -229,9 +213,11 @@ class PipelineContext:
     labeled_gt: LabelVolume
     truth: dict[str, LabelVolume] | None = None
     validation: tuple | None = None  # ((TrainVolumeData, targets), ...)
+    build_s: float = 0.0  # wall time of build_context: loading and feature extraction
 
 
 def build_context(config: PipelineConfig, extract_allowed: bool = True) -> PipelineContext:
+    t0 = time.perf_counter()
     manifest = load_manifest(config.manifest_path)
     labeled = manifest.labeled_entry()
     gt = load_array(manifest.resolve(labeled.label))
@@ -244,7 +230,7 @@ def build_context(config: PipelineConfig, extract_allowed: bool = True) -> Pipel
 
     store = FeatureStore(config, manifest)
     store.prepare(extract_allowed=extract_allowed)
-    if store.volumes[labeled.vol_id].shape != gt.shape:
+    if store.features[labeled.vol_id].shape != gt.shape:
         raise ValueError("template label shape does not match its intensity volume")
 
     truth = None
@@ -269,6 +255,7 @@ def build_context(config: PipelineConfig, extract_allowed: bool = True) -> Pipel
         labeled_gt=gt,
         truth=truth,
         validation=validation,
+        build_s=time.perf_counter() - t0,
     )
 
 
@@ -291,9 +278,7 @@ def _load_validation(config: PipelineConfig, store: FeatureStore) -> tuple:
         else:
             grid = encoder_mod.extract_feature_grid(vol, config.encoder)
             save_array(grid, cached)
-        data = TrainVolumeData(
-            vol_id=entry.vol_id, features=build_feature_matrix(vol, grid)
-        )
+        data = TrainVolumeData.from_volume(entry.vol_id, vol, grid)
         out.append((data, lab.data.reshape(-1)))
     return tuple(out)
 
@@ -437,19 +422,20 @@ def _pool_ids(ctx: PipelineContext) -> list[str]:
 
 
 def run_round0(config: PipelineConfig, ctx: PipelineContext | None = None) -> RoundState:
-    """Propagate template prototypes to every unlabeled volume and persist."""
-    t0 = time.perf_counter()
+    """Propagate template prototypes to every unlabeled volume and persist.
+
+    The ``features`` timing is the context build, wherever it happened.
+    """
     if ctx is None:
         config.out_dir.mkdir(parents=True, exist_ok=True)
         ctx = build_context(config)
-    t_features = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     protos = compute_prototypes(ctx.store.grids[ctx.labeled_id], ctx.labeled_gt)
     labels: dict[str, LabelVolume] = {}
     for vol_id in _pool_ids(ctx):
         lab, _prob = initial_pseudo_label(
-            ctx.store.grids[vol_id], protos, ctx.store.volumes[vol_id].shape
+            ctx.store.grids[vol_id], protos, ctx.store.features[vol_id].shape
         )
         labels[vol_id] = lab
     t_prop = time.perf_counter() - t0
@@ -458,7 +444,7 @@ def run_round0(config: PipelineConfig, ctx: PipelineContext | None = None) -> Ro
         round_index=0,
         labels=labels,
         refined=False,
-        timings={"features": t_features, "propagate": t_prop},
+        timings={"features": ctx.build_s, "propagate": t_prop},
     )
     if ctx.truth is not None:
         state.pseudo_label_dice = pseudo_label_quality(labels, ctx.truth)
@@ -501,13 +487,9 @@ def run_round(
     t0 = time.perf_counter()
     assets = TrainAssets(
         num_classes=ctx.manifest.num_classes,
-        labeled=TrainVolumeData(
-            vol_id=ctx.labeled_id, features=ctx.store.matrix(ctx.labeled_id)
-        ),
+        labeled=ctx.store.features[ctx.labeled_id],
         labeled_targets=ctx.labeled_gt.data.reshape(-1),
-        pool=tuple(
-            TrainVolumeData(vol_id=v, features=ctx.store.matrix(v)) for v in pool
-        ),
+        pool=tuple(ctx.store.features[v] for v in pool),
         validation=ctx.validation,
     )
     train_cfg = replace(config.train, seed=config.seed ^ round_index)
@@ -518,14 +500,8 @@ def run_round(
     t0 = time.perf_counter()
 
     def predict(vol_id: str):
-        lab, prob = infer(
-            params,
-            ctx.store.volumes[vol_id],
-            ctx.store.grids[vol_id],
-            config.window,
-            config.stride,
-        )
-        return vol_id, lab, sample_uncertainty(prob, vol_id)
+        lab, entropy = infer(params, ctx.store.features[vol_id])
+        return vol_id, lab, SampleUncertainty(vol_id=vol_id, value=entropy)
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as tp:
@@ -584,78 +560,42 @@ def _clear_run_dir(out_dir: Path) -> None:
             shutil.rmtree(p)
 
 
+# config.json keys that differ from the PipelineConfig field names
+_DOC_KEYS = {"manifest_path": "manifest", "val_manifest_path": "val_manifest"}
+_NESTED = {"encoder": EncoderParams, "train": TrainConfig}
+_NOT_PERSISTED = {"force"}  # an action of one invocation, not a run setting
+
+
 def _config_doc(config: PipelineConfig) -> dict:
-    return {
-        "manifest": str(config.manifest_path),
-        "out_dir": str(config.out_dir),
-        "rounds": config.rounds,
-        "encoder": {
-            "patch_size": config.encoder.patch_size,
-            "include_position": config.encoder.include_position,
-            "position_weight": config.encoder.position_weight,
-        },
-        "train": {
-            "iterations": config.train.iterations,
-            "base_lr": config.train.base_lr,
-            "lr_power": config.train.lr_power,
-            "momentum": config.train.momentum,
-            "weight_decay": config.train.weight_decay,
-            "batch_voxels": config.train.batch_voxels,
-            "lambda_max": config.train.lambda_max,
-            "ramp_fraction": config.train.ramp_fraction,
-            "ema_decay": config.train.ema_decay,
-            "noise_sigma": config.train.noise_sigma,
-            "dice_smooth": config.train.dice_smooth,
-            "val_interval": config.train.val_interval,
-        },
-        "knn": config.knn,
-        "q_unc": config.q_unc,
-        "seed": config.seed,
-        "refine": config.refine,
-        "window": list(config.window.as_tuple()) if config.window else None,
-        "stride": config.stride,
-        "threads": config.threads,
-        "val_manifest": str(config.val_manifest_path) if config.val_manifest_path else None,
-        "truth_dir": str(config.truth_dir) if config.truth_dir else None,
-    }
+    doc = {}
+    for f in fields(PipelineConfig):
+        if f.name in _NOT_PERSISTED:
+            continue
+        value = getattr(config, f.name)
+        if f.name in _NESTED:
+            value = asdict(value)
+        elif isinstance(value, Path):
+            value = str(value)
+        doc[_DOC_KEYS.get(f.name, f.name)] = value
+    return doc
 
 
 def config_from_doc(doc: dict, out_dir: Path) -> PipelineConfig:
-    enc = doc["encoder"]
-    tr = doc["train"]
-    return PipelineConfig(
-        manifest_path=Path(doc["manifest"]),
-        out_dir=Path(out_dir),
-        rounds=doc["rounds"],
-        encoder=EncoderParams(
-            patch_size=enc["patch_size"],
-            include_position=enc["include_position"],
-            position_weight=enc["position_weight"],
-        ),
-        train=TrainConfig(
-            iterations=tr["iterations"],
-            base_lr=tr["base_lr"],
-            lr_power=tr["lr_power"],
-            momentum=tr["momentum"],
-            weight_decay=tr["weight_decay"],
-            batch_voxels=tr["batch_voxels"],
-            lambda_max=tr["lambda_max"],
-            ramp_fraction=tr["ramp_fraction"],
-            ema_decay=tr["ema_decay"],
-            noise_sigma=tr["noise_sigma"],
-            dice_smooth=tr["dice_smooth"],
-            val_interval=tr["val_interval"],
-        ),
-        knn=doc["knn"],
-        q_unc=doc["q_unc"],
-        seed=doc["seed"],
-        refine=doc["refine"],
-        window=Shape3(*doc["window"]) if doc.get("window") else None,
-        stride=doc["stride"],
-        threads=doc.get("threads", 1),
-        val_manifest_path=Path(doc["val_manifest"]) if doc.get("val_manifest") else None,
-        truth_dir=Path(doc["truth_dir"]) if doc.get("truth_dir") else None,
-    )
+    """Inverse of ``_config_doc``; absent keys take defaults, unknown keys are ignored."""
+    kwargs = {}
+    for f in fields(PipelineConfig):
+        key = _DOC_KEYS.get(f.name, f.name)
+        if f.name in _NOT_PERSISTED or f.name == "out_dir" or key not in doc:
+            continue
+        value = doc[key]
+        if f.name in _NESTED:
+            cls = _NESTED[f.name]
+            known = {g.name for g in fields(cls)}
+            value = cls(**{k: v for k, v in value.items() if k in known})
+        kwargs[f.name] = value
+    if "manifest_path" not in kwargs:
+        raise ValueError("config document has no manifest")
+    return PipelineConfig(out_dir=Path(out_dir), **kwargs)
 
 
 def run_pipeline(config: PipelineConfig) -> list[RoundState]:

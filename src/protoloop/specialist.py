@@ -1,20 +1,25 @@
 """The per-round segmentation model: a linear softmax head over voxel features.
 
 Each voxel is described by its enclosing feature-grid cell vector plus its own
-z-scored intensity.  Every round trains a fresh zero-initialized model with
-SGD (momentum, weight decay, poly LR decay) on a loss combining supervised and
-pseudo-label cross-entropy/soft-Dice terms with a consistency term against an
-exponential-moving-average teacher.  Gradients are analytic.
+z-scored intensity.  Those features are never materialized per voxel: a
+volume is held as its (n_cells, C) float64 cell table plus one float64 z
+volume, training gathers the rows of each sampled batch, and inference
+evaluates ``logits = upsample(W[:, :C] @ grid + b) + W[:, C] * z`` with the
+head applied at cell resolution.  Every round trains a fresh zero-initialized
+model with SGD (momentum, weight decay, poly LR decay) on a loss combining
+supervised and pseudo-label cross-entropy/soft-Dice terms with a consistency
+term against an exponential-moving-average teacher.  Gradients are analytic.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import FeatureGrid
-from .volume import IntensityVolume, LabelVolume, ProbVolume, Shape3, nearest_axis_indices
+from .encoder import FeatureGrid, zscore
+from .volume import IntensityVolume, LabelVolume, Shape3, nearest_axis_indices
 from .volume import read_blob, write_blob
 
 __all__ = [
@@ -25,15 +30,13 @@ __all__ = [
     "TrainVolumeData",
     "TrainAssets",
     "LossTerms",
-    "zscore_volume",
     "cell_index_luts",
-    "per_voxel_features",
-    "build_feature_matrix",
     "forward",
     "ramp_up_alpha",
     "poly_lr",
     "loss_and_grad",
     "train_round",
+    "voxel_logits",
     "infer",
     "save_params",
     "load_params",
@@ -126,43 +129,12 @@ class EmaTeacher:
 # ---------------------------------------------------------------------------
 # per-voxel features
 
-def zscore_volume(vol: IntensityVolume) -> np.ndarray:
-    """Volume-wide z-score in float64; constant volumes map to zeros."""
-    data = vol.data.astype(np.float64)
-    std = float(data.std())
-    if std == 0.0:
-        return np.zeros_like(data)
-    return (data - float(data.mean())) / std
-
-
 def cell_index_luts(vol_shape: Shape3, grid_shape: Shape3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-axis lookup tables mapping voxel index -> enclosing cell index."""
     return tuple(
         nearest_axis_indices(g, v)
         for g, v in zip(grid_shape.as_tuple(), vol_shape.as_tuple())
     )
-
-
-def per_voxel_features(
-    vol: IntensityVolume, grid: FeatureGrid, index: tuple[int, int, int]
-) -> np.ndarray:
-    """Feature vector of one voxel: its cell's features plus z-scored intensity."""
-    d, h, w = index
-    if not (0 <= d < vol.shape.d and 0 <= h < vol.shape.h and 0 <= w < vol.shape.w):
-        raise ValueError(f"voxel index {index} outside volume {vol.shape.as_tuple()}")
-    luts = cell_index_luts(vol.shape, grid.grid_shape)
-    cell = grid.data[:, luts[0][d], luts[1][h], luts[2][w]].astype(np.float64)
-    z = zscore_volume(vol)[d, h, w]
-    return np.concatenate([cell, [z]])
-
-
-def build_feature_matrix(vol: IntensityVolume, grid: FeatureGrid) -> np.ndarray:
-    """(n_voxels, channels + 1) float64 feature matrix in row-major voxel order."""
-    luts = cell_index_luts(vol.shape, grid.grid_shape)
-    cells = grid.data[:, luts[0]][:, :, luts[1]][:, :, :, luts[2]].astype(np.float64)
-    flat = cells.reshape(grid.channels, -1).T
-    z = zscore_volume(vol).reshape(-1, 1)
-    return np.ascontiguousarray(np.hstack([flat, z]))
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +294,63 @@ def loss_and_grad(
 
 @dataclass(frozen=True)
 class TrainVolumeData:
-    """Precomputed per-voxel features for one volume (row-major voxel order)."""
+    """One volume's voxel features in factorized form.
+
+    The feature row of voxel (d, h, w) is ``cells[cell(d, h, w)]`` followed by
+    ``z[(d * H + h) * W + w]``, where ``cell`` reads the per-axis
+    ``cell_index_luts``.  Memory is the cell table plus one float64 z volume.
+    """
 
     vol_id: str
-    features: np.ndarray  # (n_voxels, F) float64
+    shape: Shape3        # voxel extents
+    grid_shape: Shape3   # cell extents
+    cells: np.ndarray    # (n_cells, C) float64, cells in row-major grid order
+    z: np.ndarray        # (n_voxels,) float64 z-scored intensity, row-major
+    luts: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        cells = np.ascontiguousarray(self.cells, dtype=np.float64)
+        z = np.ascontiguousarray(self.z, dtype=np.float64).reshape(-1)
+        if cells.ndim != 2 or len(cells) != self.grid_shape.voxels:
+            raise ValueError(
+                f"cell table {cells.shape} does not match grid {self.grid_shape.as_tuple()}"
+            )
+        if len(z) != self.shape.voxels:
+            raise ValueError(f"z volume has {len(z)} voxels, shape says {self.shape.voxels}")
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "luts", cell_index_luts(self.shape, self.grid_shape))
+
+    @classmethod
+    def from_volume(cls, vol_id: str, vol: IntensityVolume, grid: FeatureGrid) -> "TrainVolumeData":
+        return cls(
+            vol_id=vol_id,
+            shape=vol.shape,
+            grid_shape=grid.grid_shape,
+            cells=grid.data.reshape(grid.channels, -1).T,
+            z=zscore(vol.data),
+        )
+
+    @property
+    def n_voxels(self) -> int:
+        return len(self.z)
+
+    @property
+    def num_features(self) -> int:
+        return self.cells.shape[1] + 1
+
+    def rows(self, idx: np.ndarray) -> np.ndarray:
+        """(len(idx), C + 1) feature rows of the flat voxel indices ``idx``."""
+        _, h, w = self.shape.as_tuple()
+        _, gh, gw = self.grid_shape.as_tuple()
+        ld, lh, lw = self.luts
+        d, rem = np.divmod(idx, h * w)
+        hh, ww = np.divmod(rem, w)
+        cell = (ld[d] * gh + lh[hh]) * gw + lw[ww]
+        out = np.empty((len(idx), self.num_features))
+        out[:, :-1] = self.cells[cell]
+        out[:, -1] = self.z[idx]
+        return out
 
 
 @dataclass(frozen=True)
@@ -339,7 +364,7 @@ class TrainAssets:
     validation: tuple[tuple[TrainVolumeData, np.ndarray], ...] | None = None
 
     def __post_init__(self):
-        if len(self.labeled_targets) != len(self.labeled.features):
+        if len(self.labeled_targets) != self.labeled.n_voxels:
             raise ValueError("labeled targets do not match labeled features")
         if not self.pool:
             raise ValueError("training pool is empty")
@@ -351,8 +376,8 @@ class TrainAssets:
 def _mean_val_dice(params: SpecialistParams, assets: TrainAssets) -> float:
     dices = []
     for data, targets in assets.validation:
-        pred = np.argmax(forward(params, data.features), axis=1)
-        p = pred > 0
+        labels, _ = infer(params, data)
+        p = labels.data.reshape(-1) > 0
         t = targets > 0
         np_, nt = int(p.sum()), int(t.sum())
         inter = int(np.logical_and(p, t).sum())
@@ -380,11 +405,11 @@ def train_round(
     for vol in assets.pool:
         lab = pseudo_labels[vol.vol_id]
         flat = lab.data.reshape(-1)
-        if len(flat) != len(vol.features):
+        if len(flat) != vol.n_voxels:
             raise ValueError(f"pseudo-label shape mismatch for {vol.vol_id!r}")
         targets[vol.vol_id] = flat
 
-    num_features = assets.labeled.features.shape[1]
+    num_features = assets.labeled.num_features
     rng = np.random.default_rng(config.seed)
     params = SpecialistParams.zeros(assets.num_classes, num_features)
     teacher = EmaTeacher(params, config.ema_decay)
@@ -403,12 +428,12 @@ def train_round(
         lam = config.lambda_max * alpha
 
         pick = assets.pool[int(rng.integers(len(assets.pool)))]
-        li = rng.integers(0, len(assets.labeled.features), size=n_lab)
-        pi = rng.integers(0, len(pick.features), size=n_pse)
-        px = pick.features[pi]
+        li = rng.integers(0, assets.labeled.n_voxels, size=n_lab)
+        pi = rng.integers(0, pick.n_voxels, size=n_pse)
+        px = pick.rows(pi)
         noise = rng.normal(0.0, config.noise_sigma, size=px.shape)
         batch = VoxelBatch(
-            labeled_x=assets.labeled.features[li],
+            labeled_x=assets.labeled.rows(li),
             labeled_y=assets.labeled_targets[li],
             pseudo_x=px,
             pseudo_y=targets[pick.vol_id][pi],
@@ -454,61 +479,56 @@ def train_round(
 # ---------------------------------------------------------------------------
 # inference
 
-def _window_starts(extent: int, window: int, stride: int) -> list[int]:
-    if window >= extent:
-        return [0]
-    starts = list(range(0, extent - window + 1, stride))
-    if starts[-1] + window < extent:
-        starts.append(extent - window)
-    return starts
+# voxels per slab of inference: temporaries stay cache-sized on any volume
+_SLAB_VOXELS = 1 << 14
 
 
-def infer(
-    params: SpecialistParams,
-    vol: IntensityVolume,
-    grid: FeatureGrid,
-    window: Shape3 | None = None,
-    stride: int = 64,
-) -> tuple[LabelVolume, ProbVolume]:
-    """Predict a volume; overlapping windows are averaged in probability space.
+def voxel_logits(
+    params: SpecialistParams, data: TrainVolumeData
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Logits in slabs of whole d-planes: (flat voxel slice, (num_classes, n) logits).
 
-    ``window=None`` runs one full-volume window, which is exactly equivalent
-    because the model is voxel-wise — the windowing only bounds memory.
+    The head is applied once per cell, the cell logits are expanded to voxels
+    through the LUTs, and the intensity term is added per voxel.
     """
-    if stride < 1:
-        raise ValueError(f"stride={stride} must be >= 1")
-    shape = vol.shape
-    if window is None:
-        window = shape
-    if window.d > shape.d or window.h > shape.h or window.w > shape.w:
-        raise ValueError(f"window {window.as_tuple()} larger than volume {shape.as_tuple()}")
-
-    feats = build_feature_matrix(vol, grid)
-    if feats.shape[1] != params.num_features:
+    if data.num_features != params.num_features:
         raise ValueError(
-            f"feature width {feats.shape[1]} != model width {params.num_features}"
+            f"feature width {data.num_features} != model width {params.num_features}"
         )
-    c = params.num_classes
-    sums = np.zeros((c, shape.voxels), dtype=np.float64)
-    counts = np.zeros(shape.voxels, dtype=np.float64)
-    flat_index = np.arange(shape.voxels).reshape(shape.as_tuple())
+    k = params.num_classes
+    ld, lh, lw = data.luts
+    w_cells, w_z = params.weights[:, :-1], params.weights[:, -1:]
+    cell = (data.cells @ w_cells.T + params.bias).T.reshape((k,) + data.grid_shape.as_tuple())
+    planes = cell.take(lw, axis=3).take(lh, axis=2)  # (k, cells along d, h, w)
+    depth, h, w = data.shape.as_tuple()
+    step = max(1, _SLAB_VOXELS // (h * w))
+    for d0 in range(0, depth, step):
+        d1 = min(depth, d0 + step)
+        sl = slice(d0 * h * w, d1 * h * w)
+        logits = planes.take(ld[d0:d1], axis=1).reshape(k, -1)
+        logits += w_z * data.z[sl]
+        yield sl, logits
 
-    for d0 in _window_starts(shape.d, window.d, stride):
-        for h0 in _window_starts(shape.h, window.h, stride):
-            for w0 in _window_starts(shape.w, window.w, stride):
-                sel = flat_index[
-                    d0 : d0 + window.d, h0 : h0 + window.h, w0 : w0 + window.w
-                ].reshape(-1)
-                probs = forward(params, feats[sel])
-                sums[:, sel] += probs.T
-                counts[sel] += 1.0
 
-    mean = sums / counts
-    mean /= mean.sum(axis=0)  # renormalize away float drift from averaging
-    labels = np.argmax(mean, axis=0).astype(np.uint8)
+def infer(params: SpecialistParams, data: TrainVolumeData) -> tuple[LabelVolume, float]:
+    """Labels and mean voxel entropy (nats) of one volume.
+
+    Softmax, argmax and entropy are fused: with ``s = logits - max`` and
+    ``e = exp(s)``, the label is ``argmax e`` and the entropy is
+    ``log(sum e) - sum(e * s) / sum e``, so no probability volume is built.
+    """
+    labels = np.empty(data.n_voxels, dtype=np.uint8)
+    entropy_sum = 0.0
+    for sl, s in voxel_logits(params, data):
+        s -= s.max(axis=0)
+        e = np.exp(s)
+        labels[sl] = np.argmax(e, axis=0)
+        total = e.sum(axis=0)
+        e *= s
+        entropy_sum += float((np.log(total) - e.sum(axis=0) / total).sum())
     return (
-        LabelVolume(shape, c, labels.reshape(shape.as_tuple())),
-        ProbVolume(shape, c, mean.reshape((c,) + shape.as_tuple())),
+        LabelVolume(data.shape, params.num_classes, labels.reshape(data.shape.as_tuple())),
+        entropy_sum / data.n_voxels,
     )
 
 

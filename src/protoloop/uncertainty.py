@@ -2,7 +2,10 @@
 
 A sample's uncertainty is the mean voxel-wise entropy of its predicted class
 probabilities (natural log).  The pool is split at a nearest-rank quantile of
-those scores; the labeled template always counts as certain.
+those scores; the labeled template always counts as certain.  The pipeline
+takes that mean from ``specialist.infer``, which fuses it into the prediction
+pass; ``entropy_map``/``sample_uncertainty`` compute it from an explicit
+probability volume.
 """
 from __future__ import annotations
 

@@ -3,13 +3,18 @@
 Everything in this file is written straight from the definitions with plain
 Python loops and scalar math, deliberately sharing no code or vectorization
 structure with the package.  These are slow and obvious on purpose: the fast
-implementations are checked against them on small seeded instances.
+implementations are checked against them on small seeded instances.  The one
+exception is the dense per-voxel feature section, which shares the package's
+z-score and cell LUTs so that factorized rows can be required byte-equal.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from protoloop.encoder import zscore
+from protoloop.specialist import cell_index_luts
 
 EPS = 1e-8
 
@@ -220,6 +225,33 @@ def round0_oracle(template_grid, template_labels, query_grid, num_classes, vol_s
                 for cls in range(num_classes):
                     probs[cls, d, h, w] = p[cls]
     return labels, probs
+
+
+# ---------------------------------------------------------------------------
+# dense per-voxel features
+#
+# The specialist never builds these: it keeps a cell table plus one z volume.
+# The dense forms below are the reference its factorized rows, logits, labels
+# and entropies are checked against.  They reuse the package's z-score and
+# voxel -> cell LUTs on purpose, so that gathered rows must be byte-equal.
+
+def per_voxel_features(vol, grid, index):
+    """Feature vector of one voxel: its cell's features plus z-scored intensity."""
+    d, h, w = index
+    if not (0 <= d < vol.shape.d and 0 <= h < vol.shape.h and 0 <= w < vol.shape.w):
+        raise ValueError(f"voxel index {index} outside volume {vol.shape.as_tuple()}")
+    luts = cell_index_luts(vol.shape, grid.grid_shape)
+    cell = grid.data[:, luts[0][d], luts[1][h], luts[2][w]].astype(np.float64)
+    return np.concatenate([cell, [zscore(vol.data)[d, h, w]]])
+
+
+def build_feature_matrix(vol, grid):
+    """(n_voxels, channels + 1) float64 feature matrix in row-major voxel order."""
+    luts = cell_index_luts(vol.shape, grid.grid_shape)
+    cells = grid.data[:, luts[0]][:, :, luts[1]][:, :, :, luts[2]].astype(np.float64)
+    flat = cells.reshape(grid.channels, -1).T
+    z = zscore(vol.data).reshape(-1, 1)
+    return np.ascontiguousarray(np.hstack([flat, z]))
 
 
 # ---------------------------------------------------------------------------

@@ -142,10 +142,6 @@ def test_run_rejects_zero_rounds(dataset, tmp_path):
     assert dispatch(argv) == 1
 
 
-def test_run_bad_window(dataset, tmp_path):
-    assert dispatch(_run_args(dataset, tmp_path / "r", "--window", "4,4")) == 1
-
-
 def test_no_refine_flag(dataset, finished_run, tmp_path):
     out = tmp_path / "plain"
     assert dispatch(_run_args(dataset, out, "--no-refine")) == 0

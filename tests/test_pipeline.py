@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 import shutil
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,9 @@ from protoloop.phantom import ClassShape, PhantomSpec, generate
 from protoloop.pipeline import (
     PipelineConfig,
     RoundState,
+    _config_doc,
     build_context,
+    config_from_doc,
     load_report,
     load_round_state,
     run_pipeline,
@@ -258,6 +260,8 @@ def test_pipeline_states_and_report(main_run):
     rows = report["rounds"]
     assert [r["round"] for r in rows] == [0, 1, 2]
     assert rows[0]["threshold"] is None and rows[1]["threshold"] is not None
+    # round 0 is charged with the feature extraction that run_pipeline did for it
+    assert rows[0]["timings"]["features"] > 0
     # 3 pool volumes plus the labeled template, which is always certain
     assert rows[1]["n_certain"] + rows[1]["n_uncertain"] == 4
     assert rows[1]["n_uncertain"] >= 1
@@ -346,17 +350,6 @@ def test_resume_after_round0_matches(dataset, main_run, tmp_path):
     assert state1.partition == states[1].partition
 
 
-def test_windowed_inference_same_labels(dataset, main_run, tmp_path):
-    states, _ = main_run
-    windowed = run_pipeline(
-        _config(dataset, tmp_path / "win", window=Shape3(8, 8, 8), stride=3)
-    )
-    assert {k: v.data.tobytes() for k, v in windowed[1].raw_labels.items()} == {
-        k: v.data.tobytes() for k, v in states[1].raw_labels.items()
-    }
-    assert _label_bytes(windowed[1]) == _label_bytes(states[1])
-
-
 def test_refine_ablation_keeps_raw(dataset, main_run, tmp_path):
     states, _ = main_run
     out = tmp_path / "norefine"
@@ -421,3 +414,86 @@ def test_threads_do_not_change_results(dataset, main_run, tmp_path):
     threaded = run_pipeline(_config(dataset, tmp_path / "mt", rounds=2, threads=4))
     for a, b in zip(states, threaded):
         assert _label_bytes(a) == _label_bytes(b)
+
+
+# ---------------------------------------------------------------------------
+# factorized features and config documents
+
+def test_context_holds_factorized_features(dataset, tmp_path):
+    ctx = build_context(_config(dataset, tmp_path / "run"))
+    for vol_id, feats in ctx.store.features.items():
+        grid = ctx.store.grids[vol_id]
+        assert feats.cells.shape == (grid.grid_shape.voxels, grid.channels)
+        assert feats.z.shape == (feats.shape.voxels,) and feats.z.dtype == np.float64
+
+
+def test_config_doc_round_trips_every_field(tmp_path):
+    config = PipelineConfig(
+        manifest_path=tmp_path / "m.json",
+        out_dir=tmp_path / "run",
+        rounds=4,
+        encoder=EncoderParams(patch_size=6, include_position=False, position_weight=0.5),
+        train=TrainConfig(
+            iterations=77, base_lr=0.02, lr_power=0.8, momentum=0.85, weight_decay=2e-4,
+            batch_voxels=128, lambda_max=0.2, ramp_fraction=0.4, ema_decay=0.95,
+            noise_sigma=0.2, dice_smooth=1e-4, val_interval=10, seed=3,
+        ),
+        knn=7,
+        q_unc=0.8,
+        seed=5,
+        refine=False,
+        threads=2,
+        val_manifest_path=tmp_path / "val.json",
+        truth_dir=tmp_path / "truth",
+    )
+    # every persisted field differs from its default, so a dropped one shows
+    defaults = PipelineConfig(manifest_path=tmp_path / "x.json", out_dir=tmp_path / "y")
+    for f in fields(PipelineConfig):
+        if f.name == "force":
+            continue
+        value, default = getattr(config, f.name), getattr(defaults, f.name)
+        if is_dataclass(value):
+            assert all(getattr(value, g.name) != getattr(default, g.name) for g in fields(value))
+        else:
+            assert value != default, f.name
+    doc = json.loads(json.dumps(_config_doc(config)))
+    assert "force" not in doc
+    assert config_from_doc(doc, config.out_dir) == config
+    del doc["manifest"]
+    with pytest.raises(ValueError, match="manifest"):
+        config_from_doc(doc, config.out_dir)
+
+
+def test_previous_config_format_loads_and_resumes(dataset, main_run, tmp_path):
+    """A config.json of the earlier format, with window/stride keys, still resumes."""
+    states, out = main_run
+    resumed = tmp_path / "resumed"
+    resumed.mkdir()
+    shutil.copytree(out / "features", resumed / "features")
+    shutil.copytree(out / "round_0", resumed / "round_0")
+    doc = {
+        "manifest": str(dataset / "manifest.json"),
+        "out_dir": str(resumed),
+        "rounds": 2,
+        "encoder": {"patch_size": 4, "include_position": True, "position_weight": 0.25},
+        "train": {
+            "iterations": 60, "base_lr": 0.01, "lr_power": 0.9, "momentum": 0.9,
+            "weight_decay": 0.0001, "batch_voxels": 64, "lambda_max": 0.1,
+            "ramp_fraction": 0.3, "ema_decay": 0.99, "noise_sigma": 0.1,
+            "dice_smooth": 1e-05, "val_interval": 250,
+        },
+        "knn": 2,
+        "q_unc": 0.5,
+        "seed": 7,
+        "refine": True,
+        "window": [8, 8, 8],
+        "stride": 3,
+        "threads": 1,
+        "val_manifest": None,
+        "truth_dir": str(dataset / "truth"),
+    }
+    (resumed / "config.json").write_text(json.dumps(doc))
+    config = config_from_doc(json.loads((resumed / "config.json").read_text()), resumed)
+    assert config == _config(dataset, resumed, rounds=2)
+    state1 = run_round(config, 1, load_round_state(resumed, 0))
+    assert _label_bytes(state1) == _label_bytes(states[1])

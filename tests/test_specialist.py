@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from protoloop import specialist
 from protoloop.encoder import FeatureGrid
 from protoloop.specialist import (
     EmaTeacher,
@@ -13,20 +14,25 @@ from protoloop.specialist import (
     TrainConfig,
     TrainVolumeData,
     VoxelBatch,
-    build_feature_matrix,
     forward,
     infer,
     load_params,
     loss_and_grad,
-    per_voxel_features,
     poly_lr,
     ramp_up_alpha,
     save_params,
     train_round,
+    voxel_logits,
 )
-from protoloop.volume import IntensityVolume, LabelVolume, Shape3
+from protoloop.uncertainty import sample_uncertainty
+from protoloop.volume import IntensityVolume, LabelVolume, ProbVolume, Shape3
 
-from .oracles import finite_diff_grad, softmax_argmax_oracle
+from .oracles import (
+    build_feature_matrix,
+    finite_diff_grad,
+    per_voxel_features,
+    softmax_argmax_oracle,
+)
 
 
 def _vol(data):
@@ -37,6 +43,22 @@ def _vol(data):
 def _grid(data):
     data = np.asarray(data)
     return FeatureGrid(channels=data.shape[0], grid_shape=Shape3(*data.shape[1:]), data=data)
+
+
+def _factorized(vol, grid):
+    return TrainVolumeData.from_volume("v", vol, grid)
+
+
+def _rows_data(name, rows):
+    """An arbitrary (n, F) feature matrix as factorized data: one voxel per cell."""
+    n = len(rows)
+    return TrainVolumeData(
+        vol_id=name,
+        shape=Shape3(n, 1, 1),
+        grid_shape=Shape3(n, 1, 1),
+        cells=rows[:, :-1],
+        z=rows[:, -1],
+    )
 
 
 def _random_batch(rng, n_l=6, n_p=6, c=3, f=4):
@@ -99,6 +121,44 @@ def test_feature_matrix_matches_per_voxel():
             for w in range(5):
                 np.testing.assert_array_equal(mat[flat], per_voxel_features(vol, grid, (d, h, w)))
                 flat += 1
+
+
+# non-divisible extents, so edge cells cover fewer voxels than interior ones
+ODD_SHAPE = (13, 17, 23)
+ODD_GRID = (4, 5, 6)  # ceil(extent / 4) cells per axis, as at patch 4
+
+
+def _odd_case(seed, num_classes, channels=5):
+    rng = np.random.default_rng(seed)
+    vol = _vol(rng.normal(size=ODD_SHAPE))
+    grid = _grid(rng.normal(size=(channels,) + ODD_GRID).astype(np.float32))
+    params = SpecialistParams(
+        weights=rng.normal(size=(num_classes, channels + 1)), bias=rng.normal(size=num_classes)
+    )
+    return rng, vol, grid, params
+
+
+@pytest.mark.parametrize("num_classes", [2, 3])
+def test_gathered_rows_byte_equal_dense_rows(num_classes):
+    rng, vol, grid, _ = _odd_case(70, num_classes)
+    dense = build_feature_matrix(vol, grid)
+    data = _factorized(vol, grid)
+    idx = rng.integers(0, data.n_voxels, size=500)
+    assert data.rows(idx).tobytes() == dense[idx].tobytes()
+    assert data.rows(np.arange(data.n_voxels)).tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("num_classes", [2, 3])
+def test_factorized_logits_match_dense_oracle(num_classes, monkeypatch):
+    monkeypatch.setattr(specialist, "_SLAB_VOXELS", 800)  # two 17x23 planes per slab
+    _, vol, grid, params = _odd_case(71, num_classes)
+    dense = build_feature_matrix(vol, grid) @ params.weights.T + params.bias
+    slabs = list(voxel_logits(params, _factorized(vol, grid)))
+    assert len(slabs) == 7
+    assert [sl.start for sl, _ in slabs] == [0] + [sl.stop for sl, _ in slabs[:-1]]
+    logits = np.concatenate([chunk for _, chunk in slabs], axis=1)
+    assert logits.shape == (num_classes, vol.shape.voxels)
+    np.testing.assert_allclose(logits.T, dense, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +322,7 @@ def _separable_assets(rng, n=64, noise=0.05):
         y = rng.integers(0, 2, size=n)
         base = np.where(y[:, None] == 1, 1.0, -1.0)
         extra = rng.normal(scale=noise, size=(n, 2))
-        return TrainVolumeData(vol_id=name, features=np.hstack([base, extra])), y
+        return _rows_data(name, np.hstack([base, extra])), y
 
     labeled, labeled_y = vol_data("t")
     pool_u, pool_y = vol_data("u")
@@ -284,7 +344,7 @@ def test_train_round_fits_separable_fixture():
     assets, pseudo, pool_u, pool_y = _separable_assets(rng)
     config = TrainConfig(iterations=500, batch_voxels=64, seed=5)
     params, log = train_round(assets, pseudo, config, 1)
-    pred = np.argmax(forward(params, pool_u.features), axis=1)
+    pred = infer(params, pool_u)[0].data.reshape(-1)
     p, t = pred > 0, pool_y > 0
     dice = 2.0 * np.logical_and(p, t).sum() / max(1, p.sum() + t.sum())
     assert dice > 0.95
@@ -307,10 +367,7 @@ def test_train_round_deterministic():
 def test_train_round_validation_selection():
     rng = np.random.default_rng(31)
     assets, pseudo, pool_u, pool_y = _separable_assets(rng)
-    val = (
-        TrainVolumeData(vol_id="v", features=pool_u.features.copy()),
-        pool_y.copy(),
-    )
+    val = (pool_u, pool_y.copy())
     assets = TrainAssets(
         num_classes=2,
         labeled=assets.labeled,
@@ -320,7 +377,7 @@ def test_train_round_validation_selection():
     )
     config = TrainConfig(iterations=300, batch_voxels=64, seed=4, val_interval=50)
     params, _ = train_round(assets, pseudo, config, 1)
-    pred = np.argmax(forward(params, pool_u.features), axis=1)
+    pred = infer(params, pool_u)[0].data.reshape(-1)
     p, t = pred > 0, pool_y > 0
     dice = 2.0 * np.logical_and(p, t).sum() / max(1, p.sum() + t.sum())
     assert dice > 0.9  # the selected checkpoint must beat the zero init
@@ -346,46 +403,62 @@ def test_log_contains_schedule_fields():
 # ---------------------------------------------------------------------------
 # inference
 
-def test_infer_full_volume_equals_forward():
+def test_infer_full_volume_equals_forward(monkeypatch):
+    # labels are the argmax and the fused entropy the ProbVolume entropy of
+    # the dense oracle's probabilities, on a divisible and a non-divisible
+    # case, the latter split into several slabs
+    monkeypatch.setattr(specialist, "_SLAB_VOXELS", 800)
     rng = np.random.default_rng(50)
-    grid = _grid(rng.normal(size=(3, 2, 2, 2)))
-    vol = _vol(rng.normal(size=(4, 4, 4)))
-    params = SpecialistParams(weights=rng.normal(size=(2, 4)), bias=rng.normal(size=2))
-    labels, probs = infer(params, vol, grid, window=None)
-    direct = forward(params, build_feature_matrix(vol, grid))
-    np.testing.assert_allclose(probs.data.reshape(2, -1), direct.T, atol=1e-6)
-    assert (labels.data.reshape(-1) == np.argmax(direct, axis=1)).all()
-
-
-def test_infer_overlapping_windows_equivalent():
-    # the model is voxel-wise, so window averaging must not change anything
-    rng = np.random.default_rng(51)
-    grid = _grid(rng.normal(size=(3, 2, 2, 2)))
-    vol = _vol(rng.normal(size=(6, 6, 6)))
-    params = SpecialistParams(weights=rng.normal(size=(2, 4)), bias=rng.normal(size=2))
-    full_labels, full_probs = infer(params, vol, grid, window=None)
-    win_labels, win_probs = infer(params, vol, grid, window=Shape3(4, 4, 4), stride=2)
-    assert (win_labels.data == full_labels.data).all()
-    np.testing.assert_allclose(win_probs.data, full_probs.data, atol=1e-6)
+    even = (
+        _vol(rng.normal(size=(4, 4, 4))),
+        _grid(rng.normal(size=(3, 2, 2, 2))),
+        SpecialistParams(weights=rng.normal(size=(2, 4)), bias=rng.normal(size=2)),
+    )
+    cases = [even] + [_odd_case(72, k)[1:] for k in (2, 3)]
+    for vol, grid, params in cases:
+        k = params.num_classes
+        probs = forward(params, build_feature_matrix(vol, grid))
+        labels, entropy = infer(params, _factorized(vol, grid))
+        assert labels.num_classes == k
+        assert (labels.data.reshape(-1) == np.argmax(probs, axis=1)).all()
+        dense = ProbVolume(vol.shape, k, probs.T.reshape((k,) + vol.shape.as_tuple()))
+        assert entropy == pytest.approx(sample_uncertainty(dense).value, abs=1e-9)
 
 
 def test_infer_prob_rows_sum_to_one():
+    # the softmax of the factorized logits is a valid probability volume, and
+    # the fused pass reports that volume's mean entropy
     rng = np.random.default_rng(52)
     grid = _grid(rng.normal(size=(2, 2, 2, 2)))
     vol = _vol(rng.normal(size=(5, 5, 5)))
     params = SpecialistParams(weights=rng.normal(size=(3, 3)), bias=rng.normal(size=3))
-    _, probs = infer(params, vol, grid, window=Shape3(3, 3, 3), stride=2)
-    np.testing.assert_allclose(probs.data.sum(axis=0), 1.0, atol=1e-5)
+    data = _factorized(vol, grid)
+    probs = forward(params, data.rows(np.arange(data.n_voxels)))
+    np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+    prob_vol = ProbVolume(vol.shape, 3, probs.T.reshape(3, 5, 5, 5))
+    assert infer(params, data)[1] == pytest.approx(sample_uncertainty(prob_vol).value, abs=1e-9)
+
+
+def test_infer_zero_model_is_uniform():
+    # all logits tie: class 0 everywhere, entropy exactly ln(num_classes)
+    vol = _vol(np.random.default_rng(53).normal(size=(3, 4, 5)))
+    data = _factorized(vol, _grid(np.ones((2, 2, 2, 2))))
+    labels, entropy = infer(SpecialistParams.zeros(3, 3), data)
+    assert not labels.data.any()
+    assert entropy == pytest.approx(np.log(3), abs=1e-12)
 
 
 def test_infer_validation():
-    grid = _grid(np.zeros((2, 1, 1, 1)))
-    vol = _vol(np.zeros((2, 2, 2)))
-    params = SpecialistParams.zeros(2, 3)
-    with pytest.raises(ValueError, match="stride"):
-        infer(params, vol, grid, stride=0)
-    with pytest.raises(ValueError, match="window"):
-        infer(params, vol, grid, window=Shape3(4, 2, 2))
+    data = _factorized(_vol(np.zeros((2, 2, 2))), _grid(np.zeros((2, 1, 1, 1))))
+    with pytest.raises(ValueError, match="feature width"):
+        infer(SpecialistParams.zeros(2, 4), data)
+
+
+def test_factorized_data_validation():
+    with pytest.raises(ValueError, match="cell table"):
+        TrainVolumeData("v", Shape3(2, 2, 2), Shape3(1, 1, 2), np.zeros((1, 3)), np.zeros(8))
+    with pytest.raises(ValueError, match="z volume"):
+        TrainVolumeData("v", Shape3(2, 2, 2), Shape3(1, 1, 1), np.zeros((1, 3)), np.zeros(7))
 
 
 # ---------------------------------------------------------------------------
