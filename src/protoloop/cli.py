@@ -21,9 +21,7 @@ from .encoder import (
     EncoderParams,
     GlobalFeature,
     extract_feature_grid,
-    global_feature,
     ingest_external_features,
-    uniform_channel_count,
 )
 from .metrics import evaluate_pair, format_table, summarize_reports
 from .phantom import generate, load_spec
@@ -34,6 +32,7 @@ from .pipeline import (
     run_pipeline,
     run_round,
     run_round0,
+    write_globals,
 )
 from .refine import refine_all
 from .specialist import TrainConfig
@@ -151,15 +150,7 @@ def _cmd_encode(args) -> int:
             grid = extract_feature_grid(vol, params)
         save_array(grid, target)
         grids[entry.vol_id] = grid
-    uniform_channel_count(grids)
-    doc = {
-        vol_id: {
-            "vector": [float(x) for x in global_feature(g).vector],
-            "degenerate": global_feature(g).degenerate,
-        }
-        for vol_id, g in sorted(grids.items())
-    }
-    (out / "globals.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_globals(out, grids)
     print(f"encoded {len(grids)} volumes into {out}")
     return 0
 

@@ -3,11 +3,18 @@
 Each volume is z-score normalized, partitioned into non-overlapping cubic
 patches (edge patches truncated), and every patch is summarized by a fixed
 vector of local statistics plus optional normalized patch-center coordinates.
+The statistics are computed for all patches at once: each source volume (the
+z-scored intensities, then one |gradient| volume at a time) is copied into a
+blocked layout with every patch's voxels on the last axis and reduced along
+it.  Truncated edge patches are blocked as separate regions with their own
+extents, so every shape takes the same code path and no padding is needed.
 The same grid/global-feature contract also accepts features produced by an
 external model, loaded verbatim from array files.
 """
 from __future__ import annotations
 
+import itertools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +37,10 @@ BASE_CHANNELS = 8  # mean, std, min, max, median, mean|dd|, mean|dh|, mean|dw|
 
 # Diagnostic counter: number of times the built-in extractor ran in this
 # process.  The pipeline freezes it after the initial round to prove that no
-# raw volume is re-encoded later.
+# raw volume is re-encoded later.  Extraction runs on worker threads when the
+# pipeline has ``threads > 1``, so the increment holds a lock.
 _extract_calls = 0
+_extract_calls_lock = threading.Lock()
 
 
 def extract_call_count() -> int:
@@ -106,15 +115,36 @@ def zscore(data: np.ndarray) -> np.ndarray:
     return (data - float(data.mean())) / std
 
 
-def _abs_gradients(z: np.ndarray) -> list[np.ndarray]:
-    """|central difference| along each axis; axes of extent 1 get zeros."""
-    grads = []
-    for axis in range(3):
-        if z.shape[axis] < 2:
-            grads.append(np.zeros_like(z))
-        else:
-            grads.append(np.abs(np.gradient(z, axis=axis)))
-    return grads
+def _abs_gradient(z: np.ndarray, axis: int) -> np.ndarray:
+    """|central difference| along ``axis``; an axis of extent 1 gets zeros."""
+    if z.shape[axis] < 2:
+        return np.zeros_like(z)
+    return np.abs(np.gradient(z, axis=axis))
+
+
+def _axis_parts(extent: int, p: int) -> list[tuple[slice, slice, int]]:
+    """(voxel slice, cell slice, patch extent) for the run of whole patches
+    along one axis and for its truncated edge patch, whichever exist."""
+    whole, rest = divmod(extent, p)
+    parts = []
+    if whole:
+        parts.append((slice(0, whole * p), slice(0, whole), p))
+    if rest:
+        parts.append((slice(whole * p, extent), slice(whole, whole + 1), rest))
+    return parts
+
+
+def _blocked(src: np.ndarray, voxels: tuple, sizes: tuple) -> np.ndarray:
+    """Copy of ``src[voxels]`` as (cells_d, cells_h, cells_w, voxels per patch).
+
+    Always a fresh array, never a view of ``src``, so it may be reordered.
+    """
+    region = src[voxels]
+    cells = tuple(n // b for n, b in zip(region.shape, sizes))
+    view = region.reshape(
+        cells[0], sizes[0], cells[1], sizes[1], cells[2], sizes[2]
+    ).transpose(0, 2, 4, 1, 3, 5)
+    return view.copy().reshape(cells + (sizes[0] * sizes[1] * sizes[2],))
 
 
 def extract_feature_grid(vol: IntensityVolume, params: EncoderParams) -> FeatureGrid:
@@ -124,39 +154,50 @@ def extract_feature_grid(vol: IntensityVolume, params: EncoderParams) -> Feature
     central difference along d, h, w — all computed on the z-scored volume —
     followed (when enabled) by position_weight * (patch center / axis extent)
     for d, h, w.
+
+    Every statistic is one reduction over all cells at once: a source volume
+    is copied into blocked form, (cells_d, cells_h, cells_w, p³), and reduced
+    along its last axis.  An extent that is not a multiple of ``p`` splits
+    its axis into the run of whole patches and one truncated edge patch, so
+    the volume is covered by at most eight regions, each blocked with its own
+    patch extents; no padding enters any statistic.  Only one blocked copy,
+    and one gradient volume, is alive at a time.  Position channels are
+    per-axis vectors broadcast over the grid.
     """
     global _extract_calls
-    _extract_calls += 1
+    with _extract_calls_lock:
+        _extract_calls += 1
 
     p = params.patch_size
     shape = vol.shape.as_tuple()
     grid_shape = Shape3(*(-(-s // p) for s in shape))  # ceil division
+    regions = [
+        tuple(zip(*parts))  # (voxel slices, cell slices, patch extents)
+        for parts in itertools.product(*(_axis_parts(s, p) for s in shape))
+    ]
     z = zscore(vol.data)
-    grads = _abs_gradients(z)
 
     data = np.empty((params.channels,) + grid_shape.as_tuple(), dtype=np.float64)
-    for gd in range(grid_shape.d):
-        d0 = gd * p
-        for gh in range(grid_shape.h):
-            h0 = gh * p
-            for gw in range(grid_shape.w):
-                w0 = gw * p
-                sl = (slice(d0, d0 + p), slice(h0, h0 + p), slice(w0, w0 + p))
-                patch = z[sl]
-                cell = data[:, gd, gh, gw]
-                cell[0] = patch.mean()
-                cell[1] = patch.std()
-                cell[2] = patch.min()
-                cell[3] = patch.max()
-                cell[4] = np.median(patch)
-                cell[5] = grads[0][sl].mean()
-                cell[6] = grads[1][sl].mean()
-                cell[7] = grads[2][sl].mean()
-                if params.include_position:
-                    for axis, (start, extent) in enumerate(zip((d0, h0, w0), shape)):
-                        span = min(p, extent - start)
-                        center = start + span / 2.0
-                        cell[BASE_CHANNELS + axis] = params.position_weight * center / extent
+    for voxels, cells, sizes in regions:
+        blocks = _blocked(z, voxels, sizes)
+        out = data[(slice(None),) + cells]
+        out[0] = blocks.mean(axis=-1)
+        out[1] = blocks.std(axis=-1)
+        out[2] = blocks.min(axis=-1)
+        out[3] = blocks.max(axis=-1)
+        out[4] = np.median(blocks, axis=-1, overwrite_input=True)  # reorders blocks
+        del blocks
+    for axis in range(3):
+        grad = _abs_gradient(z, axis)
+        for voxels, cells, sizes in regions:
+            data[(5 + axis,) + cells] = _blocked(grad, voxels, sizes).mean(axis=-1)
+        del grad
+    if params.include_position:
+        for axis, (extent, n) in enumerate(zip(shape, grid_shape.as_tuple())):
+            start = np.arange(n) * p
+            center = start + np.minimum(p, extent - start) / 2.0
+            pos = params.position_weight * center / extent
+            data[BASE_CHANNELS + axis] = pos.reshape([-1 if a == axis else 1 for a in range(3)])
     return FeatureGrid(
         channels=params.channels,
         grid_shape=grid_shape,

@@ -60,6 +60,7 @@ __all__ = [
     "run_pipeline",
     "load_round_state",
     "load_report",
+    "write_globals",
 ]
 
 
@@ -145,10 +146,7 @@ class FeatureStore:
     def _grid_for(self, entry, vol: IntensityVolume, extract_allowed: bool, prefix: str) -> FeatureGrid:
         cached = self._grid_path(entry.vol_id, prefix)
         if cached.exists():
-            grid = load_array(cached)
-            if not isinstance(grid, FeatureGrid):
-                raise ValueError(f"{cached}: not a feature grid file")
-            return grid
+            return _load_cached_grid(cached, entry, self.config.encoder)
         if entry.features is not None:
             grid = encoder_mod.ingest_external_features(
                 self.manifest.resolve(entry.features), vol.shape
@@ -184,22 +182,43 @@ class FeatureStore:
         for vol_id, feats, grid in results:
             self.features[vol_id] = feats
             self.grids[vol_id] = grid
-        encoder_mod.uniform_channel_count(self.grids)
-        for vol_id in sorted(self.grids):
-            self.global_features[vol_id] = global_feature(self.grids[vol_id])
-        self._write_globals()
+        self.global_features = write_globals(self.features_dir, self.grids)
 
-    def _write_globals(self) -> None:
-        doc = {
-            vol_id: {
-                "vector": [float(x) for x in gf.vector],
-                "degenerate": gf.degenerate,
-            }
-            for vol_id, gf in sorted(self.global_features.items())
-        }
-        (self.features_dir / "globals.json").write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        )
+
+def _load_cached_grid(path: Path, entry, encoder: EncoderParams) -> FeatureGrid:
+    """A persisted grid; one the built-in encoder made must match ``encoder``.
+
+    Grids ingested from an entry's external ``features`` file are taken as
+    they are.  ``position_weight`` is not in the grid header, so a change of
+    it alone goes unnoticed.
+    """
+    grid = load_array(path)
+    if not isinstance(grid, FeatureGrid):
+        raise ValueError(f"{path}: not a feature grid file")
+    if entry.features is None:
+        want = (encoder.patch_size,) * 3
+        if grid.patch_size != want or grid.channels != encoder.channels:
+            raise ValueError(
+                f"stale feature grid for {entry.vol_id!r} in {path}: it has "
+                f"patch_size {grid.patch_size} and {grid.channels} channels, but the "
+                f"encoder config has patch_size {want} and {encoder.channels} channels"
+            )
+    return grid
+
+
+def write_globals(features_dir: Path, grids: dict[str, FeatureGrid]) -> dict[str, GlobalFeature]:
+    """Global features of ``grids``, by sorted id, also written to ``globals.json``.
+
+    Raises when the grids do not share one channel count.
+    """
+    encoder_mod.uniform_channel_count(grids)
+    out = {vol_id: global_feature(grids[vol_id]) for vol_id in sorted(grids)}
+    doc = {
+        vol_id: {"vector": [float(x) for x in gf.vector], "degenerate": gf.degenerate}
+        for vol_id, gf in out.items()
+    }
+    (features_dir / "globals.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return out
 
 
 @dataclass
@@ -269,7 +288,7 @@ def _load_validation(config: PipelineConfig, store: FeatureStore) -> tuple:
         lab = load_array(val_manifest.resolve(entry.label))
         cached = store._grid_path(entry.vol_id, prefix="val.")
         if cached.exists():
-            grid = load_array(cached)
+            grid = _load_cached_grid(cached, entry, config.encoder)
         elif entry.features is not None:
             grid = encoder_mod.ingest_external_features(
                 val_manifest.resolve(entry.features), vol.shape

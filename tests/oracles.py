@@ -3,9 +3,10 @@
 Everything in this file is written straight from the definitions with plain
 Python loops and scalar math, deliberately sharing no code or vectorization
 structure with the package.  These are slow and obvious on purpose: the fast
-implementations are checked against them on small seeded instances.  The one
-exception is the dense per-voxel feature section, which shares the package's
-z-score and cell LUTs so that factorized rows can be required byte-equal.
+implementations are checked against them on small seeded instances.  Two
+sections are exceptions: the per-cell encoder loop and the dense per-voxel
+features share the package's z-score (and cell LUTs) so that the blocked
+encoder grid and the factorized rows can be required byte-equal.
 """
 from __future__ import annotations
 
@@ -13,8 +14,9 @@ import math
 
 import numpy as np
 
-from protoloop.encoder import zscore
+from protoloop.encoder import EncoderParams, FeatureGrid, zscore
 from protoloop.specialist import cell_index_luts
+from protoloop.volume import Shape3
 
 EPS = 1e-8
 
@@ -100,6 +102,48 @@ def patch_features_oracle(data, patch, include_position=True, position_weight=0.
                         cell.append(position_weight * center / shape[a])
                 out[:, gd, gh, gw] = cell
     return out
+
+
+def extract_grid_loop_oracle(vol, params: EncoderParams) -> FeatureGrid:
+    """The encoder as one numpy reduction per patch, cell by cell.
+
+    Same z-score, gradients and per-patch numpy statistics as the package, so
+    the blocked encoder's float32 grid must equal this one byte for byte.
+    """
+    p = params.patch_size
+    shape = vol.shape.as_tuple()
+    grid_shape = Shape3(*(-(-s // p) for s in shape))
+    z = zscore(vol.data)
+    grads = [
+        np.zeros_like(z) if z.shape[a] < 2 else np.abs(np.gradient(z, axis=a))
+        for a in range(3)
+    ]
+    data = np.empty((params.channels,) + grid_shape.as_tuple(), dtype=np.float64)
+    for gd in range(grid_shape.d):
+        d0 = gd * p
+        for gh in range(grid_shape.h):
+            h0 = gh * p
+            for gw in range(grid_shape.w):
+                w0 = gw * p
+                sl = (slice(d0, d0 + p), slice(h0, h0 + p), slice(w0, w0 + p))
+                patch = z[sl]
+                cell = data[:, gd, gh, gw]
+                cell[0] = patch.mean()
+                cell[1] = patch.std()
+                cell[2] = patch.min()
+                cell[3] = patch.max()
+                cell[4] = np.median(patch)
+                cell[5] = grads[0][sl].mean()
+                cell[6] = grads[1][sl].mean()
+                cell[7] = grads[2][sl].mean()
+                if params.include_position:
+                    for axis, (start, extent) in enumerate(zip((d0, h0, w0), shape)):
+                        span = min(p, extent - start)
+                        center = start + span / 2.0
+                        cell[8 + axis] = params.position_weight * center / extent
+    return FeatureGrid(
+        channels=params.channels, grid_shape=grid_shape, data=data, patch_size=(p, p, p)
+    )
 
 
 def gap_oracle(grid_data):

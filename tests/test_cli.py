@@ -99,7 +99,7 @@ def test_synth_bad_spec(tmp_path):
     assert dispatch(["synth", "--spec", str(bad), "--out", str(tmp_path / "d")]) == 1
 
 
-def test_encode_writes_grids_and_globals(dataset, tmp_path, capsys):
+def test_encode_writes_grids_and_globals(dataset, finished_run, tmp_path, capsys):
     out = tmp_path / "feats"
     argv = ["encode", "--manifest", str(dataset / "manifest.json"), "--out", str(out), "--patch", "4"]
     assert dispatch(argv) == 0
@@ -108,8 +108,29 @@ def test_encode_writes_grids_and_globals(dataset, tmp_path, capsys):
     doc = json.loads((out / "globals.json").read_text())
     assert set(doc) == {f"vol_{i:03d}" for i in range(4)}
     assert all(len(v["vector"]) > 0 for v in doc.values())
+    # the same writer as `run`: identical bytes for the same manifest and patch
+    run_globals = finished_run / "features" / "globals.json"
+    assert (out / "globals.json").read_bytes() == run_globals.read_bytes()
     assert dispatch(argv) == 1  # refuses to overwrite
     assert dispatch(argv + ["--force"]) == 0
+
+
+def test_run_reuses_encoded_grids_and_refuses_stale_ones(dataset, finished_run, tmp_path, capsys):
+    manifest = str(dataset / "manifest.json")
+    fresh = tmp_path / "fresh"
+    assert dispatch(["encode", "--manifest", manifest, "--out", str(fresh / "features"), "--patch", "4"]) == 0
+    assert dispatch(_run_args(dataset, fresh)) == 0
+    for path in (finished_run / "round_1").glob("*.label"):
+        assert (fresh / "round_1" / path.name).read_bytes() == path.read_bytes()
+
+    stale = tmp_path / "stale"
+    assert dispatch(["encode", "--manifest", manifest, "--out", str(stale / "features"), "--patch", "6"]) == 0
+    capsys.readouterr()
+    assert dispatch(_run_args(dataset, stale)) == 1  # run asks for patch 4
+    err = capsys.readouterr().err
+    assert "stale feature grid for 'vol_000'" in err
+    assert "(6, 6, 6)" in err and "(4, 4, 4)" in err
+    assert not (stale / "round_0").exists()
 
 
 # ---------------------------------------------------------------------------

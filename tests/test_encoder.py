@@ -1,6 +1,9 @@
 """Patch-statistics encoder: per-cell channels, pooling, external ingestion."""
 from __future__ import annotations
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,7 @@ from protoloop.encoder import (
 )
 from protoloop.volume import IntensityVolume, Shape3, load_array, save_array, write_blob
 
-from .oracles import gap_oracle, patch_features_oracle
+from .oracles import extract_grid_loop_oracle, gap_oracle, patch_features_oracle
 
 
 def _vol(data):
@@ -71,6 +74,57 @@ def test_extract_matches_oracle_seeded():
         np.testing.assert_allclose(grid.data, expect, atol=1e-6)
 
 
+def _assert_matches_loop(data, patch, include_position=True):
+    vol = _vol(data)
+    params = EncoderParams(patch_size=patch, include_position=include_position)
+    grid = extract_feature_grid(vol, params)
+    expect = extract_grid_loop_oracle(vol, params)
+    assert grid.grid_shape == expect.grid_shape
+    assert grid.patch_size == expect.patch_size == (patch, patch, patch)
+    assert grid.data.tobytes() == expect.data.tobytes()
+
+
+@pytest.mark.parametrize("include_position", [True, False])
+@pytest.mark.parametrize("patch", [2, 3, 4, 8])
+@pytest.mark.parametrize(
+    "shape", [(16, 16, 16), (13, 17, 23), (9, 8, 3), (30, 31, 29)], ids=str
+)
+def test_blocked_grid_byte_equal_to_loop(shape, patch, include_position):
+    rng = np.random.default_rng([*shape, patch])
+    _assert_matches_loop(rng.normal(size=shape) * 3.0 + 1.0, patch, include_position)
+
+
+@pytest.mark.parametrize("shape", [(1, 12, 10), (9, 1, 7), (6, 5, 1), (1, 1, 9)], ids=str)
+@pytest.mark.parametrize("patch", [2, 4])
+def test_blocked_grid_byte_equal_axis_of_extent_one(shape, patch):
+    # the gradient along an axis of extent 1 is all zeros
+    data = np.random.default_rng(7).normal(size=shape)
+    _assert_matches_loop(data, patch)
+    grid = extract_feature_grid(_vol(data), EncoderParams(patch_size=patch))
+    for axis, extent in enumerate(shape):
+        if extent == 1:
+            assert (grid.data[5 + axis] == 0.0).all()
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 2), (7, 7, 7), (1, 5, 3)], ids=str)
+def test_blocked_grid_byte_equal_volume_smaller_than_patch(shape):
+    data = np.random.default_rng(11).normal(size=shape)
+    _assert_matches_loop(data, 8)
+    _assert_matches_loop(data, 8, include_position=False)
+
+
+@pytest.mark.parametrize("patch", [2, 3, 8])
+def test_blocked_grid_byte_equal_constant_volume(patch):
+    _assert_matches_loop(np.full((10, 9, 8), -2.5), patch)
+
+
+def test_blocked_grid_byte_equal_integer_valued_ties():
+    # many repeated values: medians of even-sized patches average two equal ties
+    data = np.random.default_rng(3).integers(0, 4, size=(12, 10, 9)).astype(np.float64)
+    for patch in (2, 3, 4):
+        _assert_matches_loop(data, patch)
+
+
 def test_extract_16_cubed_patch_8_mean_channel():
     rng = np.random.default_rng(99)
     data = rng.normal(size=(16, 16, 16))
@@ -102,6 +156,22 @@ def test_extract_counter_increments():
     before = extract_call_count()
     extract_feature_grid(_vol(np.zeros((2, 2, 2))), EncoderParams(patch_size=2))
     assert extract_call_count() == before + 1
+
+
+def test_extract_counter_exact_under_threads():
+    vol = _vol(np.random.default_rng(5).normal(size=(4, 4, 4)))
+    params = EncoderParams(patch_size=2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a lost update would show
+    try:
+        before = extract_call_count()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            calls = pool.map(lambda _: extract_feature_grid(vol, params), range(32), timeout=60)
+            grids = list(calls)
+        assert extract_call_count() == before + 32
+    finally:
+        sys.setswitchinterval(interval)
+    assert len({g.data.tobytes() for g in grids}) == 1
 
 
 def test_global_feature_analytic():

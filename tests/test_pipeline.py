@@ -150,6 +150,10 @@ def test_round0_exact_on_ingested_orthogonal_features(tmp_path):
     state = run_round0(config)
     assert encoder_mod.extract_call_count() == calls_before  # all grids ingested
     np.testing.assert_array_equal(state.labels["vol_b"].data, block_labels(layout_b).data)
+    # the cached ingested grids (patch 2, 2 channels) differ from the encoder
+    # config (patch 4, 11 channels) and are still reused: they are not stale
+    ctx = build_context(config, extract_allowed=False)
+    assert ctx.store.grids["vol_b"].patch_size == (2, 2, 2)
 
 
 def test_round0_perfect_on_noiseless_clones(tmp_path):
@@ -407,6 +411,41 @@ def test_validation_manifest_path(dataset, tmp_path):
     states = run_pipeline(config)
     assert states[1].params is not None
     assert (tmp_path / "run" / "features" / "val.vol_000.features.vxar").exists()
+
+
+def test_stale_feature_cache_refused(dataset, tmp_path):
+    out = tmp_path / "run"
+    build_context(_config(dataset, out))  # caches patch-4 grids with 11 channels
+    build_context(_config(dataset, out), extract_allowed=False)  # same encoder: reused
+    calls = encoder_mod.extract_call_count()
+    with pytest.raises(ValueError, match=r"stale feature grid for 'vol_000'.*\(4, 4, 4\).*\(2, 2, 2\)"):
+        build_context(_config(dataset, out, encoder=EncoderParams(patch_size=2)))
+    with pytest.raises(ValueError, match=r"stale feature grid.* 11 channels.* 8 channels"):
+        build_context(
+            _config(dataset, out, encoder=EncoderParams(patch_size=4, include_position=False))
+        )
+    assert encoder_mod.extract_call_count() == calls
+
+
+def test_stale_validation_cache_refused(dataset, tmp_path):
+    val_dir = tmp_path / "val"
+    spec = PhantomSpec(
+        num_volumes=2,
+        shape=Shape3(12, 12, 12),
+        num_classes=2,
+        classes=(ClassShape(center=(0.5, 0.5, 0.5), radii=(3.5, 3.5, 3.5)),),
+        seed=78,
+    )
+    generate(spec, val_dir, all_labeled=True)
+    out = tmp_path / "run"
+    val = val_dir / "manifest.json"
+    build_context(_config(dataset, out, val_manifest_path=val))
+    for path in (out / "features").glob("vol_*.features.vxar"):
+        path.unlink()  # pool grids re-extract; only the validation cache is stale
+    with pytest.raises(ValueError, match=r"stale feature grid for 'vol_000' in .*val\.vol_000"):
+        build_context(
+            _config(dataset, out, val_manifest_path=val, encoder=EncoderParams(patch_size=3))
+        )
 
 
 def test_threads_do_not_change_results(dataset, main_run, tmp_path):
