@@ -17,17 +17,13 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .encoder import (
-    EncoderParams,
-    GlobalFeature,
-    extract_feature_grid,
-    ingest_external_features,
-)
+from .encoder import EncoderParams, GlobalFeature
 from .metrics import evaluate_pair, format_table, summarize_reports
 from .phantom import generate, load_spec
 from .pipeline import (
     PipelineConfig,
     config_from_doc,
+    entry_grid,
     load_round_state,
     run_pipeline,
     run_round,
@@ -141,15 +137,12 @@ def _cmd_encode(args) -> int:
     grids = {}
     for entry in manifest.entries:
         target = out / f"{entry.vol_id}.features.vxar"
-        if target.exists() and not args.force:
-            raise FileExistsError(f"{target} exists; pass --force to overwrite")
+        if target.exists():
+            if not args.force:
+                raise FileExistsError(f"{target} exists; pass --force to overwrite")
+            target.unlink()  # encode always makes a fresh grid
         vol = load_array(manifest.resolve(entry.intensity))
-        if entry.features is not None:
-            grid = ingest_external_features(manifest.resolve(entry.features), vol.shape)
-        else:
-            grid = extract_feature_grid(vol, params)
-        save_array(grid, target)
-        grids[entry.vol_id] = grid
+        grids[entry.vol_id], _ = entry_grid(entry, manifest, vol, params, target)
     write_globals(out, grids)
     print(f"encoded {len(grids)} volumes into {out}")
     return 0

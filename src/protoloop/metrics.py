@@ -115,11 +115,17 @@ def distance_metrics(
     and the degenerate flag is set.
     """
     _check_pair(pred, ref, cls)
-    sp = surface_voxels(pred.data == cls)
-    sr = surface_voxels(ref.data == cls)
+    return _surface_distances(pred.data == cls, ref.data == cls, pred.shape.diagonal)
+
+
+def _surface_distances(
+    pred_mask: np.ndarray, ref_mask: np.ndarray, diagonal: float
+) -> tuple[float, float, bool]:
+    """(hd95, asd, degenerate) of two masks; ``diagonal`` when a surface is empty."""
+    sp = surface_voxels(pred_mask)
+    sr = surface_voxels(ref_mask)
     if sp.size == 0 or sr.size == 0:
-        sentinel = pred.shape.diagonal
-        return sentinel, sentinel, True
+        return diagonal, diagonal, True
     d_pr = _directed_distances(sp, sr)
     d_rp = _directed_distances(sr, sp)
     hd95 = max(_nearest_rank(d_pr, 0.95), _nearest_rank(d_rp, 0.95))
@@ -144,15 +150,7 @@ def _metrics_for_masks(
     pred_mask: np.ndarray, ref_mask: np.ndarray, diagonal: float
 ) -> ClassMetrics:
     dice, jaccard = _binary_overlap(pred_mask, ref_mask)
-    sp = surface_voxels(pred_mask)
-    sr = surface_voxels(ref_mask)
-    if sp.size == 0 or sr.size == 0:
-        hd95 = asd = diagonal
-    else:
-        d_pr = _directed_distances(sp, sr)
-        d_rp = _directed_distances(sr, sp)
-        hd95 = max(_nearest_rank(d_pr, 0.95), _nearest_rank(d_rp, 0.95))
-        asd = float((d_pr.sum() + d_rp.sum()) / (d_pr.size + d_rp.size))
+    hd95, asd, _ = _surface_distances(pred_mask, ref_mask, diagonal)
     return ClassMetrics(
         dice=dice,
         jaccard=jaccard,

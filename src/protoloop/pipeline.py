@@ -44,6 +44,7 @@ from .volume import (
     DatasetManifest,
     IntensityVolume,
     LabelVolume,
+    VolumeEntry,
     load_array,
     load_manifest,
     save_array,
@@ -60,6 +61,7 @@ __all__ = [
     "run_pipeline",
     "load_round_state",
     "load_report",
+    "entry_grid",
     "write_globals",
 ]
 
@@ -144,25 +146,14 @@ class FeatureStore:
         return vol
 
     def _grid_for(self, entry, vol: IntensityVolume, extract_allowed: bool, prefix: str) -> FeatureGrid:
-        cached = self._grid_path(entry.vol_id, prefix)
-        if cached.exists():
-            return _load_cached_grid(cached, entry, self.config.encoder)
-        if entry.features is not None:
-            grid = encoder_mod.ingest_external_features(
-                self.manifest.resolve(entry.features), vol.shape
-            )
-            save_array(grid, cached)
-            return grid
-        if not extract_allowed:
-            raise RuntimeError(
-                f"feature grid for {entry.vol_id!r} missing after the initial round; "
-                "re-encoding raw volumes is not allowed"
-            )
-        grid = encoder_mod.extract_feature_grid(vol, self.config.encoder)
-        self.extract_counts[entry.vol_id] = self.extract_counts.get(entry.vol_id, 0) + 1
-        if self.extract_counts[entry.vol_id] > 1:
-            raise RuntimeError(f"feature grid for {entry.vol_id!r} computed twice")
-        save_array(grid, cached)
+        grid, extracted = entry_grid(
+            entry, self.manifest, vol, self.config.encoder,
+            self._grid_path(entry.vol_id, prefix), extract_allowed,
+        )
+        if extracted:
+            self.extract_counts[entry.vol_id] = self.extract_counts.get(entry.vol_id, 0) + 1
+            if self.extract_counts[entry.vol_id] > 1:
+                raise RuntimeError(f"feature grid for {entry.vol_id!r} computed twice")
         return grid
 
     def prepare(self, extract_allowed: bool = True) -> None:
@@ -183,6 +174,36 @@ class FeatureStore:
             self.features[vol_id] = feats
             self.grids[vol_id] = grid
         self.global_features = write_globals(self.features_dir, self.grids)
+
+
+def entry_grid(
+    entry: VolumeEntry,
+    manifest: DatasetManifest,
+    vol: IntensityVolume,
+    encoder: EncoderParams,
+    path: Path,
+    extract_allowed: bool = True,
+) -> tuple[FeatureGrid, bool]:
+    """The feature grid of one manifest entry, persisted at ``path``, and whether it was extracted.
+
+    A grid already at ``path`` is reused; else the entry's external
+    ``features`` file is ingested; else the built-in encoder extracts one,
+    which raises when ``extract_allowed`` is false.  A new grid is written to
+    ``path``.
+    """
+    if path.exists():
+        return _load_cached_grid(path, entry, encoder), False
+    if entry.features is not None:
+        grid = encoder_mod.ingest_external_features(manifest.resolve(entry.features), vol.shape)
+    elif extract_allowed:
+        grid = encoder_mod.extract_feature_grid(vol, encoder)
+    else:
+        raise RuntimeError(
+            f"feature grid for {entry.vol_id!r} missing after the initial round; "
+            "re-encoding raw volumes is not allowed"
+        )
+    save_array(grid, path)
+    return grid, entry.features is None
 
 
 def _load_cached_grid(path: Path, entry, encoder: EncoderParams) -> FeatureGrid:
@@ -264,7 +285,7 @@ def build_context(config: PipelineConfig, extract_allowed: bool = True) -> Pipel
 
     validation = None
     if config.val_manifest_path is not None:
-        validation = _load_validation(config, store)
+        validation = _load_validation(config, store, extract_allowed)
 
     return PipelineContext(
         config=config,
@@ -278,7 +299,7 @@ def build_context(config: PipelineConfig, extract_allowed: bool = True) -> Pipel
     )
 
 
-def _load_validation(config: PipelineConfig, store: FeatureStore) -> tuple:
+def _load_validation(config: PipelineConfig, store: FeatureStore, extract_allowed: bool) -> tuple:
     val_manifest = load_manifest(config.val_manifest_path)
     out = []
     for entry in val_manifest.entries:
@@ -286,17 +307,10 @@ def _load_validation(config: PipelineConfig, store: FeatureStore) -> tuple:
             raise ValueError(f"validation entry {entry.vol_id!r} has no label")
         vol = load_array(val_manifest.resolve(entry.intensity))
         lab = load_array(val_manifest.resolve(entry.label))
-        cached = store._grid_path(entry.vol_id, prefix="val.")
-        if cached.exists():
-            grid = _load_cached_grid(cached, entry, config.encoder)
-        elif entry.features is not None:
-            grid = encoder_mod.ingest_external_features(
-                val_manifest.resolve(entry.features), vol.shape
-            )
-            save_array(grid, cached)
-        else:
-            grid = encoder_mod.extract_feature_grid(vol, config.encoder)
-            save_array(grid, cached)
+        grid, _ = entry_grid(
+            entry, val_manifest, vol, config.encoder,
+            store._grid_path(entry.vol_id, prefix="val."), extract_allowed,
+        )
         data = TrainVolumeData.from_volume(entry.vol_id, vol, grid)
         out.append((data, lab.data.reshape(-1)))
     return tuple(out)

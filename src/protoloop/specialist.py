@@ -9,6 +9,15 @@ head applied at cell resolution.  Every round trains a fresh zero-initialized
 model with SGD (momentum, weight decay, poly LR decay) on a loss combining
 supervised and pseudo-label cross-entropy/soft-Dice terms with a consistency
 term against an exponential-moving-average teacher.  Gradients are analytic.
+
+A step has k = 2-3 classes and about a dozen features, so its cost is the
+number of numpy calls, not arithmetic.  The step is therefore class-major:
+the batch is one ``(n_l + 2 n_p, F)`` buffer of labeled, pseudo-labeled and
+noisy pseudo-labeled rows, its logits are ``(k, n)`` and every softmax and
+Dice reduction runs over the class axis or along one class row.  One matmul
+gives the student's logits, one the teacher's on the clean pseudo-labeled
+rows and one the gradient.  The student, momentum and teacher stay plain
+arrays updated in place, and the per-step log is one preallocated array.
 """
 from __future__ import annotations
 
@@ -107,23 +116,23 @@ class TrainConfig:
 
 
 class EmaTeacher:
-    """Exponential moving average of student parameters.
+    """Exponential moving average of the student's weights and bias, in place.
 
     update() applies shadow = decay * shadow + (1 - decay) * student, exactly.
     """
 
-    def __init__(self, initial: SpecialistParams, decay: float):
+    def __init__(self, weights: np.ndarray, bias: np.ndarray, decay: float):
         if not 0.0 <= decay < 1.0:
             raise ValueError(f"decay={decay} outside [0, 1)")
         self.decay = decay
-        self.shadow = initial
+        self.weights = np.array(weights, dtype=np.float64)
+        self.bias = np.array(bias, dtype=np.float64)
 
-    def update(self, student: SpecialistParams) -> None:
+    def update(self, weights: np.ndarray, bias: np.ndarray) -> None:
         d = self.decay
-        self.shadow = SpecialistParams(
-            weights=d * self.shadow.weights + (1.0 - d) * student.weights,
-            bias=d * self.shadow.bias + (1.0 - d) * student.bias,
-        )
+        for shadow, student in ((self.weights, weights), (self.bias, bias)):
+            shadow *= d
+            shadow += (1.0 - d) * student
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +149,13 @@ def cell_index_luts(vol_shape: Shape3, grid_shape: Shape3) -> tuple[np.ndarray, 
 # ---------------------------------------------------------------------------
 # forward / schedules / loss
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    stable = logits - logits.max(axis=1, keepdims=True)
-    expd = np.exp(stable)
-    return expd / expd.sum(axis=1, keepdims=True)
+def _softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Softmax over axis 0 of class-major (k, n) logits: (probs, max, sum of exp)."""
+    top = logits.max(axis=0)
+    probs = np.exp(logits - top)
+    total = probs.sum(axis=0)
+    probs /= total
+    return probs, top, total
 
 
 def forward(params: SpecialistParams, feats: np.ndarray) -> np.ndarray:
@@ -156,7 +168,7 @@ def forward(params: SpecialistParams, feats: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"feature width {feats.shape[1]} != model width {params.num_features}"
         )
-    probs = _softmax_rows(feats @ params.weights.T + params.bias)
+    probs = _softmax(params.weights @ feats.T + params.bias[:, None])[0].T
     return probs[0] if single else probs
 
 
@@ -182,19 +194,26 @@ def poly_lr(iteration: int, total: int, base_lr: float, power: float = 0.9) -> f
 
 @dataclass(frozen=True)
 class VoxelBatch:
-    """One optimization step's voxels, with the consistency perturbation baked in."""
+    """One optimization step's voxels, with the consistency perturbation baked in.
 
-    labeled_x: np.ndarray        # (n_l, F)
-    labeled_y: np.ndarray        # (n_l,)
-    pseudo_x: np.ndarray         # (n_p, F) clean features
-    pseudo_y: np.ndarray         # (n_p,)
-    pseudo_x_noisy: np.ndarray   # (n_p, F) Gaussian-perturbed features
+    ``x`` stacks three row blocks, so one matmul covers all of them: the
+    labeled rows, the clean pseudo-labeled rows, and the same pseudo-labeled
+    rows plus Gaussian noise.
+    """
+
+    x: np.ndarray          # (n_l + 2 * n_p, F): labeled; pseudo; pseudo + noise
+    labeled_y: np.ndarray  # (n_l,)
+    pseudo_y: np.ndarray   # (n_p,)
 
     def __post_init__(self):
-        if len(self.labeled_x) == 0 or len(self.pseudo_x) == 0:
+        n_l, n_p = len(self.labeled_y), len(self.pseudo_y)
+        if n_l == 0 or n_p == 0:
             raise ValueError("batch needs both labeled and pseudo-labeled voxels")
-        if self.pseudo_x.shape != self.pseudo_x_noisy.shape:
-            raise ValueError("clean/noisy pseudo features must have equal shapes")
+        if self.x.ndim != 2 or len(self.x) != n_l + 2 * n_p:
+            raise ValueError(
+                f"batch rows {self.x.shape} do not stack {n_l} labeled rows and "
+                f"twice {n_p} pseudo-labeled rows"
+            )
 
 
 @dataclass(frozen=True)
@@ -206,87 +225,92 @@ class LossTerms:
 
 
 def _ce_dice_terms(
-    logits: np.ndarray, targets: np.ndarray, num_classes: int, smooth: float
-) -> tuple[float, np.ndarray]:
-    """0.5*(cross-entropy + soft Dice) over one voxel set; returns (loss, dL/dlogits)."""
-    n = logits.shape[0]
-    probs = _softmax_rows(logits)
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(n), targets] = 1.0
+    logits: np.ndarray, probs: np.ndarray, lse: np.ndarray, targets: np.ndarray,
+    smooth: float, out: np.ndarray,
+) -> float:
+    """0.5*(cross-entropy + soft Dice) over one (k, n) block of voxels.
 
-    # cross-entropy via logsumexp for stability
-    lse = logits.max(axis=1) + np.log(
-        np.exp(logits - logits.max(axis=1, keepdims=True)).sum(axis=1)
-    )
-    ce = float((lse - logits[np.arange(n), targets]).mean())
-    d_ce = (probs - onehot) / n
+    ``probs`` and ``lse`` (the logsumexp per voxel) come from the softmax of
+    the whole batch.  Writes dL/dlogits into ``out`` and returns the loss.
+    """
+    k, n = logits.shape
+    onehot = (targets == np.arange(k)[:, None]).astype(np.float64)
+    ce = float((lse - (onehot * logits).sum(axis=0)).sum()) / n
 
-    # soft Dice averaged over all classes on this batch
-    inter = (probs * onehot).sum(axis=0)
-    psum = probs.sum(axis=0)
-    tsum = onehot.sum(axis=0)
-    denom = psum + tsum + smooth
+    # soft Dice averaged over all classes on this block
+    inter = (probs * onehot).sum(axis=1)
+    denom = probs.sum(axis=1) + onehot.sum(axis=1) + smooth
     dice_c = (2.0 * inter + smooth) / denom
-    dice_loss = float(1.0 - dice_c.mean())
-    # d dice_c / d probs[i, c] = (2*onehot - dice_c) / denom  (per class c)
-    g_probs = -(2.0 * onehot - dice_c[None, :]) / denom[None, :] / num_classes
-    # back through softmax: dL/dz = p * (g - sum_k g_k p_k)
-    inner = (g_probs * probs).sum(axis=1, keepdims=True)
-    d_dice = probs * (g_probs - inner)
+    dice_loss = float(1.0 - dice_c.sum() / k)
+    # d dice_c / d probs[c, i] = (2*onehot - dice_c) / denom  (per class c),
+    # then back through softmax: dL/dz = p * (g - sum_k g_k p_k)
+    g = (dice_c[:, None] - 2.0 * onehot) / (k * denom)[:, None]
+    g -= (g * probs).sum(axis=0)
+    g *= probs
+    # plus the cross-entropy gradient (p - onehot) / n
+    np.subtract(probs, onehot, out=out)
+    out /= n
+    out += g
+    out *= 0.5
+    return 0.5 * (ce + dice_loss)
 
-    return 0.5 * (ce + dice_loss), 0.5 * (d_ce + d_dice)
 
+def _mse_consistency(probs: np.ndarray, teacher_probs: np.ndarray, out: np.ndarray) -> float:
+    """Mean squared difference between student and teacher distributions.
 
-def _mse_consistency(
-    student_logits: np.ndarray, teacher_probs: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean squared difference between student and teacher distributions."""
-    n, c = student_logits.shape
-    probs = _softmax_rows(student_logits)
+    Writes dL/dlogits of the student into ``out`` and returns the loss.
+    """
     diff = probs - teacher_probs
-    loss = float((diff**2).mean())
-    g_probs = 2.0 * diff / (n * c)
-    inner = (g_probs * probs).sum(axis=1, keepdims=True)
-    return loss, probs * (g_probs - inner)
+    loss = float(np.vdot(diff, diff)) / diff.size
+    diff *= 2.0 / diff.size
+    diff -= (diff * probs).sum(axis=0)
+    np.multiply(probs, diff, out=out)
+    return loss
 
 
 def loss_and_grad(
-    params: SpecialistParams,
-    teacher: SpecialistParams,
+    student: tuple[np.ndarray, np.ndarray],
+    teacher: tuple[np.ndarray, np.ndarray],
     batch: VoxelBatch,
     alpha: float,
     lam: float,
     smooth: float = 1e-5,
 ) -> tuple[LossTerms, tuple[np.ndarray, np.ndarray]]:
-    """Combined round loss and its analytic gradient.
+    """Combined round loss and its analytic gradient in the student (weights, bias).
 
     total = sup + lam * unsup + alpha * pseudo, where sup and pseudo are
     0.5*(CE + soft Dice) on the labeled and pseudo-labeled voxels, and unsup
     is the consistency MSE between the student's probabilities on perturbed
-    features and the teacher's on clean features.
+    features and the teacher's on clean features.  Logits are class-major,
+    (k, n): one matmul gives the student's logits on every row of the batch,
+    one more the teacher's on the clean pseudo-labeled rows, and one the
+    gradient, from the per-voxel logit gradients scaled by each term's weight.
     """
-    c = params.num_classes
-    w, b = params.weights, params.bias
+    w, b = student
+    n_l, n_p = len(batch.labeled_y), len(batch.pseudo_y)
+    lab, pse, noisy = slice(0, n_l), slice(n_l, n_l + n_p), slice(n_l + n_p, None)
+    x = batch.x
 
-    logits_l = batch.labeled_x @ w.T + b
-    sup, d_sup = _ce_dice_terms(logits_l, batch.labeled_y, c, smooth)
+    logits = w @ x.T
+    logits += b[:, None]
+    probs, top, total = _softmax(logits)
+    lse = top[: n_l + n_p] + np.log(total[: n_l + n_p])
+    teacher_logits = teacher[0] @ x[pse].T
+    teacher_logits += teacher[1][:, None]
 
-    logits_p = batch.pseudo_x @ w.T + b
-    pseudo, d_pseudo = _ce_dice_terms(logits_p, batch.pseudo_y, c, smooth)
-
-    logits_noisy = batch.pseudo_x_noisy @ w.T + b
-    teacher_probs = forward(teacher, batch.pseudo_x)
-    unsup, d_unsup = _mse_consistency(logits_noisy, teacher_probs)
-
-    total = sup + lam * unsup + alpha * pseudo
-
-    d_w = (
-        d_sup.T @ batch.labeled_x
-        + alpha * (d_pseudo.T @ batch.pseudo_x)
-        + lam * (d_unsup.T @ batch.pseudo_x_noisy)
+    grad = np.empty_like(logits)
+    sup = _ce_dice_terms(
+        logits[:, lab], probs[:, lab], lse[lab], batch.labeled_y, smooth, grad[:, lab]
     )
-    d_b = d_sup.sum(axis=0) + alpha * d_pseudo.sum(axis=0) + lam * d_unsup.sum(axis=0)
-    return LossTerms(total=total, sup=sup, unsup=unsup, pseudo=pseudo), (d_w, d_b)
+    pseudo = _ce_dice_terms(
+        logits[:, pse], probs[:, pse], lse[pse], batch.pseudo_y, smooth, grad[:, pse]
+    )
+    unsup = _mse_consistency(probs[:, noisy], _softmax(teacher_logits)[0], grad[:, noisy])
+    grad[:, pse] *= alpha
+    grad[:, noisy] *= lam
+
+    terms = LossTerms(total=sup + lam * unsup + alpha * pseudo, sup=sup, unsup=unsup, pseudo=pseudo)
+    return terms, (grad @ x, grad.sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -339,15 +363,16 @@ class TrainVolumeData:
     def num_features(self) -> int:
         return self.cells.shape[1] + 1
 
-    def rows(self, idx: np.ndarray) -> np.ndarray:
-        """(len(idx), C + 1) feature rows of the flat voxel indices ``idx``."""
+    def rows(self, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(len(idx), C + 1) feature rows of the flat voxel indices ``idx``, in ``out`` if given."""
         _, h, w = self.shape.as_tuple()
         _, gh, gw = self.grid_shape.as_tuple()
         ld, lh, lw = self.luts
         d, rem = np.divmod(idx, h * w)
         hh, ww = np.divmod(rem, w)
         cell = (ld[d] * gh + lh[hh]) * gw + lw[ww]
-        out = np.empty((len(idx), self.num_features))
+        if out is None:
+            out = np.empty((len(idx), self.num_features))
         out[:, :-1] = self.cells[cell]
         out[:, -1] = self.z[idx]
         return out
@@ -385,6 +410,12 @@ def _mean_val_dice(params: SpecialistParams, assets: TrainAssets) -> float:
     return float(np.mean(dices))
 
 
+# per-step columns of the training log, after "iter"
+_LOG_FIELDS = (
+    "lr", "alpha", "lambda", "loss", "l_sup", "l_unsup", "l_pseudo", "grad_norm", "param_norm",
+)
+
+
 def train_round(
     assets: TrainAssets,
     pseudo_labels: dict[str, LabelVolume],
@@ -396,7 +427,9 @@ def train_round(
     Every step draws half the batch from the labeled template and half from
     one sampled pseudo-labeled volume.  Returns the selected parameters (best
     validation Dice when a validation set is present, else the final iterate)
-    and the per-step training log.
+    and the per-step training log: the schedule, the loss terms, the gradient
+    norm ||(dW, db)|| before weight decay and the parameter norm ||(W, b)||
+    after the update.
     """
     missing = {v.vol_id for v in assets.pool} - pseudo_labels.keys()
     if missing:
@@ -409,17 +442,22 @@ def train_round(
             raise ValueError(f"pseudo-label shape mismatch for {vol.vol_id!r}")
         targets[vol.vol_id] = flat
 
+    # the student, its momentum and the teacher stay plain arrays updated in
+    # place; a SpecialistParams is built only to validate and to return
     num_features = assets.labeled.num_features
     rng = np.random.default_rng(config.seed)
-    params = SpecialistParams.zeros(assets.num_classes, num_features)
-    teacher = EmaTeacher(params, config.ema_decay)
-    vel_w = np.zeros_like(params.weights)
-    vel_b = np.zeros_like(params.bias)
+    w = np.zeros((assets.num_classes, num_features))
+    b = np.zeros(assets.num_classes)
+    teacher = EmaTeacher(w, b, config.ema_decay)
+    vel_w = np.zeros_like(w)
+    vel_b = np.zeros_like(b)
 
     n_lab = config.batch_voxels // 2
     n_pse = config.batch_voxels - n_lab
+    x = np.empty((n_lab + 2 * n_pse, num_features))
+    x_lab, x_pse, x_noisy = x[:n_lab], x[n_lab : n_lab + n_pse], x[n_lab + n_pse :]
     total = config.iterations
-    log: list[dict] = []
+    log = np.empty((total, len(_LOG_FIELDS)))
     best: tuple[float, SpecialistParams] | None = None
 
     for t in range(total):
@@ -430,50 +468,39 @@ def train_round(
         pick = assets.pool[int(rng.integers(len(assets.pool)))]
         li = rng.integers(0, assets.labeled.n_voxels, size=n_lab)
         pi = rng.integers(0, pick.n_voxels, size=n_pse)
-        px = pick.rows(pi)
-        noise = rng.normal(0.0, config.noise_sigma, size=px.shape)
-        batch = VoxelBatch(
-            labeled_x=assets.labeled.rows(li),
-            labeled_y=assets.labeled_targets[li],
-            pseudo_x=px,
-            pseudo_y=targets[pick.vol_id][pi],
-            pseudo_x_noisy=px + noise,
-        )
+        assets.labeled.rows(li, out=x_lab)
+        pick.rows(pi, out=x_pse)
+        np.add(x_pse, rng.normal(0.0, config.noise_sigma, size=x_pse.shape), out=x_noisy)
+        batch = VoxelBatch(x, assets.labeled_targets[li], targets[pick.vol_id][pi])
 
         terms, (d_w, d_b) = loss_and_grad(
-            params, teacher.shadow, batch, alpha, lam, config.dice_smooth
+            (w, b), (teacher.weights, teacher.bias), batch, alpha, lam, config.dice_smooth
         )
         if not math.isfinite(terms.total):
             raise ValueError(f"non-finite loss at iteration {t}")
-        d_w = d_w + config.weight_decay * params.weights
-        d_b = d_b + config.weight_decay * params.bias
-        vel_w = config.momentum * vel_w + d_w
-        vel_b = config.momentum * vel_b + d_b
-        params = SpecialistParams(
-            weights=params.weights - lr * vel_w, bias=params.bias - lr * vel_b
-        )
-        teacher.update(params)
-        log.append(
-            {
-                "iter": t,
-                "lr": lr,
-                "alpha": alpha,
-                "lambda": lam,
-                "loss": terms.total,
-                "l_sup": terms.sup,
-                "l_unsup": terms.unsup,
-                "l_pseudo": terms.pseudo,
-            }
+        grad_norm = math.sqrt(np.vdot(d_w, d_w) + np.vdot(d_b, d_b))
+        d_w += config.weight_decay * w
+        d_b += config.weight_decay * b
+        for param, vel, grad in ((w, vel_w, d_w), (b, vel_b, d_b)):
+            vel *= config.momentum
+            vel += grad
+            param -= lr * vel
+        teacher.update(w, b)
+        param_norm = math.sqrt(np.vdot(w, w) + np.vdot(b, b))
+        log[t] = (
+            lr, alpha, lam, terms.total, terms.sup, terms.unsup, terms.pseudo, grad_norm, param_norm
         )
 
         if assets.validation and ((t + 1) % config.val_interval == 0 or t == total - 1):
+            params = SpecialistParams(w.copy(), b.copy())
             score = _mean_val_dice(params, assets)
             if best is None or score > best[0]:
                 best = (score, params)
 
+    records = [{"iter": t, **dict(zip(_LOG_FIELDS, row))} for t, row in enumerate(log.tolist())]
     if assets.validation and best is not None:
-        return best[1], log
-    return params, log
+        return best[1], records
+    return SpecialistParams(w, b), records
 
 
 # ---------------------------------------------------------------------------

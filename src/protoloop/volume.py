@@ -9,6 +9,7 @@ round-trips are bit-exact.
 from __future__ import annotations
 
 import json
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -283,9 +284,18 @@ def load_array(path: str | Path):
 # ---------------------------------------------------------------------------
 # dataset manifest
 
+_VOL_ID = re.compile(r"[A-Za-z0-9_-]+")
+
+
 @dataclass(frozen=True)
 class VolumeEntry:
-    """One pool member: id plus relative paths to its array files."""
+    """One pool member: id plus relative paths to its array files.
+
+    The id names files under the run directory (``<id>.features.vxar``,
+    ``<id>.round1.raw.label``, ...), so it is restricted to letters, digits,
+    ``_`` and ``-``: no path separator can leave the directory and no ``.``
+    can blur where the id ends in a file name.
+    """
 
     vol_id: str
     intensity: str
@@ -293,8 +303,11 @@ class VolumeEntry:
     features: str | None = None
 
     def __post_init__(self):
-        if not self.vol_id:
-            raise ValueError("volume id must be non-empty")
+        if not isinstance(self.vol_id, str) or not _VOL_ID.fullmatch(self.vol_id):
+            raise ValueError(
+                f"volume id {self.vol_id!r} must be a non-empty string of letters, "
+                "digits, '_' and '-'"
+            )
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,12 @@
 Everything in this file is written straight from the definitions with plain
 Python loops and scalar math, deliberately sharing no code or vectorization
 structure with the package.  These are slow and obvious on purpose: the fast
-implementations are checked against them on small seeded instances.  Two
+implementations are checked against them on small seeded instances.  Three
 sections are exceptions: the per-cell encoder loop and the dense per-voxel
 features share the package's z-score (and cell LUTs) so that the blocked
-encoder grid and the factorized rows can be required byte-equal.
+encoder grid and the factorized rows can be required byte-equal, and the
+voxel-major training loop shares the package's row gather, schedules,
+parameter type and inference so that only the step itself is compared.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import math
 import numpy as np
 
 from protoloop.encoder import EncoderParams, FeatureGrid, zscore
-from protoloop.specialist import cell_index_luts
+from protoloop.specialist import SpecialistParams, cell_index_luts, infer, poly_lr, ramp_up_alpha
 from protoloop.volume import Shape3
 
 EPS = 1e-8
@@ -468,3 +470,131 @@ def finite_diff_grad(loss_fn, weights, bias, h=1e-6):
         bm[idx] -= h
         db[idx] = (loss_fn(weights, bp) - loss_fn(weights, bm)) / (2.0 * h)
     return dw, db
+
+
+# ---------------------------------------------------------------------------
+# training loop
+#
+# The round training loop as it was before the class-major step: (n, k)
+# logits, one matmul per voxel set and direction, a validated parameter
+# object per step and per EMA update, and one log dict per step.  It draws
+# from the generator in the same order as ``train_round`` (pick, labeled
+# indices, pseudo indices, noise), so both see the same batches.
+
+def _softmax_rows_oracle(logits):
+    stable = logits - logits.max(axis=1, keepdims=True)
+    expd = np.exp(stable)
+    return expd / expd.sum(axis=1, keepdims=True)
+
+
+def _ce_dice_terms_oracle(logits, targets, num_classes, smooth):
+    """0.5*(cross-entropy + soft Dice) over one (n, k) voxel set; (loss, dL/dlogits)."""
+    n = logits.shape[0]
+    probs = _softmax_rows_oracle(logits)
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(n), targets] = 1.0
+    lse = logits.max(axis=1) + np.log(
+        np.exp(logits - logits.max(axis=1, keepdims=True)).sum(axis=1)
+    )
+    ce = float((lse - logits[np.arange(n), targets]).mean())
+    d_ce = (probs - onehot) / n
+    inter = (probs * onehot).sum(axis=0)
+    psum = probs.sum(axis=0)
+    tsum = onehot.sum(axis=0)
+    denom = psum + tsum + smooth
+    dice_c = (2.0 * inter + smooth) / denom
+    dice_loss = float(1.0 - dice_c.mean())
+    g_probs = -(2.0 * onehot - dice_c[None, :]) / denom[None, :] / num_classes
+    inner = (g_probs * probs).sum(axis=1, keepdims=True)
+    d_dice = probs * (g_probs - inner)
+    return 0.5 * (ce + dice_loss), 0.5 * (d_ce + d_dice)
+
+
+def _mse_consistency_oracle(student_logits, teacher_probs):
+    n, c = student_logits.shape
+    probs = _softmax_rows_oracle(student_logits)
+    diff = probs - teacher_probs
+    loss = float((diff**2).mean())
+    g_probs = 2.0 * diff / (n * c)
+    inner = (g_probs * probs).sum(axis=1, keepdims=True)
+    return loss, probs * (g_probs - inner)
+
+
+def loss_and_grad_rows_oracle(params, teacher, lx, ly, px, py, nx, alpha, lam, smooth=1e-5):
+    """(total, sup, unsup, pseudo), (dW, db) of the round loss on (n, F) row blocks."""
+    c = params.num_classes
+    w, b = params.weights, params.bias
+    sup, d_sup = _ce_dice_terms_oracle(lx @ w.T + b, ly, c, smooth)
+    pseudo, d_pseudo = _ce_dice_terms_oracle(px @ w.T + b, py, c, smooth)
+    teacher_probs = _softmax_rows_oracle(px @ teacher.weights.T + teacher.bias)
+    unsup, d_unsup = _mse_consistency_oracle(nx @ w.T + b, teacher_probs)
+    total = sup + lam * unsup + alpha * pseudo
+    d_w = d_sup.T @ lx + alpha * (d_pseudo.T @ px) + lam * (d_unsup.T @ nx)
+    d_b = d_sup.sum(axis=0) + alpha * d_pseudo.sum(axis=0) + lam * d_unsup.sum(axis=0)
+    return (total, sup, unsup, pseudo), (d_w, d_b)
+
+
+def _mean_val_dice_oracle(params, validation):
+    dices = []
+    for data, targets in validation:
+        p = infer(params, data)[0].data.reshape(-1) > 0
+        t = targets > 0
+        np_, nt = int(p.sum()), int(t.sum())
+        inter = int(np.logical_and(p, t).sum())
+        dices.append(1.0 if np_ + nt == 0 else 2.0 * inter / (np_ + nt))
+    return float(np.mean(dices))
+
+
+def train_round_loop_oracle(assets, pseudo_labels, config):
+    """(selected SpecialistParams, per-step log dicts) of one round, voxel-major."""
+    targets = {v.vol_id: pseudo_labels[v.vol_id].data.reshape(-1) for v in assets.pool}
+    rng = np.random.default_rng(config.seed)
+    params = SpecialistParams.zeros(assets.num_classes, assets.labeled.num_features)
+    teacher = params
+    vel_w = np.zeros_like(params.weights)
+    vel_b = np.zeros_like(params.bias)
+    n_lab = config.batch_voxels // 2
+    n_pse = config.batch_voxels - n_lab
+    total = config.iterations
+    log = []
+    best = None
+    for t in range(total):
+        lr = poly_lr(t, total, config.base_lr, config.lr_power)
+        alpha = ramp_up_alpha(t, total, config.ramp_fraction)
+        lam = config.lambda_max * alpha
+        pick = assets.pool[int(rng.integers(len(assets.pool)))]
+        li = rng.integers(0, assets.labeled.n_voxels, size=n_lab)
+        pi = rng.integers(0, pick.n_voxels, size=n_pse)
+        px = pick.rows(pi)
+        noise = rng.normal(0.0, config.noise_sigma, size=px.shape)
+        (loss, sup, unsup, pse), (d_w, d_b) = loss_and_grad_rows_oracle(
+            params, teacher, assets.labeled.rows(li), assets.labeled_targets[li],
+            px, targets[pick.vol_id][pi], px + noise, alpha, lam, config.dice_smooth,
+        )
+        grad_norm = float(np.linalg.norm(np.concatenate([d_w.ravel(), d_b])))
+        d_w = d_w + config.weight_decay * params.weights
+        d_b = d_b + config.weight_decay * params.bias
+        vel_w = config.momentum * vel_w + d_w
+        vel_b = config.momentum * vel_b + d_b
+        params = SpecialistParams(
+            weights=params.weights - lr * vel_w, bias=params.bias - lr * vel_b
+        )
+        d = config.ema_decay
+        teacher = SpecialistParams(
+            weights=d * teacher.weights + (1.0 - d) * params.weights,
+            bias=d * teacher.bias + (1.0 - d) * params.bias,
+        )
+        log.append({
+            "iter": t, "lr": lr, "alpha": alpha, "lambda": lam, "loss": loss,
+            "l_sup": sup, "l_unsup": unsup, "l_pseudo": pse, "grad_norm": grad_norm,
+            "param_norm": float(
+                np.linalg.norm(np.concatenate([params.weights.ravel(), params.bias]))
+            ),
+        })
+        if assets.validation and ((t + 1) % config.val_interval == 0 or t == total - 1):
+            score = _mean_val_dice_oracle(params, assets.validation)
+            if best is None or score > best[0]:
+                best = (score, params)
+    if assets.validation and best is not None:
+        return best[1], log
+    return params, log

@@ -77,6 +77,23 @@ def test_usage_errors_exit_one(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("vol_id", ["../escaped", "vol.x"])
+def test_run_rejects_hostile_volume_id(dataset, tmp_path, capsys, vol_id):
+    doc = json.loads((dataset / "manifest.json").read_text())
+    for v in doc["volumes"]:
+        for key in ("intensity", "label", "features"):
+            if v.get(key):
+                v[key] = str(dataset / v[key])
+    doc["volumes"][-1]["id"] = vol_id
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    argv = _run_args(dataset, tmp_path / "out")
+    argv[argv.index("--manifest") + 1] = str(manifest)
+    assert dispatch(argv) == 1
+    assert "volume id" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.vxar")) and not list(tmp_path.rglob("*.label"))
+
+
 def test_runtime_failure_exits_two(dataset, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_pipeline", lambda config: 1 / 0)
     assert dispatch(_run_args(dataset, tmp_path / "r")) == 2
@@ -113,6 +130,17 @@ def test_encode_writes_grids_and_globals(dataset, finished_run, tmp_path, capsys
     assert (out / "globals.json").read_bytes() == run_globals.read_bytes()
     assert dispatch(argv) == 1  # refuses to overwrite
     assert dispatch(argv + ["--force"]) == 0
+
+
+def test_encode_force_replaces_grids_of_another_patch(dataset, tmp_path):
+    # --force makes fresh grids; an old grid of another patch is not "reused"
+    manifest = str(dataset / "manifest.json")
+    argv = ["encode", "--manifest", manifest, "--out", str(tmp_path / "f")]
+    assert dispatch(argv + ["--patch", "6"]) == 0
+    assert dispatch(argv + ["--patch", "4", "--force"]) == 0
+    assert dispatch(["encode", "--manifest", manifest, "--out", str(tmp_path / "g"), "--patch", "4"]) == 0
+    for name in [f"vol_{i:03d}.features.vxar" for i in range(4)] + ["globals.json"]:
+        assert (tmp_path / "f" / name).read_bytes() == (tmp_path / "g" / name).read_bytes()
 
 
 def test_run_reuses_encoded_grids_and_refuses_stale_ones(dataset, finished_run, tmp_path, capsys):

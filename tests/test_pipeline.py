@@ -329,6 +329,12 @@ def test_train_log_lines(main_run):
     assert len(lines) == 60
     first = json.loads(lines[0])
     assert first["iter"] == 0 and np.isfinite(first["loss"])
+    for line in lines:
+        rec = json.loads(line)
+        for key in ("grad_norm", "param_norm"):
+            assert np.isfinite(rec[key]) and rec[key] >= 0.0
+    # the first step starts from zero weights and moves them
+    assert first["param_norm"] > 0.0
 
 
 def test_pipeline_deterministic(dataset, main_run, tmp_path):
@@ -377,6 +383,26 @@ def test_offline_contract_blocks_reencoding(dataset, tmp_path):
     config = _config(dataset, tmp_path / "run")
     with pytest.raises(RuntimeError, match="not allowed"):
         build_context(config, extract_allowed=False)
+
+
+def test_offline_contract_blocks_validation_reencoding(dataset, tmp_path):
+    val_dir = tmp_path / "val"
+    spec = PhantomSpec(
+        num_volumes=2,
+        shape=Shape3(12, 12, 12),
+        num_classes=2,
+        classes=(ClassShape(center=(0.5, 0.5, 0.5), radii=(3.5, 3.5, 3.5)),),
+        seed=79,
+    )
+    generate(spec, val_dir, all_labeled=True)
+    config = _config(dataset, tmp_path / "run", val_manifest_path=val_dir / "manifest.json")
+    build_context(config)
+    build_context(config, extract_allowed=False)  # every grid cached: no extraction
+    (tmp_path / "run" / "features" / "val.vol_001.features.vxar").unlink()
+    calls = encoder_mod.extract_call_count()
+    with pytest.raises(RuntimeError, match="'vol_001' missing after the initial round"):
+        build_context(config, extract_allowed=False)
+    assert encoder_mod.extract_call_count() == calls
 
 
 def test_rerun_requires_force(dataset, main_run, tmp_path):

@@ -1,6 +1,8 @@
 """Linear voxel classifier: loss, gradients, round training, inference."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,7 @@ from .oracles import (
     finite_diff_grad,
     per_voxel_features,
     softmax_argmax_oracle,
+    train_round_loop_oracle,
 )
 
 
@@ -62,13 +65,14 @@ def _rows_data(name, rows):
 
 
 def _random_batch(rng, n_l=6, n_p=6, c=3, f=4):
-    return VoxelBatch(
-        labeled_x=rng.normal(size=(n_l, f)),
-        labeled_y=rng.integers(0, c, size=n_l),
-        pseudo_x=rng.normal(size=(n_p, f)),
-        pseudo_y=rng.integers(0, c, size=n_p),
-        pseudo_x_noisy=rng.normal(size=(n_p, f)),
-    )
+    x_l, y_l = rng.normal(size=(n_l, f)), rng.integers(0, c, size=n_l)
+    x_p, y_p = rng.normal(size=(n_p, f)), rng.integers(0, c, size=n_p)
+    x_noisy = rng.normal(size=(n_p, f))
+    return VoxelBatch(x=np.vstack([x_l, x_p, x_noisy]), labeled_y=y_l, pseudo_y=y_p)
+
+
+def _pair(params):
+    return params.weights, params.bias
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +217,9 @@ def test_zero_lr_step_is_noop():
     # an SGD step scaled by lr = 0 leaves the parameters at initialization
     rng = np.random.default_rng(3)
     params = SpecialistParams.zeros(2, 2)
-    terms, (dw, db) = loss_and_grad(params, params, _random_batch(rng, c=2, f=2), 0.5, 0.1)
+    terms, (dw, db) = loss_and_grad(
+        _pair(params), _pair(params), _random_batch(rng, c=2, f=2), 0.5, 0.1
+    )
     after = SpecialistParams(
         weights=params.weights - 0.0 * dw, bias=params.bias - 0.0 * db
     )
@@ -228,16 +234,17 @@ def test_ema_update_exact():
     rng = np.random.default_rng(5)
     start = SpecialistParams(weights=rng.normal(size=(2, 3)), bias=rng.normal(size=2))
     student = SpecialistParams(weights=rng.normal(size=(2, 3)), bias=rng.normal(size=2))
-    teacher = EmaTeacher(start, 0.99)
-    teacher.update(student)
-    np.testing.assert_allclose(
-        teacher.shadow.weights, 0.99 * start.weights + 0.01 * student.weights, atol=1e-12
-    )
-    np.testing.assert_allclose(
-        teacher.shadow.bias, 0.99 * start.bias + 0.01 * student.bias, atol=1e-12
-    )
+    teacher = EmaTeacher(start.weights, start.bias, 0.99)
+    teacher.update(student.weights, student.bias)
+    expect_w = 0.99 * start.weights + (1.0 - 0.99) * student.weights
+    expect_b = 0.99 * start.bias + (1.0 - 0.99) * student.bias
+    assert teacher.weights.tobytes() == expect_w.tobytes()
+    assert teacher.bias.tobytes() == expect_b.tobytes()
+    # the shadow is a copy: the student's arrays are neither aliased nor changed
+    assert teacher.weights is not start.weights
+    assert not np.shares_memory(teacher.bias, start.bias)
     with pytest.raises(ValueError):
-        EmaTeacher(start, 1.0)
+        EmaTeacher(start.weights, start.bias, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +254,7 @@ def test_loss_reduces_to_sup_when_weights_zero():
     rng = np.random.default_rng(8)
     batch = _random_batch(rng)
     params = SpecialistParams(weights=rng.normal(size=(3, 4)), bias=rng.normal(size=3))
-    terms, _ = loss_and_grad(params, params, batch, alpha=0.0, lam=0.0)
+    terms, _ = loss_and_grad(_pair(params), _pair(params), batch, alpha=0.0, lam=0.0)
     assert terms.total == terms.sup
 
 
@@ -257,7 +264,7 @@ def test_loss_decomposition_exact():
     params = SpecialistParams(weights=rng.normal(size=(3, 4)), bias=rng.normal(size=3))
     teacher = SpecialistParams(weights=rng.normal(size=(3, 4)), bias=rng.normal(size=3))
     for alpha, lam in [(0.3, 0.05), (1.0, 0.1), (0.0, 0.0)]:
-        terms, _ = loss_and_grad(params, teacher, batch, alpha, lam)
+        terms, _ = loss_and_grad(_pair(params), _pair(teacher), batch, alpha, lam)
         assert terms.total == terms.sup + lam * terms.unsup + alpha * terms.pseudo
 
 
@@ -267,10 +274,8 @@ def test_perfect_prediction_loss_floor():
     y = np.array([0, 1] * 4)
     x = np.where(y[:, None] == 1, 1.0, -1.0)
     params = SpecialistParams(weights=np.array([[-50.0], [50.0]]), bias=np.zeros(2))
-    batch = VoxelBatch(
-        labeled_x=x, labeled_y=y, pseudo_x=x, pseudo_y=y, pseudo_x_noisy=x
-    )
-    terms, _ = loss_and_grad(params, params, batch, 0.0, 0.0)
+    batch = VoxelBatch(x=np.vstack([x, x, x]), labeled_y=y, pseudo_y=y)
+    terms, _ = loss_and_grad(_pair(params), _pair(params), batch, 0.0, 0.0)
     assert terms.sup < 1e-5
 
 
@@ -289,11 +294,10 @@ def test_gradient_matches_finite_differences():
         alpha, lam = float(rng.uniform(0, 1)), float(rng.uniform(0, 0.2))
 
         def loss_fn(w, b):
-            p = SpecialistParams(weights=w, bias=b)
-            terms, _ = loss_and_grad(p, teacher, batch, alpha, lam)
+            terms, _ = loss_and_grad((w, b), _pair(teacher), batch, alpha, lam)
             return terms.total
 
-        _, (dw, db) = loss_and_grad(params, teacher, batch, alpha, lam)
+        _, (dw, db) = loss_and_grad(_pair(params), _pair(teacher), batch, alpha, lam)
         fd_w, fd_b = finite_diff_grad(loss_fn, params.weights.copy(), params.bias.copy(), h=1e-5)
         scale = max(np.abs(dw).max(), np.abs(db).max(), np.abs(fd_w).max(), 1e-8)
         assert np.abs(dw - fd_w).max() / scale < 1e-4
@@ -302,13 +306,17 @@ def test_gradient_matches_finite_differences():
 
 def test_batch_validation():
     rng = np.random.default_rng(1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="both"):
         VoxelBatch(
-            labeled_x=np.zeros((0, 2)),
+            x=rng.normal(size=(4, 2)),
             labeled_y=np.zeros(0, dtype=int),
-            pseudo_x=rng.normal(size=(2, 2)),
             pseudo_y=np.zeros(2, dtype=int),
-            pseudo_x_noisy=rng.normal(size=(2, 2)),
+        )
+    with pytest.raises(ValueError, match="stack"):  # noisy block missing a row
+        VoxelBatch(
+            x=rng.normal(size=(4, 2)),
+            labeled_y=np.zeros(1, dtype=int),
+            pseudo_y=np.zeros(2, dtype=int),
         )
 
 
@@ -396,8 +404,75 @@ def test_log_contains_schedule_fields():
     config = TrainConfig(iterations=10, batch_voxels=16, seed=0, ramp_fraction=0.5)
     _, log = train_round(assets, pseudo, config, 2)
     for rec in log:
-        assert set(rec) == {"iter", "lr", "alpha", "lambda", "loss", "l_sup", "l_unsup", "l_pseudo"}
+        assert list(rec) == [
+            "iter", "lr", "alpha", "lambda", "loss", "l_sup", "l_unsup", "l_pseudo",
+            "grad_norm", "param_norm",
+        ]
+        assert type(rec["iter"]) is int
         assert rec["lambda"] == pytest.approx(0.1 * rec["alpha"])
+
+
+def _oracle_assets(num_classes, with_validation, seed=90):
+    """Factorized volumes on ragged grids, labeled by z quantile so the model learns."""
+    rng = np.random.default_rng(seed)
+
+    def volume(name, shape):
+        grid_shape = tuple(-(-s // 3) for s in shape)
+        data = _factorized(_vol(rng.normal(size=shape)), _grid(rng.normal(size=(4,) + grid_shape)))
+        data = replace(data, vol_id=name)
+        cuts = np.quantile(data.z, np.linspace(0, 1, num_classes + 1)[1:-1])
+        return data, np.digitize(data.z, cuts).astype(np.uint8)
+
+    labeled, labeled_y = volume("t", (6, 7, 5))
+    pool = [volume(f"u{i}", shape) for i, shape in enumerate([(5, 6, 7), (7, 5, 6), (6, 6, 6)])]
+    # pseudo-labels disagree with the z order on a tenth of the voxels
+    pseudo = {}
+    for data, y in pool:
+        flip = rng.random(len(y)) < 0.1
+        y = np.where(flip, rng.integers(0, num_classes, size=len(y)), y).astype(np.uint8)
+        pseudo[data.vol_id] = LabelVolume(data.shape, num_classes, y.reshape(data.shape.as_tuple()))
+    validation = (volume("v", (5, 5, 6)),) if with_validation else None
+    assets = TrainAssets(
+        num_classes=num_classes,
+        labeled=labeled,
+        labeled_targets=labeled_y,
+        pool=tuple(data for data, _ in pool),
+        validation=validation,
+    )
+    return assets, pseudo
+
+
+@pytest.mark.parametrize("batch_voxels", [37, 48])
+@pytest.mark.parametrize("with_validation", [False, True])
+@pytest.mark.parametrize("num_classes", [2, 3])
+def test_train_round_matches_loop_oracle(num_classes, with_validation, batch_voxels):
+    # the class-major step against the voxel-major loop it replaced: same
+    # draws, so only summation order separates the two
+    assets, pseudo = _oracle_assets(num_classes, with_validation)
+    config = TrainConfig(iterations=120, batch_voxels=batch_voxels, seed=3, val_interval=25)
+    params, log = train_round(assets, pseudo, config, 1)
+    want, want_log = train_round_loop_oracle(assets, pseudo, config)
+
+    for got, ref in ((params.weights, want.weights), (params.bias, want.bias)):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    for data in assets.pool:
+        assert infer(params, data)[0].data.tobytes() == infer(want, data)[0].data.tobytes()
+    assert len(log) == len(want_log) == 120
+    for rec, ref in zip(log, want_log):
+        assert list(rec) == list(ref)
+        for key, value in ref.items():
+            assert abs(rec[key] - value) <= 1e-12 * max(1.0, abs(value)), key
+
+
+def test_train_round_rejects_non_finite_features():
+    # a non-finite feature makes the loss non-finite at the first step
+    rng = np.random.default_rng(14)
+    assets, pseudo, _, _ = _separable_assets(rng)
+    rows = assets.labeled.rows(np.arange(assets.labeled.n_voxels))
+    rows[:, 0] = np.inf
+    assets = replace(assets, labeled=_rows_data("t", rows))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite loss"):
+        train_round(assets, pseudo, TrainConfig(iterations=3, batch_voxels=16), 1)
 
 
 # ---------------------------------------------------------------------------

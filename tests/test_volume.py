@@ -189,6 +189,26 @@ def test_manifest_requires_exactly_one_label():
         DatasetManifest(num_classes=2, entries=entries, exactly_one_labeled=True)
 
 
+@pytest.mark.parametrize("vol_id", ["../x", "a/b", "a.b", "..", "", "vol 1", "x\n", "é", 7])
+def test_manifest_rejects_hostile_ids(tmp_path, vol_id):
+    # an id names files under the run directory: no separator, dot or blank
+    doc = {
+        "num_classes": 2,
+        "volumes": [
+            {"id": "vol_000", "intensity": "a.vxar", "label": "a.label.vxar"},
+            {"id": vol_id, "intensity": "b.vxar"},
+        ],
+    }
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="volume id"):
+        load_manifest(tmp_path / "m.json")
+
+
+def test_manifest_accepts_plain_ids():
+    for vol_id in ("vol_000", "A-1", "x", "case_12-b"):
+        assert VolumeEntry(vol_id=vol_id, intensity="v.vxar").vol_id == vol_id
+
+
 def test_manifest_missing_field(tmp_path):
     (tmp_path / "m.json").write_text(json.dumps({"volumes": []}))
     with pytest.raises(ValueError):
