@@ -18,12 +18,11 @@ from .pipeline import PipelineConfig, load_round_state, run_pipeline, run_round,
 from .prototype import compute_prototypes, initial_pseudo_label
 from .refine import refine_all, refine_pseudo_label
 from .specialist import TrainConfig, infer, train_round
-from .uncertainty import partition_by_quantile, sample_uncertainty
+from .uncertainty import partition_by_quantile
 from .volume import (
     DatasetManifest,
     IntensityVolume,
     LabelVolume,
-    ProbVolume,
     Shape3,
     load_array,
     load_manifest,
@@ -40,7 +39,6 @@ __all__ = [
     "LabelVolume",
     "PhantomSpec",
     "PipelineConfig",
-    "ProbVolume",
     "Shape3",
     "TrainConfig",
     "compute_prototypes",
@@ -61,7 +59,6 @@ __all__ = [
     "run_round",
     "run_round0",
     "save_array",
-    "sample_uncertainty",
     "summarize_reports",
     "train_round",
 ]

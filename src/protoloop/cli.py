@@ -28,6 +28,7 @@ from .pipeline import (
     run_pipeline,
     run_round,
     run_round0,
+    start_run,
     write_globals,
 )
 from .refine import refine_all
@@ -150,17 +151,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_init(args) -> int:
     config = _pipeline_config(args, rounds=1)
-    out = config.out_dir
-    if ((out / "config.json").exists() or (out / "round_0").exists()) and not config.force:
-        raise FileExistsError(f"{out} already initialized; pass --force to overwrite")
-    if config.force:
-        from .pipeline import _clear_run_dir  # shared cleanup of run artifacts
-
-        _clear_run_dir(out)
-    out.mkdir(parents=True, exist_ok=True)
-    from .pipeline import _config_doc, _dump_json
-
-    _dump_json(out / "config.json", _config_doc(config))
+    start_run(config)
     state = run_round0(config)
     dice = "" if state.pseudo_label_dice is None else f", dice {state.pseudo_label_dice:.4f}"
     print(f"round 0 complete: {len(state.labels)} pseudo-labeled volumes{dice}")

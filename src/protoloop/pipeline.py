@@ -56,6 +56,7 @@ __all__ = [
     "FeatureStore",
     "PipelineContext",
     "build_context",
+    "start_run",
     "run_round0",
     "run_round",
     "run_pipeline",
@@ -465,12 +466,10 @@ def run_round0(config: PipelineConfig, ctx: PipelineContext | None = None) -> Ro
 
     t0 = time.perf_counter()
     protos = compute_prototypes(ctx.store.grids[ctx.labeled_id], ctx.labeled_gt)
-    labels: dict[str, LabelVolume] = {}
-    for vol_id in _pool_ids(ctx):
-        lab, _prob = initial_pseudo_label(
-            ctx.store.grids[vol_id], protos, ctx.store.features[vol_id].shape
-        )
-        labels[vol_id] = lab
+    labels = {
+        v: initial_pseudo_label(ctx.store.grids[v], protos, ctx.store.features[v].shape)
+        for v in _pool_ids(ctx)
+    }
     t_prop = time.perf_counter() - t0
 
     state = RoundState(
@@ -526,7 +525,7 @@ def run_round(
         validation=ctx.validation,
     )
     train_cfg = replace(config.train, seed=config.seed ^ round_index)
-    params, log = train_round(assets, prev.labels, train_cfg, round_index)
+    params, log = train_round(assets, prev.labels, train_cfg)
     t_train = time.perf_counter() - t0
 
     # predict and score every unlabeled volume
@@ -631,17 +630,26 @@ def config_from_doc(doc: dict, out_dir: Path) -> PipelineConfig:
     return PipelineConfig(out_dir=Path(out_dir), **kwargs)
 
 
-def run_pipeline(config: PipelineConfig) -> list[RoundState]:
-    """Run round 0 through round R and write the run report."""
+def start_run(config: PipelineConfig) -> None:
+    """Make ``config.out_dir`` a new run directory holding only ``config.json``.
+
+    A directory that already holds a run (a ``config.json`` or any
+    ``round_*``) is refused unless ``config.force`` is set; then that run's
+    artifacts are removed first.
+    """
     out = config.out_dir
     if (out / "config.json").exists() or any(out.glob("round_*")):
         if not config.force:
-            raise FileExistsError(
-                f"{out} already holds a run; pass force to overwrite"
-            )
+            raise FileExistsError(f"{out} already holds a run; pass force to overwrite")
         _clear_run_dir(out)
     out.mkdir(parents=True, exist_ok=True)
     _dump_json(out / "config.json", _config_doc(config))
+
+
+def run_pipeline(config: PipelineConfig) -> list[RoundState]:
+    """Run round 0 through round R and write the run report."""
+    start_run(config)
+    out = config.out_dir
 
     calls_start = encoder_mod.extract_call_count()
     ctx = build_context(config)

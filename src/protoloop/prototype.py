@@ -3,8 +3,9 @@
 The template's labels are pulled down to the feature grid, each class is
 summarized by the normalized masked mean of its cell features, and unlabeled
 volumes receive initial pseudo-labels by cosine similarity to those
-prototypes, upsampled back to full resolution and passed through a per-voxel
-softmax/argmax.
+prototypes.  Similarities, softmax and argmax all run on the cell grid, where
+every voxel of a cell would see the same scores; the uint8 cell labels are
+then expanded to the volume by nearest-neighbor resampling.
 """
 from __future__ import annotations
 
@@ -13,13 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import FeatureGrid
-from .volume import (
-    LabelVolume,
-    ProbVolume,
-    Shape3,
-    nearest_downsample_labels,
-    nearest_upsample_maps,
-)
+from .volume import LabelVolume, Shape3, nearest_resample_labels
 
 __all__ = [
     "EPS",
@@ -33,7 +28,7 @@ __all__ = [
 EPS = 1e-8
 
 # Sentinel similarity for classes absent from the template grid: never wins a
-# softmax/argmax and contributes exactly zero probability.
+# softmax/argmax.
 NEG_INF = float("-inf")
 
 
@@ -72,11 +67,13 @@ class PrototypeSet:
 def compute_prototypes(grid: FeatureGrid, labels: LabelVolume) -> PrototypeSet:
     """Normalized masked mean of cell features per class on the label's grid.
 
-    Labels are nearest-downsampled to the grid shape first.  A class with no
-    cells is marked absent; a present class whose mean feature is exactly the
-    zero vector carries no direction and is treated as absent too.
+    Labels are nearest-downsampled to the grid shape first, so the grid may
+    not be larger than the label volume.  A class with no cells is marked
+    absent; a present class whose mean feature is exactly the zero vector
+    carries no direction and is treated as absent too.
     """
-    cell_labels = nearest_downsample_labels(labels, grid.grid_shape)
+    _require_grid_within(grid, labels.shape)
+    cell_labels = nearest_resample_labels(labels, grid.grid_shape)
     feats = grid.data.astype(np.float64).reshape(grid.channels, -1)
     flat = cell_labels.data.reshape(-1)
 
@@ -115,35 +112,39 @@ def similarity_maps(grid: FeatureGrid, protos: PrototypeSet) -> np.ndarray:
     return sims.reshape((protos.num_classes,) + grid.grid_shape.as_tuple())
 
 
-def argmax_softmax(scores: np.ndarray, num_classes: int, shape: Shape3) -> tuple[LabelVolume, ProbVolume]:
-    """Per-voxel softmax over class scores, then argmax with lowest-index ties."""
-    flat = scores.reshape(num_classes, -1)
-    peak = flat.max(axis=0)
+def argmax_softmax(scores: np.ndarray) -> np.ndarray:
+    """Labels of (num_classes, n) scores: softmax per column, argmax, lowest index on ties.
+
+    The softmax stays before the argmax: ``exp`` can round two scores one ulp
+    apart to the same probability, and the tie then goes to the lower class.
+    """
+    peak = scores.max(axis=0)
     if not np.isfinite(peak).all():
-        raise ValueError("every class scored -inf for some voxel")
-    stable = flat - peak
-    expd = np.exp(stable)
+        raise ValueError("every class scored -inf for some cell")
+    expd = np.exp(scores - peak)
     probs = expd / expd.sum(axis=0)
-    labels = np.argmax(probs, axis=0).astype(np.uint8)
-    return (
-        LabelVolume(shape, num_classes, labels),
-        ProbVolume(shape, num_classes, probs.reshape((num_classes,) + shape.as_tuple())),
-    )
+    return np.argmax(probs, axis=0).astype(np.uint8)
 
 
-def initial_pseudo_label(
-    grid: FeatureGrid, protos: PrototypeSet, vol_shape: Shape3
-) -> tuple[LabelVolume, ProbVolume]:
+def initial_pseudo_label(grid: FeatureGrid, protos: PrototypeSet, vol_shape: Shape3) -> LabelVolume:
     """Propagate template prototypes onto one unlabeled volume.
 
-    Similarities are computed on the cell grid, nearest-upsampled to the full
-    volume shape, and only then softmaxed, so probabilities are defined at
-    voxel resolution.
+    Each cell is labeled from its similarities, and the cell labels are
+    nearest-upsampled to ``vol_shape``; no per-voxel score is formed.
     """
     if grid.channels != protos.channels:
         raise ValueError(
             f"grid has {grid.channels} channels, prototypes have {protos.channels}"
         )
-    sims = similarity_maps(grid, protos)
-    full = nearest_upsample_maps(sims, vol_shape)
-    return argmax_softmax(full, protos.num_classes, vol_shape)
+    _require_grid_within(grid, vol_shape)
+    sims = similarity_maps(grid, protos).reshape(protos.num_classes, -1)
+    cells = LabelVolume(grid.grid_shape, protos.num_classes, argmax_softmax(sims))
+    return nearest_resample_labels(cells, vol_shape)
+
+
+def _require_grid_within(grid: FeatureGrid, shape: Shape3) -> None:
+    """Refuse a grid with more cells than ``shape`` has voxels along some axis."""
+    if any(g > v for g, v in zip(grid.grid_shape.as_tuple(), shape.as_tuple())):
+        raise ValueError(
+            f"grid {grid.grid_shape.as_tuple()} is larger than the volume {shape.as_tuple()}"
+        )

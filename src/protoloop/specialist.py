@@ -420,7 +420,6 @@ def train_round(
     assets: TrainAssets,
     pseudo_labels: dict[str, LabelVolume],
     config: TrainConfig,
-    round_index: int,
 ) -> tuple[SpecialistParams, list[dict]]:
     """Train a fresh model for one round on the current pseudo-label set.
 

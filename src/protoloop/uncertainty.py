@@ -1,26 +1,18 @@
-"""Prediction-entropy scoring of pool samples and the certain/uncertain split.
+"""The certain/uncertain split of the pool by prediction entropy.
 
-A sample's uncertainty is the mean voxel-wise entropy of its predicted class
-probabilities (natural log).  The pool is split at a nearest-rank quantile of
-those scores; the labeled template always counts as certain.  The pipeline
-takes that mean from ``specialist.infer``, which fuses it into the prediction
-pass; ``entropy_map``/``sample_uncertainty`` compute it from an explicit
-probability volume.
+A sample's uncertainty is the mean voxel-wise entropy (natural log) of its
+predicted class probabilities, which ``specialist.infer`` computes in the same
+pass as the labels.  The pool is split at a nearest-rank quantile of those
+scores; the labeled template always counts as certain.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .volume import ProbVolume
-
 __all__ = [
     "SampleUncertainty",
     "Partition",
-    "entropy_map",
-    "sample_uncertainty",
     "partition_by_quantile",
     "partition_report",
 ]
@@ -54,19 +46,6 @@ class Partition:
             raise ValueError("certain and uncertain sets overlap")
         if self.labeled_id not in self.certain:
             raise ValueError("labeled sample must be in the certain set")
-
-
-def entropy_map(p: ProbVolume) -> np.ndarray:
-    """Voxel-wise entropy -sum_c p log p in nats, with 0*log(0) = 0."""
-    probs = p.data.astype(np.float64)
-    terms = np.where(probs > 0.0, probs * np.log(np.where(probs > 0.0, probs, 1.0)), 0.0)
-    ent = -terms.sum(axis=0)
-    # clamp float jitter; the mathematical range is [0, ln num_classes]
-    return np.clip(ent, 0.0, None)
-
-
-def sample_uncertainty(p: ProbVolume, vol_id: str = "") -> SampleUncertainty:
-    return SampleUncertainty(vol_id=vol_id, value=float(entropy_map(p).mean()))
 
 
 def partition_by_quantile(

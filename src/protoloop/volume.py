@@ -21,7 +21,6 @@ __all__ = [
     "Shape3",
     "IntensityVolume",
     "LabelVolume",
-    "ProbVolume",
     "VolumeEntry",
     "DatasetManifest",
     "read_blob",
@@ -31,8 +30,6 @@ __all__ = [
     "load_manifest",
     "save_manifest",
     "nearest_axis_indices",
-    "nearest_downsample_labels",
-    "nearest_upsample_maps",
     "nearest_resample_labels",
 ]
 
@@ -119,31 +116,6 @@ class LabelVolume:
         object.__setattr__(self, "data", _finalize(data))
 
 
-@dataclass(frozen=True)
-class ProbVolume:
-    """Per-class probabilities; (num_classes, d, h, w), rows sum to 1 per voxel."""
-
-    shape: Shape3
-    num_classes: int
-    data: np.ndarray  # (num_classes, d, h, w) float32
-
-    def __post_init__(self):
-        if not 2 <= self.num_classes <= 256:
-            raise ValueError(f"num_classes={self.num_classes} outside [2, 256]")
-        data = np.asarray(self.data, dtype=np.float32).reshape(
-            (self.num_classes,) + self.shape.as_tuple()
-        )
-        if not np.isfinite(data).all():
-            raise ValueError("probabilities contain non-finite values")
-        if float(data.min()) < -1e-5 or float(data.max()) > 1 + 1e-5:
-            raise ValueError("probability outside [0, 1] beyond tolerance")
-        sums = data.sum(axis=0, dtype=np.float64)
-        if float(np.abs(sums - 1.0).max()) > 1e-5:
-            raise ValueError("per-voxel probabilities do not sum to 1 within 1e-5")
-        data = np.clip(data, 0.0, 1.0)
-        object.__setattr__(self, "data", _finalize(data))
-
-
 # ---------------------------------------------------------------------------
 # binary array files
 
@@ -200,14 +172,6 @@ def save_array(array, path: str | Path) -> None:
             "num_classes": array.num_classes,
         }
         payload = array.data.tobytes()
-    elif isinstance(array, ProbVolume):
-        header = {
-            "dtype": "f32",
-            "shape": list(array.shape.as_tuple()),
-            "order": "row-major",
-            "num_classes": array.num_classes,
-        }
-        payload = array.data.astype("<f4").tobytes()
     elif isinstance(array, encoder.FeatureGrid):
         header = {
             "dtype": "f32",
@@ -242,9 +206,8 @@ def load_array(path: str | Path):
         if not isinstance(planes, int) or planes < 1:
             raise ArrayFormatError(f"{path}: bad channels {planes!r}")
     elif dtype_name == "f32" and "num_classes" in header:
-        planes = header["num_classes"]
-        if not isinstance(planes, int) or planes < 2:
-            raise ArrayFormatError(f"{path}: bad num_classes {planes!r}")
+        # per-class f32 planes (an old probability file) must not load as intensities
+        raise ArrayFormatError(f"{path}: f32 data with num_classes is not a known array kind")
 
     expected = planes * shape.voxels * dtype.itemsize
     if len(payload) != expected:
@@ -273,8 +236,6 @@ def load_array(path: str | Path):
         if not np.isfinite(grid).all():
             raise ArrayFormatError(f"{path}: non-finite feature values")
         return encoder.FeatureGrid(channels=planes, grid_shape=shape, data=grid, patch_size=patch)
-    if "num_classes" in header:
-        return ProbVolume(shape, planes, data.reshape((planes,) + shape.as_tuple()))
     vol = data.reshape(shape.as_tuple())
     if not np.isfinite(vol).all():
         raise ArrayFormatError(f"{path}: non-finite values in intensity data")
@@ -405,29 +366,6 @@ def nearest_axis_indices(n_src: int, n_dst: int) -> np.ndarray:
         raise ValueError("extents must be positive")
     i = np.arange(n_dst, dtype=np.int64)
     return np.minimum((2 * i + 1) * n_src // (2 * n_dst), n_src - 1)
-
-
-def nearest_downsample_labels(labels: LabelVolume, target: Shape3) -> LabelVolume:
-    """Map labels onto a coarser grid by reading the center-aligned source voxel."""
-    src = labels.shape
-    if target.d > src.d or target.h > src.h or target.w > src.w:
-        raise ValueError(f"target {target.as_tuple()} exceeds source {src.as_tuple()}")
-    idx = [nearest_axis_indices(s, t) for s, t in zip(src.as_tuple(), target.as_tuple())]
-    data = labels.data[np.ix_(*idx)]
-    return LabelVolume(target, labels.num_classes, data)
-
-
-def nearest_upsample_maps(maps: np.ndarray, target: Shape3) -> np.ndarray:
-    """Expand per-class cell maps (C, d', h', w') to the full volume shape."""
-    maps = np.asarray(maps)
-    if maps.ndim != 4:
-        raise ValueError(f"expected (C, d', h', w') maps, got shape {maps.shape}")
-    src = maps.shape[1:]
-    tgt = target.as_tuple()
-    if any(t < s for s, t in zip(src, tgt)):
-        raise ValueError(f"target {tgt} smaller than source {src}")
-    idx = [nearest_axis_indices(s, t) for s, t in zip(src, tgt)]
-    return maps[:, idx[0]][:, :, idx[1]][:, :, :, idx[2]]
 
 
 def nearest_resample_labels(labels: LabelVolume, target: Shape3) -> LabelVolume:

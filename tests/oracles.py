@@ -3,12 +3,14 @@
 Everything in this file is written straight from the definitions with plain
 Python loops and scalar math, deliberately sharing no code or vectorization
 structure with the package.  These are slow and obvious on purpose: the fast
-implementations are checked against them on small seeded instances.  Three
+implementations are checked against them on small seeded instances.  Four
 sections are exceptions: the per-cell encoder loop and the dense per-voxel
 features share the package's z-score (and cell LUTs) so that the blocked
-encoder grid and the factorized rows can be required byte-equal, and the
+encoder grid and the factorized rows can be required byte-equal, the
 voxel-major training loop shares the package's row gather, schedules,
-parameter type and inference so that only the step itself is compared.
+parameter type and inference so that only the step itself is compared, and
+the dense entropy of an explicit probability volume is vectorized, as the
+reference for the entropy ``specialist.infer`` fuses into its prediction pass.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ import numpy as np
 
 from protoloop.encoder import EncoderParams, FeatureGrid, zscore
 from protoloop.specialist import SpecialistParams, cell_index_luts, infer, poly_lr, ramp_up_alpha
+from protoloop.uncertainty import SampleUncertainty
 from protoloop.volume import Shape3
 
 EPS = 1e-8
@@ -237,7 +240,7 @@ def softmax_argmax_oracle(scores):
 
 
 def round0_oracle(template_grid, template_labels, query_grid, num_classes, vol_shape):
-    """Full propagation chain: prototypes -> cosine -> upsample -> softmax/argmax."""
+    """Round-0 labels: prototypes -> cosine -> upsample -> per-voxel softmax/argmax."""
     gs = template_grid.shape[1:]
     cell_labels = downsample_labels_oracle(template_labels, gs)
     present, protos = prototypes_oracle(template_grid, cell_labels, num_classes)
@@ -262,15 +265,12 @@ def round0_oracle(template_grid, template_labels, query_grid, num_classes, vol_s
                         )
     full = upsample_maps_oracle(sims, vol_shape)
     labels = np.zeros(vol_shape, dtype=np.uint8)
-    probs = np.zeros((num_classes,) + tuple(vol_shape), dtype=np.float64)
     for d in range(vol_shape[0]):
         for h in range(vol_shape[1]):
             for w in range(vol_shape[2]):
-                lab, p = softmax_argmax_oracle([full[cls, d, h, w] for cls in range(num_classes)])
+                lab, _ = softmax_argmax_oracle([full[cls, d, h, w] for cls in range(num_classes)])
                 labels[d, h, w] = lab
-                for cls in range(num_classes):
-                    probs[cls, d, h, w] = p[cls]
-    return labels, probs
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +320,19 @@ def entropy_oracle(probs):
                 out[d, h, w] = e
                 total.append(e)
     return out, math.fsum(total) / len(total)
+
+
+def entropy_map(probs):
+    """Voxel-wise entropy -sum_c p log p in nats of (num_classes, d, h, w) probabilities."""
+    probs = np.asarray(probs, dtype=np.float64)
+    terms = np.where(probs > 0.0, probs * np.log(np.where(probs > 0.0, probs, 1.0)), 0.0)
+    # clamp float jitter; the mathematical range is [0, ln num_classes]
+    return np.clip(-terms.sum(axis=0), 0.0, None)
+
+
+def sample_uncertainty(probs, vol_id=""):
+    """Mean voxel entropy of a dense probability volume."""
+    return SampleUncertainty(vol_id=vol_id, value=float(entropy_map(probs).mean()))
 
 
 def quantile_threshold_oracle(values, q):

@@ -18,15 +18,22 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from protoloop.encoder import EncoderParams, FeatureGrid, GlobalFeature
+from protoloop.encoder import EncoderParams, FeatureGrid, GlobalFeature, extract_feature_grid
 from protoloop.metrics import distance_metrics, overlap_metrics
 from protoloop.phantom import ClassShape, PhantomSpec, generate
 from protoloop.pipeline import PipelineConfig, load_report, run_pipeline
 from protoloop.prototype import compute_prototypes, initial_pseudo_label
 from protoloop.refine import refine_all
-from protoloop.specialist import SpecialistParams, TrainConfig, VoxelBatch, loss_and_grad
-from protoloop.uncertainty import Partition, sample_uncertainty
-from protoloop.volume import LabelVolume, ProbVolume, Shape3
+from protoloop.specialist import (
+    SpecialistParams,
+    TrainConfig,
+    TrainVolumeData,
+    VoxelBatch,
+    infer,
+    loss_and_grad,
+)
+from protoloop.uncertainty import Partition
+from protoloop.volume import IntensityVolume, LabelVolume, Shape3
 
 from .oracles import (
     dice_jaccard_oracle,
@@ -63,8 +70,8 @@ def test_round0_matches_bruteforce_oracle(capsys):
         )
 
         protos = compute_prototypes(tgrid, tlabels)
-        got, _ = initial_pseudo_label(qgrid, protos, Shape3(*vol))
-        want, _ = round0_oracle(
+        got = initial_pseudo_label(qgrid, protos, Shape3(*vol))
+        want = round0_oracle(
             tgrid.data.astype(np.float64),
             tlabels.data,
             qgrid.data.astype(np.float64),
@@ -151,13 +158,20 @@ def _random_labels(rng, vol, num_classes):
 # entropy closed forms
 
 def test_entropy_closed_forms(capsys):
-    shape = Shape3(3, 4, 5)
-    uniform = ProbVolume(shape, 2, np.full((2,) + shape.as_tuple(), 0.5))
-    err_uniform = abs(sample_uncertainty(uniform).value - math.log(2.0))
+    # through the entropy the pipeline partitions by: the fused pass of infer
+    rng = np.random.default_rng(606)
+    vol = IntensityVolume(Shape3(5, 6, 7), rng.normal(size=(5, 6, 7)))
+    grid = extract_feature_grid(vol, EncoderParams(patch_size=2))
+    data = TrainVolumeData.from_volume("v", vol, grid)
+    _, uniform = infer(SpecialistParams.zeros(2, data.num_features), data)
+    err_uniform = abs(uniform - math.log(2.0))
 
-    one_hot = np.zeros((3,) + shape.as_tuple())
-    one_hot[1] = 1.0
-    err_onehot = abs(sample_uncertainty(ProbVolume(shape, 3, one_hot)).value)
+    # every logit gap is at least 800, so exp(-gap) underflows to 0.0 and
+    # each voxel's probabilities are exactly one-hot
+    weights = rng.uniform(-0.1, 0.1, size=(3, data.num_features))
+    assert np.abs(data.cells).max() < 10 and np.abs(data.z).max() < 10
+    _, one_hot = infer(SpecialistParams(weights, np.array([0.0, 1000.0, 0.0])), data)
+    err_onehot = abs(one_hot)
 
     ok = err_uniform < 1e-6 and err_onehot < 1e-12
     _verdict(

@@ -179,6 +179,18 @@ def test_init_runs_round0_only(dataset, tmp_path):
     assert dispatch(argv + ["--force"]) == 0
 
 
+def test_init_refuses_a_dir_holding_only_a_later_round(dataset, tmp_path, capsys):
+    # the same rule as run: a config.json or any round_* marks a run
+    out = tmp_path / "run"
+    (out / "round_2").mkdir(parents=True)
+    argv = ["init", "--manifest", str(dataset / "manifest.json"), "--out", str(out), "--patch", "4"]
+    assert dispatch(argv) == 1
+    assert "already holds a run" in capsys.readouterr().err
+    assert not (out / "config.json").exists() and not (out / "round_0").exists()
+    assert dispatch(argv + ["--force"]) == 0
+    assert not (out / "round_2").exists() and (out / "round_0").exists()
+
+
 def test_run_writes_report(dataset, finished_run, capsys):
     report = json.loads((finished_run / "report.json").read_text())
     assert [r["round"] for r in report["rounds"]] == [0, 1]

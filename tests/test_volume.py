@@ -7,21 +7,20 @@ import struct
 import numpy as np
 import pytest
 
+from protoloop.encoder import FeatureGrid
+from protoloop.prototype import compute_prototypes
 from protoloop.volume import (
     MAGIC,
     ArrayFormatError,
     DatasetManifest,
     IntensityVolume,
     LabelVolume,
-    ProbVolume,
     Shape3,
     VolumeEntry,
     load_array,
     load_manifest,
     nearest_axis_indices,
-    nearest_downsample_labels,
     nearest_resample_labels,
-    nearest_upsample_maps,
     save_array,
     save_manifest,
     write_blob,
@@ -55,15 +54,6 @@ def test_label_volume_rejects_out_of_range():
         LabelVolume(Shape3(2, 2, 2), 2, data)
 
 
-def test_prob_volume_row_sums_checked():
-    good = np.full((2, 2, 2, 2), 0.5, dtype=np.float32)
-    ProbVolume(Shape3(2, 2, 2), 2, good)
-    bad = good.copy()
-    bad[0, 0, 0, 0] = 0.9  # voxel sums to 1.4
-    with pytest.raises(ValueError, match="sum"):
-        ProbVolume(Shape3(2, 2, 2), 2, bad)
-
-
 def test_volumes_are_immutable():
     vol = IntensityVolume(Shape3(2, 2, 2), np.zeros((2, 2, 2), dtype=np.float32))
     with pytest.raises(ValueError):
@@ -90,7 +80,7 @@ def test_round_trip_intensity_bit_identical(tmp_path):
     assert back.data.tobytes() == vol.data.tobytes()
 
 
-def test_round_trip_labels_and_probs(tmp_path):
+def test_round_trip_labels(tmp_path):
     rng = np.random.default_rng(7)
     for trial in range(5):
         labels = LabelVolume(
@@ -102,13 +92,16 @@ def test_round_trip_labels_and_probs(tmp_path):
         assert back.num_classes == 3
         assert back.data.tobytes() == labels.data.tobytes()
 
-        raw = rng.random(size=(2, 3, 2, 4)).astype(np.float32) + 1e-3
-        raw /= raw.sum(axis=0)
-        probs = ProbVolume(Shape3(3, 2, 4), 2, raw)
-        save_array(probs, tmp_path / "p.vxar")
-        back = load_array(tmp_path / "p.vxar")
-        assert isinstance(back, ProbVolume)
-        assert back.data.tobytes() == probs.data.tobytes()
+
+def test_probability_file_refused(tmp_path):
+    # per-class f32 planes with num_classes: no array kind, and never an
+    # intensity volume, even when the payload would fit one
+    path = tmp_path / "p.vxar"
+    for planes in (1, 2):
+        header = {"dtype": "f32", "shape": [1, 1, 2], "order": "row-major", "num_classes": 2}
+        write_blob(path, header, np.full(2 * planes, 0.5, dtype="<f4").tobytes())
+        with pytest.raises(ArrayFormatError, match="num_classes"):
+            load_array(path)
 
 
 def test_shape_payload_mismatch(tmp_path):
@@ -220,7 +213,7 @@ def test_manifest_missing_field(tmp_path):
 
 def test_downsample_constant_volume():
     labels = LabelVolume(Shape3(4, 4, 4), 2, np.ones((4, 4, 4), dtype=np.uint8))
-    down = nearest_downsample_labels(labels, Shape3(2, 2, 2))
+    down = nearest_resample_labels(labels, Shape3(2, 2, 2))
     assert (down.data == 1).all()
     assert down.num_classes == 2
 
@@ -230,42 +223,37 @@ def test_downsample_hand_case_4_to_2():
     labels = LabelVolume(
         Shape3(4, 1, 1), 2, np.array([0, 0, 1, 1], dtype=np.uint8).reshape(4, 1, 1)
     )
-    down = nearest_downsample_labels(labels, Shape3(2, 1, 1))
+    down = nearest_resample_labels(labels, Shape3(2, 1, 1))
     assert down.data.reshape(-1).tolist() == [0, 1]
 
 
 def test_downsample_identity():
     rng = np.random.default_rng(3)
     labels = LabelVolume(Shape3(3, 4, 5), 3, rng.integers(0, 3, size=(3, 4, 5)).astype(np.uint8))
-    down = nearest_downsample_labels(labels, Shape3(3, 4, 5))
+    down = nearest_resample_labels(labels, Shape3(3, 4, 5))
     assert (down.data == labels.data).all()
 
 
 def test_downsample_rejects_larger_target():
+    # labels are downsampled onto the template grid, which may not be finer
+    # than the label volume
     labels = LabelVolume(Shape3(2, 2, 2), 2, np.zeros((2, 2, 2), dtype=np.uint8))
-    with pytest.raises(ValueError):
-        nearest_downsample_labels(labels, Shape3(3, 2, 2))
+    grid = FeatureGrid(channels=1, grid_shape=Shape3(3, 2, 2), data=np.ones((1, 3, 2, 2)))
+    with pytest.raises(ValueError, match="larger than the volume"):
+        compute_prototypes(grid, labels)
 
 
 def test_upsample_constant_map():
-    maps = np.full((1, 1, 1, 1), 0.7)
-    up = nearest_upsample_maps(maps, Shape3(3, 3, 3))
-    assert up.shape == (1, 3, 3, 3)
-    assert (up == 0.7).all()
+    labels = LabelVolume(Shape3(1, 1, 1), 3, np.full((1, 1, 1), 2, dtype=np.uint8))
+    up = nearest_resample_labels(labels, Shape3(3, 3, 3))
+    assert up.shape == Shape3(3, 3, 3)
+    assert (up.data == 2).all()
 
 
 def test_upsample_hand_case_2_to_4():
-    maps = np.array([1.5, -2.5]).reshape(1, 2, 1, 1)
-    up = nearest_upsample_maps(maps, Shape3(4, 1, 1))
-    assert up.reshape(-1).tolist() == [1.5, 1.5, -2.5, -2.5]
-
-
-def test_upsample_identity_and_errors():
-    maps = np.arange(8.0).reshape(1, 2, 2, 2)
-    up = nearest_upsample_maps(maps, Shape3(2, 2, 2))
-    assert (up == maps).all()
-    with pytest.raises(ValueError):
-        nearest_upsample_maps(maps, Shape3(1, 2, 2))
+    labels = LabelVolume(Shape3(2, 1, 1), 2, np.array([1, 0], dtype=np.uint8).reshape(2, 1, 1))
+    up = nearest_resample_labels(labels, Shape3(4, 1, 1))
+    assert up.data.reshape(-1).tolist() == [1, 1, 0, 0]
 
 
 def test_axis_indices_match_oracle():
@@ -284,20 +272,19 @@ def test_resampling_matches_oracle_seeded():
         labels = LabelVolume(
             Shape3(*src), 4, rng.integers(0, 4, size=src).astype(np.uint8)
         )
-        down = nearest_downsample_labels(labels, Shape3(*dst))
+        down = nearest_resample_labels(labels, Shape3(*dst))
         assert (down.data == downsample_labels_oracle(labels.data, dst)).all()
 
         up_target = tuple(int(rng.integers(s, 2 * s + 1)) for s in src)
-        maps = rng.normal(size=(3,) + src)
-        up = nearest_upsample_maps(maps, Shape3(*up_target))
-        assert (up == upsample_maps_oracle(maps, up_target)).all()
+        up = nearest_resample_labels(labels, Shape3(*up_target))
+        assert (up.data == upsample_maps_oracle(labels.data[None], up_target)[0]).all()
 
 
 def test_down_then_up_constant_identity():
     labels = LabelVolume(Shape3(6, 6, 6), 2, np.ones((6, 6, 6), dtype=np.uint8))
-    down = nearest_downsample_labels(labels, Shape3(2, 2, 2))
-    up = nearest_upsample_maps(down.data[None].astype(np.float64), Shape3(6, 6, 6))
-    assert (up[0] == 1.0).all()
+    down = nearest_resample_labels(labels, Shape3(2, 2, 2))
+    up = nearest_resample_labels(down, Shape3(6, 6, 6))
+    assert (up.data == 1).all()
 
 
 def test_downsample_never_invents_classes():
@@ -305,7 +292,7 @@ def test_downsample_never_invents_classes():
     for trial in range(10):
         data = rng.integers(0, 3, size=(5, 5, 5)).astype(np.uint8)
         labels = LabelVolume(Shape3(5, 5, 5), 4, data)
-        down = nearest_downsample_labels(labels, Shape3(2, 3, 2))
+        down = nearest_resample_labels(labels, Shape3(2, 3, 2))
         assert set(np.unique(down.data)) <= set(np.unique(data))
 
 
