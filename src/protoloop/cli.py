@@ -12,12 +12,11 @@ import csv
 import dataclasses
 import json
 import os
-import shutil
 import sys
 from pathlib import Path
 
 from . import __version__
-from .encoder import EncoderParams, GlobalFeature
+from .encoder import EncoderParams
 from .metrics import evaluate_pair, format_table, summarize_reports
 from .phantom import generate, load_spec
 from .pipeline import (
@@ -25,21 +24,15 @@ from .pipeline import (
     config_from_doc,
     entry_grid,
     load_round_state,
+    refine_round,
     run_pipeline,
     run_round,
     run_round0,
     start_run,
     write_globals,
 )
-from .refine import refine_all
 from .specialist import TrainConfig
-from .uncertainty import Partition, partition_by_quantile, partition_report
-from .volume import (
-    LabelVolume,
-    load_array,
-    load_manifest,
-    save_array,
-)
+from .volume import LabelVolume, load_array, load_manifest
 
 __all__ = ["dispatch", "main"]
 
@@ -167,21 +160,18 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_round(args) -> int:
-    prev_dir = Path(args.prev)
-    run_dir = prev_dir.parent
+def _run_config(run_dir: Path, **over) -> PipelineConfig:
+    """The run's persisted config, with the options this invocation gave (not None)."""
     config_file = run_dir / "config.json"
     if not config_file.exists():
         raise ValueError(f"{run_dir} has no config.json; initialize a run first")
     config = config_from_doc(json.loads(config_file.read_text()), run_dir)
-    if args.threads is not None:
-        config = dataclasses.replace(config, threads=args.threads)
-    target = run_dir / f"round_{args.r}"
-    if target.exists():
-        if not args.force:
-            raise FileExistsError(f"{target} exists; pass --force to overwrite")
-        shutil.rmtree(target)
-    prev = load_round_state(run_dir, args.r - 1)
+    return dataclasses.replace(config, **{k: v for k, v in over.items() if v is not None})
+
+
+def _cmd_round(args) -> int:
+    config = _run_config(Path(args.prev).parent, threads=args.threads, force=args.force)
+    prev = load_round_state(config.out_dir, args.r - 1)
     state = run_round(config, args.r, prev)
     print(f"round {args.r} complete; {len(state.partition.uncertain)} uncertain samples refined"
           if state.refined else f"round {args.r} complete (refinement disabled)")
@@ -190,59 +180,12 @@ def _cmd_round(args) -> int:
 
 def _cmd_refine(args) -> int:
     round_dir = Path(args.round)
-    run_dir = round_dir.parent
-    state_doc = json.loads((round_dir / "state.json").read_text())
-    r = state_doc["round"]
-    if r < 1:
-        raise ValueError("round 0 labels come from propagation; nothing to refine")
-    if state_doc.get("refined") and not args.force:
-        raise FileExistsError(f"{round_dir} is already refined; pass --force to redo")
-
-    config = config_from_doc(json.loads((run_dir / "config.json").read_text()), run_dir)
-    state = load_round_state(run_dir, r)
-    raw = state.raw_labels if state.raw_labels is not None else state.labels
-
-    globals_doc = json.loads((run_dir / "features" / "globals.json").read_text())
-    features = {
-        vol_id: GlobalFeature(vector=g["vector"], degenerate=g["degenerate"])
-        for vol_id, g in globals_doc.items()
-    }
-    manifest = load_manifest(config.manifest_path)
-    labeled = manifest.labeled_entry()
-    gt = load_array(manifest.resolve(labeled.label))
-
-    if args.q_unc is not None:
-        partition = partition_by_quantile(state.uncertainties, labeled.vol_id, args.q_unc)
-    else:
-        partition = state.partition
-    votable = dict(raw)
-    votable[labeled.vol_id] = gt
-    k = args.k if args.k is not None else config.knn
-    refined, audit = refine_all(votable, partition, features, k)
-
-    doc = dict(state_doc)
-    doc["refined"] = True
-    doc["labels"] = {}
-    doc["raw_labels"] = {
-        vol_id: f"{vol_id}.round{r}.raw.label" for vol_id in sorted(raw)
-    }
-    for vol_id in sorted(raw):
-        save_array(raw[vol_id], round_dir / doc["raw_labels"][vol_id])
-    for vol_id in sorted(refined):
-        name = f"{vol_id}.round{r}.refined.label"
-        save_array(refined[vol_id], round_dir / name)
-        doc["labels"][vol_id] = name
-    doc["partition"] = {
-        "certain": sorted(partition.certain),
-        "uncertain": sorted(partition.uncertain),
-        "threshold": partition.threshold,
-        "labeled_id": partition.labeled_id,
-    }
-    (round_dir / "refine_audit.json").write_text(
-        json.dumps({"round": r, "refined": True, "queries": audit}, indent=2, sort_keys=True) + "\n"
-    )
-    (round_dir / "state.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    print(f"refined {len(partition.uncertain)} uncertain samples in {round_dir}")
+    prefix, _, index = round_dir.name.partition("_")
+    if prefix != "round" or not index.isdigit():
+        raise ValueError(f"{round_dir} is not a round directory (round_<r>)")
+    config = _run_config(round_dir.parent, knn=args.k, q_unc=args.q_unc, force=args.force)
+    state = refine_round(config, int(index))
+    print(f"refined {len(state.partition.uncertain)} uncertain samples in {round_dir}")
     return 0
 
 
@@ -339,31 +282,17 @@ def _cmd_report(args) -> int:
     csv_path = run_dir / "report.csv"
     if csv_path.exists() and not args.force:
         raise FileExistsError(f"{csv_path} exists; pass --force to overwrite")
-    fields = [
-        "round",
-        "refined",
-        "pseudo_label_dice",
-        "model_dice",
-        "threshold",
-        "n_certain",
-        "n_uncertain",
-        "train_s",
-        "other_s",
+    kept = [
+        "round", "refined", "pseudo_label_dice", "model_dice", "threshold", "n_certain", "n_uncertain",
     ]
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=kept + ["train_s", "other_s"])
         writer.writeheader()
         for row in report["rounds"]:
             timings = row["timings"]
             writer.writerow(
-                {
-                    "round": row["round"],
-                    "refined": row["refined"],
-                    "pseudo_label_dice": row["pseudo_label_dice"],
-                    "model_dice": row["model_dice"],
-                    "threshold": row["threshold"],
-                    "n_certain": row["n_certain"],
-                    "n_uncertain": row["n_uncertain"],
+                {k: row[k] for k in kept}
+                | {
                     "train_s": timings.get("train", 0.0),
                     "other_s": sum(v for k, v in timings.items() if k != "train"),
                 }
@@ -428,11 +357,11 @@ def build_parser() -> _Parser:
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_round)
 
-    p = sub.add_parser("refine", help="(re-)apply refinement to a persisted round")
-    p.add_argument("--round", required=True, help="round directory")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--q-unc", type=float, default=None)
-    p.add_argument("--force", action="store_true")
+    p = sub.add_parser("refine", help="redo a persisted round's partition and vote, atomically")
+    p.add_argument("--round", required=True, help="round directory (round_<r>)")
+    p.add_argument("--k", type=int, default=None, help="refinement neighbors (default: run's)")
+    p.add_argument("--q-unc", type=float, default=None, help="certainty quantile (default: run's)")
+    p.add_argument("--force", action="store_true", help="redo a round that is already refined")
     p.set_defaults(func=_cmd_refine)
 
     p = sub.add_parser("eval", help="score predicted labels against reference labels")

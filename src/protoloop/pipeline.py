@@ -5,9 +5,11 @@ directory, and reused by every later round; after the initial round the raw
 volumes are never re-encoded, which is asserted via the extractor call
 counter.  Per volume the pipeline keeps the feature grid plus one float64
 z-scored intensity volume; per-voxel feature rows are never materialized, and
-inference covers each whole volume with no windowing.  Each round is written
-to its own directory via a temp-dir rename so a crash never corrupts
-previously persisted rounds.
+inference covers each whole volume with no windowing.  ``_persist_round``
+is the one writer of a round directory: it writes the whole round under a
+temp name and renames it into place, so a crash never corrupts a persisted
+round, and a round replaced by ``run_round`` (with ``force``) or
+``refine_round`` is swapped out only once the new one is complete.
 """
 from __future__ import annotations
 
@@ -59,11 +61,13 @@ __all__ = [
     "start_run",
     "run_round0",
     "run_round",
+    "refine_round",
     "run_pipeline",
     "load_round_state",
     "load_report",
     "entry_grid",
     "write_globals",
+    "read_globals",
 ]
 
 
@@ -243,6 +247,15 @@ def write_globals(features_dir: Path, grids: dict[str, FeatureGrid]) -> dict[str
     return out
 
 
+def read_globals(features_dir: Path) -> dict[str, GlobalFeature]:
+    """The global features ``write_globals`` wrote to ``features_dir``, bit for bit."""
+    doc = json.loads((features_dir / "globals.json").read_text())
+    return {
+        vol_id: GlobalFeature(vector=g["vector"], degenerate=g["degenerate"])
+        for vol_id, g in sorted(doc.items())
+    }
+
+
 @dataclass
 class PipelineContext:
     """Loaded inputs shared by all rounds of one run."""
@@ -259,6 +272,30 @@ class PipelineContext:
 
 def build_context(config: PipelineConfig, extract_allowed: bool = True) -> PipelineContext:
     t0 = time.perf_counter()
+    manifest, labeled_id, gt, truth = _load_inputs(config)
+    store = FeatureStore(config, manifest)
+    store.prepare(extract_allowed=extract_allowed)
+    if store.features[labeled_id].shape != gt.shape:
+        raise ValueError("template label shape does not match its intensity volume")
+
+    validation = None
+    if config.val_manifest_path is not None:
+        validation = _load_validation(config, store, extract_allowed)
+
+    return PipelineContext(
+        config=config,
+        manifest=manifest,
+        store=store,
+        labeled_id=labeled_id,
+        labeled_gt=gt,
+        truth=truth,
+        validation=validation,
+        build_s=time.perf_counter() - t0,
+    )
+
+
+def _load_inputs(config: PipelineConfig) -> tuple[DatasetManifest, str, LabelVolume, dict | None]:
+    """The manifest, the template's id and checked label, and the pool's truth if configured."""
     manifest = load_manifest(config.manifest_path)
     labeled = manifest.labeled_entry()
     gt = load_array(manifest.resolve(labeled.label))
@@ -269,11 +306,6 @@ def build_context(config: PipelineConfig, extract_allowed: bool = True) -> Pipel
             f"template label has {gt.num_classes} classes, manifest says {manifest.num_classes}"
         )
 
-    store = FeatureStore(config, manifest)
-    store.prepare(extract_allowed=extract_allowed)
-    if store.features[labeled.vol_id].shape != gt.shape:
-        raise ValueError("template label shape does not match its intensity volume")
-
     truth = None
     if config.truth_dir is not None:
         truth = {}
@@ -283,21 +315,7 @@ def build_context(config: PipelineConfig, extract_allowed: bool = True) -> Pipel
             if not isinstance(lab, LabelVolume):
                 raise ValueError(f"{path}: truth file is not a label volume")
             truth[entry.vol_id] = lab
-
-    validation = None
-    if config.val_manifest_path is not None:
-        validation = _load_validation(config, store, extract_allowed)
-
-    return PipelineContext(
-        config=config,
-        manifest=manifest,
-        store=store,
-        labeled_id=labeled.vol_id,
-        labeled_gt=gt,
-        truth=truth,
-        validation=validation,
-        build_s=time.perf_counter() - t0,
-    )
+    return manifest, labeled.vol_id, gt, truth
 
 
 def _load_validation(config: PipelineConfig, store: FeatureStore, extract_allowed: bool) -> tuple:
@@ -321,24 +339,43 @@ def _load_validation(config: PipelineConfig, store: FeatureStore, extract_allowe
 # persistence
 
 def _atomic_write_dir(out_dir: Path, name: str, writer) -> Path:
-    """Populate ``out_dir/name`` via a temp directory and a final rename."""
+    """Populate ``out_dir/name`` via a temp directory and a final rename.
+
+    An existing ``name`` is moved aside only once ``writer`` has finished, so
+    a failed writer leaves it as it was; its temp directory is removed.
+    """
     final = out_dir / name
-    if final.exists():
-        raise FileExistsError(f"{final} already exists; refusing to overwrite")
     tmp = out_dir / f"{name}.tmp"
     if tmp.exists():
         shutil.rmtree(tmp)  # stale leftover from a crashed run; invisible to readers
     tmp.mkdir(parents=True)
-    writer(tmp)
+    try:
+        writer(tmp)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    old = out_dir / f"{name}.old"
+    if final.exists():
+        # a directory cannot be renamed onto a non-empty one: move the old aside first
+        shutil.rmtree(old, ignore_errors=True)
+        os.replace(final, old)
     os.replace(tmp, final)
+    shutil.rmtree(old, ignore_errors=True)
     return final
+
+
+def _refuse_existing(config: PipelineConfig, round_index: int) -> None:
+    """Refuse to recompute a persisted round unless ``config.force`` is set."""
+    target = config.out_dir / f"round_{round_index}"
+    if target.exists() and not config.force:
+        raise FileExistsError(f"{target} already exists; refusing to overwrite without force")
 
 
 def _dump_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _label_name(vol_id: str, round_index: int, refined: bool | None) -> str:
+def _label_name(vol_id: str, round_index: int, refined: bool) -> str:
     if round_index == 0:
         return f"{vol_id}.round0.label"
     kind = "refined" if refined else "raw"
@@ -362,16 +399,20 @@ def _persist_round(
             "model_dice": state.model_dice,
             "timings": state.timings,
         }
-        for vol_id in sorted(state.labels):
-            name = _label_name(vol_id, r, state.refined if r > 0 else None)
-            save_array(state.labels[vol_id], tmp / name)
-            doc["labels"][vol_id] = name
-        if state.raw_labels is not None and state.refined:
+        if state.refined:
             doc["raw_labels"] = {}
             for vol_id in sorted(state.raw_labels):
                 name = _label_name(vol_id, r, refined=False)
                 save_array(state.raw_labels[vol_id], tmp / name)
                 doc["raw_labels"][vol_id] = name
+        for vol_id in sorted(state.labels):
+            if state.refined and vol_id not in state.partition.uncertain:
+                # the vote passes a certain volume through: its labels are the raw file
+                doc["labels"][vol_id] = doc["raw_labels"][vol_id]
+                continue
+            name = _label_name(vol_id, r, state.refined)
+            save_array(state.labels[vol_id], tmp / name)
+            doc["labels"][vol_id] = name
         if state.params is not None:
             save_params(state.params, tmp / "params.vxar", r, iteration=-1)
             doc["params"] = "params.vxar"
@@ -409,14 +450,16 @@ def load_round_state(out_dir: Path, round_index: int) -> RoundState:
             f"{round_dir}: state file claims round {doc['round']}, expected {round_index}"
         )
 
+    loaded: dict[str, LabelVolume] = {}  # labels and raw_labels may name one file
+
     def load_labels(mapping):
-        out = {}
-        for vol_id, name in mapping.items():
-            lab = load_array(round_dir / name)
-            if not isinstance(lab, LabelVolume):
-                raise ValueError(f"{name}: not a label volume")
-            out[vol_id] = lab
-        return out
+        for name in mapping.values():
+            if name not in loaded:
+                lab = load_array(round_dir / name)
+                if not isinstance(lab, LabelVolume):
+                    raise ValueError(f"{name}: not a label volume")
+                loaded[name] = lab
+        return {vol_id: loaded[name] for vol_id, name in mapping.items()}
 
     state = RoundState(
         round_index=round_index,
@@ -431,13 +474,7 @@ def load_round_state(out_dir: Path, round_index: int) -> RoundState:
     if "params" in doc:
         state.params, _ = load_params(round_dir / doc["params"])
     if "partition" in doc:
-        p = doc["partition"]
-        state.partition = Partition(
-            certain=frozenset(p["certain"]),
-            uncertain=frozenset(p["uncertain"]),
-            threshold=p["threshold"],
-            labeled_id=p["labeled_id"],
-        )
+        state.partition = Partition(**doc["partition"])
     unc_file = round_dir / "uncertainty.json"
     if unc_file.exists():
         rep = json.loads(unc_file.read_text())
@@ -460,6 +497,7 @@ def run_round0(config: PipelineConfig, ctx: PipelineContext | None = None) -> Ro
 
     The ``features`` timing is the context build, wherever it happened.
     """
+    _refuse_existing(config, 0)
     if ctx is None:
         config.out_dir.mkdir(parents=True, exist_ok=True)
         ctx = build_context(config)
@@ -501,13 +539,18 @@ def run_round(
     prev: RoundState,
     ctx: PipelineContext | None = None,
 ) -> RoundState:
-    """Train on the previous round's pseudo-labels, re-predict, partition, refine."""
+    """Train on the previous round's pseudo-labels, re-predict, partition, refine.
+
+    An existing round is refused before training unless ``config.force`` is
+    set; it is then replaced once the new round is complete.
+    """
     if round_index < 1:
         raise ValueError("round_index must be >= 1; round 0 has its own entry point")
     if prev.round_index != round_index - 1:
         raise ValueError(
             f"previous state is round {prev.round_index}, cannot run round {round_index}"
         )
+    _refuse_existing(config, round_index)
     if ctx is None:
         ctx = build_context(config, extract_allowed=False)
     pool = _pool_ids(ctx)
@@ -540,55 +583,92 @@ def run_round(
             results = list(tp.map(predict, pool))
     else:
         results = [predict(v) for v in pool]
-    raw = {vol_id: lab for vol_id, lab, _ in results}
-    uncertainties = [u for _, _, u in results]
     t_infer = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    partition = partition_by_quantile(uncertainties, ctx.labeled_id, config.q_unc)
-    if config.refine:
-        votable = dict(raw)
-        votable[ctx.labeled_id] = ctx.labeled_gt
-        refined, audit = refine_all(
-            votable, partition, ctx.store.global_features, config.knn
-        )
-        labels = refined
-    else:
-        labels = raw
-        audit = []
-    t_refine = time.perf_counter() - t0
 
     state = RoundState(
         round_index=round_index,
-        labels=labels,
-        refined=config.refine,
-        raw_labels=raw,
-        partition=partition,
-        uncertainties=uncertainties,
+        labels={},
+        raw_labels={vol_id: lab for vol_id, lab, _ in results},
+        uncertainties=[u for _, _, u in results],
         params=params,
-        timings={"train": t_train, "infer": t_infer, "refine": t_refine},
+        timings={"train": t_train, "infer": t_infer},
     )
-    if ctx.truth is not None:
-        state.pseudo_label_dice = pseudo_label_quality(labels, ctx.truth)
-        state.model_dice = pseudo_label_quality(raw, ctx.truth)
+    return _vote_and_persist(
+        config, state, log, ctx.labeled_id, ctx.labeled_gt, ctx.store.global_features, ctx.truth
+    )
+
+
+def refine_round(config: PipelineConfig, round_index: int) -> RoundState:
+    """Redo persisted round ``round_index``'s vote at ``config.knn`` and ``config.q_unc``.
+
+    The model's labels, uncertainties, ``params.vxar`` and ``train_log.jsonl``
+    are kept; the partition, the labels, ``uncertainty.json``, the audit, the
+    ``refine`` timing and the Dice are recomputed as ``run_round`` computes
+    them.  A refined round is refused unless ``config.force`` is set.
+    """
+    if round_index < 1:
+        raise ValueError("round 0 labels come from propagation; nothing to refine")
+    round_dir = config.out_dir / f"round_{round_index}"
+    prev = load_round_state(config.out_dir, round_index)
+    if prev.refined and not config.force:
+        raise FileExistsError(f"{round_dir} is already refined; pass force to redo")
+    if prev.uncertainties is None or prev.params is None:
+        raise ValueError(f"{round_dir} has no model output to refine")
+    log = [json.loads(line) for line in (round_dir / "train_log.jsonl").read_text().splitlines()]
+    state = RoundState(
+        round_index=round_index,
+        labels={},
+        raw_labels=prev.raw_labels if prev.raw_labels is not None else prev.labels,
+        uncertainties=prev.uncertainties,
+        params=prev.params,
+        timings=dict(prev.timings),
+    )
+    _, labeled_id, gt, truth = _load_inputs(config)
+    globals_ = read_globals(config.out_dir / "features")
+    return _vote_and_persist(replace(config, refine=True), state, log, labeled_id, gt, globals_, truth)
+
+
+def _vote_and_persist(
+    config: PipelineConfig,
+    state: RoundState,
+    train_log: list[dict],
+    labeled_id: str,
+    labeled_gt: LabelVolume,
+    global_features: dict[str, GlobalFeature],
+    truth: dict[str, LabelVolume] | None,
+) -> RoundState:
+    """Partition and vote on the model output in ``state``, record Dice, persist.
+
+    The pool is split at ``config.q_unc``; with ``config.refine`` the uncertain
+    volumes get a ``config.knn`` vote in which the template votes with its
+    ground truth.  The ``refine`` timing covers both steps.
+    """
+    t0 = time.perf_counter()
+    state.partition = partition_by_quantile(state.uncertainties, labeled_id, config.q_unc)
+    state.refined = config.refine
+    state.labels, audit = state.raw_labels, []
+    if config.refine:
+        votable = dict(state.raw_labels)
+        votable[labeled_id] = labeled_gt
+        state.labels, audit = refine_all(votable, state.partition, global_features, config.knn)
+    state.timings["refine"] = time.perf_counter() - t0
+    if truth is not None:
+        state.pseudo_label_dice = pseudo_label_quality(state.labels, truth)
+        state.model_dice = pseudo_label_quality(state.raw_labels, truth)
 
     extra = {
-        "refine_audit.json": {"round": round_index, "refined": config.refine, "queries": audit},
+        "refine_audit.json": {"round": state.round_index, "refined": config.refine, "queries": audit},
     }
-    _persist_round(config.out_dir, state, extra=extra, train_log=log)
+    _persist_round(config.out_dir, state, extra=extra, train_log=train_log)
     return state
 
 
 def _clear_run_dir(out_dir: Path) -> None:
     """Remove artifacts of a previous run; only paths this pipeline writes."""
-    if not out_dir.exists():
-        return
     for name in ("config.json", "report.json", "report.txt"):
-        p = out_dir / name
-        if p.exists():
-            p.unlink()
+        (out_dir / name).unlink(missing_ok=True)
     for p in list(out_dir.glob("round_*")) + [out_dir / "features"]:
-        if p.exists() and p.is_dir():
+        if p.is_dir():
             shutil.rmtree(p)
 
 

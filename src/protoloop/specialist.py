@@ -40,7 +40,6 @@ __all__ = [
     "TrainAssets",
     "LossTerms",
     "cell_index_luts",
-    "forward",
     "ramp_up_alpha",
     "poly_lr",
     "loss_and_grad",
@@ -147,7 +146,7 @@ def cell_index_luts(vol_shape: Shape3, grid_shape: Shape3) -> tuple[np.ndarray, 
 
 
 # ---------------------------------------------------------------------------
-# forward / schedules / loss
+# softmax / schedules / loss
 
 def _softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Softmax over axis 0 of class-major (k, n) logits: (probs, max, sum of exp)."""
@@ -156,20 +155,6 @@ def _softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     total = probs.sum(axis=0)
     probs /= total
     return probs, top, total
-
-
-def forward(params: SpecialistParams, feats: np.ndarray) -> np.ndarray:
-    """Class probabilities for (F,) or (N, F) feature input."""
-    feats = np.asarray(feats, dtype=np.float64)
-    single = feats.ndim == 1
-    if single:
-        feats = feats[None, :]
-    if feats.shape[1] != params.num_features:
-        raise ValueError(
-            f"feature width {feats.shape[1]} != model width {params.num_features}"
-        )
-    probs = _softmax(params.weights @ feats.T + params.bias[:, None])[0].T
-    return probs[0] if single else probs
 
 
 def ramp_up_alpha(iteration: int, total: int, fraction: float = 0.3) -> float:

@@ -205,6 +205,9 @@ def load_array(path: str | Path):
         planes = header["channels"]
         if not isinstance(planes, int) or planes < 1:
             raise ArrayFormatError(f"{path}: bad channels {planes!r}")
+        if dtype_name != "f32":
+            # only feature grids carry channels, and they are f32
+            raise ArrayFormatError(f"{path}: {dtype_name} data with channels is not a known array kind")
     elif dtype_name == "f32" and "num_classes" in header:
         # per-class f32 planes (an old probability file) must not load as intensities
         raise ArrayFormatError(f"{path}: f32 data with num_classes is not a known array kind")

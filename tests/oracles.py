@@ -300,6 +300,18 @@ def build_feature_matrix(vol, grid):
     return np.ascontiguousarray(np.hstack([flat, z]))
 
 
+def forward(params, feats):
+    """Class probabilities of a dense (F,) or (N, F) feature input."""
+    feats = np.asarray(feats, dtype=np.float64)
+    single = feats.ndim == 1
+    if single:
+        feats = feats[None, :]
+    if feats.shape[1] != params.num_features:
+        raise ValueError(f"feature width {feats.shape[1]} != model width {params.num_features}")
+    probs = _softmax_rows_oracle(feats @ params.weights.T + params.bias)
+    return probs[0] if single else probs
+
+
 # ---------------------------------------------------------------------------
 # uncertainty
 

@@ -2,11 +2,10 @@
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import pytest
 
-from protoloop import cli
+from protoloop import cli, pipeline
 from protoloop.cli import dispatch
 from protoloop.phantom import ClassShape, PhantomSpec, save_spec
 from protoloop.volume import Shape3
@@ -252,7 +251,8 @@ def test_refine_command_rewrites_round(dataset, tmp_path):
     doc = json.loads((round_dir / "state.json").read_text())
     assert doc["refined"] is True
     for vid, name in doc["labels"].items():
-        assert name.endswith(".refined.label")
+        if vid in doc["partition"]["uncertain"]:
+            assert name.endswith(".refined.label")
         assert (round_dir / name).exists()
     audit = json.loads((round_dir / "refine_audit.json").read_text())
     assert audit["refined"] is True and len(audit["queries"]) >= 1
@@ -262,6 +262,92 @@ def test_refine_command_rewrites_round(dataset, tmp_path):
 
 def test_refine_rejects_round0(finished_run):
     assert dispatch(["refine", "--round", str(finished_run / "round_0")]) == 1
+
+
+def _files(round_dir):
+    return {p.name: p.read_bytes() for p in round_dir.iterdir()}
+
+
+def test_refine_after_no_refine_equals_a_refined_run(dataset, tmp_path):
+    # the plain run keeps the default q 0.9 and k 5 in config.json; refine overrides both
+    plain, refined = tmp_path / "plain", tmp_path / "refined"
+    argv = _run_args(dataset, plain, "--no-refine")
+    for flag in ("--q-unc", "--k"):
+        del argv[argv.index(flag):argv.index(flag) + 2]
+    assert dispatch(argv) == 0
+    assert dispatch(["refine", "--round", str(plain / "round_1"), "--q-unc", "0.5", "--k", "2"]) == 0
+    assert dispatch(_run_args(dataset, refined)) == 0
+
+    got, want = _files(plain / "round_1"), _files(refined / "round_1")
+    assert sorted(got) == sorted(want)
+    got_state, want_state = json.loads(got.pop("state.json")), json.loads(want.pop("state.json"))
+    for name in want:
+        assert got[name] == want[name], name
+    assert set(got_state.pop("timings")) == set(want_state.pop("timings")) == {"train", "infer", "refine"}
+    assert got_state == want_state
+    assert sorted(p.name for p in plain.iterdir()) == sorted(p.name for p in refined.iterdir())
+
+
+class _Crash(Exception):
+    pass
+
+
+def _crash_after(monkeypatch, n):
+    """Make the round writer raise once it has saved ``n`` label files."""
+    real, saved = pipeline.save_array, []
+
+    def save_array(array, path):
+        if len(saved) == n:
+            raise _Crash(f"crash before writing {path}")
+        saved.append(path)
+        real(array, path)
+
+    monkeypatch.setattr(pipeline, "save_array", save_array)
+
+
+def _assert_round_intact(out, r, before):
+    assert _files(out / f"round_{r}") == before
+    pipeline.load_round_state(out, r)
+    holders = [p.parent.name for p in out.glob("*/state.json") if json.loads(p.read_text())["round"] == r]
+    assert holders == [f"round_{r}"]
+    assert sorted(p.name for p in out.iterdir() if p.name.startswith("round_")) == ["round_0", "round_1"]
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_round_force_crash_keeps_old_round(dataset, tmp_path, monkeypatch, capsys, n):
+    out = tmp_path / "run"
+    assert dispatch(_run_args(dataset, out)) == 0
+    before = _files(out / "round_1")
+    argv = ["round", "--r", "1", "--prev", str(out / "round_0"), "--force"]
+    _crash_after(monkeypatch, n)
+    assert dispatch(argv) == 2
+    assert "_Crash" in capsys.readouterr().err
+    _assert_round_intact(out, 1, before)
+    monkeypatch.undo()
+    assert dispatch(argv) == 0  # the same seed recomputes the same round
+    after = _files(out / "round_1")
+    assert json.loads(after.pop("state.json"))["labels"] == json.loads(before.pop("state.json"))["labels"]
+    assert after == before
+    assert sorted(p.name for p in out.iterdir() if p.name.startswith("round_")) == ["round_0", "round_1"]
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_refine_force_crash_keeps_old_round(dataset, tmp_path, monkeypatch, capsys, n):
+    out = tmp_path / "run"
+    assert dispatch(_run_args(dataset, out)) == 0
+    before = _files(out / "round_1")
+    argv = ["refine", "--round", str(out / "round_1"), "--q-unc", "0.75", "--force"]
+    _crash_after(monkeypatch, n)
+    assert dispatch(argv) == 2
+    assert "_Crash" in capsys.readouterr().err
+    _assert_round_intact(out, 1, before)
+    monkeypatch.undo()
+    assert dispatch(argv) == 0
+    after = _files(out / "round_1")
+    assert after["params.vxar"] == before["params.vxar"]
+    assert after["train_log.jsonl"] == before["train_log.jsonl"]
+    assert after["uncertainty.json"] != before["uncertainty.json"]  # partitioned at q 0.75
+    assert sorted(p.name for p in out.iterdir() if p.name.startswith("round_")) == ["round_0", "round_1"]
 
 
 # ---------------------------------------------------------------------------

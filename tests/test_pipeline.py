@@ -3,13 +3,14 @@ from __future__ import annotations
 
 import json
 import shutil
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from protoloop import encoder as encoder_mod
+from protoloop import pipeline
 from protoloop.encoder import EncoderParams, FeatureGrid
 from protoloop.phantom import ClassShape, PhantomSpec, generate
 from protoloop.pipeline import (
@@ -20,6 +21,7 @@ from protoloop.pipeline import (
     config_from_doc,
     load_report,
     load_round_state,
+    refine_round,
     run_pipeline,
     run_round,
     run_round0,
@@ -281,7 +283,8 @@ def test_round1_files_and_partition_records(main_run):
     state_doc = json.loads((r1 / "state.json").read_text())
     assert state_doc["refined"] is True
     for vid, name in state_doc["labels"].items():
-        assert name == f"{vid}.round1.refined.label"
+        if vid in state_doc["partition"]["uncertain"]:
+            assert name == f"{vid}.round1.refined.label"
         assert (r1 / name).exists()
     for vid, name in state_doc["raw_labels"].items():
         assert name == f"{vid}.round1.raw.label"
@@ -305,6 +308,79 @@ def test_round1_files_and_partition_records(main_run):
         sims = [n["similarity"] for n in q["neighbors"]]
         assert sims == sorted(sims, reverse=True)
         assert all(n["weight"] >= 0.0 for n in q["neighbors"])
+
+
+def test_certain_volumes_name_their_raw_file(main_run, monkeypatch):
+    _, out = main_run
+    for r in (1, 2):
+        rd = out / f"round_{r}"
+        doc = json.loads((rd / "state.json").read_text())
+        certain = set(doc["partition"]["certain"]) - {"vol_000"}
+        assert certain and doc["partition"]["uncertain"]
+        for vid in certain:
+            assert doc["labels"][vid] == doc["raw_labels"][vid] == f"{vid}.round{r}.raw.label"
+        refined = {p.name for p in rd.glob("*.refined.label")}
+        assert refined == {f"{vid}.round{r}.refined.label" for vid in doc["partition"]["uncertain"]}
+
+    loads = []
+    real = pipeline.load_array
+    monkeypatch.setattr(pipeline, "load_array", lambda path: loads.append(path) or real(path))
+    back = load_round_state(out, 1)
+    assert len(loads) == len(set(loads)) == len(list((out / "round_1").glob("*.label")))
+    assert all(back.labels[v] is back.raw_labels[v] for v in certain)
+
+
+def test_round_with_refined_copies_still_loads(dataset, main_run, tmp_path):
+    """Earlier runs wrote a refined copy of every certain volume's labels too."""
+    states, out = main_run
+    old = tmp_path / "old"
+    shutil.copytree(out, old)
+    r1 = old / "round_1"
+    doc = json.loads((r1 / "state.json").read_text())
+    copied = 0
+    for vid, name in doc["labels"].items():
+        if name != f"{vid}.round1.refined.label":
+            doc["labels"][vid] = f"{vid}.round1.refined.label"
+            shutil.copy(r1 / name, r1 / doc["labels"][vid])
+            copied += 1
+    assert copied
+    (r1 / "state.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+    back = load_round_state(old, 1)
+    assert _label_bytes(back) == _label_bytes(states[1])
+    shutil.rmtree(old / "round_2")
+    state2 = run_round(_config(dataset, old, rounds=2), 2, back)
+    assert _label_bytes(state2) == _label_bytes(states[2])
+    # a rewrite of the old round drops the copies
+    refine_round(_config(dataset, old, rounds=2, force=True), 1)
+    assert len(list(r1.glob("*.refined.label"))) == len(doc["partition"]["uncertain"])
+    assert _label_bytes(load_round_state(old, 1)) == _label_bytes(states[1])
+
+
+def test_run_round_refuses_existing_round_before_training(dataset, main_run, monkeypatch):
+    states, out = main_run
+    monkeypatch.setattr(pipeline, "train_round", lambda *a: pytest.fail("trained"))
+    with pytest.raises(FileExistsError, match="round_1 already exists.*force"):
+        run_round(_config(dataset, out, rounds=2), 1, states[0])
+
+
+def test_refine_round_reads_no_volume_or_grid(dataset, main_run, tmp_path, monkeypatch):
+    states, out = main_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    config = _config(dataset, run, rounds=2)
+    with pytest.raises(FileExistsError, match="already refined"):
+        refine_round(config, 1)
+    with pytest.raises(ValueError, match="round 0"):
+        refine_round(config, 0)
+    loads = []
+    real = pipeline.load_array
+    monkeypatch.setattr(pipeline, "load_array", lambda path: loads.append(Path(path)) or real(path))
+    state = refine_round(_config(dataset, run, rounds=2, force=True), 2)
+    assert loads and all(p.name.endswith((".label", ".label.vxar")) for p in loads)
+    assert _label_bytes(state) == _label_bytes(states[2])
+    assert state.pseudo_label_dice == states[2].pseudo_label_dice
+    assert not (run / "round_2.tmp").exists() and not (run / "round_2.old").exists()
 
 
 def test_round_state_round_trip_full(main_run):

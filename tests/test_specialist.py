@@ -10,13 +10,11 @@ from protoloop import specialist
 from protoloop.encoder import FeatureGrid
 from protoloop.specialist import (
     EmaTeacher,
-    LossTerms,
     SpecialistParams,
     TrainAssets,
     TrainConfig,
     TrainVolumeData,
     VoxelBatch,
-    forward,
     infer,
     load_params,
     loss_and_grad,
@@ -31,6 +29,7 @@ from protoloop.volume import IntensityVolume, LabelVolume, Shape3
 from .oracles import (
     build_feature_matrix,
     finite_diff_grad,
+    forward,
     per_voxel_features,
     sample_uncertainty,
     softmax_argmax_oracle,

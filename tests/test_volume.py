@@ -104,6 +104,17 @@ def test_probability_file_refused(tmp_path):
             load_array(path)
 
 
+def test_label_file_with_channels_refused(tmp_path):
+    # only f32 feature grids carry channels; a u8 payload sized for two
+    # channels must not pass the size check and die in a reshape
+    path = tmp_path / "l.vxar"
+    for planes in (1, 2):
+        header = {"dtype": "u8", "shape": [1, 1, 2], "order": "row-major", "channels": planes}
+        write_blob(path, header, bytes(2 * planes))
+        with pytest.raises(ArrayFormatError, match=r"l\.vxar: u8 data with channels"):
+            load_array(path)
+
+
 def test_shape_payload_mismatch(tmp_path):
     path = tmp_path / "bad.vxar"
     header = {"dtype": "f32", "shape": [2, 2, 2], "order": "row-major"}
