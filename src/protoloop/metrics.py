@@ -57,8 +57,8 @@ class MetricReport:
 
 
 def _binary_overlap(pred: np.ndarray, ref: np.ndarray) -> tuple[float, float]:
-    np_, nr = int(pred.sum()), int(ref.sum())
-    inter = int(np.logical_and(pred, ref).sum())
+    np_, nr = int(np.count_nonzero(pred)), int(np.count_nonzero(ref))
+    inter = int(np.count_nonzero(np.logical_and(pred, ref)))
     if np_ == 0 and nr == 0:
         return 1.0, 1.0
     dice = 2.0 * inter / (np_ + nr)

@@ -653,8 +653,13 @@ def _vote_and_persist(
         state.labels, audit = refine_all(votable, state.partition, global_features, config.knn)
     state.timings["refine"] = time.perf_counter() - t0
     if truth is not None:
-        state.pseudo_label_dice = pseudo_label_quality(state.labels, truth)
         state.model_dice = pseudo_label_quality(state.raw_labels, truth)
+        # without a vote (refine off, or no uncertain volume) the labels are
+        # the raw labels, and so is their Dice
+        voted = any(lab is not state.raw_labels[i] for i, lab in state.labels.items())
+        state.pseudo_label_dice = (
+            pseudo_label_quality(state.labels, truth) if voted else state.model_dice
+        )
 
     extra = {
         "refine_audit.json": {"round": state.round_index, "refined": config.refine, "queries": audit},
@@ -713,10 +718,12 @@ def config_from_doc(doc: dict, out_dir: Path) -> PipelineConfig:
 def start_run(config: PipelineConfig) -> None:
     """Make ``config.out_dir`` a new run directory holding only ``config.json``.
 
-    A directory that already holds a run (a ``config.json`` or any
-    ``round_*``) is refused unless ``config.force`` is set; then that run's
-    artifacts are removed first.
+    The manifest is read first, so a missing or malformed one leaves the
+    directory untouched.  A directory that already holds a run (a
+    ``config.json`` or any ``round_*``) is refused unless ``config.force`` is
+    set; then that run's artifacts are removed first.
     """
+    load_manifest(config.manifest_path)
     out = config.out_dir
     if (out / "config.json").exists() or any(out.glob("round_*")):
         if not config.force:

@@ -3,9 +3,9 @@
 The template's labels are pulled down to the feature grid, each class is
 summarized by the normalized masked mean of its cell features, and unlabeled
 volumes receive initial pseudo-labels by cosine similarity to those
-prototypes.  Similarities, softmax and argmax all run on the cell grid, where
-every voxel of a cell would see the same scores; the uint8 cell labels are
-then expanded to the volume by nearest-neighbor resampling.
+prototypes.  Similarities, softmax and the label decision all run on the
+cell grid, where every voxel of a cell would see the same scores; the uint8
+cell labels are then expanded to the volume by nearest-neighbor resampling.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import FeatureGrid
-from .volume import LabelVolume, Shape3, nearest_resample_labels
+from .volume import LabelVolume, Shape3, class_argmax, nearest_resample_labels
 
 __all__ = [
     "EPS",
@@ -113,17 +113,17 @@ def similarity_maps(grid: FeatureGrid, protos: PrototypeSet) -> np.ndarray:
 
 
 def argmax_softmax(scores: np.ndarray) -> np.ndarray:
-    """Labels of (num_classes, n) scores: softmax per column, argmax, lowest index on ties.
+    """Labels of (num_classes, n) scores: softmax per column, then the lowest class at the max.
 
-    The softmax stays before the argmax: ``exp`` can round two scores one ulp
-    apart to the same probability, and the tie then goes to the lower class.
+    The softmax stays before the decision: ``exp`` can round two scores one
+    ulp apart to the same probability, and the tie then goes to the lower
+    class.
     """
     peak = scores.max(axis=0)
     if not np.isfinite(peak).all():
         raise ValueError("every class scored -inf for some cell")
     expd = np.exp(scores - peak)
-    probs = expd / expd.sum(axis=0)
-    return np.argmax(probs, axis=0).astype(np.uint8)
+    return class_argmax(expd / expd.sum(axis=0))
 
 
 def initial_pseudo_label(grid: FeatureGrid, protos: PrototypeSet, vol_shape: Shape3) -> LabelVolume:

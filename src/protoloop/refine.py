@@ -4,6 +4,11 @@ For each uncertain sample, the nearest certain samples in global-feature space
 vote voxel-wise on its labels, weighted by clipped cosine similarity.  Certain
 samples keep their labels untouched, and the labeled template votes with its
 ground truth.
+
+The vote runs in slabs of whole d-planes: each slab's ``(num_classes, n)``
+scores are summed in neighbor order, normalized by the total weight, and
+labeled with the lowest class at the per-voxel max (``volume.class_argmax``),
+so no whole-volume score array is built.
 """
 from __future__ import annotations
 
@@ -13,7 +18,7 @@ import numpy as np
 
 from .encoder import GlobalFeature
 from .uncertainty import Partition
-from .volume import LabelVolume, nearest_resample_labels
+from .volume import LabelVolume, class_argmax, nearest_resample_labels
 
 __all__ = [
     "EPS",
@@ -25,6 +30,9 @@ __all__ = [
 ]
 
 EPS = 1e-8
+
+# voxels per slab of the vote: its score temporaries stay cache-sized
+_SLAB_VOXELS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -75,8 +83,10 @@ def refine_pseudo_label(
     """Weighted voxel-wise vote of the neighbors' labels.
 
     Neighbor labels of a different shape are nearest-resampled to the query's
-    shape first.  If every weight is (numerically) zero the query keeps its
-    own raw labels.
+    shape first.  A class's score is the sum of the weights of the neighbors
+    voting for it, divided by the total weight; the label is the lowest class
+    with the top score.  If every weight is (numerically) zero the query keeps
+    its own raw labels.
     """
     query = raw_labels[neighbors.query_id]
     shape = query.shape
@@ -86,19 +96,31 @@ def refine_pseudo_label(
     if total < EPS:
         return query
 
-    scores = np.zeros((num_classes,) + shape.as_tuple(), dtype=np.float64)
+    votes = []
     for n in neighbors.neighbors:
         lab = raw_labels[n.vol_id]
         if lab.num_classes != num_classes:
             raise ValueError(
                 f"neighbor {n.vol_id!r} has {lab.num_classes} classes, query has {num_classes}"
             )
-        lab = nearest_resample_labels(lab, shape)
-        for c in range(num_classes):
-            scores[c][lab.data == c] += n.weight
-    scores /= total + EPS
-    refined = np.argmax(scores, axis=0).astype(np.uint8)
-    return LabelVolume(shape, num_classes, refined)
+        votes.append((n.weight, nearest_resample_labels(lab, shape).data.reshape(-1)))
+
+    # adding weight * 0.0 leaves a non-negative sum unchanged, so each class
+    # sums exactly the weights that vote for it, in neighbor order
+    refined = np.empty(shape.voxels, dtype=np.uint8)
+    plane = shape.h * shape.w
+    step = max(1, _SLAB_VOXELS // plane) * plane
+    for start in range(0, shape.voxels, step):
+        sl = slice(start, start + step)
+        out = refined[sl]
+        scores = np.zeros((num_classes, out.size))
+        for weight, lab in votes:
+            part = lab[sl]
+            for c in range(num_classes):
+                scores[c] += weight * (part == c)
+        scores /= total + EPS
+        class_argmax(scores, out=out)
+    return LabelVolume(shape, num_classes, refined.reshape(shape.as_tuple()))
 
 
 def refine_all(

@@ -5,10 +5,13 @@ z-scored intensity.  Those features are never materialized per voxel: a
 volume is held as its (n_cells, C) float64 cell table plus one float64 z
 volume, training gathers the rows of each sampled batch, and inference
 evaluates ``logits = upsample(W[:, :C] @ grid + b) + W[:, C] * z`` with the
-head applied at cell resolution.  Every round trains a fresh zero-initialized
-model with SGD (momentum, weight decay, poly LR decay) on a loss combining
-supervised and pseudo-label cross-entropy/soft-Dice terms with a consistency
-term against an exponential-moving-average teacher.  Gradients are analytic.
+head applied at cell resolution, one slab of d-planes at a time; a voxel's
+label is the lowest class at the max of its softmax numerators, computed
+class-major (``volume.class_argmax``).  Every round trains a fresh
+zero-initialized model with SGD (momentum, weight decay, poly LR decay) on a
+loss combining supervised and pseudo-label cross-entropy/soft-Dice terms with
+a consistency term against an exponential-moving-average teacher.  Gradients
+are analytic.
 
 A step has k = 2-3 classes and about a dozen features, so its cost is the
 number of numpy calls, not arithmetic.  The step is therefore class-major:
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoder import FeatureGrid, zscore
-from .volume import IntensityVolume, LabelVolume, Shape3, nearest_axis_indices
+from .volume import IntensityVolume, LabelVolume, Shape3, class_argmax, nearest_axis_indices
 from .volume import read_blob, write_blob
 
 __all__ = [
@@ -524,16 +527,19 @@ def voxel_logits(
 def infer(params: SpecialistParams, data: TrainVolumeData) -> tuple[LabelVolume, float]:
     """Labels and mean voxel entropy (nats) of one volume.
 
-    Softmax, argmax and entropy are fused: with ``s = logits - max`` and
-    ``e = exp(s)``, the label is ``argmax e`` and the entropy is
-    ``log(sum e) - sum(e * s) / sum e``, so no probability volume is built.
+    Softmax, labels and entropy are fused: with ``s = logits - max`` and
+    ``e = exp(s)``, the label is the lowest class at the max of ``e``
+    (``volume.class_argmax``, written straight into the label volume) and the
+    entropy is ``log(sum e) - sum(e * s) / sum e``, so no probability volume
+    is built.  The label is taken on ``e``, not on ``s``: ``exp`` can round
+    two logits one ulp apart to the same value, and the lower class wins.
     """
     labels = np.empty(data.n_voxels, dtype=np.uint8)
     entropy_sum = 0.0
     for sl, s in voxel_logits(params, data):
         s -= s.max(axis=0)
         e = np.exp(s)
-        labels[sl] = np.argmax(e, axis=0)
+        class_argmax(e, out=labels[sl])
         total = e.sum(axis=0)
         e *= s
         entropy_sum += float((np.log(total) - e.sum(axis=0) / total).sum())

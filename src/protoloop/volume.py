@@ -1,4 +1,4 @@
-"""Volumetric data containers, nearest-neighbor resampling, and bit-exact array IO.
+"""Volumetric data containers, nearest-neighbor resampling, label decisions, and bit-exact array IO.
 
 All tensors are numpy arrays in row-major order with the depth axis slowest.
 On disk each tensor is one self-describing binary file: a 6-byte magic, a
@@ -31,6 +31,7 @@ __all__ = [
     "save_manifest",
     "nearest_axis_indices",
     "nearest_resample_labels",
+    "class_argmax",
 ]
 
 MAGIC = b"VXAR\x01\x00"
@@ -380,3 +381,33 @@ def nearest_resample_labels(labels: LabelVolume, target: Shape3) -> LabelVolume:
         for s, t in zip(labels.shape.as_tuple(), target.as_tuple())
     ]
     return LabelVolume(target, labels.num_classes, labels.data[np.ix_(*idx)])
+
+
+# ---------------------------------------------------------------------------
+# label decisions
+
+def class_argmax(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.argmax(scores, axis=0)`` of class-major scores, as uint8.
+
+    The label is the lowest class that reaches the per-voxel max.  It is
+    computed one class row at a time: a voxel's label is the number of leading
+    classes below its max, so no axis is moved and no per-voxel call is made.
+    ``out``, if given, receives the labels and is returned.  A NaN score is
+    refused.
+    """
+    k = scores.shape[0]
+    if not 1 <= k <= 256:
+        raise ValueError(f"{k} classes do not fit uint8 labels")
+    top = scores.max(axis=0)
+    if np.isnan(top).any():
+        raise ValueError("NaN class score")
+    if out is None:
+        out = np.empty(top.shape, dtype=np.uint8)
+    elif out.shape != top.shape or out.dtype != np.uint8:
+        raise ValueError(f"out must be uint8 of shape {top.shape}")
+    below = scores[0] != top
+    np.copyto(out, below)
+    for c in range(1, k - 1):
+        below &= scores[c] != top
+        out += below
+    return out

@@ -93,6 +93,20 @@ def test_run_rejects_hostile_volume_id(dataset, tmp_path, capsys, vol_id):
     assert not list(tmp_path.rglob("*.vxar")) and not list(tmp_path.rglob("*.label"))
 
 
+def test_bad_manifest_leaves_nothing_then_run_succeeds(dataset, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = _run_args(dataset, out)
+    argv[argv.index("--manifest") + 1] = str(dataset / "no_such_manifest.json")
+    assert dispatch(argv) == 1
+    assert "no_such_manifest" in capsys.readouterr().err
+    assert not out.exists()
+    out.mkdir()
+    assert dispatch(argv) == 1
+    assert not any(out.iterdir())
+    assert dispatch(_run_args(dataset, out)) == 0
+    assert (out / "report.json").exists()
+
+
 def test_runtime_failure_exits_two(dataset, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_pipeline", lambda config: 1 / 0)
     assert dispatch(_run_args(dataset, tmp_path / "r")) == 2

@@ -436,11 +436,22 @@ def test_resume_after_round0_matches(dataset, main_run, tmp_path):
     assert state1.partition == states[1].partition
 
 
-def test_refine_ablation_keeps_raw(dataset, main_run, tmp_path):
+def test_refine_ablation_keeps_raw(dataset, main_run, tmp_path, monkeypatch):
     states, _ = main_run
     out = tmp_path / "norefine"
+    quality, scored = pipeline.pseudo_label_quality, []
+
+    def counted(labels, truth):
+        scored.append(labels)
+        return quality(labels, truth)
+
+    monkeypatch.setattr(pipeline, "pseudo_label_quality", counted)
     plain = run_pipeline(_config(dataset, out, refine=False))
     assert plain[1].refined is False
+    # without a vote the labels are the raw labels, scored once: in round 0
+    # and for round 1's raw labels
+    assert len(scored) == 2
+    assert plain[1].pseudo_label_dice == plain[1].model_dice == states[1].model_dice
     assert _label_bytes(plain[1]) == {
         k: v.data.tobytes() for k, v in plain[1].raw_labels.items()
     }

@@ -1,9 +1,12 @@
 """Nearest-neighbor retrieval and weighted-vote pseudo-label repair."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from protoloop import refine
 from protoloop.encoder import GlobalFeature
 from protoloop.refine import (
     Neighbor,
@@ -15,7 +18,7 @@ from protoloop.refine import (
 from protoloop.uncertainty import Partition
 from protoloop.volume import LabelVolume, Shape3
 
-from .oracles import knn_oracle, refine_all_oracle, vote_oracle
+from .oracles import downsample_labels_oracle, knn_oracle, refine_all_oracle, vote_oracle
 
 
 def _gf(vec):
@@ -179,6 +182,61 @@ def test_vote_matches_oracle_seeded():
             3,
         )
         assert out.data.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("num_classes", [2, 3, 4])
+def test_slabbed_vote_matches_oracle(num_classes, monkeypatch):
+    # 7 d-planes of 5x6 voxels, three planes per slab: the last slab holds one
+    # plane.  Two neighbors have other shapes and are resampled; equal weights
+    # make exact score ties, and a zero weight adds nothing.
+    monkeypatch.setattr(refine, "_SLAB_VOXELS", 3 * 5 * 6 + 7)
+    rng = np.random.default_rng(31)
+    query_shape = (7, 5, 6)
+    shapes = [(7, 5, 6), (3, 4, 6), (9, 10, 2), (7, 5, 6), (7, 5, 6)]
+    weights = [0.75, 0.5, 0.5, 0.25, 0.0]
+    raw = {"q": _labels(rng.integers(0, num_classes, size=query_shape), num_classes)}
+    for i, shape in enumerate(shapes):
+        raw[f"n{i}"] = _labels(rng.integers(0, num_classes, size=shape), num_classes)
+    nbrs = NeighborSet(
+        query_id="q",
+        neighbors=tuple(
+            Neighbor(vol_id=f"n{i}", weight=w, similarity=w) for i, w in enumerate(weights)
+        ),
+    )
+    out = refine_pseudo_label(nbrs, raw)
+    resampled = {k: downsample_labels_oracle(v.data, query_shape) for k, v in raw.items()}
+    expect = vote_oracle(
+        [(f"n{i}", w, w) for i, w in enumerate(weights)], resampled, "q", num_classes
+    )
+    assert out.data.tobytes() == expect.tobytes()
+
+
+def test_vote_allocates_no_per_voxel_scores():
+    # the vote holds one slab of scores at a time; the volume only ever holds
+    # the uint8 labels (1 byte per voxel), and the slab temporaries take under
+    # 1 MB (about 3 bytes per voxel at 64^3).  A whole-volume
+    # (num_classes, d, h, w) float64 score array alone would be 24 here.
+    rng = np.random.default_rng(65)
+    shape = (64, 64, 64)
+    raw = {"q": _labels(np.zeros(shape), 3)}
+    for i in range(5):
+        raw[f"n{i}"] = _labels(rng.integers(0, 3, size=shape), 3)
+    weights = [0.9, 0.7, 0.5, 0.3, 0.1]
+    nbrs = NeighborSet(
+        query_id="q",
+        neighbors=tuple(
+            Neighbor(vol_id=f"n{i}", weight=w, similarity=w) for i, w in enumerate(weights)
+        ),
+    )
+    refine_pseudo_label(nbrs, raw)  # warm-up
+    tracemalloc.start()
+    try:
+        refine_pseudo_label(nbrs, raw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    voxels = 64**3
+    assert peak <= 6 * voxels, f"{peak / voxels:.1f} bytes per voxel"
 
 
 def test_zero_total_weight_keeps_raw():

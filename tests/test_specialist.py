@@ -28,6 +28,7 @@ from protoloop.volume import IntensityVolume, LabelVolume, Shape3
 
 from .oracles import (
     build_feature_matrix,
+    entropy_oracle,
     finite_diff_grad,
     forward,
     per_voxel_features,
@@ -497,6 +498,28 @@ def test_infer_full_volume_equals_forward(monkeypatch):
         assert (labels.data.reshape(-1) == np.argmax(probs, axis=1)).all()
         dense = probs.T.reshape((k,) + vol.shape.as_tuple())
         assert entropy == pytest.approx(sample_uncertainty(dense).value, abs=1e-9)
+
+
+@pytest.mark.parametrize("num_classes", [2, 3, 5])
+def test_infer_slabs_break_ties_low_and_match_dense_entropy(num_classes, monkeypatch):
+    # two classes share one weight row, so their logits tie exactly on every
+    # voxel; the slab holds five 17x23 planes, so the last of 13 is ragged
+    monkeypatch.setattr(specialist, "_SLAB_VOXELS", 5 * 17 * 23)
+    _, vol, grid, params = _odd_case(73, num_classes)
+    weights, bias = params.weights.copy(), params.bias.copy()
+    weights[-1], bias[-1] = weights[0], bias[0]
+    params = SpecialistParams(weights=weights, bias=bias)
+    data = _factorized(vol, grid)
+    assert len(list(voxel_logits(params, data))) == 3
+    probs = forward(params, build_feature_matrix(vol, grid))
+    labels, entropy = infer(params, data)
+    expect = np.argmax(probs, axis=1).astype(np.uint8)
+    assert labels.data.reshape(-1).tobytes() == expect.tobytes()
+    assert not (labels.data == num_classes - 1).any()
+    dense = probs.T.reshape((num_classes,) + vol.shape.as_tuple())
+    entropy_map, entropy_mean = entropy_oracle(dense)
+    assert entropy == pytest.approx(entropy_mean, abs=1e-9)
+    assert entropy == pytest.approx(float(entropy_map.mean()), abs=1e-9)
 
 
 def test_infer_prob_rows_sum_to_one():

@@ -6,6 +6,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from protoloop.encoder import FeatureGrid
 from protoloop.prototype import compute_prototypes
@@ -17,6 +20,7 @@ from protoloop.volume import (
     LabelVolume,
     Shape3,
     VolumeEntry,
+    class_argmax,
     load_array,
     load_manifest,
     nearest_axis_indices,
@@ -315,3 +319,55 @@ def test_resample_both_directions():
     up = nearest_resample_labels(labels, Shape3(6, 6, 6))
     back = nearest_resample_labels(up, Shape3(4, 4, 4))
     assert back.shape.as_tuple() == (4, 4, 4)
+
+
+# ---------------------------------------------------------------------------
+# label decisions
+
+@st.composite
+def _class_scores(draw):
+    """(k, ...) scores built from a few values around one base: exact ties,
+    one-ulp neighbours, +-inf, optionally passed through ``exp`` (which can
+    round neighbours to one value), and possibly whole columns of -inf."""
+    k = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from([(9,), (1,), (2, 3, 2), (1, 1, 4)]))
+    base = draw(st.floats(-30.0, 30.0))
+    pool = np.array([
+        base, np.nextafter(base, np.inf), np.nextafter(base, -np.inf), base + 1.0,
+        base - 1e-12, np.inf, -np.inf,
+    ])
+    scores = pool[draw(arrays(np.int64, (k,) + shape, elements=st.integers(0, len(pool) - 1)))]
+    if draw(st.booleans()):
+        scores = np.exp(scores)
+    columns = scores.reshape(k, -1)
+    for col in draw(st.lists(st.integers(0, columns.shape[1] - 1), max_size=2)):
+        columns[:, col] = -np.inf
+    return scores
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_class_scores())
+def test_class_argmax_equals_argmax(scores):
+    expect = np.argmax(scores, axis=0)
+    labels = class_argmax(scores)
+    assert labels.dtype == np.uint8
+    assert labels.tobytes() == expect.astype(np.uint8).tobytes()
+    out = np.full(scores.shape[1:], 99, dtype=np.uint8)
+    assert class_argmax(scores, out=out) is out
+    assert out.tobytes() == labels.tobytes()
+
+
+@pytest.mark.parametrize("where", [(0, 0), (1, 3), (2, 4)])
+def test_class_argmax_refuses_nan(where):
+    scores = np.zeros((3, 5))
+    scores[1, 4] = np.inf
+    scores[where] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        class_argmax(scores)
+
+
+def test_class_argmax_validates_out():
+    with pytest.raises(ValueError, match="uint8"):
+        class_argmax(np.zeros((2, 4)), out=np.empty(4, dtype=np.int64))
+    with pytest.raises(ValueError, match="uint8"):
+        class_argmax(np.zeros((2, 4)), out=np.empty(3, dtype=np.uint8))
