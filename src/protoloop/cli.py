@@ -23,6 +23,7 @@ from .pipeline import (
     PipelineConfig,
     config_from_doc,
     entry_grid,
+    load_report,
     load_round_state,
     refine_round,
     run_pipeline,
@@ -278,7 +279,7 @@ def _svg_line_chart(series: dict[str, list[tuple[float, float]]], title: str) ->
 
 def _cmd_report(args) -> int:
     run_dir = Path(args.run)
-    report = json.loads((run_dir / "report.json").read_text())
+    report = load_report(run_dir)
     csv_path = run_dir / "report.csv"
     if csv_path.exists() and not args.force:
         raise FileExistsError(f"{csv_path} exists; pass --force to overwrite")

@@ -6,10 +6,14 @@ vector of local statistics plus optional normalized patch-center coordinates.
 The statistics are computed for all patches at once: each source volume (the
 z-scored intensities, then one |gradient| volume at a time) is copied into a
 blocked layout with every patch's voxels on the last axis and reduced along
-it.  Truncated edge patches are blocked as separate regions with their own
-extents, so every shape takes the same code path and no padding is needed.
-The same grid/global-feature contract also accepts features produced by an
-external model, loaded verbatim from array files.
+it.  The z-scored copy is reduced to its mean and std, then sorted once in
+place along that axis, so min, max and median are read off the sorted
+patches with no further pass.  Truncated edge patches are blocked as separate
+regions with their own extents, so every shape takes the same code path and
+no padding is needed.  A caller that already holds the volume's z-score
+passes it in, so each volume is z-scored once.  The same grid/global-feature
+contract also accepts features produced by an external model, loaded
+verbatim from array files.
 """
 from __future__ import annotations
 
@@ -119,7 +123,24 @@ def _abs_gradient(z: np.ndarray, axis: int) -> np.ndarray:
     """|central difference| along ``axis``; an axis of extent 1 gets zeros."""
     if z.shape[axis] < 2:
         return np.zeros_like(z)
-    return np.abs(np.gradient(z, axis=axis))
+    grad = np.gradient(z, axis=axis)
+    return np.abs(grad, out=grad)
+
+
+def _order_statistics(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(min, max, median) along the last axis of ``blocks``, which is sorted in place.
+
+    The median is the mean of the middle pair, as ``np.median`` takes it (for
+    an odd count both are the middle value, and ``(x + x) / 2 == x``).  Equal
+    values may swap places in the sort; that changes no byte here because a
+    z-scored volume holds no ``-0.0``: ``x - m`` is ``+0.0`` when ``x == m``,
+    and no nonzero float32 difference divided by a finite std rounds to zero.
+    """
+    blocks.sort(axis=-1)
+    n = blocks.shape[-1]
+    median = blocks[..., (n - 1) // 2] + blocks[..., n // 2]
+    median /= 2
+    return blocks[..., 0], blocks[..., -1], median
 
 
 def _axis_parts(extent: int, p: int) -> list[tuple[slice, slice, int]]:
@@ -147,7 +168,9 @@ def _blocked(src: np.ndarray, voxels: tuple, sizes: tuple) -> np.ndarray:
     return view.copy().reshape(cells + (sizes[0] * sizes[1] * sizes[2],))
 
 
-def extract_feature_grid(vol: IntensityVolume, params: EncoderParams) -> FeatureGrid:
+def extract_feature_grid(
+    vol: IntensityVolume, params: EncoderParams, z: np.ndarray | None = None
+) -> FeatureGrid:
     """Summarize each patch of ``vol`` into a fixed statistics vector.
 
     Channel order: mean, population std, min, max, median, then mean absolute
@@ -162,7 +185,8 @@ def extract_feature_grid(vol: IntensityVolume, params: EncoderParams) -> Feature
     the volume is covered by at most eight regions, each blocked with its own
     patch extents; no padding enters any statistic.  Only one blocked copy,
     and one gradient volume, is alive at a time.  Position channels are
-    per-axis vectors broadcast over the grid.
+    per-axis vectors broadcast over the grid.  ``z`` is ``zscore(vol.data)``
+    when the caller already has it; without it the volume is z-scored here.
     """
     global _extract_calls
     with _extract_calls_lock:
@@ -175,7 +199,10 @@ def extract_feature_grid(vol: IntensityVolume, params: EncoderParams) -> Feature
         tuple(zip(*parts))  # (voxel slices, cell slices, patch extents)
         for parts in itertools.product(*(_axis_parts(s, p) for s in shape))
     ]
-    z = zscore(vol.data)
+    if z is None:
+        z = zscore(vol.data)
+    elif z.shape != shape:
+        raise ValueError(f"z volume {z.shape} does not match volume {shape}")
 
     data = np.empty((params.channels,) + grid_shape.as_tuple(), dtype=np.float64)
     for voxels, cells, sizes in regions:
@@ -183,9 +210,7 @@ def extract_feature_grid(vol: IntensityVolume, params: EncoderParams) -> Feature
         out = data[(slice(None),) + cells]
         out[0] = blocks.mean(axis=-1)
         out[1] = blocks.std(axis=-1)
-        out[2] = blocks.min(axis=-1)
-        out[3] = blocks.max(axis=-1)
-        out[4] = np.median(blocks, axis=-1, overwrite_input=True)  # reorders blocks
+        out[2], out[3], out[4] = _order_statistics(blocks)  # sorts blocks
         del blocks
     for axis in range(3):
         grad = _abs_gradient(z, axis)

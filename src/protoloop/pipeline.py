@@ -21,6 +21,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import encoder as encoder_mod
 from .encoder import EncoderParams, FeatureGrid, GlobalFeature, global_feature
 from .metrics import pseudo_label_quality
@@ -150,10 +152,12 @@ class FeatureStore:
             raise ValueError(f"{entry.intensity}: not an intensity volume")
         return vol
 
-    def _grid_for(self, entry, vol: IntensityVolume, extract_allowed: bool, prefix: str) -> FeatureGrid:
+    def _grid_for(
+        self, entry, vol: IntensityVolume, z: np.ndarray, extract_allowed: bool, prefix: str
+    ) -> FeatureGrid:
         grid, extracted = entry_grid(
             entry, self.manifest, vol, self.config.encoder,
-            self._grid_path(entry.vol_id, prefix), extract_allowed,
+            self._grid_path(entry.vol_id, prefix), extract_allowed, z=z,
         )
         if extracted:
             self.extract_counts[entry.vol_id] = self.extract_counts.get(entry.vol_id, 0) + 1
@@ -167,8 +171,9 @@ class FeatureStore:
 
         def one(entry):
             vol = self._load_volume(entry)
-            grid = self._grid_for(entry, vol, extract_allowed, prefix="")
-            return entry.vol_id, TrainVolumeData.from_volume(entry.vol_id, vol, grid), grid
+            z = encoder_mod.zscore(vol.data)  # shared by the encoder and the voxel features
+            grid = self._grid_for(entry, vol, z, extract_allowed, prefix="")
+            return entry.vol_id, TrainVolumeData.from_volume(entry.vol_id, vol, grid, z), grid
 
         if self.config.threads > 1:
             with ThreadPoolExecutor(max_workers=self.config.threads) as pool:
@@ -188,20 +193,21 @@ def entry_grid(
     encoder: EncoderParams,
     path: Path,
     extract_allowed: bool = True,
+    z: np.ndarray | None = None,
 ) -> tuple[FeatureGrid, bool]:
     """The feature grid of one manifest entry, persisted at ``path``, and whether it was extracted.
 
     A grid already at ``path`` is reused; else the entry's external
-    ``features`` file is ingested; else the built-in encoder extracts one,
-    which raises when ``extract_allowed`` is false.  A new grid is written to
-    ``path``.
+    ``features`` file is ingested; else the built-in encoder extracts one
+    (from ``z``, the volume's z-score, when given), which raises when
+    ``extract_allowed`` is false.  A new grid is written to ``path``.
     """
     if path.exists():
         return _load_cached_grid(path, entry, encoder), False
     if entry.features is not None:
         grid = encoder_mod.ingest_external_features(manifest.resolve(entry.features), vol.shape)
     elif extract_allowed:
-        grid = encoder_mod.extract_feature_grid(vol, encoder)
+        grid = encoder_mod.extract_feature_grid(vol, encoder, z)
     else:
         raise RuntimeError(
             f"feature grid for {entry.vol_id!r} missing after the initial round; "
@@ -326,11 +332,12 @@ def _load_validation(config: PipelineConfig, store: FeatureStore, extract_allowe
             raise ValueError(f"validation entry {entry.vol_id!r} has no label")
         vol = load_array(val_manifest.resolve(entry.intensity))
         lab = load_array(val_manifest.resolve(entry.label))
+        z = encoder_mod.zscore(vol.data)
         grid, _ = entry_grid(
             entry, val_manifest, vol, config.encoder,
-            store._grid_path(entry.vol_id, prefix="val."), extract_allowed,
+            store._grid_path(entry.vol_id, prefix="val."), extract_allowed, z=z,
         )
-        data = TrainVolumeData.from_volume(entry.vol_id, vol, grid)
+        data = TrainVolumeData.from_volume(entry.vol_id, vol, grid, z)
         out.append((data, lab.data.reshape(-1)))
     return tuple(out)
 
@@ -438,6 +445,7 @@ def _persist_round(
             )
         _dump_json(tmp / "state.json", doc)
 
+    _retire_report(out_dir, r)
     _atomic_write_dir(out_dir, f"round_{r}", writer)
 
 
@@ -668,10 +676,31 @@ def _vote_and_persist(
     return state
 
 
+def _remove_report(out_dir: Path) -> None:
+    for name in ("report.json", "report.txt"):
+        (out_dir / name).unlink(missing_ok=True)
+
+
+def _retire_report(out_dir: Path, round_index: int) -> None:
+    """Remove the run report if it covers round ``round_index``, which is being (re)written.
+
+    A report of earlier rounds only stays: it still describes them.
+    """
+    path = out_dir / "report.json"
+    if not path.exists():
+        return
+    try:
+        covered = any(row["round"] == round_index for row in json.loads(path.read_text())["rounds"])
+    except (ValueError, KeyError, TypeError):
+        covered = True  # an unreadable report cannot show it still holds
+    if covered:
+        _remove_report(out_dir)
+
+
 def _clear_run_dir(out_dir: Path) -> None:
     """Remove artifacts of a previous run; only paths this pipeline writes."""
-    for name in ("config.json", "report.json", "report.txt"):
-        (out_dir / name).unlink(missing_ok=True)
+    (out_dir / "config.json").unlink(missing_ok=True)
+    _remove_report(out_dir)
     for p in list(out_dir.glob("round_*")) + [out_dir / "features"]:
         if p.is_dir():
             shutil.rmtree(p)
@@ -715,15 +744,30 @@ def config_from_doc(doc: dict, out_dir: Path) -> PipelineConfig:
     return PipelineConfig(out_dir=Path(out_dir), **kwargs)
 
 
+def _check_named_files(path: Path, manifest: DatasetManifest) -> None:
+    """Raise FileNotFoundError naming every file ``manifest`` names that does not exist."""
+    missing = [
+        str(manifest.resolve(rel))
+        for entry in manifest.entries
+        for rel in (entry.intensity, entry.label, entry.features)
+        if rel is not None and not manifest.resolve(rel).is_file()
+    ]
+    if missing:
+        raise FileNotFoundError(f"{path} names missing files: {', '.join(missing)}")
+
+
 def start_run(config: PipelineConfig) -> None:
     """Make ``config.out_dir`` a new run directory holding only ``config.json``.
 
-    The manifest is read first, so a missing or malformed one leaves the
-    directory untouched.  A directory that already holds a run (a
-    ``config.json`` or any ``round_*``) is refused unless ``config.force`` is
-    set; then that run's artifacts are removed first.
+    The manifests are read first, and every file they name must exist, so a
+    missing or malformed manifest, or a missing volume, leaves the directory
+    untouched.  A directory that already holds a run (a ``config.json`` or
+    any ``round_*``) is refused unless ``config.force`` is set; then that
+    run's artifacts are removed first.
     """
-    load_manifest(config.manifest_path)
+    for path in (config.manifest_path, config.val_manifest_path):
+        if path is not None:
+            _check_named_files(path, load_manifest(path))
     out = config.out_dir
     if (out / "config.json").exists() or any(out.glob("round_*")):
         if not config.force:
@@ -778,7 +822,13 @@ def run_pipeline(config: PipelineConfig) -> list[RoundState]:
 
 
 def load_report(out_dir: Path) -> dict:
-    return json.loads((Path(out_dir) / "report.json").read_text())
+    """The run's ``report.json``, which ``run_pipeline`` writes and a rewritten round removes."""
+    path = Path(out_dir) / "report.json"
+    if not path.is_file():
+        raise FileNotFoundError(
+            f"{path} not found: it is written by a complete run and removed when a round is rewritten"
+        )
+    return json.loads(path.read_text())
 
 
 def _format_report(report: dict) -> str:

@@ -16,11 +16,13 @@ are analytic.
 A step has k = 2-3 classes and about a dozen features, so its cost is the
 number of numpy calls, not arithmetic.  The step is therefore class-major:
 the batch is one ``(n_l + 2 n_p, F)`` buffer of labeled, pseudo-labeled and
-noisy pseudo-labeled rows, its logits are ``(k, n)`` and every softmax and
-Dice reduction runs over the class axis or along one class row.  One matmul
-gives the student's logits, one the teacher's on the clean pseudo-labeled
-rows and one the gradient.  The student, momentum and teacher stay plain
-arrays updated in place, and the per-step log is one preallocated array.
+noisy pseudo-labeled rows, filled in place: the rows are gathered from each
+volume's cell table straight into it and the noise is drawn into it.  Its
+logits are ``(k, n)`` and every softmax and Dice reduction runs over the
+class axis or along one class row.  One matmul gives the student's logits,
+one the teacher's on the clean pseudo-labeled rows and one the gradient.  The
+student, momentum and teacher stay plain arrays updated in place, and the
+per-step log is one preallocated array.
 """
 from __future__ import annotations
 
@@ -311,6 +313,10 @@ class TrainVolumeData:
     The feature row of voxel (d, h, w) is ``cells[cell(d, h, w)]`` followed by
     ``z[(d * H + h) * W + w]``, where ``cell`` reads the per-axis
     ``cell_index_luts``.  Memory is the cell table plus one float64 z volume.
+    The table is kept with one spare trailing column, ``(n_cells, C + 1)``,
+    so a batch's rows are gathered from it straight into the batch buffer and
+    the spare column is then overwritten with the voxels' z; ``cells`` is the
+    ``(n_cells, C)`` view without it.
     """
 
     vol_id: str
@@ -319,9 +325,11 @@ class TrainVolumeData:
     cells: np.ndarray    # (n_cells, C) float64, cells in row-major grid order
     z: np.ndarray        # (n_voxels,) float64 z-scored intensity, row-major
     luts: tuple = field(init=False, repr=False, compare=False)
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
+    _row_luts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cells = np.ascontiguousarray(self.cells, dtype=np.float64)
+        cells = np.asarray(self.cells)
         z = np.ascontiguousarray(self.z, dtype=np.float64).reshape(-1)
         if cells.ndim != 2 or len(cells) != self.grid_shape.voxels:
             raise ValueError(
@@ -329,18 +337,28 @@ class TrainVolumeData:
             )
         if len(z) != self.shape.voxels:
             raise ValueError(f"z volume has {len(z)} voxels, shape says {self.shape.voxels}")
-        object.__setattr__(self, "cells", cells)
+        table = np.zeros((len(cells), cells.shape[1] + 1))
+        table[:, :-1] = cells
+        luts = cell_index_luts(self.shape, self.grid_shape)
+        _, gh, gw = self.grid_shape.as_tuple()
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "cells", table[:, :-1])
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "luts", cell_index_luts(self.shape, self.grid_shape))
+        object.__setattr__(self, "luts", luts)
+        # voxel index along each axis -> that axis's term of the flat cell index
+        object.__setattr__(self, "_row_luts", (luts[0] * (gh * gw), luts[1] * gw, luts[2]))
 
     @classmethod
-    def from_volume(cls, vol_id: str, vol: IntensityVolume, grid: FeatureGrid) -> "TrainVolumeData":
+    def from_volume(
+        cls, vol_id: str, vol: IntensityVolume, grid: FeatureGrid, z: np.ndarray | None = None
+    ) -> "TrainVolumeData":
+        """``z`` is ``zscore(vol.data)`` when the caller already has it."""
         return cls(
             vol_id=vol_id,
             shape=vol.shape,
             grid_shape=grid.grid_shape,
             cells=grid.data.reshape(grid.channels, -1).T,
-            z=zscore(vol.data),
+            z=zscore(vol.data) if z is None else z,
         )
 
     @property
@@ -349,20 +367,21 @@ class TrainVolumeData:
 
     @property
     def num_features(self) -> int:
-        return self.cells.shape[1] + 1
+        return self._table.shape[1]
 
     def rows(self, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(len(idx), C + 1) feature rows of the flat voxel indices ``idx``, in ``out`` if given."""
         _, h, w = self.shape.as_tuple()
-        _, gh, gw = self.grid_shape.as_tuple()
-        ld, lh, lw = self.luts
+        ld, lh, lw = self._row_luts
         d, rem = np.divmod(idx, h * w)
         hh, ww = np.divmod(rem, w)
-        cell = (ld[d] * gh + lh[hh]) * gw + lw[ww]
+        cell = ld[d]
+        cell += lh[hh]
+        cell += lw[ww]
         if out is None:
             out = np.empty((len(idx), self.num_features))
-        out[:, :-1] = self.cells[cell]
-        out[:, -1] = self.z[idx]
+        np.take(self._table, cell, axis=0, out=out)
+        np.take(self.z, idx, out=out[:, -1])
         return out
 
 
@@ -457,7 +476,11 @@ def train_round(
         pi = rng.integers(0, pick.n_voxels, size=n_pse)
         assets.labeled.rows(li, out=x_lab)
         pick.rows(pi, out=x_pse)
-        np.add(x_pse, rng.normal(0.0, config.noise_sigma, size=x_pse.shape), out=x_noisy)
+        # rng.normal(0, sigma) is 0 + sigma * standard_normal: the same draw,
+        # written straight into the batch
+        rng.standard_normal(out=x_noisy)
+        x_noisy *= config.noise_sigma
+        x_noisy += x_pse
         batch = VoxelBatch(x, assets.labeled_targets[li], targets[pick.vol_id][pi])
 
         terms, (d_w, d_b) = loss_and_grad(

@@ -107,6 +107,28 @@ def test_bad_manifest_leaves_nothing_then_run_succeeds(dataset, tmp_path, capsys
     assert (out / "report.json").exists()
 
 
+def test_manifest_naming_missing_volume_leaves_nothing_then_run_succeeds(dataset, tmp_path, capsys):
+    doc = json.loads((dataset / "manifest.json").read_text())
+    for v in doc["volumes"]:
+        for key in ("intensity", "label", "features"):
+            if v.get(key):
+                v[key] = str(dataset / v[key])
+    doc["volumes"][-1]["intensity"] = str(dataset / "missing.vxar")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = _run_args(dataset, out)
+    argv[argv.index("--manifest") + 1] = str(manifest)
+    assert dispatch(argv) == 1
+    assert "missing.vxar" in capsys.readouterr().err
+    assert not out.exists()
+    out.mkdir()
+    assert dispatch(argv) == 1
+    assert not (out / "config.json").exists() and not (out / "features").exists()
+    assert dispatch(_run_args(dataset, out)) == 0
+    assert (out / "report.json").exists()
+
+
 def test_runtime_failure_exits_two(dataset, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_pipeline", lambda config: 1 / 0)
     assert dispatch(_run_args(dataset, tmp_path / "r")) == 2
@@ -274,6 +296,27 @@ def test_refine_command_rewrites_round(dataset, tmp_path):
     assert dispatch(argv + ["--force"]) == 0
 
 
+def test_refine_and_round_force_remove_the_stale_report(dataset, tmp_path, capsys):
+    out = tmp_path / "plain"
+    assert dispatch(_run_args(dataset, out, "--no-refine")) == 0
+    assert dispatch(["report", "--run", str(out)]) == 0
+    assert dispatch(["refine", "--round", str(out / "round_1"), "--q-unc", "0.5", "--k", "2"]) == 0
+    assert not (out / "report.json").exists() and not (out / "report.txt").exists()
+    capsys.readouterr()
+    assert dispatch(["report", "--run", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(out / "report.json") in err and "Traceback" not in err
+
+    # a new round after the report's last leaves it; rewriting a covered round does not
+    out = tmp_path / "full"
+    assert dispatch(_run_args(dataset, out)) == 0
+    assert dispatch(["round", "--r", "2", "--prev", str(out / "round_1")]) == 0
+    assert dispatch(["round", "--r", "2", "--prev", str(out / "round_1"), "--force"]) == 0
+    assert (out / "report.json").exists() and (out / "report.txt").exists()
+    assert dispatch(["round", "--r", "1", "--prev", str(out / "round_0"), "--force"]) == 0
+    assert not (out / "report.json").exists() and not (out / "report.txt").exists()
+
+
 def test_refine_rejects_round0(finished_run):
     assert dispatch(["refine", "--round", str(finished_run / "round_0")]) == 1
 
@@ -299,7 +342,9 @@ def test_refine_after_no_refine_equals_a_refined_run(dataset, tmp_path):
         assert got[name] == want[name], name
     assert set(got_state.pop("timings")) == set(want_state.pop("timings")) == {"train", "infer", "refine"}
     assert got_state == want_state
-    assert sorted(p.name for p in plain.iterdir()) == sorted(p.name for p in refined.iterdir())
+    # the plain run's report described the unrefined round 1, so refine removed it
+    report = {"report.json", "report.txt"}
+    assert {p.name for p in plain.iterdir()} == {p.name for p in refined.iterdir()} - report
 
 
 class _Crash(Exception):

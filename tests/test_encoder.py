@@ -1,6 +1,7 @@
 """Patch-statistics encoder: per-cell channels, pooling, external ingestion."""
 from __future__ import annotations
 
+import itertools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -15,7 +16,11 @@ from protoloop.encoder import (
     extract_feature_grid,
     global_feature,
     ingest_external_features,
+    _axis_parts,
+    _blocked,
+    _order_statistics,
     uniform_channel_count,
+    zscore,
 )
 from protoloop.volume import IntensityVolume, Shape3, load_array, save_array, write_blob
 
@@ -123,6 +128,45 @@ def test_blocked_grid_byte_equal_integer_valued_ties():
     data = np.random.default_rng(3).integers(0, 4, size=(12, 10, 9)).astype(np.float64)
     for patch in (2, 3, 4):
         _assert_matches_loop(data, patch)
+
+
+def _assert_order_statistics_exact(blocks):
+    want = (blocks.min(axis=-1), blocks.max(axis=-1), np.median(blocks, axis=-1))
+    got = _order_statistics(blocks.copy())
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 28))
+def test_sorted_block_statistics_byte_equal_numpy_every_block_size(n):
+    rng = np.random.default_rng(n)
+    _assert_order_statistics_exact(zscore(rng.normal(size=(5, 4, 3, n))))
+    # integer-valued: ties everywhere, and even sizes average two equal middles
+    ties = zscore(rng.integers(0, 4, size=(5, 4, 3, n)))
+    assert len(np.unique(ties)) <= 4
+    _assert_order_statistics_exact(ties)
+
+
+@pytest.mark.parametrize("shape, patch", [((13, 17, 23), 4), ((9, 8, 3), 2), ((7, 5, 6), 8)])
+def test_sorted_block_statistics_byte_equal_numpy_on_ragged_regions(shape, patch):
+    # every region the encoder blocks, edge patches truncated to their own extents
+    z = zscore(np.random.default_rng(5).integers(-3, 4, size=shape))
+    regions = list(itertools.product(*(_axis_parts(s, patch) for s in shape)))
+    assert len(regions) == np.prod([1 + (0 < s % patch < s) for s in shape])
+    for parts in regions:
+        voxels, _, sizes = zip(*parts)
+        _assert_order_statistics_exact(_blocked(z, voxels, sizes))
+
+
+@pytest.mark.parametrize("patch", [3, 4])
+def test_passed_z_gives_the_same_grid(patch):
+    vol = _vol(np.random.default_rng(12).normal(size=(13, 17, 23)))
+    params = EncoderParams(patch_size=patch)
+    own = extract_feature_grid(vol, params)
+    passed = extract_feature_grid(vol, params, zscore(vol.data))
+    assert passed.data.tobytes() == own.data.tobytes()
+    with pytest.raises(ValueError, match="does not match"):
+        extract_feature_grid(vol, params, zscore(vol.data)[:-1])
 
 
 def test_extract_16_cubed_patch_8_mean_channel():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from protoloop import encoder as encoder_mod
-from protoloop import pipeline
+from protoloop import pipeline, specialist
 from protoloop.encoder import EncoderParams, FeatureGrid
 from protoloop.phantom import ClassShape, PhantomSpec, generate
 from protoloop.pipeline import (
@@ -25,6 +25,7 @@ from protoloop.pipeline import (
     run_pipeline,
     run_round,
     run_round0,
+    start_run,
 )
 from protoloop.specialist import TrainConfig
 from protoloop.volume import (
@@ -526,6 +527,25 @@ def test_validation_manifest_path(dataset, tmp_path):
     assert (tmp_path / "run" / "features" / "val.vol_000.features.vxar").exists()
 
 
+def test_start_run_refuses_a_validation_manifest_naming_a_missing_file(dataset, tmp_path):
+    val_dir = tmp_path / "val"
+    spec = PhantomSpec(
+        num_volumes=2,
+        shape=Shape3(12, 12, 12),
+        num_classes=2,
+        classes=(ClassShape(center=(0.5, 0.5, 0.5), radii=(3.5, 3.5, 3.5)),),
+        seed=81,
+    )
+    generate(spec, val_dir, all_labeled=True)
+    label = val_dir / json.loads((val_dir / "manifest.json").read_text())["volumes"][1]["label"]
+    label.unlink()
+    out = tmp_path / "run"
+    with pytest.raises(FileNotFoundError) as exc:
+        start_run(_config(dataset, out, val_manifest_path=val_dir / "manifest.json"))
+    assert str(label) in str(exc.value)
+    assert not out.exists()
+
+
 def test_stale_feature_cache_refused(dataset, tmp_path):
     out = tmp_path / "run"
     build_context(_config(dataset, out))  # caches patch-4 grids with 11 channels
@@ -577,6 +597,36 @@ def test_context_holds_factorized_features(dataset, tmp_path):
         grid = ctx.store.grids[vol_id]
         assert feats.cells.shape == (grid.grid_shape.voxels, grid.channels)
         assert feats.z.shape == (feats.shape.voxels,) and feats.z.dtype == np.float64
+
+
+def test_zscore_once_per_volume_per_context(dataset, tmp_path, monkeypatch):
+    val_dir = tmp_path / "val"
+    spec = PhantomSpec(
+        num_volumes=2,
+        shape=Shape3(12, 12, 12),
+        num_classes=2,
+        classes=(ClassShape(center=(0.5, 0.5, 0.5), radii=(3.5, 3.5, 3.5)),),
+        seed=80,
+    )
+    generate(spec, val_dir, all_labeled=True)
+    config = _config(dataset, tmp_path / "run", val_manifest_path=val_dir / "manifest.json")
+    calls = []
+    real = encoder_mod.zscore
+
+    def zscore(data):
+        calls.append(data.shape)
+        return real(data)
+
+    monkeypatch.setattr(encoder_mod, "zscore", zscore)
+    monkeypatch.setattr(specialist, "zscore", zscore)
+    # round 0: the encoder and the voxel features share one z-score per volume
+    calls_before = encoder_mod.extract_call_count()
+    build_context(config)
+    assert encoder_mod.extract_call_count() - calls_before == 6
+    assert len(calls) == 6  # 4 pool volumes, 2 validation volumes
+    calls.clear()
+    build_context(config, extract_allowed=False)  # a later round: grids reloaded
+    assert len(calls) == 6
 
 
 def test_config_doc_round_trips_every_field(tmp_path):

@@ -464,6 +464,49 @@ def test_train_round_matches_loop_oracle(num_classes, with_validation, batch_vox
             assert abs(rec[key] - value) <= 1e-12 * max(1.0, abs(value)), key
 
 
+def test_batch_buffer_byte_equal_dense_rows_and_normal_draw(monkeypatch):
+    # rows gathered into the batch buffer, and noise drawn into it, against the
+    # dense feature matrix and rng.normal(0, sigma) drawn as a separate array
+    rng = np.random.default_rng(43)
+    dense, data = {}, {}
+    for name in ("t", "u0", "u1"):
+        vol = _vol(rng.normal(size=ODD_SHAPE))
+        grid = _grid(rng.normal(size=(5,) + ODD_GRID).astype(np.float32))
+        dense[name] = build_feature_matrix(vol, grid)
+        data[name] = TrainVolumeData.from_volume(name, vol, grid)
+    n = data["t"].n_voxels
+    pseudo = {
+        name: LabelVolume(Shape3(*ODD_SHAPE), 2, rng.integers(0, 2, size=ODD_SHAPE).astype(np.uint8))
+        for name in ("u0", "u1")
+    }
+    assets = TrainAssets(
+        num_classes=2, labeled=data["t"], labeled_targets=rng.integers(0, 2, size=n),
+        pool=(data["u0"], data["u1"]),
+    )
+    config = TrainConfig(iterations=3, batch_voxels=61, seed=8, noise_sigma=0.3)
+    seen = []
+    real = specialist.loss_and_grad
+
+    def spy(student, teacher, batch, *rest):
+        seen.append(batch.x.copy())
+        return real(student, teacher, batch, *rest)
+
+    monkeypatch.setattr(specialist, "loss_and_grad", spy)
+    train_round(assets, pseudo, config)
+
+    draw = np.random.default_rng(config.seed)
+    n_lab, n_pse = 30, 31
+    for x in seen:
+        pick = ("u0", "u1")[int(draw.integers(2))]
+        li = draw.integers(0, n, size=n_lab)
+        pi = draw.integers(0, data[pick].n_voxels, size=n_pse)
+        pseudo_rows = dense[pick][pi]
+        noisy = pseudo_rows + draw.normal(0.0, config.noise_sigma, size=pseudo_rows.shape)
+        want = np.vstack([dense["t"][li], pseudo_rows, noisy])
+        assert x.tobytes() == want.tobytes()
+    assert len(seen) == 3
+
+
 def test_train_round_rejects_non_finite_features():
     # a non-finite feature makes the loss non-finite at the first step
     rng = np.random.default_rng(14)
