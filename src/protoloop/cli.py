@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 validation/usage error, 2 runtime failure.  Every
 writing command refuses to overwrite existing outputs unless --force is
-given.  --threads caps worker fan-out and falls back to the
-PROTOLOOP_THREADS environment variable.
+given.
 """
 from __future__ import annotations
 
@@ -11,7 +10,7 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
+import re
 import sys
 from pathlib import Path
 
@@ -49,18 +48,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("PROTOLOOP_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"PROTOLOOP_THREADS={env!r} is not an integer") from None
-    return 1
-
-
 def _add_encoder_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--patch", type=int, default=8, help="patch size in voxels (default 8)")
     p.add_argument(
@@ -83,16 +70,21 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--manifest", required=True, help="dataset manifest JSON")
     p.add_argument("--out", required=True, help="run output directory")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--truth", default=None, help="ground-truth label dir (quality tracking)")
     p.add_argument("--force", action="store_true", help="overwrite existing outputs")
     _add_encoder_flags(p)
 
 
+def _given(args, name: str, default):
+    """``args.<name>`` if the command has that flag and it was given (zero too), else ``default``."""
+    value = getattr(args, name, None)
+    return default if value is None else value
+
+
 def _pipeline_config(args, rounds: int, refine: bool = True) -> PipelineConfig:
     train = TrainConfig(
-        iterations=getattr(args, "iters", None) or TrainConfig.iterations,
-        batch_voxels=getattr(args, "batch", None) or TrainConfig.batch_voxels,
+        iterations=_given(args, "iters", TrainConfig.iterations),
+        batch_voxels=_given(args, "batch", TrainConfig.batch_voxels),
     )
     return PipelineConfig(
         manifest_path=Path(args.manifest),
@@ -100,11 +92,10 @@ def _pipeline_config(args, rounds: int, refine: bool = True) -> PipelineConfig:
         rounds=rounds,
         encoder=_encoder_params(args),
         train=train,
-        knn=getattr(args, "k", None) or 5,
-        q_unc=getattr(args, "q_unc", None) or 0.9,
+        knn=_given(args, "k", PipelineConfig.knn),
+        q_unc=_given(args, "q_unc", PipelineConfig.q_unc),
         seed=args.seed,
         refine=refine,
-        threads=_resolve_threads(args.threads),
         val_manifest_path=Path(args.val_manifest) if getattr(args, "val_manifest", None) else None,
         truth_dir=Path(args.truth) if args.truth else None,
         force=args.force,
@@ -137,7 +128,7 @@ def _cmd_encode(args) -> int:
                 raise FileExistsError(f"{target} exists; pass --force to overwrite")
             target.unlink()  # encode always makes a fresh grid
         vol = load_array(manifest.resolve(entry.intensity))
-        grids[entry.vol_id], _ = entry_grid(entry, manifest, vol, params, target)
+        grids[entry.vol_id] = entry_grid(entry, manifest, vol, params, target)
     write_globals(out, grids)
     print(f"encoded {len(grids)} volumes into {out}")
     return 0
@@ -170,9 +161,23 @@ def _run_config(run_dir: Path, **over) -> PipelineConfig:
     return dataclasses.replace(config, **{k: v for k, v in over.items() if v is not None})
 
 
+def _round_dir(path: str) -> tuple[Path, int]:
+    """The run directory and round index of a ``round_<r>`` directory path."""
+    round_dir = Path(path)
+    match = re.fullmatch(r"round_(0|[1-9][0-9]*)", round_dir.name)
+    if match is None:
+        raise ValueError(f"{round_dir} is not a round directory (round_<r>)")
+    return round_dir.parent, int(match.group(1))
+
+
 def _cmd_round(args) -> int:
-    config = _run_config(Path(args.prev).parent, threads=args.threads, force=args.force)
-    prev = load_round_state(config.out_dir, args.r - 1)
+    run_dir, prev_index = _round_dir(args.prev)
+    if prev_index != args.r - 1:
+        raise ValueError(
+            f"--prev {args.prev} is round {prev_index}; round {args.r} follows round {args.r - 1}"
+        )
+    config = _run_config(run_dir, force=args.force)
+    prev = load_round_state(config.out_dir, prev_index)
     state = run_round(config, args.r, prev)
     print(f"round {args.r} complete; {len(state.partition.uncertain)} uncertain samples refined"
           if state.refined else f"round {args.r} complete (refinement disabled)")
@@ -180,13 +185,10 @@ def _cmd_round(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    round_dir = Path(args.round)
-    prefix, _, index = round_dir.name.partition("_")
-    if prefix != "round" or not index.isdigit():
-        raise ValueError(f"{round_dir} is not a round directory (round_<r>)")
-    config = _run_config(round_dir.parent, knn=args.k, q_unc=args.q_unc, force=args.force)
-    state = refine_round(config, int(index))
-    print(f"refined {len(state.partition.uncertain)} uncertain samples in {round_dir}")
+    run_dir, index = _round_dir(args.round)
+    config = _run_config(run_dir, knn=args.k, q_unc=args.q_unc, force=args.force)
+    state = refine_round(config, index)
+    print(f"refined {len(state.partition.uncertain)} uncertain samples in {Path(args.round)}")
     return 0
 
 
@@ -353,8 +355,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("round", help="run one more round on an existing run directory")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--prev", required=True, help="previous round directory")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--prev", required=True, help="previous round directory (round_<r-1>)")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_round)
 

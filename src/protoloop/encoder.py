@@ -41,8 +41,8 @@ BASE_CHANNELS = 8  # mean, std, min, max, median, mean|dd|, mean|dh|, mean|dw|
 
 # Diagnostic counter: number of times the built-in extractor ran in this
 # process.  The pipeline freezes it after the initial round to prove that no
-# raw volume is re-encoded later.  Extraction runs on worker threads when the
-# pipeline has ``threads > 1``, so the increment holds a lock.
+# raw volume is re-encoded later.  The increment holds a lock so the count
+# stays exact when a caller runs extraction on several threads.
 _extract_calls = 0
 _extract_calls_lock = threading.Lock()
 

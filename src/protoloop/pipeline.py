@@ -17,7 +17,6 @@ import json
 import os
 import shutil
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -48,6 +47,7 @@ from .volume import (
     DatasetManifest,
     IntensityVolume,
     LabelVolume,
+    Shape3,
     VolumeEntry,
     load_array,
     load_manifest,
@@ -57,7 +57,6 @@ from .volume import (
 __all__ = [
     "PipelineConfig",
     "RoundState",
-    "FeatureStore",
     "PipelineContext",
     "build_context",
     "start_run",
@@ -84,7 +83,6 @@ class PipelineConfig:
     q_unc: float = 0.9
     seed: int = 0
     refine: bool = True
-    threads: int = 1
     val_manifest_path: Path | None = None
     truth_dir: Path | None = None  # enables ground-truth quality tracking
     force: bool = False
@@ -102,8 +100,6 @@ class PipelineConfig:
             raise ValueError(f"knn={self.knn} must be >= 1")
         if not 0.0 < self.q_unc <= 1.0:
             raise ValueError(f"q_unc={self.q_unc} outside (0, 1]")
-        if self.threads < 1:
-            raise ValueError(f"threads={self.threads} must be >= 1")
 
 
 @dataclass
@@ -125,67 +121,6 @@ class RoundState:
 # ---------------------------------------------------------------------------
 # feature preparation
 
-class FeatureStore:
-    """Feature grids, global features, and factorized voxel features for one run.
-
-    Grids are computed (or ingested) at most once per volume and persisted
-    under ``<out>/features`` so later rounds and resumed processes reload them
-    instead of touching the extractor again.  ``features`` holds each volume's
-    cell table and z volume; the raw intensities are not kept.
-    """
-
-    def __init__(self, config: PipelineConfig, manifest: DatasetManifest):
-        self.config = config
-        self.manifest = manifest
-        self.features_dir = config.out_dir / "features"
-        self.features: dict[str, TrainVolumeData] = {}
-        self.grids: dict[str, FeatureGrid] = {}
-        self.global_features: dict[str, GlobalFeature] = {}
-        self.extract_counts: dict[str, int] = {}
-
-    def _grid_path(self, vol_id: str, prefix: str) -> Path:
-        return self.features_dir / f"{prefix}{vol_id}.features.vxar"
-
-    def _load_volume(self, entry) -> IntensityVolume:
-        vol = load_array(self.manifest.resolve(entry.intensity))
-        if not isinstance(vol, IntensityVolume):
-            raise ValueError(f"{entry.intensity}: not an intensity volume")
-        return vol
-
-    def _grid_for(
-        self, entry, vol: IntensityVolume, z: np.ndarray, extract_allowed: bool, prefix: str
-    ) -> FeatureGrid:
-        grid, extracted = entry_grid(
-            entry, self.manifest, vol, self.config.encoder,
-            self._grid_path(entry.vol_id, prefix), extract_allowed, z=z,
-        )
-        if extracted:
-            self.extract_counts[entry.vol_id] = self.extract_counts.get(entry.vol_id, 0) + 1
-            if self.extract_counts[entry.vol_id] > 1:
-                raise RuntimeError(f"feature grid for {entry.vol_id!r} computed twice")
-        return grid
-
-    def prepare(self, extract_allowed: bool = True) -> None:
-        self.features_dir.mkdir(parents=True, exist_ok=True)
-        entries = list(self.manifest.entries)
-
-        def one(entry):
-            vol = self._load_volume(entry)
-            z = encoder_mod.zscore(vol.data)  # shared by the encoder and the voxel features
-            grid = self._grid_for(entry, vol, z, extract_allowed, prefix="")
-            return entry.vol_id, TrainVolumeData.from_volume(entry.vol_id, vol, grid, z), grid
-
-        if self.config.threads > 1:
-            with ThreadPoolExecutor(max_workers=self.config.threads) as pool:
-                results = list(pool.map(one, entries))
-        else:
-            results = [one(e) for e in entries]
-        for vol_id, feats, grid in results:
-            self.features[vol_id] = feats
-            self.grids[vol_id] = grid
-        self.global_features = write_globals(self.features_dir, self.grids)
-
-
 def entry_grid(
     entry: VolumeEntry,
     manifest: DatasetManifest,
@@ -194,8 +129,8 @@ def entry_grid(
     path: Path,
     extract_allowed: bool = True,
     z: np.ndarray | None = None,
-) -> tuple[FeatureGrid, bool]:
-    """The feature grid of one manifest entry, persisted at ``path``, and whether it was extracted.
+) -> FeatureGrid:
+    """The feature grid of one manifest entry, persisted at ``path``.
 
     A grid already at ``path`` is reused; else the entry's external
     ``features`` file is ingested; else the built-in encoder extracts one
@@ -203,7 +138,7 @@ def entry_grid(
     ``extract_allowed`` is false.  A new grid is written to ``path``.
     """
     if path.exists():
-        return _load_cached_grid(path, entry, encoder), False
+        return _load_cached_grid(path, entry, encoder)
     if entry.features is not None:
         grid = encoder_mod.ingest_external_features(manifest.resolve(entry.features), vol.shape)
     elif extract_allowed:
@@ -214,7 +149,7 @@ def entry_grid(
             "re-encoding raw volumes is not allowed"
         )
     save_array(grid, path)
-    return grid, entry.features is None
+    return grid
 
 
 def _load_cached_grid(path: Path, entry, encoder: EncoderParams) -> FeatureGrid:
@@ -262,13 +197,49 @@ def read_globals(features_dir: Path) -> dict[str, GlobalFeature]:
     }
 
 
+def _load_entry(
+    config: PipelineConfig,
+    manifest: DatasetManifest,
+    entry: VolumeEntry,
+    prefix: str,
+    extract_allowed: bool,
+) -> tuple[TrainVolumeData, FeatureGrid]:
+    """One manifest entry's factorized voxel features and feature grid.
+
+    The intensity volume is z-scored once; the encoder, when it runs, and the
+    voxel features share that z.  The grid comes from ``entry_grid`` at
+    ``features/<prefix><id>.features.vxar``.  The raw intensities are not kept.
+    """
+    vol = load_array(manifest.resolve(entry.intensity))
+    if not isinstance(vol, IntensityVolume):
+        raise ValueError(f"{entry.intensity} of {entry.vol_id!r}: not an intensity volume")
+    z = encoder_mod.zscore(vol.data)
+    path = config.out_dir / "features" / f"{prefix}{entry.vol_id}.features.vxar"
+    grid = entry_grid(entry, manifest, vol, config.encoder, path, extract_allowed, z=z)
+    return TrainVolumeData.from_volume(entry.vol_id, vol, grid, z), grid
+
+
+def _check_label(lab, kind: str, vol_id: str, shape: Shape3) -> LabelVolume:
+    """``lab``, refused unless it is a label volume of its intensity volume's ``shape``."""
+    if not isinstance(lab, LabelVolume):
+        raise ValueError(f"{kind} label of {vol_id!r}: not a label volume")
+    if lab.shape != shape:
+        raise ValueError(
+            f"{kind} label of {vol_id!r} has shape {lab.shape.as_tuple()}, "
+            f"its intensity volume {shape.as_tuple()}"
+        )
+    return lab
+
+
 @dataclass
 class PipelineContext:
     """Loaded inputs shared by all rounds of one run."""
 
     config: PipelineConfig
     manifest: DatasetManifest
-    store: FeatureStore
+    features: dict[str, TrainVolumeData]
+    grids: dict[str, FeatureGrid]
+    global_features: dict[str, GlobalFeature]
     labeled_id: str
     labeled_gt: LabelVolume
     truth: dict[str, LabelVolume] | None = None
@@ -277,21 +248,44 @@ class PipelineContext:
 
 
 def build_context(config: PipelineConfig, extract_allowed: bool = True) -> PipelineContext:
+    """Load every pool and validation entry, in manifest order, and check their labels.
+
+    Grids are computed (or ingested) at most once per volume and persisted
+    under ``<out>/features`` (validation grids with a ``val.`` prefix), so
+    later rounds and resumed processes reload them instead of touching the
+    extractor again; ``extract_allowed=False`` makes a missing grid an error.
+    """
     t0 = time.perf_counter()
     manifest, labeled_id, gt, truth = _load_inputs(config)
-    store = FeatureStore(config, manifest)
-    store.prepare(extract_allowed=extract_allowed)
-    if store.features[labeled_id].shape != gt.shape:
-        raise ValueError("template label shape does not match its intensity volume")
+    features_dir = config.out_dir / "features"
+    features_dir.mkdir(parents=True, exist_ok=True)
+    features, grids = {}, {}
+    for entry in manifest.entries:
+        features[entry.vol_id], grids[entry.vol_id] = _load_entry(
+            config, manifest, entry, "", extract_allowed
+        )
+    global_features = write_globals(features_dir, grids)
+    _check_label(gt, "template", labeled_id, features[labeled_id].shape)
 
     validation = None
     if config.val_manifest_path is not None:
-        validation = _load_validation(config, store, extract_allowed)
+        val_manifest = load_manifest(config.val_manifest_path)
+        validation = []
+        for entry in val_manifest.entries:
+            if entry.label is None:
+                raise ValueError(f"validation entry {entry.vol_id!r} has no label")
+            data, _ = _load_entry(config, val_manifest, entry, "val.", extract_allowed)
+            lab = load_array(val_manifest.resolve(entry.label))
+            _check_label(lab, "validation", entry.vol_id, data.shape)
+            validation.append((data, lab.data.reshape(-1)))
+        validation = tuple(validation)
 
     return PipelineContext(
         config=config,
         manifest=manifest,
-        store=store,
+        features=features,
+        grids=grids,
+        global_features=global_features,
         labeled_id=labeled_id,
         labeled_gt=gt,
         truth=truth,
@@ -322,24 +316,6 @@ def _load_inputs(config: PipelineConfig) -> tuple[DatasetManifest, str, LabelVol
                 raise ValueError(f"{path}: truth file is not a label volume")
             truth[entry.vol_id] = lab
     return manifest, labeled.vol_id, gt, truth
-
-
-def _load_validation(config: PipelineConfig, store: FeatureStore, extract_allowed: bool) -> tuple:
-    val_manifest = load_manifest(config.val_manifest_path)
-    out = []
-    for entry in val_manifest.entries:
-        if entry.label is None:
-            raise ValueError(f"validation entry {entry.vol_id!r} has no label")
-        vol = load_array(val_manifest.resolve(entry.intensity))
-        lab = load_array(val_manifest.resolve(entry.label))
-        z = encoder_mod.zscore(vol.data)
-        grid, _ = entry_grid(
-            entry, val_manifest, vol, config.encoder,
-            store._grid_path(entry.vol_id, prefix="val."), extract_allowed, z=z,
-        )
-        data = TrainVolumeData.from_volume(entry.vol_id, vol, grid, z)
-        out.append((data, lab.data.reshape(-1)))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +487,9 @@ def run_round0(config: PipelineConfig, ctx: PipelineContext | None = None) -> Ro
         ctx = build_context(config)
 
     t0 = time.perf_counter()
-    protos = compute_prototypes(ctx.store.grids[ctx.labeled_id], ctx.labeled_gt)
+    protos = compute_prototypes(ctx.grids[ctx.labeled_id], ctx.labeled_gt)
     labels = {
-        v: initial_pseudo_label(ctx.store.grids[v], protos, ctx.store.features[v].shape)
+        v: initial_pseudo_label(ctx.grids[v], protos, ctx.features[v].shape)
         for v in _pool_ids(ctx)
     }
     t_prop = time.perf_counter() - t0
@@ -570,9 +546,9 @@ def run_round(
     t0 = time.perf_counter()
     assets = TrainAssets(
         num_classes=ctx.manifest.num_classes,
-        labeled=ctx.store.features[ctx.labeled_id],
+        labeled=ctx.features[ctx.labeled_id],
         labeled_targets=ctx.labeled_gt.data.reshape(-1),
-        pool=tuple(ctx.store.features[v] for v in pool),
+        pool=tuple(ctx.features[v] for v in pool),
         validation=ctx.validation,
     )
     train_cfg = replace(config.train, seed=config.seed ^ round_index)
@@ -582,27 +558,22 @@ def run_round(
     # predict and score every unlabeled volume
     t0 = time.perf_counter()
 
-    def predict(vol_id: str):
-        lab, entropy = infer(params, ctx.store.features[vol_id])
-        return vol_id, lab, SampleUncertainty(vol_id=vol_id, value=entropy)
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as tp:
-            results = list(tp.map(predict, pool))
-    else:
-        results = [predict(v) for v in pool]
+    raw_labels, uncertainties = {}, []
+    for vol_id in pool:
+        raw_labels[vol_id], entropy = infer(params, ctx.features[vol_id])
+        uncertainties.append(SampleUncertainty(vol_id=vol_id, value=entropy))
     t_infer = time.perf_counter() - t0
 
     state = RoundState(
         round_index=round_index,
         labels={},
-        raw_labels={vol_id: lab for vol_id, lab, _ in results},
-        uncertainties=[u for _, _, u in results],
+        raw_labels=raw_labels,
+        uncertainties=uncertainties,
         params=params,
         timings={"train": t_train, "infer": t_infer},
     )
     return _vote_and_persist(
-        config, state, log, ctx.labeled_id, ctx.labeled_gt, ctx.store.global_features, ctx.truth
+        config, state, log, ctx.labeled_id, ctx.labeled_gt, ctx.global_features, ctx.truth
     )
 
 

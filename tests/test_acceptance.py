@@ -303,7 +303,6 @@ def _fixture_config(data_dir, out_dir, **overrides):
         q_unc=0.6,
         seed=11,
         truth_dir=data_dir / "truth",
-        threads=1,
     )
     cfg.update(overrides)
     return PipelineConfig(**cfg)

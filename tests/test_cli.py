@@ -250,16 +250,17 @@ def test_no_refine_flag(dataset, finished_run, tmp_path):
         ).read_bytes()
 
 
-def test_threads_env_fallback(dataset, tmp_path, monkeypatch):
-    monkeypatch.setenv("PROTOLOOP_THREADS", "2")
-    out = tmp_path / "r"
-    assert dispatch(_run_args(dataset, out)) == 0
-    assert json.loads((out / "config.json").read_text())["threads"] == 2
+@pytest.mark.parametrize("flag", ["--k", "--q-unc", "--iters", "--batch"])
+def test_zero_flag_is_refused_not_defaulted(dataset, tmp_path, capsys, flag):
+    argv = _run_args(dataset, tmp_path / "r")
+    argv[argv.index(flag) + 1] = "0"
+    assert dispatch(argv) == 1
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "r" / "config.json").exists()
 
 
-def test_threads_env_not_integer(dataset, tmp_path, monkeypatch):
-    monkeypatch.setenv("PROTOLOOP_THREADS", "lots")
-    assert dispatch(_run_args(dataset, tmp_path / "r")) == 1
+def test_threads_flag_is_gone(dataset, tmp_path):
+    assert dispatch(_run_args(dataset, tmp_path / "r", "--threads", "2")) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +272,16 @@ def test_round_continues_run(dataset, finished_run):
     assert (finished_run / "round_2" / "state.json").exists()
     assert dispatch(argv) == 1  # round_2 now exists
     assert dispatch(argv + ["--force"]) == 0
+
+
+def test_round_refuses_prev_that_is_not_the_previous_round(dataset, tmp_path, capsys):
+    out = tmp_path / "r"
+    assert dispatch(_run_args(dataset, out)) == 0
+    before = sorted(p.relative_to(out) for p in out.rglob("*"))
+    for prev, message in (("round_0", "is round 0"), ("features", "not a round directory")):
+        assert dispatch(["round", "--r", "2", "--prev", str(out / prev)]) == 1
+        assert message in capsys.readouterr().err
+    assert sorted(p.relative_to(out) for p in out.rglob("*")) == before
 
 
 def test_round_requires_config(tmp_path):

@@ -156,7 +156,7 @@ def test_round0_exact_on_ingested_orthogonal_features(tmp_path):
     # the cached ingested grids (patch 2, 2 channels) differ from the encoder
     # config (patch 4, 11 channels) and are still reused: they are not stale
     ctx = build_context(config, extract_allowed=False)
-    assert ctx.store.grids["vol_b"].patch_size == (2, 2, 2)
+    assert ctx.grids["vol_b"].patch_size == (2, 2, 2)
 
 
 def test_round0_perfect_on_noiseless_clones(tmp_path):
@@ -546,6 +546,43 @@ def test_start_run_refuses_a_validation_manifest_naming_a_missing_file(dataset, 
     assert not out.exists()
 
 
+def _misname_intensity(val_dir: Path) -> None:
+    manifest = val_dir / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["volumes"][1]["intensity"] = doc["volumes"][1]["label"]
+    manifest.write_text(json.dumps(doc))
+
+
+def _shrink_label(val_dir: Path) -> None:
+    label = LabelVolume(Shape3(10, 12, 12), 2, np.zeros((10, 12, 12), dtype=np.uint8))
+    save_array(label, val_dir / "vol_001.label.vxar")
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_shrink_label, r"validation label of 'vol_001' has shape \(10, 12, 12\), "
+                        r"its intensity volume \(12, 12, 12\)"),
+        (_misname_intensity, r"vol_001\.label\.vxar of 'vol_001': not an intensity volume"),
+    ],
+)
+def test_validation_inputs_checked_before_round0(dataset, tmp_path, corrupt, message):
+    val_dir = tmp_path / "val"
+    spec = PhantomSpec(
+        num_volumes=2,
+        shape=Shape3(12, 12, 12),
+        num_classes=2,
+        classes=(ClassShape(center=(0.5, 0.5, 0.5), radii=(3.5, 3.5, 3.5)),),
+        seed=79,
+    )
+    generate(spec, val_dir, all_labeled=True)
+    corrupt(val_dir)
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match=message):
+        run_pipeline(_config(dataset, out, val_manifest_path=val_dir / "manifest.json"))
+    assert not (out / "round_0").exists()
+
+
 def test_stale_feature_cache_refused(dataset, tmp_path):
     out = tmp_path / "run"
     build_context(_config(dataset, out))  # caches patch-4 grids with 11 channels
@@ -581,20 +618,13 @@ def test_stale_validation_cache_refused(dataset, tmp_path):
         )
 
 
-def test_threads_do_not_change_results(dataset, main_run, tmp_path):
-    states, _ = main_run
-    threaded = run_pipeline(_config(dataset, tmp_path / "mt", rounds=2, threads=4))
-    for a, b in zip(states, threaded):
-        assert _label_bytes(a) == _label_bytes(b)
-
-
 # ---------------------------------------------------------------------------
 # factorized features and config documents
 
 def test_context_holds_factorized_features(dataset, tmp_path):
     ctx = build_context(_config(dataset, tmp_path / "run"))
-    for vol_id, feats in ctx.store.features.items():
-        grid = ctx.store.grids[vol_id]
+    for vol_id, feats in ctx.features.items():
+        grid = ctx.grids[vol_id]
         assert feats.cells.shape == (grid.grid_shape.voxels, grid.channels)
         assert feats.z.shape == (feats.shape.voxels,) and feats.z.dtype == np.float64
 
@@ -644,7 +674,6 @@ def test_config_doc_round_trips_every_field(tmp_path):
         q_unc=0.8,
         seed=5,
         refine=False,
-        threads=2,
         val_manifest_path=tmp_path / "val.json",
         truth_dir=tmp_path / "truth",
     )
