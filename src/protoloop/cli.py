@@ -32,7 +32,7 @@ from .pipeline import (
     write_globals,
 )
 from .specialist import TrainConfig
-from .volume import LabelVolume, load_array, load_manifest
+from .volume import IntensityVolume, LabelVolume, load_array, load_manifest
 
 __all__ = ["dispatch", "main"]
 
@@ -127,7 +127,7 @@ def _cmd_encode(args) -> int:
             if not args.force:
                 raise FileExistsError(f"{target} exists; pass --force to overwrite")
             target.unlink()  # encode always makes a fresh grid
-        vol = load_array(manifest.resolve(entry.intensity))
+        vol = load_array(manifest.resolve(entry.intensity), IntensityVolume)
         grids[entry.vol_id] = entry_grid(entry, manifest, vol, params, target)
     write_globals(out, grids)
     print(f"encoded {len(grids)} volumes into {out}")
@@ -217,10 +217,8 @@ def _cmd_eval(args) -> int:
         raise ValueError("prediction and truth directories share no volume ids")
     reports = []
     for vol_id in shared:
-        p = load_array(pred[vol_id])
-        t = load_array(truth[vol_id])
-        if not isinstance(p, LabelVolume) or not isinstance(t, LabelVolume):
-            raise ValueError(f"{vol_id}: not label volumes")
+        p = load_array(pred[vol_id], LabelVolume)
+        t = load_array(truth[vol_id], LabelVolume)
         reports.append(evaluate_pair(p, t))
     summary = summarize_reports(reports)
     print(format_table(summary))

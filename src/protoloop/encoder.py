@@ -11,9 +11,10 @@ place along that axis, so min, max and median are read off the sorted
 patches with no further pass.  Truncated edge patches are blocked as separate
 regions with their own extents, so every shape takes the same code path and
 no padding is needed.  A caller that already holds the volume's z-score
-passes it in, so each volume is z-scored once.  The same grid/global-feature
-contract also accepts features produced by an external model, loaded
-verbatim from array files.
+passes it in, so each volume is z-scored once.  The grid type,
+``FeatureGrid``, is defined in ``volume``, which reads and writes it.  The
+same grid/global-feature contract also accepts features produced by an
+external model, loaded verbatim from array files.
 """
 from __future__ import annotations
 
@@ -23,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import IntensityVolume, Shape3, load_array
+from .volume import FeatureGrid, IntensityVolume, Shape3, load_array
 
 __all__ = [
     "EncoderParams",
-    "FeatureGrid",
     "GlobalFeature",
     "extract_feature_grid",
     "global_feature",
@@ -66,33 +66,6 @@ class EncoderParams:
     @property
     def channels(self) -> int:
         return BASE_CHANNELS + (3 if self.include_position else 0)
-
-
-@dataclass(frozen=True)
-class FeatureGrid:
-    """Per-cell feature vectors on a coarse grid aligned to a source volume."""
-
-    channels: int
-    grid_shape: Shape3
-    data: np.ndarray  # (channels, d', h', w') float32
-    patch_size: tuple[int, int, int] | None = None  # voxels per cell, per axis
-
-    def __post_init__(self):
-        if self.channels < 1:
-            raise ValueError("channels must be >= 1")
-        data = np.asarray(self.data, dtype=np.float32).reshape(
-            (self.channels,) + self.grid_shape.as_tuple()
-        )
-        if not np.isfinite(data).all():
-            raise ValueError("feature grid contains non-finite values")
-        data = np.ascontiguousarray(data)
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
-        if self.patch_size is not None:
-            patch = tuple(int(p) for p in self.patch_size)
-            if len(patch) != 3 or any(p < 1 for p in patch):
-                raise ValueError(f"bad patch_size {self.patch_size!r}")
-            object.__setattr__(self, "patch_size", patch)
 
 
 @dataclass(frozen=True)
@@ -246,9 +219,7 @@ def ingest_external_features(path, vol_shape: Shape3) -> FeatureGrid:
     The grid is taken verbatim from the file.  When the header does not name
     a patch size it is inferred as ceil(volume extent / grid extent) per axis.
     """
-    grid = load_array(path)
-    if not isinstance(grid, FeatureGrid):
-        raise ValueError(f"{path}: not a feature grid file")
+    grid = load_array(path, FeatureGrid)
     gs = grid.grid_shape.as_tuple()
     vs = vol_shape.as_tuple()
     if any(g > v for g, v in zip(gs, vs)):

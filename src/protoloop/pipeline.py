@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import encoder as encoder_mod
-from .encoder import EncoderParams, FeatureGrid, GlobalFeature, global_feature
+from .encoder import EncoderParams, GlobalFeature, global_feature
 from .metrics import pseudo_label_quality
 from .prototype import compute_prototypes, initial_pseudo_label
 from .refine import refine_all
@@ -45,6 +45,7 @@ from .uncertainty import (
 )
 from .volume import (
     DatasetManifest,
+    FeatureGrid,
     IntensityVolume,
     LabelVolume,
     Shape3,
@@ -159,9 +160,7 @@ def _load_cached_grid(path: Path, entry, encoder: EncoderParams) -> FeatureGrid:
     they are.  ``position_weight`` is not in the grid header, so a change of
     it alone goes unnoticed.
     """
-    grid = load_array(path)
-    if not isinstance(grid, FeatureGrid):
-        raise ValueError(f"{path}: not a feature grid file")
+    grid = load_array(path, FeatureGrid)
     if entry.features is None:
         want = (encoder.patch_size,) * 3
         if grid.patch_size != want or grid.channels != encoder.channels:
@@ -210,25 +209,32 @@ def _load_entry(
     voxel features share that z.  The grid comes from ``entry_grid`` at
     ``features/<prefix><id>.features.vxar``.  The raw intensities are not kept.
     """
-    vol = load_array(manifest.resolve(entry.intensity))
-    if not isinstance(vol, IntensityVolume):
-        raise ValueError(f"{entry.intensity} of {entry.vol_id!r}: not an intensity volume")
+    vol = load_array(manifest.resolve(entry.intensity), IntensityVolume)
     z = encoder_mod.zscore(vol.data)
     path = config.out_dir / "features" / f"{prefix}{entry.vol_id}.features.vxar"
     grid = entry_grid(entry, manifest, vol, config.encoder, path, extract_allowed, z=z)
     return TrainVolumeData.from_volume(entry.vol_id, vol, grid, z), grid
 
 
-def _check_label(lab, kind: str, vol_id: str, shape: Shape3) -> LabelVolume:
-    """``lab``, refused unless it is a label volume of its intensity volume's ``shape``."""
-    if not isinstance(lab, LabelVolume):
-        raise ValueError(f"{kind} label of {vol_id!r}: not a label volume")
+def _load_label(path: Path, num_classes: int) -> LabelVolume:
+    """The label volume at ``path``, refused unless it has the manifest's ``num_classes``."""
+    lab = load_array(path, LabelVolume)
+    if lab.num_classes != num_classes:
+        raise ValueError(f"{path}: label has {lab.num_classes} classes, manifest says {num_classes}")
+    return lab
+
+
+def _check_label(lab: LabelVolume, path: Path, kind: str, vol_id: str, shape: Shape3) -> None:
+    """Refuse ``lab``, read from ``path``, unless it has its intensity volume's ``shape``."""
     if lab.shape != shape:
         raise ValueError(
-            f"{kind} label of {vol_id!r} has shape {lab.shape.as_tuple()}, "
+            f"{path}: {kind} label of {vol_id!r} has shape {lab.shape.as_tuple()}, "
             f"its intensity volume {shape.as_tuple()}"
         )
-    return lab
+
+
+def _truth_path(config: PipelineConfig, vol_id: str) -> Path:
+    return config.truth_dir / f"{vol_id}.label.vxar"
 
 
 @dataclass
@@ -243,7 +249,7 @@ class PipelineContext:
     labeled_id: str
     labeled_gt: LabelVolume
     truth: dict[str, LabelVolume] | None = None
-    validation: tuple | None = None  # ((TrainVolumeData, targets), ...)
+    validation: tuple | None = None  # ((TrainVolumeData, LabelVolume), ...)
     build_s: float = 0.0  # wall time of build_context: loading and feature extraction
 
 
@@ -265,7 +271,10 @@ def build_context(config: PipelineConfig, extract_allowed: bool = True) -> Pipel
             config, manifest, entry, "", extract_allowed
         )
     global_features = write_globals(features_dir, grids)
-    _check_label(gt, "template", labeled_id, features[labeled_id].shape)
+    gt_path = manifest.resolve(manifest.labeled_entry().label)
+    _check_label(gt, gt_path, "template", labeled_id, features[labeled_id].shape)
+    for vol_id, lab in (truth or {}).items():
+        _check_label(lab, _truth_path(config, vol_id), "truth", vol_id, features[vol_id].shape)
 
     validation = None
     if config.val_manifest_path is not None:
@@ -275,9 +284,10 @@ def build_context(config: PipelineConfig, extract_allowed: bool = True) -> Pipel
             if entry.label is None:
                 raise ValueError(f"validation entry {entry.vol_id!r} has no label")
             data, _ = _load_entry(config, val_manifest, entry, "val.", extract_allowed)
-            lab = load_array(val_manifest.resolve(entry.label))
-            _check_label(lab, "validation", entry.vol_id, data.shape)
-            validation.append((data, lab.data.reshape(-1)))
+            path = val_manifest.resolve(entry.label)
+            lab = _load_label(path, manifest.num_classes)
+            _check_label(lab, path, "validation", entry.vol_id, data.shape)
+            validation.append((data, lab))
         validation = tuple(validation)
 
     return PipelineContext(
@@ -295,26 +305,19 @@ def build_context(config: PipelineConfig, extract_allowed: bool = True) -> Pipel
 
 
 def _load_inputs(config: PipelineConfig) -> tuple[DatasetManifest, str, LabelVolume, dict | None]:
-    """The manifest, the template's id and checked label, and the pool's truth if configured."""
+    """The manifest, the template's id and label, and the pool's truth if configured.
+
+    Every label is checked against the manifest's class count.
+    """
     manifest = load_manifest(config.manifest_path)
     labeled = manifest.labeled_entry()
-    gt = load_array(manifest.resolve(labeled.label))
-    if not isinstance(gt, LabelVolume):
-        raise ValueError(f"{labeled.label}: template label is not a label volume")
-    if gt.num_classes != manifest.num_classes:
-        raise ValueError(
-            f"template label has {gt.num_classes} classes, manifest says {manifest.num_classes}"
-        )
-
+    gt = _load_label(manifest.resolve(labeled.label), manifest.num_classes)
     truth = None
     if config.truth_dir is not None:
-        truth = {}
-        for entry in manifest.unlabeled_entries():
-            path = config.truth_dir / f"{entry.vol_id}.label.vxar"
-            lab = load_array(path)
-            if not isinstance(lab, LabelVolume):
-                raise ValueError(f"{path}: truth file is not a label volume")
-            truth[entry.vol_id] = lab
+        truth = {
+            e.vol_id: _load_label(_truth_path(config, e.vol_id), manifest.num_classes)
+            for e in manifest.unlabeled_entries()
+        }
     return manifest, labeled.vol_id, gt, truth
 
 
@@ -439,10 +442,7 @@ def load_round_state(out_dir: Path, round_index: int) -> RoundState:
     def load_labels(mapping):
         for name in mapping.values():
             if name not in loaded:
-                lab = load_array(round_dir / name)
-                if not isinstance(lab, LabelVolume):
-                    raise ValueError(f"{name}: not a label volume")
-                loaded[name] = lab
+                loaded[name] = load_array(round_dir / name, LabelVolume)
         return {vol_id: loaded[name] for vol_id, name in mapping.items()}
 
     state = RoundState(

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import FeatureGrid
-from .volume import LabelVolume, Shape3, class_argmax, nearest_resample_labels
+from .volume import FeatureGrid, LabelVolume, Shape3, class_argmax, nearest_resample_labels
 
 __all__ = [
     "EPS",

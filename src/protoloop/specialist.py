@@ -32,9 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import FeatureGrid, zscore
-from .volume import IntensityVolume, LabelVolume, Shape3, class_argmax, nearest_axis_indices
-from .volume import read_blob, write_blob
+from .encoder import zscore
+from .metrics import foreground_dice
+from .volume import FeatureGrid, IntensityVolume, LabelVolume, Shape3, class_argmax
+from .volume import nearest_axis_indices, read_blob, write_blob
 
 __all__ = [
     "SpecialistParams",
@@ -393,7 +394,7 @@ class TrainAssets:
     labeled: TrainVolumeData
     labeled_targets: np.ndarray  # (n_voxels,) ground-truth classes
     pool: tuple[TrainVolumeData, ...]  # unlabeled volumes, sorted by id
-    validation: tuple[tuple[TrainVolumeData, np.ndarray], ...] | None = None
+    validation: tuple[tuple[TrainVolumeData, LabelVolume], ...] | None = None
 
     def __post_init__(self):
         if len(self.labeled_targets) != self.labeled.n_voxels:
@@ -406,15 +407,9 @@ class TrainAssets:
 
 
 def _mean_val_dice(params: SpecialistParams, assets: TrainAssets) -> float:
-    dices = []
-    for data, targets in assets.validation:
-        labels, _ = infer(params, data)
-        p = labels.data.reshape(-1) > 0
-        t = targets > 0
-        np_, nt = int(p.sum()), int(t.sum())
-        inter = int(np.logical_and(p, t).sum())
-        dices.append(1.0 if np_ + nt == 0 else 2.0 * inter / (np_ + nt))
-    return float(np.mean(dices))
+    return float(
+        np.mean([foreground_dice(infer(params, data)[0], lab) for data, lab in assets.validation])
+    )
 
 
 # per-step columns of the training log, after "iter"

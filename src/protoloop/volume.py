@@ -1,10 +1,14 @@
 """Volumetric data containers, nearest-neighbor resampling, label decisions, and bit-exact array IO.
 
-All tensors are numpy arrays in row-major order with the depth axis slowest.
-On disk each tensor is one self-describing binary file: a 6-byte magic, a
-little-endian u32 length prefix, a UTF-8 JSON header, and the raw
-little-endian payload.  No compression, no chunking, so save/load
-round-trips are bit-exact.
+The three array kinds are intensity volumes, label volumes and feature grids;
+this module defines, writes and reads all three.  All tensors are numpy
+arrays in row-major order with the depth axis slowest.  On disk each tensor
+is one self-describing binary file: a 6-byte magic, a little-endian u32
+length prefix, a UTF-8 JSON header, and the raw little-endian payload.  No
+compression, no chunking, so save/load round-trips are bit-exact.
+:func:`load_array` is the one reader: given the kind a file must hold, it
+refuses any other, and every refusal is an :class:`ArrayFormatError` that
+names the file.
 """
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ __all__ = [
     "Shape3",
     "IntensityVolume",
     "LabelVolume",
+    "FeatureGrid",
     "VolumeEntry",
     "DatasetManifest",
     "read_blob",
@@ -117,6 +122,31 @@ class LabelVolume:
         object.__setattr__(self, "data", _finalize(data))
 
 
+@dataclass(frozen=True)
+class FeatureGrid:
+    """Per-cell feature vectors on a coarse grid aligned to a source volume."""
+
+    channels: int
+    grid_shape: Shape3
+    data: np.ndarray  # (channels, d', h', w') float32
+    patch_size: tuple[int, int, int] | None = None  # voxels per cell, per axis
+
+    def __post_init__(self):
+        if self.channels < 1:
+            raise ValueError("channels must be >= 1")
+        data = np.asarray(self.data, dtype=np.float32).reshape(
+            (self.channels,) + self.grid_shape.as_tuple()
+        )
+        if not np.isfinite(data).all():
+            raise ValueError("feature grid contains non-finite values")
+        object.__setattr__(self, "data", _finalize(data))
+        if self.patch_size is not None:
+            patch = tuple(int(p) for p in self.patch_size)
+            if len(patch) != 3 or any(p < 1 for p in patch):
+                raise ValueError(f"bad patch_size {self.patch_size!r}")
+            object.__setattr__(self, "patch_size", patch)
+
+
 # ---------------------------------------------------------------------------
 # binary array files
 
@@ -160,8 +190,6 @@ def _header_shape(header: dict, path) -> Shape3:
 
 def save_array(array, path: str | Path) -> None:
     """Persist a typed array; the header records dtype, shape, and kind-specific keys."""
-    from . import encoder  # deferred: encoder imports this module
-
     if isinstance(array, IntensityVolume):
         header = {"dtype": "f32", "shape": list(array.shape.as_tuple()), "order": "row-major"}
         payload = array.data.astype("<f4").tobytes()
@@ -173,7 +201,7 @@ def save_array(array, path: str | Path) -> None:
             "num_classes": array.num_classes,
         }
         payload = array.data.tobytes()
-    elif isinstance(array, encoder.FeatureGrid):
+    elif isinstance(array, FeatureGrid):
         header = {
             "dtype": "f32",
             "shape": list(array.grid_shape.as_tuple()),
@@ -188,10 +216,14 @@ def save_array(array, path: str | Path) -> None:
     write_blob(path, header, payload)
 
 
-def load_array(path: str | Path):
-    """Load a typed array back; the inverse of :func:`save_array`, bit-exact."""
-    from . import encoder  # deferred: encoder imports this module
+def load_array(path: str | Path, kind: type | None = None):
+    """Load a typed array back; the inverse of :func:`save_array`, bit-exact.
 
+    With ``kind`` (``IntensityVolume``, ``LabelVolume`` or ``FeatureGrid``),
+    a file that holds another kind is refused.  A malformed file, a payload
+    its array type rejects, and a wrong kind all raise
+    :class:`ArrayFormatError` naming ``path``.
+    """
     header, payload = read_blob(path)
     dtype_name = header.get("dtype")
     if dtype_name not in _DTYPES:
@@ -209,9 +241,18 @@ def load_array(path: str | Path):
         if dtype_name != "f32":
             # only feature grids carry channels, and they are f32
             raise ArrayFormatError(f"{path}: {dtype_name} data with channels is not a known array kind")
+        patch = header.get("patch_size")
+        if patch is not None and (
+            not isinstance(patch, list)
+            or len(patch) != 3
+            or not all(isinstance(p, int) and p >= 1 for p in patch)
+        ):
+            raise ArrayFormatError(f"{path}: bad patch_size {patch!r}")
     elif dtype_name == "f32" and "num_classes" in header:
         # per-class f32 planes (an old probability file) must not load as intensities
         raise ArrayFormatError(f"{path}: f32 data with num_classes is not a known array kind")
+    elif not isinstance(header.get("num_classes", 2), int):
+        raise ArrayFormatError(f"{path}: bad num_classes {header['num_classes']!r}")
 
     expected = planes * shape.voxels * dtype.itemsize
     if len(payload) != expected:
@@ -220,30 +261,22 @@ def load_array(path: str | Path):
         )
     data = np.frombuffer(payload, dtype=dtype).copy()
 
-    if dtype_name == "u8":
-        num_classes = header.get("num_classes")
-        if num_classes is None:
-            # externally produced label file: infer a tight class count
-            num_classes = max(2, int(data.max()) + 1) if data.size else 2
-        return LabelVolume(shape, num_classes, data)
-    if "channels" in header:
-        patch = header.get("patch_size")
-        if patch is not None:
-            if (
-                not isinstance(patch, list)
-                or len(patch) != 3
-                or not all(isinstance(p, int) and p >= 1 for p in patch)
-            ):
-                raise ArrayFormatError(f"{path}: bad patch_size {patch!r}")
-            patch = tuple(patch)
-        grid = data.reshape((planes,) + shape.as_tuple())
-        if not np.isfinite(grid).all():
-            raise ArrayFormatError(f"{path}: non-finite feature values")
-        return encoder.FeatureGrid(channels=planes, grid_shape=shape, data=grid, patch_size=patch)
-    vol = data.reshape(shape.as_tuple())
-    if not np.isfinite(vol).all():
-        raise ArrayFormatError(f"{path}: non-finite values in intensity data")
-    return IntensityVolume(shape, vol)
+    try:
+        if dtype_name == "u8":
+            num_classes = header.get("num_classes")
+            if num_classes is None:
+                # externally produced label file: infer a tight class count
+                num_classes = max(2, int(data.max()) + 1) if data.size else 2
+            array = LabelVolume(shape, num_classes, data)
+        elif "channels" in header:
+            array = FeatureGrid(planes, shape, data, patch)
+        else:
+            array = IntensityVolume(shape, data)
+    except ValueError as exc:
+        raise ArrayFormatError(f"{path}: {exc}") from exc
+    if kind is not None and not isinstance(array, kind):
+        raise ArrayFormatError(f"{path}: holds {type(array).__name__}, expected {kind.__name__}")
+    return array
 
 
 # ---------------------------------------------------------------------------

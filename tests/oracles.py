@@ -561,9 +561,9 @@ def loss_and_grad_rows_oracle(params, teacher, lx, ly, px, py, nx, alpha, lam, s
 
 def _mean_val_dice_oracle(params, validation):
     dices = []
-    for data, targets in validation:
+    for data, lab in validation:
         p = infer(params, data)[0].data.reshape(-1) > 0
-        t = targets > 0
+        t = lab.data.reshape(-1) > 0
         np_, nt = int(p.sum()), int(t.sum())
         inter = int(np.logical_and(p, t).sum())
         dices.append(1.0 if np_ + nt == 0 else 2.0 * inter / (np_ + nt))

@@ -167,6 +167,20 @@ def test_encode_writes_grids_and_globals(dataset, finished_run, tmp_path, capsys
     assert dispatch(argv + ["--force"]) == 0
 
 
+def test_encode_refuses_a_label_file_as_intensity(dataset, tmp_path, capsys):
+    doc = json.loads((dataset / "manifest.json").read_text())
+    for v in doc["volumes"]:
+        v["intensity"] = str(dataset / v["intensity"])
+    label = str(dataset / doc["volumes"][0]["label"])
+    doc["volumes"][1]["intensity"] = label
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "f"
+    assert dispatch(["encode", "--manifest", str(manifest), "--out", str(out)]) == 1
+    assert f"{label}: holds LabelVolume, expected IntensityVolume" in capsys.readouterr().err
+    assert not (out / "vol_001.features.vxar").exists()
+
+
 def test_encode_force_replaces_grids_of_another_patch(dataset, tmp_path):
     # --force makes fresh grids; an old grid of another patch is not "reused"
     manifest = str(dataset / "manifest.json")

@@ -1,7 +1,12 @@
-"""Every name a module under src/ or tests/ imports is used in it.
+"""Import and loader rules checked on the syntax tree of the sources.
 
+Every name a module under src/ or tests/ imports is used in it.
 ``__init__.py`` files are exempt: their imports are the package's re-exports.
 A name listed in a module's ``__all__`` counts as used.
+
+Under src/, no function body imports a module of the package, so the module
+graph has no cycle hidden behind a deferred import; and every ``load_array``
+call outside ``volume.py`` names the array kind the file must hold.
 """
 from __future__ import annotations
 
@@ -14,6 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
     p for top in ("src", "tests") for p in (ROOT / top).rglob("*.py") if p.name != "__init__.py"
 )
+SOURCES = sorted((ROOT / "src").rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -48,3 +54,57 @@ def test_scanner_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def deferred_imports(source: str) -> list[int]:
+    """Lines of imports of the package (relative or ``protoloop``) inside a function body."""
+    lines = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if not node.level else ["protoloop"]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[0] == "protoloop" for name in names):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def kindless_loads(source: str) -> list[int]:
+    """Lines of ``load_array`` calls that pass no array kind."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "load_array"
+        and len(node.args) + len(node.keywords) < 2
+    ]
+
+
+def test_guards_flag_only_what_they_name():
+    source = (
+        "from . import a\nimport json\ndef f(p):\n    from . import b\n"
+        "    import protoloop.c\n    from protoloop.d import e\n    import numpy\n"
+        "    load_array(p)\n    volume.load_array(p)\n"
+        "    load_array(p, LabelVolume)\n    load_array(p, kind=FeatureGrid)\n"
+    )
+    assert deferred_imports(source) == [4, 5, 6]
+    assert kindless_loads(source) == [8, 9]
+
+
+def test_no_function_body_imports_the_package():
+    found = {str(p.relative_to(ROOT)): deferred_imports(p.read_text()) for p in SOURCES}
+    assert {path: lines for path, lines in found.items() if lines} == {}
+
+
+def test_every_load_outside_volume_names_a_kind():
+    found = {
+        str(p.relative_to(ROOT)): kindless_loads(p.read_text())
+        for p in SOURCES
+        if p.name != "volume.py"
+    }
+    assert {path: lines for path, lines in found.items() if lines} == {}

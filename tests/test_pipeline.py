@@ -325,7 +325,9 @@ def test_certain_volumes_name_their_raw_file(main_run, monkeypatch):
 
     loads = []
     real = pipeline.load_array
-    monkeypatch.setattr(pipeline, "load_array", lambda path: loads.append(path) or real(path))
+    monkeypatch.setattr(
+        pipeline, "load_array", lambda path, kind: loads.append(path) or real(path, kind)
+    )
     back = load_round_state(out, 1)
     assert len(loads) == len(set(loads)) == len(list((out / "round_1").glob("*.label")))
     assert all(back.labels[v] is back.raw_labels[v] for v in certain)
@@ -376,7 +378,9 @@ def test_refine_round_reads_no_volume_or_grid(dataset, main_run, tmp_path, monke
         refine_round(config, 0)
     loads = []
     real = pipeline.load_array
-    monkeypatch.setattr(pipeline, "load_array", lambda path: loads.append(Path(path)) or real(path))
+    monkeypatch.setattr(
+        pipeline, "load_array", lambda path, kind: loads.append(Path(path)) or real(path, kind)
+    )
     state = refine_round(_config(dataset, run, rounds=2, force=True), 2)
     assert loads and all(p.name.endswith((".label", ".label.vxar")) for p in loads)
     assert _label_bytes(state) == _label_bytes(states[2])
@@ -558,12 +562,19 @@ def _shrink_label(val_dir: Path) -> None:
     save_array(label, val_dir / "vol_001.label.vxar")
 
 
+def _add_class(label_dir: Path) -> None:
+    data = np.zeros((12, 12, 12), dtype=np.uint8)
+    data[4:8, 4:8, 4:8] = 2
+    save_array(LabelVolume(Shape3(12, 12, 12), 3, data), label_dir / "vol_001.label.vxar")
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
         (_shrink_label, r"validation label of 'vol_001' has shape \(10, 12, 12\), "
                         r"its intensity volume \(12, 12, 12\)"),
-        (_misname_intensity, r"vol_001\.label\.vxar of 'vol_001': not an intensity volume"),
+        (_misname_intensity, r"vol_001\.label\.vxar: holds LabelVolume, expected IntensityVolume"),
+        (_add_class, r"vol_001\.label\.vxar: label has 3 classes, manifest says 2"),
     ],
 )
 def test_validation_inputs_checked_before_round0(dataset, tmp_path, corrupt, message):
@@ -580,6 +591,24 @@ def test_validation_inputs_checked_before_round0(dataset, tmp_path, corrupt, mes
     out = tmp_path / "run"
     with pytest.raises(ValueError, match=message):
         run_pipeline(_config(dataset, out, val_manifest_path=val_dir / "manifest.json"))
+    assert not (out / "round_0").exists()
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_shrink_label, r"truth/vol_001\.label\.vxar: truth label of 'vol_001' has shape "
+                        r"\(10, 12, 12\), its intensity volume \(12, 12, 12\)"),
+        (_add_class, r"truth/vol_001\.label\.vxar: label has 3 classes, manifest says 2"),
+    ],
+)
+def test_truth_labels_checked_before_round0(dataset, tmp_path, corrupt, message):
+    truth = tmp_path / "truth"
+    shutil.copytree(dataset / "truth", truth)
+    corrupt(truth)
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match=message):
+        run_pipeline(_config(dataset, out, truth_dir=truth))
     assert not (out / "round_0").exists()
 
 

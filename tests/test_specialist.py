@@ -375,7 +375,7 @@ def test_train_round_deterministic():
 def test_train_round_validation_selection():
     rng = np.random.default_rng(31)
     assets, pseudo, pool_u, pool_y = _separable_assets(rng)
-    val = (pool_u, pool_y.copy())
+    val = (pool_u, LabelVolume(pool_u.shape, 2, pool_y.reshape(pool_u.shape.as_tuple())))
     assets = TrainAssets(
         num_classes=2,
         labeled=assets.labeled,
@@ -431,7 +431,10 @@ def _oracle_assets(num_classes, with_validation, seed=90):
         flip = rng.random(len(y)) < 0.1
         y = np.where(flip, rng.integers(0, num_classes, size=len(y)), y).astype(np.uint8)
         pseudo[data.vol_id] = LabelVolume(data.shape, num_classes, y.reshape(data.shape.as_tuple()))
-    validation = (volume("v", (5, 5, 6)),) if with_validation else None
+    validation = None
+    if with_validation:
+        data, y = volume("v", (5, 5, 6))
+        validation = ((data, LabelVolume(data.shape, num_classes, y.reshape(data.shape.as_tuple()))),)
     assets = TrainAssets(
         num_classes=num_classes,
         labeled=labeled,

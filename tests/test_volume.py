@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from protoloop.encoder import FeatureGrid
 from protoloop.prototype import compute_prototypes
 from protoloop.volume import (
     MAGIC,
     ArrayFormatError,
     DatasetManifest,
+    FeatureGrid,
     IntensityVolume,
     LabelVolume,
     Shape3,
@@ -148,6 +148,34 @@ def test_non_finite_payload_rejected(tmp_path):
     payload = np.array([1.0, np.inf], dtype="<f4").tobytes()
     write_blob(path, header, payload)
     with pytest.raises(ArrayFormatError, match="non-finite"):
+        load_array(path)
+
+
+def test_wrong_kind_refused_by_name(tmp_path):
+    path = tmp_path / "l.vxar"
+    save_array(LabelVolume(Shape3(1, 1, 2), 2, np.array([0, 1])), path)
+    assert isinstance(load_array(path, LabelVolume), LabelVolume)
+    for kind in (IntensityVolume, FeatureGrid):
+        with pytest.raises(ArrayFormatError, match=rf"l\.vxar: holds LabelVolume, expected {kind.__name__}"):
+            load_array(path, kind)
+
+
+@pytest.mark.parametrize(
+    "header, payload, message",
+    [
+        ({"dtype": "u8", "num_classes": 2}, bytes([0, 5]), "label value 5 >= num_classes 2"),
+        ({"dtype": "u8", "num_classes": 1}, bytes(2), r"num_classes=1 outside \[2, 256\]"),
+        ({"dtype": "u8", "num_classes": 257}, bytes(2), r"num_classes=257 outside \[2, 256\]"),
+        ({"dtype": "u8", "num_classes": 2.5}, bytes([0, 2]), "bad num_classes 2.5"),
+        ({"dtype": "u8", "num_classes": "2"}, bytes(2), "bad num_classes '2'"),
+        ({"dtype": "f32", "channels": 1}, np.array([0, np.nan], "<f4").tobytes(), "non-finite"),
+    ],
+    ids=["label-value", "one-class", "257-classes", "float-classes", "str-classes", "grid-nan"],
+)
+def test_payload_refused_by_its_array_type_names_the_file(tmp_path, header, payload, message):
+    path = tmp_path / "bad.vxar"
+    write_blob(path, {"shape": [1, 1, 2], "order": "row-major", **header}, payload)
+    with pytest.raises(ArrayFormatError, match=rf"bad\.vxar: .*{message}"):
         load_array(path)
 
 
