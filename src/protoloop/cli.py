@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
+import io
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -20,14 +19,15 @@ from .metrics import evaluate_pair, format_table, summarize_reports
 from .phantom import generate, load_spec
 from .pipeline import (
     PipelineConfig,
-    config_from_doc,
     entry_grid,
-    load_report,
     load_round_state,
+    load_run_config,
+    parse_round_dir,
     refine_round,
     run_pipeline,
     run_round,
     run_round0,
+    run_table,
     start_run,
     write_globals,
 )
@@ -148,35 +148,18 @@ def _cmd_run(args) -> int:
     states = run_pipeline(config)
     last = states[-1]
     dice = "" if last.pseudo_label_dice is None else f", dice {last.pseudo_label_dice:.4f}"
-    print(f"completed rounds 0..{last.round_index}{dice}; report in {config.out_dir}")
+    print(f"completed rounds 0..{last.round_index}{dice}; "
+          f"`protoloop report --run {config.out_dir}` tabulates them")
     return 0
 
 
-def _run_config(run_dir: Path, **over) -> PipelineConfig:
-    """The run's persisted config, with the options this invocation gave (not None)."""
-    config_file = run_dir / "config.json"
-    if not config_file.exists():
-        raise ValueError(f"{run_dir} has no config.json; initialize a run first")
-    config = config_from_doc(json.loads(config_file.read_text()), run_dir)
-    return dataclasses.replace(config, **{k: v for k, v in over.items() if v is not None})
-
-
-def _round_dir(path: str) -> tuple[Path, int]:
-    """The run directory and round index of a ``round_<r>`` directory path."""
-    round_dir = Path(path)
-    match = re.fullmatch(r"round_(0|[1-9][0-9]*)", round_dir.name)
-    if match is None:
-        raise ValueError(f"{round_dir} is not a round directory (round_<r>)")
-    return round_dir.parent, int(match.group(1))
-
-
 def _cmd_round(args) -> int:
-    run_dir, prev_index = _round_dir(args.prev)
+    run_dir, prev_index = parse_round_dir(args.prev)
     if prev_index != args.r - 1:
         raise ValueError(
             f"--prev {args.prev} is round {prev_index}; round {args.r} follows round {args.r - 1}"
         )
-    config = _run_config(run_dir, force=args.force)
+    config = load_run_config(run_dir, force=args.force)
     prev = load_round_state(config.out_dir, prev_index)
     state = run_round(config, args.r, prev)
     print(f"round {args.r} complete; {len(state.partition.uncertain)} uncertain samples refined"
@@ -185,8 +168,8 @@ def _cmd_round(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    run_dir, index = _round_dir(args.round)
-    config = _run_config(run_dir, knn=args.k, q_unc=args.q_unc, force=args.force)
+    run_dir, index = parse_round_dir(args.round)
+    config = load_run_config(run_dir, knn=args.k, q_unc=args.q_unc, force=args.force)
     state = refine_round(config, index)
     print(f"refined {len(state.partition.uncertain)} uncertain samples in {Path(args.round)}")
     return 0
@@ -277,40 +260,52 @@ def _svg_line_chart(series: dict[str, list[tuple[float, float]]], title: str) ->
     return "\n".join(parts) + "\n"
 
 
+def _rounds_text(rows: list[dict]) -> str:
+    def fmt(x):
+        return "-" if x is None else f"{x:.4f}"
+
+    lines = ["round  pseudo_dice  model_dice  threshold  uncertain  train_s  other_s"]
+    for r in rows:
+        unc = "-" if r["n_uncertain"] is None else r["n_uncertain"]
+        lines.append(
+            f"{r['round']:>5}  {fmt(r['pseudo_label_dice']):>11}  {fmt(r['model_dice']):>10}"
+            f"  {fmt(r['threshold']):>9}  {unc:>9}  {r['train_s']:7.2f}  {r['other_s']:7.2f}"
+        )
+    return "\n".join(lines)
+
+
 def _cmd_report(args) -> int:
+    """Tabulate the run's rounds from their state files; nothing is written unless all can be."""
     run_dir = Path(args.run)
-    report = load_report(run_dir)
-    csv_path = run_dir / "report.csv"
-    if csv_path.exists() and not args.force:
-        raise FileExistsError(f"{csv_path} exists; pass --force to overwrite")
-    kept = [
-        "round", "refined", "pseudo_label_dice", "model_dice", "threshold", "n_certain", "n_uncertain",
+    rows = [  # run_table's rows, with the timings collapsed into two columns
+        {k: v for k, v in row.items() if k != "timings"}
+        | {
+            "train_s": row["timings"].get("train", 0.0),
+            "other_s": sum(v for k, v in row["timings"].items() if k != "train"),
+        }
+        for row in run_table(run_dir)
     ]
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=kept + ["train_s", "other_s"])
-        writer.writeheader()
-        for row in report["rounds"]:
-            timings = row["timings"]
-            writer.writerow(
-                {k: row[k] for k in kept}
-                | {
-                    "train_s": timings.get("train", 0.0),
-                    "other_s": sum(v for k, v in timings.items() if k != "train"),
-                }
-            )
-    written = [str(csv_path)]
+    if not rows:
+        raise ValueError(f"{run_dir} holds no round directory")
+    buf = io.StringIO(newline="")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
+    outputs = {run_dir / "report.csv": buf.getvalue()}
     if args.plot:
-        series: dict[str, list[tuple[float, float]]] = {}
-        for row in report["rounds"]:
-            for key in ("pseudo_label_dice", "model_dice"):
-                if row[key] is not None:
-                    series.setdefault(key, []).append((row["round"], row[key]))
-        svg_path = run_dir / "report.svg"
-        if svg_path.exists() and not args.force:
-            raise FileExistsError(f"{svg_path} exists; pass --force to overwrite")
-        svg_path.write_text(_svg_line_chart(series, "per-round quality"))
-        written.append(str(svg_path))
-    print("wrote " + ", ".join(written))
+        series = {
+            key: points
+            for key in ("pseudo_label_dice", "model_dice")
+            if (points := [(r["round"], r[key]) for r in rows if r[key] is not None])
+        }
+        outputs[run_dir / "report.svg"] = _svg_line_chart(series, "per-round quality")
+    for path in outputs:
+        if path.exists() and not args.force:
+            raise FileExistsError(f"{path} exists; pass --force to overwrite")
+    for path, text in outputs.items():
+        path.write_text(text, newline="")
+    print(_rounds_text(rows))
+    print("wrote " + ", ".join(map(str, outputs)))
     return 0
 
 

@@ -9,12 +9,15 @@ inference covers each whole volume with no windowing.  ``_persist_round``
 is the one writer of a round directory: it writes the whole round under a
 temp name and renames it into place, so a crash never corrupts a persisted
 round, and a round replaced by ``run_round`` (with ``force``) or
-``refine_round`` is swapped out only once the new one is complete.
+``refine_round`` is swapped out only once the new one is complete.  Only
+this module knows the run directory's layout, whose round directories are the
+run's record: ``run_table`` tabulates them.
 """
 from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -52,6 +55,7 @@ from .volume import (
     VolumeEntry,
     load_array,
     load_manifest,
+    read_blob,
     save_array,
 )
 
@@ -66,7 +70,9 @@ __all__ = [
     "refine_round",
     "run_pipeline",
     "load_round_state",
-    "load_report",
+    "run_table",
+    "load_run_config",
+    "parse_round_dir",
     "entry_grid",
     "write_globals",
     "read_globals",
@@ -217,11 +223,16 @@ def _load_entry(
 
 
 def _load_label(path: Path, num_classes: int) -> LabelVolume:
-    """The label volume at ``path``, refused unless it has the manifest's ``num_classes``."""
+    """The label volume at ``path``, with the manifest's ``num_classes``.
+
+    A count its header names must equal it; a headerless label takes it when its values fit.
+    """
     lab = load_array(path, LabelVolume)
-    if lab.num_classes != num_classes:
+    if lab.num_classes == num_classes:
+        return lab
+    if lab.num_classes > num_classes or "num_classes" in read_blob(path)[0]:
         raise ValueError(f"{path}: label has {lab.num_classes} classes, manifest says {num_classes}")
-    return lab
+    return LabelVolume(lab.shape, num_classes, lab.data)
 
 
 def _check_label(lab: LabelVolume, path: Path, kind: str, vol_id: str, shape: Shape3) -> None:
@@ -350,9 +361,34 @@ def _atomic_write_dir(out_dir: Path, name: str, writer) -> Path:
     return final
 
 
+_ROUND_DIR = re.compile(r"round_(0|[1-9][0-9]*)")
+
+
+def parse_round_dir(path: str | Path) -> tuple[Path, int]:
+    """The run directory and round index of a ``round_<r>`` directory path."""
+    path = Path(path)
+    match = _ROUND_DIR.fullmatch(path.name)
+    if match is None:
+        raise ValueError(f"{path} is not a round directory (round_<r>)")
+    return path.parent, int(match.group(1))
+
+
+def _restore_round(out_dir: Path, round_index: int) -> Path:
+    """``out_dir/round_<r>``, first renamed back from ``round_<r>.old`` if only that exists.
+
+    A crash between ``_atomic_write_dir``'s two renames leaves the ``.old``
+    directory, the last complete round, and no ``round_<r>``.
+    """
+    final = Path(out_dir) / f"round_{round_index}"
+    old = final.with_name(f"{final.name}.old")
+    if old.is_dir() and not final.exists():
+        os.replace(old, final)
+    return final
+
+
 def _refuse_existing(config: PipelineConfig, round_index: int) -> None:
     """Refuse to recompute a persisted round unless ``config.force`` is set."""
-    target = config.out_dir / f"round_{round_index}"
+    target = _restore_round(config.out_dir, round_index)
     if target.exists() and not config.force:
         raise FileExistsError(f"{target} already exists; refusing to overwrite without force")
 
@@ -424,18 +460,23 @@ def _persist_round(
             )
         _dump_json(tmp / "state.json", doc)
 
-    _retire_report(out_dir, r)
     _atomic_write_dir(out_dir, f"round_{r}", writer)
 
 
-def load_round_state(out_dir: Path, round_index: int) -> RoundState:
-    """Reload a persisted round; the inverse of the per-round persistence."""
-    round_dir = Path(out_dir) / f"round_{round_index}"
+def _read_state(out_dir: Path, round_index: int) -> tuple[Path, dict]:
+    """Round ``round_index``'s directory and its parsed ``state.json``."""
+    round_dir = _restore_round(out_dir, round_index)
     doc = json.loads((round_dir / "state.json").read_text())
     if doc["round"] != round_index:
         raise ValueError(
             f"{round_dir}: state file claims round {doc['round']}, expected {round_index}"
         )
+    return round_dir, doc
+
+
+def load_round_state(out_dir: Path, round_index: int) -> RoundState:
+    """Reload a persisted round; the inverse of the per-round persistence."""
+    round_dir, doc = _read_state(out_dir, round_index)
 
     loaded: dict[str, LabelVolume] = {}  # labels and raw_labels may name one file
 
@@ -647,31 +688,35 @@ def _vote_and_persist(
     return state
 
 
-def _remove_report(out_dir: Path) -> None:
-    for name in ("report.json", "report.txt"):
-        (out_dir / name).unlink(missing_ok=True)
+def run_table(out_dir: Path) -> list[dict]:
+    """One row per round of the run in ``out_dir``, by round, from its ``state.json`` alone.
 
-
-def _retire_report(out_dir: Path, round_index: int) -> None:
-    """Remove the run report if it covers round ``round_index``, which is being (re)written.
-
-    A report of earlier rounds only stays: it still describes them.
+    ``round_<r>.tmp`` is not a round; ``round_<r>.old`` is one only when it
+    is all that is left of round r, and is then renamed back.
     """
-    path = out_dir / "report.json"
-    if not path.exists():
-        return
-    try:
-        covered = any(row["round"] == round_index for row in json.loads(path.read_text())["rounds"])
-    except (ValueError, KeyError, TypeError):
-        covered = True  # an unreadable report cannot show it still holds
-    if covered:
-        _remove_report(out_dir)
+    out_dir = Path(out_dir)
+    names = {p.name.removesuffix(".old") for p in out_dir.iterdir() if p.is_dir()}
+    rows = []
+    for r in sorted(int(m.group(1)) for m in map(_ROUND_DIR.fullmatch, names) if m):
+        doc = _read_state(out_dir, r)[1]
+        part = doc.get("partition")
+        rows.append({
+            "round": r,
+            "refined": doc.get("refined", False),
+            "pseudo_label_dice": doc.get("pseudo_label_dice"),
+            "model_dice": doc.get("model_dice"),
+            "threshold": part["threshold"] if part else None,
+            "n_certain": len(part["certain"]) if part else None,
+            "n_uncertain": len(part["uncertain"]) if part else None,
+            "timings": doc.get("timings", {}),
+        })
+    return rows
 
 
 def _clear_run_dir(out_dir: Path) -> None:
     """Remove artifacts of a previous run; only paths this pipeline writes."""
-    (out_dir / "config.json").unlink(missing_ok=True)
-    _remove_report(out_dir)
+    for name in ("config.json", "report.json"):
+        (out_dir / name).unlink(missing_ok=True)
     for p in list(out_dir.glob("round_*")) + [out_dir / "features"]:
         if p.is_dir():
             shutil.rmtree(p)
@@ -697,7 +742,7 @@ def _config_doc(config: PipelineConfig) -> dict:
     return doc
 
 
-def config_from_doc(doc: dict, out_dir: Path) -> PipelineConfig:
+def _config_from_doc(doc: dict, out_dir: Path) -> PipelineConfig:
     """Inverse of ``_config_doc``; absent keys take defaults, unknown keys are ignored."""
     kwargs = {}
     for f in fields(PipelineConfig):
@@ -713,6 +758,15 @@ def config_from_doc(doc: dict, out_dir: Path) -> PipelineConfig:
     if "manifest_path" not in kwargs:
         raise ValueError("config document has no manifest")
     return PipelineConfig(out_dir=Path(out_dir), **kwargs)
+
+
+def load_run_config(run_dir: Path, **over) -> PipelineConfig:
+    """The config of the run in ``run_dir``, with the overrides in ``over`` that are not None."""
+    config_file = Path(run_dir) / "config.json"
+    if not config_file.exists():
+        raise ValueError(f"{run_dir} has no config.json; initialize a run first")
+    config = _config_from_doc(json.loads(config_file.read_text()), run_dir)
+    return replace(config, **{k: v for k, v in over.items() if v is not None})
 
 
 def _check_named_files(path: Path, manifest: DatasetManifest) -> None:
@@ -749,9 +803,12 @@ def start_run(config: PipelineConfig) -> None:
 
 
 def run_pipeline(config: PipelineConfig) -> list[RoundState]:
-    """Run round 0 through round R and write the run report."""
+    """Run round 0 through round R and write the run's encoder-call counts to ``report.json``.
+
+    No later process can encode (``build_context(extract_allowed=False)``
+    raises instead), so rewriting a round never makes these counts stale.
+    """
     start_run(config)
-    out = config.out_dir
 
     calls_start = encoder_mod.extract_call_count()
     ctx = build_context(config)
@@ -767,63 +824,9 @@ def run_pipeline(config: PipelineConfig) -> list[RoundState]:
             f"offline contract violated: {calls_total - calls_after_round0} encoder "
             "calls after the initial round"
         )
-
-    report = {
-        "rounds": [
-            {
-                "round": s.round_index,
-                "refined": s.refined,
-                "pseudo_label_dice": s.pseudo_label_dice,
-                "model_dice": s.model_dice,
-                "threshold": s.partition.threshold if s.partition else None,
-                "n_certain": len(s.partition.certain) if s.partition else None,
-                "n_uncertain": len(s.partition.uncertain) if s.partition else None,
-                "timings": s.timings,
-            }
-            for s in states
-        ],
+    _dump_json(config.out_dir / "report.json", {
         "encoder_calls_after_round0": calls_after_round0,
         "encoder_calls_total": calls_total,
         "offline_contract_honored": calls_total == calls_after_round0,
-        "config": _config_doc(config),
-    }
-    _dump_json(out / "report.json", report)
-    (out / "report.txt").write_text(_format_report(report))
+    })
     return states
-
-
-def load_report(out_dir: Path) -> dict:
-    """The run's ``report.json``, which ``run_pipeline`` writes and a rewritten round removes."""
-    path = Path(out_dir) / "report.json"
-    if not path.is_file():
-        raise FileNotFoundError(
-            f"{path} not found: it is written by a complete run and removed when a round is rewritten"
-        )
-    return json.loads(path.read_text())
-
-
-def _format_report(report: dict) -> str:
-    def fmt(x, digits=4):
-        return "-" if x is None else f"{x:.{digits}f}"
-
-    lines = ["round  pseudo_dice  model_dice  threshold  uncertain  train_s  other_s"]
-    for row in report["rounds"]:
-        other = sum(v for k, v in row["timings"].items() if k != "train")
-        train = row["timings"].get("train", 0.0)
-        unc = "-" if row["n_uncertain"] is None else str(row["n_uncertain"])
-        lines.append(
-            f"{row['round']:>5}"
-            f"  {fmt(row['pseudo_label_dice']):>11}"
-            f"  {fmt(row['model_dice']):>10}"
-            f"  {fmt(row['threshold']):>9}"
-            f"  {unc:>9}"
-            f"  {train:7.2f}"
-            f"  {other:7.2f}"
-        )
-    lines.append(
-        "encoder calls: "
-        f"{report['encoder_calls_total']} total, "
-        f"{report['encoder_calls_after_round0']} by end of round 0 "
-        f"(offline contract {'honored' if report['offline_contract_honored'] else 'VIOLATED'})"
-    )
-    return "\n".join(lines) + "\n"

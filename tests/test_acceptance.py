@@ -11,6 +11,7 @@ happens after round 0, and everything is bit-reproducible.
 """
 from __future__ import annotations
 
+import json
 import math
 import time
 from types import SimpleNamespace
@@ -21,7 +22,7 @@ import pytest
 from protoloop.encoder import EncoderParams, FeatureGrid, GlobalFeature, extract_feature_grid
 from protoloop.metrics import distance_metrics, overlap_metrics
 from protoloop.phantom import ClassShape, PhantomSpec, generate
-from protoloop.pipeline import PipelineConfig, load_report, run_pipeline
+from protoloop.pipeline import PipelineConfig, run_pipeline
 from protoloop.prototype import compute_prototypes, initial_pseudo_label
 from protoloop.refine import refine_all
 from protoloop.specialist import (
@@ -363,7 +364,7 @@ def test_no_encoder_calls_after_round0(capsys, pipeline_runs):
     ok = True
     details = []
     for name in ("refined", "rerun", "plain"):
-        report = load_report(pipeline_runs.base / name)
+        report = json.loads((pipeline_runs.base / name / "report.json").read_text())
         honored = report["offline_contract_honored"]
         total = report["encoder_calls_total"]
         ok = ok and honored and total == report["encoder_calls_after_round0"]

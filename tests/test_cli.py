@@ -1,11 +1,14 @@
 """Command-line surface: exit codes, file outputs, reruns, env fallbacks."""
 from __future__ import annotations
 
+import csv
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
-from protoloop import cli, pipeline
+from protoloop import cli, pipeline, volume
 from protoloop.cli import dispatch
 from protoloop.phantom import ClassShape, PhantomSpec, save_spec
 from protoloop.volume import Shape3
@@ -242,8 +245,10 @@ def test_init_refuses_a_dir_holding_only_a_later_round(dataset, tmp_path, capsys
 
 def test_run_writes_report(dataset, finished_run, capsys):
     report = json.loads((finished_run / "report.json").read_text())
-    assert [r["round"] for r in report["rounds"]] == [0, 1]
+    assert sorted(report) == ["encoder_calls_after_round0", "encoder_calls_total", "offline_contract_honored"]
     assert report["offline_contract_honored"] is True
+    assert report["encoder_calls_total"] == report["encoder_calls_after_round0"]
+    assert [r["round"] for r in pipeline.run_table(finished_run)][:2] == [0, 1]
 
 
 def test_run_rejects_zero_rounds(dataset, tmp_path):
@@ -321,25 +326,117 @@ def test_refine_command_rewrites_round(dataset, tmp_path):
     assert dispatch(argv + ["--force"]) == 0
 
 
-def test_refine_and_round_force_remove_the_stale_report(dataset, tmp_path, capsys):
+def _state_rows(run_dir):
+    """``run_table``'s rows, rebuilt by hand from the ``state.json`` of every ``round_<r>``."""
+    rows = []
+    states = [p for p in run_dir.glob("round_*/state.json") if p.parent.name[6:].isdigit()]
+    for path in sorted(states, key=lambda p: int(p.parent.name[6:])):
+        doc = json.loads(path.read_text())
+        part = doc.get("partition")
+        rows.append({
+            "round": doc["round"],
+            "refined": doc["refined"],
+            "pseudo_label_dice": doc["pseudo_label_dice"],
+            "model_dice": doc["model_dice"],
+            "threshold": part and part["threshold"],
+            "n_certain": part and len(part["certain"]),
+            "n_uncertain": part and len(part["uncertain"]),
+            "timings": doc["timings"],
+        })
+    return rows
+
+
+def _report_csv(run_dir):
+    with open(run_dir / "report.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _init_and_round(dataset, out):
+    """A run built the resumable way: ``init``, then ``round --r 1``."""
+    init = ["init", "--manifest", str(dataset / "manifest.json"), "--out", str(out), "--patch", "4",
+            "--truth", str(dataset / "truth")]
+    assert dispatch(init) == 0
+    assert dispatch(["round", "--r", "1", "--prev", str(out / "round_0")]) == 0
+
+
+def test_report_on_a_run_built_by_init_and_round(dataset, tmp_path, capsys):
+    out = tmp_path / "run"
+    _init_and_round(dataset, out)
+    capsys.readouterr()
+    assert dispatch(["report", "--run", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert pipeline.run_table(out) == _state_rows(out)
+    rows = _report_csv(out)
+    assert [row["round"] for row in rows] == ["0", "1"]
+    for row, want in zip(rows, _state_rows(out)):
+        assert float(row["pseudo_label_dice"]) == want["pseudo_label_dice"]
+        assert float(row["train_s"]) == want["timings"].get("train", 0.0)
+    assert printed[0].startswith("round  pseudo_dice") and len(printed) == 4  # header, 2 rounds, wrote
+    assert not (out / "report.json").exists()
+
+
+def test_report_after_refine_shows_the_rewritten_round(dataset, tmp_path, capsys):
     out = tmp_path / "plain"
     assert dispatch(_run_args(dataset, out, "--no-refine")) == 0
+    counts = (out / "report.json").read_bytes()
     assert dispatch(["report", "--run", str(out)]) == 0
+    assert _report_csv(out)[1]["refined"] == "False"
     assert dispatch(["refine", "--round", str(out / "round_1"), "--q-unc", "0.5", "--k", "2"]) == 0
-    assert not (out / "report.json").exists() and not (out / "report.txt").exists()
     capsys.readouterr()
-    assert dispatch(["report", "--run", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert str(out / "report.json") in err and "Traceback" not in err
-
-    # a new round after the report's last leaves it; rewriting a covered round does not
-    out = tmp_path / "full"
-    assert dispatch(_run_args(dataset, out)) == 0
+    assert dispatch(["report", "--run", str(out), "--force"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    doc = json.loads((out / "round_1" / "state.json").read_text())
+    row = _report_csv(out)[1]
+    assert row["refined"] == "True"
+    assert float(row["pseudo_label_dice"]) == doc["pseudo_label_dice"]
+    assert float(row["threshold"]) == doc["partition"]["threshold"]
+    assert printed[2].split()[:4] == [
+        "1", f"{doc['pseudo_label_dice']:.4f}", f"{doc['model_dice']:.4f}", f"{doc['partition']['threshold']:.4f}",
+    ]
+    assert pipeline.run_table(out) == _state_rows(out)
+    # the encoder counts describe the run process; no rewrite can change them
+    assert (out / "report.json").read_bytes() == counts
     assert dispatch(["round", "--r", "2", "--prev", str(out / "round_1")]) == 0
-    assert dispatch(["round", "--r", "2", "--prev", str(out / "round_1"), "--force"]) == 0
-    assert (out / "report.json").exists() and (out / "report.txt").exists()
     assert dispatch(["round", "--r", "1", "--prev", str(out / "round_0"), "--force"]) == 0
-    assert not (out / "report.json").exists() and not (out / "report.txt").exists()
+    assert (out / "report.json").read_bytes() == counts
+    assert dispatch(["report", "--run", str(out), "--force"]) == 0
+    assert [row["round"] for row in _report_csv(out)] == ["0", "1", "2"]
+    assert pipeline.run_table(out) == _state_rows(out)
+
+
+def test_report_opens_no_array_file(dataset, tmp_path, monkeypatch):
+    run = tmp_path / "run"
+    _init_and_round(dataset, run)
+    opened = []
+    real = volume.load_array
+
+    def spy(path, kind=None):
+        opened.append(path)
+        return real(path, kind)
+
+    for module in (volume, pipeline, cli):
+        monkeypatch.setattr(module, "load_array", spy)
+    assert dispatch(["report", "--run", str(run)]) == 0
+    assert opened == []
+    pipeline.load_round_state(run, 1)  # the spies see the label files a state load opens
+    assert opened
+
+
+def test_report_plot_writes_nothing_when_it_refuses(finished_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    for name in ("report.csv", "report.svg"):
+        (run / name).unlink(missing_ok=True)
+    (run / "report.svg").write_text("kept")
+    assert dispatch(["report", "--run", str(run), "--plot"]) == 1
+    assert "report.svg exists" in capsys.readouterr().err
+    assert not (run / "report.csv").exists() and (run / "report.svg").read_text() == "kept"
+
+
+def test_report_refuses_a_dir_without_rounds(tmp_path, capsys):
+    assert dispatch(["report", "--run", str(tmp_path)]) == 1
+    assert "holds no round directory" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_refine_rejects_round0(finished_run):
@@ -367,9 +464,7 @@ def test_refine_after_no_refine_equals_a_refined_run(dataset, tmp_path):
         assert got[name] == want[name], name
     assert set(got_state.pop("timings")) == set(want_state.pop("timings")) == {"train", "infer", "refine"}
     assert got_state == want_state
-    # the plain run's report described the unrefined round 1, so refine removed it
-    report = {"report.json", "report.txt"}
-    assert {p.name for p in plain.iterdir()} == {p.name for p in refined.iterdir()} - report
+    assert {p.name for p in plain.iterdir()} == {p.name for p in refined.iterdir()}
 
 
 class _Crash(Exception):
@@ -434,6 +529,38 @@ def test_refine_force_crash_keeps_old_round(dataset, tmp_path, monkeypatch, caps
     assert sorted(p.name for p in out.iterdir() if p.name.startswith("round_")) == ["round_0", "round_1"]
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["round", "--r", "2", "--prev", "{out}/round_1"], 0),
+        (["round", "--r", "1", "--prev", "{out}/round_0"], 1),  # round 1 exists again: needs --force
+        (["report", "--run", "{out}"], 0),
+    ],
+    ids=["next-round", "rewrite", "report"],
+)
+def test_crash_between_the_renames_restores_the_old_round(dataset, tmp_path, monkeypatch, capsys, argv, code):
+    out = tmp_path / "run"
+    assert dispatch(_run_args(dataset, out)) == 0
+    before = _files(out / "round_1")
+    real = pipeline.os.replace
+
+    def replace(src, dst):
+        if Path(dst).name == "round_1":  # the second rename: the new round into place
+            raise _Crash(f"crash before renaming {src}")
+        real(src, dst)
+
+    monkeypatch.setattr(pipeline.os, "replace", replace)
+    assert dispatch(["round", "--r", "1", "--prev", str(out / "round_0"), "--force"]) == 2
+    monkeypatch.undo()
+    rounds = sorted(p.name for p in out.iterdir() if p.name.startswith("round_"))
+    assert rounds == ["round_0", "round_1.old", "round_1.tmp"]
+    capsys.readouterr()
+    assert dispatch([a.format(out=out) for a in argv]) == code
+    assert _files(out / "round_1") == before
+    assert not (out / "round_1.old").exists()
+    assert pipeline.run_table(out)[1] == _state_rows(out)[1]
+
+
 # ---------------------------------------------------------------------------
 # eval / report
 
@@ -460,8 +587,6 @@ def test_eval_scores_run_output(dataset, finished_run, capsys):
 def test_eval_disjoint_ids(dataset, tmp_path, capsys):
     other = tmp_path / "other"
     other.mkdir()
-    import shutil
-
     shutil.copy(
         dataset / "truth" / "vol_000.label.vxar", other / "different.label.vxar"
     )

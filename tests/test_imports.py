@@ -5,8 +5,10 @@ Every name a module under src/ or tests/ imports is used in it.
 A name listed in a module's ``__all__`` counts as used.
 
 Under src/, no function body imports a module of the package, so the module
-graph has no cycle hidden behind a deferred import; and every ``load_array``
-call outside ``volume.py`` names the array kind the file must hold.
+graph has no cycle hidden behind a deferred import; every ``load_array``
+call outside ``volume.py`` names the array kind the file must hold; and no
+string literal outside ``pipeline.py`` names a file of the run directory's
+layout, which ``pipeline`` alone knows.
 """
 from __future__ import annotations
 
@@ -106,5 +108,36 @@ def test_every_load_outside_volume_names_a_kind():
         str(p.relative_to(ROOT)): kindless_loads(p.read_text())
         for p in SOURCES
         if p.name != "volume.py"
+    }
+    assert {path: lines for path, lines in found.items() if lines} == {}
+
+
+LAYOUT_FILES = ("config.json", "state.json", "report.json")
+
+
+def layout_names(source: str) -> list[int]:
+    """Lines of string literals, f-string parts included, that name a run-directory file."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and any(name in node.value for name in LAYOUT_FILES)
+    })
+
+
+def test_layout_guard_flags_only_run_directory_files():
+    source = (
+        'a = "config.json"\nb = f"{d}/state.json"\nc = "report.csv"\n'
+        'd = "manifest.json"\ne = run / "report.json"\nf = "state"\n'
+    )
+    assert layout_names(source) == [1, 2, 5]
+
+
+def test_only_pipeline_names_run_directory_files():
+    found = {
+        str(p.relative_to(ROOT)): layout_names(p.read_text())
+        for p in SOURCES
+        if p.name != "pipeline.py"
     }
     assert {path: lines for path, lines in found.items() if lines} == {}

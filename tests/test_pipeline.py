@@ -17,14 +17,15 @@ from protoloop.pipeline import (
     PipelineConfig,
     RoundState,
     _config_doc,
+    _config_from_doc,
     build_context,
-    config_from_doc,
-    load_report,
     load_round_state,
+    load_run_config,
     refine_round,
     run_pipeline,
     run_round,
     run_round0,
+    run_table,
     start_run,
 )
 from protoloop.specialist import TrainConfig
@@ -37,6 +38,7 @@ from protoloop.volume import (
     load_array,
     save_array,
     save_manifest,
+    write_blob,
 )
 
 
@@ -263,8 +265,7 @@ def test_pipeline_states_and_report(main_run):
     assert states[1].pseudo_label_dice is not None
     assert states[1].model_dice is not None
 
-    report = load_report(out)
-    rows = report["rounds"]
+    rows = run_table(out)
     assert [r["round"] for r in rows] == [0, 1, 2]
     assert rows[0]["threshold"] is None and rows[1]["threshold"] is not None
     # round 0 is charged with the feature extraction that run_pipeline did for it
@@ -272,9 +273,15 @@ def test_pipeline_states_and_report(main_run):
     # 3 pool volumes plus the labeled template, which is always certain
     assert rows[1]["n_certain"] + rows[1]["n_uncertain"] == 4
     assert rows[1]["n_uncertain"] >= 1
+    for row, state in zip(rows, states):
+        assert row["pseudo_label_dice"] == state.pseudo_label_dice
+        assert row["model_dice"] == state.model_dice
+        assert row["timings"] == state.timings
+    report = json.loads((out / "report.json").read_text())
+    assert sorted(report) == ["encoder_calls_after_round0", "encoder_calls_total", "offline_contract_honored"]
     assert report["offline_contract_honored"] is True
-    text = (out / "report.txt").read_text()
-    assert "encoder calls" in text and "honored" in text
+    assert report["encoder_calls_total"] == report["encoder_calls_after_round0"]
+    assert not (out / "report.txt").exists()
     assert (out / "config.json").exists()
 
 
@@ -506,10 +513,10 @@ def test_rerun_requires_force(dataset, main_run, tmp_path):
 def test_force_clears_previous_run(dataset, tmp_path):
     out = tmp_path / "run"
     run_pipeline(_config(dataset, out))
-    first = load_report(out)
+    first = run_table(out)
     states = run_pipeline(_config(dataset, out, force=True))
     assert len(states) == 2
-    assert load_report(out)["rounds"][0]["round"] == first["rounds"][0]["round"] == 0
+    assert run_table(out)[0]["round"] == first[0]["round"] == 0
 
 
 def test_validation_manifest_path(dataset, tmp_path):
@@ -610,6 +617,23 @@ def test_truth_labels_checked_before_round0(dataset, tmp_path, corrupt, message)
     with pytest.raises(ValueError, match=message):
         run_pipeline(_config(dataset, out, truth_dir=truth))
     assert not (out / "round_0").exists()
+
+
+def test_headerless_label_takes_the_manifest_class_count(tmp_path):
+    path = tmp_path / "ext.label.vxar"
+    header = {"dtype": "u8", "shape": [1, 1, 4], "order": "row-major"}
+    write_blob(path, header, bytes([0, 1, 1, 0]))  # no voxel of class 2
+    lab = pipeline._load_label(path, 3)
+    assert lab.num_classes == 3 and lab.data.tobytes() == bytes([0, 1, 1, 0])
+    assert pipeline._load_label(path, 2).num_classes == 2
+    write_blob(path, header, bytes([0, 3, 1, 0]))
+    with pytest.raises(ValueError, match="label has 4 classes, manifest says 3"):
+        pipeline._load_label(path, 3)
+    # a count the header names is held to the manifest's, in both directions
+    for named, wanted in ((2, 3), (3, 2)):
+        write_blob(path, header | {"num_classes": named}, bytes([0, 1, 1, 0]))
+        with pytest.raises(ValueError, match=f"label has {named} classes, manifest says {wanted}"):
+            pipeline._load_label(path, wanted)
 
 
 def test_stale_feature_cache_refused(dataset, tmp_path):
@@ -718,10 +742,10 @@ def test_config_doc_round_trips_every_field(tmp_path):
             assert value != default, f.name
     doc = json.loads(json.dumps(_config_doc(config)))
     assert "force" not in doc
-    assert config_from_doc(doc, config.out_dir) == config
+    assert _config_from_doc(doc, config.out_dir) == config
     del doc["manifest"]
     with pytest.raises(ValueError, match="manifest"):
-        config_from_doc(doc, config.out_dir)
+        _config_from_doc(doc, config.out_dir)
 
 
 def test_previous_config_format_loads_and_resumes(dataset, main_run, tmp_path):
@@ -753,7 +777,7 @@ def test_previous_config_format_loads_and_resumes(dataset, main_run, tmp_path):
         "truth_dir": str(dataset / "truth"),
     }
     (resumed / "config.json").write_text(json.dumps(doc))
-    config = config_from_doc(json.loads((resumed / "config.json").read_text()), resumed)
+    config = load_run_config(resumed)
     assert config == _config(dataset, resumed, rounds=2)
     state1 = run_round(config, 1, load_round_state(resumed, 0))
     assert _label_bytes(state1) == _label_bytes(states[1])
