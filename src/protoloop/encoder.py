@@ -3,22 +3,26 @@
 Each volume is z-score normalized, partitioned into non-overlapping cubic
 patches (edge patches truncated), and every patch is summarized by a fixed
 vector of local statistics plus optional normalized patch-center coordinates.
-The statistics are computed for all patches at once: each source volume (the
-z-scored intensities, then one |gradient| volume at a time) is copied into a
+The volume is streamed one d-row of cells at a time: a slab of ``p`` planes,
+plus one halo plane on each side for the d-gradient, is z-scored from the
+float32 intensities with the volume's two z-score scalars, and each of its
+sources (the z-scored planes, then one |gradient| at a time) is copied into a
 blocked layout with every patch's voxels on the last axis and reduced along
 it.  The z-scored copy is reduced to its mean and std, then sorted once in
 place along that axis, so min, max and median are read off the sorted
 patches with no further pass.  Truncated edge patches are blocked as separate
 regions with their own extents, so every shape takes the same code path and
-no padding is needed.  A caller that already holds the volume's z-score
-passes it in, so each volume is z-scored once.  The grid type,
-``FeatureGrid``, is defined in ``volume``, which reads and writes it.  The
-same grid/global-feature contract also accepts features produced by an
-external model, loaded verbatim from array files.
+no padding is needed.  No whole-volume z, blocked copy or gradient is built;
+a caller that already holds the volume's ``zscore_scalars`` passes them in,
+so each volume's scalar pass runs once.  The grid type, ``FeatureGrid``, is
+defined in ``volume``, which reads and writes it.  The same grid/global-feature
+contract also accepts features produced by an external model, loaded verbatim
+from array files.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from dataclasses import dataclass
 
@@ -33,7 +37,8 @@ __all__ = [
     "global_feature",
     "ingest_external_features",
     "uniform_channel_count",
-    "zscore",
+    "zscore_scalars",
+    "apply_zscore",
     "extract_call_count",
 ]
 
@@ -83,13 +88,36 @@ class GlobalFeature:
         object.__setattr__(self, "vector", vec)
 
 
-def zscore(data: np.ndarray) -> np.ndarray:
-    """Volume-wide z-score in float64; a constant volume maps to all zeros."""
-    data = np.asarray(data, dtype=np.float64)
-    std = float(data.std())
-    if std == 0.0:
-        return np.zeros_like(data)
-    return (data - float(data.mean())) / std
+def zscore_scalars(data: np.ndarray) -> tuple[float, float]:
+    """(offset, scale) of the volume-wide z-score ``(float64(data) - offset) / scale``.
+
+    They are ``mean()`` and ``std()`` of the float64 cast, bit for bit: the
+    variance takes numpy's own steps (subtract the mean, square, sum, divide
+    by the count), run in place on the cast, so the pass holds one float64
+    copy of the volume instead of two.  A constant volume (std 0) gets
+    scale 1: every voxel equals the mean exactly, so it maps to ``+0.0``.
+    ``apply_zscore`` applies them to any part of the volume.
+    """
+    dev = np.array(data, dtype=np.float64)  # a copy, whatever the input's dtype
+    mean = float(dev.mean())
+    dev -= mean
+    dev *= dev
+    std = math.sqrt(float(dev.sum()) / dev.size)
+    return mean, (std if std != 0.0 else 1.0)
+
+
+def apply_zscore(
+    values: np.ndarray, scalars: tuple[float, float], out: np.ndarray | None = None
+) -> np.ndarray:
+    """``(float64(values) - offset) / scale``, in ``out`` if given.
+
+    The subtraction is asked for in float64: a float32 array minus a Python
+    float is computed in float32, which changes bits.
+    """
+    offset, scale = scalars
+    z = np.subtract(values, offset, out=out, dtype=np.float64)
+    z /= scale
+    return z
 
 
 def _abs_gradient(z: np.ndarray, axis: int) -> np.ndarray:
@@ -142,7 +170,7 @@ def _blocked(src: np.ndarray, voxels: tuple, sizes: tuple) -> np.ndarray:
 
 
 def extract_feature_grid(
-    vol: IntensityVolume, params: EncoderParams, z: np.ndarray | None = None
+    vol: IntensityVolume, params: EncoderParams, scalars: tuple[float, float] | None = None
 ) -> FeatureGrid:
     """Summarize each patch of ``vol`` into a fixed statistics vector.
 
@@ -151,15 +179,19 @@ def extract_feature_grid(
     followed (when enabled) by position_weight * (patch center / axis extent)
     for d, h, w.
 
-    Every statistic is one reduction over all cells at once: a source volume
-    is copied into blocked form, (cells_d, cells_h, cells_w, p³), and reduced
-    along its last axis.  An extent that is not a multiple of ``p`` splits
-    its axis into the run of whole patches and one truncated edge patch, so
-    the volume is covered by at most eight regions, each blocked with its own
-    patch extents; no padding enters any statistic.  Only one blocked copy,
-    and one gradient volume, is alive at a time.  Position channels are
-    per-axis vectors broadcast over the grid.  ``z`` is ``zscore(vol.data)``
-    when the caller already has it; without it the volume is z-scored here.
+    The volume is covered one d-row of cells at a time.  Its ``p`` planes and
+    one halo plane on each side (where the volume has one) are z-scored from
+    the float32 intensities.  With the halo, the d-gradient of the row's edge
+    planes is the same central difference a whole-volume gradient takes; at
+    the volume's own first and last plane it is the same one-sided one.
+    Every statistic is one reduction over the row's cells: a source is
+    copied into blocked form, (1, cells_h, cells_w, voxels per patch), and
+    reduced along its last axis.  An extent that is not a multiple of ``p``
+    ends in one truncated edge patch, blocked with its own extents, so no
+    padding enters any statistic.  Only one row's z, blocked copy and
+    gradient are alive at a time.  Position channels are per-axis vectors
+    broadcast over the grid.  ``scalars`` is ``zscore_scalars(vol.data)``
+    when the caller already has it; without it they are computed here.
     """
     global _extract_calls
     with _extract_calls_lock:
@@ -167,29 +199,40 @@ def extract_feature_grid(
 
     p = params.patch_size
     shape = vol.shape.as_tuple()
+    depth = shape[0]
     grid_shape = Shape3(*(-(-s // p) for s in shape))  # ceil division
-    regions = [
-        tuple(zip(*parts))  # (voxel slices, cell slices, patch extents)
-        for parts in itertools.product(*(_axis_parts(s, p) for s in shape))
+    hw_regions = [
+        tuple(zip(*parts))  # (voxel slices, cell slices, patch extents) along h, w
+        for parts in itertools.product(*(_axis_parts(s, p) for s in shape[1:]))
     ]
-    if z is None:
-        z = zscore(vol.data)
-    elif z.shape != shape:
-        raise ValueError(f"z volume {z.shape} does not match volume {shape}")
+    if scalars is None:
+        scalars = zscore_scalars(vol.data)
 
     data = np.empty((params.channels,) + grid_shape.as_tuple(), dtype=np.float64)
-    for voxels, cells, sizes in regions:
-        blocks = _blocked(z, voxels, sizes)
-        out = data[(slice(None),) + cells]
-        out[0] = blocks.mean(axis=-1)
-        out[1] = blocks.std(axis=-1)
-        out[2], out[3], out[4] = _order_statistics(blocks)  # sorts blocks
-        del blocks
-    for axis in range(3):
-        grad = _abs_gradient(z, axis)
+    for gd in range(grid_shape.d):
+        d0, d1 = gd * p, min(depth, gd * p + p)
+        lo, hi = max(0, d0 - 1), min(depth, d1 + 1)  # the row plus its halo planes
+        z = apply_zscore(vol.data[lo:hi], scalars)
+        row = slice(d0 - lo, d1 - lo)
+        regions = [
+            ((slice(None),) + voxels, (slice(gd, gd + 1),) + cells, (d1 - d0,) + sizes)
+            for voxels, cells, sizes in hw_regions
+        ]
         for voxels, cells, sizes in regions:
-            data[(5 + axis,) + cells] = _blocked(grad, voxels, sizes).mean(axis=-1)
-        del grad
+            blocks = _blocked(z[row], voxels, sizes)
+            out = data[(slice(None),) + cells]
+            out[0] = blocks.mean(axis=-1)
+            out[1] = blocks.std(axis=-1)
+            out[2], out[3], out[4] = _order_statistics(blocks)  # sorts blocks
+            del blocks
+        for axis in range(3):
+            if axis == 0:  # the halo planes give the row's edge planes their central difference
+                grad = _abs_gradient(z, axis)[row]
+            else:
+                grad = _abs_gradient(z[row], axis)
+            for voxels, cells, sizes in regions:
+                data[(5 + axis,) + cells] = _blocked(grad, voxels, sizes).mean(axis=-1)
+            del grad
     if params.include_position:
         for axis, (extent, n) in enumerate(zip(shape, grid_shape.as_tuple())):
             start = np.arange(n) * p

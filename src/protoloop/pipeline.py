@@ -3,8 +3,9 @@
 Features are extracted (or ingested) exactly once, persisted under the run
 directory, and reused by every later round; after the initial round the raw
 volumes are never re-encoded, which is asserted via the extractor call
-counter.  Per volume the pipeline keeps the feature grid plus one float64
-z-scored intensity volume; per-voxel feature rows are never materialized, and
+counter.  Per volume the pipeline keeps the feature grid plus the float32
+intensities and their two z-score scalars (4 bytes per voxel); z is computed
+where it is used, per-voxel feature rows are never materialized, and
 inference covers each whole volume with no windowing.  ``_persist_round``
 is the one writer of a round directory: it writes the whole round under a
 temp name and renames it into place, so a crash never corrupts a persisted
@@ -22,8 +23,6 @@ import shutil
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import encoder as encoder_mod
 from .encoder import EncoderParams, GlobalFeature, global_feature
@@ -135,13 +134,13 @@ def entry_grid(
     encoder: EncoderParams,
     path: Path,
     extract_allowed: bool = True,
-    z: np.ndarray | None = None,
+    scalars: tuple[float, float] | None = None,
 ) -> FeatureGrid:
     """The feature grid of one manifest entry, persisted at ``path``.
 
     A grid already at ``path`` is reused; else the entry's external
     ``features`` file is ingested; else the built-in encoder extracts one
-    (from ``z``, the volume's z-score, when given), which raises when
+    (with ``scalars``, the volume's ``zscore_scalars``, when given), which raises when
     ``extract_allowed`` is false.  A new grid is written to ``path``.
     """
     if path.exists():
@@ -149,7 +148,7 @@ def entry_grid(
     if entry.features is not None:
         grid = encoder_mod.ingest_external_features(manifest.resolve(entry.features), vol.shape)
     elif extract_allowed:
-        grid = encoder_mod.extract_feature_grid(vol, encoder, z)
+        grid = encoder_mod.extract_feature_grid(vol, encoder, scalars)
     else:
         raise RuntimeError(
             f"feature grid for {entry.vol_id!r} missing after the initial round; "
@@ -211,15 +210,17 @@ def _load_entry(
 ) -> tuple[TrainVolumeData, FeatureGrid]:
     """One manifest entry's factorized voxel features and feature grid.
 
-    The intensity volume is z-scored once; the encoder, when it runs, and the
-    voxel features share that z.  The grid comes from ``entry_grid`` at
-    ``features/<prefix><id>.features.vxar``.  The raw intensities are not kept.
+    The z-score scalars of the intensity volume are computed once; the
+    encoder, when it runs, and the voxel features share them.  The grid comes
+    from ``entry_grid`` at ``features/<prefix><id>.features.vxar``.  Only the
+    float32 intensities are kept; no whole-volume float64 array outlives the
+    scalar pass.
     """
     vol = load_array(manifest.resolve(entry.intensity), IntensityVolume)
-    z = encoder_mod.zscore(vol.data)
+    scalars = encoder_mod.zscore_scalars(vol.data)
     path = config.out_dir / "features" / f"{prefix}{entry.vol_id}.features.vxar"
-    grid = entry_grid(entry, manifest, vol, config.encoder, path, extract_allowed, z=z)
-    return TrainVolumeData.from_volume(entry.vol_id, vol, grid, z), grid
+    grid = entry_grid(entry, manifest, vol, config.encoder, path, extract_allowed, scalars)
+    return TrainVolumeData.from_volume(entry.vol_id, vol, grid, scalars), grid
 
 
 def _load_label(path: Path, num_classes: int) -> LabelVolume:
@@ -714,8 +715,8 @@ def run_table(out_dir: Path) -> list[dict]:
 
 
 def _clear_run_dir(out_dir: Path) -> None:
-    """Remove artifacts of a previous run; only paths this pipeline writes."""
-    for name in ("config.json", "report.json"):
+    """Remove artifacts of a previous run; only paths this pipeline and ``report`` write."""
+    for name in ("config.json", "report.json", "report.csv", "report.svg"):
         (out_dir / name).unlink(missing_ok=True)
     for p in list(out_dir.glob("round_*")) + [out_dir / "features"]:
         if p.is_dir():

@@ -2,10 +2,11 @@
 
 Each voxel is described by its enclosing feature-grid cell vector plus its own
 z-scored intensity.  Those features are never materialized per voxel: a
-volume is held as its (n_cells, C) float64 cell table plus one float64 z
-volume, training gathers the rows of each sampled batch, and inference
-evaluates ``logits = upsample(W[:, :C] @ grid + b) + W[:, C] * z`` with the
-head applied at cell resolution, one slab of d-planes at a time; a voxel's
+volume is held as its (n_cells, C) float64 cell table plus its float32
+intensities and two z-score scalars, z is computed where it is used, training
+gathers the rows of each sampled batch, and inference evaluates
+``logits = upsample(W[:, :C] @ grid + b) + W[:, C] * z`` with the head
+applied at cell resolution, one slab of d-planes at a time; a voxel's
 label is the lowest class at the max of its softmax numerators, computed
 class-major (``volume.class_argmax``).  Every round trains a fresh
 zero-initialized model with SGD (momentum, weight decay, poly LR decay) on a
@@ -17,12 +18,13 @@ A step has k = 2-3 classes and about a dozen features, so its cost is the
 number of numpy calls, not arithmetic.  The step is therefore class-major:
 the batch is one ``(n_l + 2 n_p, F)`` buffer of labeled, pseudo-labeled and
 noisy pseudo-labeled rows, filled in place: the rows are gathered from each
-volume's cell table straight into it and the noise is drawn into it.  Its
-logits are ``(k, n)`` and every softmax and Dice reduction runs over the
-class axis or along one class row.  One matmul gives the student's logits,
-one the teacher's on the clean pseudo-labeled rows and one the gradient.  The
-student, momentum and teacher stay plain arrays updated in place, and the
-per-step log is one preallocated array.
+volume's cell table straight into it, the spare column is overwritten with
+the voxels' z, and the noise is drawn into it.  Its logits are ``(k, n)``
+and every softmax and Dice reduction runs over the class axis or along one
+class row.  One matmul gives the student's logits, one the teacher's on the
+clean pseudo-labeled rows and one the gradient.  The student, momentum and
+teacher stay plain arrays updated in place, and the per-step log is one
+preallocated array.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import zscore
+from .encoder import apply_zscore, zscore_scalars
 from .metrics import foreground_dice
 from .volume import FeatureGrid, IntensityVolume, LabelVolume, Shape3, class_argmax
 from .volume import nearest_axis_indices, read_blob, write_blob
@@ -312,63 +314,88 @@ class TrainVolumeData:
     """One volume's voxel features in factorized form.
 
     The feature row of voxel (d, h, w) is ``cells[cell(d, h, w)]`` followed by
-    ``z[(d * H + h) * W + w]``, where ``cell`` reads the per-axis
-    ``cell_index_luts``.  Memory is the cell table plus one float64 z volume.
-    The table is kept with one spare trailing column, ``(n_cells, C + 1)``,
-    so a batch's rows are gathered from it straight into the batch buffer and
-    the spare column is then overwritten with the voxels' z; ``cells`` is the
-    ``(n_cells, C)`` view without it.
+    its z, ``(float64(values[i]) - offset) / scale`` with
+    ``i = (d * H + h) * W + w``, where ``cell`` reads the per-axis
+    ``cell_index_luts``.  Memory is the cell table plus the float32
+    intensities (4 bytes per voxel); z is computed where it is used, with
+    ``zscore_scalars``'s offset and scale, so it has the bits of a
+    volume-wide float64 z-score.  The table is kept with one spare trailing
+    column, ``(n_cells, C + 1)``, so a batch's rows are gathered from it
+    straight into the batch buffer and the spare column is then overwritten
+    with the voxels' z; ``cells`` is the ``(n_cells, C)`` view without it.
     """
 
     vol_id: str
     shape: Shape3        # voxel extents
     grid_shape: Shape3   # cell extents
     cells: np.ndarray    # (n_cells, C) float64, cells in row-major grid order
-    z: np.ndarray        # (n_voxels,) float64 z-scored intensity, row-major
+    values: np.ndarray   # (n_voxels,) float32 intensities, row-major
+    offset: float        # z = (float64(values) - offset) / scale
+    scale: float
     luts: tuple = field(init=False, repr=False, compare=False)
     _table: np.ndarray = field(init=False, repr=False, compare=False)
     _row_luts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cells = np.asarray(self.cells)
-        z = np.ascontiguousarray(self.z, dtype=np.float64).reshape(-1)
+        values = np.asarray(self.values)
         if cells.ndim != 2 or len(cells) != self.grid_shape.voxels:
             raise ValueError(
                 f"cell table {cells.shape} does not match grid {self.grid_shape.as_tuple()}"
             )
-        if len(z) != self.shape.voxels:
-            raise ValueError(f"z volume has {len(z)} voxels, shape says {self.shape.voxels}")
+        if values.dtype != np.float32:
+            raise ValueError(f"intensities are {values.dtype}, expected float32")
+        values = np.ascontiguousarray(values).reshape(-1)
+        if len(values) != self.shape.voxels:
+            raise ValueError(
+                f"intensity volume has {len(values)} voxels, shape says {self.shape.voxels}"
+            )
+        if not (math.isfinite(self.offset) and math.isfinite(self.scale) and self.scale != 0):
+            raise ValueError(f"bad z-score scalars offset={self.offset!r} scale={self.scale!r}")
         table = np.zeros((len(cells), cells.shape[1] + 1))
         table[:, :-1] = cells
         luts = cell_index_luts(self.shape, self.grid_shape)
         _, gh, gw = self.grid_shape.as_tuple()
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "cells", table[:, :-1])
-        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "luts", luts)
         # voxel index along each axis -> that axis's term of the flat cell index
         object.__setattr__(self, "_row_luts", (luts[0] * (gh * gw), luts[1] * gw, luts[2]))
 
     @classmethod
     def from_volume(
-        cls, vol_id: str, vol: IntensityVolume, grid: FeatureGrid, z: np.ndarray | None = None
+        cls,
+        vol_id: str,
+        vol: IntensityVolume,
+        grid: FeatureGrid,
+        scalars: tuple[float, float] | None = None,
     ) -> "TrainVolumeData":
-        """``z`` is ``zscore(vol.data)`` when the caller already has it."""
+        """``scalars`` is ``zscore_scalars(vol.data)`` when the caller already has it."""
+        offset, scale = zscore_scalars(vol.data) if scalars is None else scalars
         return cls(
             vol_id=vol_id,
             shape=vol.shape,
             grid_shape=grid.grid_shape,
             cells=grid.data.reshape(grid.channels, -1).T,
-            z=zscore(vol.data) if z is None else z,
+            values=vol.data.reshape(-1),
+            offset=offset,
+            scale=scale,
         )
 
     @property
     def n_voxels(self) -> int:
-        return len(self.z)
+        return len(self.values)
 
     @property
     def num_features(self) -> int:
         return self._table.shape[1]
+
+    def z(self, idx, out: np.ndarray | None = None) -> np.ndarray:
+        """float64 z of the flat voxel indices or slice ``idx``, in ``out`` if given."""
+        return apply_zscore(self.values[idx], (self.offset, self.scale), out)
 
     def rows(self, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(len(idx), C + 1) feature rows of the flat voxel indices ``idx``, in ``out`` if given."""
@@ -382,7 +409,7 @@ class TrainVolumeData:
         if out is None:
             out = np.empty((len(idx), self.num_features))
         np.take(self._table, cell, axis=0, out=out)
-        np.take(self.z, idx, out=out[:, -1])
+        self.z(idx, out=out[:, -1])
         return out
 
 
@@ -521,7 +548,8 @@ def voxel_logits(
     """Logits in slabs of whole d-planes: (flat voxel slice, (num_classes, n) logits).
 
     The head is applied once per cell, the cell logits are expanded to voxels
-    through the LUTs, and the intensity term is added per voxel.
+    through the LUTs, and the intensity term is added per voxel from the
+    slab's z, computed from its float32 intensities.
     """
     if data.num_features != params.num_features:
         raise ValueError(
@@ -538,7 +566,7 @@ def voxel_logits(
         d1 = min(depth, d0 + step)
         sl = slice(d0 * h * w, d1 * h * w)
         logits = planes.take(ld[d0:d1], axis=1).reshape(k, -1)
-        logits += w_z * data.z[sl]
+        logits += w_z * data.z(sl)
         yield sl, logits
 
 

@@ -160,7 +160,11 @@ def write_blob(path: str | Path, header: dict, payload: bytes) -> None:
         fh.write(payload)
 
 
-def read_blob(path: str | Path) -> tuple[dict, bytes]:
+def read_blob(path: str | Path) -> tuple[dict, memoryview]:
+    """The header and payload of one array file.
+
+    The payload is a view into the file's bytes, not a copy of it.
+    """
     raw = Path(path).read_bytes()
     if len(raw) < len(MAGIC) + 4 or raw[: len(MAGIC)] != MAGIC:
         raise ArrayFormatError(f"{path}: bad magic; not an array file")
@@ -174,7 +178,7 @@ def read_blob(path: str | Path) -> tuple[dict, bytes]:
         raise ArrayFormatError(f"{path}: malformed header ({exc})") from exc
     if not isinstance(header, dict):
         raise ArrayFormatError(f"{path}: header is not a JSON object")
-    return header, raw[start + hlen :]
+    return header, memoryview(raw)[start + hlen :]
 
 
 def _header_shape(header: dict, path) -> Shape3:
@@ -259,6 +263,7 @@ def load_array(path: str | Path, kind: type | None = None):
         raise ArrayFormatError(
             f"{path}: shape/payload mismatch ({len(payload)} bytes, expected {expected})"
         )
+    # the one copy of the payload: its offset in the file has arbitrary alignment
     data = np.frombuffer(payload, dtype=dtype).copy()
 
     try:

@@ -3,22 +3,34 @@
 Everything in this file is written straight from the definitions with plain
 Python loops and scalar math, deliberately sharing no code or vectorization
 structure with the package.  These are slow and obvious on purpose: the fast
-implementations are checked against them on small seeded instances.  Four
+implementations are checked against them on small seeded instances.  Five
 sections are exceptions: the per-cell encoder loop and the dense per-voxel
-features share the package's z-score (and cell LUTs) so that the blocked
-encoder grid and the factorized rows can be required byte-equal, the
-voxel-major training loop shares the package's row gather, schedules,
-parameter type and inference so that only the step itself is compared, and
-the dense entropy of an explicit probability volume is vectorized, as the
-reference for the entropy ``specialist.infer`` fuses into its prediction pass.
+features share the whole-volume z-score below (and the package's cell LUTs)
+so that the blocked encoder grid and the factorized rows can be required
+byte-equal; the whole-volume encoder builds on the package's blocking,
+sorting and gradient helpers, so that only the package's streaming of one
+row of cells at a time is compared; the voxel-major training loop shares
+the package's row gather, schedules, parameter type and inference so that
+only the step itself is compared; and the dense entropy of an explicit
+probability volume is vectorized, as the reference for the entropy
+``specialist.infer`` fuses into its prediction pass.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from protoloop.encoder import EncoderParams, FeatureGrid, zscore
+from protoloop.encoder import (
+    BASE_CHANNELS,
+    EncoderParams,
+    FeatureGrid,
+    _abs_gradient,
+    _axis_parts,
+    _blocked,
+    _order_statistics,
+)
 from protoloop.specialist import SpecialistParams, cell_index_luts, infer, poly_lr, ramp_up_alpha
 from protoloop.uncertainty import SampleUncertainty
 from protoloop.volume import Shape3
@@ -28,6 +40,19 @@ EPS = 1e-8
 
 # ---------------------------------------------------------------------------
 # intensity statistics
+
+def zscore(data):
+    """Volume-wide z-score as one float64 array; a constant volume maps to all zeros.
+
+    The package never builds this array: it keeps ``zscore_scalars`` and
+    computes z where it is used, bit for bit equal to this.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    std = float(data.std())
+    if std == 0.0:
+        return np.zeros_like(data)
+    return (data - float(data.mean())) / std
+
 
 def zscore_oracle(data):
     vals = [float(v) for v in np.asarray(data).reshape(-1)]
@@ -146,6 +171,44 @@ def extract_grid_loop_oracle(vol, params: EncoderParams) -> FeatureGrid:
                         span = min(p, extent - start)
                         center = start + span / 2.0
                         cell[8 + axis] = params.position_weight * center / extent
+    return FeatureGrid(
+        channels=params.channels, grid_shape=grid_shape, data=data, patch_size=(p, p, p)
+    )
+
+
+def extract_grid_whole_volume_oracle(vol, params: EncoderParams) -> FeatureGrid:
+    """The blocked encoder over the whole volume at once.
+
+    One whole-volume z, then for each source (z, then one |gradient| volume
+    at a time) one blocked copy per region of whole and truncated patches,
+    reduced along its last axis.  The package streams the same reductions
+    one d-row of cells at a time; its grid must equal this one byte for byte.
+    """
+    p = params.patch_size
+    shape = vol.shape.as_tuple()
+    grid_shape = Shape3(*(-(-s // p) for s in shape))
+    regions = [
+        tuple(zip(*parts))  # (voxel slices, cell slices, patch extents)
+        for parts in itertools.product(*(_axis_parts(s, p) for s in shape))
+    ]
+    z = zscore(vol.data)
+    data = np.empty((params.channels,) + grid_shape.as_tuple(), dtype=np.float64)
+    for voxels, cells, sizes in regions:
+        blocks = _blocked(z, voxels, sizes)
+        out = data[(slice(None),) + cells]
+        out[0] = blocks.mean(axis=-1)
+        out[1] = blocks.std(axis=-1)
+        out[2], out[3], out[4] = _order_statistics(blocks)  # sorts blocks
+    for axis in range(3):
+        grad = _abs_gradient(z, axis)
+        for voxels, cells, sizes in regions:
+            data[(5 + axis,) + cells] = _blocked(grad, voxels, sizes).mean(axis=-1)
+    if params.include_position:
+        for axis, (extent, n) in enumerate(zip(shape, grid_shape.as_tuple())):
+            start = np.arange(n) * p
+            center = start + np.minimum(p, extent - start) / 2.0
+            pos = params.position_weight * center / extent
+            data[BASE_CHANNELS + axis] = pos.reshape([-1 if a == axis else 1 for a in range(3)])
     return FeatureGrid(
         channels=params.channels, grid_shape=grid_shape, data=data, patch_size=(p, p, p)
     )
@@ -276,10 +339,12 @@ def round0_oracle(template_grid, template_labels, query_grid, num_classes, vol_s
 # ---------------------------------------------------------------------------
 # dense per-voxel features
 #
-# The specialist never builds these: it keeps a cell table plus one z volume.
+# The specialist never builds these: it keeps a cell table plus the float32
+# intensities and two z-score scalars.
 # The dense forms below are the reference its factorized rows, logits, labels
-# and entropies are checked against.  They reuse the package's z-score and
-# voxel -> cell LUTs on purpose, so that gathered rows must be byte-equal.
+# and entropies are checked against.  They reuse the whole-volume z-score above
+# and the package's voxel -> cell LUTs on purpose, so that gathered rows must
+# be byte-equal.
 
 def per_voxel_features(vol, grid, index):
     """Feature vector of one voxel: its cell's features plus z-scored intensity."""

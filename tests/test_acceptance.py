@@ -170,7 +170,7 @@ def test_entropy_closed_forms(capsys):
     # every logit gap is at least 800, so exp(-gap) underflows to 0.0 and
     # each voxel's probabilities are exactly one-hot
     weights = rng.uniform(-0.1, 0.1, size=(3, data.num_features))
-    assert np.abs(data.cells).max() < 10 and np.abs(data.z).max() < 10
+    assert np.abs(data.cells).max() < 10 and np.abs(data.z(slice(None))).max() < 10
     _, one_hot = infer(SpecialistParams(weights, np.array([0.0, 1000.0, 0.0])), data)
     err_onehot = abs(one_hot)
 

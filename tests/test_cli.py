@@ -433,6 +433,28 @@ def test_report_plot_writes_nothing_when_it_refuses(finished_run, tmp_path, caps
     assert not (run / "report.csv").exists() and (run / "report.svg").read_text() == "kept"
 
 
+@pytest.mark.parametrize("command", ["run", "init"])
+def test_force_rerun_removes_the_old_report(dataset, tmp_path, capsys, command):
+    out = tmp_path / "run"
+    assert dispatch(_run_args(dataset, out, "--rounds", "2")) == 0
+    assert dispatch(["report", "--run", str(out), "--plot"]) == 0
+    assert (out / "report.csv").exists() and (out / "report.svg").exists()
+    if command == "run":  # a shorter run without truth: the old report's rows and Dice are stale
+        rerun = _run_args(dataset, out, "--force")
+        rerun.remove("--truth")
+        rerun.remove(str(dataset / "truth"))
+    else:
+        rerun = ["init", "--manifest", str(dataset / "manifest.json"), "--out", str(out),
+                 "--patch", "4", "--force"]
+    assert dispatch(rerun) == 0
+    assert not (out / "report.csv").exists() and not (out / "report.svg").exists()
+    capsys.readouterr()
+    assert dispatch(["report", "--run", str(out)]) == 0  # nothing stale to refuse
+    rows = _report_csv(out)
+    assert [row["round"] for row in rows] == (["0", "1"] if command == "run" else ["0"])
+    assert all(row["pseudo_label_dice"] == "" for row in rows)
+
+
 def test_report_refuses_a_dir_without_rounds(tmp_path, capsys):
     assert dispatch(["report", "--run", str(tmp_path)]) == 1
     assert "holds no round directory" in capsys.readouterr().err

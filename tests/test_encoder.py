@@ -3,10 +3,14 @@ from __future__ import annotations
 
 import itertools
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from protoloop.encoder import (
     BASE_CHANNELS,
@@ -19,12 +23,19 @@ from protoloop.encoder import (
     _axis_parts,
     _blocked,
     _order_statistics,
+    apply_zscore,
     uniform_channel_count,
-    zscore,
+    zscore_scalars,
 )
 from protoloop.volume import IntensityVolume, Shape3, load_array, save_array, write_blob
 
-from .oracles import extract_grid_loop_oracle, gap_oracle, patch_features_oracle
+from .oracles import (
+    extract_grid_loop_oracle,
+    extract_grid_whole_volume_oracle,
+    gap_oracle,
+    patch_features_oracle,
+    zscore,
+)
 
 
 def _vol(data):
@@ -159,14 +170,119 @@ def test_sorted_block_statistics_byte_equal_numpy_on_ragged_regions(shape, patch
 
 
 @pytest.mark.parametrize("patch", [3, 4])
-def test_passed_z_gives_the_same_grid(patch):
+def test_passed_scalars_give_the_same_grid(patch):
     vol = _vol(np.random.default_rng(12).normal(size=(13, 17, 23)))
     params = EncoderParams(patch_size=patch)
     own = extract_feature_grid(vol, params)
-    passed = extract_feature_grid(vol, params, zscore(vol.data))
+    offset, scale = zscore_scalars(vol.data)
+    passed = extract_feature_grid(vol, params, (offset, scale))
     assert passed.data.tobytes() == own.data.tobytes()
-    with pytest.raises(ValueError, match="does not match"):
-        extract_feature_grid(vol, params, zscore(vol.data)[:-1])
+    # the passed scalars are the ones used: another offset moves every mean
+    shifted = extract_feature_grid(vol, params, (offset + 1.0, scale))
+    assert (shifted.data[0] < own.data[0]).all()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        np.random.default_rng(21).normal(size=(13, 17, 23)) * 40.0 - 7.0,
+        np.random.default_rng(22).integers(-3, 4, size=(9, 8, 3)).astype(np.float64),
+        np.full((6, 5, 4), 0.1),  # constant: std 0
+        np.full((3, 2, 2), -2.5e-30),
+    ],
+    ids=["normal", "integers", "constant", "constant-tiny"],
+)
+def test_zscore_scalars_reproduce_the_whole_volume_zscore(data):
+    values = np.asarray(data, dtype=np.float32)
+    scalars = zscore_scalars(values)
+    z = apply_zscore(values, scalars)
+    want = zscore(values)
+    assert z.dtype == np.float64 and z.tobytes() == want.tobytes()
+    # into a strided float64 buffer, as a batch column is filled: the same bits
+    out = np.full((values.size, 2), np.nan)
+    apply_zscore(values.reshape(-1), scalars, out=out[:, 1])
+    assert out[:, 1].tobytes() == want.reshape(-1).tobytes()
+    if np.unique(values).size == 1:
+        assert scalars[1] == 1.0 and not np.signbit(z).any() and (z == 0.0).all()
+
+
+def _bits(*xs):
+    return np.array(xs, dtype=np.float64).tobytes()
+
+
+def _numpy_scalars(values):
+    data = np.asarray(values, dtype=np.float64)
+    std = float(data.std())
+    return float(data.mean()), (std if std != 0.0 else 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    arrays(
+        np.float32,
+        array_shapes(min_dims=3, max_dims=3, max_side=24),
+        elements=st.floats(-1e6, 1e6, width=32),
+    )
+)
+def test_zscore_scalars_are_numpy_mean_and_std_bit_for_bit(values):
+    assert _bits(*zscore_scalars(values)) == _bits(*_numpy_scalars(values))
+
+
+@pytest.mark.parametrize("shape", [(64, 64, 64), (37, 129, 5), (1, 1, 1), (3, 1, 1031)], ids=str)
+def test_zscore_scalars_match_numpy_on_large_volumes(shape):
+    # sizes past numpy's pairwise-summation blocks, so the sums' order matters
+    rng = np.random.default_rng(list(shape))
+    for values in (rng.normal(size=shape) * 7.0 + 3.0, rng.gamma(0.5, size=shape) * 1e3):
+        values = values.astype(np.float32)
+        assert _bits(*zscore_scalars(values)) == _bits(*_numpy_scalars(values))
+
+
+_SLAB_SHAPES = [
+    (13, 17, 23),  # ragged on every axis for p > 1
+    (16, 16, 16),
+    (1, 12, 10),   # depth 1: no d-gradient
+    (2, 9, 7),     # depth 2: one-sided d-gradient on both planes
+    (5, 3, 11),    # a patch larger than an extent
+    (9, 2, 1),
+    (7, 7, 7),
+]
+
+
+@pytest.mark.parametrize("patch", [2, 3, 4, 8])
+@pytest.mark.parametrize("shape", _SLAB_SHAPES, ids=str)
+def test_slabbed_grid_byte_equal_to_whole_volume(shape, patch):
+    rng = np.random.default_rng([*shape, patch, 1])
+    for data in (rng.normal(size=shape) * 3.0 + 1.0, np.full(shape, 7.25)):
+        for include_position in (True, False):
+            vol = _vol(data)
+            params = EncoderParams(patch_size=patch, include_position=include_position)
+            grid = extract_feature_grid(vol, params)
+            want = extract_grid_whole_volume_oracle(vol, params)
+            assert grid.grid_shape == want.grid_shape
+            assert grid.patch_size == want.patch_size
+            assert grid.data.tobytes() == want.data.tobytes()
+
+
+def _extraction_peak_per_voxel(vol, params, scalars=None) -> float:
+    tracemalloc.start()
+    try:
+        extract_feature_grid(vol, params, scalars)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / vol.shape.voxels
+
+
+def test_extraction_builds_no_whole_volume_array():
+    # the scalar pass's float64 cast (8 bytes per voxel) is the only
+    # whole-volume array; a whole-volume z plus one blocked copy and one
+    # gradient peaks at 24.5.  With the scalars passed in, what is left is
+    # the grid and one row's arrays, about (p + 2) / 64 of the volume each
+    # (4.1 here); one whole-volume float64 array would add 8.
+    vol = _vol(np.random.default_rng(64).normal(size=(64, 64, 64)))
+    params = EncoderParams(patch_size=4)
+    assert _extraction_peak_per_voxel(vol, params) <= 10.0
+    assert _extraction_peak_per_voxel(vol, params, zscore_scalars(vol.data)) <= 6.0
 
 
 def test_extract_16_cubed_patch_8_mean_channel():

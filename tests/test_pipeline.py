@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import tracemalloc
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -676,10 +677,43 @@ def test_stale_validation_cache_refused(dataset, tmp_path):
 
 def test_context_holds_factorized_features(dataset, tmp_path):
     ctx = build_context(_config(dataset, tmp_path / "run"))
-    for vol_id, feats in ctx.features.items():
-        grid = ctx.grids[vol_id]
+    for entry in ctx.manifest.entries:
+        feats, grid = ctx.features[entry.vol_id], ctx.grids[entry.vol_id]
         assert feats.cells.shape == (grid.grid_shape.voxels, grid.channels)
-        assert feats.z.shape == (feats.shape.voxels,) and feats.z.dtype == np.float64
+        # the per-voxel array is the float32 intensities, not a float64 z
+        assert feats.values.shape == (feats.shape.voxels,) and feats.values.dtype == np.float32
+        vol = load_array(ctx.manifest.resolve(entry.intensity), IntensityVolume)
+        assert feats.values.tobytes() == vol.data.tobytes()
+        assert (feats.offset, feats.scale) == encoder_mod.zscore_scalars(vol.data)
+
+
+def test_context_keeps_four_bytes_per_voxel(tmp_path):
+    # per volume: the float32 intensities (4 bytes per voxel), the cell table
+    # (12 float64 per 8^3 cell, 0.19) and the float32 grid (0.09); a float64
+    # z volume would add 8.  The template's uint8 label is not counted.
+    spec = PhantomSpec(
+        num_volumes=4,
+        shape=Shape3(48, 48, 48),
+        num_classes=2,
+        classes=(ClassShape(center=(0.5, 0.5, 0.5), radii=(8.0, 8.0, 8.0)),),
+        seed=22,
+    )
+    generate(spec, tmp_path / "data")
+    config = PipelineConfig(
+        manifest_path=tmp_path / "data" / "manifest.json",
+        out_dir=tmp_path / "run",
+        encoder=EncoderParams(patch_size=8),
+    )
+    for extract_allowed in (True, False):  # round 0, then a later round's reload
+        tracemalloc.start()
+        try:
+            ctx = build_context(config, extract_allowed)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        voxels = sum(f.n_voxels for f in ctx.features.values())
+        assert (kept - ctx.labeled_gt.data.nbytes) / voxels <= 4.5
+        del ctx
 
 
 def test_zscore_once_per_volume_per_context(dataset, tmp_path, monkeypatch):
@@ -694,15 +728,15 @@ def test_zscore_once_per_volume_per_context(dataset, tmp_path, monkeypatch):
     generate(spec, val_dir, all_labeled=True)
     config = _config(dataset, tmp_path / "run", val_manifest_path=val_dir / "manifest.json")
     calls = []
-    real = encoder_mod.zscore
+    real = encoder_mod.zscore_scalars
 
-    def zscore(data):
+    def zscore_scalars(data):
         calls.append(data.shape)
         return real(data)
 
-    monkeypatch.setattr(encoder_mod, "zscore", zscore)
-    monkeypatch.setattr(specialist, "zscore", zscore)
-    # round 0: the encoder and the voxel features share one z-score per volume
+    monkeypatch.setattr(encoder_mod, "zscore_scalars", zscore_scalars)
+    monkeypatch.setattr(specialist, "zscore_scalars", zscore_scalars)
+    # round 0: the encoder and the voxel features share one scalar pass per volume
     calls_before = encoder_mod.extract_call_count()
     build_context(config)
     assert encoder_mod.extract_call_count() - calls_before == 6

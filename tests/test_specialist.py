@@ -53,14 +53,22 @@ def _factorized(vol, grid):
 
 
 def _rows_data(name, rows):
-    """An arbitrary (n, F) feature matrix as factorized data: one voxel per cell."""
+    """An (n, F) feature matrix as factorized data: one voxel per cell.
+
+    The last column is the intensity, taken with offset 0 and scale 1, so it
+    must hold float32 values for the rows to come back unchanged.
+    """
     n = len(rows)
+    values = rows[:, -1].astype(np.float32)
+    assert (values == rows[:, -1]).all(), "intensity column is not float32-valued"
     return TrainVolumeData(
         vol_id=name,
         shape=Shape3(n, 1, 1),
         grid_shape=Shape3(n, 1, 1),
         cells=rows[:, :-1],
-        z=rows[:, -1],
+        values=values,
+        offset=0.0,
+        scale=1.0,
     )
 
 
@@ -329,7 +337,7 @@ def _separable_assets(rng, n=64, noise=0.05):
     def vol_data(name):
         y = rng.integers(0, 2, size=n)
         base = np.where(y[:, None] == 1, 1.0, -1.0)
-        extra = rng.normal(scale=noise, size=(n, 2))
+        extra = rng.normal(scale=noise, size=(n, 2)).astype(np.float32)
         return _rows_data(name, np.hstack([base, extra])), y
 
     labeled, labeled_y = vol_data("t")
@@ -420,8 +428,9 @@ def _oracle_assets(num_classes, with_validation, seed=90):
         grid_shape = tuple(-(-s // 3) for s in shape)
         data = _factorized(_vol(rng.normal(size=shape)), _grid(rng.normal(size=(4,) + grid_shape)))
         data = replace(data, vol_id=name)
-        cuts = np.quantile(data.z, np.linspace(0, 1, num_classes + 1)[1:-1])
-        return data, np.digitize(data.z, cuts).astype(np.uint8)
+        z = data.z(slice(None))
+        cuts = np.quantile(z, np.linspace(0, 1, num_classes + 1)[1:-1])
+        return data, np.digitize(z, cuts).astype(np.uint8)
 
     labeled, labeled_y = volume("t", (6, 7, 5))
     pool = [volume(f"u{i}", shape) for i, shape in enumerate([(5, 6, 7), (7, 5, 6), (6, 6, 6)])]
@@ -598,10 +607,41 @@ def test_infer_validation():
 
 
 def test_factorized_data_validation():
+    shape, grid_shape, cells = Shape3(2, 2, 2), Shape3(1, 1, 1), np.zeros((1, 3))
+    values = np.zeros(8, dtype=np.float32)
     with pytest.raises(ValueError, match="cell table"):
-        TrainVolumeData("v", Shape3(2, 2, 2), Shape3(1, 1, 2), np.zeros((1, 3)), np.zeros(8))
-    with pytest.raises(ValueError, match="z volume"):
-        TrainVolumeData("v", Shape3(2, 2, 2), Shape3(1, 1, 1), np.zeros((1, 3)), np.zeros(7))
+        TrainVolumeData("v", shape, Shape3(1, 1, 2), cells, values, 0.0, 1.0)
+    with pytest.raises(ValueError, match="intensity volume has 7 voxels"):
+        TrainVolumeData("v", shape, grid_shape, cells, values[:7], 0.0, 1.0)
+    with pytest.raises(ValueError, match="expected float32"):
+        TrainVolumeData("v", shape, grid_shape, cells, np.zeros(8), 0.0, 1.0)
+    for offset, scale in ((0.0, 0.0), (np.nan, 1.0), (0.0, np.inf)):
+        with pytest.raises(ValueError, match="z-score scalars"):
+            TrainVolumeData("v", shape, grid_shape, cells, values, offset, scale)
+
+
+@pytest.mark.parametrize("value", [9.0, 0.1, -3.3e-7])
+def test_constant_volume_gives_positive_zero_z(value, monkeypatch):
+    # the whole-volume z-score of a constant volume is all +0.0, and so is
+    # every z the factorized data computes: in rows() and in infer's slabs
+    monkeypatch.setattr(specialist, "_SLAB_VOXELS", 40)
+    rng = np.random.default_rng(54)
+    vol = _vol(np.full((5, 6, 7), value))
+    grid = _grid(rng.normal(size=(2, 2, 2, 3)).astype(np.float32))
+    data = _factorized(vol, grid)
+    assert data.scale == 1.0
+    dense = build_feature_matrix(vol, grid)
+    assert dense[:, -1].tobytes() == np.zeros(vol.shape.voxels).tobytes()
+    assert data.rows(np.arange(data.n_voxels)).tobytes() == dense.tobytes()
+    assert data.z(slice(None)).tobytes() == dense[:, -1].tobytes()
+    # with every z zero, the intensity weight changes no label and no entropy bit
+    weights, bias = rng.normal(size=(3, 3)), rng.normal(size=3)
+    labels, entropy = infer(SpecialistParams(weights, bias), data)
+    no_intensity = SpecialistParams(np.hstack([weights[:, :-1], np.zeros((3, 1))]), bias)
+    want_labels, want_entropy = infer(no_intensity, data)
+    assert labels.data.tobytes() == want_labels.data.tobytes() and entropy == want_entropy
+    probs = forward(no_intensity, dense)
+    assert (labels.data.reshape(-1) == np.argmax(probs, axis=1)).all()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from protoloop.volume import (
     load_manifest,
     nearest_axis_indices,
     nearest_resample_labels,
+    read_blob,
     save_array,
     save_manifest,
     write_blob,
@@ -82,6 +84,40 @@ def test_round_trip_intensity_bit_identical(tmp_path):
     save_array(vol, tmp_path / "v.vxar")
     back = load_array(tmp_path / "v.vxar")
     assert back.data.tobytes() == vol.data.tobytes()
+
+
+@pytest.mark.parametrize("header_pad", [0, 1, 3])
+def test_read_blob_payload_is_a_view_of_the_file_bytes(tmp_path, header_pad):
+    # the header length varies the payload's offset, so its alignment is arbitrary
+    path = tmp_path / "b.vxar"
+    header = {"dtype": "f32", "shape": [2, 3, 4], "order": "row-major", "note": "x" * header_pad}
+    payload = np.arange(24, dtype="<f4").tobytes()
+    write_blob(path, header, payload)
+    got_header, got = read_blob(path)
+    assert got_header == header
+    assert isinstance(got, memoryview) and got.readonly and got.obj is not None
+    assert got.tobytes() == payload and len(got) == len(payload)
+    back = load_array(path, IntensityVolume)
+    assert back.data.tobytes() == payload and back.data.flags.c_contiguous
+
+
+def test_load_array_copies_the_payload_once(tmp_path, monkeypatch):
+    # with the file's bytes already read, loading allocates the array (and the
+    # finiteness check's bool mask, a quarter of it): 1.25 payloads here.
+    # Slicing the payload out of the file bytes first made it 2.25.
+    data = np.random.default_rng(3).normal(size=(32, 32, 64)).astype(np.float32)
+    path = tmp_path / "v.vxar"
+    save_array(IntensityVolume(Shape3(*data.shape), data), path)
+    raw = path.read_bytes()
+    monkeypatch.setattr(type(path), "read_bytes", lambda self: raw)
+    tracemalloc.start()
+    try:
+        back = load_array(path, IntensityVolume)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.data.tobytes() == data.tobytes()
+    assert peak < 1.5 * data.nbytes
 
 
 def test_round_trip_labels(tmp_path):
