@@ -3,6 +3,13 @@
 Distances are Euclidean between voxel centers, in voxel units.  Degenerate
 cases (empty masks, empty surfaces) are flagged rather than silently zeroed;
 empty-surface distances use the volume diagonal as a sentinel.
+
+``scipy.spatial`` is imported inside :func:`_directed_distances`, the one
+function that uses it, not at module import: it loads scipy's sparse and
+linear-algebra packages and a second OpenBLAS, which would add tens of MB of
+resident memory and a large share of the start-up time to every process,
+while only the surface distances of ``protoloop eval`` need it.  The Dice
+scores a pipeline run computes are numpy only.
 """
 from __future__ import annotations
 
@@ -10,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .volume import LabelVolume
 
@@ -92,6 +98,9 @@ def surface_voxels(mask: np.ndarray) -> np.ndarray:
 
 def _directed_distances(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Distance from each src surface voxel to its nearest dst surface voxel."""
+    # deferred so that importing protoloop, and any pipeline run, loads no scipy
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(dst)
     dist, _ = tree.query(src, k=1)
     return np.asarray(dist, dtype=np.float64)

@@ -183,7 +183,9 @@ def generate(
         means = np.array(
             [spec.background_mean] + [cs.intensity_mean for cs in spec.classes]
         )
-        intensity = means[label_data] + rng.normal(0.0, sigma, size=label_data.shape)
+        # noise + means is means + noise bit for bit, without a third volume
+        intensity = rng.normal(0.0, sigma, size=label_data.shape)
+        intensity += means[label_data]
 
         vol = IntensityVolume(spec.shape, intensity.astype(np.float32))
         labels = LabelVolume(spec.shape, spec.num_classes, label_data)

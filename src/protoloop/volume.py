@@ -76,6 +76,14 @@ class Shape3:
         return float(np.sqrt(self.d**2 + self.h**2 + self.w**2))
 
 
+def _all_finite(data: np.ndarray) -> bool:
+    """No NaN or +-inf in a non-empty float array, checked without a bool mask.
+
+    A NaN propagates through ``min`` and ``max``, and an infinity is an extreme.
+    """
+    return bool(np.isfinite(data.min()) and np.isfinite(data.max()))
+
+
 def _finalize(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr)
     out.setflags(write=False)
@@ -91,7 +99,7 @@ class IntensityVolume:
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float32).reshape(self.shape.as_tuple())
-        if not np.isfinite(data).all():
+        if not _all_finite(data):
             raise ValueError("intensity data contains non-finite values")
         object.__setattr__(self, "data", _finalize(data))
 
@@ -137,7 +145,7 @@ class FeatureGrid:
         data = np.asarray(self.data, dtype=np.float32).reshape(
             (self.channels,) + self.grid_shape.as_tuple()
         )
-        if not np.isfinite(data).all():
+        if not _all_finite(data):
             raise ValueError("feature grid contains non-finite values")
         object.__setattr__(self, "data", _finalize(data))
         if self.patch_size is not None:
@@ -150,8 +158,12 @@ class FeatureGrid:
 # ---------------------------------------------------------------------------
 # binary array files
 
-def write_blob(path: str | Path, header: dict, payload: bytes) -> None:
-    """Write one magic + JSON header + payload file. Canonical key order."""
+def write_blob(path: str | Path, header: dict, payload: bytes | np.ndarray) -> None:
+    """Write one magic + JSON header + payload file. Canonical key order.
+
+    An array payload must be C-contiguous; its buffer is written as it is,
+    without a copy.
+    """
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -196,7 +208,7 @@ def save_array(array, path: str | Path) -> None:
     """Persist a typed array; the header records dtype, shape, and kind-specific keys."""
     if isinstance(array, IntensityVolume):
         header = {"dtype": "f32", "shape": list(array.shape.as_tuple()), "order": "row-major"}
-        payload = array.data.astype("<f4").tobytes()
+        payload = np.ascontiguousarray(array.data, dtype="<f4")
     elif isinstance(array, LabelVolume):
         header = {
             "dtype": "u8",
@@ -204,7 +216,7 @@ def save_array(array, path: str | Path) -> None:
             "order": "row-major",
             "num_classes": array.num_classes,
         }
-        payload = array.data.tobytes()
+        payload = array.data
     elif isinstance(array, FeatureGrid):
         header = {
             "dtype": "f32",
@@ -214,7 +226,7 @@ def save_array(array, path: str | Path) -> None:
         }
         if array.patch_size is not None:
             header["patch_size"] = list(array.patch_size)
-        payload = array.data.astype("<f4").tobytes()
+        payload = np.ascontiguousarray(array.data, dtype="<f4")
     else:
         raise TypeError(f"cannot save object of type {type(array).__name__}")
     write_blob(path, header, payload)

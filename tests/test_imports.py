@@ -9,10 +9,17 @@ graph has no cycle hidden behind a deferred import; every ``load_array``
 call outside ``volume.py`` names the array kind the file must hold; and no
 string literal outside ``pipeline.py`` names a file of the run directory's
 layout, which ``pipeline`` alone knows.
+
+A fresh interpreter that imports the package and runs a pipeline loads no
+scipy module; only a surface distance loads ``scipy.spatial``.
 """
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -141,3 +148,44 @@ def test_only_pipeline_names_run_directory_files():
         if p.name != "pipeline.py"
     }
     assert {path: lines for path, lines in found.items() if lines} == {}
+
+
+SCIPY_PROBE = """
+import json, sys
+from pathlib import Path
+
+import protoloop
+import protoloop.cli
+from protoloop import EncoderParams, PhantomSpec, PipelineConfig, Shape3, TrainConfig
+from protoloop import evaluate_pair, generate, run_pipeline
+from protoloop.phantom import ClassShape
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+out = Path(sys.argv[1])
+spec = PhantomSpec(5, Shape3(16, 16, 16), 2, (ClassShape(radii=(4.5, 4.5, 4.5)),), seed=5)
+_, truth = generate(spec, out / "data")
+states = run_pipeline(PipelineConfig(
+    out / "data" / "manifest.json", out / "run", rounds=1,
+    encoder=EncoderParams(patch_size=4), train=TrainConfig(iterations=20, batch_voxels=64),
+    knn=2, q_unc=0.5,
+))
+after_run = scipy_modules()
+vol_id, label = sorted(states[-1].labels.items())[0]
+evaluate_pair(label, truth[vol_id])
+print(json.dumps({"after_run": after_run, "after_eval": scipy_modules()}))
+"""
+
+
+def test_runs_load_scipy_only_for_surface_distances(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert loaded["after_run"] == []
+    assert "scipy.spatial" in loaded["after_eval"]
