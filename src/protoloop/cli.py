@@ -1,5 +1,8 @@
 """Command-line front end: one orchestrator process, explicit subcommands.
 
+``init`` and ``run`` take the same flags, every run setting, and record them in
+the run directory; ``round --prev <run>/round_<r-1>`` runs round r from them alone.
+
 Exit codes: 0 success, 1 validation/usage error, 2 runtime failure.  Every
 writing command refuses to overwrite existing outputs unless --force is
 given.
@@ -49,13 +52,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_encoder_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--patch", type=int, default=8, help="patch size in voxels (default 8)")
+    p.add_argument("--patch", type=int, default=EncoderParams.patch_size,
+                   help="patch size in voxels (default %(default)s)")
     p.add_argument(
         "--no-position", action="store_true", help="drop the positional feature channels"
     )
-    p.add_argument(
-        "--position-weight", type=float, default=0.25, help="positional channel scale"
-    )
+    p.add_argument("--position-weight", type=float, default=EncoderParams.position_weight,
+                   help="positional channel scale (default %(default)s)")
 
 
 def _encoder_params(args) -> EncoderParams:
@@ -67,37 +70,37 @@ def _encoder_params(args) -> EncoderParams:
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """Every run setting, with the library's defaults, so ``init`` records what ``run`` does."""
     p.add_argument("--manifest", required=True, help="dataset manifest JSON")
     p.add_argument("--out", required=True, help="run output directory")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
     p.add_argument("--truth", default=None, help="ground-truth label dir (quality tracking)")
+    p.add_argument("--val-manifest", default=None, help="labeled manifest for model selection")
+    p.add_argument("--no-refine", action="store_true", help="disable pseudo-label refinement")
+    for flag, kind, default, text in (
+        ("--k", int, PipelineConfig.knn, "refinement neighbors"),
+        ("--q-unc", float, PipelineConfig.q_unc, "certainty quantile"),
+        ("--iters", int, TrainConfig.iterations, "training iterations per round"),
+        ("--batch", int, TrainConfig.batch_voxels, "voxels per training batch"),
+    ):
+        p.add_argument(flag, type=kind, default=default, help=f"{text} (default %(default)s)")
     p.add_argument("--force", action="store_true", help="overwrite existing outputs")
     _add_encoder_flags(p)
 
 
-def _given(args, name: str, default):
-    """``args.<name>`` if the command has that flag and it was given (zero too), else ``default``."""
-    value = getattr(args, name, None)
-    return default if value is None else value
-
-
-def _pipeline_config(args, rounds: int, refine: bool = True) -> PipelineConfig:
-    train = TrainConfig(
-        iterations=_given(args, "iters", TrainConfig.iterations),
-        batch_voxels=_given(args, "batch", TrainConfig.batch_voxels),
-    )
+def _pipeline_config(args, rounds: int) -> PipelineConfig:
     return PipelineConfig(
-        manifest_path=Path(args.manifest),
-        out_dir=Path(args.out),
+        manifest_path=args.manifest,
+        out_dir=args.out,
         rounds=rounds,
         encoder=_encoder_params(args),
-        train=train,
-        knn=_given(args, "k", PipelineConfig.knn),
-        q_unc=_given(args, "q_unc", PipelineConfig.q_unc),
+        train=TrainConfig(iterations=args.iters, batch_voxels=args.batch),
+        knn=args.k,
+        q_unc=args.q_unc,
         seed=args.seed,
-        refine=refine,
-        val_manifest_path=Path(args.val_manifest) if getattr(args, "val_manifest", None) else None,
-        truth_dir=Path(args.truth) if args.truth else None,
+        refine=not args.no_refine,
+        val_manifest_path=args.val_manifest,
+        truth_dir=args.truth,
         force=args.force,
     )
 
@@ -144,7 +147,7 @@ def _cmd_init(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = _pipeline_config(args, rounds=args.rounds, refine=not args.no_refine)
+    config = _pipeline_config(args, rounds=args.rounds)
     states = run_pipeline(config)
     last = states[-1]
     dice = "" if last.pseudo_label_dice is None else f", dice {last.pseudo_label_dice:.4f}"
@@ -155,15 +158,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_round(args) -> int:
     run_dir, prev_index = parse_round_dir(args.prev)
-    if prev_index != args.r - 1:
-        raise ValueError(
-            f"--prev {args.prev} is round {prev_index}; round {args.r} follows round {args.r - 1}"
-        )
     config = load_run_config(run_dir, force=args.force)
-    prev = load_round_state(config.out_dir, prev_index)
-    state = run_round(config, args.r, prev)
-    print(f"round {args.r} complete; {len(state.partition.uncertain)} uncertain samples refined"
-          if state.refined else f"round {args.r} complete (refinement disabled)")
+    r = prev_index + 1
+    state = run_round(config, r, load_round_state(config.out_dir, prev_index))
+    print(f"round {r} complete; {len(state.partition.uncertain)} uncertain samples refined"
+          if state.refined else f"round {r} complete (refinement disabled)")
     return 0
 
 
@@ -337,17 +336,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("run", help="run the full pipeline: round 0 through round R")
     _add_run_flags(p)
-    p.add_argument("--rounds", type=int, default=3)
-    p.add_argument("--no-refine", action="store_true", help="disable pseudo-label refinement")
-    p.add_argument("--k", type=int, default=None, help="refinement neighbors (default 5)")
-    p.add_argument("--q-unc", type=float, default=None, help="certainty quantile (default 0.9)")
-    p.add_argument("--iters", type=int, default=None, help="training iterations per round")
-    p.add_argument("--batch", type=int, default=None, help="voxels per training batch")
-    p.add_argument("--val-manifest", default=None, help="labeled manifest for model selection")
+    p.add_argument("--rounds", type=int, default=PipelineConfig.rounds)
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("round", help="run one more round on an existing run directory")
-    p.add_argument("--r", type=int, required=True)
+    p = sub.add_parser("round", help="run the round after --prev on its run directory")
     p.add_argument("--prev", required=True, help="previous round directory (round_<r-1>)")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_round)

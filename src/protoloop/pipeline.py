@@ -94,12 +94,11 @@ class PipelineConfig:
     force: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "manifest_path", Path(self.manifest_path))
+        # input paths are made absolute once, so config.json resolves from any directory
+        for name in ("manifest_path", "val_manifest_path", "truth_dir"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, Path(getattr(self, name)).absolute())
         object.__setattr__(self, "out_dir", Path(self.out_dir))
-        if self.val_manifest_path is not None:
-            object.__setattr__(self, "val_manifest_path", Path(self.val_manifest_path))
-        if self.truth_dir is not None:
-            object.__setattr__(self, "truth_dir", Path(self.truth_dir))
         if self.rounds < 1:
             raise ValueError(f"rounds={self.rounds} must be >= 1")
         if self.knn < 1:
@@ -272,6 +271,7 @@ def build_context(config: PipelineConfig, extract_allowed: bool = True) -> Pipel
     under ``<out>/features`` (validation grids with a ``val.`` prefix), so
     later rounds and resumed processes reload them instead of touching the
     extractor again; ``extract_allowed=False`` makes a missing grid an error.
+    Only a context that may extract writes ``globals.json``; a later one reads it.
     """
     t0 = time.perf_counter()
     manifest, labeled_id, gt, truth = _load_inputs(config)
@@ -282,7 +282,8 @@ def build_context(config: PipelineConfig, extract_allowed: bool = True) -> Pipel
         features[entry.vol_id], grids[entry.vol_id] = _load_entry(
             config, manifest, entry, "", extract_allowed
         )
-    global_features = write_globals(features_dir, grids)
+    encoder_mod.uniform_channel_count(grids)
+    global_features = write_globals(features_dir, grids) if extract_allowed else read_globals(features_dir)
     gt_path = manifest.resolve(manifest.labeled_entry().label)
     _check_label(gt, gt_path, "template", labeled_id, features[labeled_id].shape)
     for vol_id, lab in (truth or {}).items():
@@ -726,7 +727,7 @@ def _clear_run_dir(out_dir: Path) -> None:
 # config.json keys that differ from the PipelineConfig field names
 _DOC_KEYS = {"manifest_path": "manifest", "val_manifest_path": "val_manifest"}
 _NESTED = {"encoder": EncoderParams, "train": TrainConfig}
-_NOT_PERSISTED = {"force"}  # an action of one invocation, not a run setting
+_NOT_PERSISTED = {"force", "out_dir"}  # an action of one invocation; where the run is loaded from
 
 
 def _config_doc(config: PipelineConfig) -> dict:
@@ -748,7 +749,7 @@ def _config_from_doc(doc: dict, out_dir: Path) -> PipelineConfig:
     kwargs = {}
     for f in fields(PipelineConfig):
         key = _DOC_KEYS.get(f.name, f.name)
-        if f.name in _NOT_PERSISTED or f.name == "out_dir" or key not in doc:
+        if f.name in _NOT_PERSISTED or key not in doc:
             continue
         value = doc[key]
         if f.name in _NESTED:

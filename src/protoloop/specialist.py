@@ -36,8 +36,8 @@ import numpy as np
 
 from .encoder import apply_zscore, zscore_scalars
 from .metrics import foreground_dice
-from .volume import FeatureGrid, IntensityVolume, LabelVolume, Shape3, class_argmax
-from .volume import nearest_axis_indices, read_blob, write_blob
+from .volume import ArrayFormatError, FeatureGrid, IntensityVolume, LabelVolume, Shape3
+from .volume import class_argmax, nearest_axis_indices, read_blob, write_blob
 
 __all__ = [
     "SpecialistParams",
@@ -617,10 +617,15 @@ def save_params(
 
 
 def load_params(path) -> tuple[SpecialistParams, dict]:
+    """The inverse of ``save_params``; any other file is an ``ArrayFormatError`` naming it."""
     header, payload = read_blob(path)
-    if header.get("kind") != "specialist-params":
-        raise ValueError(f"{path}: not a parameter file")
-    c, f1 = header["shape"]
-    tensor = np.frombuffer(payload, dtype="<f4").reshape(c, f1).astype(np.float64)
+    shape = header.get("shape")
+    if not (
+        header.get("kind") == "specialist-params" and header.get("dtype") == "f32"
+        and isinstance(shape, list) and len(shape) == 2 and all(type(n) is int and n >= 1 for n in shape)
+        and len(payload) == 4 * shape[0] * shape[1]
+    ):
+        raise ArrayFormatError(f"{path}: not a parameter file (header {header}, {len(payload)} payload bytes)")
+    tensor = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)
     params = SpecialistParams(weights=tensor[:, :-1], bias=tensor[:, -1])
     return params, header

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from protoloop import cli, pipeline, volume
 from protoloop.cli import dispatch
 from protoloop.phantom import ClassShape, PhantomSpec, save_spec
+from protoloop.specialist import load_params
 from protoloop.volume import Shape3
 
 
@@ -52,6 +54,13 @@ def _run_args(dataset, out, *extra):
         "--seed", "7",
         *extra,
     ]
+
+
+def _init_args(dataset, out, *extra):
+    """``_run_args`` for ``init``: every run setting but ``--rounds``."""
+    argv = _run_args(dataset, out, *extra)
+    i = argv.index("--rounds")
+    return ["init", *argv[1:i], *argv[i + 2:]]
 
 
 @pytest.fixture(scope="module")
@@ -286,7 +295,7 @@ def test_threads_flag_is_gone(dataset, tmp_path):
 # round / refine
 
 def test_round_continues_run(dataset, finished_run):
-    argv = ["round", "--r", "2", "--prev", str(finished_run / "round_1")]
+    argv = ["round", "--prev", str(finished_run / "round_1")]
     assert dispatch(argv) == 0
     assert (finished_run / "round_2" / "state.json").exists()
     assert dispatch(argv) == 1  # round_2 now exists
@@ -297,15 +306,78 @@ def test_round_refuses_prev_that_is_not_the_previous_round(dataset, tmp_path, ca
     out = tmp_path / "r"
     assert dispatch(_run_args(dataset, out)) == 0
     before = sorted(p.relative_to(out) for p in out.rglob("*"))
-    for prev, message in (("round_0", "is round 0"), ("features", "not a round directory")):
-        assert dispatch(["round", "--r", "2", "--prev", str(out / prev)]) == 1
-        assert message in capsys.readouterr().err
+    assert dispatch(["round", "--prev", str(out / "features")]) == 1
+    assert "not a round directory" in capsys.readouterr().err
+    # --prev names the round; there is no separate index to contradict it
+    assert dispatch(["round", "--r", "1", "--prev", str(out / "round_0"), "--force"]) == 1
+    assert "unrecognized arguments: --r 1" in capsys.readouterr().err
     assert sorted(p.relative_to(out) for p in out.rglob("*")) == before
 
 
 def test_round_requires_config(tmp_path):
     (tmp_path / "round_0").mkdir()
-    assert dispatch(["round", "--r", "1", "--prev", str(tmp_path / "round_0")]) == 1
+    assert dispatch(["round", "--prev", str(tmp_path / "round_0")]) == 1
+
+
+def _tree(run_dir):
+    """Every file under ``run_dir`` by relative path: bytes, or a ``state.json`` without timings."""
+    files = {}
+    for path in sorted(p for p in run_dir.rglob("*") if p.is_file()):
+        if path.name == "state.json":
+            doc = json.loads(path.read_text())
+            del doc["timings"]
+            files[str(path.relative_to(run_dir))] = doc
+        else:
+            files[str(path.relative_to(run_dir))] = path.read_bytes()
+    return files
+
+
+def test_init_and_rounds_reproduce_run(dataset, tmp_path):
+    # every setting differs from its default, and init records all of them
+    resumed, whole = tmp_path / "resumed", tmp_path / "whole"
+    assert dispatch(_init_args(dataset, resumed)) == 0
+    assert dispatch(["round", "--prev", str(resumed / "round_0")]) == 0
+    assert dispatch(["round", "--prev", f"{resumed / 'round_1'}/"]) == 0
+    assert dispatch(_run_args(dataset, whole, "--rounds", "2")) == 0
+
+    got, want = _tree(resumed), _tree(whole)
+    want.pop("report.json")  # the encoder counts of the `run` process
+    got_config, want_config = json.loads(got.pop("config.json")), json.loads(want.pop("config.json"))
+    assert (got_config.pop("rounds"), want_config.pop("rounds")) == (1, 2)
+    assert got_config == want_config
+    assert want_config["train"]["iterations"] == 60 and want_config["knn"] == 2
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert got[name] == want[name], name
+
+
+def test_a_run_resumes_from_another_directory(dataset, tmp_path, monkeypatch):
+    monkeypatch.chdir(dataset.parent)
+    argv = _init_args(dataset, tmp_path / "run")
+    for flag, name in (("--manifest", "manifest.json"), ("--truth", "truth")):
+        argv[argv.index(flag) + 1] = f"{dataset.name}/{name}"
+    assert dispatch(argv) == 0
+    doc = json.loads((tmp_path / "run" / "config.json").read_text())
+    assert "out_dir" not in doc
+    for key, name in (("manifest", "manifest.json"), ("truth_dir", "truth")):
+        assert Path(doc[key]).is_absolute() and Path(doc[key]).samefile(dataset / name)
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    assert dispatch(["round", "--prev", "../run/round_0"]) == 0
+    assert json.loads((tmp_path / "run" / "round_1" / "state.json").read_text())["pseudo_label_dice"]
+
+
+def test_a_resumed_round_leaves_globals_json_alone(dataset, finished_run, tmp_path):
+    out = tmp_path / "run"
+    assert dispatch(_init_args(dataset, out)) == 0
+    globals_json = out / "features" / "globals.json"
+    before = globals_json.stat()
+    assert dispatch(["round", "--prev", str(out / "round_0")]) == 0
+    after = globals_json.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    # the vote read the global features from globals.json: the audit `run` wrote
+    audit = "round_1/refine_audit.json"
+    assert (out / audit).read_bytes() == (finished_run / audit).read_bytes()
 
 
 def test_refine_command_rewrites_round(dataset, tmp_path):
@@ -352,11 +424,9 @@ def _report_csv(run_dir):
 
 
 def _init_and_round(dataset, out):
-    """A run built the resumable way: ``init``, then ``round --r 1``."""
-    init = ["init", "--manifest", str(dataset / "manifest.json"), "--out", str(out), "--patch", "4",
-            "--truth", str(dataset / "truth")]
-    assert dispatch(init) == 0
-    assert dispatch(["round", "--r", "1", "--prev", str(out / "round_0")]) == 0
+    """A run built the resumable way, with ``_run_args``'s settings: ``init``, then one ``round``."""
+    assert dispatch(_init_args(dataset, out)) == 0
+    assert dispatch(["round", "--prev", str(out / "round_0")]) == 0
 
 
 def test_report_on_a_run_built_by_init_and_round(dataset, tmp_path, capsys):
@@ -396,8 +466,8 @@ def test_report_after_refine_shows_the_rewritten_round(dataset, tmp_path, capsys
     assert pipeline.run_table(out) == _state_rows(out)
     # the encoder counts describe the run process; no rewrite can change them
     assert (out / "report.json").read_bytes() == counts
-    assert dispatch(["round", "--r", "2", "--prev", str(out / "round_1")]) == 0
-    assert dispatch(["round", "--r", "1", "--prev", str(out / "round_0"), "--force"]) == 0
+    assert dispatch(["round", "--prev", str(out / "round_1")]) == 0
+    assert dispatch(["round", "--prev", str(out / "round_0"), "--force"]) == 0
     assert (out / "report.json").read_bytes() == counts
     assert dispatch(["report", "--run", str(out), "--force"]) == 0
     assert [row["round"] for row in _report_csv(out)] == ["0", "1", "2"]
@@ -461,6 +531,26 @@ def test_report_refuses_a_dir_without_rounds(tmp_path, capsys):
     assert not (tmp_path / "report.csv").exists()
 
 
+@pytest.mark.parametrize("case", ["truncated", "no-shape", "u8"])
+def test_refine_refuses_a_malformed_parameter_file_by_name(finished_run, tmp_path, capsys, case):
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    path = run / "round_1" / "params.vxar"
+    header, payload = volume.read_blob(path)
+    payload = bytes(payload)
+    if case == "truncated":
+        payload = payload[:-4]
+    elif case == "no-shape":
+        del header["shape"]
+    else:
+        header["dtype"] = "u8"
+    volume.write_blob(path, header, payload)
+    with pytest.raises(volume.ArrayFormatError, match=re.escape(f"{path}: ")):
+        load_params(path)
+    assert dispatch(["refine", "--round", str(run / "round_1"), "--force"]) == 1
+    assert f"error: {path}: " in capsys.readouterr().err
+
+
 def test_refine_rejects_round0(finished_run):
     assert dispatch(["refine", "--round", str(finished_run / "round_0")]) == 1
 
@@ -519,7 +609,7 @@ def test_round_force_crash_keeps_old_round(dataset, tmp_path, monkeypatch, capsy
     out = tmp_path / "run"
     assert dispatch(_run_args(dataset, out)) == 0
     before = _files(out / "round_1")
-    argv = ["round", "--r", "1", "--prev", str(out / "round_0"), "--force"]
+    argv = ["round", "--prev", str(out / "round_0"), "--force"]
     _crash_after(monkeypatch, n)
     assert dispatch(argv) == 2
     assert "_Crash" in capsys.readouterr().err
@@ -554,8 +644,8 @@ def test_refine_force_crash_keeps_old_round(dataset, tmp_path, monkeypatch, caps
 @pytest.mark.parametrize(
     "argv, code",
     [
-        (["round", "--r", "2", "--prev", "{out}/round_1"], 0),
-        (["round", "--r", "1", "--prev", "{out}/round_0"], 1),  # round 1 exists again: needs --force
+        (["round", "--prev", "{out}/round_1"], 0),
+        (["round", "--prev", "{out}/round_0"], 1),  # round 1 exists again: needs --force
         (["report", "--run", "{out}"], 0),
     ],
     ids=["next-round", "rewrite", "report"],
@@ -572,7 +662,7 @@ def test_crash_between_the_renames_restores_the_old_round(dataset, tmp_path, mon
         real(src, dst)
 
     monkeypatch.setattr(pipeline.os, "replace", replace)
-    assert dispatch(["round", "--r", "1", "--prev", str(out / "round_0"), "--force"]) == 2
+    assert dispatch(["round", "--prev", str(out / "round_0"), "--force"]) == 2
     monkeypatch.undo()
     rounds = sorted(p.name for p in out.iterdir() if p.name.startswith("round_"))
     assert rounds == ["round_0", "round_1.old", "round_1.tmp"]

@@ -160,6 +160,11 @@ def test_round0_exact_on_ingested_orthogonal_features(tmp_path):
     # config (patch 4, 11 channels) and are still reused: they are not stale
     ctx = build_context(config, extract_allowed=False)
     assert ctx.grids["vol_b"].patch_size == (2, 2, 2)
+    # a later context reads globals.json, and still refuses grids of unequal channel counts
+    grid = FeatureGrid(channels=3, grid_shape=Shape3(2, 2, 2), data=np.zeros((3, 2, 2, 2), np.float32))
+    save_array(grid, tmp_path / "run" / "features" / "vol_b.features.vxar")
+    with pytest.raises(ValueError, match="channel"):
+        build_context(config, extract_allowed=False)
 
 
 def test_round0_perfect_on_noiseless_clones(tmp_path):
@@ -775,23 +780,25 @@ def test_config_doc_round_trips_every_field(tmp_path):
         else:
             assert value != default, f.name
     doc = json.loads(json.dumps(_config_doc(config)))
-    assert "force" not in doc
+    assert "force" not in doc and "out_dir" not in doc
     assert _config_from_doc(doc, config.out_dir) == config
     del doc["manifest"]
     with pytest.raises(ValueError, match="manifest"):
         _config_from_doc(doc, config.out_dir)
 
 
-def test_previous_config_format_loads_and_resumes(dataset, main_run, tmp_path):
-    """A config.json of the earlier format, with window/stride keys, still resumes."""
+def test_previous_config_format_loads_and_resumes(dataset, main_run, tmp_path, monkeypatch):
+    """A config.json of an earlier format still resumes: window/stride keys, an
+    ``out_dir`` key, and input paths relative to the directory it is loaded from."""
     states, out = main_run
     resumed = tmp_path / "resumed"
     resumed.mkdir()
     shutil.copytree(out / "features", resumed / "features")
     shutil.copytree(out / "round_0", resumed / "round_0")
+    monkeypatch.chdir(dataset.parent)
     doc = {
-        "manifest": str(dataset / "manifest.json"),
-        "out_dir": str(resumed),
+        "manifest": f"{dataset.name}/manifest.json",
+        "out_dir": "elsewhere",
         "rounds": 2,
         "encoder": {"patch_size": 4, "include_position": True, "position_weight": 0.25},
         "train": {
@@ -808,7 +815,7 @@ def test_previous_config_format_loads_and_resumes(dataset, main_run, tmp_path):
         "stride": 3,
         "threads": 1,
         "val_manifest": None,
-        "truth_dir": str(dataset / "truth"),
+        "truth_dir": f"{dataset.name}/truth",
     }
     (resumed / "config.json").write_text(json.dumps(doc))
     config = load_run_config(resumed)
