@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .encoder import EncoderParams
+from .encoder import EncoderParams, global_feature, uniform_channel_count
 from .metrics import evaluate_pair, format_table, summarize_reports
 from .phantom import generate, load_spec
 from .pipeline import (
@@ -132,7 +132,8 @@ def _cmd_encode(args) -> int:
             target.unlink()  # encode always makes a fresh grid
         vol = load_array(manifest.resolve(entry.intensity), IntensityVolume)
         grids[entry.vol_id] = entry_grid(entry, manifest, vol, params, target)
-    write_globals(out, grids)
+    uniform_channel_count(grids)
+    write_globals(out, {vol_id: global_feature(grid) for vol_id, grid in grids.items()})
     print(f"encoded {len(grids)} volumes into {out}")
     return 0
 
@@ -148,8 +149,7 @@ def _cmd_init(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _pipeline_config(args, rounds=args.rounds)
-    states = run_pipeline(config)
-    last = states[-1]
+    last = run_pipeline(config)
     dice = "" if last.pseudo_label_dice is None else f", dice {last.pseudo_label_dice:.4f}"
     print(f"completed rounds 0..{last.round_index}{dice}; "
           f"`protoloop report --run {config.out_dir}` tabulates them")

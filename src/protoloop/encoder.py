@@ -278,7 +278,11 @@ def ingest_external_features(path, vol_shape: Shape3) -> FeatureGrid:
 
 
 def uniform_channel_count(grids: dict[str, FeatureGrid]) -> int:
-    """The single channel count shared by all grids; raises on a mismatch."""
+    """The single channel count shared by all grids; raises on a mismatch.
+
+    Any value with a ``channels`` count will do, such as the voxel features
+    that hold a grid's values.
+    """
     if not grids:
         raise ValueError("no feature grids")
     counts = {g.channels for g in grids.values()}

@@ -3,10 +3,14 @@
 Features are extracted (or ingested) exactly once, persisted under the run
 directory, and reused by every later round; after the initial round the raw
 volumes are never re-encoded, which is asserted via the extractor call
-counter.  Per volume the pipeline keeps the feature grid plus the float32
-intensities and their two z-score scalars (4 bytes per voxel); z is computed
-where it is used, per-voxel feature rows are never materialized, and
-inference covers each whole volume with no windowing.  ``_persist_round``
+counter.  Per volume a context keeps one float32 cell table (the feature
+grid's values, transposed) plus the float32 intensities and their two z-score
+scalars: 4 + 4 C / p^3 bytes per voxel, 4.69 at patch 4 and 4.09 at patch 8
+with the built-in encoder's 11 channels.  Round 0 rebuilds each grid from its
+table when it needs it, one volume at a time.  z is computed where it is
+used, per-voxel feature rows are never materialized, inference covers each
+whole volume with no windowing, and ``run_pipeline`` keeps only the previous
+round's labels while a round runs.  ``_persist_round``
 is the one writer of a round directory: it writes the whole round under a
 temp name and renames it into place, so a crash never corrupts a persisted
 round, and a round replaced by ``run_round`` (with ``force``) or
@@ -54,7 +58,7 @@ from .volume import (
     VolumeEntry,
     load_array,
     load_manifest,
-    read_blob,
+    read_header,
     save_array,
 )
 
@@ -176,13 +180,11 @@ def _load_cached_grid(path: Path, entry, encoder: EncoderParams) -> FeatureGrid:
     return grid
 
 
-def write_globals(features_dir: Path, grids: dict[str, FeatureGrid]) -> dict[str, GlobalFeature]:
-    """Global features of ``grids``, by sorted id, also written to ``globals.json``.
-
-    Raises when the grids do not share one channel count.
-    """
-    encoder_mod.uniform_channel_count(grids)
-    out = {vol_id: global_feature(grids[vol_id]) for vol_id in sorted(grids)}
+def write_globals(
+    features_dir: Path, global_features: dict[str, GlobalFeature]
+) -> dict[str, GlobalFeature]:
+    """``global_features`` by sorted id, also written to ``globals.json``."""
+    out = {vol_id: global_features[vol_id] for vol_id in sorted(global_features)}
     doc = {
         vol_id: {"vector": [float(x) for x in gf.vector], "degenerate": gf.degenerate}
         for vol_id, gf in out.items()
@@ -211,9 +213,10 @@ def _load_entry(
 
     The z-score scalars of the intensity volume are computed once; the
     encoder, when it runs, and the voxel features share them.  The grid comes
-    from ``entry_grid`` at ``features/<prefix><id>.features.vxar``.  Only the
-    float32 intensities are kept; no whole-volume float64 array outlives the
-    scalar pass.
+    from ``entry_grid`` at ``features/<prefix><id>.features.vxar``; the voxel
+    features hold its values as their cell table, so the caller need not keep
+    it.  Only the float32 intensities are kept; no whole-volume float64 array
+    outlives the scalar pass.
     """
     vol = load_array(manifest.resolve(entry.intensity), IntensityVolume)
     scalars = encoder_mod.zscore_scalars(vol.data)
@@ -230,7 +233,7 @@ def _load_label(path: Path, num_classes: int) -> LabelVolume:
     lab = load_array(path, LabelVolume)
     if lab.num_classes == num_classes:
         return lab
-    if lab.num_classes > num_classes or "num_classes" in read_blob(path)[0]:
+    if lab.num_classes > num_classes or "num_classes" in read_header(path):
         raise ValueError(f"{path}: label has {lab.num_classes} classes, manifest says {num_classes}")
     return LabelVolume(lab.shape, num_classes, lab.data)
 
@@ -250,12 +253,14 @@ def _truth_path(config: PipelineConfig, vol_id: str) -> Path:
 
 @dataclass
 class PipelineContext:
-    """Loaded inputs shared by all rounds of one run."""
+    """Loaded inputs shared by all rounds of one run.
+
+    No feature grid is kept: each volume's ``features`` hold its grid's values.
+    """
 
     config: PipelineConfig
     manifest: DatasetManifest
     features: dict[str, TrainVolumeData]
-    grids: dict[str, FeatureGrid]
     global_features: dict[str, GlobalFeature]
     labeled_id: str
     labeled_gt: LabelVolume
@@ -271,19 +276,23 @@ def build_context(config: PipelineConfig, extract_allowed: bool = True) -> Pipel
     under ``<out>/features`` (validation grids with a ``val.`` prefix), so
     later rounds and resumed processes reload them instead of touching the
     extractor again; ``extract_allowed=False`` makes a missing grid an error.
-    Only a context that may extract writes ``globals.json``; a later one reads it.
+    Only a context that may extract computes the global features, from each
+    grid as it is loaded, and writes ``globals.json``; a later one reads it.
     """
     t0 = time.perf_counter()
     manifest, labeled_id, gt, truth = _load_inputs(config)
     features_dir = config.out_dir / "features"
     features_dir.mkdir(parents=True, exist_ok=True)
-    features, grids = {}, {}
+    features, global_features = {}, {}
     for entry in manifest.entries:
-        features[entry.vol_id], grids[entry.vol_id] = _load_entry(
-            config, manifest, entry, "", extract_allowed
-        )
-    encoder_mod.uniform_channel_count(grids)
-    global_features = write_globals(features_dir, grids) if extract_allowed else read_globals(features_dir)
+        features[entry.vol_id], grid = _load_entry(config, manifest, entry, "", extract_allowed)
+        if extract_allowed:
+            global_features[entry.vol_id] = global_feature(grid)
+    encoder_mod.uniform_channel_count(features)
+    if extract_allowed:
+        global_features = write_globals(features_dir, global_features)
+    else:
+        global_features = read_globals(features_dir)
     gt_path = manifest.resolve(manifest.labeled_entry().label)
     _check_label(gt, gt_path, "template", labeled_id, features[labeled_id].shape)
     for vol_id, lab in (truth or {}).items():
@@ -307,7 +316,6 @@ def build_context(config: PipelineConfig, extract_allowed: bool = True) -> Pipel
         config=config,
         manifest=manifest,
         features=features,
-        grids=grids,
         global_features=global_features,
         labeled_id=labeled_id,
         labeled_gt=gt,
@@ -522,7 +530,9 @@ def _pool_ids(ctx: PipelineContext) -> list[str]:
 def run_round0(config: PipelineConfig, ctx: PipelineContext | None = None) -> RoundState:
     """Propagate template prototypes to every unlabeled volume and persist.
 
-    The ``features`` timing is the context build, wherever it happened.
+    Each feature grid is rebuilt from its volume's cell table when it is
+    used and dropped after it.  The ``features`` timing is the context build,
+    wherever it happened.
     """
     _refuse_existing(config, 0)
     if ctx is None:
@@ -530,9 +540,9 @@ def run_round0(config: PipelineConfig, ctx: PipelineContext | None = None) -> Ro
         ctx = build_context(config)
 
     t0 = time.perf_counter()
-    protos = compute_prototypes(ctx.grids[ctx.labeled_id], ctx.labeled_gt)
+    protos = compute_prototypes(ctx.features[ctx.labeled_id].grid(), ctx.labeled_gt)
     labels = {
-        v: initial_pseudo_label(ctx.grids[v], protos, ctx.features[v].shape)
+        v: initial_pseudo_label(ctx.features[v].grid(), protos, ctx.features[v].shape)
         for v in _pool_ids(ctx)
     }
     t_prop = time.perf_counter() - t0
@@ -804,21 +814,24 @@ def start_run(config: PipelineConfig) -> None:
     _dump_json(out / "config.json", _config_doc(config))
 
 
-def run_pipeline(config: PipelineConfig) -> list[RoundState]:
-    """Run round 0 through round R and write the run's encoder-call counts to ``report.json``.
+def run_pipeline(config: PipelineConfig) -> RoundState:
+    """Run round 0 through round R, write the run's encoder-call counts to ``report.json``,
+    and return round R's state.
 
-    No later process can encode (``build_context(extract_allowed=False)``
-    raises instead), so rewriting a round never makes these counts stale.
+    Only the previous round's state is held while a round runs; every round
+    is persisted, and ``load_round_state`` reads it back.  No later process
+    can encode (``build_context(extract_allowed=False)`` raises instead), so
+    rewriting a round never makes these counts stale.
     """
     start_run(config)
 
     calls_start = encoder_mod.extract_call_count()
     ctx = build_context(config)
-    states = [run_round0(config, ctx=ctx)]
+    state = run_round0(config, ctx=ctx)
     calls_after_round0 = encoder_mod.extract_call_count() - calls_start
 
     for r in range(1, config.rounds + 1):
-        states.append(run_round(config, r, states[-1], ctx=ctx))
+        state = run_round(config, r, state, ctx=ctx)
 
     calls_total = encoder_mod.extract_call_count() - calls_start
     if calls_total != calls_after_round0:
@@ -831,4 +844,4 @@ def run_pipeline(config: PipelineConfig) -> list[RoundState]:
         "encoder_calls_total": calls_total,
         "offline_contract_honored": calls_total == calls_after_round0,
     })
-    return states
+    return state

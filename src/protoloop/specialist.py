@@ -2,9 +2,12 @@
 
 Each voxel is described by its enclosing feature-grid cell vector plus its own
 z-scored intensity.  Those features are never materialized per voxel: a
-volume is held as its (n_cells, C) float64 cell table plus its float32
-intensities and two z-score scalars, z is computed where it is used, training
-gathers the rows of each sampled batch, and inference evaluates
+volume is held as its (n_cells, C) float32 cell table (the grid's values,
+transposed once) plus its float32 intensities and two z-score scalars, which
+is 4 + 4 C / p^3 bytes per voxel for cubic patches of p voxels (4.69 at
+p = 4 and 4.09 at p = 8 with the built-in encoder's 11 channels).  z is
+computed where it is used, training gathers the rows of each sampled batch,
+and inference evaluates
 ``logits = upsample(W[:, :C] @ grid + b) + W[:, C] * z`` with the head
 applied at cell resolution, one slab of d-planes at a time; a voxel's
 label is the lowest class at the max of its softmax numerators, computed
@@ -17,14 +20,14 @@ are analytic.
 A step has k = 2-3 classes and about a dozen features, so its cost is the
 number of numpy calls, not arithmetic.  The step is therefore class-major:
 the batch is one ``(n_l + 2 n_p, F)`` buffer of labeled, pseudo-labeled and
-noisy pseudo-labeled rows, filled in place: the rows are gathered from each
-volume's cell table straight into it, the spare column is overwritten with
-the voxels' z, and the noise is drawn into it.  Its logits are ``(k, n)``
-and every softmax and Dice reduction runs over the class axis or along one
-class row.  One matmul gives the student's logits, one the teacher's on the
-clean pseudo-labeled rows and one the gradient.  The student, momentum and
-teacher stay plain arrays updated in place, and the per-step log is one
-preallocated array.
+noisy pseudo-labeled rows, filled in place: each row block's float32 cells
+are gathered from its volume's cell table and cast into the buffer, its last
+column is filled with the voxels' z, and the noise is drawn into it.  Its
+logits are ``(k, n)`` and every softmax and Dice reduction runs over the
+class axis or along one class row.  One matmul gives the student's logits,
+one the teacher's on the clean pseudo-labeled rows and one the gradient.
+The student, momentum and teacher stay plain arrays updated in place, and
+the per-step log is one preallocated array.
 """
 from __future__ import annotations
 
@@ -146,7 +149,14 @@ class EmaTeacher:
 # per-voxel features
 
 def cell_index_luts(vol_shape: Shape3, grid_shape: Shape3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-axis lookup tables mapping voxel index -> enclosing cell index."""
+    """Per-axis lookup tables mapping voxel index -> cell index.
+
+    The map is ``volume.nearest_axis_indices``'s centre-aligned rescaling,
+    not the encoder's patches (``voxel // patch``).  The two agree on an
+    extent that is a multiple of the patch; on any other extent some voxels
+    read a cell whose patch does not contain them (4 of 30 per axis at
+    30 voxels and patch 8).  Changing that changes outputs, so it stays.
+    """
     return tuple(
         nearest_axis_indices(g, v)
         for g, v in zip(grid_shape.as_tuple(), vol_shape.as_tuple())
@@ -316,25 +326,25 @@ class TrainVolumeData:
     The feature row of voxel (d, h, w) is ``cells[cell(d, h, w)]`` followed by
     its z, ``(float64(values[i]) - offset) / scale`` with
     ``i = (d * H + h) * W + w``, where ``cell`` reads the per-axis
-    ``cell_index_luts``.  Memory is the cell table plus the float32
-    intensities (4 bytes per voxel); z is computed where it is used, with
-    ``zscore_scalars``'s offset and scale, so it has the bits of a
-    volume-wide float64 z-score.  The table is kept with one spare trailing
-    column, ``(n_cells, C + 1)``, so a batch's rows are gathered from it
-    straight into the batch buffer and the spare column is then overwritten
-    with the voxels' z; ``cells`` is the ``(n_cells, C)`` view without it.
+    ``cell_index_luts``.  Memory is the float32 cell table, the grid's values
+    transposed once to ``(n_cells, C)``, plus the float32 intensities (4
+    bytes per voxel) and lookup tables of ``H * W`` entries; z is computed
+    where it is used, with ``zscore_scalars``'s offset and scale, so it has
+    the bits of a volume-wide float64 z-score.  Features are float64 wherever
+    they are used: a batch's rows are cast into the batch buffer, and
+    inference casts the table before the head's matmul.
     """
 
     vol_id: str
     shape: Shape3        # voxel extents
     grid_shape: Shape3   # cell extents
-    cells: np.ndarray    # (n_cells, C) float64, cells in row-major grid order
+    cells: np.ndarray    # (n_cells, C) float32, cells in row-major grid order
     values: np.ndarray   # (n_voxels,) float32 intensities, row-major
     offset: float        # z = (float64(values) - offset) / scale
     scale: float
     luts: tuple = field(init=False, repr=False, compare=False)
-    _table: np.ndarray = field(init=False, repr=False, compare=False)
-    _row_luts: tuple = field(init=False, repr=False, compare=False)
+    _depth_cells: np.ndarray = field(init=False, repr=False, compare=False)
+    _plane_cells: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cells = np.asarray(self.cells)
@@ -343,8 +353,9 @@ class TrainVolumeData:
             raise ValueError(
                 f"cell table {cells.shape} does not match grid {self.grid_shape.as_tuple()}"
             )
-        if values.dtype != np.float32:
-            raise ValueError(f"intensities are {values.dtype}, expected float32")
+        for name, array in (("cell table", cells), ("intensities", values)):
+            if array.dtype != np.float32:
+                raise ValueError(f"{name}: {array.dtype}, expected float32")
         values = np.ascontiguousarray(values).reshape(-1)
         if len(values) != self.shape.voxels:
             raise ValueError(
@@ -352,18 +363,16 @@ class TrainVolumeData:
             )
         if not (math.isfinite(self.offset) and math.isfinite(self.scale) and self.scale != 0):
             raise ValueError(f"bad z-score scalars offset={self.offset!r} scale={self.scale!r}")
-        table = np.zeros((len(cells), cells.shape[1] + 1))
-        table[:, :-1] = cells
         luts = cell_index_luts(self.shape, self.grid_shape)
         _, gh, gw = self.grid_shape.as_tuple()
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "cells", table[:, :-1])
+        object.__setattr__(self, "cells", np.ascontiguousarray(cells))
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "offset", float(self.offset))
         object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "luts", luts)
-        # voxel index along each axis -> that axis's term of the flat cell index
-        object.__setattr__(self, "_row_luts", (luts[0] * (gh * gw), luts[1] * gw, luts[2]))
+        # flat cell index = depth term of the voxel's plane + in-plane term of (h, w)
+        object.__setattr__(self, "_depth_cells", luts[0] * (gh * gw))
+        object.__setattr__(self, "_plane_cells", (luts[1][:, None] * gw + luts[2]).reshape(-1))
 
     @classmethod
     def from_volume(
@@ -390,25 +399,30 @@ class TrainVolumeData:
         return len(self.values)
 
     @property
+    def channels(self) -> int:
+        return self.cells.shape[1]
+
+    @property
     def num_features(self) -> int:
-        return self._table.shape[1]
+        return self.channels + 1
+
+    def grid(self) -> FeatureGrid:
+        """The feature grid whose values the cell table holds; its patch size is not kept."""
+        return FeatureGrid(self.channels, self.grid_shape, self.cells.T)
 
     def z(self, idx, out: np.ndarray | None = None) -> np.ndarray:
         """float64 z of the flat voxel indices or slice ``idx``, in ``out`` if given."""
         return apply_zscore(self.values[idx], (self.offset, self.scale), out)
 
     def rows(self, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """(len(idx), C + 1) feature rows of the flat voxel indices ``idx``, in ``out`` if given."""
+        """(len(idx), C + 1) float64 feature rows of the flat voxel indices ``idx``, in ``out`` if given."""
         _, h, w = self.shape.as_tuple()
-        ld, lh, lw = self._row_luts
-        d, rem = np.divmod(idx, h * w)
-        hh, ww = np.divmod(rem, w)
-        cell = ld[d]
-        cell += lh[hh]
-        cell += lw[ww]
+        d, in_plane = np.divmod(idx, h * w)
+        cell = self._depth_cells[d]
+        cell += self._plane_cells[in_plane]
         if out is None:
             out = np.empty((len(idx), self.num_features))
-        np.take(self._table, cell, axis=0, out=out)
+        out[:, :-1] = np.take(self.cells, cell, axis=0)
         self.z(idx, out=out[:, -1])
         return out
 
@@ -558,7 +572,8 @@ def voxel_logits(
     k = params.num_classes
     ld, lh, lw = data.luts
     w_cells, w_z = params.weights[:, :-1], params.weights[:, -1:]
-    cell = (data.cells @ w_cells.T + params.bias).T.reshape((k,) + data.grid_shape.as_tuple())
+    head = data.cells.astype(np.float64) @ w_cells.T  # per cell, in float64
+    cell = (head + params.bias).T.reshape((k,) + data.grid_shape.as_tuple())
     planes = cell.take(lw, axis=3).take(lh, axis=2)  # (k, cells along d, h, w)
     depth, h, w = data.shape.as_tuple()
     step = max(1, _SLAB_VOXELS // (h * w))

@@ -6,13 +6,14 @@ arrays in row-major order with the depth axis slowest.  On disk each tensor
 is one self-describing binary file: a 6-byte magic, a little-endian u32
 length prefix, a UTF-8 JSON header, and the raw little-endian payload.  No
 compression, no chunking, so save/load round-trips are bit-exact.
-:func:`load_array` is the one reader: given the kind a file must hold, it
-refuses any other, and every refusal is an :class:`ArrayFormatError` that
-names the file.
+:func:`load_array` is the one reader: it reads the payload straight into the
+array it returns, given the kind a file must hold it refuses any other, and
+every refusal is an :class:`ArrayFormatError` that names the file.
 """
 from __future__ import annotations
 
 import json
+import os
 import re
 import struct
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ __all__ = [
     "FeatureGrid",
     "VolumeEntry",
     "DatasetManifest",
+    "read_header",
     "read_blob",
     "write_blob",
     "save_array",
@@ -172,25 +174,37 @@ def write_blob(path: str | Path, header: dict, payload: bytes | np.ndarray) -> N
         fh.write(payload)
 
 
-def read_blob(path: str | Path) -> tuple[dict, memoryview]:
-    """The header and payload of one array file.
-
-    The payload is a view into the file's bytes, not a copy of it.
-    """
-    raw = Path(path).read_bytes()
-    if len(raw) < len(MAGIC) + 4 or raw[: len(MAGIC)] != MAGIC:
+def _read_header(fh, path) -> dict:
+    """The header of the array file open as ``fh``, which is left at the payload."""
+    lead = fh.read(len(MAGIC) + 4)
+    if len(lead) < len(MAGIC) + 4 or lead[: len(MAGIC)] != MAGIC:
         raise ArrayFormatError(f"{path}: bad magic; not an array file")
-    (hlen,) = struct.unpack_from("<I", raw, len(MAGIC))
-    start = len(MAGIC) + 4
-    if len(raw) < start + hlen:
+    (hlen,) = struct.unpack_from("<I", lead, len(MAGIC))
+    head = fh.read(hlen)
+    if len(head) < hlen:
         raise ArrayFormatError(f"{path}: truncated header")
     try:
-        header = json.loads(raw[start : start + hlen].decode("utf-8"))
+        header = json.loads(head.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ArrayFormatError(f"{path}: malformed header ({exc})") from exc
     if not isinstance(header, dict):
         raise ArrayFormatError(f"{path}: header is not a JSON object")
-    return header, memoryview(raw)[start + hlen :]
+    return header
+
+
+def read_header(path: str | Path) -> dict:
+    """The header of one array file; its payload is not read."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)
+
+
+def read_blob(path: str | Path) -> tuple[dict, memoryview]:
+    """The header and payload of one array file.
+
+    The payload is a read-only view of the one bytes object read for it.
+    """
+    with open(path, "rb") as fh:
+        return _read_header(fh, path), memoryview(fh.read())
 
 
 def _header_shape(header: dict, path) -> Shape3:
@@ -240,43 +254,45 @@ def load_array(path: str | Path, kind: type | None = None):
     its array type rejects, and a wrong kind all raise
     :class:`ArrayFormatError` naming ``path``.
     """
-    header, payload = read_blob(path)
-    dtype_name = header.get("dtype")
-    if dtype_name not in _DTYPES:
-        raise ArrayFormatError(f"{path}: unknown dtype {dtype_name!r}")
-    if header.get("order") != "row-major":
-        raise ArrayFormatError(f"{path}: unsupported order {header.get('order')!r}")
-    shape = _header_shape(header, path)
-    dtype = _DTYPES[dtype_name]
+    with open(path, "rb") as fh:
+        header = _read_header(fh, path)
+        dtype_name = header.get("dtype")
+        if dtype_name not in _DTYPES:
+            raise ArrayFormatError(f"{path}: unknown dtype {dtype_name!r}")
+        if header.get("order") != "row-major":
+            raise ArrayFormatError(f"{path}: unsupported order {header.get('order')!r}")
+        shape = _header_shape(header, path)
+        dtype = _DTYPES[dtype_name]
 
-    planes = 1
-    if "channels" in header:
-        planes = header["channels"]
-        if not isinstance(planes, int) or planes < 1:
-            raise ArrayFormatError(f"{path}: bad channels {planes!r}")
-        if dtype_name != "f32":
-            # only feature grids carry channels, and they are f32
-            raise ArrayFormatError(f"{path}: {dtype_name} data with channels is not a known array kind")
-        patch = header.get("patch_size")
-        if patch is not None and (
-            not isinstance(patch, list)
-            or len(patch) != 3
-            or not all(isinstance(p, int) and p >= 1 for p in patch)
-        ):
-            raise ArrayFormatError(f"{path}: bad patch_size {patch!r}")
-    elif dtype_name == "f32" and "num_classes" in header:
-        # per-class f32 planes (an old probability file) must not load as intensities
-        raise ArrayFormatError(f"{path}: f32 data with num_classes is not a known array kind")
-    elif not isinstance(header.get("num_classes", 2), int):
-        raise ArrayFormatError(f"{path}: bad num_classes {header['num_classes']!r}")
+        planes = 1
+        if "channels" in header:
+            planes = header["channels"]
+            if not isinstance(planes, int) or planes < 1:
+                raise ArrayFormatError(f"{path}: bad channels {planes!r}")
+            if dtype_name != "f32":
+                # only feature grids carry channels, and they are f32
+                raise ArrayFormatError(f"{path}: {dtype_name} data with channels is not a known array kind")
+            patch = header.get("patch_size")
+            if patch is not None and (
+                not isinstance(patch, list)
+                or len(patch) != 3
+                or not all(isinstance(p, int) and p >= 1 for p in patch)
+            ):
+                raise ArrayFormatError(f"{path}: bad patch_size {patch!r}")
+        elif dtype_name == "f32" and "num_classes" in header:
+            # per-class f32 planes (an old probability file) must not load as intensities
+            raise ArrayFormatError(f"{path}: f32 data with num_classes is not a known array kind")
+        elif not isinstance(header.get("num_classes", 2), int):
+            raise ArrayFormatError(f"{path}: bad num_classes {header['num_classes']!r}")
 
-    expected = planes * shape.voxels * dtype.itemsize
-    if len(payload) != expected:
-        raise ArrayFormatError(
-            f"{path}: shape/payload mismatch ({len(payload)} bytes, expected {expected})"
-        )
-    # the one copy of the payload: its offset in the file has arbitrary alignment
-    data = np.frombuffer(payload, dtype=dtype).copy()
+        expected = planes * shape.voxels * dtype.itemsize
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != expected:
+            raise ArrayFormatError(f"{path}: shape/payload mismatch ({size} bytes, expected {expected})")
+        # the payload is read straight into the array: a load holds one payload
+        data = np.empty(planes * shape.voxels, dtype=dtype)
+        if fh.readinto(data) != expected:
+            raise ArrayFormatError(f"{path}: payload ended early")
 
     try:
         if dtype_name == "u8":

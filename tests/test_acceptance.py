@@ -22,7 +22,7 @@ import pytest
 from protoloop.encoder import EncoderParams, FeatureGrid, GlobalFeature, extract_feature_grid
 from protoloop.metrics import distance_metrics, overlap_metrics
 from protoloop.phantom import ClassShape, PhantomSpec, generate
-from protoloop.pipeline import PipelineConfig, run_pipeline
+from protoloop.pipeline import PipelineConfig, run_pipeline, run_table
 from protoloop.prototype import compute_prototypes, initial_pseudo_label
 from protoloop.refine import refine_all
 from protoloop.specialist import (
@@ -330,7 +330,8 @@ def pipeline_runs(tmp_path_factory):
 
 
 def test_pipeline_dice_rises_then_saturates(capsys, pipeline_runs):
-    seq = [s.pseudo_label_dice for s in pipeline_runs.refined]
+    # every round's Dice, as its state.json records it
+    seq = [row["pseudo_label_dice"] for row in run_table(pipeline_runs.base / "refined")]
     elapsed = pipeline_runs.refined_seconds
     ok = (
         0.5 <= seq[0] <= 0.8
@@ -348,8 +349,8 @@ def test_pipeline_dice_rises_then_saturates(capsys, pipeline_runs):
 
 
 def test_disabling_refinement_degrades_final_dice(capsys, pipeline_runs):
-    with_refine = pipeline_runs.refined[-1].pseudo_label_dice
-    without = pipeline_runs.plain[-1].pseudo_label_dice
+    with_refine = pipeline_runs.refined.pseudo_label_dice
+    without = pipeline_runs.plain.pseudo_label_dice
     gap = with_refine - without
     ok = gap >= 0.02
     _verdict(

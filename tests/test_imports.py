@@ -166,13 +166,13 @@ def scipy_modules():
 out = Path(sys.argv[1])
 spec = PhantomSpec(5, Shape3(16, 16, 16), 2, (ClassShape(radii=(4.5, 4.5, 4.5)),), seed=5)
 _, truth = generate(spec, out / "data")
-states = run_pipeline(PipelineConfig(
+state = run_pipeline(PipelineConfig(
     out / "data" / "manifest.json", out / "run", rounds=1,
     encoder=EncoderParams(patch_size=4), train=TrainConfig(iterations=20, batch_voxels=64),
     knn=2, q_unc=0.5,
 ))
 after_run = scipy_modules()
-vol_id, label = sorted(states[-1].labels.items())[0]
+vol_id, label = sorted(state.labels.items())[0]
 evaluate_pair(label, truth[vol_id])
 print(json.dumps({"after_run": after_run, "after_eval": scipy_modules()}))
 """

@@ -1,9 +1,11 @@
 """Round orchestration: persistence layout, resume, determinism, contracts."""
 from __future__ import annotations
 
+import gc
 import json
 import shutil
 import tracemalloc
+import weakref
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -76,10 +78,20 @@ def _config(dataset, out_dir, **over):
     return PipelineConfig(**defaults)
 
 
+def _drive(config: PipelineConfig) -> list[RoundState]:
+    """Every round's state, from rounds run as ``run_pipeline`` runs them: on one context."""
+    start_run(config)
+    ctx = build_context(config)
+    states = [run_round0(config, ctx=ctx)]
+    for r in range(1, config.rounds + 1):
+        states.append(run_round(config, r, states[-1], ctx=ctx))
+    return states
+
+
 @pytest.fixture(scope="module")
 def main_run(dataset, tmp_path_factory):
     out = tmp_path_factory.mktemp("run_main")
-    states = run_pipeline(_config(dataset, out, rounds=2))
+    states = _drive(_config(dataset, out, rounds=2))
     return states, out
 
 
@@ -159,12 +171,70 @@ def test_round0_exact_on_ingested_orthogonal_features(tmp_path):
     # the cached ingested grids (patch 2, 2 channels) differ from the encoder
     # config (patch 4, 11 channels) and are still reused: they are not stale
     ctx = build_context(config, extract_allowed=False)
-    assert ctx.grids["vol_b"].patch_size == (2, 2, 2)
+    assert ctx.features["vol_b"].grid_shape == Shape3(2, 2, 2) and ctx.features["vol_b"].channels == 2
     # a later context reads globals.json, and still refuses grids of unequal channel counts
     grid = FeatureGrid(channels=3, grid_shape=Shape3(2, 2, 2), data=np.zeros((3, 2, 2, 2), np.float32))
     save_array(grid, tmp_path / "run" / "features" / "vol_b.features.vxar")
     with pytest.raises(ValueError, match="channel"):
         build_context(config, extract_allowed=False)
+
+
+def test_round0_from_rebuilt_grids_equals_round0_from_grid_files(tmp_path, monkeypatch):
+    """Round 0 rebuilds each grid from its volume's cell table; the prototypes,
+    the initial labels and globals.json are those of the persisted grid files.
+
+    The extents are not multiples of the patch, and one pool volume's grid is
+    ingested from an external file that names no patch size.
+    """
+    data_dir = tmp_path / "data"
+    spec = PhantomSpec(
+        num_volumes=4,
+        shape=Shape3(13, 17, 11),
+        num_classes=3,
+        classes=(
+            ClassShape(center=(0.5, 0.4, 0.5), radii=(4.0, 4.0, 3.0)),
+            ClassShape(center=(0.5, 0.8, 0.5), radii=(2.5, 2.5, 2.5), intensity_mean=2.0),
+        ),
+        noise_sigma=0.2,
+        center_jitter=0.5,
+        seed=31,
+    )
+    generate(spec, data_dir)
+    external = FeatureGrid(
+        channels=11,
+        grid_shape=Shape3(5, 6, 3),
+        data=np.random.default_rng(32).normal(size=(11, 5, 6, 3)).astype(np.float32),
+    )
+    save_array(external, data_dir / "ext.features.vxar")
+    doc = json.loads((data_dir / "manifest.json").read_text())
+    doc["volumes"][2]["features"] = "ext.features.vxar"
+    (data_dir / "manifest.json").write_text(json.dumps(doc))
+
+    made = []
+    real = pipeline.compute_prototypes
+    monkeypatch.setattr(pipeline, "compute_prototypes", lambda *a: made.append(real(*a)) or made[-1])
+    config = _config(data_dir, tmp_path / "run", encoder=EncoderParams(patch_size=4))
+    state = run_round0(config)
+
+    features = tmp_path / "run" / "features"
+    manifest = pipeline.load_manifest(config.manifest_path)
+    grids = {
+        e.vol_id: load_array(features / f"{e.vol_id}.features.vxar", FeatureGrid)
+        for e in manifest.entries
+    }
+    assert grids["vol_002"].patch_size == (3, 3, 4)  # inferred on ingest
+    assert grids["vol_001"].grid_shape == Shape3(4, 5, 3)
+    template = load_array(data_dir / manifest.labeled_entry().label, LabelVolume)
+    protos = real(grids["vol_000"], template)
+    assert len(made) == 1 and made[0].present.tobytes() == protos.present.tobytes()
+    assert made[0].vectors.tobytes() == protos.vectors.tobytes()
+    for vol_id, lab in state.labels.items():
+        want = pipeline.initial_pseudo_label(grids[vol_id], protos, lab.shape)
+        assert lab.data.tobytes() == want.data.tobytes(), vol_id
+    again = tmp_path / "again"
+    again.mkdir()
+    pipeline.write_globals(again, {v: encoder_mod.global_feature(g) for v, g in grids.items()})
+    assert (again / "globals.json").read_bytes() == (features / "globals.json").read_bytes()
 
 
 def test_round0_perfect_on_noiseless_clones(tmp_path):
@@ -215,7 +285,7 @@ def test_first_training_round_beats_propagation_when_separable(tmp_path):
     )
     generate(spec, data_dir)
 
-    states = run_pipeline(
+    states = _drive(
         _config(
             data_dir,
             tmp_path / "run",
@@ -263,7 +333,7 @@ def test_run_round_validation(dataset, tmp_path):
         run_round(config, 2, r0)
 
 
-def test_pipeline_states_and_report(main_run):
+def test_pipeline_states_and_report(dataset, main_run, tmp_path):
     states, out = main_run
     assert [s.round_index for s in states] == [0, 1, 2]
     assert states[1].refined and states[2].refined
@@ -274,7 +344,7 @@ def test_pipeline_states_and_report(main_run):
     rows = run_table(out)
     assert [r["round"] for r in rows] == [0, 1, 2]
     assert rows[0]["threshold"] is None and rows[1]["threshold"] is not None
-    # round 0 is charged with the feature extraction that run_pipeline did for it
+    # round 0 is charged with the feature extraction done for it
     assert rows[0]["timings"]["features"] > 0
     # 3 pool volumes plus the labeled template, which is always certain
     assert rows[1]["n_certain"] + rows[1]["n_uncertain"] == 4
@@ -283,12 +353,40 @@ def test_pipeline_states_and_report(main_run):
         assert row["pseudo_label_dice"] == state.pseudo_label_dice
         assert row["model_dice"] == state.model_dice
         assert row["timings"] == state.timings
-    report = json.loads((out / "report.json").read_text())
+
+    # run_pipeline runs the same rounds, returns the last and writes report.json
+    run = tmp_path / "run"
+    last = run_pipeline(_config(dataset, run, rounds=2))
+    assert last.round_index == 2 and last.refined
+    assert _label_bytes(last) == _label_bytes(states[2])
+    assert last.partition == states[2].partition
+    assert last.pseudo_label_dice == states[2].pseudo_label_dice
+    report = json.loads((run / "report.json").read_text())
     assert sorted(report) == ["encoder_calls_after_round0", "encoder_calls_total", "offline_contract_honored"]
     assert report["offline_contract_honored"] is True
     assert report["encoder_calls_total"] == report["encoder_calls_after_round0"]
-    assert not (out / "report.txt").exists()
-    assert (out / "config.json").exists()
+    assert not (run / "report.txt").exists()
+    assert (run / "config.json").exists()
+
+
+def test_run_pipeline_frees_old_rounds(dataset, tmp_path, monkeypatch):
+    """Round r - 2's label arrays are freed before round r starts."""
+    alive, checked = {}, []  # round index -> weak references to its label arrays
+    real = pipeline.run_round
+
+    def watched(config, round_index, prev, ctx=None):
+        gc.collect()
+        if round_index - 2 in alive:
+            refs = alive.pop(round_index - 2)
+            assert all(ref() is None for ref in refs), f"round {round_index - 2} is alive"
+            checked.append(round_index - 2)
+        labels = list(prev.labels.values()) + list((prev.raw_labels or {}).values())
+        alive[prev.round_index] = [weakref.ref(lab.data) for lab in labels]
+        return real(config, round_index, prev, ctx=ctx)
+
+    monkeypatch.setattr(pipeline, "run_round", watched)
+    last = run_pipeline(_config(dataset, tmp_path / "run", rounds=3))
+    assert last.round_index == 3 and checked == [0, 1]
 
 
 def test_round1_files_and_partition_records(main_run):
@@ -433,8 +531,8 @@ def test_train_log_lines(main_run):
 
 def test_pipeline_deterministic(dataset, main_run, tmp_path):
     states, _ = main_run
-    again = run_pipeline(_config(dataset, tmp_path / "rerun", rounds=2))
-    for a, b in zip(states, again):
+    again = _drive(_config(dataset, tmp_path / "rerun", rounds=2))
+    for a, b in zip(states, again, strict=True):
         assert _label_bytes(a) == _label_bytes(b)
     assert states[1].partition == again[1].partition
 
@@ -465,16 +563,16 @@ def test_refine_ablation_keeps_raw(dataset, main_run, tmp_path, monkeypatch):
 
     monkeypatch.setattr(pipeline, "pseudo_label_quality", counted)
     plain = run_pipeline(_config(dataset, out, refine=False))
-    assert plain[1].refined is False
+    assert plain.round_index == 1 and plain.refined is False
     # without a vote the labels are the raw labels, scored once: in round 0
     # and for round 1's raw labels
     assert len(scored) == 2
-    assert plain[1].pseudo_label_dice == plain[1].model_dice == states[1].model_dice
-    assert _label_bytes(plain[1]) == {
-        k: v.data.tobytes() for k, v in plain[1].raw_labels.items()
+    assert plain.pseudo_label_dice == plain.model_dice == states[1].model_dice
+    assert _label_bytes(plain) == {
+        k: v.data.tobytes() for k, v in plain.raw_labels.items()
     }
     # training is unaffected by the ablation, so the model output matches
-    assert {k: v.data.tobytes() for k, v in plain[1].raw_labels.items()} == {
+    assert {k: v.data.tobytes() for k, v in plain.raw_labels.items()} == {
         k: v.data.tobytes() for k, v in states[1].raw_labels.items()
     }
     doc = json.loads((out / "round_1" / "state.json").read_text())
@@ -520,8 +618,8 @@ def test_force_clears_previous_run(dataset, tmp_path):
     out = tmp_path / "run"
     run_pipeline(_config(dataset, out))
     first = run_table(out)
-    states = run_pipeline(_config(dataset, out, force=True))
-    assert len(states) == 2
+    last = run_pipeline(_config(dataset, out, force=True))
+    assert last.round_index == 1
     assert run_table(out)[0]["round"] == first[0]["round"] == 0
 
 
@@ -539,8 +637,8 @@ def test_validation_manifest_path(dataset, tmp_path):
     config = _config(
         dataset, tmp_path / "run", val_manifest_path=val_dir / "manifest.json"
     )
-    states = run_pipeline(config)
-    assert states[1].params is not None
+    last = run_pipeline(config)
+    assert last.round_index == 1 and last.params is not None
     assert (tmp_path / "run" / "features" / "val.vol_000.features.vxar").exists()
 
 
@@ -642,6 +740,22 @@ def test_headerless_label_takes_the_manifest_class_count(tmp_path):
             pipeline._load_label(path, wanted)
 
 
+def test_label_class_count_check_reads_only_the_header(tmp_path):
+    # a headerless label takes the manifest's count after a look at its
+    # header; loading it holds one payload, never a second read of the file
+    path = tmp_path / "ext.label.vxar"
+    data = (np.arange(64**3) % 2).astype(np.uint8)
+    write_blob(path, {"dtype": "u8", "shape": [64, 64, 64], "order": "row-major"}, data)
+    tracemalloc.start()
+    try:
+        lab = pipeline._load_label(path, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lab.num_classes == 3 and lab.data.tobytes() == data.tobytes()
+    assert peak < 1.1 * data.nbytes
+
+
 def test_stale_feature_cache_refused(dataset, tmp_path):
     out = tmp_path / "run"
     build_context(_config(dataset, out))  # caches patch-4 grids with 11 channels
@@ -683,8 +797,12 @@ def test_stale_validation_cache_refused(dataset, tmp_path):
 def test_context_holds_factorized_features(dataset, tmp_path):
     ctx = build_context(_config(dataset, tmp_path / "run"))
     for entry in ctx.manifest.entries:
-        feats, grid = ctx.features[entry.vol_id], ctx.grids[entry.vol_id]
-        assert feats.cells.shape == (grid.grid_shape.voxels, grid.channels)
+        feats = ctx.features[entry.vol_id]
+        grid = load_array(tmp_path / "run" / "features" / f"{entry.vol_id}.features.vxar", FeatureGrid)
+        # the cell table is the grid's float32 values, transposed once
+        assert feats.cells.dtype == np.float32 and feats.cells.flags.c_contiguous
+        assert feats.cells.tobytes() == grid.data.reshape(grid.channels, -1).T.tobytes()
+        assert feats.grid().data.tobytes() == grid.data.tobytes()
         # the per-voxel array is the float32 intensities, not a float64 z
         assert feats.values.shape == (feats.shape.voxels,) and feats.values.dtype == np.float32
         vol = load_array(ctx.manifest.resolve(entry.intensity), IntensityVolume)
@@ -693,9 +811,12 @@ def test_context_holds_factorized_features(dataset, tmp_path):
 
 
 def test_context_keeps_four_bytes_per_voxel(tmp_path):
-    # per volume: the float32 intensities (4 bytes per voxel), the cell table
-    # (12 float64 per 8^3 cell, 0.19) and the float32 grid (0.09); a float64
-    # z volume would add 8.  The template's uint8 label is not counted.
+    # per volume: the float32 intensities (4 bytes per voxel) and the float32
+    # cell table, 4 C / p^3 (0.09 at p = 8, 0.69 at p = 4); no feature grid is
+    # kept.  The margin of 0.3 covers the lookup tables, the in-plane one
+    # being 8 bytes per (h, w) position (0.17 per voxel at depth 48), and the
+    # small objects.  A float64 (n_cells, C + 1) table would add 1.5 at p = 4
+    # and a float64 z volume 8.  The template's uint8 label is not counted.
     spec = PhantomSpec(
         num_volumes=4,
         shape=Shape3(48, 48, 48),
@@ -704,21 +825,24 @@ def test_context_keeps_four_bytes_per_voxel(tmp_path):
         seed=22,
     )
     generate(spec, tmp_path / "data")
-    config = PipelineConfig(
-        manifest_path=tmp_path / "data" / "manifest.json",
-        out_dir=tmp_path / "run",
-        encoder=EncoderParams(patch_size=8),
-    )
-    for extract_allowed in (True, False):  # round 0, then a later round's reload
-        tracemalloc.start()
-        try:
-            ctx = build_context(config, extract_allowed)
-            kept = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        voxels = sum(f.n_voxels for f in ctx.features.values())
-        assert (kept - ctx.labeled_gt.data.nbytes) / voxels <= 4.5
-        del ctx
+    for patch in (8, 4):
+        encoder = EncoderParams(patch_size=patch)
+        config = PipelineConfig(
+            manifest_path=tmp_path / "data" / "manifest.json",
+            out_dir=tmp_path / f"run_{patch}",
+            encoder=encoder,
+        )
+        bound = 4 + 4 * encoder.channels / patch**3 + 0.3
+        for extract_allowed in (True, False):  # round 0, then a later round's reload
+            tracemalloc.start()
+            try:
+                ctx = build_context(config, extract_allowed)
+                kept = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            voxels = sum(f.n_voxels for f in ctx.features.values())
+            assert (kept - ctx.labeled_gt.data.nbytes) / voxels <= bound, (patch, extract_allowed)
+            del ctx
 
 
 def test_zscore_once_per_volume_per_context(dataset, tmp_path, monkeypatch):

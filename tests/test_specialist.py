@@ -55,18 +55,19 @@ def _factorized(vol, grid):
 def _rows_data(name, rows):
     """An (n, F) feature matrix as factorized data: one voxel per cell.
 
-    The last column is the intensity, taken with offset 0 and scale 1, so it
-    must hold float32 values for the rows to come back unchanged.
+    The last column is the intensity, taken with offset 0 and scale 1.  Cells
+    and intensities are held as float32, so every column must hold float32
+    values for the rows to come back unchanged.
     """
     n = len(rows)
-    values = rows[:, -1].astype(np.float32)
-    assert (values == rows[:, -1]).all(), "intensity column is not float32-valued"
+    as_f32 = rows.astype(np.float32)
+    assert (as_f32 == rows).all(), "rows are not float32-valued"
     return TrainVolumeData(
         vol_id=name,
         shape=Shape3(n, 1, 1),
         grid_shape=Shape3(n, 1, 1),
-        cells=rows[:, :-1],
-        values=values,
+        cells=np.ascontiguousarray(as_f32[:, :-1]),
+        values=as_f32[:, -1],
         offset=0.0,
         scale=1.0,
     )
@@ -607,14 +608,16 @@ def test_infer_validation():
 
 
 def test_factorized_data_validation():
-    shape, grid_shape, cells = Shape3(2, 2, 2), Shape3(1, 1, 1), np.zeros((1, 3))
-    values = np.zeros(8, dtype=np.float32)
+    shape, grid_shape = Shape3(2, 2, 2), Shape3(1, 1, 1)
+    cells, values = np.zeros((1, 3), dtype=np.float32), np.zeros(8, dtype=np.float32)
     with pytest.raises(ValueError, match="cell table"):
         TrainVolumeData("v", shape, Shape3(1, 1, 2), cells, values, 0.0, 1.0)
     with pytest.raises(ValueError, match="intensity volume has 7 voxels"):
         TrainVolumeData("v", shape, grid_shape, cells, values[:7], 0.0, 1.0)
-    with pytest.raises(ValueError, match="expected float32"):
+    with pytest.raises(ValueError, match="intensities: float64, expected float32"):
         TrainVolumeData("v", shape, grid_shape, cells, np.zeros(8), 0.0, 1.0)
+    with pytest.raises(ValueError, match="cell table: float64, expected float32"):
+        TrainVolumeData("v", shape, grid_shape, np.zeros((1, 3)), values, 0.0, 1.0)
     for offset, scale in ((0.0, 0.0), (np.nan, 1.0), (0.0, np.inf)):
         with pytest.raises(ValueError, match="z-score scalars"):
             TrainVolumeData("v", shape, grid_shape, cells, values, offset, scale)

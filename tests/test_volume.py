@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 import struct
 import tracemalloc
 
@@ -27,6 +28,7 @@ from protoloop.volume import (
     nearest_axis_indices,
     nearest_resample_labels,
     read_blob,
+    read_header,
     save_array,
     save_manifest,
     write_blob,
@@ -115,16 +117,14 @@ def test_read_blob_payload_is_a_view_of_the_file_bytes(tmp_path, header_pad):
     assert back.data.tobytes() == payload and back.data.flags.c_contiguous
 
 
-def test_load_array_copies_the_payload_once(tmp_path, monkeypatch):
-    # with the file's bytes already read, loading allocates the array and no
-    # more: the finiteness check reads min and max, not a bool mask (which
-    # made it 1.25 payloads).  Slicing the payload out of the file bytes
-    # first made it 2.25.
+def test_load_array_copies_the_payload_once(tmp_path):
+    # the payload is read from disk straight into the array returned, and
+    # the finiteness check reads min and max, not a bool mask: loading peaks
+    # at one payload.  Reading the file's bytes and copying the payload out
+    # of them made it about 2.
     data = np.random.default_rng(3).normal(size=(32, 32, 64)).astype(np.float32)
     path = tmp_path / "v.vxar"
     save_array(IntensityVolume(Shape3(*data.shape), data), path)
-    raw = path.read_bytes()
-    monkeypatch.setattr(type(path), "read_bytes", lambda self: raw)
     tracemalloc.start()
     try:
         back = load_array(path, IntensityVolume)
@@ -133,6 +133,39 @@ def test_load_array_copies_the_payload_once(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert back.data.tobytes() == data.tobytes()
     assert peak < 1.1 * data.nbytes
+
+
+def _intensity_file(extra: bytes = b"", cut: int = 0) -> bytes:
+    header = json.dumps({"dtype": "f32", "order": "row-major", "shape": [1, 2, 3]}).encode()
+    blob = MAGIC + struct.pack("<I", len(header)) + header + bytes(24) + extra
+    return blob[: len(blob) - cut]
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (b"NOPE\x00\x00" + bytes(40), "bad magic"),
+        (MAGIC + b"\x01", "bad magic"),
+        (MAGIC + struct.pack("<I", 200) + b"{}", "truncated header"),
+        (MAGIC + struct.pack("<I", 8) + b"not json", "malformed header"),
+        (MAGIC + struct.pack("<I", 2) + b"[]", "header is not a JSON object"),
+        (_intensity_file(cut=1), r"shape/payload mismatch \(23 bytes, expected 24\)"),
+        (_intensity_file(extra=b"\x00"), r"shape/payload mismatch \(25 bytes, expected 24\)"),
+    ],
+    ids=["magic", "short-magic", "truncated-header", "malformed-header", "header-list",
+         "short-payload", "long-payload"],
+)
+def test_malformed_file_refused_by_name(tmp_path, blob, message):
+    path = tmp_path / "bad.vxar"
+    path.write_bytes(blob)
+    with pytest.raises(ArrayFormatError, match=re.escape(f"{path}: ") + message):
+        load_array(path)
+    if "payload" not in message:
+        with pytest.raises(ArrayFormatError, match=re.escape(f"{path}: ") + message):
+            read_header(path)
+    # the same file, well formed, loads
+    path.write_bytes(_intensity_file())
+    assert load_array(path, IntensityVolume).data.tobytes() == bytes(24)
 
 
 @pytest.mark.parametrize("kind", ["intensity", "label", "grid"])
