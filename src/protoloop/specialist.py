@@ -12,22 +12,21 @@ and inference evaluates
 applied at cell resolution, one slab of d-planes at a time; a voxel's
 label is the lowest class at the max of its softmax numerators, computed
 class-major (``volume.class_argmax``).  Every round trains a fresh
-zero-initialized model with SGD (momentum, weight decay, poly LR decay) on a
-loss combining supervised and pseudo-label cross-entropy/soft-Dice terms with
-a consistency term against an exponential-moving-average teacher.  Gradients
-are analytic.
+zero-initialized model with SGD (momentum, weight decay, poly LR decay) on
+the loss ``sup + alpha * pseudo``: cross-entropy/soft-Dice on the labeled
+voxels plus the same on the pseudo-labeled voxels, weighted by a ramped
+``alpha``.  Gradients are analytic.
 
 A step has k = 2-3 classes and about a dozen features, so its cost is the
 number of numpy calls, not arithmetic.  The step is therefore class-major:
-the batch is one ``(n_l + 2 n_p, F)`` buffer of labeled, pseudo-labeled and
-noisy pseudo-labeled rows, filled in place: each row block's float32 cells
-are gathered from its volume's cell table and cast into the buffer, its last
-column is filled with the voxels' z, and the noise is drawn into it.  Its
-logits are ``(k, n)`` and every softmax and Dice reduction runs over the
-class axis or along one class row.  One matmul gives the student's logits,
-one the teacher's on the clean pseudo-labeled rows and one the gradient.
-The student, momentum and teacher stay plain arrays updated in place, and
-the per-step log is one preallocated array.
+the batch is one ``(n_l + n_p, F)`` buffer of labeled and pseudo-labeled
+rows, filled in place: each row block's float32 cells are gathered from its
+volume's cell table and cast into the buffer, and its last column is filled
+with the voxels' z.  Its logits are ``(k, n)`` and every softmax and Dice
+reduction runs over the class axis or along one class row.  One matmul gives
+the model's logits and one the gradient.  The weights and momentum stay
+plain arrays updated in place, and the per-step log is one preallocated
+array.
 """
 from __future__ import annotations
 
@@ -45,7 +44,6 @@ from .volume import class_argmax, nearest_axis_indices, read_blob, write_blob
 __all__ = [
     "SpecialistParams",
     "TrainConfig",
-    "EmaTeacher",
     "VoxelBatch",
     "TrainVolumeData",
     "TrainAssets",
@@ -102,10 +100,7 @@ class TrainConfig:
     momentum: float = 0.9
     weight_decay: float = 1e-4
     batch_voxels: int = 4096    # half labeled, half from one pseudo volume
-    lambda_max: float = 0.1     # consistency weight ceiling
-    ramp_fraction: float = 0.3  # fraction of iterations to reach full weight
-    ema_decay: float = 0.99
-    noise_sigma: float = 0.1    # feature perturbation for the consistency term
+    ramp_fraction: float = 0.3  # fraction of iterations to reach full pseudo-label weight
     dice_smooth: float = 1e-5
     val_interval: int = 250
     seed: int = 0
@@ -117,32 +112,10 @@ class TrainConfig:
             raise ValueError("base_lr must be > 0")
         if not 0.0 < self.ramp_fraction <= 1.0:
             raise ValueError(f"ramp_fraction={self.ramp_fraction} outside (0, 1]")
-        if not 0.0 <= self.ema_decay < 1.0:
-            raise ValueError(f"ema_decay={self.ema_decay} outside [0, 1)")
         if self.batch_voxels < 2:
             raise ValueError("batch_voxels must be >= 2")
         if self.val_interval < 1:
             raise ValueError("val_interval must be >= 1")
-
-
-class EmaTeacher:
-    """Exponential moving average of the student's weights and bias, in place.
-
-    update() applies shadow = decay * shadow + (1 - decay) * student, exactly.
-    """
-
-    def __init__(self, weights: np.ndarray, bias: np.ndarray, decay: float):
-        if not 0.0 <= decay < 1.0:
-            raise ValueError(f"decay={decay} outside [0, 1)")
-        self.decay = decay
-        self.weights = np.array(weights, dtype=np.float64)
-        self.bias = np.array(bias, dtype=np.float64)
-
-    def update(self, weights: np.ndarray, bias: np.ndarray) -> None:
-        d = self.decay
-        for shadow, student in ((self.weights, weights), (self.bias, bias)):
-            shadow *= d
-            shadow += (1.0 - d) * student
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +170,13 @@ def poly_lr(iteration: int, total: int, base_lr: float, power: float = 0.9) -> f
 
 @dataclass(frozen=True)
 class VoxelBatch:
-    """One optimization step's voxels, with the consistency perturbation baked in.
+    """One optimization step's voxels.
 
-    ``x`` stacks three row blocks, so one matmul covers all of them: the
-    labeled rows, the clean pseudo-labeled rows, and the same pseudo-labeled
-    rows plus Gaussian noise.
+    ``x`` stacks two row blocks, the labeled rows and then the
+    pseudo-labeled rows, so one matmul covers both.
     """
 
-    x: np.ndarray          # (n_l + 2 * n_p, F): labeled; pseudo; pseudo + noise
+    x: np.ndarray          # (n_l + n_p, F): labeled; pseudo
     labeled_y: np.ndarray  # (n_l,)
     pseudo_y: np.ndarray   # (n_p,)
 
@@ -212,10 +184,10 @@ class VoxelBatch:
         n_l, n_p = len(self.labeled_y), len(self.pseudo_y)
         if n_l == 0 or n_p == 0:
             raise ValueError("batch needs both labeled and pseudo-labeled voxels")
-        if self.x.ndim != 2 or len(self.x) != n_l + 2 * n_p:
+        if self.x.ndim != 2 or len(self.x) != n_l + n_p:
             raise ValueError(
                 f"batch rows {self.x.shape} do not stack {n_l} labeled rows and "
-                f"twice {n_p} pseudo-labeled rows"
+                f"{n_p} pseudo-labeled rows"
             )
 
 
@@ -223,7 +195,6 @@ class VoxelBatch:
 class LossTerms:
     total: float
     sup: float
-    unsup: float
     pseudo: float
 
 
@@ -258,48 +229,29 @@ def _ce_dice_terms(
     return 0.5 * (ce + dice_loss)
 
 
-def _mse_consistency(probs: np.ndarray, teacher_probs: np.ndarray, out: np.ndarray) -> float:
-    """Mean squared difference between student and teacher distributions.
-
-    Writes dL/dlogits of the student into ``out`` and returns the loss.
-    """
-    diff = probs - teacher_probs
-    loss = float(np.vdot(diff, diff)) / diff.size
-    diff *= 2.0 / diff.size
-    diff -= (diff * probs).sum(axis=0)
-    np.multiply(probs, diff, out=out)
-    return loss
-
-
 def loss_and_grad(
-    student: tuple[np.ndarray, np.ndarray],
-    teacher: tuple[np.ndarray, np.ndarray],
+    params: tuple[np.ndarray, np.ndarray],
     batch: VoxelBatch,
     alpha: float,
-    lam: float,
     smooth: float = 1e-5,
 ) -> tuple[LossTerms, tuple[np.ndarray, np.ndarray]]:
-    """Combined round loss and its analytic gradient in the student (weights, bias).
+    """Round loss and its analytic gradient in (weights, bias).
 
-    total = sup + lam * unsup + alpha * pseudo, where sup and pseudo are
-    0.5*(CE + soft Dice) on the labeled and pseudo-labeled voxels, and unsup
-    is the consistency MSE between the student's probabilities on perturbed
-    features and the teacher's on clean features.  Logits are class-major,
-    (k, n): one matmul gives the student's logits on every row of the batch,
-    one more the teacher's on the clean pseudo-labeled rows, and one the
-    gradient, from the per-voxel logit gradients scaled by each term's weight.
+    total = sup + alpha * pseudo, where sup and pseudo are 0.5*(CE + soft
+    Dice) on the labeled and pseudo-labeled voxels.  Logits are class-major,
+    (k, n): one matmul gives the logits on every row of the batch and one the
+    gradient, ``G @ x`` with ``G = [d_sup | alpha * d_pseudo]`` the per-voxel
+    logit gradients.
     """
-    w, b = student
-    n_l, n_p = len(batch.labeled_y), len(batch.pseudo_y)
-    lab, pse, noisy = slice(0, n_l), slice(n_l, n_l + n_p), slice(n_l + n_p, None)
+    w, b = params
+    n_l = len(batch.labeled_y)
+    lab, pse = slice(0, n_l), slice(n_l, None)
     x = batch.x
 
     logits = w @ x.T
     logits += b[:, None]
     probs, top, total = _softmax(logits)
-    lse = top[: n_l + n_p] + np.log(total[: n_l + n_p])
-    teacher_logits = teacher[0] @ x[pse].T
-    teacher_logits += teacher[1][:, None]
+    lse = top + np.log(total)
 
     grad = np.empty_like(logits)
     sup = _ce_dice_terms(
@@ -308,11 +260,9 @@ def loss_and_grad(
     pseudo = _ce_dice_terms(
         logits[:, pse], probs[:, pse], lse[pse], batch.pseudo_y, smooth, grad[:, pse]
     )
-    unsup = _mse_consistency(probs[:, noisy], _softmax(teacher_logits)[0], grad[:, noisy])
     grad[:, pse] *= alpha
-    grad[:, noisy] *= lam
 
-    terms = LossTerms(total=sup + lam * unsup + alpha * pseudo, sup=sup, unsup=unsup, pseudo=pseudo)
+    terms = LossTerms(total=sup + alpha * pseudo, sup=sup, pseudo=pseudo)
     return terms, (grad @ x, grad.sum(axis=1))
 
 
@@ -455,7 +405,7 @@ def _mean_val_dice(params: SpecialistParams, assets: TrainAssets) -> float:
 
 # per-step columns of the training log, after "iter"
 _LOG_FIELDS = (
-    "lr", "alpha", "lambda", "loss", "l_sup", "l_unsup", "l_pseudo", "grad_norm", "param_norm",
+    "lr", "alpha", "loss", "l_sup", "l_pseudo", "grad_norm", "param_norm",
 )
 
 
@@ -484,20 +434,19 @@ def train_round(
             raise ValueError(f"pseudo-label shape mismatch for {vol.vol_id!r}")
         targets[vol.vol_id] = flat
 
-    # the student, its momentum and the teacher stay plain arrays updated in
-    # place; a SpecialistParams is built only to validate and to return
+    # the weights and their momentum stay plain arrays updated in place; a
+    # SpecialistParams is built only to validate and to return
     num_features = assets.labeled.num_features
     rng = np.random.default_rng(config.seed)
     w = np.zeros((assets.num_classes, num_features))
     b = np.zeros(assets.num_classes)
-    teacher = EmaTeacher(w, b, config.ema_decay)
     vel_w = np.zeros_like(w)
     vel_b = np.zeros_like(b)
 
     n_lab = config.batch_voxels // 2
     n_pse = config.batch_voxels - n_lab
-    x = np.empty((n_lab + 2 * n_pse, num_features))
-    x_lab, x_pse, x_noisy = x[:n_lab], x[n_lab : n_lab + n_pse], x[n_lab + n_pse :]
+    x = np.empty((n_lab + n_pse, num_features))
+    x_lab, x_pse = x[:n_lab], x[n_lab:]
     total = config.iterations
     log = np.empty((total, len(_LOG_FIELDS)))
     best: tuple[float, SpecialistParams] | None = None
@@ -505,23 +454,15 @@ def train_round(
     for t in range(total):
         lr = poly_lr(t, total, config.base_lr, config.lr_power)
         alpha = ramp_up_alpha(t, total, config.ramp_fraction)
-        lam = config.lambda_max * alpha
 
         pick = assets.pool[int(rng.integers(len(assets.pool)))]
         li = rng.integers(0, assets.labeled.n_voxels, size=n_lab)
         pi = rng.integers(0, pick.n_voxels, size=n_pse)
         assets.labeled.rows(li, out=x_lab)
         pick.rows(pi, out=x_pse)
-        # rng.normal(0, sigma) is 0 + sigma * standard_normal: the same draw,
-        # written straight into the batch
-        rng.standard_normal(out=x_noisy)
-        x_noisy *= config.noise_sigma
-        x_noisy += x_pse
         batch = VoxelBatch(x, assets.labeled_targets[li], targets[pick.vol_id][pi])
 
-        terms, (d_w, d_b) = loss_and_grad(
-            (w, b), (teacher.weights, teacher.bias), batch, alpha, lam, config.dice_smooth
-        )
+        terms, (d_w, d_b) = loss_and_grad((w, b), batch, alpha, config.dice_smooth)
         if not math.isfinite(terms.total):
             raise ValueError(f"non-finite loss at iteration {t}")
         grad_norm = math.sqrt(np.vdot(d_w, d_w) + np.vdot(d_b, d_b))
@@ -531,11 +472,8 @@ def train_round(
             vel *= config.momentum
             vel += grad
             param -= lr * vel
-        teacher.update(w, b)
         param_norm = math.sqrt(np.vdot(w, w) + np.vdot(b, b))
-        log[t] = (
-            lr, alpha, lam, terms.total, terms.sup, terms.unsup, terms.pseudo, grad_norm, param_norm
-        )
+        log[t] = (lr, alpha, terms.total, terms.sup, terms.pseudo, grad_norm, param_norm)
 
         if assets.validation and ((t + 1) % config.val_interval == 0 or t == total - 1):
             params = SpecialistParams(w.copy(), b.copy())

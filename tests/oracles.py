@@ -567,9 +567,9 @@ def finite_diff_grad(loss_fn, weights, bias, h=1e-6):
 #
 # The round training loop as it was before the class-major step: (n, k)
 # logits, one matmul per voxel set and direction, a validated parameter
-# object per step and per EMA update, and one log dict per step.  It draws
-# from the generator in the same order as ``train_round`` (pick, labeled
-# indices, pseudo indices, noise), so both see the same batches.
+# object per step, and one log dict per step.  It draws from the generator in
+# the same order as ``train_round`` (pick, labeled indices, pseudo indices),
+# so both see the same batches.
 
 def _softmax_rows_oracle(logits):
     stable = logits - logits.max(axis=1, keepdims=True)
@@ -600,28 +600,16 @@ def _ce_dice_terms_oracle(logits, targets, num_classes, smooth):
     return 0.5 * (ce + dice_loss), 0.5 * (d_ce + d_dice)
 
 
-def _mse_consistency_oracle(student_logits, teacher_probs):
-    n, c = student_logits.shape
-    probs = _softmax_rows_oracle(student_logits)
-    diff = probs - teacher_probs
-    loss = float((diff**2).mean())
-    g_probs = 2.0 * diff / (n * c)
-    inner = (g_probs * probs).sum(axis=1, keepdims=True)
-    return loss, probs * (g_probs - inner)
-
-
-def loss_and_grad_rows_oracle(params, teacher, lx, ly, px, py, nx, alpha, lam, smooth=1e-5):
-    """(total, sup, unsup, pseudo), (dW, db) of the round loss on (n, F) row blocks."""
+def loss_and_grad_rows_oracle(params, lx, ly, px, py, alpha, smooth=1e-5):
+    """(total, sup, pseudo), (dW, db) of the round loss on (n, F) row blocks."""
     c = params.num_classes
     w, b = params.weights, params.bias
     sup, d_sup = _ce_dice_terms_oracle(lx @ w.T + b, ly, c, smooth)
     pseudo, d_pseudo = _ce_dice_terms_oracle(px @ w.T + b, py, c, smooth)
-    teacher_probs = _softmax_rows_oracle(px @ teacher.weights.T + teacher.bias)
-    unsup, d_unsup = _mse_consistency_oracle(nx @ w.T + b, teacher_probs)
-    total = sup + lam * unsup + alpha * pseudo
-    d_w = d_sup.T @ lx + alpha * (d_pseudo.T @ px) + lam * (d_unsup.T @ nx)
-    d_b = d_sup.sum(axis=0) + alpha * d_pseudo.sum(axis=0) + lam * d_unsup.sum(axis=0)
-    return (total, sup, unsup, pseudo), (d_w, d_b)
+    total = sup + alpha * pseudo
+    d_w = d_sup.T @ lx + alpha * (d_pseudo.T @ px)
+    d_b = d_sup.sum(axis=0) + alpha * d_pseudo.sum(axis=0)
+    return (total, sup, pseudo), (d_w, d_b)
 
 
 def _mean_val_dice_oracle(params, validation):
@@ -640,7 +628,6 @@ def train_round_loop_oracle(assets, pseudo_labels, config):
     targets = {v.vol_id: pseudo_labels[v.vol_id].data.reshape(-1) for v in assets.pool}
     rng = np.random.default_rng(config.seed)
     params = SpecialistParams.zeros(assets.num_classes, assets.labeled.num_features)
-    teacher = params
     vel_w = np.zeros_like(params.weights)
     vel_b = np.zeros_like(params.bias)
     n_lab = config.batch_voxels // 2
@@ -651,15 +638,12 @@ def train_round_loop_oracle(assets, pseudo_labels, config):
     for t in range(total):
         lr = poly_lr(t, total, config.base_lr, config.lr_power)
         alpha = ramp_up_alpha(t, total, config.ramp_fraction)
-        lam = config.lambda_max * alpha
         pick = assets.pool[int(rng.integers(len(assets.pool)))]
         li = rng.integers(0, assets.labeled.n_voxels, size=n_lab)
         pi = rng.integers(0, pick.n_voxels, size=n_pse)
-        px = pick.rows(pi)
-        noise = rng.normal(0.0, config.noise_sigma, size=px.shape)
-        (loss, sup, unsup, pse), (d_w, d_b) = loss_and_grad_rows_oracle(
-            params, teacher, assets.labeled.rows(li), assets.labeled_targets[li],
-            px, targets[pick.vol_id][pi], px + noise, alpha, lam, config.dice_smooth,
+        (loss, sup, pse), (d_w, d_b) = loss_and_grad_rows_oracle(
+            params, assets.labeled.rows(li), assets.labeled_targets[li],
+            pick.rows(pi), targets[pick.vol_id][pi], alpha, config.dice_smooth,
         )
         grad_norm = float(np.linalg.norm(np.concatenate([d_w.ravel(), d_b])))
         d_w = d_w + config.weight_decay * params.weights
@@ -669,14 +653,9 @@ def train_round_loop_oracle(assets, pseudo_labels, config):
         params = SpecialistParams(
             weights=params.weights - lr * vel_w, bias=params.bias - lr * vel_b
         )
-        d = config.ema_decay
-        teacher = SpecialistParams(
-            weights=d * teacher.weights + (1.0 - d) * params.weights,
-            bias=d * teacher.bias + (1.0 - d) * params.bias,
-        )
         log.append({
-            "iter": t, "lr": lr, "alpha": alpha, "lambda": lam, "loss": loss,
-            "l_sup": sup, "l_unsup": unsup, "l_pseudo": pse, "grad_norm": grad_norm,
+            "iter": t, "lr": lr, "alpha": alpha, "loss": loss,
+            "l_sup": sup, "l_pseudo": pse, "grad_norm": grad_norm,
             "param_norm": float(
                 np.linalg.norm(np.concatenate([params.weights.ravel(), params.bias]))
             ),

@@ -199,18 +199,14 @@ def test_gradient_matches_finite_differences(capsys):
         y_l = rng.integers(0, c, size=n_l)
         x_p = rng.normal(size=(n_p, f))
         y_p = rng.integers(0, c, size=n_p)
-        batch = VoxelBatch(
-            x=np.vstack([x_l, x_p, rng.normal(size=(n_p, f))]), labeled_y=y_l, pseudo_y=y_p
-        )
+        batch = VoxelBatch(x=np.vstack([x_l, x_p]), labeled_y=y_l, pseudo_y=y_p)
         params = SpecialistParams(rng.normal(size=(c, f)), rng.normal(size=c))
-        teacher = (rng.normal(size=(c, f)), rng.normal(size=c))
         alpha = float(rng.uniform(0.0, 1.0))
-        lam = float(rng.uniform(0.0, 0.5))
 
-        _, (dw, db) = loss_and_grad((params.weights, params.bias), teacher, batch, alpha, lam)
+        _, (dw, db) = loss_and_grad((params.weights, params.bias), batch, alpha)
 
         def loss_fn(w, b):
-            terms, _ = loss_and_grad((w, b), teacher, batch, alpha, lam)
+            terms, _ = loss_and_grad((w, b), batch, alpha)
             return terms.total
 
         fdw, fdb = finite_diff_grad(loss_fn, params.weights.copy(), params.bias.copy(), h=1e-5)

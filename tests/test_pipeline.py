@@ -537,6 +537,22 @@ def test_pipeline_deterministic(dataset, main_run, tmp_path):
     assert states[1].partition == again[1].partition
 
 
+def test_truth_only_scores(dataset, tmp_path):
+    """Truth labels are read for the recorded Dice alone: with and without
+    them, every label file and every parameter file is the same byte for byte."""
+
+    def outputs(run_dir):
+        files = sorted(run_dir.glob("round_*/*.label")) + sorted(run_dir.glob("round_*/params.vxar"))
+        return {str(p.relative_to(run_dir)): p.read_bytes() for p in files}
+
+    scored, blind = tmp_path / "scored", tmp_path / "blind"
+    assert run_pipeline(_config(dataset, scored, rounds=2)).pseudo_label_dice is not None
+    assert run_pipeline(_config(dataset, blind, rounds=2, truth_dir=None)).pseudo_label_dice is None
+    want = outputs(scored)
+    assert any(name.endswith("params.vxar") for name in want)
+    assert outputs(blind) == want
+
+
 def test_resume_after_round0_matches(dataset, main_run, tmp_path):
     """Copying round 0 to a new directory and continuing reproduces round 1."""
     states, out = main_run
@@ -883,8 +899,7 @@ def test_config_doc_round_trips_every_field(tmp_path):
         encoder=EncoderParams(patch_size=6, include_position=False, position_weight=0.5),
         train=TrainConfig(
             iterations=77, base_lr=0.02, lr_power=0.8, momentum=0.85, weight_decay=2e-4,
-            batch_voxels=128, lambda_max=0.2, ramp_fraction=0.4, ema_decay=0.95,
-            noise_sigma=0.2, dice_smooth=1e-4, val_interval=10, seed=3,
+            batch_voxels=128, ramp_fraction=0.4, dice_smooth=1e-4, val_interval=10, seed=3,
         ),
         knn=7,
         q_unc=0.8,
@@ -913,7 +928,12 @@ def test_config_doc_round_trips_every_field(tmp_path):
 
 def test_previous_config_format_loads_and_resumes(dataset, main_run, tmp_path, monkeypatch):
     """A config.json of an earlier format still resumes: window/stride keys, an
-    ``out_dir`` key, and input paths relative to the directory it is loaded from."""
+    ``out_dir`` key, and input paths relative to the directory it is loaded from.
+
+    This also pins the decision on the removed consistency-term settings: a
+    config.json naming ``lambda_max``, ``ema_decay`` or ``noise_sigma`` still
+    loads, those keys are ignored, and later rounds train with the
+    ``sup + alpha * pseudo`` loss."""
     states, out = main_run
     resumed = tmp_path / "resumed"
     resumed.mkdir()

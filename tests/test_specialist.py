@@ -9,7 +9,6 @@ import pytest
 from protoloop import specialist
 from protoloop.encoder import FeatureGrid
 from protoloop.specialist import (
-    EmaTeacher,
     SpecialistParams,
     TrainAssets,
     TrainConfig,
@@ -76,8 +75,7 @@ def _rows_data(name, rows):
 def _random_batch(rng, n_l=6, n_p=6, c=3, f=4):
     x_l, y_l = rng.normal(size=(n_l, f)), rng.integers(0, c, size=n_l)
     x_p, y_p = rng.normal(size=(n_p, f)), rng.integers(0, c, size=n_p)
-    x_noisy = rng.normal(size=(n_p, f))
-    return VoxelBatch(x=np.vstack([x_l, x_p, x_noisy]), labeled_y=y_l, pseudo_y=y_p)
+    return VoxelBatch(x=np.vstack([x_l, x_p]), labeled_y=y_l, pseudo_y=y_p)
 
 
 def _pair(params):
@@ -226,34 +224,12 @@ def test_zero_lr_step_is_noop():
     # an SGD step scaled by lr = 0 leaves the parameters at initialization
     rng = np.random.default_rng(3)
     params = SpecialistParams.zeros(2, 2)
-    terms, (dw, db) = loss_and_grad(
-        _pair(params), _pair(params), _random_batch(rng, c=2, f=2), 0.5, 0.1
-    )
+    terms, (dw, db) = loss_and_grad(_pair(params), _random_batch(rng, c=2, f=2), 0.5)
     after = SpecialistParams(
         weights=params.weights - 0.0 * dw, bias=params.bias - 0.0 * db
     )
     assert (after.weights == params.weights).all()
     assert (after.bias == params.bias).all()
-
-
-# ---------------------------------------------------------------------------
-# EMA teacher
-
-def test_ema_update_exact():
-    rng = np.random.default_rng(5)
-    start = SpecialistParams(weights=rng.normal(size=(2, 3)), bias=rng.normal(size=2))
-    student = SpecialistParams(weights=rng.normal(size=(2, 3)), bias=rng.normal(size=2))
-    teacher = EmaTeacher(start.weights, start.bias, 0.99)
-    teacher.update(student.weights, student.bias)
-    expect_w = 0.99 * start.weights + (1.0 - 0.99) * student.weights
-    expect_b = 0.99 * start.bias + (1.0 - 0.99) * student.bias
-    assert teacher.weights.tobytes() == expect_w.tobytes()
-    assert teacher.bias.tobytes() == expect_b.tobytes()
-    # the shadow is a copy: the student's arrays are neither aliased nor changed
-    assert teacher.weights is not start.weights
-    assert not np.shares_memory(teacher.bias, start.bias)
-    with pytest.raises(ValueError):
-        EmaTeacher(start.weights, start.bias, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +239,7 @@ def test_loss_reduces_to_sup_when_weights_zero():
     rng = np.random.default_rng(8)
     batch = _random_batch(rng)
     params = SpecialistParams(weights=rng.normal(size=(3, 4)), bias=rng.normal(size=3))
-    terms, _ = loss_and_grad(_pair(params), _pair(params), batch, alpha=0.0, lam=0.0)
+    terms, _ = loss_and_grad(_pair(params), batch, alpha=0.0)
     assert terms.total == terms.sup
 
 
@@ -271,10 +247,9 @@ def test_loss_decomposition_exact():
     rng = np.random.default_rng(9)
     batch = _random_batch(rng)
     params = SpecialistParams(weights=rng.normal(size=(3, 4)), bias=rng.normal(size=3))
-    teacher = SpecialistParams(weights=rng.normal(size=(3, 4)), bias=rng.normal(size=3))
-    for alpha, lam in [(0.3, 0.05), (1.0, 0.1), (0.0, 0.0)]:
-        terms, _ = loss_and_grad(_pair(params), _pair(teacher), batch, alpha, lam)
-        assert terms.total == terms.sup + lam * terms.unsup + alpha * terms.pseudo
+    for alpha in (0.3, 1.0, 0.0):
+        terms, _ = loss_and_grad(_pair(params), batch, alpha)
+        assert terms.total == terms.sup + alpha * terms.pseudo
 
 
 def test_perfect_prediction_loss_floor():
@@ -283,8 +258,8 @@ def test_perfect_prediction_loss_floor():
     y = np.array([0, 1] * 4)
     x = np.where(y[:, None] == 1, 1.0, -1.0)
     params = SpecialistParams(weights=np.array([[-50.0], [50.0]]), bias=np.zeros(2))
-    batch = VoxelBatch(x=np.vstack([x, x, x]), labeled_y=y, pseudo_y=y)
-    terms, _ = loss_and_grad(_pair(params), _pair(params), batch, 0.0, 0.0)
+    batch = VoxelBatch(x=np.vstack([x, x]), labeled_y=y, pseudo_y=y)
+    terms, _ = loss_and_grad(_pair(params), batch, 0.0)
     assert terms.sup < 1e-5
 
 
@@ -297,16 +272,13 @@ def test_gradient_matches_finite_differences():
         params = SpecialistParams(
             weights=0.5 * rng.normal(size=(c, f)), bias=0.5 * rng.normal(size=c)
         )
-        teacher = SpecialistParams(
-            weights=0.5 * rng.normal(size=(c, f)), bias=0.5 * rng.normal(size=c)
-        )
-        alpha, lam = float(rng.uniform(0, 1)), float(rng.uniform(0, 0.2))
+        alpha = float(rng.uniform(0, 1))
 
         def loss_fn(w, b):
-            terms, _ = loss_and_grad((w, b), _pair(teacher), batch, alpha, lam)
+            terms, _ = loss_and_grad((w, b), batch, alpha)
             return terms.total
 
-        _, (dw, db) = loss_and_grad(_pair(params), _pair(teacher), batch, alpha, lam)
+        _, (dw, db) = loss_and_grad(_pair(params), batch, alpha)
         fd_w, fd_b = finite_diff_grad(loss_fn, params.weights.copy(), params.bias.copy(), h=1e-5)
         scale = max(np.abs(dw).max(), np.abs(db).max(), np.abs(fd_w).max(), 1e-8)
         assert np.abs(dw - fd_w).max() / scale < 1e-4
@@ -321,9 +293,9 @@ def test_batch_validation():
             labeled_y=np.zeros(0, dtype=int),
             pseudo_y=np.zeros(2, dtype=int),
         )
-    with pytest.raises(ValueError, match="stack"):  # noisy block missing a row
+    with pytest.raises(ValueError, match="stack"):  # pseudo block missing a row
         VoxelBatch(
-            x=rng.normal(size=(4, 2)),
+            x=rng.normal(size=(2, 2)),
             labeled_y=np.zeros(1, dtype=int),
             pseudo_y=np.zeros(2, dtype=int),
         )
@@ -414,11 +386,9 @@ def test_log_contains_schedule_fields():
     _, log = train_round(assets, pseudo, config)
     for rec in log:
         assert list(rec) == [
-            "iter", "lr", "alpha", "lambda", "loss", "l_sup", "l_unsup", "l_pseudo",
-            "grad_norm", "param_norm",
+            "iter", "lr", "alpha", "loss", "l_sup", "l_pseudo", "grad_norm", "param_norm",
         ]
         assert type(rec["iter"]) is int
-        assert rec["lambda"] == pytest.approx(0.1 * rec["alpha"])
 
 
 def _oracle_assets(num_classes, with_validation, seed=90):
@@ -477,9 +447,9 @@ def test_train_round_matches_loop_oracle(num_classes, with_validation, batch_vox
             assert abs(rec[key] - value) <= 1e-12 * max(1.0, abs(value)), key
 
 
-def test_batch_buffer_byte_equal_dense_rows_and_normal_draw(monkeypatch):
-    # rows gathered into the batch buffer, and noise drawn into it, against the
-    # dense feature matrix and rng.normal(0, sigma) drawn as a separate array
+def test_batch_buffer_byte_equal_dense_rows(monkeypatch):
+    # rows gathered into the batch buffer against the dense feature matrix,
+    # at the indices drawn from the same generator sequence
     rng = np.random.default_rng(43)
     dense, data = {}, {}
     for name in ("t", "u0", "u1"):
@@ -496,13 +466,13 @@ def test_batch_buffer_byte_equal_dense_rows_and_normal_draw(monkeypatch):
         num_classes=2, labeled=data["t"], labeled_targets=rng.integers(0, 2, size=n),
         pool=(data["u0"], data["u1"]),
     )
-    config = TrainConfig(iterations=3, batch_voxels=61, seed=8, noise_sigma=0.3)
+    config = TrainConfig(iterations=3, batch_voxels=61, seed=8)
     seen = []
     real = specialist.loss_and_grad
 
-    def spy(student, teacher, batch, *rest):
+    def spy(params, batch, *rest):
         seen.append(batch.x.copy())
-        return real(student, teacher, batch, *rest)
+        return real(params, batch, *rest)
 
     monkeypatch.setattr(specialist, "loss_and_grad", spy)
     train_round(assets, pseudo, config)
@@ -513,9 +483,7 @@ def test_batch_buffer_byte_equal_dense_rows_and_normal_draw(monkeypatch):
         pick = ("u0", "u1")[int(draw.integers(2))]
         li = draw.integers(0, n, size=n_lab)
         pi = draw.integers(0, data[pick].n_voxels, size=n_pse)
-        pseudo_rows = dense[pick][pi]
-        noisy = pseudo_rows + draw.normal(0.0, config.noise_sigma, size=pseudo_rows.shape)
-        want = np.vstack([dense["t"][li], pseudo_rows, noisy])
+        want = np.vstack([dense["t"][li], dense[pick][pi]])
         assert x.tobytes() == want.tobytes()
     assert len(seen) == 3
 
