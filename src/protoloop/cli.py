@@ -57,16 +57,10 @@ def _add_encoder_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--no-position", action="store_true", help="drop the positional feature channels"
     )
-    p.add_argument("--position-weight", type=float, default=EncoderParams.position_weight,
-                   help="positional channel scale (default %(default)s)")
 
 
 def _encoder_params(args) -> EncoderParams:
-    return EncoderParams(
-        patch_size=args.patch,
-        include_position=not args.no_position,
-        position_weight=args.position_weight,
-    )
+    return EncoderParams(patch_size=args.patch, include_position=not args.no_position)
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:

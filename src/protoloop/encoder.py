@@ -2,7 +2,8 @@
 
 Each volume is z-score normalized, partitioned into non-overlapping cubic
 patches (edge patches truncated), and every patch is summarized by a fixed
-vector of local statistics plus optional normalized patch-center coordinates.
+vector of local statistics plus optional patch-center coordinates, each
+divided by its axis extent and scaled by ``POSITION_WEIGHT`` (0.25).
 The volume is streamed one d-row of cells at a time: a slab of ``p`` planes,
 plus one halo plane on each side for the d-gradient, is z-scored from the
 float32 intensities with the volume's two z-score scalars, and each of its
@@ -43,6 +44,7 @@ __all__ = [
 ]
 
 BASE_CHANNELS = 8  # mean, std, min, max, median, mean|dd|, mean|dh|, mean|dw|
+POSITION_WEIGHT = 0.25  # scale of the position channels
 
 # Diagnostic counter: number of times the built-in extractor ran in this
 # process.  The pipeline freezes it after the initial round to prove that no
@@ -60,13 +62,10 @@ def extract_call_count() -> int:
 class EncoderParams:
     patch_size: int = 8  # voxels per grid cell along each axis
     include_position: bool = True
-    position_weight: float = 0.25
 
     def __post_init__(self):
         if self.patch_size < 2:
             raise ValueError(f"patch_size={self.patch_size} must be >= 2")
-        if not np.isfinite(self.position_weight) or self.position_weight < 0:
-            raise ValueError("position_weight must be finite and >= 0")
 
     @property
     def channels(self) -> int:
@@ -176,7 +175,7 @@ def extract_feature_grid(
 
     Channel order: mean, population std, min, max, median, then mean absolute
     central difference along d, h, w — all computed on the z-scored volume —
-    followed (when enabled) by position_weight * (patch center / axis extent)
+    followed (when enabled) by POSITION_WEIGHT * (patch center / axis extent)
     for d, h, w.
 
     The volume is covered one d-row of cells at a time.  Its ``p`` planes and
@@ -237,7 +236,7 @@ def extract_feature_grid(
         for axis, (extent, n) in enumerate(zip(shape, grid_shape.as_tuple())):
             start = np.arange(n) * p
             center = start + np.minimum(p, extent - start) / 2.0
-            pos = params.position_weight * center / extent
+            pos = POSITION_WEIGHT * center / extent
             data[BASE_CHANNELS + axis] = pos.reshape([-1 if a == axis else 1 for a in range(3)])
     return FeatureGrid(
         channels=params.channels,

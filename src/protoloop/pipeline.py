@@ -29,6 +29,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import encoder as encoder_mod
+from . import specialist
 from .encoder import EncoderParams, GlobalFeature, global_feature
 from .metrics import pseudo_label_quality
 from .prototype import compute_prototypes, initial_pseudo_label
@@ -163,10 +164,7 @@ def entry_grid(
 
 def _load_cached_grid(path: Path, entry, encoder: EncoderParams) -> FeatureGrid:
     """A persisted grid; one the built-in encoder made must match ``encoder``.
-
-    Grids ingested from an entry's external ``features`` file are taken as
-    they are.  ``position_weight`` is not in the grid header, so a change of
-    it alone goes unnoticed.
+    One ingested from the entry's external ``features`` file is taken as it is.
     """
     grid = load_array(path, FeatureGrid)
     if entry.features is None:
@@ -506,6 +504,8 @@ def load_round_state(out_dir: Path, round_index: int) -> RoundState:
     )
     if "raw_labels" in doc:
         state.raw_labels = load_labels(doc["raw_labels"])
+    elif round_index >= 1:  # unrefined: the round's labels are the model's
+        state.raw_labels = state.labels
     if "params" in doc:
         state.params, _ = load_params(round_dir / doc["params"])
     if "partition" in doc:
@@ -578,6 +578,7 @@ def run_round(
 ) -> RoundState:
     """Train on the previous round's pseudo-labels, re-predict, partition, refine.
 
+    The model is seeded ``config.seed ^ round_index``, not ``config.train.seed``.
     An existing round is refused before training unless ``config.force`` is
     set; it is then replaced once the new round is complete.
     """
@@ -650,7 +651,7 @@ def refine_round(config: PipelineConfig, round_index: int) -> RoundState:
     state = RoundState(
         round_index=round_index,
         labels={},
-        raw_labels=prev.raw_labels if prev.raw_labels is not None else prev.labels,
+        raw_labels=prev.raw_labels,
         uncertainties=prev.uncertainties,
         params=prev.params,
         timings=dict(prev.timings),
@@ -738,6 +739,13 @@ def _clear_run_dir(out_dir: Path) -> None:
 _DOC_KEYS = {"manifest_path": "manifest", "val_manifest_path": "val_manifest"}
 _NESTED = {"encoder": EncoderParams, "train": TrainConfig}
 _NOT_PERSISTED = {"force", "out_dir"}  # an action of one invocation; where the run is loaded from
+# settings fixed as module constants: an older config.json may name them only at their values
+_FIXED = {
+    "encoder": {"position_weight": encoder_mod.POSITION_WEIGHT},
+    "train": {name.lower(): getattr(specialist, name) for name in (
+        "BASE_LR", "LR_POWER", "MOMENTUM", "WEIGHT_DECAY", "RAMP_FRACTION", "DICE_SMOOTH", "VAL_INTERVAL"
+    )},
+}
 
 
 def _config_doc(config: PipelineConfig) -> dict:
@@ -755,7 +763,9 @@ def _config_doc(config: PipelineConfig) -> dict:
 
 
 def _config_from_doc(doc: dict, out_dir: Path) -> PipelineConfig:
-    """Inverse of ``_config_doc``; absent keys take defaults, unknown keys are ignored."""
+    """Inverse of ``_config_doc``; absent keys take defaults, unknown keys are ignored,
+    and a ``_FIXED`` setting at another value is refused.
+    """
     kwargs = {}
     for f in fields(PipelineConfig):
         key = _DOC_KEYS.get(f.name, f.name)
@@ -763,6 +773,11 @@ def _config_from_doc(doc: dict, out_dir: Path) -> PipelineConfig:
             continue
         value = doc[key]
         if f.name in _NESTED:
+            for name, fixed in _FIXED[f.name].items():
+                if value.get(name, fixed) != fixed:
+                    raise ValueError(
+                        f"config.json sets {key}.{name} to {value[name]!r}; it is fixed at {fixed!r}"
+                    )
             cls = _NESTED[f.name]
             known = {g.name for g in fields(cls)}
             value = cls(**{k: v for k, v in value.items() if k in known})

@@ -12,10 +12,13 @@ and inference evaluates
 applied at cell resolution, one slab of d-planes at a time; a voxel's
 label is the lowest class at the max of its softmax numerators, computed
 class-major (``volume.class_argmax``).  Every round trains a fresh
-zero-initialized model with SGD (momentum, weight decay, poly LR decay) on
-the loss ``sup + alpha * pseudo``: cross-entropy/soft-Dice on the labeled
-voxels plus the same on the pseudo-labeled voxels, weighted by a ramped
-``alpha``.  Gradients are analytic.
+zero-initialized model with SGD on the loss ``sup + alpha * pseudo``:
+cross-entropy/soft-Dice on the labeled voxels plus the same on the
+pseudo-labeled voxels, weighted by a ramped ``alpha``.  Gradients are
+analytic.  The schedule is the same for every run: learning rate
+0.01 * (1 - t/T)^0.9 over T steps, momentum 0.9, weight decay 1e-4, ``alpha``
+ramped from 0 to 1 over the first 30% of the steps, Dice smoothing 1e-5, and
+a validation checkpoint every 250 steps.
 
 A step has k = 2-3 classes and about a dozen features, so its cost is the
 number of numpy calls, not arithmetic.  The step is therefore class-major:
@@ -92,30 +95,27 @@ class SpecialistParams:
         return cls(np.zeros((num_classes, num_features)), np.zeros(num_classes))
 
 
+# the fixed training schedule
+BASE_LR = 0.01
+LR_POWER = 0.9       # poly decay exponent
+MOMENTUM = 0.9
+WEIGHT_DECAY = 1e-4
+RAMP_FRACTION = 0.3  # fraction of iterations to reach full pseudo-label weight
+DICE_SMOOTH = 1e-5
+VAL_INTERVAL = 250   # iterations between validation checkpoints
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     iterations: int = 3000      # per round; desk-scale default
-    base_lr: float = 0.01
-    lr_power: float = 0.9       # poly decay exponent
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
     batch_voxels: int = 4096    # half labeled, half from one pseudo volume
-    ramp_fraction: float = 0.3  # fraction of iterations to reach full pseudo-label weight
-    dice_smooth: float = 1e-5
-    val_interval: int = 250
     seed: int = 0
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.base_lr <= 0:
-            raise ValueError("base_lr must be > 0")
-        if not 0.0 < self.ramp_fraction <= 1.0:
-            raise ValueError(f"ramp_fraction={self.ramp_fraction} outside (0, 1]")
         if self.batch_voxels < 2:
             raise ValueError("batch_voxels must be >= 2")
-        if self.val_interval < 1:
-            raise ValueError("val_interval must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -148,24 +148,22 @@ def _softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return probs, top, total
 
 
-def ramp_up_alpha(iteration: int, total: int, fraction: float = 0.3) -> float:
-    """Linear 0 -> 1 ramp over the first ``fraction`` of iterations, then flat."""
+def ramp_up_alpha(iteration: int, total: int) -> float:
+    """Linear 0 -> 1 ramp over the first ``RAMP_FRACTION`` of iterations, then flat."""
     if total < 1:
         raise ValueError("total iterations must be >= 1")
     if not 0 <= iteration <= total:
         raise ValueError(f"iteration {iteration} outside [0, {total}]")
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction={fraction} outside (0, 1]")
-    return min(1.0, iteration / (fraction * total))
+    return min(1.0, iteration / (RAMP_FRACTION * total))
 
 
-def poly_lr(iteration: int, total: int, base_lr: float, power: float = 0.9) -> float:
-    """Polynomial decay base_lr * (1 - t/total)^power; exactly 0 at t == total."""
+def poly_lr(iteration: int, total: int) -> float:
+    """Polynomial decay BASE_LR * (1 - t/total)^LR_POWER; exactly 0 at t == total."""
     if total < 1:
         raise ValueError("total iterations must be >= 1")
     if not 0 <= iteration <= total:
         raise ValueError(f"iteration {iteration} outside [0, {total}]")
-    return base_lr * (1.0 - iteration / total) ** power
+    return BASE_LR * (1.0 - iteration / total) ** LR_POWER
 
 
 @dataclass(frozen=True)
@@ -199,8 +197,7 @@ class LossTerms:
 
 
 def _ce_dice_terms(
-    logits: np.ndarray, probs: np.ndarray, lse: np.ndarray, targets: np.ndarray,
-    smooth: float, out: np.ndarray,
+    logits: np.ndarray, probs: np.ndarray, lse: np.ndarray, targets: np.ndarray, out: np.ndarray
 ) -> float:
     """0.5*(cross-entropy + soft Dice) over one (k, n) block of voxels.
 
@@ -213,8 +210,8 @@ def _ce_dice_terms(
 
     # soft Dice averaged over all classes on this block
     inter = (probs * onehot).sum(axis=1)
-    denom = probs.sum(axis=1) + onehot.sum(axis=1) + smooth
-    dice_c = (2.0 * inter + smooth) / denom
+    denom = probs.sum(axis=1) + onehot.sum(axis=1) + DICE_SMOOTH
+    dice_c = (2.0 * inter + DICE_SMOOTH) / denom
     dice_loss = float(1.0 - dice_c.sum() / k)
     # d dice_c / d probs[c, i] = (2*onehot - dice_c) / denom  (per class c),
     # then back through softmax: dL/dz = p * (g - sum_k g_k p_k)
@@ -233,7 +230,6 @@ def loss_and_grad(
     params: tuple[np.ndarray, np.ndarray],
     batch: VoxelBatch,
     alpha: float,
-    smooth: float = 1e-5,
 ) -> tuple[LossTerms, tuple[np.ndarray, np.ndarray]]:
     """Round loss and its analytic gradient in (weights, bias).
 
@@ -254,12 +250,8 @@ def loss_and_grad(
     lse = top + np.log(total)
 
     grad = np.empty_like(logits)
-    sup = _ce_dice_terms(
-        logits[:, lab], probs[:, lab], lse[lab], batch.labeled_y, smooth, grad[:, lab]
-    )
-    pseudo = _ce_dice_terms(
-        logits[:, pse], probs[:, pse], lse[pse], batch.pseudo_y, smooth, grad[:, pse]
-    )
+    sup = _ce_dice_terms(logits[:, lab], probs[:, lab], lse[lab], batch.labeled_y, grad[:, lab])
+    pseudo = _ce_dice_terms(logits[:, pse], probs[:, pse], lse[pse], batch.pseudo_y, grad[:, pse])
     grad[:, pse] *= alpha
 
     terms = LossTerms(total=sup + alpha * pseudo, sup=sup, pseudo=pseudo)
@@ -452,8 +444,8 @@ def train_round(
     best: tuple[float, SpecialistParams] | None = None
 
     for t in range(total):
-        lr = poly_lr(t, total, config.base_lr, config.lr_power)
-        alpha = ramp_up_alpha(t, total, config.ramp_fraction)
+        lr = poly_lr(t, total)
+        alpha = ramp_up_alpha(t, total)
 
         pick = assets.pool[int(rng.integers(len(assets.pool)))]
         li = rng.integers(0, assets.labeled.n_voxels, size=n_lab)
@@ -462,20 +454,20 @@ def train_round(
         pick.rows(pi, out=x_pse)
         batch = VoxelBatch(x, assets.labeled_targets[li], targets[pick.vol_id][pi])
 
-        terms, (d_w, d_b) = loss_and_grad((w, b), batch, alpha, config.dice_smooth)
+        terms, (d_w, d_b) = loss_and_grad((w, b), batch, alpha)
         if not math.isfinite(terms.total):
             raise ValueError(f"non-finite loss at iteration {t}")
         grad_norm = math.sqrt(np.vdot(d_w, d_w) + np.vdot(d_b, d_b))
-        d_w += config.weight_decay * w
-        d_b += config.weight_decay * b
+        d_w += WEIGHT_DECAY * w
+        d_b += WEIGHT_DECAY * b
         for param, vel, grad in ((w, vel_w, d_w), (b, vel_b, d_b)):
-            vel *= config.momentum
+            vel *= MOMENTUM
             vel += grad
             param -= lr * vel
         param_norm = math.sqrt(np.vdot(w, w) + np.vdot(b, b))
         log[t] = (lr, alpha, terms.total, terms.sup, terms.pseudo, grad_norm, param_norm)
 
-        if assets.validation and ((t + 1) % config.val_interval == 0 or t == total - 1):
+        if assets.validation and ((t + 1) % VAL_INTERVAL == 0 or t == total - 1):
             params = SpecialistParams(w.copy(), b.copy())
             score = _mean_val_dice(params, assets)
             if best is None or score > best[0]:

@@ -212,7 +212,7 @@ def _header_shape(header: dict, path) -> Shape3:
     if (
         not isinstance(shape, list)
         or len(shape) != 3
-        or not all(isinstance(s, int) and s >= 1 for s in shape)
+        or not all(type(s) is int and s >= 1 for s in shape)
     ):
         raise ArrayFormatError(f"{path}: bad shape {shape!r}")
     return Shape3(*shape)
@@ -267,7 +267,7 @@ def load_array(path: str | Path, kind: type | None = None):
         planes = 1
         if "channels" in header:
             planes = header["channels"]
-            if not isinstance(planes, int) or planes < 1:
+            if type(planes) is not int or planes < 1:
                 raise ArrayFormatError(f"{path}: bad channels {planes!r}")
             if dtype_name != "f32":
                 # only feature grids carry channels, and they are f32
@@ -276,13 +276,13 @@ def load_array(path: str | Path, kind: type | None = None):
             if patch is not None and (
                 not isinstance(patch, list)
                 or len(patch) != 3
-                or not all(isinstance(p, int) and p >= 1 for p in patch)
+                or not all(type(p) is int and p >= 1 for p in patch)
             ):
                 raise ArrayFormatError(f"{path}: bad patch_size {patch!r}")
         elif dtype_name == "f32" and "num_classes" in header:
             # per-class f32 planes (an old probability file) must not load as intensities
             raise ArrayFormatError(f"{path}: f32 data with num_classes is not a known array kind")
-        elif not isinstance(header.get("num_classes", 2), int):
+        elif type(header.get("num_classes", 2)) is not int:
             raise ArrayFormatError(f"{path}: bad num_classes {header['num_classes']!r}")
 
         expected = planes * shape.voxels * dtype.itemsize

@@ -24,6 +24,7 @@ import numpy as np
 
 from protoloop.encoder import (
     BASE_CHANNELS,
+    POSITION_WEIGHT,
     EncoderParams,
     FeatureGrid,
     _abs_gradient,
@@ -31,7 +32,17 @@ from protoloop.encoder import (
     _blocked,
     _order_statistics,
 )
-from protoloop.specialist import SpecialistParams, cell_index_luts, infer, poly_lr, ramp_up_alpha
+from protoloop.specialist import (
+    DICE_SMOOTH,
+    MOMENTUM,
+    VAL_INTERVAL,
+    WEIGHT_DECAY,
+    SpecialistParams,
+    cell_index_luts,
+    infer,
+    poly_lr,
+    ramp_up_alpha,
+)
 from protoloop.uncertainty import SampleUncertainty
 from protoloop.volume import Shape3
 
@@ -95,7 +106,7 @@ def central_diff_abs(z, axis):
     return out
 
 
-def patch_features_oracle(data, patch, include_position=True, position_weight=0.25):
+def patch_features_oracle(data, patch, include_position=True):
     """Per-patch statistics, channel for channel, via explicit loops."""
     z = zscore_oracle(data)
     shape = z.shape
@@ -129,7 +140,7 @@ def patch_features_oracle(data, patch, include_position=True, position_weight=0.
                     for a in range(3):
                         span = stops[a] - starts[a]
                         center = starts[a] + span / 2.0
-                        cell.append(position_weight * center / shape[a])
+                        cell.append(POSITION_WEIGHT * center / shape[a])
                 out[:, gd, gh, gw] = cell
     return out
 
@@ -170,7 +181,7 @@ def extract_grid_loop_oracle(vol, params: EncoderParams) -> FeatureGrid:
                     for axis, (start, extent) in enumerate(zip((d0, h0, w0), shape)):
                         span = min(p, extent - start)
                         center = start + span / 2.0
-                        cell[8 + axis] = params.position_weight * center / extent
+                        cell[8 + axis] = POSITION_WEIGHT * center / extent
     return FeatureGrid(
         channels=params.channels, grid_shape=grid_shape, data=data, patch_size=(p, p, p)
     )
@@ -207,7 +218,7 @@ def extract_grid_whole_volume_oracle(vol, params: EncoderParams) -> FeatureGrid:
         for axis, (extent, n) in enumerate(zip(shape, grid_shape.as_tuple())):
             start = np.arange(n) * p
             center = start + np.minimum(p, extent - start) / 2.0
-            pos = params.position_weight * center / extent
+            pos = POSITION_WEIGHT * center / extent
             data[BASE_CHANNELS + axis] = pos.reshape([-1 if a == axis else 1 for a in range(3)])
     return FeatureGrid(
         channels=params.channels, grid_shape=grid_shape, data=data, patch_size=(p, p, p)
@@ -577,7 +588,7 @@ def _softmax_rows_oracle(logits):
     return expd / expd.sum(axis=1, keepdims=True)
 
 
-def _ce_dice_terms_oracle(logits, targets, num_classes, smooth):
+def _ce_dice_terms_oracle(logits, targets, num_classes):
     """0.5*(cross-entropy + soft Dice) over one (n, k) voxel set; (loss, dL/dlogits)."""
     n = logits.shape[0]
     probs = _softmax_rows_oracle(logits)
@@ -591,8 +602,8 @@ def _ce_dice_terms_oracle(logits, targets, num_classes, smooth):
     inter = (probs * onehot).sum(axis=0)
     psum = probs.sum(axis=0)
     tsum = onehot.sum(axis=0)
-    denom = psum + tsum + smooth
-    dice_c = (2.0 * inter + smooth) / denom
+    denom = psum + tsum + DICE_SMOOTH
+    dice_c = (2.0 * inter + DICE_SMOOTH) / denom
     dice_loss = float(1.0 - dice_c.mean())
     g_probs = -(2.0 * onehot - dice_c[None, :]) / denom[None, :] / num_classes
     inner = (g_probs * probs).sum(axis=1, keepdims=True)
@@ -600,12 +611,12 @@ def _ce_dice_terms_oracle(logits, targets, num_classes, smooth):
     return 0.5 * (ce + dice_loss), 0.5 * (d_ce + d_dice)
 
 
-def loss_and_grad_rows_oracle(params, lx, ly, px, py, alpha, smooth=1e-5):
+def loss_and_grad_rows_oracle(params, lx, ly, px, py, alpha):
     """(total, sup, pseudo), (dW, db) of the round loss on (n, F) row blocks."""
     c = params.num_classes
     w, b = params.weights, params.bias
-    sup, d_sup = _ce_dice_terms_oracle(lx @ w.T + b, ly, c, smooth)
-    pseudo, d_pseudo = _ce_dice_terms_oracle(px @ w.T + b, py, c, smooth)
+    sup, d_sup = _ce_dice_terms_oracle(lx @ w.T + b, ly, c)
+    pseudo, d_pseudo = _ce_dice_terms_oracle(px @ w.T + b, py, c)
     total = sup + alpha * pseudo
     d_w = d_sup.T @ lx + alpha * (d_pseudo.T @ px)
     d_b = d_sup.sum(axis=0) + alpha * d_pseudo.sum(axis=0)
@@ -636,20 +647,20 @@ def train_round_loop_oracle(assets, pseudo_labels, config):
     log = []
     best = None
     for t in range(total):
-        lr = poly_lr(t, total, config.base_lr, config.lr_power)
-        alpha = ramp_up_alpha(t, total, config.ramp_fraction)
+        lr = poly_lr(t, total)
+        alpha = ramp_up_alpha(t, total)
         pick = assets.pool[int(rng.integers(len(assets.pool)))]
         li = rng.integers(0, assets.labeled.n_voxels, size=n_lab)
         pi = rng.integers(0, pick.n_voxels, size=n_pse)
         (loss, sup, pse), (d_w, d_b) = loss_and_grad_rows_oracle(
             params, assets.labeled.rows(li), assets.labeled_targets[li],
-            pick.rows(pi), targets[pick.vol_id][pi], alpha, config.dice_smooth,
+            pick.rows(pi), targets[pick.vol_id][pi], alpha,
         )
         grad_norm = float(np.linalg.norm(np.concatenate([d_w.ravel(), d_b])))
-        d_w = d_w + config.weight_decay * params.weights
-        d_b = d_b + config.weight_decay * params.bias
-        vel_w = config.momentum * vel_w + d_w
-        vel_b = config.momentum * vel_b + d_b
+        d_w = d_w + WEIGHT_DECAY * params.weights
+        d_b = d_b + WEIGHT_DECAY * params.bias
+        vel_w = MOMENTUM * vel_w + d_w
+        vel_b = MOMENTUM * vel_b + d_b
         params = SpecialistParams(
             weights=params.weights - lr * vel_w, bias=params.bias - lr * vel_b
         )
@@ -660,7 +671,7 @@ def train_round_loop_oracle(assets, pseudo_labels, config):
                 np.linalg.norm(np.concatenate([params.weights.ravel(), params.bias]))
             ),
         })
-        if assets.validation and ((t + 1) % config.val_interval == 0 or t == total - 1):
+        if assets.validation and ((t + 1) % VAL_INTERVAL == 0 or t == total - 1):
             score = _mean_val_dice_oracle(params, assets.validation)
             if best is None or score > best[0]:
                 best = (score, params)

@@ -295,7 +295,7 @@ def _fixture_config(data_dir, out_dir, **overrides):
         out_dir=out_dir,
         rounds=ROUNDS,
         encoder=EncoderParams(patch_size=8),
-        train=TrainConfig(iterations=400, batch_voxels=2048, seed=0, weight_decay=1e-4),
+        train=TrainConfig(iterations=400, batch_voxels=2048, seed=0),
         knn=13,
         q_unc=0.6,
         seed=11,

@@ -291,6 +291,14 @@ def test_threads_flag_is_gone(dataset, tmp_path):
     assert dispatch(_run_args(dataset, tmp_path / "r", "--threads", "2")) == 1
 
 
+def test_position_weight_flag_is_gone(dataset, tmp_path):
+    assert dispatch(_run_args(dataset, tmp_path / "r", "--position-weight", "0.5")) == 1
+    assert dispatch(_init_args(dataset, tmp_path / "r", "--position-weight", "0.5")) == 1
+    argv = ["encode", "--manifest", str(dataset / "manifest.json"), "--out", str(tmp_path / "f")]
+    assert dispatch(argv + ["--position-weight", "0.5"]) == 1
+    assert not (tmp_path / "r").exists() and not (tmp_path / "f").exists()
+
+
 # ---------------------------------------------------------------------------
 # round / refine
 
@@ -317,6 +325,39 @@ def test_round_refuses_prev_that_is_not_the_previous_round(dataset, tmp_path, ca
 def test_round_requires_config(tmp_path):
     (tmp_path / "round_0").mkdir()
     assert dispatch(["round", "--prev", str(tmp_path / "round_0")]) == 1
+
+
+@pytest.fixture(scope="module")
+def initialized_run(dataset, tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli_init")
+    assert dispatch(_init_args(dataset, out)) == 0
+    return out
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("encoder", "position_weight", 0.5),
+    ("train", "base_lr", 0.02),
+    ("train", "lr_power", 0.8),
+    ("train", "momentum", 0.85),
+    ("train", "weight_decay", 2e-4),
+    ("train", "ramp_fraction", 0.4),
+    ("train", "dice_smooth", 1e-4),
+    ("train", "val_interval", 10),
+])
+def test_config_drift_in_a_fixed_setting_is_refused(initialized_run, tmp_path, capsys, section, key, value):
+    """An older config.json may name a setting that is now a constant; at
+    another value, the rounds after it are not trained under that value."""
+    out = tmp_path / "run"
+    shutil.copytree(initialized_run, out)
+    doc = json.loads((out / "config.json").read_text())
+    assert key not in doc[section]
+    doc[section][key] = value
+    (out / "config.json").write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(f"config.json sets {section}.{key} to {value!r}; it is fixed at")):
+        pipeline.load_run_config(out)
+    assert dispatch(["round", "--prev", str(out / "round_0")]) == 1
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not (out / "round_1").exists()
 
 
 def _tree(run_dir):

@@ -47,8 +47,6 @@ def test_params_validation():
     EncoderParams(patch_size=2)
     with pytest.raises(ValueError):
         EncoderParams(patch_size=1)
-    with pytest.raises(ValueError):
-        EncoderParams(position_weight=-0.1)
     assert EncoderParams().channels == 11
     assert EncoderParams(include_position=False).channels == 8
 

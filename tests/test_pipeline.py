@@ -553,6 +553,17 @@ def test_truth_only_scores(dataset, tmp_path):
     assert outputs(blind) == want
 
 
+def test_reloaded_rounds_keep_their_raw_labels(dataset, tmp_path):
+    """An unrefined round reloads with the raw labels it held in memory, round 0 with none."""
+    config = _config(dataset, tmp_path / "plain", refine=False)
+    states = _drive(config)
+    assert states[0].raw_labels is None and load_round_state(config.out_dir, 0).raw_labels is None
+    back = load_round_state(config.out_dir, 1)
+    assert {k: v.data.tobytes() for k, v in back.raw_labels.items()} == {
+        k: v.data.tobytes() for k, v in states[1].raw_labels.items()
+    }
+
+
 def test_resume_after_round0_matches(dataset, main_run, tmp_path):
     """Copying round 0 to a new directory and continuing reproduces round 1."""
     states, out = main_run
@@ -896,11 +907,8 @@ def test_config_doc_round_trips_every_field(tmp_path):
         manifest_path=tmp_path / "m.json",
         out_dir=tmp_path / "run",
         rounds=4,
-        encoder=EncoderParams(patch_size=6, include_position=False, position_weight=0.5),
-        train=TrainConfig(
-            iterations=77, base_lr=0.02, lr_power=0.8, momentum=0.85, weight_decay=2e-4,
-            batch_voxels=128, ramp_fraction=0.4, dice_smooth=1e-4, val_interval=10, seed=3,
-        ),
+        encoder=EncoderParams(patch_size=6, include_position=False),
+        train=TrainConfig(iterations=77, batch_voxels=128, seed=3),
         knn=7,
         q_unc=0.8,
         seed=5,
@@ -920,6 +928,8 @@ def test_config_doc_round_trips_every_field(tmp_path):
             assert value != default, f.name
     doc = json.loads(json.dumps(_config_doc(config)))
     assert "force" not in doc and "out_dir" not in doc
+    assert sorted(doc["encoder"]) == ["include_position", "patch_size"]
+    assert sorted(doc["train"]) == ["batch_voxels", "iterations", "seed"]
     assert _config_from_doc(doc, config.out_dir) == config
     del doc["manifest"]
     with pytest.raises(ValueError, match="manifest"):

@@ -1,13 +1,14 @@
 """Linear voxel classifier: loss, gradients, round training, inference."""
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from protoloop import encoder as encoder_mod
 from protoloop import specialist
-from protoloop.encoder import FeatureGrid
+from protoloop.encoder import EncoderParams, FeatureGrid
 from protoloop.specialist import (
     SpecialistParams,
     TrainAssets,
@@ -215,9 +216,21 @@ def test_ramp_up_alpha_schedule():
 
 
 def test_poly_lr_schedule():
-    assert poly_lr(0, 100, 0.01) == pytest.approx(0.01)
-    assert poly_lr(100, 100, 0.01) == 0.0
-    assert poly_lr(50, 100, 0.01) == pytest.approx(0.01 * 0.5**0.9)
+    assert poly_lr(0, 100) == pytest.approx(0.01)
+    assert poly_lr(100, 100) == 0.0
+    assert poly_lr(50, 100) == pytest.approx(0.01 * 0.5**0.9)
+
+
+def test_fixed_settings_keep_their_values():
+    # every frozen Dice value and label digest was made with these
+    fixed = (
+        specialist.BASE_LR, specialist.LR_POWER, specialist.MOMENTUM, specialist.WEIGHT_DECAY,
+        specialist.RAMP_FRACTION, specialist.DICE_SMOOTH, specialist.VAL_INTERVAL,
+        encoder_mod.POSITION_WEIGHT,
+    )
+    assert fixed == (0.01, 0.9, 0.9, 1e-4, 0.3, 1e-5, 250, 0.25)
+    assert [f.name for f in fields(TrainConfig)] == ["iterations", "batch_voxels", "seed"]
+    assert [f.name for f in fields(EncoderParams)] == ["patch_size", "include_position"]
 
 
 def test_zero_lr_step_is_noop():
@@ -364,7 +377,7 @@ def test_train_round_validation_selection():
         pool=assets.pool,
         validation=(val,),
     )
-    config = TrainConfig(iterations=300, batch_voxels=64, seed=4, val_interval=50)
+    config = TrainConfig(iterations=300, batch_voxels=64, seed=4)
     params, _ = train_round(assets, pseudo, config)
     pred = infer(params, pool_u)[0].data.reshape(-1)
     p, t = pred > 0, pool_y > 0
@@ -382,7 +395,7 @@ def test_train_round_missing_pseudo_labels():
 def test_log_contains_schedule_fields():
     rng = np.random.default_rng(6)
     assets, pseudo, _, _ = _separable_assets(rng)
-    config = TrainConfig(iterations=10, batch_voxels=16, seed=0, ramp_fraction=0.5)
+    config = TrainConfig(iterations=10, batch_voxels=16, seed=0)
     _, log = train_round(assets, pseudo, config)
     for rec in log:
         assert list(rec) == [
@@ -431,8 +444,10 @@ def _oracle_assets(num_classes, with_validation, seed=90):
 def test_train_round_matches_loop_oracle(num_classes, with_validation, batch_voxels):
     # the class-major step against the voxel-major loop it replaced: same
     # draws, so only summation order separates the two
+    # with validation, long enough for two checkpoints before the last step
+    iterations = 2 * specialist.VAL_INTERVAL + 20 if with_validation else 120
     assets, pseudo = _oracle_assets(num_classes, with_validation)
-    config = TrainConfig(iterations=120, batch_voxels=batch_voxels, seed=3, val_interval=25)
+    config = TrainConfig(iterations=iterations, batch_voxels=batch_voxels, seed=3)
     params, log = train_round(assets, pseudo, config)
     want, want_log = train_round_loop_oracle(assets, pseudo, config)
 
@@ -440,7 +455,7 @@ def test_train_round_matches_loop_oracle(num_classes, with_validation, batch_vox
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     for data in assets.pool:
         assert infer(params, data)[0].data.tobytes() == infer(want, data)[0].data.tobytes()
-    assert len(log) == len(want_log) == 120
+    assert len(log) == len(want_log) == iterations
     for rec, ref in zip(log, want_log):
         assert list(rec) == list(ref)
         for key, value in ref.items():

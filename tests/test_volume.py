@@ -135,10 +135,19 @@ def test_load_array_copies_the_payload_once(tmp_path):
     assert peak < 1.1 * data.nbytes
 
 
+def _file(header: dict, payload: bytes) -> bytes:
+    head = json.dumps(header).encode()
+    return MAGIC + struct.pack("<I", len(head)) + head + payload
+
+
+_F32, _U8 = {"dtype": "f32", "order": "row-major"}, {"dtype": "u8", "order": "row-major"}
+
+
 def _intensity_file(extra: bytes = b"", cut: int = 0) -> bytes:
-    header = json.dumps({"dtype": "f32", "order": "row-major", "shape": [1, 2, 3]}).encode()
-    blob = MAGIC + struct.pack("<I", len(header)) + header + bytes(24) + extra
+    blob = _file(_F32 | {"shape": [1, 2, 3]}, bytes(24) + extra)
     return blob[: len(blob) - cut]
+# what read_header itself refuses: the container, not the header's values or the payload
+_CONTAINER_ERRORS = ("bad magic", "truncated header", "malformed header", "header is not a JSON object")
 
 
 @pytest.mark.parametrize(
@@ -151,16 +160,23 @@ def _intensity_file(extra: bytes = b"", cut: int = 0) -> bytes:
         (MAGIC + struct.pack("<I", 2) + b"[]", "header is not a JSON object"),
         (_intensity_file(cut=1), r"shape/payload mismatch \(23 bytes, expected 24\)"),
         (_intensity_file(extra=b"\x00"), r"shape/payload mismatch \(25 bytes, expected 24\)"),
+        # a JSON boolean is not a count, though Python's bool is an int
+        (_file(_F32 | {"shape": [True, 2, 2]}, bytes(16)), "bad shape"),
+        (_file(_F32 | {"shape": [1, 1, 1], "channels": True}, bytes(4)), "bad channels"),
+        (_file(_F32 | {"shape": [1, 1, 1], "channels": 1, "patch_size": [True] * 3}, bytes(4)),
+         "bad patch_size"),
+        (_file(_U8 | {"shape": [1, 1, 2], "num_classes": True}, bytes(2)), "bad num_classes"),
     ],
     ids=["magic", "short-magic", "truncated-header", "malformed-header", "header-list",
-         "short-payload", "long-payload"],
+         "short-payload", "long-payload", "bool-shape", "bool-channels", "bool-patch-size",
+         "bool-num-classes"],
 )
 def test_malformed_file_refused_by_name(tmp_path, blob, message):
     path = tmp_path / "bad.vxar"
     path.write_bytes(blob)
     with pytest.raises(ArrayFormatError, match=re.escape(f"{path}: ") + message):
         load_array(path)
-    if "payload" not in message:
+    if message in _CONTAINER_ERRORS:
         with pytest.raises(ArrayFormatError, match=re.escape(f"{path}: ") + message):
             read_header(path)
     # the same file, well formed, loads
