@@ -11,7 +11,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .encoder import EncoderParams, GlobalFeature, extract_feature_grid, global_feature
+from .encoder import EncoderParams, extract_feature_grid, global_feature
 from .metrics import evaluate_pair, pseudo_label_quality, summarize_reports
 from .phantom import PhantomSpec, generate
 from .pipeline import PipelineConfig, load_round_state, run_pipeline, run_round, run_round0
@@ -35,7 +35,6 @@ __all__ = [
     "DatasetManifest",
     "EncoderParams",
     "FeatureGrid",
-    "GlobalFeature",
     "IntensityVolume",
     "LabelVolume",
     "PhantomSpec",

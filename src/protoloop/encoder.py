@@ -33,7 +33,6 @@ from .volume import FeatureGrid, IntensityVolume, Shape3, load_array
 
 __all__ = [
     "EncoderParams",
-    "GlobalFeature",
     "extract_feature_grid",
     "global_feature",
     "ingest_external_features",
@@ -70,21 +69,6 @@ class EncoderParams:
     @property
     def channels(self) -> int:
         return BASE_CHANNELS + (3 if self.include_position else 0)
-
-
-@dataclass(frozen=True)
-class GlobalFeature:
-    """Channel-wise average of a grid, L2 normalized; zero vector when degenerate."""
-
-    vector: np.ndarray  # (channels,) float64, unit norm unless degenerate
-    degenerate: bool = False
-
-    def __post_init__(self):
-        vec = np.ascontiguousarray(np.asarray(self.vector, dtype=np.float64))
-        if vec.ndim != 1:
-            raise ValueError("global feature must be a 1-D vector")
-        vec.setflags(write=False)
-        object.__setattr__(self, "vector", vec)
 
 
 def zscore_scalars(data: np.ndarray) -> tuple[float, float]:
@@ -246,13 +230,16 @@ def extract_feature_grid(
     )
 
 
-def global_feature(grid: FeatureGrid) -> GlobalFeature:
-    """Average the grid over cells and L2-normalize; flag an exactly-zero average."""
+def global_feature(grid: FeatureGrid) -> np.ndarray:
+    """The grid's channel means, L2-normalized: a read-only (channels,) float64 vector.
+
+    It is unit norm, or ``+0.0`` zeros when every channel mean is exactly zero.
+    """
     vec = grid.data.astype(np.float64).mean(axis=(1, 2, 3))
     norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        return GlobalFeature(vector=np.zeros_like(vec), degenerate=True)
-    return GlobalFeature(vector=vec / norm, degenerate=False)
+    vec = np.zeros_like(vec) if norm == 0.0 else vec / norm
+    vec.setflags(write=False)
+    return vec
 
 
 def ingest_external_features(path, vol_shape: Shape3) -> FeatureGrid:

@@ -28,9 +28,11 @@ import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import encoder as encoder_mod
 from . import specialist
-from .encoder import EncoderParams, GlobalFeature, global_feature
+from .encoder import EncoderParams, global_feature
 from .metrics import pseudo_label_quality
 from .prototype import compute_prototypes, initial_pseudo_label
 from .refine import refine_all
@@ -179,25 +181,29 @@ def _load_cached_grid(path: Path, entry, encoder: EncoderParams) -> FeatureGrid:
 
 
 def write_globals(
-    features_dir: Path, global_features: dict[str, GlobalFeature]
-) -> dict[str, GlobalFeature]:
-    """``global_features`` by sorted id, also written to ``globals.json``."""
+    features_dir: Path, global_features: dict[str, np.ndarray]
+) -> dict[str, np.ndarray]:
+    """``global_features`` by sorted id, also written to ``globals.json`` as one ``vector`` per id."""
     out = {vol_id: global_features[vol_id] for vol_id in sorted(global_features)}
-    doc = {
-        vol_id: {"vector": [float(x) for x in gf.vector], "degenerate": gf.degenerate}
-        for vol_id, gf in out.items()
-    }
-    (features_dir / "globals.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    doc = {vol_id: {"vector": [float(x) for x in vec]} for vol_id, vec in out.items()}
+    _dump_json(features_dir / "globals.json", doc)
     return out
 
 
-def read_globals(features_dir: Path) -> dict[str, GlobalFeature]:
-    """The global features ``write_globals`` wrote to ``features_dir``, bit for bit."""
-    doc = json.loads((features_dir / "globals.json").read_text())
-    return {
-        vol_id: GlobalFeature(vector=g["vector"], degenerate=g["degenerate"])
-        for vol_id, g in sorted(doc.items())
-    }
+def read_globals(features_dir: Path) -> dict[str, np.ndarray]:
+    """The vectors ``write_globals`` wrote, bit for bit; other keys are ignored."""
+    path = features_dir / "globals.json"
+    out = {}
+    for vol_id, entry in sorted(json.loads(path.read_text()).items()):
+        try:
+            vec = np.array(entry["vector"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError):
+            vec = None
+        if vec is None or vec.ndim != 1:
+            raise ValueError(f"{path}: global feature of {vol_id!r} is not a 1-D vector")
+        vec.setflags(write=False)
+        out[vol_id] = vec
+    return out
 
 
 def _load_entry(
@@ -259,7 +265,7 @@ class PipelineContext:
     config: PipelineConfig
     manifest: DatasetManifest
     features: dict[str, TrainVolumeData]
-    global_features: dict[str, GlobalFeature]
+    global_features: dict[str, np.ndarray]
     labeled_id: str
     labeled_gt: LabelVolume
     truth: dict[str, LabelVolume] | None = None
@@ -667,7 +673,7 @@ def _vote_and_persist(
     train_log: list[dict],
     labeled_id: str,
     labeled_gt: LabelVolume,
-    global_features: dict[str, GlobalFeature],
+    global_features: dict[str, np.ndarray],
     truth: dict[str, LabelVolume] | None,
 ) -> RoundState:
     """Partition and vote on the model output in ``state``, record Dice, persist.
@@ -762,26 +768,48 @@ def _config_doc(config: PipelineConfig) -> dict:
     return doc
 
 
-def _config_from_doc(doc: dict, out_dir: Path) -> PipelineConfig:
-    """Inverse of ``_config_doc``; absent keys take defaults, unknown keys are ignored,
-    and a ``_FIXED`` setting at another value is refused.
+# the JSON values a config.json field takes, by the field's annotation
+_DOC_TYPES = {
+    "int": ("an int", lambda v: type(v) is int),
+    "float": ("a number", lambda v: type(v) in (int, float)),
+    "bool": ("a bool", lambda v: type(v) is bool),
+    "Path": ("a string", lambda v: type(v) is str),
+    "Path | None": ("a string or null", lambda v: v is None or type(v) is str),
+}
+
+
+def _fields_from_doc(cls, doc, where: str) -> dict:
+    """Keyword arguments for ``cls`` from its ``config.json`` object ``doc``, found at ``where``.
+
+    Absent and unknown keys are left out; a ``doc`` that is not an object, a value
+    of another JSON type than its field's and a ``_FIXED`` setting at another value are refused.
     """
+    if not isinstance(doc, dict):
+        at = f"sets {where} to" if where else "holds"
+        raise ValueError(f"config.json {at} {json.dumps(doc)}; it must be an object")
+    for name, fixed in _FIXED.get(where, {}).items():
+        if doc.get(name, fixed) != fixed:
+            raise ValueError(f"config.json sets {where}.{name} to {doc[name]!r}; it is fixed at {fixed!r}")
     kwargs = {}
-    for f in fields(PipelineConfig):
+    for f in fields(cls):
         key = _DOC_KEYS.get(f.name, f.name)
         if f.name in _NOT_PERSISTED or key not in doc:
             continue
-        value = doc[key]
+        value, name = doc[key], f"{where}.{key}" if where else key
         if f.name in _NESTED:
-            for name, fixed in _FIXED[f.name].items():
-                if value.get(name, fixed) != fixed:
-                    raise ValueError(
-                        f"config.json sets {key}.{name} to {value[name]!r}; it is fixed at {fixed!r}"
-                    )
-            cls = _NESTED[f.name]
-            known = {g.name for g in fields(cls)}
-            value = cls(**{k: v for k, v in value.items() if k in known})
+            value = _NESTED[f.name](**_fields_from_doc(_NESTED[f.name], value, name))
+        elif not _DOC_TYPES[f.type][1](value):
+            raise ValueError(
+                f"config.json sets {name} to {json.dumps(value)}; it takes {_DOC_TYPES[f.type][0]}"
+            )
         kwargs[f.name] = value
+    return kwargs
+
+
+def _config_from_doc(doc, out_dir: Path) -> PipelineConfig:
+    """Inverse of ``_config_doc``; absent keys take defaults, and values are checked
+    as ``_fields_from_doc`` checks them."""
+    kwargs = _fields_from_doc(PipelineConfig, doc, "")
     if "manifest_path" not in kwargs:
         raise ValueError("config document has no manifest")
     return PipelineConfig(out_dir=Path(out_dir), **kwargs)
@@ -792,34 +820,45 @@ def load_run_config(run_dir: Path, **over) -> PipelineConfig:
     config_file = Path(run_dir) / "config.json"
     if not config_file.exists():
         raise ValueError(f"{run_dir} has no config.json; initialize a run first")
-    config = _config_from_doc(json.loads(config_file.read_text()), run_dir)
+    try:
+        doc = json.loads(config_file.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{config_file}: not valid JSON ({exc})") from None
+    config = _config_from_doc(doc, run_dir)
     return replace(config, **{k: v for k, v in over.items() if v is not None})
 
 
-def _check_named_files(path: Path, manifest: DatasetManifest) -> None:
-    """Raise FileNotFoundError naming every file ``manifest`` names that does not exist."""
-    missing = [
+def _missing_files(manifest: DatasetManifest) -> list[str]:
+    """Every file ``manifest`` names that does not exist."""
+    return [
         str(manifest.resolve(rel))
         for entry in manifest.entries
         for rel in (entry.intensity, entry.label, entry.features)
         if rel is not None and not manifest.resolve(rel).is_file()
     ]
-    if missing:
-        raise FileNotFoundError(f"{path} names missing files: {', '.join(missing)}")
 
 
 def start_run(config: PipelineConfig) -> None:
     """Make ``config.out_dir`` a new run directory holding only ``config.json``.
 
-    The manifests are read first, and every file they name must exist, so a
-    missing or malformed manifest, or a missing volume, leaves the directory
-    untouched.  A directory that already holds a run (a ``config.json`` or
-    any ``round_*``) is refused unless ``config.force`` is set; then that
-    run's artifacts are removed first.
+    The manifests are read first, and every file they name, and each pool
+    volume's truth label when ``config.truth_dir`` is set, must exist; so a
+    missing or malformed manifest, or a missing volume or truth file, leaves
+    the directory untouched.  A directory that already holds a run (a
+    ``config.json`` or any ``round_*``) is refused unless ``config.force`` is
+    set; then that run's artifacts are removed first.
     """
-    for path in (config.manifest_path, config.val_manifest_path):
-        if path is not None:
-            _check_named_files(path, load_manifest(path))
+    manifest = load_manifest(config.manifest_path)
+    missing = [(f"{config.manifest_path} names missing files", _missing_files(manifest))]
+    if config.val_manifest_path is not None:
+        val = load_manifest(config.val_manifest_path)
+        missing.append((f"{config.val_manifest_path} names missing files", _missing_files(val)))
+    if config.truth_dir is not None:
+        truth = [_truth_path(config, e.vol_id) for e in manifest.unlabeled_entries()]
+        missing.append((f"{config.truth_dir} lacks truth labels", [str(t) for t in truth if not t.is_file()]))
+    named = [f"{what}: {', '.join(files)}" for what, files in missing if files]
+    if named:
+        raise FileNotFoundError("; ".join(named))
     out = config.out_dir
     if (out / "config.json").exists() or any(out.glob("round_*")):
         if not config.force:

@@ -1,6 +1,7 @@
 """KNN pseudo-label refinement: uncertain samples inherit votes from certain ones.
 
 For each uncertain sample, the nearest certain samples in global-feature space
+(plain vectors from ``encoder.global_feature``, so a cosine is one dot product)
 vote voxel-wise on its labels, weighted by clipped cosine similarity.  Certain
 samples keep their labels untouched, and the labeled template votes with its
 ground truth.
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import GlobalFeature
 from .uncertainty import Partition
 from .volume import LabelVolume, class_argmax, nearest_resample_labels
 
@@ -59,7 +59,7 @@ class NeighborSet:
 
 
 def knn_certain_neighbors(
-    features: dict[str, GlobalFeature], certain: frozenset[str] | set[str], query_id: str, k: int
+    features: dict[str, np.ndarray], certain: frozenset[str] | set[str], query_id: str, k: int
 ) -> NeighborSet:
     """The min(k, |certain|) most similar certain samples to the query."""
     if k < 1:
@@ -68,10 +68,10 @@ def knn_certain_neighbors(
         raise ValueError("certain set is empty")
     if query_id in certain:
         raise ValueError(f"query {query_id!r} is already certain")
-    q = features[query_id].vector
+    q = features[query_id]
     scored = []
     for vol_id in sorted(certain):
-        sim = float(q @ features[vol_id].vector)
+        sim = float(q @ features[vol_id])
         scored.append(Neighbor(vol_id=vol_id, weight=max(0.0, sim), similarity=sim))
     scored.sort(key=lambda n: (-n.similarity, n.vol_id))
     return NeighborSet(query_id=query_id, neighbors=tuple(scored[: min(k, len(scored))]))
@@ -126,7 +126,7 @@ def refine_pseudo_label(
 def refine_all(
     raw: dict[str, LabelVolume],
     partition: Partition,
-    features: dict[str, GlobalFeature],
+    features: dict[str, np.ndarray],
     k: int,
 ) -> tuple[dict[str, LabelVolume], list[dict]]:
     """Refine every uncertain sample; certain ones pass through untouched.

@@ -27,9 +27,10 @@ rows, filled in place: each row block's float32 cells are gathered from its
 volume's cell table and cast into the buffer, and its last column is filled
 with the voxels' z.  Its logits are ``(k, n)`` and every softmax and Dice
 reduction runs over the class axis or along one class row.  One matmul gives
-the model's logits and one the gradient.  The weights and momentum stay
-plain arrays updated in place, and the per-step log is one preallocated
-array.
+the model's logits and one the gradient.  ``loss_and_grad`` takes the buffer
+and the two target arrays and returns the loss terms as a plain tuple.  The
+weights and momentum stay plain arrays updated in place, and the per-step log
+is one preallocated array.
 """
 from __future__ import annotations
 
@@ -47,10 +48,8 @@ from .volume import class_argmax, nearest_axis_indices, read_blob, write_blob
 __all__ = [
     "SpecialistParams",
     "TrainConfig",
-    "VoxelBatch",
     "TrainVolumeData",
     "TrainAssets",
-    "LossTerms",
     "cell_index_luts",
     "ramp_up_alpha",
     "poly_lr",
@@ -166,36 +165,6 @@ def poly_lr(iteration: int, total: int) -> float:
     return BASE_LR * (1.0 - iteration / total) ** LR_POWER
 
 
-@dataclass(frozen=True)
-class VoxelBatch:
-    """One optimization step's voxels.
-
-    ``x`` stacks two row blocks, the labeled rows and then the
-    pseudo-labeled rows, so one matmul covers both.
-    """
-
-    x: np.ndarray          # (n_l + n_p, F): labeled; pseudo
-    labeled_y: np.ndarray  # (n_l,)
-    pseudo_y: np.ndarray   # (n_p,)
-
-    def __post_init__(self):
-        n_l, n_p = len(self.labeled_y), len(self.pseudo_y)
-        if n_l == 0 or n_p == 0:
-            raise ValueError("batch needs both labeled and pseudo-labeled voxels")
-        if self.x.ndim != 2 or len(self.x) != n_l + n_p:
-            raise ValueError(
-                f"batch rows {self.x.shape} do not stack {n_l} labeled rows and "
-                f"{n_p} pseudo-labeled rows"
-            )
-
-
-@dataclass(frozen=True)
-class LossTerms:
-    total: float
-    sup: float
-    pseudo: float
-
-
 def _ce_dice_terms(
     logits: np.ndarray, probs: np.ndarray, lse: np.ndarray, targets: np.ndarray, out: np.ndarray
 ) -> float:
@@ -228,11 +197,15 @@ def _ce_dice_terms(
 
 def loss_and_grad(
     params: tuple[np.ndarray, np.ndarray],
-    batch: VoxelBatch,
+    x: np.ndarray,
+    labeled_y: np.ndarray,
+    pseudo_y: np.ndarray,
     alpha: float,
-) -> tuple[LossTerms, tuple[np.ndarray, np.ndarray]]:
-    """Round loss and its analytic gradient in (weights, bias).
+) -> tuple[tuple[float, float, float], tuple[np.ndarray, np.ndarray]]:
+    """Round loss terms ``(total, sup, pseudo)`` and the analytic gradient in (weights, bias).
 
+    ``x`` stacks the ``len(labeled_y)`` labeled rows and then the
+    ``len(pseudo_y)`` pseudo-labeled rows, so one matmul covers both.
     total = sup + alpha * pseudo, where sup and pseudo are 0.5*(CE + soft
     Dice) on the labeled and pseudo-labeled voxels.  Logits are class-major,
     (k, n): one matmul gives the logits on every row of the batch and one the
@@ -240,9 +213,8 @@ def loss_and_grad(
     logit gradients.
     """
     w, b = params
-    n_l = len(batch.labeled_y)
+    n_l = len(labeled_y)
     lab, pse = slice(0, n_l), slice(n_l, None)
-    x = batch.x
 
     logits = w @ x.T
     logits += b[:, None]
@@ -250,12 +222,11 @@ def loss_and_grad(
     lse = top + np.log(total)
 
     grad = np.empty_like(logits)
-    sup = _ce_dice_terms(logits[:, lab], probs[:, lab], lse[lab], batch.labeled_y, grad[:, lab])
-    pseudo = _ce_dice_terms(logits[:, pse], probs[:, pse], lse[pse], batch.pseudo_y, grad[:, pse])
+    sup = _ce_dice_terms(logits[:, lab], probs[:, lab], lse[lab], labeled_y, grad[:, lab])
+    pseudo = _ce_dice_terms(logits[:, pse], probs[:, pse], lse[pse], pseudo_y, grad[:, pse])
     grad[:, pse] *= alpha
 
-    terms = LossTerms(total=sup + alpha * pseudo, sup=sup, pseudo=pseudo)
-    return terms, (grad @ x, grad.sum(axis=1))
+    return (sup + alpha * pseudo, sup, pseudo), (grad @ x, grad.sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +423,10 @@ def train_round(
         pi = rng.integers(0, pick.n_voxels, size=n_pse)
         assets.labeled.rows(li, out=x_lab)
         pick.rows(pi, out=x_pse)
-        batch = VoxelBatch(x, assets.labeled_targets[li], targets[pick.vol_id][pi])
-
-        terms, (d_w, d_b) = loss_and_grad((w, b), batch, alpha)
-        if not math.isfinite(terms.total):
+        terms, (d_w, d_b) = loss_and_grad(
+            (w, b), x, assets.labeled_targets[li], targets[pick.vol_id][pi], alpha
+        )
+        if not math.isfinite(terms[0]):
             raise ValueError(f"non-finite loss at iteration {t}")
         grad_norm = math.sqrt(np.vdot(d_w, d_w) + np.vdot(d_b, d_b))
         d_w += WEIGHT_DECAY * w
@@ -465,7 +436,7 @@ def train_round(
             vel += grad
             param -= lr * vel
         param_norm = math.sqrt(np.vdot(w, w) + np.vdot(b, b))
-        log[t] = (lr, alpha, terms.total, terms.sup, terms.pseudo, grad_norm, param_norm)
+        log[t] = (lr, alpha, *terms, grad_norm, param_norm)
 
         if assets.validation and ((t + 1) % VAL_INTERVAL == 0 or t == total - 1):
             params = SpecialistParams(w.copy(), b.copy())

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from protoloop.encoder import EncoderParams, FeatureGrid, GlobalFeature, extract_feature_grid
+from protoloop.encoder import EncoderParams, FeatureGrid, extract_feature_grid
 from protoloop.metrics import distance_metrics, overlap_metrics
 from protoloop.phantom import ClassShape, PhantomSpec, generate
 from protoloop.pipeline import PipelineConfig, run_pipeline, run_table
@@ -29,7 +29,6 @@ from protoloop.specialist import (
     SpecialistParams,
     TrainConfig,
     TrainVolumeData,
-    VoxelBatch,
     infer,
     loss_and_grad,
 )
@@ -107,11 +106,10 @@ def test_refinement_matches_bruteforce_oracle(capsys):
         labeled = "template"
 
         raw = {labeled: _random_labels(rng, vol, num_classes)}
-        feats, vecs = {}, {}
+        vecs = {}
         for vol_id in ids + [labeled]:
             v = rng.normal(size=channels)
             v /= np.linalg.norm(v)
-            feats[vol_id] = GlobalFeature(vector=v)
             vecs[vol_id] = v
             if vol_id != labeled:
                 raw[vol_id] = _random_labels(rng, vol, num_classes)
@@ -125,7 +123,7 @@ def test_refinement_matches_bruteforce_oracle(capsys):
         )
         k = int(rng.integers(1, len(certain) + 1))
 
-        got, _ = refine_all(raw, part, feats, k)
+        got, _ = refine_all(raw, part, vecs, k)
         want = refine_all_oracle(
             {i: lab.data for i, lab in raw.items()},
             set(certain),
@@ -199,15 +197,15 @@ def test_gradient_matches_finite_differences(capsys):
         y_l = rng.integers(0, c, size=n_l)
         x_p = rng.normal(size=(n_p, f))
         y_p = rng.integers(0, c, size=n_p)
-        batch = VoxelBatch(x=np.vstack([x_l, x_p]), labeled_y=y_l, pseudo_y=y_p)
+        batch = (np.vstack([x_l, x_p]), y_l, y_p)
         params = SpecialistParams(rng.normal(size=(c, f)), rng.normal(size=c))
         alpha = float(rng.uniform(0.0, 1.0))
 
-        _, (dw, db) = loss_and_grad((params.weights, params.bias), batch, alpha)
+        _, (dw, db) = loss_and_grad((params.weights, params.bias), *batch, alpha)
 
         def loss_fn(w, b):
-            terms, _ = loss_and_grad((w, b), batch, alpha)
-            return terms.total
+            (total, _, _), _ = loss_and_grad((w, b), *batch, alpha)
+            return total
 
         fdw, fdb = finite_diff_grad(loss_fn, params.weights.copy(), params.bias.copy(), h=1e-5)
         scale = max(np.abs(fdw).max(), np.abs(fdb).max(), 1e-8)

@@ -141,6 +141,30 @@ def test_manifest_naming_missing_volume_leaves_nothing_then_run_succeeds(dataset
     assert (out / "report.json").exists()
 
 
+def test_missing_truth_files_leave_nothing_then_run_succeeds(dataset, tmp_path, capsys):
+    """Every pool volume's truth label is checked before ``config.json`` is
+    written, so the corrected run needs no ``--force``."""
+    truth = tmp_path / "truth"
+    shutil.copytree(dataset / "truth", truth)
+    pool = sorted(truth.glob("vol_*.label.vxar"))[1:]  # vol_000 is the template
+    for path in pool[1:]:
+        path.unlink()
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = _run_args(dataset, out)
+    argv[argv.index("--truth") + 1] = str(truth)
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert all(str(path) in err for path in pool[1:]) and str(pool[0]) not in err
+    argv[argv.index("--truth") + 1] = str(dataset / "nowhere")
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert all(str(dataset / "nowhere" / path.name) in err for path in pool)
+    assert not any(out.iterdir())
+    assert dispatch(_run_args(dataset, out)) == 0
+    assert (out / "report.json").exists()
+
+
 def test_runtime_failure_exits_two(dataset, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_pipeline", lambda config: 1 / 0)
     assert dispatch(_run_args(dataset, tmp_path / "r")) == 2
@@ -360,6 +384,48 @@ def test_config_drift_in_a_fixed_setting_is_refused(initialized_run, tmp_path, c
     assert not (out / "round_1").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("train", None),
+    ("encoder", [4]),
+    ("knn", "2"),
+    ("rounds", 1.0),
+    ("train.iterations", True),
+    ("train.batch_voxels", 64.0),
+    ("encoder.include_position", 1),
+    ("refine", "false"),
+    ("q_unc", True),
+    ("seed", None),
+    ("manifest", None),
+    ("truth_dir", 3),
+])
+def test_config_value_of_another_type_is_refused(finished_run, tmp_path, capsys, key, value):
+    """A hand-edited config.json is refused by key and value before any round
+    is written: ``round`` and ``refine`` exit 1 and leave the run as it was."""
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    doc = json.loads((out / "config.json").read_text())
+    *section, name = key.split(".")
+    (doc[section[0]] if section else doc)[name] = value
+    (out / "config.json").write_text(json.dumps(doc))
+    before = _tree(out)
+    assert dispatch(["round", "--prev", str(out / "round_1")]) == 1
+    assert dispatch(["refine", "--round", str(out / "round_1"), "--force"]) == 1
+    err = capsys.readouterr().err
+    assert err.count(f"config.json sets {key} to {json.dumps(value)};") == 2
+    assert _tree(out) == before
+
+
+@pytest.mark.parametrize("text", ["[]", "null", '{"manifest": '])
+def test_config_json_that_is_not_an_object_is_refused_by_name(finished_run, tmp_path, capsys, text):
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    (out / "config.json").write_text(text)
+    before = _tree(out)
+    assert dispatch(["round", "--prev", str(out / "round_1")]) == 1
+    assert "config.json" in capsys.readouterr().err
+    assert _tree(out) == before
+
+
 def _tree(run_dir):
     """Every file under ``run_dir`` by relative path: bytes, or a ``state.json`` without timings."""
     files = {}
@@ -419,6 +485,31 @@ def test_a_resumed_round_leaves_globals_json_alone(dataset, finished_run, tmp_pa
     # the vote read the global features from globals.json: the audit `run` wrote
     audit = "round_1/refine_audit.json"
     assert (out / audit).read_bytes() == (finished_run / audit).read_bytes()
+
+
+def test_globals_json_written_with_the_degenerate_key_still_votes(finished_run, tmp_path, capsys):
+    """A ``globals.json`` whose entries also carry ``"degenerate": false``
+    gives the same vote; an entry whose vector is not 1-D is refused by id."""
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    path = out / "features" / "globals.json"
+    doc = json.loads(path.read_text())
+    for entry in doc.values():
+        entry["degenerate"] = False
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    audit = "round_1/refine_audit.json"
+    assert dispatch(["round", "--prev", str(out / "round_0"), "--force"]) == 0
+    assert (out / audit).read_bytes() == (finished_run / audit).read_bytes()
+    refine = ["refine", "--round", str(out / "round_1"), "--q-unc", "0.5", "--k", "2", "--force"]
+    assert dispatch(refine) == 0
+    assert (out / audit).read_bytes() == (finished_run / audit).read_bytes()
+    vol_id = sorted(doc)[1]
+    doc[vol_id]["vector"] = [doc[vol_id]["vector"]]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert dispatch(refine) == 1
+    err = capsys.readouterr().err
+    assert "globals.json" in err and repr(vol_id) in err
 
 
 def test_refine_command_rewrites_round(dataset, tmp_path):

@@ -338,15 +338,16 @@ def test_global_feature_analytic():
     data[1] = 4.0
     grid = FeatureGrid(channels=2, grid_shape=Shape3(2, 2, 2), data=data)
     g = global_feature(grid)
-    np.testing.assert_allclose(g.vector, [0.6, 0.8], atol=1e-12)
-    assert not g.degenerate
+    np.testing.assert_allclose(g, [0.6, 0.8], atol=1e-12)
+    assert g.dtype == np.float64 and g.shape == (2,)
+    assert not g.flags.writeable
 
 
 def test_global_feature_zero_grid_degenerate():
     grid = FeatureGrid(channels=3, grid_shape=Shape3(1, 2, 1), data=np.zeros((3, 1, 2, 1)))
     g = global_feature(grid)
-    assert g.degenerate
-    assert (g.vector == 0.0).all()
+    assert g.shape == (3,) and not g.flags.writeable
+    assert (g == 0.0).all() and not np.signbit(g).any()  # +0.0, not -0.0
 
 
 def test_global_feature_matches_oracle_seeded():
@@ -358,8 +359,8 @@ def test_global_feature_matches_oracle_seeded():
         g = global_feature(FeatureGrid(channels=c, grid_shape=Shape3(*gs), data=data))
         vec, degenerate = gap_oracle(data)
         assert not degenerate
-        np.testing.assert_allclose(g.vector, vec, atol=1e-6)
-        assert abs(np.linalg.norm(g.vector) - 1.0) < 1e-6
+        np.testing.assert_allclose(g, vec, atol=1e-6)
+        assert abs(np.linalg.norm(g) - 1.0) < 1e-6
 
 
 def test_ingest_verbatim_with_patch_inference(tmp_path):

@@ -119,7 +119,10 @@ def test_every_load_outside_volume_names_a_kind():
     assert {path: lines for path, lines in found.items() if lines} == {}
 
 
-LAYOUT_FILES = ("config.json", "state.json", "report.json")
+LAYOUT_FILES = (
+    "config.json", "state.json", "report.json", "globals.json", "uncertainty.json",
+    "refine_audit.json", "summary.json", "train_log.jsonl", "params.vxar",
+)
 
 
 def layout_names(source: str) -> list[int]:
@@ -137,8 +140,9 @@ def test_layout_guard_flags_only_run_directory_files():
     source = (
         'a = "config.json"\nb = f"{d}/state.json"\nc = "report.csv"\n'
         'd = "manifest.json"\ne = run / "report.json"\nf = "state"\n'
+        'g = tmp / "train_log.jsonl"\nh = "params.vxar"\ni = "params"\n'
     )
-    assert layout_names(source) == [1, 2, 5]
+    assert layout_names(source) == [1, 2, 5, 7, 8]
 
 
 def test_only_pipeline_names_run_directory_files():

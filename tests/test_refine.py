@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from protoloop import refine
-from protoloop.encoder import GlobalFeature
 from protoloop.refine import (
     Neighbor,
     NeighborSet,
@@ -21,8 +20,8 @@ from protoloop.volume import LabelVolume, Shape3
 from .oracles import downsample_labels_oracle, knn_oracle, refine_all_oracle, vote_oracle
 
 
-def _gf(vec):
-    return GlobalFeature(vector=np.asarray(vec, dtype=np.float64))
+def _vec(values):
+    return np.asarray(values, dtype=np.float64)
 
 
 def _labels(data, num_classes=2):
@@ -39,7 +38,7 @@ def _unit(rng, n):
 # neighbor retrieval
 
 def test_single_certain_sample_forced():
-    features = {"q": _gf([1.0, 0.0]), "a": _gf([-1.0, 0.0])}
+    features = {"q": _vec([1.0, 0.0]), "a": _vec([-1.0, 0.0])}
     nbrs = knn_certain_neighbors(features, {"a"}, "q", 5)
     assert [n.vol_id for n in nbrs.neighbors] == ["a"]
     assert nbrs.neighbors[0].weight == 0.0  # negative cosine clips to zero
@@ -48,9 +47,9 @@ def test_single_certain_sample_forced():
 
 def test_identical_feature_ranks_first():
     features = {
-        "q": _gf([1.0, 0.0]),
-        "same": _gf([1.0, 0.0]),
-        "other": _gf([0.0, 1.0]),
+        "q": _vec([1.0, 0.0]),
+        "same": _vec([1.0, 0.0]),
+        "other": _vec([0.0, 1.0]),
     }
     nbrs = knn_certain_neighbors(features, {"same", "other"}, "q", 2)
     assert nbrs.neighbors[0].vol_id == "same"
@@ -61,11 +60,11 @@ def test_knn_matches_oracle_seeded():
     rng = np.random.default_rng(61)
     for trial in range(10):
         ids = [f"v{i}" for i in range(10)]
-        features = {i: _gf(_unit(rng, 6)) for i in ids}
+        features = {i: _vec(_unit(rng, 6)) for i in ids}
         certain = set(ids[1:])
         nbrs = knn_certain_neighbors(features, certain, ids[0], 5)
         expect = knn_oracle(
-            {i: features[i].vector for i in ids}, sorted(certain), ids[0], 5
+            {i: features[i] for i in ids}, sorted(certain), ids[0], 5
         )
         assert [n.vol_id for n in nbrs.neighbors] == [e[0] for e in expect]
         for n, e in zip(nbrs.neighbors, expect):
@@ -75,22 +74,22 @@ def test_knn_matches_oracle_seeded():
 def test_knn_exact_tie_breaks_by_id():
     # two certain samples with identical vectors tie exactly; lower id first
     features = {
-        "q": _gf([1.0, 0.0]),
-        "b": _gf([0.0, 1.0]),
-        "a": _gf([0.0, 1.0]),
+        "q": _vec([1.0, 0.0]),
+        "b": _vec([0.0, 1.0]),
+        "a": _vec([0.0, 1.0]),
     }
     nbrs = knn_certain_neighbors(features, {"a", "b"}, "q", 2)
     assert [n.vol_id for n in nbrs.neighbors] == ["a", "b"]
 
 
 def test_knn_truncates_to_pool_size():
-    features = {"q": _gf([1.0]), "a": _gf([1.0]), "b": _gf([0.5])}
+    features = {"q": _vec([1.0]), "a": _vec([1.0]), "b": _vec([0.5])}
     nbrs = knn_certain_neighbors(features, {"a", "b"}, "q", 10)
     assert len(nbrs.neighbors) == 2
 
 
 def test_knn_validation():
-    features = {"q": _gf([1.0]), "a": _gf([1.0])}
+    features = {"q": _vec([1.0]), "a": _vec([1.0])}
     with pytest.raises(ValueError):
         knn_certain_neighbors(features, {"a"}, "q", 0)
     with pytest.raises(ValueError, match="empty"):
@@ -107,13 +106,13 @@ def test_common_scaling_preserves_order():
     order_a = [
         n.vol_id
         for n in knn_certain_neighbors(
-            {i: _gf(v) for i, v in base.items()}, certain, ids[0], 4
+            {i: _vec(v) for i, v in base.items()}, certain, ids[0], 4
         ).neighbors
     ]
     order_b = [
         n.vol_id
         for n in knn_certain_neighbors(
-            {i: _gf(3.0 * v) for i, v in base.items()}, certain, ids[0], 4
+            {i: _vec(3.0 * v) for i, v in base.items()}, certain, ids[0], 4
         ).neighbors
     ]
     assert order_a == order_b
@@ -295,7 +294,7 @@ def test_refine_all_empty_uncertain_identity():
         "a": _labels(rng.integers(0, 2, size=(2, 2, 2))),
         "b": _labels(rng.integers(0, 2, size=(2, 2, 2))),
     }
-    features = {k: _gf([1.0, 0.0]) for k in raw}
+    features = {k: _vec([1.0, 0.0]) for k in raw}
     refined, audit = refine_all(raw, _partition({"t", "a", "b"}, set(), "t"), features, 3)
     assert set(refined) == {"a", "b"}
     assert refined["a"] is raw["a"]
@@ -305,7 +304,7 @@ def test_refine_all_empty_uncertain_identity():
 
 def test_refine_all_equal_features_equal_vote():
     # both certain neighbors vote with weight 1; they agree on one voxel only
-    features = {k: _gf([1.0, 0.0]) for k in ("t", "a", "u")}
+    features = {k: _vec([1.0, 0.0]) for k in ("t", "a", "u")}
     raw = {
         "t": _labels(np.array([[[1, 1, 0, 0]]])),
         "a": _labels(np.array([[[1, 0, 1, 0]]])),
@@ -324,7 +323,7 @@ def test_refine_all_matches_oracle_seeded():
     for trial in range(8):
         ids = [f"v{i}" for i in range(8)]
         labeled = ids[0]
-        features = {i: _gf(_unit(rng, 4)) for i in ids}
+        features = {i: _vec(_unit(rng, 4)) for i in ids}
         raw = {i: _labels(rng.integers(0, 2, size=(3, 3, 3))) for i in ids}
         uncertain = set(rng.choice(ids[1:], size=2, replace=False).tolist())
         certain = set(ids) - uncertain
@@ -335,7 +334,7 @@ def test_refine_all_matches_oracle_seeded():
             certain,
             uncertain,
             labeled,
-            {k: v.vector for k, v in features.items()},
+            features,
             3,
             2,
         )
@@ -345,7 +344,7 @@ def test_refine_all_matches_oracle_seeded():
 
 
 def test_refine_all_missing_raw_rejected():
-    features = {k: _gf([1.0]) for k in ("t", "a", "u")}
+    features = {k: _vec([1.0]) for k in ("t", "a", "u")}
     raw = {"t": _labels(np.zeros((1, 1, 1)))}
     with pytest.raises(ValueError, match="missing"):
         refine_all(raw, _partition({"t", "a"}, {"u"}, "t"), features, 2)
@@ -355,7 +354,7 @@ def test_refined_classes_subset_of_neighbor_classes():
     rng = np.random.default_rng(44)
     for trial in range(5):
         ids = ["t", "a", "b", "u"]
-        features = {i: _gf(_unit(rng, 3)) for i in ids}
+        features = {i: _vec(_unit(rng, 3)) for i in ids}
         raw = {i: _labels(rng.integers(0, 3, size=(2, 2, 2)), 3) for i in ids}
         part = _partition({"t", "a", "b"}, {"u"}, "t")
         refined, audit = refine_all(raw, part, features, 3)
@@ -370,7 +369,7 @@ def test_refined_classes_subset_of_neighbor_classes():
 def test_refine_deterministic():
     rng = np.random.default_rng(71)
     ids = [f"v{i}" for i in range(6)]
-    features = {i: _gf(_unit(rng, 4)) for i in ids}
+    features = {i: _vec(_unit(rng, 4)) for i in ids}
     raw = {i: _labels(rng.integers(0, 2, size=(2, 2, 2))) for i in ids}
     part = _partition(set(ids[:4]), set(ids[4:]), ids[0])
     a, _ = refine_all(raw, part, features, 3)

@@ -14,7 +14,6 @@ from protoloop.specialist import (
     TrainAssets,
     TrainConfig,
     TrainVolumeData,
-    VoxelBatch,
     infer,
     load_params,
     loss_and_grad,
@@ -74,9 +73,10 @@ def _rows_data(name, rows):
 
 
 def _random_batch(rng, n_l=6, n_p=6, c=3, f=4):
+    """``loss_and_grad``'s batch arguments: stacked rows, labeled targets, pseudo targets."""
     x_l, y_l = rng.normal(size=(n_l, f)), rng.integers(0, c, size=n_l)
     x_p, y_p = rng.normal(size=(n_p, f)), rng.integers(0, c, size=n_p)
-    return VoxelBatch(x=np.vstack([x_l, x_p]), labeled_y=y_l, pseudo_y=y_p)
+    return np.vstack([x_l, x_p]), y_l, y_p
 
 
 def _pair(params):
@@ -237,7 +237,7 @@ def test_zero_lr_step_is_noop():
     # an SGD step scaled by lr = 0 leaves the parameters at initialization
     rng = np.random.default_rng(3)
     params = SpecialistParams.zeros(2, 2)
-    terms, (dw, db) = loss_and_grad(_pair(params), _random_batch(rng, c=2, f=2), 0.5)
+    _, (dw, db) = loss_and_grad(_pair(params), *_random_batch(rng, c=2, f=2), 0.5)
     after = SpecialistParams(
         weights=params.weights - 0.0 * dw, bias=params.bias - 0.0 * db
     )
@@ -252,8 +252,8 @@ def test_loss_reduces_to_sup_when_weights_zero():
     rng = np.random.default_rng(8)
     batch = _random_batch(rng)
     params = SpecialistParams(weights=rng.normal(size=(3, 4)), bias=rng.normal(size=3))
-    terms, _ = loss_and_grad(_pair(params), batch, alpha=0.0)
-    assert terms.total == terms.sup
+    (total, sup, _), _ = loss_and_grad(_pair(params), *batch, alpha=0.0)
+    assert total == sup
 
 
 def test_loss_decomposition_exact():
@@ -261,8 +261,8 @@ def test_loss_decomposition_exact():
     batch = _random_batch(rng)
     params = SpecialistParams(weights=rng.normal(size=(3, 4)), bias=rng.normal(size=3))
     for alpha in (0.3, 1.0, 0.0):
-        terms, _ = loss_and_grad(_pair(params), batch, alpha)
-        assert terms.total == terms.sup + alpha * terms.pseudo
+        (total, sup, pseudo), _ = loss_and_grad(_pair(params), *batch, alpha)
+        assert total == sup + alpha * pseudo
 
 
 def test_perfect_prediction_loss_floor():
@@ -271,9 +271,8 @@ def test_perfect_prediction_loss_floor():
     y = np.array([0, 1] * 4)
     x = np.where(y[:, None] == 1, 1.0, -1.0)
     params = SpecialistParams(weights=np.array([[-50.0], [50.0]]), bias=np.zeros(2))
-    batch = VoxelBatch(x=np.vstack([x, x]), labeled_y=y, pseudo_y=y)
-    terms, _ = loss_and_grad(_pair(params), batch, 0.0)
-    assert terms.sup < 1e-5
+    (_, sup, _), _ = loss_and_grad(_pair(params), np.vstack([x, x]), y, y, 0.0)
+    assert sup < 1e-5
 
 
 def test_gradient_matches_finite_differences():
@@ -288,30 +287,14 @@ def test_gradient_matches_finite_differences():
         alpha = float(rng.uniform(0, 1))
 
         def loss_fn(w, b):
-            terms, _ = loss_and_grad((w, b), batch, alpha)
-            return terms.total
+            (total, _, _), _ = loss_and_grad((w, b), *batch, alpha)
+            return total
 
-        _, (dw, db) = loss_and_grad(_pair(params), batch, alpha)
+        _, (dw, db) = loss_and_grad(_pair(params), *batch, alpha)
         fd_w, fd_b = finite_diff_grad(loss_fn, params.weights.copy(), params.bias.copy(), h=1e-5)
         scale = max(np.abs(dw).max(), np.abs(db).max(), np.abs(fd_w).max(), 1e-8)
         assert np.abs(dw - fd_w).max() / scale < 1e-4
         assert np.abs(db - fd_b).max() / scale < 1e-4
-
-
-def test_batch_validation():
-    rng = np.random.default_rng(1)
-    with pytest.raises(ValueError, match="both"):
-        VoxelBatch(
-            x=rng.normal(size=(4, 2)),
-            labeled_y=np.zeros(0, dtype=int),
-            pseudo_y=np.zeros(2, dtype=int),
-        )
-    with pytest.raises(ValueError, match="stack"):  # pseudo block missing a row
-        VoxelBatch(
-            x=rng.normal(size=(2, 2)),
-            labeled_y=np.zeros(1, dtype=int),
-            pseudo_y=np.zeros(2, dtype=int),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +468,9 @@ def test_batch_buffer_byte_equal_dense_rows(monkeypatch):
     seen = []
     real = specialist.loss_and_grad
 
-    def spy(params, batch, *rest):
-        seen.append(batch.x.copy())
-        return real(params, batch, *rest)
+    def spy(params, x, *rest):
+        seen.append(x.copy())
+        return real(params, x, *rest)
 
     monkeypatch.setattr(specialist, "loss_and_grad", spy)
     train_round(assets, pseudo, config)
