@@ -191,16 +191,18 @@ def write_globals(
 
 
 def read_globals(features_dir: Path) -> dict[str, np.ndarray]:
-    """The vectors ``write_globals`` wrote, bit for bit; other keys are ignored."""
+    """The vectors ``write_globals`` wrote, bit for bit; other keys are ignored.
+
+    A vector must be a JSON list of numbers: a string, a boolean or a null in
+    it is refused, not converted.
+    """
     path = features_dir / "globals.json"
     out = {}
     for vol_id, entry in sorted(json.loads(path.read_text()).items()):
-        try:
-            vec = np.array(entry["vector"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError):
-            vec = None
-        if vec is None or vec.ndim != 1:
-            raise ValueError(f"{path}: global feature of {vol_id!r} is not a 1-D vector")
+        vector = entry.get("vector") if isinstance(entry, dict) else None
+        if not (isinstance(vector, list) and all(type(x) in (int, float) for x in vector)):
+            raise ValueError(f"{path}: global feature of {vol_id!r} is not a 1-D vector of numbers")
+        vec = np.array(vector, dtype=np.float64)
         vec.setflags(write=False)
         out[vol_id] = vec
     return out
@@ -797,7 +799,7 @@ def _fields_from_doc(cls, doc, where: str) -> dict:
             continue
         value, name = doc[key], f"{where}.{key}" if where else key
         if f.name in _NESTED:
-            value = _NESTED[f.name](**_fields_from_doc(_NESTED[f.name], value, name))
+            value = _construct(_NESTED[f.name], _fields_from_doc(_NESTED[f.name], value, name), name)
         elif not _DOC_TYPES[f.type][1](value):
             raise ValueError(
                 f"config.json sets {name} to {json.dumps(value)}; it takes {_DOC_TYPES[f.type][0]}"
@@ -806,13 +808,34 @@ def _fields_from_doc(cls, doc, where: str) -> dict:
     return kwargs
 
 
+def _construct(cls, kwargs: dict, where: str, **required):
+    """``cls(**required, **kwargs)``, where ``kwargs`` was read from ``config.json`` at ``where``.
+
+    A value the constructor refuses is named by its key: each key is tried
+    alone on the defaults, and the first one refused is reported with the
+    constructor's reason.
+    """
+    try:
+        return cls(**required, **kwargs)
+    except ValueError:
+        for key, value in kwargs.items():
+            try:
+                cls(**{**required, key: value})
+            except ValueError as exc:
+                name = _DOC_KEYS.get(key, key)
+                name = f"{where}.{name}" if where else name
+                raise ValueError(f"config.json sets {name} to {json.dumps(value)}: {exc}") from None
+        raise
+
+
 def _config_from_doc(doc, out_dir: Path) -> PipelineConfig:
     """Inverse of ``_config_doc``; absent keys take defaults, and values are checked
-    as ``_fields_from_doc`` checks them."""
+    as ``_fields_from_doc`` checks them and then as ``PipelineConfig`` does."""
     kwargs = _fields_from_doc(PipelineConfig, doc, "")
-    if "manifest_path" not in kwargs:
+    manifest = kwargs.pop("manifest_path", None)
+    if manifest is None:
         raise ValueError("config document has no manifest")
-    return PipelineConfig(out_dir=Path(out_dir), **kwargs)
+    return _construct(PipelineConfig, kwargs, "", out_dir=Path(out_dir), manifest_path=manifest)
 
 
 def load_run_config(run_dir: Path, **over) -> PipelineConfig:

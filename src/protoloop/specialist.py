@@ -8,11 +8,17 @@ is 4 + 4 C / p^3 bytes per voxel for cubic patches of p voxels (4.69 at
 p = 4 and 4.09 at p = 8 with the built-in encoder's 11 channels).  z is
 computed where it is used, training gathers the rows of each sampled batch,
 and inference evaluates
-``logits = upsample(W[:, :C] @ grid + b) + W[:, C] * z`` with the head
-applied at cell resolution, one slab of d-planes at a time; a voxel's
-label is the lowest class at the max of its softmax numerators, computed
-class-major (``volume.class_argmax``).  Every round trains a fresh
-zero-initialized model with SGD on the loss ``sup + alpha * pseudo``:
+``logits = upsample(W[:, :C] @ grid + b) + W[:, C] * z`` one slab of
+d-planes at a time, with the head applied at cell resolution to the cell
+rows that slab reads and nothing else, so no stack of expanded planes for
+the whole volume is built.  The head's products are cut into blocks small
+enough that OpenBLAS runs them on the calling thread: a larger product
+wakes its worker pool, whose threads then spin on the CPU after the call
+returns.  A voxel's label is the lowest class at the max of its softmax
+numerators, computed class-major (``volume.class_argmax``).
+
+Every round trains a fresh zero-initialized model with SGD on the loss
+``sup + alpha * pseudo``:
 cross-entropy/soft-Dice on the labeled voxels plus the same on the
 pseudo-labeled voxels, weighted by a ramped ``alpha``.  Gradients are
 analytic.  The schedule is the same for every run: learning rate
@@ -455,6 +461,31 @@ def train_round(
 
 # voxels per slab of inference: temporaries stay cache-sized on any volume
 _SLAB_VOXELS = 1 << 14
+# multiply-adds per head product (cells x channels x classes): OpenBLAS runs
+# a product of this size on the calling thread, so no worker pool wakes up
+_HEAD_PRODUCT_MACS = 1 << 18
+
+
+def _row_planes(
+    params: SpecialistParams, data: TrainVolumeData, r0: int, r1: int
+) -> np.ndarray:
+    """(num_classes, r1 - r0, H, W) float64 logits of cell rows ``r0:r1``, intensity term left out.
+
+    The head is applied once per cell of the rows, in blocks of at most
+    ``_HEAD_PRODUCT_MACS`` multiply-adds, and each plane of cell logits is
+    expanded to voxels through the in-plane LUTs.
+    """
+    k = params.num_classes
+    _, gh, gw = data.grid_shape.as_tuple()
+    _, lh, lw = data.luts
+    w_cells = params.weights[:, :-1].T
+    cells = data.cells[r0 * gh * gw:r1 * gh * gw]
+    block = max(1, _HEAD_PRODUCT_MACS // (data.channels * k))
+    head = np.empty((len(cells), k))
+    for c0 in range(0, len(cells), block):
+        np.matmul(cells[c0:c0 + block].astype(np.float64), w_cells, out=head[c0:c0 + block])
+    head += params.bias
+    return head.T.reshape(k, r1 - r0, gh, gw).take(lw, axis=3).take(lh, axis=2)
 
 
 def voxel_logits(
@@ -462,26 +493,40 @@ def voxel_logits(
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Logits in slabs of whole d-planes: (flat voxel slice, (num_classes, n) logits).
 
-    The head is applied once per cell, the cell logits are expanded to voxels
-    through the LUTs, and the intensity term is added per voxel from the
-    slab's z, computed from its float32 intensities.
+    A slab's logits come from its own cell rows only: the depth LUT is
+    monotone, so the slab's planes read the contiguous rows
+    ``ld[d0] .. ld[d1 - 1]``.  The head is applied once per cell of those
+    rows, the cell logits are expanded to voxels through the LUTs, and the
+    rows' expanded planes are kept while the next slab reads the same rows.
+    The intensity term is added per voxel from the slab's z, computed from
+    its float32 intensities.
+
+    Each head product is split into blocks of at most ``_HEAD_PRODUCT_MACS``
+    multiply-adds.  A larger product makes OpenBLAS wake its worker threads,
+    which then spin on the CPU after the call returns; a block of this size
+    runs on the calling thread.  A block is a run of whole rows of the cell
+    table, each row's logits one dot product per class, so the split changes
+    which rows share a call, not what a row computes.  Memory is one slab's
+    rows of planes, never a plane stack for the whole volume.
     """
     if data.num_features != params.num_features:
         raise ValueError(
             f"feature width {data.num_features} != model width {params.num_features}"
         )
     k = params.num_classes
-    ld, lh, lw = data.luts
-    w_cells, w_z = params.weights[:, :-1], params.weights[:, -1:]
-    head = data.cells.astype(np.float64) @ w_cells.T  # per cell, in float64
-    cell = (head + params.bias).T.reshape((k,) + data.grid_shape.as_tuple())
-    planes = cell.take(lw, axis=3).take(lh, axis=2)  # (k, cells along d, h, w)
+    ld = data.luts[0]
+    w_z = params.weights[:, -1:]
     depth, h, w = data.shape.as_tuple()
     step = max(1, _SLAB_VOXELS // (h * w))
+    rows = planes = None
     for d0 in range(0, depth, step):
         d1 = min(depth, d0 + step)
+        r0, r1 = int(ld[d0]), int(ld[d1 - 1]) + 1
+        if rows != (r0, r1):
+            planes = None  # freed before the next rows' planes are built
+            rows, planes = (r0, r1), _row_planes(params, data, r0, r1)
         sl = slice(d0 * h * w, d1 * h * w)
-        logits = planes.take(ld[d0:d1], axis=1).reshape(k, -1)
+        logits = planes.take(ld[d0:d1] - r0, axis=1).reshape(k, -1)
         logits += w_z * data.z(sl)
         yield sl, logits
 

@@ -326,10 +326,14 @@ def test_position_weight_flag_is_gone(dataset, tmp_path):
 # ---------------------------------------------------------------------------
 # round / refine
 
-def test_round_continues_run(dataset, finished_run):
-    argv = ["round", "--prev", str(finished_run / "round_1")]
+def test_round_continues_run(finished_run, tmp_path):
+    # on a copy: the module's finished run keeps its one round for later readers
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    argv = ["round", "--prev", str(out / "round_1")]
     assert dispatch(argv) == 0
-    assert (finished_run / "round_2" / "state.json").exists()
+    assert (out / "round_2" / "state.json").exists()
+    assert not (finished_run / "round_2").exists()
     assert dispatch(argv) == 1  # round_2 now exists
     assert dispatch(argv + ["--force"]) == 0
 
@@ -412,6 +416,34 @@ def test_config_value_of_another_type_is_refused(finished_run, tmp_path, capsys,
     assert dispatch(["refine", "--round", str(out / "round_1"), "--force"]) == 1
     err = capsys.readouterr().err
     assert err.count(f"config.json sets {key} to {json.dumps(value)};") == 2
+    assert _tree(out) == before
+
+
+@pytest.mark.parametrize("key, value", [
+    ("knn", 0),
+    ("rounds", 0),
+    ("q_unc", 1.5),
+    ("train.iterations", 0),
+    ("train.batch_voxels", 1),
+    ("encoder.patch_size", 1),
+])
+def test_config_value_out_of_range_is_refused_by_key(finished_run, tmp_path, capsys, key, value):
+    """A value of the right type that the config's own checks refuse is named
+    by file and key, and no round is written."""
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    doc = json.loads((out / "config.json").read_text())
+    *section, name = key.split(".")
+    (doc[section[0]] if section else doc)[name] = value
+    (out / "config.json").write_text(json.dumps(doc))
+    before = _tree(out)
+    with pytest.raises(ValueError, match=re.escape(f"config.json sets {key} to {json.dumps(value)}: ")):
+        pipeline.load_run_config(out)
+    assert dispatch(["round", "--prev", str(out / "round_1")]) == 1
+    assert dispatch(["refine", "--round", str(out / "round_1"), "--force"]) == 1
+    err = capsys.readouterr().err
+    assert err.count(f"config.json sets {key} to {json.dumps(value)}: ") == 2
+    assert not (out / "round_2").exists()
     assert _tree(out) == before
 
 
@@ -510,6 +542,28 @@ def test_globals_json_written_with_the_degenerate_key_still_votes(finished_run, 
     assert dispatch(refine) == 1
     err = capsys.readouterr().err
     assert "globals.json" in err and repr(vol_id) in err
+
+
+@pytest.mark.parametrize("bad", ["0.12", "x", True, False, None])
+def test_globals_json_vector_of_non_numbers_is_refused(finished_run, tmp_path, capsys, bad):
+    """A vector entry that is not a JSON number is refused by file and id,
+    not converted (``"0.12"`` to 0.12, ``true`` to 1.0), and no round is written."""
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    path = out / "features" / "globals.json"
+    doc = json.loads(path.read_text())
+    vol_id = sorted(doc)[2]
+    doc[vol_id]["vector"][0] = bad
+    path.write_text(json.dumps(doc))
+    before = _tree(out)
+    assert dispatch(["round", "--prev", str(out / "round_1")]) == 1
+    err = capsys.readouterr().err
+    assert "globals.json" in err and repr(vol_id) in err
+    assert dispatch(["refine", "--round", str(out / "round_1"), "--force"]) == 1
+    err = capsys.readouterr().err
+    assert "globals.json" in err and repr(vol_id) in err
+    assert not (out / "round_2").exists()
+    assert _tree(out) == before
 
 
 def test_refine_command_rewrites_round(dataset, tmp_path):

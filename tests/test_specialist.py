@@ -1,6 +1,9 @@
 """Linear voxel classifier: loss, gradients, round training, inference."""
 from __future__ import annotations
 
+import os
+import time
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -160,9 +163,16 @@ def test_gathered_rows_byte_equal_dense_rows(num_classes):
     assert data.rows(np.arange(data.n_voxels)).tobytes() == dense.tobytes()
 
 
-@pytest.mark.parametrize("num_classes", [2, 3])
-def test_factorized_logits_match_dense_oracle(num_classes, monkeypatch):
+@pytest.mark.parametrize("num_classes, head_macs", [
+    pytest.param(2, None, id="2"),
+    pytest.param(3, None, id="3"),
+    pytest.param(2, 40, id="2-head_blocks"),
+    pytest.param(3, 40, id="3-head_blocks"),
+])
+def test_factorized_logits_match_dense_oracle(num_classes, head_macs, monkeypatch):
     monkeypatch.setattr(specialist, "_SLAB_VOXELS", 800)  # two 17x23 planes per slab
+    if head_macs is not None:  # head products of 4 (k=2) or 2 (k=3) of a row's 30 cells
+        monkeypatch.setattr(specialist, "_HEAD_PRODUCT_MACS", head_macs)
     _, vol, grid, params = _odd_case(71, num_classes)
     dense = build_feature_matrix(vol, grid) @ params.weights.T + params.bias
     slabs = list(voxel_logits(params, _factorized(vol, grid)))
@@ -542,6 +552,77 @@ def test_infer_slabs_break_ties_low_and_match_dense_entropy(num_classes, monkeyp
     entropy_map, entropy_mean = entropy_oracle(dense)
     assert entropy == pytest.approx(entropy_mean, abs=1e-9)
     assert entropy == pytest.approx(float(entropy_map.mean()), abs=1e-9)
+
+
+# (volume, grid) shapes: ragged, and a multiple of a 4-voxel patch
+ROW_CASES = {"odd": (ODD_SHAPE, ODD_GRID), "even": ((16, 12, 20), (4, 3, 5))}
+
+
+@pytest.mark.parametrize("num_classes", [2, 3])
+@pytest.mark.parametrize("case, slab_planes", [("odd", 1), ("odd", 2), ("even", 1), ("even", 3)])
+def test_infer_from_row_slabs_matches_unpatched_and_dense(case, slab_planes, num_classes, monkeypatch):
+    # small slabs and head products: a slab straddles two cell rows, a row
+    # spans several slabs, and a row's head splits into blocks of 4 or 2 cells
+    shape, grid_shape = ROW_CASES[case]
+    rng = np.random.default_rng(74)
+    vol = _vol(rng.normal(size=shape))
+    grid = _grid(rng.normal(size=(5,) + grid_shape).astype(np.float32))
+    params = SpecialistParams(rng.normal(size=(num_classes, 6)), rng.normal(size=num_classes))
+    data = _factorized(vol, grid)
+    want_labels, want_entropy = infer(params, data)
+
+    monkeypatch.setattr(specialist, "_SLAB_VOXELS", slab_planes * shape[1] * shape[2])
+    monkeypatch.setattr(specialist, "_HEAD_PRODUCT_MACS", 40)
+    ld = data.luts[0]
+    starts = range(0, shape[0], slab_planes)
+    rows = [(ld[d0], ld[min(d0 + slab_planes, shape[0]) - 1] + 1) for d0 in starts]
+    assert any(r1 - r0 > 1 for r0, r1 in rows) == (slab_planes > 1)
+    assert any(a == b for a, b in zip(rows, rows[1:]))
+    assert grid_shape[1] * grid_shape[2] > 40 // (5 * num_classes)
+
+    slabs = list(voxel_logits(params, data))
+    assert len(slabs) == len(rows)
+    logits = np.concatenate([chunk for _, chunk in slabs], axis=1)
+    dense = build_feature_matrix(vol, grid) @ params.weights.T + params.bias
+    np.testing.assert_allclose(logits.T, dense, rtol=0, atol=1e-12)
+    labels, entropy = infer(params, data)
+    assert labels.data.tobytes() == want_labels.data.tobytes()
+    assert entropy == pytest.approx(want_entropy, rel=1e-13, abs=1e-15)
+    probs = forward(params, build_feature_matrix(vol, grid))
+    assert labels.data.reshape(-1).tobytes() == np.argmax(probs, axis=1).astype(np.uint8).tobytes()
+
+
+def test_infer_peak_memory_is_slabs_not_volume():
+    # a (64, 128, 128) volume at patch (4, 4, 4): a whole-volume stack of
+    # expanded cell planes would be 2 x 16 x 128 x 128 float64, 4.2 MB
+    rng = np.random.default_rng(75)
+    vol = _vol(rng.normal(size=(64, 128, 128)))
+    grid = _grid(rng.normal(size=(11, 16, 32, 32)).astype(np.float32))
+    data = _factorized(vol, grid)
+    params = SpecialistParams(rng.normal(size=(2, 12)), rng.normal(size=2))
+    label_bytes = vol.shape.voxels
+    tracemalloc.start()
+    try:
+        infer(params, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - label_bytes < 2_000_000
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a BLAS worker pool needs two CPUs")
+def test_infer_leaves_no_blas_worker_spinning():
+    # a head product of 32768 x 11 x 2 wakes OpenBLAS's worker pool, whose
+    # threads then spin on the CPU while the process sleeps
+    rng = np.random.default_rng(76)
+    vol = _vol(rng.normal(size=(32, 32, 32)))
+    data = _factorized(vol, _grid(rng.normal(size=(11, 32, 32, 32)).astype(np.float32)))
+    params = SpecialistParams(rng.normal(size=(2, 12)), rng.normal(size=2))
+    time.sleep(0.3)  # let workers woken by earlier tests go idle
+    infer(params, data)
+    cpu0 = time.process_time()
+    time.sleep(0.25)
+    assert time.process_time() - cpu0 < 0.02
 
 
 def test_infer_prob_rows_sum_to_one():
