@@ -799,7 +799,7 @@ def _fields_from_doc(cls, doc, where: str) -> dict:
             continue
         value, name = doc[key], f"{where}.{key}" if where else key
         if f.name in _NESTED:
-            value = _construct(_NESTED[f.name], _fields_from_doc(_NESTED[f.name], value, name), name)
+            value = _construct(_NESTED[f.name], name, **_fields_from_doc(_NESTED[f.name], value, name))
         elif not _DOC_TYPES[f.type][1](value):
             raise ValueError(
                 f"config.json sets {name} to {json.dumps(value)}; it takes {_DOC_TYPES[f.type][0]}"
@@ -808,34 +808,21 @@ def _fields_from_doc(cls, doc, where: str) -> dict:
     return kwargs
 
 
-def _construct(cls, kwargs: dict, where: str, **required):
-    """``cls(**required, **kwargs)``, where ``kwargs`` was read from ``config.json`` at ``where``.
-
-    A value the constructor refuses is named by its key: each key is tried
-    alone on the defaults, and the first one refused is reported with the
-    constructor's reason.
-    """
+def _construct(cls, where: str, **kwargs):
+    """``cls(**kwargs)``; a value the constructor refuses is reported as ``config.json``'s at ``where``."""
     try:
-        return cls(**required, **kwargs)
-    except ValueError:
-        for key, value in kwargs.items():
-            try:
-                cls(**{**required, key: value})
-            except ValueError as exc:
-                name = _DOC_KEYS.get(key, key)
-                name = f"{where}.{name}" if where else name
-                raise ValueError(f"config.json sets {name} to {json.dumps(value)}: {exc}") from None
-        raise
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"config.json {where}: {exc}") from None
 
 
 def _config_from_doc(doc, out_dir: Path) -> PipelineConfig:
     """Inverse of ``_config_doc``; absent keys take defaults, and values are checked
     as ``_fields_from_doc`` checks them and then as ``PipelineConfig`` does."""
     kwargs = _fields_from_doc(PipelineConfig, doc, "")
-    manifest = kwargs.pop("manifest_path", None)
-    if manifest is None:
+    if "manifest_path" not in kwargs:
         raise ValueError("config document has no manifest")
-    return _construct(PipelineConfig, kwargs, "", out_dir=Path(out_dir), manifest_path=manifest)
+    return _construct(PipelineConfig, "top level", out_dir=Path(out_dir), **kwargs)
 
 
 def load_run_config(run_dir: Path, **over) -> PipelineConfig:

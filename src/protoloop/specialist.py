@@ -11,10 +11,11 @@ and inference evaluates
 ``logits = upsample(W[:, :C] @ grid + b) + W[:, C] * z`` one slab of
 d-planes at a time, with the head applied at cell resolution to the cell
 rows that slab reads and nothing else, so no stack of expanded planes for
-the whole volume is built.  The head's products are cut into blocks small
-enough that OpenBLAS runs them on the calling thread: a larger product
-wakes its worker pool, whose threads then spin on the CPU after the call
-returns.  A voxel's label is the lowest class at the max of its softmax
+the whole volume is built and the head's products stay a few rows of cells
+in size.  A product over the whole cell table of a 128^3 volume at p = 4
+(32768 cells) is large enough to wake OpenBLAS's worker pool, whose threads
+then spin on the CPU after the call returns; one row's product (1024 cells
+there) runs on the calling thread.  A voxel's label is the lowest class at the max of its softmax
 numerators, computed class-major (``volume.class_argmax``).
 
 Every round trains a fresh zero-initialized model with SGD on the loss
@@ -118,9 +119,9 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+            raise ValueError(f"iterations={self.iterations} must be >= 1")
         if self.batch_voxels < 2:
-            raise ValueError("batch_voxels must be >= 2")
+            raise ValueError(f"batch_voxels={self.batch_voxels} must be >= 2")
 
 
 # ---------------------------------------------------------------------------
@@ -461,31 +462,6 @@ def train_round(
 
 # voxels per slab of inference: temporaries stay cache-sized on any volume
 _SLAB_VOXELS = 1 << 14
-# multiply-adds per head product (cells x channels x classes): OpenBLAS runs
-# a product of this size on the calling thread, so no worker pool wakes up
-_HEAD_PRODUCT_MACS = 1 << 18
-
-
-def _row_planes(
-    params: SpecialistParams, data: TrainVolumeData, r0: int, r1: int
-) -> np.ndarray:
-    """(num_classes, r1 - r0, H, W) float64 logits of cell rows ``r0:r1``, intensity term left out.
-
-    The head is applied once per cell of the rows, in blocks of at most
-    ``_HEAD_PRODUCT_MACS`` multiply-adds, and each plane of cell logits is
-    expanded to voxels through the in-plane LUTs.
-    """
-    k = params.num_classes
-    _, gh, gw = data.grid_shape.as_tuple()
-    _, lh, lw = data.luts
-    w_cells = params.weights[:, :-1].T
-    cells = data.cells[r0 * gh * gw:r1 * gh * gw]
-    block = max(1, _HEAD_PRODUCT_MACS // (data.channels * k))
-    head = np.empty((len(cells), k))
-    for c0 in range(0, len(cells), block):
-        np.matmul(cells[c0:c0 + block].astype(np.float64), w_cells, out=head[c0:c0 + block])
-    head += params.bias
-    return head.T.reshape(k, r1 - r0, gh, gw).take(lw, axis=3).take(lh, axis=2)
 
 
 def voxel_logits(
@@ -496,26 +472,27 @@ def voxel_logits(
     A slab's logits come from its own cell rows only: the depth LUT is
     monotone, so the slab's planes read the contiguous rows
     ``ld[d0] .. ld[d1 - 1]``.  The head is applied once per cell of those
-    rows, the cell logits are expanded to voxels through the LUTs, and the
-    rows' expanded planes are kept while the next slab reads the same rows.
-    The intensity term is added per voxel from the slab's z, computed from
-    its float32 intensities.
-
-    Each head product is split into blocks of at most ``_HEAD_PRODUCT_MACS``
-    multiply-adds.  A larger product makes OpenBLAS wake its worker threads,
-    which then spin on the CPU after the call returns; a block of this size
-    runs on the calling thread.  A block is a run of whole rows of the cell
-    table, each row's logits one dot product per class, so the split changes
-    which rows share a call, not what a row computes.  Memory is one slab's
-    rows of planes, never a plane stack for the whole volume.
+    rows, the cell logits are expanded to voxels through the in-plane LUTs,
+    and the rows' expanded planes are kept while the next slab reads the
+    same rows.  The intensity term is added per voxel from the slab's z,
+    computed from its float32 intensities.  Memory is one slab's rows of
+    planes, never a plane stack for the whole volume, and each head product
+    is a few rows of cells, which OpenBLAS runs on the calling thread where
+    a whole-table product wakes its worker pool.  A row's product may run
+    through another OpenBLAS kernel than the whole table's and round its
+    sums differently: measured, the logits are byte-identical to those of one
+    whole-table product on the benchmark workloads (rows of 16, 64 and 1024
+    cells) and on the ragged and patch-multiple shapes of the row-slab tests,
+    and differ by up to 1e-15 where a row is a single cell.
     """
     if data.num_features != params.num_features:
         raise ValueError(
             f"feature width {data.num_features} != model width {params.num_features}"
         )
     k = params.num_classes
-    ld = data.luts[0]
-    w_z = params.weights[:, -1:]
+    ld, lh, lw = data.luts
+    _, gh, gw = data.grid_shape.as_tuple()
+    w_cells, w_z = params.weights[:, :-1], params.weights[:, -1:]
     depth, h, w = data.shape.as_tuple()
     step = max(1, _SLAB_VOXELS // (h * w))
     rows = planes = None
@@ -524,7 +501,9 @@ def voxel_logits(
         r0, r1 = int(ld[d0]), int(ld[d1 - 1]) + 1
         if rows != (r0, r1):
             planes = None  # freed before the next rows' planes are built
-            rows, planes = (r0, r1), _row_planes(params, data, r0, r1)
+            head = data.cells[r0 * gh * gw:r1 * gh * gw].astype(np.float64) @ w_cells.T
+            cell = (head + params.bias).T.reshape(k, r1 - r0, gh, gw)
+            rows, planes = (r0, r1), cell.take(lw, axis=3).take(lh, axis=2)
         sl = slice(d0 * h * w, d1 * h * w)
         logits = planes.take(ld[d0:d1] - r0, axis=1).reshape(k, -1)
         logits += w_z * data.z(sl)

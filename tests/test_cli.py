@@ -429,7 +429,7 @@ def test_config_value_of_another_type_is_refused(finished_run, tmp_path, capsys,
 ])
 def test_config_value_out_of_range_is_refused_by_key(finished_run, tmp_path, capsys, key, value):
     """A value of the right type that the config's own checks refuse is named
-    by file and key, and no round is written."""
+    by file, section and key, and no round is written."""
     out = tmp_path / "run"
     shutil.copytree(finished_run, out)
     doc = json.loads((out / "config.json").read_text())
@@ -437,12 +437,13 @@ def test_config_value_out_of_range_is_refused_by_key(finished_run, tmp_path, cap
     (doc[section[0]] if section else doc)[name] = value
     (out / "config.json").write_text(json.dumps(doc))
     before = _tree(out)
-    with pytest.raises(ValueError, match=re.escape(f"config.json sets {key} to {json.dumps(value)}: ")):
+    named = f"config.json {section[0] if section else 'top level'}: {name}={value} "
+    with pytest.raises(ValueError, match=re.escape(named)):
         pipeline.load_run_config(out)
     assert dispatch(["round", "--prev", str(out / "round_1")]) == 1
     assert dispatch(["refine", "--round", str(out / "round_1"), "--force"]) == 1
     err = capsys.readouterr().err
-    assert err.count(f"config.json sets {key} to {json.dumps(value)}: ") == 2
+    assert err.count(named) == 2
     assert not (out / "round_2").exists()
     assert _tree(out) == before
 
