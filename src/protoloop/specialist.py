@@ -15,14 +15,14 @@ the whole volume is built and the head's products stay a few rows of cells
 in size.  A product over the whole cell table of a 128^3 volume at p = 4
 (32768 cells) is large enough to wake OpenBLAS's worker pool, whose threads
 then spin on the CPU after the call returns; one row's product (1024 cells
-there) runs on the calling thread.  A voxel's label is the lowest class at the max of its softmax
-numerators, computed class-major (``volume.class_argmax``).
+there) runs on the calling thread.  A voxel's label is the lowest class at
+the max of its softmax numerators, computed class-major
+(``volume.class_argmax``).
 
 Every round trains a fresh zero-initialized model with SGD on the loss
-``sup + alpha * pseudo``:
-cross-entropy/soft-Dice on the labeled voxels plus the same on the
-pseudo-labeled voxels, weighted by a ramped ``alpha``.  Gradients are
-analytic.  The schedule is the same for every run: learning rate
+``sup + alpha * pseudo``: cross-entropy/soft-Dice on the labeled voxels
+plus the same on the pseudo-labeled voxels, weighted by a ramped ``alpha``.
+Gradients are analytic.  The schedule is the same for every run: learning rate
 0.01 * (1 - t/T)^0.9 over T steps, momentum 0.9, weight decay 1e-4, ``alpha``
 ramped from 0 to 1 over the first 30% of the steps, Dice smoothing 1e-5, and
 a validation checkpoint every 250 steps.
