@@ -69,7 +69,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, help="run output directory")
     p.add_argument("--seed", type=int, default=PipelineConfig.seed)
     p.add_argument("--truth", default=None, help="ground-truth label dir (quality tracking)")
-    p.add_argument("--val-manifest", default=None, help="labeled manifest for model selection")
     p.add_argument("--no-refine", action="store_true", help="disable pseudo-label refinement")
     for flag, kind, default, text in (
         ("--k", int, PipelineConfig.knn, "refinement neighbors"),
@@ -93,7 +92,6 @@ def _pipeline_config(args, rounds: int) -> PipelineConfig:
         q_unc=args.q_unc,
         seed=args.seed,
         refine=not args.no_refine,
-        val_manifest_path=args.val_manifest,
         truth_dir=args.truth,
         force=args.force,
     )
@@ -107,7 +105,7 @@ def _cmd_synth(args) -> int:
     if (out / "manifest.json").exists() and not args.force:
         raise FileExistsError(f"{out} already holds a dataset; pass --force to overwrite")
     spec = load_spec(args.spec)
-    manifest, _ = generate(spec, out, all_labeled=args.all_labeled)
+    manifest, _ = generate(spec, out)
     print(f"wrote {len(manifest.entries)} volumes to {out}")
     return 0
 
@@ -313,7 +311,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a synthetic dataset from a JSON spec")
     p.add_argument("--spec", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--all-labeled", action="store_true", help="keep every label (val/test split)")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_synth)
 

@@ -156,13 +156,12 @@ def _volume_labels(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def generate(
-    spec: PhantomSpec, out_dir: str | Path, all_labeled: bool = False
+    spec: PhantomSpec, out_dir: str | Path
 ) -> tuple[DatasetManifest, dict[str, LabelVolume]]:
     """Write a synthetic dataset under ``out_dir`` and return (manifest, truth).
 
-    Volume ``vol_000`` is the labeled template.  Ground truth for every volume
-    goes to ``out_dir/truth/``.  With ``all_labeled`` every manifest entry
-    keeps its label path (for building validation/test splits).
+    Volume ``vol_000`` is the labeled template, the only entry with a label.
+    Ground truth for every volume goes to ``out_dir/truth/``.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -196,7 +195,7 @@ def generate(
         save_array(labels, truth_dir / f"{vol_id}.label.vxar")
 
         label_name = None
-        if i == 0 or all_labeled:
+        if i == 0:
             label_name = f"{vol_id}.label.vxar"
             save_array(labels, out_dir / label_name)
         entries.append(
@@ -206,7 +205,6 @@ def generate(
     manifest = DatasetManifest(
         num_classes=spec.num_classes,
         entries=tuple(entries),
-        exactly_one_labeled=not all_labeled,
         base_dir=out_dir,
     )
     save_manifest(manifest, out_dir / "manifest.json")

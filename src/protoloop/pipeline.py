@@ -96,13 +96,12 @@ class PipelineConfig:
     q_unc: float = 0.9
     seed: int = 0
     refine: bool = True
-    val_manifest_path: Path | None = None
     truth_dir: Path | None = None  # enables ground-truth quality tracking
     force: bool = False
 
     def __post_init__(self):
         # input paths are made absolute once, so config.json resolves from any directory
-        for name in ("manifest_path", "val_manifest_path", "truth_dir"):
+        for name in ("manifest_path", "truth_dir"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, Path(getattr(self, name)).absolute())
         object.__setattr__(self, "out_dir", Path(self.out_dir))
@@ -190,19 +189,37 @@ def write_globals(
     return out
 
 
-def read_globals(features_dir: Path) -> dict[str, np.ndarray]:
+def read_globals(features_dir: Path, ids) -> dict[str, np.ndarray]:
     """The vectors ``write_globals`` wrote, bit for bit; other keys are ignored.
 
-    A vector must be a JSON list of numbers: a string, a boolean or a null in
-    it is refused, not converted.
+    Every id in ``ids`` must have one.  A vector must be a JSON list of finite
+    numbers as long as the lowest id's: a string, a boolean or a null in it is
+    refused, not converted, and so are ``NaN`` and ``Infinity``.
     """
     path = features_dir / "globals.json"
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: holds {type(doc).__name__}, not an object of vectors by id")
+    missing = sorted(set(ids) - doc.keys())
+    if missing:
+        raise ValueError(f"{path}: no global feature for {missing}")
     out = {}
-    for vol_id, entry in sorted(json.loads(path.read_text()).items()):
+    for vol_id, entry in sorted(doc.items()):
         vector = entry.get("vector") if isinstance(entry, dict) else None
         if not (isinstance(vector, list) and all(type(x) in (int, float) for x in vector)):
             raise ValueError(f"{path}: global feature of {vol_id!r} is not a 1-D vector of numbers")
         vec = np.array(vector, dtype=np.float64)
+        if not np.isfinite(vec).all():
+            raise ValueError(f"{path}: global feature of {vol_id!r} has a non-finite value")
+        first = next(iter(out), None)  # the lowest id
+        if first is not None and len(vec) != len(out[first]):
+            raise ValueError(
+                f"{path}: global feature of {vol_id!r} has {len(vec)} values, "
+                f"that of {first!r} {len(out[first])}"
+            )
         vec.setflags(write=False)
         out[vol_id] = vec
     return out
@@ -212,21 +229,20 @@ def _load_entry(
     config: PipelineConfig,
     manifest: DatasetManifest,
     entry: VolumeEntry,
-    prefix: str,
     extract_allowed: bool,
 ) -> tuple[TrainVolumeData, FeatureGrid]:
     """One manifest entry's factorized voxel features and feature grid.
 
     The z-score scalars of the intensity volume are computed once; the
     encoder, when it runs, and the voxel features share them.  The grid comes
-    from ``entry_grid`` at ``features/<prefix><id>.features.vxar``; the voxel
+    from ``entry_grid`` at ``features/<id>.features.vxar``; the voxel
     features hold its values as their cell table, so the caller need not keep
     it.  Only the float32 intensities are kept; no whole-volume float64 array
     outlives the scalar pass.
     """
     vol = load_array(manifest.resolve(entry.intensity), IntensityVolume)
     scalars = encoder_mod.zscore_scalars(vol.data)
-    path = config.out_dir / "features" / f"{prefix}{entry.vol_id}.features.vxar"
+    path = config.out_dir / "features" / f"{entry.vol_id}.features.vxar"
     grid = entry_grid(entry, manifest, vol, config.encoder, path, extract_allowed, scalars)
     return TrainVolumeData.from_volume(entry.vol_id, vol, grid, scalars), grid
 
@@ -271,19 +287,19 @@ class PipelineContext:
     labeled_id: str
     labeled_gt: LabelVolume
     truth: dict[str, LabelVolume] | None = None
-    validation: tuple | None = None  # ((TrainVolumeData, LabelVolume), ...)
     build_s: float = 0.0  # wall time of build_context: loading and feature extraction
 
 
 def build_context(config: PipelineConfig, extract_allowed: bool = True) -> PipelineContext:
-    """Load every pool and validation entry, in manifest order, and check their labels.
+    """Load every manifest entry, in manifest order, and check the labels.
 
     Grids are computed (or ingested) at most once per volume and persisted
-    under ``<out>/features`` (validation grids with a ``val.`` prefix), so
-    later rounds and resumed processes reload them instead of touching the
-    extractor again; ``extract_allowed=False`` makes a missing grid an error.
-    Only a context that may extract computes the global features, from each
-    grid as it is loaded, and writes ``globals.json``; a later one reads it.
+    under ``<out>/features``, so later rounds and resumed processes reload
+    them instead of touching the extractor again; ``extract_allowed=False``
+    makes a missing grid an error.  Only a context that may extract computes
+    the global features, from each grid as it is loaded, and writes
+    ``globals.json``; a later one reads it and refuses it unless it holds a
+    valid vector for every entry.
     """
     t0 = time.perf_counter()
     manifest, labeled_id, gt, truth = _load_inputs(config)
@@ -291,33 +307,18 @@ def build_context(config: PipelineConfig, extract_allowed: bool = True) -> Pipel
     features_dir.mkdir(parents=True, exist_ok=True)
     features, global_features = {}, {}
     for entry in manifest.entries:
-        features[entry.vol_id], grid = _load_entry(config, manifest, entry, "", extract_allowed)
+        features[entry.vol_id], grid = _load_entry(config, manifest, entry, extract_allowed)
         if extract_allowed:
             global_features[entry.vol_id] = global_feature(grid)
     encoder_mod.uniform_channel_count(features)
     if extract_allowed:
         global_features = write_globals(features_dir, global_features)
     else:
-        global_features = read_globals(features_dir)
+        global_features = read_globals(features_dir, features)
     gt_path = manifest.resolve(manifest.labeled_entry().label)
     _check_label(gt, gt_path, "template", labeled_id, features[labeled_id].shape)
     for vol_id, lab in (truth or {}).items():
         _check_label(lab, _truth_path(config, vol_id), "truth", vol_id, features[vol_id].shape)
-
-    validation = None
-    if config.val_manifest_path is not None:
-        val_manifest = load_manifest(config.val_manifest_path)
-        validation = []
-        for entry in val_manifest.entries:
-            if entry.label is None:
-                raise ValueError(f"validation entry {entry.vol_id!r} has no label")
-            data, _ = _load_entry(config, val_manifest, entry, "val.", extract_allowed)
-            path = val_manifest.resolve(entry.label)
-            lab = _load_label(path, manifest.num_classes)
-            _check_label(lab, path, "validation", entry.vol_id, data.shape)
-            validation.append((data, lab))
-        validation = tuple(validation)
-
     return PipelineContext(
         config=config,
         manifest=manifest,
@@ -326,7 +327,6 @@ def build_context(config: PipelineConfig, extract_allowed: bool = True) -> Pipel
         labeled_id=labeled_id,
         labeled_gt=gt,
         truth=truth,
-        validation=validation,
         build_s=time.perf_counter() - t0,
     )
 
@@ -611,7 +611,6 @@ def run_round(
         labeled=ctx.features[ctx.labeled_id],
         labeled_targets=ctx.labeled_gt.data.reshape(-1),
         pool=tuple(ctx.features[v] for v in pool),
-        validation=ctx.validation,
     )
     train_cfg = replace(config.train, seed=config.seed ^ round_index)
     params, log = train_round(assets, prev.labels, train_cfg)
@@ -664,8 +663,8 @@ def refine_round(config: PipelineConfig, round_index: int) -> RoundState:
         params=prev.params,
         timings=dict(prev.timings),
     )
-    _, labeled_id, gt, truth = _load_inputs(config)
-    globals_ = read_globals(config.out_dir / "features")
+    manifest, labeled_id, gt, truth = _load_inputs(config)
+    globals_ = read_globals(config.out_dir / "features", (e.vol_id for e in manifest.entries))
     return _vote_and_persist(replace(config, refine=True), state, log, labeled_id, gt, globals_, truth)
 
 
@@ -744,14 +743,16 @@ def _clear_run_dir(out_dir: Path) -> None:
 
 
 # config.json keys that differ from the PipelineConfig field names
-_DOC_KEYS = {"manifest_path": "manifest", "val_manifest_path": "val_manifest"}
+_DOC_KEYS = {"manifest_path": "manifest"}
 _NESTED = {"encoder": EncoderParams, "train": TrainConfig}
 _NOT_PERSISTED = {"force", "out_dir"}  # an action of one invocation; where the run is loaded from
-# settings fixed as module constants: an older config.json may name them only at their values
+# settings an older config.json may name only at these values: module constants,
+# and ``val_manifest``, a labeled validation set (the template is the only label a run reads)
 _FIXED = {
+    "": {"val_manifest": None},
     "encoder": {"position_weight": encoder_mod.POSITION_WEIGHT},
     "train": {name.lower(): getattr(specialist, name) for name in (
-        "BASE_LR", "LR_POWER", "MOMENTUM", "WEIGHT_DECAY", "RAMP_FRACTION", "DICE_SMOOTH", "VAL_INTERVAL"
+        "BASE_LR", "LR_POWER", "MOMENTUM", "WEIGHT_DECAY", "RAMP_FRACTION", "DICE_SMOOTH"
     )},
 }
 
@@ -789,15 +790,16 @@ def _fields_from_doc(cls, doc, where: str) -> dict:
     if not isinstance(doc, dict):
         at = f"sets {where} to" if where else "holds"
         raise ValueError(f"config.json {at} {json.dumps(doc)}; it must be an object")
-    for name, fixed in _FIXED.get(where, {}).items():
-        if doc.get(name, fixed) != fixed:
-            raise ValueError(f"config.json sets {where}.{name} to {doc[name]!r}; it is fixed at {fixed!r}")
+    prefix = f"{where}." if where else ""
+    for key, fixed in _FIXED.get(where, {}).items():
+        if doc.get(key, fixed) != fixed:
+            raise ValueError(f"config.json sets {prefix}{key} to {doc[key]!r}; it is fixed at {fixed!r}")
     kwargs = {}
     for f in fields(cls):
         key = _DOC_KEYS.get(f.name, f.name)
         if f.name in _NOT_PERSISTED or key not in doc:
             continue
-        value, name = doc[key], f"{where}.{key}" if where else key
+        value, name = doc[key], prefix + key
         if f.name in _NESTED:
             value = _construct(_NESTED[f.name], name, **_fields_from_doc(_NESTED[f.name], value, name))
         elif not _DOC_TYPES[f.type][1](value):
@@ -851,7 +853,7 @@ def _missing_files(manifest: DatasetManifest) -> list[str]:
 def start_run(config: PipelineConfig) -> None:
     """Make ``config.out_dir`` a new run directory holding only ``config.json``.
 
-    The manifests are read first, and every file they name, and each pool
+    The manifest is read first, and every file it names, and each pool
     volume's truth label when ``config.truth_dir`` is set, must exist; so a
     missing or malformed manifest, or a missing volume or truth file, leaves
     the directory untouched.  A directory that already holds a run (a
@@ -860,9 +862,6 @@ def start_run(config: PipelineConfig) -> None:
     """
     manifest = load_manifest(config.manifest_path)
     missing = [(f"{config.manifest_path} names missing files", _missing_files(manifest))]
-    if config.val_manifest_path is not None:
-        val = load_manifest(config.val_manifest_path)
-        missing.append((f"{config.val_manifest_path} names missing files", _missing_files(val)))
     if config.truth_dir is not None:
         truth = [_truth_path(config, e.vol_id) for e in manifest.unlabeled_entries()]
         missing.append((f"{config.truth_dir} lacks truth labels", [str(t) for t in truth if not t.is_file()]))

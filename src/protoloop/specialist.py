@@ -24,8 +24,7 @@ Every round trains a fresh zero-initialized model with SGD on the loss
 plus the same on the pseudo-labeled voxels, weighted by a ramped ``alpha``.
 Gradients are analytic.  The schedule is the same for every run: learning rate
 0.01 * (1 - t/T)^0.9 over T steps, momentum 0.9, weight decay 1e-4, ``alpha``
-ramped from 0 to 1 over the first 30% of the steps, Dice smoothing 1e-5, and
-a validation checkpoint every 250 steps.
+ramped from 0 to 1 over the first 30% of the steps, and Dice smoothing 1e-5.
 
 A step has k = 2-3 classes and about a dozen features, so its cost is the
 number of numpy calls, not arithmetic.  The step is therefore class-major:
@@ -48,7 +47,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoder import apply_zscore, zscore_scalars
-from .metrics import foreground_dice
 from .volume import ArrayFormatError, FeatureGrid, IntensityVolume, LabelVolume, Shape3
 from .volume import class_argmax, nearest_axis_indices, read_blob, write_blob
 
@@ -108,7 +106,6 @@ MOMENTUM = 0.9
 WEIGHT_DECAY = 1e-4
 RAMP_FRACTION = 0.3  # fraction of iterations to reach full pseudo-label weight
 DICE_SMOOTH = 1e-5
-VAL_INTERVAL = 250   # iterations between validation checkpoints
 
 
 @dataclass(frozen=True)
@@ -355,7 +352,6 @@ class TrainAssets:
     labeled: TrainVolumeData
     labeled_targets: np.ndarray  # (n_voxels,) ground-truth classes
     pool: tuple[TrainVolumeData, ...]  # unlabeled volumes, sorted by id
-    validation: tuple[tuple[TrainVolumeData, LabelVolume], ...] | None = None
 
     def __post_init__(self):
         if len(self.labeled_targets) != self.labeled.n_voxels:
@@ -365,12 +361,6 @@ class TrainAssets:
         ids = [v.vol_id for v in self.pool]
         if ids != sorted(ids):
             raise ValueError("pool must be sorted by volume id")
-
-
-def _mean_val_dice(params: SpecialistParams, assets: TrainAssets) -> float:
-    return float(
-        np.mean([foreground_dice(infer(params, data)[0], lab) for data, lab in assets.validation])
-    )
 
 
 # per-step columns of the training log, after "iter"
@@ -387,11 +377,10 @@ def train_round(
     """Train a fresh model for one round on the current pseudo-label set.
 
     Every step draws half the batch from the labeled template and half from
-    one sampled pseudo-labeled volume.  Returns the selected parameters (best
-    validation Dice when a validation set is present, else the final iterate)
-    and the per-step training log: the schedule, the loss terms, the gradient
-    norm ||(dW, db)|| before weight decay and the parameter norm ||(W, b)||
-    after the update.
+    one sampled pseudo-labeled volume.  Returns the final iterate and the
+    per-step training log: the schedule, the loss terms, the gradient norm
+    ||(dW, db)|| before weight decay and the parameter norm ||(W, b)|| after
+    the update.
     """
     missing = {v.vol_id for v in assets.pool} - pseudo_labels.keys()
     if missing:
@@ -419,7 +408,6 @@ def train_round(
     x_lab, x_pse = x[:n_lab], x[n_lab:]
     total = config.iterations
     log = np.empty((total, len(_LOG_FIELDS)))
-    best: tuple[float, SpecialistParams] | None = None
 
     for t in range(total):
         lr = poly_lr(t, total)
@@ -445,15 +433,7 @@ def train_round(
         param_norm = math.sqrt(np.vdot(w, w) + np.vdot(b, b))
         log[t] = (lr, alpha, *terms, grad_norm, param_norm)
 
-        if assets.validation and ((t + 1) % VAL_INTERVAL == 0 or t == total - 1):
-            params = SpecialistParams(w.copy(), b.copy())
-            score = _mean_val_dice(params, assets)
-            if best is None or score > best[0]:
-                best = (score, params)
-
     records = [{"iter": t, **dict(zip(_LOG_FIELDS, row))} for t, row in enumerate(log.tolist())]
-    if assets.validation and best is not None:
-        return best[1], records
     return SpecialistParams(w, b), records
 
 

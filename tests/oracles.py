@@ -35,11 +35,9 @@ from protoloop.encoder import (
 from protoloop.specialist import (
     DICE_SMOOTH,
     MOMENTUM,
-    VAL_INTERVAL,
     WEIGHT_DECAY,
     SpecialistParams,
     cell_index_luts,
-    infer,
     poly_lr,
     ramp_up_alpha,
 )
@@ -623,19 +621,8 @@ def loss_and_grad_rows_oracle(params, lx, ly, px, py, alpha):
     return (total, sup, pseudo), (d_w, d_b)
 
 
-def _mean_val_dice_oracle(params, validation):
-    dices = []
-    for data, lab in validation:
-        p = infer(params, data)[0].data.reshape(-1) > 0
-        t = lab.data.reshape(-1) > 0
-        np_, nt = int(p.sum()), int(t.sum())
-        inter = int(np.logical_and(p, t).sum())
-        dices.append(1.0 if np_ + nt == 0 else 2.0 * inter / (np_ + nt))
-    return float(np.mean(dices))
-
-
 def train_round_loop_oracle(assets, pseudo_labels, config):
-    """(selected SpecialistParams, per-step log dicts) of one round, voxel-major."""
+    """(final SpecialistParams, per-step log dicts) of one round, voxel-major."""
     targets = {v.vol_id: pseudo_labels[v.vol_id].data.reshape(-1) for v in assets.pool}
     rng = np.random.default_rng(config.seed)
     params = SpecialistParams.zeros(assets.num_classes, assets.labeled.num_features)
@@ -645,7 +632,6 @@ def train_round_loop_oracle(assets, pseudo_labels, config):
     n_pse = config.batch_voxels - n_lab
     total = config.iterations
     log = []
-    best = None
     for t in range(total):
         lr = poly_lr(t, total)
         alpha = ramp_up_alpha(t, total)
@@ -671,10 +657,4 @@ def train_round_loop_oracle(assets, pseudo_labels, config):
                 np.linalg.norm(np.concatenate([params.weights.ravel(), params.bias]))
             ),
         })
-        if assets.validation and ((t + 1) % VAL_INTERVAL == 0 or t == total - 1):
-            score = _mean_val_dice_oracle(params, assets.validation)
-            if best is None or score > best[0]:
-                best = (score, params)
-    if assets.validation and best is not None:
-        return best[1], log
     return params, log

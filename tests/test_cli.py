@@ -355,13 +355,6 @@ def test_round_requires_config(tmp_path):
     assert dispatch(["round", "--prev", str(tmp_path / "round_0")]) == 1
 
 
-@pytest.fixture(scope="module")
-def initialized_run(dataset, tmp_path_factory):
-    out = tmp_path_factory.mktemp("cli_init")
-    assert dispatch(_init_args(dataset, out)) == 0
-    return out
-
-
 @pytest.mark.parametrize("section, key, value", [
     ("encoder", "position_weight", 0.5),
     ("train", "base_lr", 0.02),
@@ -370,22 +363,28 @@ def initialized_run(dataset, tmp_path_factory):
     ("train", "weight_decay", 2e-4),
     ("train", "ramp_fraction", 0.4),
     ("train", "dice_smooth", 1e-4),
-    ("train", "val_interval", 10),
+    (None, "val_manifest", "/data/val/manifest.json"),
 ])
-def test_config_drift_in_a_fixed_setting_is_refused(initialized_run, tmp_path, capsys, section, key, value):
+def test_config_drift_in_a_fixed_setting_is_refused(finished_run, tmp_path, capsys, section, key, value):
     """An older config.json may name a setting that is now a constant; at
-    another value, the rounds after it are not trained under that value."""
+    another value, the rounds after it are not trained under that value.  A
+    run that named a labeled validation manifest, which no run reads now, is
+    refused by that key the same way."""
     out = tmp_path / "run"
-    shutil.copytree(initialized_run, out)
+    shutil.copytree(finished_run, out)
     doc = json.loads((out / "config.json").read_text())
-    assert key not in doc[section]
-    doc[section][key] = value
+    where = doc[section] if section else doc
+    assert key not in where
+    where[key] = value
     (out / "config.json").write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=re.escape(f"config.json sets {section}.{key} to {value!r}; it is fixed at")):
+    before = _tree(out)
+    name = f"{section}.{key}" if section else key
+    with pytest.raises(ValueError, match=re.escape(f"config.json sets {name} to {value!r}; it is fixed at")):
         pipeline.load_run_config(out)
-    assert dispatch(["round", "--prev", str(out / "round_0")]) == 1
-    assert f"{section}.{key}" in capsys.readouterr().err
-    assert not (out / "round_1").exists()
+    assert dispatch(["round", "--prev", str(out / "round_1")]) == 1
+    assert dispatch(["refine", "--round", str(out / "round_1"), "--force"]) == 1
+    assert capsys.readouterr().err.count(f"config.json sets {name} to") == 2
+    assert _tree(out) == before
 
 
 @pytest.mark.parametrize("key, value", [
@@ -545,10 +544,22 @@ def test_globals_json_written_with_the_degenerate_key_still_votes(finished_run, 
     assert "globals.json" in err and repr(vol_id) in err
 
 
-@pytest.mark.parametrize("bad", ["0.12", "x", True, False, None])
+def _refused_globals(out, capsys, *named):
+    """``round`` and ``refine`` on ``out`` exit 1 naming globals.json and each of
+    ``named``, and write nothing."""
+    before = _tree(out)
+    for argv in (["round", "--prev", str(out / "round_1")], ["refine", "--round", str(out / "round_1"), "--force"]):
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert "globals.json" in err and all(n in err for n in named), err
+    assert _tree(out) == before
+
+
+@pytest.mark.parametrize("bad", ["0.12", "x", True, False, None, float("nan"), float("inf")])
 def test_globals_json_vector_of_non_numbers_is_refused(finished_run, tmp_path, capsys, bad):
-    """A vector entry that is not a JSON number is refused by file and id,
-    not converted (``"0.12"`` to 0.12, ``true`` to 1.0), and no round is written."""
+    """A vector entry that is not a finite JSON number is refused by file and
+    id, not converted (``"0.12"`` to 0.12, ``true`` to 1.0) nor voted with
+    (``NaN``, ``Infinity``), and no round is written."""
     out = tmp_path / "run"
     shutil.copytree(finished_run, out)
     path = out / "features" / "globals.json"
@@ -556,15 +567,38 @@ def test_globals_json_vector_of_non_numbers_is_refused(finished_run, tmp_path, c
     vol_id = sorted(doc)[2]
     doc[vol_id]["vector"][0] = bad
     path.write_text(json.dumps(doc))
-    before = _tree(out)
-    assert dispatch(["round", "--prev", str(out / "round_1")]) == 1
-    err = capsys.readouterr().err
-    assert "globals.json" in err and repr(vol_id) in err
-    assert dispatch(["refine", "--round", str(out / "round_1"), "--force"]) == 1
-    err = capsys.readouterr().err
-    assert "globals.json" in err and repr(vol_id) in err
-    assert not (out / "round_2").exists()
-    assert _tree(out) == before
+    _refused_globals(out, capsys, repr(vol_id))
+
+
+def test_globals_json_vector_shorter_than_the_others_is_refused(finished_run, tmp_path, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    path = out / "features" / "globals.json"
+    doc = json.loads(path.read_text())
+    vol_id = sorted(doc)[2]
+    doc[vol_id]["vector"].pop()
+    path.write_text(json.dumps(doc))
+    _refused_globals(out, capsys, repr(vol_id))
+
+
+def test_globals_json_lacking_a_manifest_id_is_refused(finished_run, tmp_path, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    path = out / "features" / "globals.json"
+    doc = json.loads(path.read_text())
+    gone = sorted(doc)[1:3]
+    for vol_id in gone:
+        del doc[vol_id]
+    path.write_text(json.dumps(doc))
+    _refused_globals(out, capsys, repr(gone))
+
+
+@pytest.mark.parametrize("text", ['{"vol_000": ', "[]"])
+def test_globals_json_that_is_not_an_object_of_vectors_is_refused(finished_run, tmp_path, capsys, text):
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    (out / "features" / "globals.json").write_text(text)
+    _refused_globals(out, capsys)
 
 
 def test_refine_command_rewrites_round(dataset, tmp_path):

@@ -133,12 +133,6 @@ def test_generate_layout_and_manifest(tmp_path):
         np.testing.assert_array_equal(stored.data, truth[vid].data)
 
 
-def test_all_labeled_mode(tmp_path):
-    spec = _single_class_spec(num_volumes=3)
-    manifest, _ = generate(spec, tmp_path / "d", all_labeled=True)
-    assert all(e.label is not None for e in manifest.entries)
-
-
 def test_generation_deterministic(tmp_path):
     spec = _single_class_spec(num_volumes=3, noise_sigma=0.2, center_jitter=1.0, radius_jitter=0.5)
     _, truth_a = generate(spec, tmp_path / "a")

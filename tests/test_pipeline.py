@@ -615,20 +615,11 @@ def test_offline_contract_blocks_reencoding(dataset, tmp_path):
         build_context(config, extract_allowed=False)
 
 
-def test_offline_contract_blocks_validation_reencoding(dataset, tmp_path):
-    val_dir = tmp_path / "val"
-    spec = PhantomSpec(
-        num_volumes=2,
-        shape=Shape3(12, 12, 12),
-        num_classes=2,
-        classes=(ClassShape(center=(0.5, 0.5, 0.5), radii=(3.5, 3.5, 3.5)),),
-        seed=79,
-    )
-    generate(spec, val_dir, all_labeled=True)
-    config = _config(dataset, tmp_path / "run", val_manifest_path=val_dir / "manifest.json")
+def test_offline_contract_blocks_reencoding_a_deleted_grid(dataset, tmp_path):
+    config = _config(dataset, tmp_path / "run")
     build_context(config)
     build_context(config, extract_allowed=False)  # every grid cached: no extraction
-    (tmp_path / "run" / "features" / "val.vol_001.features.vxar").unlink()
+    (tmp_path / "run" / "features" / "vol_001.features.vxar").unlink()
     calls = encoder_mod.extract_call_count()
     with pytest.raises(RuntimeError, match="'vol_001' missing after the initial round"):
         build_context(config, extract_allowed=False)
@@ -650,86 +641,24 @@ def test_force_clears_previous_run(dataset, tmp_path):
     assert run_table(out)[0]["round"] == first[0]["round"] == 0
 
 
-def test_validation_manifest_path(dataset, tmp_path):
-    val_dir = tmp_path / "val"
-    spec = PhantomSpec(
-        num_volumes=2,
-        shape=Shape3(12, 12, 12),
-        num_classes=2,
-        classes=(ClassShape(center=(0.5, 0.5, 0.5), radii=(3.5, 3.5, 3.5)),),
-        noise_sigma=0.1,
-        seed=77,
-    )
-    generate(spec, val_dir, all_labeled=True)
-    config = _config(
-        dataset, tmp_path / "run", val_manifest_path=val_dir / "manifest.json"
-    )
-    last = run_pipeline(config)
-    assert last.round_index == 1 and last.params is not None
-    assert (tmp_path / "run" / "features" / "val.vol_000.features.vxar").exists()
-
-
-def test_start_run_refuses_a_validation_manifest_naming_a_missing_file(dataset, tmp_path):
-    val_dir = tmp_path / "val"
-    spec = PhantomSpec(
-        num_volumes=2,
-        shape=Shape3(12, 12, 12),
-        num_classes=2,
-        classes=(ClassShape(center=(0.5, 0.5, 0.5), radii=(3.5, 3.5, 3.5)),),
-        seed=81,
-    )
-    generate(spec, val_dir, all_labeled=True)
-    label = val_dir / json.loads((val_dir / "manifest.json").read_text())["volumes"][1]["label"]
-    label.unlink()
-    out = tmp_path / "run"
-    with pytest.raises(FileNotFoundError) as exc:
-        start_run(_config(dataset, out, val_manifest_path=val_dir / "manifest.json"))
-    assert str(label) in str(exc.value)
-    assert not out.exists()
-
-
-def _misname_intensity(val_dir: Path) -> None:
-    manifest = val_dir / "manifest.json"
+def _misname_intensity(data_dir: Path, vol_id: str) -> None:
+    """Point labeled entry ``vol_id``'s intensity at its label file."""
+    manifest = data_dir / "manifest.json"
     doc = json.loads(manifest.read_text())
-    doc["volumes"][1]["intensity"] = doc["volumes"][1]["label"]
+    entry = next(v for v in doc["volumes"] if v["id"] == vol_id)
+    entry["intensity"] = entry["label"]
     manifest.write_text(json.dumps(doc))
 
 
-def _shrink_label(val_dir: Path) -> None:
+def _shrink_label(label_dir: Path, vol_id: str) -> None:
     label = LabelVolume(Shape3(10, 12, 12), 2, np.zeros((10, 12, 12), dtype=np.uint8))
-    save_array(label, val_dir / "vol_001.label.vxar")
+    save_array(label, label_dir / f"{vol_id}.label.vxar")
 
 
-def _add_class(label_dir: Path) -> None:
+def _add_class(label_dir: Path, vol_id: str) -> None:
     data = np.zeros((12, 12, 12), dtype=np.uint8)
     data[4:8, 4:8, 4:8] = 2
-    save_array(LabelVolume(Shape3(12, 12, 12), 3, data), label_dir / "vol_001.label.vxar")
-
-
-@pytest.mark.parametrize(
-    "corrupt, message",
-    [
-        (_shrink_label, r"validation label of 'vol_001' has shape \(10, 12, 12\), "
-                        r"its intensity volume \(12, 12, 12\)"),
-        (_misname_intensity, r"vol_001\.label\.vxar: holds LabelVolume, expected IntensityVolume"),
-        (_add_class, r"vol_001\.label\.vxar: label has 3 classes, manifest says 2"),
-    ],
-)
-def test_validation_inputs_checked_before_round0(dataset, tmp_path, corrupt, message):
-    val_dir = tmp_path / "val"
-    spec = PhantomSpec(
-        num_volumes=2,
-        shape=Shape3(12, 12, 12),
-        num_classes=2,
-        classes=(ClassShape(center=(0.5, 0.5, 0.5), radii=(3.5, 3.5, 3.5)),),
-        seed=79,
-    )
-    generate(spec, val_dir, all_labeled=True)
-    corrupt(val_dir)
-    out = tmp_path / "run"
-    with pytest.raises(ValueError, match=message):
-        run_pipeline(_config(dataset, out, val_manifest_path=val_dir / "manifest.json"))
-    assert not (out / "round_0").exists()
+    save_array(LabelVolume(Shape3(12, 12, 12), 3, data), label_dir / f"{vol_id}.label.vxar")
 
 
 @pytest.mark.parametrize(
@@ -743,10 +672,29 @@ def test_validation_inputs_checked_before_round0(dataset, tmp_path, corrupt, mes
 def test_truth_labels_checked_before_round0(dataset, tmp_path, corrupt, message):
     truth = tmp_path / "truth"
     shutil.copytree(dataset / "truth", truth)
-    corrupt(truth)
+    corrupt(truth, "vol_001")
     out = tmp_path / "run"
     with pytest.raises(ValueError, match=message):
         run_pipeline(_config(dataset, out, truth_dir=truth))
+    assert not (out / "round_0").exists()
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_shrink_label, r"data/vol_000\.label\.vxar: template label of 'vol_000' has shape "
+                        r"\(10, 12, 12\), its intensity volume \(12, 12, 12\)"),
+        (_misname_intensity, r"data/vol_000\.label\.vxar: holds LabelVolume, expected IntensityVolume"),
+        (_add_class, r"data/vol_000\.label\.vxar: label has 3 classes, manifest says 2"),
+    ],
+)
+def test_template_inputs_checked_before_round0(dataset, tmp_path, corrupt, message):
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    corrupt(data, "vol_000")
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match=message):
+        run_pipeline(_config(dataset, out, manifest_path=data / "manifest.json"))
     assert not (out / "round_0").exists()
 
 
@@ -795,27 +743,6 @@ def test_stale_feature_cache_refused(dataset, tmp_path):
             _config(dataset, out, encoder=EncoderParams(patch_size=4, include_position=False))
         )
     assert encoder_mod.extract_call_count() == calls
-
-
-def test_stale_validation_cache_refused(dataset, tmp_path):
-    val_dir = tmp_path / "val"
-    spec = PhantomSpec(
-        num_volumes=2,
-        shape=Shape3(12, 12, 12),
-        num_classes=2,
-        classes=(ClassShape(center=(0.5, 0.5, 0.5), radii=(3.5, 3.5, 3.5)),),
-        seed=78,
-    )
-    generate(spec, val_dir, all_labeled=True)
-    out = tmp_path / "run"
-    val = val_dir / "manifest.json"
-    build_context(_config(dataset, out, val_manifest_path=val))
-    for path in (out / "features").glob("vol_*.features.vxar"):
-        path.unlink()  # pool grids re-extract; only the validation cache is stale
-    with pytest.raises(ValueError, match=r"stale feature grid for 'vol_000' in .*val\.vol_000"):
-        build_context(
-            _config(dataset, out, val_manifest_path=val, encoder=EncoderParams(patch_size=3))
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -873,16 +800,7 @@ def test_context_keeps_four_bytes_per_voxel(tmp_path):
 
 
 def test_zscore_once_per_volume_per_context(dataset, tmp_path, monkeypatch):
-    val_dir = tmp_path / "val"
-    spec = PhantomSpec(
-        num_volumes=2,
-        shape=Shape3(12, 12, 12),
-        num_classes=2,
-        classes=(ClassShape(center=(0.5, 0.5, 0.5), radii=(3.5, 3.5, 3.5)),),
-        seed=80,
-    )
-    generate(spec, val_dir, all_labeled=True)
-    config = _config(dataset, tmp_path / "run", val_manifest_path=val_dir / "manifest.json")
+    config = _config(dataset, tmp_path / "run")
     calls = []
     real = encoder_mod.zscore_scalars
 
@@ -895,11 +813,11 @@ def test_zscore_once_per_volume_per_context(dataset, tmp_path, monkeypatch):
     # round 0: the encoder and the voxel features share one scalar pass per volume
     calls_before = encoder_mod.extract_call_count()
     build_context(config)
-    assert encoder_mod.extract_call_count() - calls_before == 6
-    assert len(calls) == 6  # 4 pool volumes, 2 validation volumes
+    assert encoder_mod.extract_call_count() - calls_before == 4
+    assert len(calls) == 4  # the template and 3 pool volumes
     calls.clear()
     build_context(config, extract_allowed=False)  # a later round: grids reloaded
-    assert len(calls) == 6
+    assert len(calls) == 4
 
 
 def test_config_doc_round_trips_every_field(tmp_path):
@@ -913,7 +831,6 @@ def test_config_doc_round_trips_every_field(tmp_path):
         q_unc=0.8,
         seed=5,
         refine=False,
-        val_manifest_path=tmp_path / "val.json",
         truth_dir=tmp_path / "truth",
     )
     # every persisted field differs from its default, so a dropped one shows
@@ -943,7 +860,9 @@ def test_previous_config_format_loads_and_resumes(dataset, main_run, tmp_path, m
     This also pins the decision on the removed consistency-term settings: a
     config.json naming ``lambda_max``, ``ema_decay`` or ``noise_sigma`` still
     loads, those keys are ignored, and later rounds train with the
-    ``sup + alpha * pseudo`` loss."""
+    ``sup + alpha * pseudo`` loss.  So are ``val_interval`` and a null
+    ``val_manifest``, which every run wrote before the labeled validation set
+    was removed."""
     states, out = main_run
     resumed = tmp_path / "resumed"
     resumed.mkdir()

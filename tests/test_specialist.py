@@ -228,10 +228,9 @@ def test_fixed_settings_keep_their_values():
     # every frozen Dice value and label digest was made with these
     fixed = (
         specialist.BASE_LR, specialist.LR_POWER, specialist.MOMENTUM, specialist.WEIGHT_DECAY,
-        specialist.RAMP_FRACTION, specialist.DICE_SMOOTH, specialist.VAL_INTERVAL,
-        encoder_mod.POSITION_WEIGHT,
+        specialist.RAMP_FRACTION, specialist.DICE_SMOOTH, encoder_mod.POSITION_WEIGHT,
     )
-    assert fixed == (0.01, 0.9, 0.9, 1e-4, 0.3, 1e-5, 250, 0.25)
+    assert fixed == (0.01, 0.9, 0.9, 1e-4, 0.3, 1e-5, 0.25)
     assert [f.name for f in fields(TrainConfig)] == ["iterations", "batch_voxels", "seed"]
     assert [f.name for f in fields(EncoderParams)] == ["patch_size", "include_position"]
 
@@ -352,25 +351,6 @@ def test_train_round_deterministic():
     assert log_a == log_b
 
 
-def test_train_round_validation_selection():
-    rng = np.random.default_rng(31)
-    assets, pseudo, pool_u, pool_y = _separable_assets(rng)
-    val = (pool_u, LabelVolume(pool_u.shape, 2, pool_y.reshape(pool_u.shape.as_tuple())))
-    assets = TrainAssets(
-        num_classes=2,
-        labeled=assets.labeled,
-        labeled_targets=assets.labeled_targets,
-        pool=assets.pool,
-        validation=(val,),
-    )
-    config = TrainConfig(iterations=300, batch_voxels=64, seed=4)
-    params, _ = train_round(assets, pseudo, config)
-    pred = infer(params, pool_u)[0].data.reshape(-1)
-    p, t = pred > 0, pool_y > 0
-    dice = 2.0 * np.logical_and(p, t).sum() / max(1, p.sum() + t.sum())
-    assert dice > 0.9  # the selected checkpoint must beat the zero init
-
-
 def test_train_round_missing_pseudo_labels():
     rng = np.random.default_rng(3)
     assets, pseudo, _, _ = _separable_assets(rng)
@@ -390,7 +370,7 @@ def test_log_contains_schedule_fields():
         assert type(rec["iter"]) is int
 
 
-def _oracle_assets(num_classes, with_validation, seed=90):
+def _oracle_assets(num_classes, seed=90):
     """Factorized volumes on ragged grids, labeled by z quantile so the model learns."""
     rng = np.random.default_rng(seed)
 
@@ -410,29 +390,22 @@ def _oracle_assets(num_classes, with_validation, seed=90):
         flip = rng.random(len(y)) < 0.1
         y = np.where(flip, rng.integers(0, num_classes, size=len(y)), y).astype(np.uint8)
         pseudo[data.vol_id] = LabelVolume(data.shape, num_classes, y.reshape(data.shape.as_tuple()))
-    validation = None
-    if with_validation:
-        data, y = volume("v", (5, 5, 6))
-        validation = ((data, LabelVolume(data.shape, num_classes, y.reshape(data.shape.as_tuple()))),)
     assets = TrainAssets(
         num_classes=num_classes,
         labeled=labeled,
         labeled_targets=labeled_y,
         pool=tuple(data for data, _ in pool),
-        validation=validation,
     )
     return assets, pseudo
 
 
 @pytest.mark.parametrize("batch_voxels", [37, 48])
-@pytest.mark.parametrize("with_validation", [False, True])
 @pytest.mark.parametrize("num_classes", [2, 3])
-def test_train_round_matches_loop_oracle(num_classes, with_validation, batch_voxels):
+def test_train_round_matches_loop_oracle(num_classes, batch_voxels):
     # the class-major step against the voxel-major loop it replaced: same
     # draws, so only summation order separates the two
-    # with validation, long enough for two checkpoints before the last step
-    iterations = 2 * specialist.VAL_INTERVAL + 20 if with_validation else 120
-    assets, pseudo = _oracle_assets(num_classes, with_validation)
+    iterations = 120
+    assets, pseudo = _oracle_assets(num_classes)
     config = TrainConfig(iterations=iterations, batch_voxels=batch_voxels, seed=3)
     params, log = train_round(assets, pseudo, config)
     want, want_log = train_round_loop_oracle(assets, pseudo, config)
