@@ -21,6 +21,7 @@ run's record: ``run_table`` tabulates them.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import shutil
@@ -46,12 +47,7 @@ from .specialist import (
     save_params,
     train_round,
 )
-from .uncertainty import (
-    Partition,
-    SampleUncertainty,
-    partition_by_quantile,
-    partition_report,
-)
+from .uncertainty import Partition, partition_by_quantile, partition_report
 from .volume import (
     DatasetManifest,
     FeatureGrid,
@@ -122,7 +118,7 @@ class RoundState:
     refined: bool = False
     raw_labels: dict[str, LabelVolume] | None = None
     partition: Partition | None = None
-    uncertainties: list[SampleUncertainty] | None = None
+    uncertainties: dict[str, float] | None = None  # volume id -> mean voxel entropy
     params: SpecialistParams | None = None
     pseudo_label_dice: float | None = None
     model_dice: float | None = None
@@ -194,13 +190,11 @@ def read_globals(features_dir: Path, ids) -> dict[str, np.ndarray]:
 
     Every id in ``ids`` must have one.  A vector must be a JSON list of finite
     numbers as long as the lowest id's: a string, a boolean or a null in it is
-    refused, not converted, and so are ``NaN`` and ``Infinity``.
+    refused, not converted, and so are ``NaN``, ``Infinity`` and an integer
+    beyond float range.
     """
     path = features_dir / "globals.json"
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: holds {type(doc).__name__}, not an object of vectors by id")
     missing = sorted(set(ids) - doc.keys())
@@ -211,8 +205,11 @@ def read_globals(features_dir: Path, ids) -> dict[str, np.ndarray]:
         vector = entry.get("vector") if isinstance(entry, dict) else None
         if not (isinstance(vector, list) and all(type(x) in (int, float) for x in vector)):
             raise ValueError(f"{path}: global feature of {vol_id!r} is not a 1-D vector of numbers")
-        vec = np.array(vector, dtype=np.float64)
-        if not np.isfinite(vec).all():
+        try:
+            vec = np.array(vector, dtype=np.float64)
+        except OverflowError:  # an integer beyond float range
+            vec = None
+        if vec is None or not np.isfinite(vec).all():
             raise ValueError(f"{path}: global feature of {vol_id!r} has a non-finite value")
         first = next(iter(out), None)  # the lowest id
         if first is not None and len(vec) != len(out[first]):
@@ -413,6 +410,13 @@ def _dump_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
+
+
 def _label_name(vol_id: str, round_index: int, refined: bool) -> str:
     if round_index == 0:
         return f"{vol_id}.round0.label"
@@ -491,7 +495,11 @@ def _read_state(out_dir: Path, round_index: int) -> tuple[Path, dict]:
 
 
 def load_round_state(out_dir: Path, round_index: int) -> RoundState:
-    """Reload a persisted round; the inverse of the per-round persistence."""
+    """Reload a persisted round; the inverse of the per-round persistence.
+
+    ``uncertainty.json`` must hold one finite, non-negative number per volume
+    the round's model labeled; anything else is refused by file and id.
+    """
     round_dir, doc = _read_state(out_dir, round_index)
 
     loaded: dict[str, LabelVolume] = {}  # labels and raw_labels may name one file
@@ -520,12 +528,40 @@ def load_round_state(out_dir: Path, round_index: int) -> RoundState:
         state.partition = Partition(**doc["partition"])
     unc_file = round_dir / "uncertainty.json"
     if unc_file.exists():
-        rep = json.loads(unc_file.read_text())
-        state.uncertainties = [
-            SampleUncertainty(vol_id=s["id"], value=s["uncertainty"])
-            for s in rep["samples"]
-        ]
+        state.uncertainties = _read_uncertainties(unc_file, state.raw_labels or {})
     return state
+
+
+def _read_uncertainties(path: Path, ids) -> dict[str, float]:
+    """The ``uncertainty`` of each sample of ``partition_report``'s file at ``path``.
+
+    The file must be an object holding a ``samples`` list, with one sample per
+    id in ``ids`` and no other: a string ``id`` and an ``uncertainty`` that is
+    a finite, non-negative JSON number (a boolean is not one).
+    """
+    doc = _read_json(path)
+    samples = doc.get("samples") if isinstance(doc, dict) else None
+    if not isinstance(samples, list):
+        raise ValueError(f"{path}: not an object holding a samples list")
+    out = {}
+    for sample in samples:
+        vol_id = sample.get("id") if isinstance(sample, dict) else None
+        if not isinstance(vol_id, str):
+            raise ValueError(f"{path}: sample id {vol_id!r} is not a string")
+        value = sample.get("uncertainty")
+        try:
+            ok = type(value) in (int, float) and math.isfinite(value) and value >= 0
+        except OverflowError:  # an integer beyond float range
+            ok = False
+        if not ok:
+            raise ValueError(f"{path}: uncertainty {value!r} of {vol_id!r} is not a finite number >= 0")
+        if vol_id in out:
+            raise ValueError(f"{path}: {vol_id!r} appears twice")
+        out[vol_id] = float(value)
+    missing, unknown = sorted(set(ids) - out.keys()), sorted(out.keys() - set(ids))
+    if missing or unknown:
+        raise ValueError(f"{path}: no sample for {missing}; samples of unknown ids {unknown}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -619,10 +655,9 @@ def run_round(
     # predict and score every unlabeled volume
     t0 = time.perf_counter()
 
-    raw_labels, uncertainties = {}, []
+    raw_labels, uncertainties = {}, {}
     for vol_id in pool:
-        raw_labels[vol_id], entropy = infer(params, ctx.features[vol_id])
-        uncertainties.append(SampleUncertainty(vol_id=vol_id, value=entropy))
+        raw_labels[vol_id], uncertainties[vol_id] = infer(params, ctx.features[vol_id])
     t_infer = time.perf_counter() - t0
 
     state = RoundState(
@@ -832,11 +867,7 @@ def load_run_config(run_dir: Path, **over) -> PipelineConfig:
     config_file = Path(run_dir) / "config.json"
     if not config_file.exists():
         raise ValueError(f"{run_dir} has no config.json; initialize a run first")
-    try:
-        doc = json.loads(config_file.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{config_file}: not valid JSON ({exc})") from None
-    config = _config_from_doc(doc, run_dir)
+    config = _config_from_doc(_read_json(config_file), run_dir)
     return replace(config, **{k: v for k, v in over.items() if v is not None})
 
 

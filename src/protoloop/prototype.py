@@ -3,13 +3,13 @@
 The template's labels are pulled down to the feature grid, each class is
 summarized by the normalized masked mean of its cell features, and unlabeled
 volumes receive initial pseudo-labels by cosine similarity to those
-prototypes.  Similarities, softmax and the label decision all run on the
-cell grid, where every voxel of a cell would see the same scores; the uint8
-cell labels are then expanded to the volume by nearest-neighbor resampling.
+prototypes.  The prototypes are one read-only ``(num_classes, C)`` float64
+matrix: a present class's row is unit norm and an absent class's row is zero.
+Similarities, softmax and the label decision all run on the cell grid, where
+every voxel of a cell would see the same scores; the uint8 cell labels are
+then expanded to the volume by nearest-neighbor resampling.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .volume import FeatureGrid, LabelVolume, Shape3, class_argmax, nearest_resa
 
 __all__ = [
     "EPS",
-    "PrototypeSet",
     "compute_prototypes",
     "similarity_maps",
     "argmax_softmax",
@@ -31,55 +30,21 @@ EPS = 1e-8
 NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True)
-class PrototypeSet:
-    """One unit-norm feature vector per present class; absent rows are zero."""
-
-    num_classes: int
-    present: np.ndarray  # (num_classes,) bool
-    vectors: np.ndarray  # (num_classes, channels) float64
-
-    def __post_init__(self):
-        present = np.ascontiguousarray(np.asarray(self.present, dtype=bool))
-        vectors = np.ascontiguousarray(np.asarray(self.vectors, dtype=np.float64))
-        if present.shape != (self.num_classes,):
-            raise ValueError("present mask shape mismatch")
-        if vectors.ndim != 2 or vectors.shape[0] != self.num_classes:
-            raise ValueError("prototype matrix shape mismatch")
-        if not present.any():
-            raise ValueError("no class present in prototype set")
-        norms = np.linalg.norm(vectors[present], axis=1)
-        if np.abs(norms - 1.0).max() > 1e-6:
-            raise ValueError("present prototypes must be unit norm")
-        if vectors[~present].any():
-            raise ValueError("absent prototype rows must be zero")
-        present.setflags(write=False)
-        vectors.setflags(write=False)
-        object.__setattr__(self, "present", present)
-        object.__setattr__(self, "vectors", vectors)
-
-    @property
-    def channels(self) -> int:
-        return self.vectors.shape[1]
-
-
-def compute_prototypes(grid: FeatureGrid, labels: LabelVolume) -> PrototypeSet:
+def compute_prototypes(grid: FeatureGrid, labels: LabelVolume) -> np.ndarray:
     """Normalized masked mean of cell features per class on the label's grid.
 
     Labels are nearest-downsampled to the grid shape first, so the grid may
-    not be larger than the label volume.  A class with no cells is marked
-    absent; a present class whose mean feature is exactly the zero vector
-    carries no direction and is treated as absent too.
+    not be larger than the label volume.  A class with no cells gets a zero
+    row; so does a class whose mean feature is exactly the zero vector, which
+    carries no direction.  At least one row must be non-zero.
     """
     _require_grid_within(grid, labels.shape)
     cell_labels = nearest_resample_labels(labels, grid.grid_shape)
     feats = grid.data.astype(np.float64).reshape(grid.channels, -1)
     flat = cell_labels.data.reshape(-1)
 
-    num_classes = labels.num_classes
-    present = np.zeros(num_classes, dtype=bool)
-    vectors = np.zeros((num_classes, grid.channels), dtype=np.float64)
-    for c in range(num_classes):
+    vectors = np.zeros((labels.num_classes, grid.channels), dtype=np.float64)
+    for c in range(labels.num_classes):
         mask = flat == c
         count = int(mask.sum())
         if count == 0:
@@ -88,14 +53,14 @@ def compute_prototypes(grid: FeatureGrid, labels: LabelVolume) -> PrototypeSet:
         norm = float(np.linalg.norm(mean))
         if norm == 0.0:
             continue
-        present[c] = True
         vectors[c] = mean / norm
-    if not present.any():
+    if not vectors.any():
         raise ValueError("template grid yields no usable class prototype")
-    return PrototypeSet(num_classes=num_classes, present=present, vectors=vectors)
+    vectors.setflags(write=False)
+    return vectors
 
 
-def similarity_maps(grid: FeatureGrid, protos: PrototypeSet) -> np.ndarray:
+def similarity_maps(grid: FeatureGrid, protos: np.ndarray) -> np.ndarray:
     """Cosine similarity of every cell to every prototype.
 
     Returns (num_classes, d', h', w') float64.  Cells with zero-norm features
@@ -105,10 +70,10 @@ def similarity_maps(grid: FeatureGrid, protos: PrototypeSet) -> np.ndarray:
     norms = np.linalg.norm(feats, axis=0)
     safe = np.where(norms == 0.0, 1.0, norms)
     unit = feats / safe
-    sims = protos.vectors @ unit  # (num_classes, cells)
+    sims = protos @ unit  # (num_classes, cells)
     sims[:, norms == 0.0] = 0.0
-    sims[~protos.present, :] = NEG_INF
-    return sims.reshape((protos.num_classes,) + grid.grid_shape.as_tuple())
+    sims[~protos.any(axis=1), :] = NEG_INF
+    return sims.reshape((len(protos),) + grid.grid_shape.as_tuple())
 
 
 def argmax_softmax(scores: np.ndarray) -> np.ndarray:
@@ -125,19 +90,18 @@ def argmax_softmax(scores: np.ndarray) -> np.ndarray:
     return class_argmax(expd / expd.sum(axis=0))
 
 
-def initial_pseudo_label(grid: FeatureGrid, protos: PrototypeSet, vol_shape: Shape3) -> LabelVolume:
+def initial_pseudo_label(grid: FeatureGrid, protos: np.ndarray, vol_shape: Shape3) -> LabelVolume:
     """Propagate template prototypes onto one unlabeled volume.
 
     Each cell is labeled from its similarities, and the cell labels are
     nearest-upsampled to ``vol_shape``; no per-voxel score is formed.
     """
-    if grid.channels != protos.channels:
-        raise ValueError(
-            f"grid has {grid.channels} channels, prototypes have {protos.channels}"
-        )
+    num_classes, channels = protos.shape
+    if grid.channels != channels:
+        raise ValueError(f"grid has {grid.channels} channels, prototypes have {channels}")
     _require_grid_within(grid, vol_shape)
-    sims = similarity_maps(grid, protos).reshape(protos.num_classes, -1)
-    cells = LabelVolume(grid.grid_shape, protos.num_classes, argmax_softmax(sims))
+    sims = similarity_maps(grid, protos).reshape(num_classes, -1)
+    cells = LabelVolume(grid.grid_shape, num_classes, argmax_softmax(sims))
     return nearest_resample_labels(cells, vol_shape)
 
 

@@ -4,7 +4,9 @@ For each uncertain sample, the nearest certain samples in global-feature space
 (plain vectors from ``encoder.global_feature``, so a cosine is one dot product)
 vote voxel-wise on its labels, weighted by clipped cosine similarity.  Certain
 samples keep their labels untouched, and the labeled template votes with its
-ground truth.
+ground truth.  A query's neighbors are plain ``{"id", "weight",
+"similarity"}`` records in descending similarity, ties by id, which
+``refine_all``'s audit trail keeps as they are.
 
 The vote runs in slabs of whole d-planes: each slab's ``(num_classes, n)``
 scores are summed in neighbor order, normalized by the total weight, and
@@ -13,8 +15,6 @@ so no whole-volume score array is built.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .uncertainty import Partition
@@ -22,8 +22,6 @@ from .volume import LabelVolume, class_argmax, nearest_resample_labels
 
 __all__ = [
     "EPS",
-    "Neighbor",
-    "NeighborSet",
     "knn_certain_neighbors",
     "refine_pseudo_label",
     "refine_all",
@@ -35,33 +33,14 @@ EPS = 1e-8
 _SLAB_VOXELS = 1 << 14
 
 
-@dataclass(frozen=True)
-class Neighbor:
-    vol_id: str
-    weight: float      # max(0, cosine)
-    similarity: float  # raw cosine, kept for ordering and audit
-
-
-@dataclass(frozen=True)
-class NeighborSet:
-    """Certain neighbors of one query, descending similarity, ties by id."""
-
-    query_id: str
-    neighbors: tuple[Neighbor, ...]
-
-    def __post_init__(self):
-        if not self.neighbors:
-            raise ValueError("neighbor set is empty")
-        order = [(-n.similarity, n.vol_id) for n in self.neighbors]
-        if order != sorted(order):
-            raise ValueError("neighbors are not ordered by similarity")
-        object.__setattr__(self, "neighbors", tuple(self.neighbors))
-
-
 def knn_certain_neighbors(
     features: dict[str, np.ndarray], certain: frozenset[str] | set[str], query_id: str, k: int
-) -> NeighborSet:
-    """The min(k, |certain|) most similar certain samples to the query."""
+) -> list[dict]:
+    """The min(k, |certain|) most similar certain samples to the query.
+
+    Each is a record of its ``id``, its raw cosine ``similarity`` and its
+    ``weight``, the cosine clipped at 0.
+    """
     if k < 1:
         raise ValueError(f"k={k} must be >= 1")
     if not certain:
@@ -72,38 +51,38 @@ def knn_certain_neighbors(
     scored = []
     for vol_id in sorted(certain):
         sim = float(q @ features[vol_id])
-        scored.append(Neighbor(vol_id=vol_id, weight=max(0.0, sim), similarity=sim))
-    scored.sort(key=lambda n: (-n.similarity, n.vol_id))
-    return NeighborSet(query_id=query_id, neighbors=tuple(scored[: min(k, len(scored))]))
+        scored.append({"id": vol_id, "weight": max(0.0, sim), "similarity": sim})
+    scored.sort(key=lambda n: (-n["similarity"], n["id"]))
+    return scored[:k]
 
 
 def refine_pseudo_label(
-    neighbors: NeighborSet, raw_labels: dict[str, LabelVolume]
+    query_id: str, neighbors: list[dict], raw_labels: dict[str, LabelVolume]
 ) -> LabelVolume:
-    """Weighted voxel-wise vote of the neighbors' labels.
+    """Weighted voxel-wise vote of the ``neighbors``' labels on ``query_id``.
 
-    Neighbor labels of a different shape are nearest-resampled to the query's
+    Labels of a shape other than the query's are nearest-resampled to its
     shape first.  A class's score is the sum of the weights of the neighbors
     voting for it, divided by the total weight; the label is the lowest class
     with the top score.  If every weight is (numerically) zero the query keeps
     its own raw labels.
     """
-    query = raw_labels[neighbors.query_id]
+    query = raw_labels[query_id]
     shape = query.shape
     num_classes = query.num_classes
 
-    total = sum(n.weight for n in neighbors.neighbors)
+    total = sum(n["weight"] for n in neighbors)
     if total < EPS:
         return query
 
     votes = []
-    for n in neighbors.neighbors:
-        lab = raw_labels[n.vol_id]
+    for n in neighbors:
+        lab = raw_labels[n["id"]]
         if lab.num_classes != num_classes:
             raise ValueError(
-                f"neighbor {n.vol_id!r} has {lab.num_classes} classes, query has {num_classes}"
+                f"neighbor {n['id']!r} has {lab.num_classes} classes, query has {num_classes}"
             )
-        votes.append((n.weight, nearest_resample_labels(lab, shape).data.reshape(-1)))
+        votes.append((n["weight"], nearest_resample_labels(lab, shape).data.reshape(-1)))
 
     # adding weight * 0.0 leaves a non-negative sum unchanged, so each class
     # sums exactly the weights that vote for it, in neighbor order
@@ -146,14 +125,6 @@ def refine_all(
             refined[vol_id] = raw[vol_id]
     for vol_id in sorted(partition.uncertain):
         nbrs = knn_certain_neighbors(features, partition.certain, vol_id, k)
-        refined[vol_id] = refine_pseudo_label(nbrs, raw)
-        audit.append(
-            {
-                "id": vol_id,
-                "neighbors": [
-                    {"id": n.vol_id, "weight": n.weight, "similarity": n.similarity}
-                    for n in nbrs.neighbors
-                ],
-            }
-        )
+        refined[vol_id] = refine_pseudo_label(vol_id, nbrs, raw)
+        audit.append({"id": vol_id, "neighbors": nbrs})
     return refined, audit

@@ -2,8 +2,9 @@
 
 A sample's uncertainty is the mean voxel-wise entropy (natural log) of its
 predicted class probabilities, which ``specialist.infer`` computes in the same
-pass as the labels.  The pool is split at a nearest-rank quantile of those
-scores; the labeled template always counts as certain.
+pass as the labels; the pool's uncertainties are a plain ``{volume id:
+nats}`` dict.  The pool is split at a nearest-rank quantile of those scores;
+the labeled template always counts as certain.
 """
 from __future__ import annotations
 
@@ -11,23 +12,10 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "SampleUncertainty",
     "Partition",
     "partition_by_quantile",
     "partition_report",
 ]
-
-
-@dataclass(frozen=True)
-class SampleUncertainty:
-    """Scalar uncertainty of one volume: mean voxel entropy in nats."""
-
-    vol_id: str
-    value: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.value) or self.value < 0:
-            raise ValueError(f"uncertainty {self.value!r} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -49,51 +37,42 @@ class Partition:
 
 
 def partition_by_quantile(
-    uncertainties: list[SampleUncertainty], labeled_id: str, q_unc: float = 0.9
+    uncertainties: dict[str, float], labeled_id: str, q_unc: float = 0.9
 ) -> Partition:
     """Split the pool at the nearest-rank ``q_unc`` quantile of uncertainty.
 
     The threshold is the sorted value at 0-based index ceil(q_unc * N) - 1;
     samples at or below it are certain, and the labeled id is always added to
-    the certain set.
+    the certain set.  The values are finite: ``specialist.infer`` computes
+    them and ``pipeline.load_round_state`` checks the ones it reads.
     """
     if not uncertainties:
         raise ValueError("need at least one unlabeled sample to partition")
     if not 0.0 < q_unc <= 1.0:
         raise ValueError(f"q_unc={q_unc} outside (0, 1]")
-    ids = [u.vol_id for u in uncertainties]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate volume ids in uncertainty list")
-    if labeled_id in ids:
+    if labeled_id in uncertainties:
         raise ValueError("labeled sample must not appear in the pool uncertainties")
 
-    values = sorted(u.value for u in uncertainties)
-    rank = math.ceil(q_unc * len(values)) - 1
-    threshold = values[rank]
-    certain = {u.vol_id for u in uncertainties if u.value <= threshold}
-    uncertain = {u.vol_id for u in uncertainties if u.value > threshold}
-    certain.add(labeled_id)
+    values = sorted(uncertainties.values())
+    threshold = values[math.ceil(q_unc * len(values)) - 1]
+    certain = {v for v, u in uncertainties.items() if u <= threshold}
     return Partition(
-        certain=frozenset(certain),
-        uncertain=frozenset(uncertain),
+        certain=certain | {labeled_id},
+        uncertain=uncertainties.keys() - certain,
         threshold=threshold,
         labeled_id=labeled_id,
     )
 
 
 def partition_report(
-    round_index: int, partition: Partition, uncertainties: list[SampleUncertainty]
+    round_index: int, partition: Partition, uncertainties: dict[str, float]
 ) -> dict:
-    """JSON-ready uncertainty report for one round."""
+    """JSON-ready uncertainty report for one round, samples by id."""
     return {
         "round": round_index,
         "threshold": partition.threshold,
         "samples": [
-            {
-                "id": u.vol_id,
-                "uncertainty": u.value,
-                "certain": u.vol_id in partition.certain,
-            }
-            for u in sorted(uncertainties, key=lambda u: u.vol_id)
+            {"id": vol_id, "uncertainty": value, "certain": vol_id in partition.certain}
+            for vol_id, value in sorted(uncertainties.items())
         ],
     }

@@ -41,7 +41,6 @@ from protoloop.specialist import (
     poly_lr,
     ramp_up_alpha,
 )
-from protoloop.uncertainty import SampleUncertainty
 from protoloop.volume import Shape3
 
 EPS = 1e-8
@@ -416,9 +415,9 @@ def entropy_map(probs):
     return np.clip(-terms.sum(axis=0), 0.0, None)
 
 
-def sample_uncertainty(probs, vol_id=""):
-    """Mean voxel entropy of a dense probability volume."""
-    return SampleUncertainty(vol_id=vol_id, value=float(entropy_map(probs).mean()))
+def sample_uncertainty(probs):
+    """Mean voxel entropy in nats of a dense probability volume."""
+    return float(entropy_map(probs).mean())
 
 
 def quantile_threshold_oracle(values, q):

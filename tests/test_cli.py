@@ -544,22 +544,26 @@ def test_globals_json_written_with_the_degenerate_key_still_votes(finished_run, 
     assert "globals.json" in err and repr(vol_id) in err
 
 
-def _refused_globals(out, capsys, *named):
-    """``round`` and ``refine`` on ``out`` exit 1 naming globals.json and each of
+def _refused(out, capsys, file, *named):
+    """``round`` and ``refine`` on ``out`` exit 1 naming ``file`` and each of
     ``named``, and write nothing."""
     before = _tree(out)
     for argv in (["round", "--prev", str(out / "round_1")], ["refine", "--round", str(out / "round_1"), "--force"]):
         assert dispatch(argv) == 1
         err = capsys.readouterr().err
-        assert "globals.json" in err and all(n in err for n in named), err
+        assert file in err and all(n in err for n in named), err
     assert _tree(out) == before
 
 
-@pytest.mark.parametrize("bad", ["0.12", "x", True, False, None, float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "bad",
+    ["0.12", "x", True, False, None, float("nan"), float("inf"), pytest.param(10**400, id="10**400")],
+)
 def test_globals_json_vector_of_non_numbers_is_refused(finished_run, tmp_path, capsys, bad):
     """A vector entry that is not a finite JSON number is refused by file and
     id, not converted (``"0.12"`` to 0.12, ``true`` to 1.0) nor voted with
-    (``NaN``, ``Infinity``), and no round is written."""
+    (``NaN``, ``Infinity``, an integer beyond float range), and no round is
+    written."""
     out = tmp_path / "run"
     shutil.copytree(finished_run, out)
     path = out / "features" / "globals.json"
@@ -567,7 +571,7 @@ def test_globals_json_vector_of_non_numbers_is_refused(finished_run, tmp_path, c
     vol_id = sorted(doc)[2]
     doc[vol_id]["vector"][0] = bad
     path.write_text(json.dumps(doc))
-    _refused_globals(out, capsys, repr(vol_id))
+    _refused(out, capsys, "globals.json", repr(vol_id))
 
 
 def test_globals_json_vector_shorter_than_the_others_is_refused(finished_run, tmp_path, capsys):
@@ -578,7 +582,7 @@ def test_globals_json_vector_shorter_than_the_others_is_refused(finished_run, tm
     vol_id = sorted(doc)[2]
     doc[vol_id]["vector"].pop()
     path.write_text(json.dumps(doc))
-    _refused_globals(out, capsys, repr(vol_id))
+    _refused(out, capsys, "globals.json", repr(vol_id))
 
 
 def test_globals_json_lacking_a_manifest_id_is_refused(finished_run, tmp_path, capsys):
@@ -590,7 +594,7 @@ def test_globals_json_lacking_a_manifest_id_is_refused(finished_run, tmp_path, c
     for vol_id in gone:
         del doc[vol_id]
     path.write_text(json.dumps(doc))
-    _refused_globals(out, capsys, repr(gone))
+    _refused(out, capsys, "globals.json", repr(gone))
 
 
 @pytest.mark.parametrize("text", ['{"vol_000": ', "[]"])
@@ -598,7 +602,56 @@ def test_globals_json_that_is_not_an_object_of_vectors_is_refused(finished_run, 
     out = tmp_path / "run"
     shutil.copytree(finished_run, out)
     (out / "features" / "globals.json").write_text(text)
-    _refused_globals(out, capsys)
+    _refused(out, capsys, "globals.json")
+
+
+def _corrupt_uncertainty(finished_run, tmp_path, edit):
+    """A copy of ``finished_run`` whose round 1 ``uncertainty.json`` samples went
+    through ``edit``, and the id of the second sample."""
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    path = out / "round_1" / "uncertainty.json"
+    doc = json.loads(path.read_text())
+    vol_id = doc["samples"][1]["id"]
+    edit(doc["samples"])
+    path.write_text(json.dumps(doc))
+    return out, vol_id
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["0.12", None, True, -0.5, float("nan"), float("inf"), pytest.param(10**400, id="10**400")],
+)
+def test_uncertainty_json_value_that_is_not_a_finite_number_is_refused(finished_run, tmp_path, capsys, bad):
+    out, vol_id = _corrupt_uncertainty(finished_run, tmp_path, lambda s: s[1].update(uncertainty=bad))
+    _refused(out, capsys, "uncertainty.json", repr(vol_id))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda s: s.pop(1),
+        lambda s: s[1].update(id="vol_999"),
+        lambda s: s.append(dict(s[1])),
+    ],
+    ids=["missing", "unknown", "duplicated"],
+)
+def test_uncertainty_json_ids_other_than_the_rounds_are_refused(finished_run, tmp_path, capsys, edit):
+    """Before, a missing id let ``refine --force`` rewrite the round without its
+    labels, and a duplicated one let ``round`` run on."""
+    out, vol_id = _corrupt_uncertainty(finished_run, tmp_path, edit)
+    _refused(out, capsys, "uncertainty.json", repr(vol_id))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"samples": ', "[]", '{"samples": {}}', '{"samples": [7]}', '{"samples": [{"id": 7, "uncertainty": 0.1}]}'],
+)
+def test_uncertainty_json_that_is_not_an_object_of_samples_is_refused(finished_run, tmp_path, capsys, text):
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    (out / "round_1" / "uncertainty.json").write_text(text)
+    _refused(out, capsys, "uncertainty.json")
 
 
 def test_refine_command_rewrites_round(dataset, tmp_path):

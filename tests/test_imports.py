@@ -3,6 +3,8 @@
 Every name a module under src/ or tests/ imports is used in it.
 ``__init__.py`` files are exempt: their imports are the package's re-exports.
 A name listed in a module's ``__all__`` counts as used.
+Every name in the ``__all__`` of a module under src/ is an attribute of
+the imported module.
 
 Under src/, no function body imports a module of the package, so the module
 graph has no cycle hidden behind a deferred import; every ``load_array``
@@ -16,6 +18,7 @@ scipy module; only a surface distance loads ``scipy.spatial``.
 from __future__ import annotations
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -63,6 +66,19 @@ def test_scanner_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(ROOT / "src").with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_export_resolves(path):
+    # bench/spans.py wraps the functions it finds through ``__all__`` and skips
+    # a name that does not resolve, so a stale entry would drop a span silently
+    module = importlib.import_module(_module_name(path))
+    assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []
 
 
 def deferred_imports(source: str) -> list[int]:

@@ -9,7 +9,6 @@ import pytest
 
 from protoloop.encoder import FeatureGrid
 from protoloop.prototype import (
-    PrototypeSet,
     argmax_softmax,
     compute_prototypes,
     initial_pseudo_label,
@@ -34,9 +33,9 @@ def test_prototype_constant_feature_single_class():
     v = np.array([3.0, 0.0, 4.0])
     data = np.tile(v[:, None, None, None], (1, 2, 2, 2))
     protos = compute_prototypes(_grid(data), _labels(np.ones((2, 2, 2)), 2))
-    assert not protos.present[0]
-    assert protos.present[1]
-    np.testing.assert_allclose(protos.vectors[1], v / 5.0, atol=1e-7)
+    assert not protos[0].any()  # absent: a zero row
+    np.testing.assert_allclose(protos[1], v / 5.0, atol=1e-7)
+    assert not protos.flags.writeable
 
 
 def test_prototype_orthogonal_classes_exact():
@@ -46,8 +45,7 @@ def test_prototype_orthogonal_classes_exact():
     data[0, :2] = 1.0
     data[1, 2:] = 1.0
     protos = compute_prototypes(_grid(data), _labels(labels, 2))
-    assert protos.present.all()
-    np.testing.assert_allclose(protos.vectors, np.eye(2), atol=1e-9)
+    np.testing.assert_allclose(protos, np.eye(2), atol=1e-9)
 
 
 def test_prototype_matches_oracle_seeded():
@@ -59,41 +57,24 @@ def test_prototype_matches_oracle_seeded():
         labels = rng.integers(0, 3, size=gs).astype(np.uint8)
         protos = compute_prototypes(_grid(data), _labels(labels, 3))
         present, vectors = prototypes_oracle(data, labels, 3)
-        assert protos.present.tolist() == present
+        assert protos.shape == (3, c) and protos.dtype == np.float64
+        assert not protos.flags.writeable
+        assert protos.any(axis=1).tolist() == present
         for cls in range(3):
             if present[cls]:
-                np.testing.assert_allclose(protos.vectors[cls], vectors[cls], atol=1e-6)
-                assert abs(np.linalg.norm(protos.vectors[cls]) - 1.0) < 1e-6
+                np.testing.assert_allclose(protos[cls], vectors[cls], atol=1e-6)
+                assert abs(np.linalg.norm(protos[cls]) - 1.0) < 1e-6
 
 
 def test_prototype_absent_class():
     data = np.ones((2, 2, 2, 2))
     labels = np.ones((2, 2, 2), dtype=np.uint8)  # class 2 never appears
     protos = compute_prototypes(_grid(data), _labels(labels, 3))
-    assert protos.present.tolist() == [False, True, False]
-
-
-def test_prototype_set_validation():
-    with pytest.raises(ValueError, match="unit norm"):
-        PrototypeSet(
-            num_classes=2,
-            present=np.array([True, False]),
-            vectors=np.array([[2.0, 0.0], [0.0, 0.0]]),
-        )
-    with pytest.raises(ValueError, match="present"):
-        PrototypeSet(
-            num_classes=2,
-            present=np.array([False, False]),
-            vectors=np.zeros((2, 2)),
-        )
+    assert protos.any(axis=1).tolist() == [False, True, False]
 
 
 def test_similarity_identity_and_orthogonal():
-    protos = PrototypeSet(
-        num_classes=2,
-        present=np.array([True, True]),
-        vectors=np.array([[1.0, 0.0], [0.0, 1.0]]),
-    )
+    protos = np.eye(2)
     data = np.zeros((2, 1, 1, 2))
     data[:, 0, 0, 0] = (1.0, 0.0)   # equals prototype 0
     data[:, 0, 0, 1] = (0.0, 2.0)   # parallel to prototype 1
@@ -104,11 +85,7 @@ def test_similarity_identity_and_orthogonal():
 
 
 def test_similarity_zero_cell_and_absent_class():
-    protos = PrototypeSet(
-        num_classes=2,
-        present=np.array([True, False]),
-        vectors=np.array([[1.0, 0.0], [0.0, 0.0]]),
-    )
+    protos = np.array([[1.0, 0.0], [0.0, 0.0]])
     data = np.zeros((2, 1, 1, 1))
     sims = similarity_maps(_grid(data), protos)
     assert sims[0, 0, 0, 0] == 0.0       # zero-norm cell scores 0 to present classes
@@ -116,11 +93,7 @@ def test_similarity_zero_cell_and_absent_class():
 
 
 def test_single_present_class_probability_one():
-    protos = PrototypeSet(
-        num_classes=2,
-        present=np.array([False, True]),
-        vectors=np.array([[0.0, 0.0], [1.0, 0.0]]),
-    )
+    protos = np.array([[0.0, 0.0], [1.0, 0.0]])
     rng = np.random.default_rng(2)
     data = rng.normal(size=(2, 2, 2, 2))
     labels = initial_pseudo_label(_grid(data), protos, Shape3(4, 4, 4))
@@ -179,7 +152,7 @@ def test_round0_matches_oracle_on_ragged_shapes(vol_shape, grid_shape, absent):
 
     tg, qg = _grid(template), _grid(query)
     protos = compute_prototypes(tg, _labels(template_labels, 3))
-    assert not protos.present[absent]
+    assert not protos[absent].any()
     labels = initial_pseudo_label(qg, protos, Shape3(*vol_shape))
     expect = round0_oracle(
         tg.data.astype(np.float64), template_labels, qg.data.astype(np.float64), 3, vol_shape
@@ -193,11 +166,7 @@ def test_round0_allocates_no_per_voxel_floats():
     # labels are decided per cell; the volume only ever holds uint8 labels
     rng = np.random.default_rng(64)
     vectors = rng.normal(size=(2, 4))
-    protos = PrototypeSet(
-        num_classes=2,
-        present=np.array([True, True]),
-        vectors=vectors / np.linalg.norm(vectors, axis=1, keepdims=True),
-    )
+    protos = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
     grid = _grid(rng.normal(size=(4, 8, 8, 8)))
     shape = Shape3(64, 64, 64)
     initial_pseudo_label(grid, protos, shape)  # warm-up
@@ -211,9 +180,7 @@ def test_round0_allocates_no_per_voxel_floats():
 
 
 def test_volume_smaller_than_grid_rejected():
-    protos = PrototypeSet(
-        num_classes=2, present=np.array([True, False]), vectors=np.array([[1.0], [0.0]])
-    )
+    protos = np.array([[1.0], [0.0]])
     with pytest.raises(ValueError, match="larger than the volume"):
         initial_pseudo_label(_grid(np.ones((1, 2, 2, 2))), protos, Shape3(1, 2, 2))
 
@@ -244,9 +211,7 @@ def test_argmax_shift_invariance():
 
 
 def test_channel_mismatch_rejected():
-    protos = PrototypeSet(
-        num_classes=2, present=np.array([True, False]), vectors=np.array([[1.0, 0.0], [0, 0]])
-    )
+    protos = np.array([[1.0, 0.0], [0.0, 0.0]])
     grid = _grid(np.ones((3, 1, 1, 1)))
     with pytest.raises(ValueError, match="channels"):
         initial_pseudo_label(grid, protos, Shape3(1, 1, 1))

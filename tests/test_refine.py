@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 
 from protoloop import refine
-from protoloop.refine import (
-    Neighbor,
-    NeighborSet,
-    knn_certain_neighbors,
-    refine_all,
-    refine_pseudo_label,
-)
+from protoloop.refine import knn_certain_neighbors, refine_all, refine_pseudo_label
 from protoloop.uncertainty import Partition
 from protoloop.volume import LabelVolume, Shape3
 
@@ -34,15 +28,18 @@ def _unit(rng, n):
     return v / np.linalg.norm(v)
 
 
+def _records(*pairs):
+    """The neighbor records of ``(id, weight)`` pairs, each similarity equal to its weight."""
+    return [{"id": vol_id, "weight": w, "similarity": w} for vol_id, w in pairs]
+
+
 # ---------------------------------------------------------------------------
 # neighbor retrieval
 
 def test_single_certain_sample_forced():
     features = {"q": _vec([1.0, 0.0]), "a": _vec([-1.0, 0.0])}
     nbrs = knn_certain_neighbors(features, {"a"}, "q", 5)
-    assert [n.vol_id for n in nbrs.neighbors] == ["a"]
-    assert nbrs.neighbors[0].weight == 0.0  # negative cosine clips to zero
-    assert nbrs.neighbors[0].similarity == pytest.approx(-1.0)
+    assert nbrs == [{"id": "a", "weight": 0.0, "similarity": -1.0}]  # negative cosine clips to zero
 
 
 def test_identical_feature_ranks_first():
@@ -52,8 +49,8 @@ def test_identical_feature_ranks_first():
         "other": _vec([0.0, 1.0]),
     }
     nbrs = knn_certain_neighbors(features, {"same", "other"}, "q", 2)
-    assert nbrs.neighbors[0].vol_id == "same"
-    assert nbrs.neighbors[0].weight == pytest.approx(1.0)
+    assert nbrs[0]["id"] == "same"
+    assert nbrs[0]["weight"] == pytest.approx(1.0)
 
 
 def test_knn_matches_oracle_seeded():
@@ -66,9 +63,9 @@ def test_knn_matches_oracle_seeded():
         expect = knn_oracle(
             {i: features[i] for i in ids}, sorted(certain), ids[0], 5
         )
-        assert [n.vol_id for n in nbrs.neighbors] == [e[0] for e in expect]
-        for n, e in zip(nbrs.neighbors, expect):
-            assert n.weight == pytest.approx(e[1], abs=1e-12)
+        assert [n["id"] for n in nbrs] == [e[0] for e in expect]
+        for n, e in zip(nbrs, expect):
+            assert n["weight"] == pytest.approx(e[1], abs=1e-12)
 
 
 def test_knn_exact_tie_breaks_by_id():
@@ -79,13 +76,13 @@ def test_knn_exact_tie_breaks_by_id():
         "a": _vec([0.0, 1.0]),
     }
     nbrs = knn_certain_neighbors(features, {"a", "b"}, "q", 2)
-    assert [n.vol_id for n in nbrs.neighbors] == ["a", "b"]
+    assert [n["id"] for n in nbrs] == ["a", "b"]
 
 
 def test_knn_truncates_to_pool_size():
     features = {"q": _vec([1.0]), "a": _vec([1.0]), "b": _vec([0.5])}
     nbrs = knn_certain_neighbors(features, {"a", "b"}, "q", 10)
-    assert len(nbrs.neighbors) == 2
+    assert len(nbrs) == 2
 
 
 def test_knn_validation():
@@ -104,27 +101,16 @@ def test_common_scaling_preserves_order():
     base = {i: _unit(rng, 5) for i in ids}
     certain = set(ids[1:])
     order_a = [
-        n.vol_id
-        for n in knn_certain_neighbors(
-            {i: _vec(v) for i, v in base.items()}, certain, ids[0], 4
-        ).neighbors
+        n["id"]
+        for n in knn_certain_neighbors({i: _vec(v) for i, v in base.items()}, certain, ids[0], 4)
     ]
     order_b = [
-        n.vol_id
+        n["id"]
         for n in knn_certain_neighbors(
             {i: _vec(3.0 * v) for i, v in base.items()}, certain, ids[0], 4
-        ).neighbors
+        )
     ]
     assert order_a == order_b
-
-
-def test_neighbor_set_order_enforced():
-    bad = (
-        Neighbor(vol_id="a", weight=0.1, similarity=0.1),
-        Neighbor(vol_id="b", weight=0.9, similarity=0.9),
-    )
-    with pytest.raises(ValueError, match="ordered"):
-        NeighborSet(query_id="q", neighbors=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -133,28 +119,18 @@ def test_neighbor_set_order_enforced():
 def test_single_positive_neighbor_copies_labels():
     rng = np.random.default_rng(3)
     lab = rng.integers(0, 2, size=(2, 2, 2)).astype(np.uint8)
-    nbrs = NeighborSet(
-        query_id="q", neighbors=(Neighbor(vol_id="a", weight=0.7, similarity=0.7),)
-    )
     raw = {"q": _labels(np.zeros((2, 2, 2))), "a": _labels(lab)}
-    out = refine_pseudo_label(nbrs, raw)
+    out = refine_pseudo_label("q", _records(("a", 0.7)), raw)
     assert (out.data == lab).all()
 
 
 def test_heavier_neighbor_wins_disagreement():
-    nbrs = NeighborSet(
-        query_id="q",
-        neighbors=(
-            Neighbor(vol_id="a", weight=0.9, similarity=0.9),
-            Neighbor(vol_id="b", weight=0.1, similarity=0.1),
-        ),
-    )
     raw = {
         "q": _labels(np.zeros((1, 1, 1))),
         "a": _labels(np.ones((1, 1, 1))),
         "b": _labels(np.zeros((1, 1, 1))),
     }
-    out = refine_pseudo_label(nbrs, raw)
+    out = refine_pseudo_label("q", _records(("a", 0.9), ("b", 0.1)), raw)
     assert out.data[0, 0, 0] == 1
 
 
@@ -163,17 +139,10 @@ def test_vote_matches_oracle_seeded():
     for trial in range(10):
         shape = (2, 2, 2)
         weights = sorted((float(w) for w in rng.random(3)), reverse=True)
-        nbrs = NeighborSet(
-            query_id="q",
-            neighbors=tuple(
-                Neighbor(vol_id=f"n{i}", weight=w, similarity=w)
-                for i, w in enumerate(weights)
-            ),
-        )
         raw = {"q": _labels(rng.integers(0, 3, size=shape), 3)}
         for i in range(3):
             raw[f"n{i}"] = _labels(rng.integers(0, 3, size=shape), 3)
-        out = refine_pseudo_label(nbrs, raw)
+        out = refine_pseudo_label("q", _records(*((f"n{i}", w) for i, w in enumerate(weights))), raw)
         expect = vote_oracle(
             [(f"n{i}", w, w) for i, w in enumerate(weights)],
             {k: v.data for k, v in raw.items()},
@@ -196,13 +165,7 @@ def test_slabbed_vote_matches_oracle(num_classes, monkeypatch):
     raw = {"q": _labels(rng.integers(0, num_classes, size=query_shape), num_classes)}
     for i, shape in enumerate(shapes):
         raw[f"n{i}"] = _labels(rng.integers(0, num_classes, size=shape), num_classes)
-    nbrs = NeighborSet(
-        query_id="q",
-        neighbors=tuple(
-            Neighbor(vol_id=f"n{i}", weight=w, similarity=w) for i, w in enumerate(weights)
-        ),
-    )
-    out = refine_pseudo_label(nbrs, raw)
+    out = refine_pseudo_label("q", _records(*((f"n{i}", w) for i, w in enumerate(weights))), raw)
     resampled = {k: downsample_labels_oracle(v.data, query_shape) for k, v in raw.items()}
     expect = vote_oracle(
         [(f"n{i}", w, w) for i, w in enumerate(weights)], resampled, "q", num_classes
@@ -221,16 +184,11 @@ def test_vote_allocates_no_per_voxel_scores():
     for i in range(5):
         raw[f"n{i}"] = _labels(rng.integers(0, 3, size=shape), 3)
     weights = [0.9, 0.7, 0.5, 0.3, 0.1]
-    nbrs = NeighborSet(
-        query_id="q",
-        neighbors=tuple(
-            Neighbor(vol_id=f"n{i}", weight=w, similarity=w) for i, w in enumerate(weights)
-        ),
-    )
-    refine_pseudo_label(nbrs, raw)  # warm-up
+    nbrs = _records(*((f"n{i}", w) for i, w in enumerate(weights)))
+    refine_pseudo_label("q", nbrs, raw)  # warm-up
     tracemalloc.start()
     try:
-        refine_pseudo_label(nbrs, raw)
+        refine_pseudo_label("q", nbrs, raw)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -239,40 +197,31 @@ def test_vote_allocates_no_per_voxel_scores():
 
 
 def test_zero_total_weight_keeps_raw():
-    nbrs = NeighborSet(
-        query_id="q",
-        neighbors=(Neighbor(vol_id="a", weight=0.0, similarity=-0.4),),
-    )
+    nbrs = [{"id": "a", "weight": 0.0, "similarity": -0.4}]
     own = np.array([[[0, 1], [1, 0]]], dtype=np.uint8)
     raw = {"q": _labels(own), "a": _labels(np.ones((1, 2, 2)))}
-    out = refine_pseudo_label(nbrs, raw)
+    out = refine_pseudo_label("q", nbrs, raw)
     assert out is raw["q"]  # raw volume retained untouched
 
 
 def test_vote_resamples_mismatched_neighbor():
-    nbrs = NeighborSet(
-        query_id="q", neighbors=(Neighbor(vol_id="a", weight=1.0, similarity=1.0),)
-    )
     # neighbor at half resolution: constant class 1 expands to the query shape
     raw = {
         "q": _labels(np.zeros((4, 4, 4))),
         "a": _labels(np.ones((2, 2, 2))),
     }
-    out = refine_pseudo_label(nbrs, raw)
+    out = refine_pseudo_label("q", _records(("a", 1.0)), raw)
     assert (out.data == 1).all()
     assert out.shape.as_tuple() == (4, 4, 4)
 
 
 def test_vote_rejects_class_count_mismatch():
-    nbrs = NeighborSet(
-        query_id="q", neighbors=(Neighbor(vol_id="a", weight=1.0, similarity=1.0),)
-    )
     raw = {
         "q": _labels(np.zeros((1, 1, 1)), 2),
         "a": _labels(np.zeros((1, 1, 1)), 3),
     }
     with pytest.raises(ValueError, match="classes"):
-        refine_pseudo_label(nbrs, raw)
+        refine_pseudo_label("q", _records(("a", 1.0)), raw)
 
 
 # ---------------------------------------------------------------------------

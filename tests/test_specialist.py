@@ -495,7 +495,7 @@ def test_infer_full_volume_equals_forward(monkeypatch):
         assert labels.num_classes == k
         assert (labels.data.reshape(-1) == np.argmax(probs, axis=1)).all()
         dense = probs.T.reshape((k,) + vol.shape.as_tuple())
-        assert entropy == pytest.approx(sample_uncertainty(dense).value, abs=1e-9)
+        assert entropy == pytest.approx(sample_uncertainty(dense), abs=1e-9)
 
 
 @pytest.mark.parametrize("num_classes", [2, 3, 5])
@@ -626,7 +626,7 @@ def test_infer_prob_rows_sum_to_one():
     probs = forward(params, data.rows(np.arange(data.n_voxels)))
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
     dense = probs.T.reshape(3, 5, 5, 5)
-    assert infer(params, data)[1] == pytest.approx(sample_uncertainty(dense).value, abs=1e-9)
+    assert infer(params, data)[1] == pytest.approx(sample_uncertainty(dense), abs=1e-9)
 
 
 def test_infer_zero_model_is_uniform():

@@ -6,12 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from protoloop.uncertainty import (
-    Partition,
-    SampleUncertainty,
-    partition_by_quantile,
-    partition_report,
-)
+from protoloop.uncertainty import Partition, partition_by_quantile, partition_report
 
 from .oracles import entropy_map, entropy_oracle, quantile_threshold_oracle, sample_uncertainty
 
@@ -46,12 +41,12 @@ def test_entropy_matches_oracle_seeded():
         p = _probs(raw)
         expect_map, expect_mean = entropy_oracle(p)
         np.testing.assert_allclose(entropy_map(p), expect_map, atol=1e-6)
-        assert sample_uncertainty(p, "x").value == pytest.approx(expect_mean, abs=1e-6)
+        assert sample_uncertainty(p) == pytest.approx(expect_mean, abs=1e-6)
 
 
 def test_sample_uncertainty_trivial_values():
-    assert sample_uncertainty(_one_hot((2, 2, 2), 0, 2)).value == pytest.approx(0.0, abs=1e-12)
-    assert sample_uncertainty(_probs(np.full((2, 2, 2, 2), 0.5))).value == pytest.approx(
+    assert sample_uncertainty(_one_hot((2, 2, 2), 0, 2)) == pytest.approx(0.0, abs=1e-12)
+    assert sample_uncertainty(_probs(np.full((2, 2, 2, 2), 0.5))) == pytest.approx(
         math.log(2.0), abs=1e-6
     )
 
@@ -62,7 +57,7 @@ def test_sample_uncertainty_half_one_hot_half_uniform():
     data[0, 0] = 1.0          # first d-slab one-hot class 0
     data[:, 1] = 0.5          # second d-slab uniform
     u = sample_uncertainty(_probs(data))
-    assert u.value == pytest.approx(math.log(2.0) / 2.0, abs=1e-6)
+    assert u == pytest.approx(math.log(2.0) / 2.0, abs=1e-6)
 
 
 def test_uncertainty_bounds_property():
@@ -72,11 +67,11 @@ def test_uncertainty_bounds_property():
         raw = rng.random(size=(c, 2, 2, 2)) + 1e-9
         raw /= raw.sum(axis=0)
         u = sample_uncertainty(_probs(raw))
-        assert 0.0 <= u.value <= math.log(c) + 1e-12
+        assert 0.0 <= u <= math.log(c) + 1e-12
 
 
 def test_partition_nearest_rank_example():
-    unc = [SampleUncertainty(f"v{i}", (i + 1) / 10.0) for i in range(10)]
+    unc = {f"v{i}": (i + 1) / 10.0 for i in range(10)}
     part = partition_by_quantile(unc, "template", 0.9)
     assert part.threshold == pytest.approx(0.9)
     assert len(part.certain) == 10  # 9 unlabeled at or below threshold + the template
@@ -85,14 +80,14 @@ def test_partition_nearest_rank_example():
 
 
 def test_partition_q_one_all_certain():
-    unc = [SampleUncertainty(f"v{i}", float(i)) for i in range(5)]
+    unc = {f"v{i}": float(i) for i in range(5)}
     part = partition_by_quantile(unc, "t", 1.0)
     assert not part.uncertain
     assert part.certain == frozenset({"t", "v0", "v1", "v2", "v3", "v4"})
 
 
 def test_partition_all_equal_all_certain():
-    unc = [SampleUncertainty(f"v{i}", 0.25) for i in range(4)]
+    unc = {f"v{i}": 0.25 for i in range(4)}
     part = partition_by_quantile(unc, "t", 0.5)
     assert not part.uncertain
 
@@ -100,7 +95,7 @@ def test_partition_all_equal_all_certain():
 def test_partition_monotone_in_quantile():
     rng = np.random.default_rng(9)
     values = rng.random(12)
-    unc = [SampleUncertainty(f"v{i}", float(v)) for i, v in enumerate(values)]
+    unc = {f"v{i}": float(v) for i, v in enumerate(values)}
     prev = None
     for q in (0.25, 0.5, 0.75, 0.9, 1.0):
         part = partition_by_quantile(unc, "t", q)
@@ -112,10 +107,11 @@ def test_partition_monotone_in_quantile():
 def test_partition_permutation_invariant():
     rng = np.random.default_rng(10)
     values = rng.random(9)
-    unc = [SampleUncertainty(f"v{i}", float(v)) for i, v in enumerate(values)]
+    unc = {f"v{i}": float(v) for i, v in enumerate(values)}
     base = partition_by_quantile(unc, "t", 0.6)
-    rng.shuffle(unc)
-    assert partition_by_quantile(unc, "t", 0.6) == base
+    items = list(unc.items())
+    rng.shuffle(items)
+    assert partition_by_quantile(dict(items), "t", 0.6) == base
 
 
 def test_partition_threshold_matches_oracle():
@@ -124,24 +120,24 @@ def test_partition_threshold_matches_oracle():
         n = int(rng.integers(1, 15))
         q = float(rng.uniform(0.05, 1.0))
         values = [float(v) for v in rng.random(n)]
-        unc = [SampleUncertainty(f"v{i}", v) for i, v in enumerate(values)]
+        unc = {f"v{i}": v for i, v in enumerate(values)}
         part = partition_by_quantile(unc, "t", q)
         assert part.threshold == quantile_threshold_oracle(values, q)
-        certain_pool = {u.vol_id for u in unc if u.value <= part.threshold}
+        certain_pool = {vol_id for vol_id, u in unc.items() if u <= part.threshold}
         assert part.certain == certain_pool | {"t"}
-        assert part.certain | part.uncertain == {u.vol_id for u in unc} | {"t"}
+        assert part.certain | part.uncertain == unc.keys() | {"t"}
 
 
 def test_partition_validation():
     with pytest.raises(ValueError, match="unlabeled"):
-        partition_by_quantile([], "t", 0.9)
-    unc = [SampleUncertainty("v0", 0.1)]
+        partition_by_quantile({}, "t", 0.9)
+    unc = {"v0": 0.1}
     with pytest.raises(ValueError):
         partition_by_quantile(unc, "t", 0.0)
     with pytest.raises(ValueError):
         partition_by_quantile(unc, "t", 1.5)
     with pytest.raises(ValueError):
-        partition_by_quantile([SampleUncertainty("t", 0.1)], "t", 0.9)
+        partition_by_quantile({"t": 0.1}, "t", 0.9)
 
 
 def test_partition_type_invariants():
@@ -156,7 +152,7 @@ def test_partition_type_invariants():
 
 
 def test_partition_report_shape():
-    unc = [SampleUncertainty("b", 0.9), SampleUncertainty("a", 0.1)]
+    unc = {"b": 0.9, "a": 0.1}
     part = partition_by_quantile(unc, "t", 0.5)
     doc = partition_report(2, part, unc)
     assert doc["round"] == 2
