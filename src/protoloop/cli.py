@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .encoder import EncoderParams, global_feature, uniform_channel_count
+from .encoder import EncoderParams, uniform_channel_count
 from .metrics import evaluate_pair, format_table, summarize_reports
 from .phantom import generate, load_spec
 from .pipeline import (
@@ -32,7 +32,6 @@ from .pipeline import (
     run_round0,
     run_table,
     start_run,
-    write_globals,
 )
 from .specialist import TrainConfig
 from .volume import IntensityVolume, LabelVolume, load_array, load_manifest
@@ -125,7 +124,6 @@ def _cmd_encode(args) -> int:
         vol = load_array(manifest.resolve(entry.intensity), IntensityVolume)
         grids[entry.vol_id] = entry_grid(entry, manifest, vol, params, target)
     uniform_channel_count(grids)
-    write_globals(out, {vol_id: global_feature(grid) for vol_id, grid in grids.items()})
     print(f"encoded {len(grids)} volumes into {out}")
     return 0
 

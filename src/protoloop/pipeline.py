@@ -76,8 +76,6 @@ __all__ = [
     "load_run_config",
     "parse_round_dir",
     "entry_grid",
-    "write_globals",
-    "read_globals",
 ]
 
 
@@ -175,53 +173,6 @@ def _load_cached_grid(path: Path, entry, encoder: EncoderParams) -> FeatureGrid:
     return grid
 
 
-def write_globals(
-    features_dir: Path, global_features: dict[str, np.ndarray]
-) -> dict[str, np.ndarray]:
-    """``global_features`` by sorted id, also written to ``globals.json`` as one ``vector`` per id."""
-    out = {vol_id: global_features[vol_id] for vol_id in sorted(global_features)}
-    doc = {vol_id: {"vector": [float(x) for x in vec]} for vol_id, vec in out.items()}
-    _dump_json(features_dir / "globals.json", doc)
-    return out
-
-
-def read_globals(features_dir: Path, ids) -> dict[str, np.ndarray]:
-    """The vectors ``write_globals`` wrote, bit for bit; other keys are ignored.
-
-    Every id in ``ids`` must have one.  A vector must be a JSON list of finite
-    numbers as long as the lowest id's: a string, a boolean or a null in it is
-    refused, not converted, and so are ``NaN``, ``Infinity`` and an integer
-    beyond float range.
-    """
-    path = features_dir / "globals.json"
-    doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: holds {type(doc).__name__}, not an object of vectors by id")
-    missing = sorted(set(ids) - doc.keys())
-    if missing:
-        raise ValueError(f"{path}: no global feature for {missing}")
-    out = {}
-    for vol_id, entry in sorted(doc.items()):
-        vector = entry.get("vector") if isinstance(entry, dict) else None
-        if not (isinstance(vector, list) and all(type(x) in (int, float) for x in vector)):
-            raise ValueError(f"{path}: global feature of {vol_id!r} is not a 1-D vector of numbers")
-        try:
-            vec = np.array(vector, dtype=np.float64)
-        except OverflowError:  # an integer beyond float range
-            vec = None
-        if vec is None or not np.isfinite(vec).all():
-            raise ValueError(f"{path}: global feature of {vol_id!r} has a non-finite value")
-        first = next(iter(out), None)  # the lowest id
-        if first is not None and len(vec) != len(out[first]):
-            raise ValueError(
-                f"{path}: global feature of {vol_id!r} has {len(vec)} values, "
-                f"that of {first!r} {len(out[first])}"
-            )
-        vec.setflags(write=False)
-        out[vol_id] = vec
-    return out
-
-
 def _load_entry(
     config: PipelineConfig,
     manifest: DatasetManifest,
@@ -232,16 +183,20 @@ def _load_entry(
 
     The z-score scalars of the intensity volume are computed once; the
     encoder, when it runs, and the voxel features share them.  The grid comes
-    from ``entry_grid`` at ``features/<id>.features.vxar``; the voxel
-    features hold its values as their cell table, so the caller need not keep
-    it.  Only the float32 intensities are kept; no whole-volume float64 array
-    outlives the scalar pass.
+    from ``entry_grid`` at ``_grid_path``; the voxel features hold its values
+    as their cell table, so the caller need not keep it.  Only the float32
+    intensities are kept; no whole-volume float64 array outlives the scalar
+    pass.
     """
     vol = load_array(manifest.resolve(entry.intensity), IntensityVolume)
     scalars = encoder_mod.zscore_scalars(vol.data)
-    path = config.out_dir / "features" / f"{entry.vol_id}.features.vxar"
+    path = _grid_path(config, entry.vol_id)
     grid = entry_grid(entry, manifest, vol, config.encoder, path, extract_allowed, scalars)
     return TrainVolumeData.from_volume(entry.vol_id, vol, grid, scalars), grid
+
+
+def _grid_path(config: PipelineConfig, vol_id: str) -> Path:
+    return config.out_dir / "features" / f"{vol_id}.features.vxar"
 
 
 def _load_label(path: Path, num_classes: int) -> LabelVolume:
@@ -293,25 +248,17 @@ def build_context(config: PipelineConfig, extract_allowed: bool = True) -> Pipel
     Grids are computed (or ingested) at most once per volume and persisted
     under ``<out>/features``, so later rounds and resumed processes reload
     them instead of touching the extractor again; ``extract_allowed=False``
-    makes a missing grid an error.  Only a context that may extract computes
-    the global features, from each grid as it is loaded, and writes
-    ``globals.json``; a later one reads it and refuses it unless it holds a
-    valid vector for every entry.
+    makes a missing grid an error.  Each volume's global feature is computed
+    from its grid as it is loaded.
     """
     t0 = time.perf_counter()
     manifest, labeled_id, gt, truth = _load_inputs(config)
-    features_dir = config.out_dir / "features"
-    features_dir.mkdir(parents=True, exist_ok=True)
+    (config.out_dir / "features").mkdir(parents=True, exist_ok=True)
     features, global_features = {}, {}
     for entry in manifest.entries:
         features[entry.vol_id], grid = _load_entry(config, manifest, entry, extract_allowed)
-        if extract_allowed:
-            global_features[entry.vol_id] = global_feature(grid)
+        global_features[entry.vol_id] = global_feature(grid)
     encoder_mod.uniform_channel_count(features)
-    if extract_allowed:
-        global_features = write_globals(features_dir, global_features)
-    else:
-        global_features = read_globals(features_dir, features)
     gt_path = manifest.resolve(manifest.labeled_entry().label)
     _check_label(gt, gt_path, "template", labeled_id, features[labeled_id].shape)
     for vol_id, lab in (truth or {}).items():
@@ -483,15 +430,58 @@ def _persist_round(
     _atomic_write_dir(out_dir, f"round_{r}", writer)
 
 
-def _read_state(out_dir: Path, round_index: int) -> tuple[Path, dict]:
-    """Round ``round_index``'s directory and its parsed ``state.json``."""
+def _read_state(out_dir: Path, round_index: int) -> tuple[Path, dict, Partition | None]:
+    """Round ``round_index``'s directory, its parsed ``state.json`` and its partition.
+
+    The file must be an object holding ``round`` and ``labels``; a malformed
+    one is refused by name.
+    """
     round_dir = _restore_round(out_dir, round_index)
-    doc = json.loads((round_dir / "state.json").read_text())
+    path = round_dir / "state.json"
+    doc = _read_json(path)
+    if not isinstance(doc, dict) or "round" not in doc or "labels" not in doc:
+        raise ValueError(f"{path}: not an object holding round and labels")
     if doc["round"] != round_index:
         raise ValueError(
             f"{round_dir}: state file claims round {doc['round']}, expected {round_index}"
         )
-    return round_dir, doc
+    return round_dir, doc, _read_partition(doc, path)
+
+
+def _is_finite_number(value) -> bool:
+    """``value`` is a finite JSON number: not a boolean, nor an integer beyond float range."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _read_partition(doc: dict, path: Path) -> Partition | None:
+    """The ``partition`` of ``state.json`` ``doc``, read from ``path``; None when it has none.
+
+    It must hold lists of string ids ``certain`` and ``uncertain``, a finite
+    number ``threshold`` and a string ``labeled_id``; other keys are ignored.
+    """
+    if "partition" not in doc:
+        return None
+    part = doc["partition"] if isinstance(doc["partition"], dict) else {}
+    kwargs = {key: part.get(key) for key in ("certain", "uncertain", "threshold", "labeled_id")}
+    if not (
+        all(
+            isinstance(ids, list) and all(isinstance(i, str) for i in ids)
+            for ids in (kwargs["certain"], kwargs["uncertain"])
+        )
+        and _is_finite_number(kwargs["threshold"])
+        and isinstance(kwargs["labeled_id"], str)
+    ):
+        raise ValueError(
+            f"{path}: partition is not an object holding certain and uncertain id lists, "
+            "a finite threshold and a string labeled_id"
+        )
+    try:
+        return Partition(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: partition: {exc}") from None
 
 
 def load_round_state(out_dir: Path, round_index: int) -> RoundState:
@@ -500,7 +490,7 @@ def load_round_state(out_dir: Path, round_index: int) -> RoundState:
     ``uncertainty.json`` must hold one finite, non-negative number per volume
     the round's model labeled; anything else is refused by file and id.
     """
-    round_dir, doc = _read_state(out_dir, round_index)
+    round_dir, doc, partition = _read_state(out_dir, round_index)
 
     loaded: dict[str, LabelVolume] = {}  # labels and raw_labels may name one file
 
@@ -517,6 +507,7 @@ def load_round_state(out_dir: Path, round_index: int) -> RoundState:
         pseudo_label_dice=doc.get("pseudo_label_dice"),
         model_dice=doc.get("model_dice"),
         timings=doc.get("timings", {}),
+        partition=partition,
     )
     if "raw_labels" in doc:
         state.raw_labels = load_labels(doc["raw_labels"])
@@ -524,8 +515,6 @@ def load_round_state(out_dir: Path, round_index: int) -> RoundState:
         state.raw_labels = state.labels
     if "params" in doc:
         state.params, _ = load_params(round_dir / doc["params"])
-    if "partition" in doc:
-        state.partition = Partition(**doc["partition"])
     unc_file = round_dir / "uncertainty.json"
     if unc_file.exists():
         state.uncertainties = _read_uncertainties(unc_file, state.raw_labels or {})
@@ -549,11 +538,7 @@ def _read_uncertainties(path: Path, ids) -> dict[str, float]:
         if not isinstance(vol_id, str):
             raise ValueError(f"{path}: sample id {vol_id!r} is not a string")
         value = sample.get("uncertainty")
-        try:
-            ok = type(value) in (int, float) and math.isfinite(value) and value >= 0
-        except OverflowError:  # an integer beyond float range
-            ok = False
-        if not ok:
+        if not (_is_finite_number(value) and value >= 0):
             raise ValueError(f"{path}: uncertainty {value!r} of {vol_id!r} is not a finite number >= 0")
         if vol_id in out:
             raise ValueError(f"{path}: {vol_id!r} appears twice")
@@ -679,7 +664,9 @@ def refine_round(config: PipelineConfig, round_index: int) -> RoundState:
     The model's labels, uncertainties, ``params.vxar`` and ``train_log.jsonl``
     are kept; the partition, the labels, ``uncertainty.json``, the audit, the
     ``refine`` timing and the Dice are recomputed as ``run_round`` computes
-    them.  A refined round is refused unless ``config.force`` is set.
+    them, with the global features of the grids round 0 persisted; a missing
+    or stale grid is refused.  A refined round is refused unless
+    ``config.force`` is set.
     """
     if round_index < 1:
         raise ValueError("round 0 labels come from propagation; nothing to refine")
@@ -689,7 +676,11 @@ def refine_round(config: PipelineConfig, round_index: int) -> RoundState:
         raise FileExistsError(f"{round_dir} is already refined; pass force to redo")
     if prev.uncertainties is None or prev.params is None:
         raise ValueError(f"{round_dir} has no model output to refine")
-    log = [json.loads(line) for line in (round_dir / "train_log.jsonl").read_text().splitlines()]
+    log_path = round_dir / "train_log.jsonl"
+    try:
+        log = [json.loads(line) for line in log_path.read_text().splitlines()]
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{log_path}: a line is not valid JSON ({exc})") from None
     state = RoundState(
         round_index=round_index,
         labels={},
@@ -699,7 +690,14 @@ def refine_round(config: PipelineConfig, round_index: int) -> RoundState:
         timings=dict(prev.timings),
     )
     manifest, labeled_id, gt, truth = _load_inputs(config)
-    globals_ = read_globals(config.out_dir / "features", (e.vol_id for e in manifest.entries))
+    grids = {}
+    for entry in manifest.entries:
+        path = _grid_path(config, entry.vol_id)
+        if not path.is_file():
+            raise FileNotFoundError(f"{path}: no feature grid for {entry.vol_id!r} to vote with")
+        grids[entry.vol_id] = _load_cached_grid(path, entry, config.encoder)
+    encoder_mod.uniform_channel_count(grids)
+    globals_ = {vol_id: global_feature(grid) for vol_id, grid in grids.items()}
     return _vote_and_persist(replace(config, refine=True), state, log, labeled_id, gt, globals_, truth)
 
 
@@ -753,16 +751,15 @@ def run_table(out_dir: Path) -> list[dict]:
     names = {p.name.removesuffix(".old") for p in out_dir.iterdir() if p.is_dir()}
     rows = []
     for r in sorted(int(m.group(1)) for m in map(_ROUND_DIR.fullmatch, names) if m):
-        doc = _read_state(out_dir, r)[1]
-        part = doc.get("partition")
+        _, doc, part = _read_state(out_dir, r)
         rows.append({
             "round": r,
             "refined": doc.get("refined", False),
             "pseudo_label_dice": doc.get("pseudo_label_dice"),
             "model_dice": doc.get("model_dice"),
-            "threshold": part["threshold"] if part else None,
-            "n_certain": len(part["certain"]) if part else None,
-            "n_uncertain": len(part["uncertain"]) if part else None,
+            "threshold": part.threshold if part else None,
+            "n_certain": len(part.certain) if part else None,
+            "n_uncertain": len(part.uncertain) if part else None,
             "timings": doc.get("timings", {}),
         })
     return rows

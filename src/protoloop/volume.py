@@ -343,11 +343,10 @@ class VolumeEntry:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """The dataset contract: unique ids, and exactly one labeled entry when flagged."""
+    """The dataset contract: unique ids, and exactly one labeled entry, the template."""
 
     num_classes: int
     entries: tuple[VolumeEntry, ...]
-    exactly_one_labeled: bool = True
     base_dir: Path = Path(".")
 
     def __post_init__(self):
@@ -360,18 +359,13 @@ class DatasetManifest:
         if len(set(ids)) != len(ids):
             raise ValueError("volume ids are not unique")
         labeled = [e for e in entries if e.label is not None]
-        if self.exactly_one_labeled and len(labeled) != 1:
-            raise ValueError(
-                f"manifest flagged exactly-one-labeled but has {len(labeled)} labeled entries"
-            )
+        if len(labeled) != 1:
+            raise ValueError(f"manifest has {len(labeled)} labeled entries; it needs exactly one")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "base_dir", Path(self.base_dir))
 
     def labeled_entry(self) -> VolumeEntry:
-        labeled = [e for e in self.entries if e.label is not None]
-        if len(labeled) != 1:
-            raise ValueError(f"expected exactly one labeled entry, found {len(labeled)}")
-        return labeled[0]
+        return next(e for e in self.entries if e.label is not None)
 
     def unlabeled_entries(self) -> list[VolumeEntry]:
         return [e for e in self.entries if e.label is None]
@@ -399,7 +393,6 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         return DatasetManifest(
             num_classes=doc["num_classes"],
             entries=entries,
-            exactly_one_labeled=doc.get("exactly_one_labeled", True),
             base_dir=path.parent,
         )
     except (KeyError, TypeError) as exc:
@@ -417,7 +410,6 @@ def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
         volumes.append(entry)
     doc = {
         "num_classes": manifest.num_classes,
-        "exactly_one_labeled": manifest.exactly_one_labeled,
         "volumes": volumes,
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -7,6 +7,7 @@ import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from protoloop import cli, pipeline, volume
@@ -119,6 +120,30 @@ def test_bad_manifest_leaves_nothing_then_run_succeeds(dataset, tmp_path, capsys
     assert (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("labeled", [0, 2])
+def test_manifest_without_exactly_one_label_leaves_nothing(dataset, tmp_path, capsys, labeled):
+    """An ``"exactly_one_labeled": false`` a manifest may still carry is ignored:
+    ``init`` and ``encode`` refuse the manifest before writing anything."""
+    doc = json.loads((dataset / "manifest.json").read_text())
+    for v in doc["volumes"]:
+        for key in ("intensity", "label"):
+            if v.get(key):
+                v[key] = str(dataset / v[key])
+    doc["exactly_one_labeled"] = False
+    if labeled == 0:
+        del doc["volumes"][0]["label"]
+    else:
+        doc["volumes"][1]["label"] = doc["volumes"][0]["label"]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    argv = _init_args(dataset, tmp_path / "out")
+    argv[argv.index("--manifest") + 1] = str(manifest)
+    assert dispatch(argv) == 1
+    assert dispatch(["encode", "--manifest", str(manifest), "--out", str(tmp_path / "feats")]) == 1
+    assert capsys.readouterr().err.count(f"{labeled} labeled entries") == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
+
 def test_manifest_naming_missing_volume_leaves_nothing_then_run_succeeds(dataset, tmp_path, capsys):
     doc = json.loads((dataset / "manifest.json").read_text())
     for v in doc["volumes"]:
@@ -188,17 +213,15 @@ def test_synth_bad_spec(tmp_path):
 
 
 def test_encode_writes_grids_and_globals(dataset, finished_run, tmp_path, capsys):
+    """``encode`` writes the grids the run writes; the global features come
+    from those grids, so no other file is written."""
     out = tmp_path / "feats"
     argv = ["encode", "--manifest", str(dataset / "manifest.json"), "--out", str(out), "--patch", "4"]
     assert dispatch(argv) == 0
-    for i in range(4):
-        assert (out / f"vol_{i:03d}.features.vxar").exists()
-    doc = json.loads((out / "globals.json").read_text())
-    assert set(doc) == {f"vol_{i:03d}" for i in range(4)}
-    assert all(len(v["vector"]) > 0 for v in doc.values())
-    # the same writer as `run`: identical bytes for the same manifest and patch
-    run_globals = finished_run / "features" / "globals.json"
-    assert (out / "globals.json").read_bytes() == run_globals.read_bytes()
+    names = sorted(f"vol_{i:03d}.features.vxar" for i in range(4))
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() == (finished_run / "features" / name).read_bytes()
     assert dispatch(argv) == 1  # refuses to overwrite
     assert dispatch(argv + ["--force"]) == 0
 
@@ -224,7 +247,7 @@ def test_encode_force_replaces_grids_of_another_patch(dataset, tmp_path):
     assert dispatch(argv + ["--patch", "6"]) == 0
     assert dispatch(argv + ["--patch", "4", "--force"]) == 0
     assert dispatch(["encode", "--manifest", manifest, "--out", str(tmp_path / "g"), "--patch", "4"]) == 0
-    for name in [f"vol_{i:03d}.features.vxar" for i in range(4)] + ["globals.json"]:
+    for name in [f"vol_{i:03d}.features.vxar" for i in range(4)]:
         assert (tmp_path / "f" / name).read_bytes() == (tmp_path / "g" / name).read_bytes()
 
 
@@ -506,103 +529,124 @@ def test_a_run_resumes_from_another_directory(dataset, tmp_path, monkeypatch):
     assert json.loads((tmp_path / "run" / "round_1" / "state.json").read_text())["pseudo_label_dice"]
 
 
-def test_a_resumed_round_leaves_globals_json_alone(dataset, finished_run, tmp_path):
-    out = tmp_path / "run"
-    assert dispatch(_init_args(dataset, out)) == 0
-    globals_json = out / "features" / "globals.json"
-    before = globals_json.stat()
-    assert dispatch(["round", "--prev", str(out / "round_0")]) == 0
-    after = globals_json.stat()
-    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
-    # the vote read the global features from globals.json: the audit `run` wrote
-    audit = "round_1/refine_audit.json"
-    assert (out / audit).read_bytes() == (finished_run / audit).read_bytes()
-
-
-def test_globals_json_written_with_the_degenerate_key_still_votes(finished_run, tmp_path, capsys):
-    """A ``globals.json`` whose entries also carry ``"degenerate": false``
-    gives the same vote; an entry whose vector is not 1-D is refused by id."""
+def test_a_resumed_round_leaves_globals_json_alone(finished_run, tmp_path):
+    """A run directory from before the global features were derived from the
+    grids holds a ``globals.json``; it still resumes, and the file is neither
+    read nor deleted."""
     out = tmp_path / "run"
     shutil.copytree(finished_run, out)
-    path = out / "features" / "globals.json"
-    doc = json.loads(path.read_text())
-    for entry in doc.values():
-        entry["degenerate"] = False
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    globals_json = out / "features" / "globals.json"
+    globals_json.write_text("[]")
     audit = "round_1/refine_audit.json"
     assert dispatch(["round", "--prev", str(out / "round_0"), "--force"]) == 0
     assert (out / audit).read_bytes() == (finished_run / audit).read_bytes()
     refine = ["refine", "--round", str(out / "round_1"), "--q-unc", "0.5", "--k", "2", "--force"]
     assert dispatch(refine) == 0
     assert (out / audit).read_bytes() == (finished_run / audit).read_bytes()
-    vol_id = sorted(doc)[1]
-    doc[vol_id]["vector"] = [doc[vol_id]["vector"]]
-    path.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert dispatch(refine) == 1
-    err = capsys.readouterr().err
-    assert "globals.json" in err and repr(vol_id) in err
+    assert globals_json.read_text() == "[]"
 
 
 def _refused(out, capsys, file, *named):
     """``round`` and ``refine`` on ``out`` exit 1 naming ``file`` and each of
-    ``named``, and write nothing."""
-    before = _tree(out)
+    ``named``, and write nothing: every file keeps its bytes."""
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
     for argv in (["round", "--prev", str(out / "round_1")], ["refine", "--round", str(out / "round_1"), "--force"]):
         assert dispatch(argv) == 1
         err = capsys.readouterr().err
         assert file in err and all(n in err for n in named), err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize("stale", [False, True], ids=["missing", "stale"])
+def test_refine_refuses_a_missing_or_stale_grid_by_name(finished_run, tmp_path, capsys, stale):
+    """The vote's global features come from the grids; a grid ``round`` would
+    refuse is refused."""
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    grid = out / "features" / "vol_002.features.vxar"
+    grid.unlink()
+    if stale:  # a grid of another channel count than the run's encoder makes
+        data = np.zeros((2, 3, 3, 3), np.float32)
+        volume.save_array(volume.FeatureGrid(2, Shape3(3, 3, 3), data), grid)
+    before = _tree(out)
+    assert dispatch(["refine", "--round", str(out / "round_1"), "--force"]) == 1
+    assert str(grid) in capsys.readouterr().err
     assert _tree(out) == before
 
 
+_DELETE = object()
+
+
 @pytest.mark.parametrize(
-    "bad",
-    ["0.12", "x", True, False, None, float("nan"), float("inf"), pytest.param(10**400, id="10**400")],
+    "section, key, value",
+    [
+        ("partition", "threshold", _DELETE),
+        ("partition", "threshold", float("nan")),
+        ("partition", "threshold", True),
+        ("partition", "certain", 5),
+        ("partition", "uncertain", [7]),
+        ("partition", "labeled_id", None),
+        ("partition", "labeled_id", "vol_999"),  # Partition's own check: not a certain id
+        (None, "partition", []),
+        (None, "labels", _DELETE),
+        (None, "round", _DELETE),
+    ],
+    ids=[
+        "no-threshold", "nan-threshold", "true-threshold", "certain-5", "uncertain-int",
+        "null-labeled_id", "uncertain-labeled_id", "partition-list", "no-labels", "no-round",
+    ],
 )
-def test_globals_json_vector_of_non_numbers_is_refused(finished_run, tmp_path, capsys, bad):
-    """A vector entry that is not a finite JSON number is refused by file and
-    id, not converted (``"0.12"`` to 0.12, ``true`` to 1.0) nor voted with
-    (``NaN``, ``Infinity``, an integer beyond float range), and no round is
-    written."""
+def test_state_json_malformed_is_refused_by_name(finished_run, tmp_path, capsys, section, key, value):
+    """Before, these made ``round`` and ``refine`` exit 2 with a TypeError or
+    a KeyError; ``report`` now refuses them too."""
     out = tmp_path / "run"
     shutil.copytree(finished_run, out)
-    path = out / "features" / "globals.json"
+    path = out / "round_1" / "state.json"
     doc = json.loads(path.read_text())
-    vol_id = sorted(doc)[2]
-    doc[vol_id]["vector"][0] = bad
+    target = doc[section] if section else doc
+    if value is _DELETE:
+        del target[key]
+    else:
+        target[key] = value
     path.write_text(json.dumps(doc))
-    _refused(out, capsys, "globals.json", repr(vol_id))
+    _refused(out, capsys, str(path))
+    assert dispatch(["report", "--run", str(out)]) == 1
+    assert str(path) in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
 
 
-def test_globals_json_vector_shorter_than_the_others_is_refused(finished_run, tmp_path, capsys):
+@pytest.mark.parametrize("text", ["[]", "null", '{"round": 1, '])
+def test_state_json_that_is_not_an_object_is_refused_by_name(finished_run, tmp_path, capsys, text):
     out = tmp_path / "run"
     shutil.copytree(finished_run, out)
-    path = out / "features" / "globals.json"
+    path = out / "round_1" / "state.json"
+    path.write_text(text)
+    _refused(out, capsys, str(path))
+
+
+def test_state_json_partition_keys_beyond_the_four_are_ignored(finished_run, tmp_path, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    path = out / "round_1" / "state.json"
     doc = json.loads(path.read_text())
-    vol_id = sorted(doc)[2]
-    doc[vol_id]["vector"].pop()
+    doc["partition"]["extra"] = 1
     path.write_text(json.dumps(doc))
-    _refused(out, capsys, "globals.json", repr(vol_id))
+    assert dispatch(["report", "--run", str(out)]) == 0
+    assert dispatch(["round", "--prev", str(out / "round_1")]) == 0
+    audit = "round_1/refine_audit.json"
+    assert dispatch(["refine", "--round", str(out / "round_1"), "--force"]) == 0
+    assert (out / audit).read_bytes() == (finished_run / audit).read_bytes()
 
 
-def test_globals_json_lacking_a_manifest_id_is_refused(finished_run, tmp_path, capsys):
+def test_train_log_line_that_is_not_json_is_refused_by_name(finished_run, tmp_path, capsys):
     out = tmp_path / "run"
     shutil.copytree(finished_run, out)
-    path = out / "features" / "globals.json"
-    doc = json.loads(path.read_text())
-    gone = sorted(doc)[1:3]
-    for vol_id in gone:
-        del doc[vol_id]
-    path.write_text(json.dumps(doc))
-    _refused(out, capsys, "globals.json", repr(gone))
-
-
-@pytest.mark.parametrize("text", ['{"vol_000": ', "[]"])
-def test_globals_json_that_is_not_an_object_of_vectors_is_refused(finished_run, tmp_path, capsys, text):
-    out = tmp_path / "run"
-    shutil.copytree(finished_run, out)
-    (out / "features" / "globals.json").write_text(text)
-    _refused(out, capsys, "globals.json")
+    path = out / "round_1" / "train_log.jsonl"
+    path.write_text(path.read_text() + '{"step": \n')
+    before = _tree(out)
+    assert dispatch(["refine", "--round", str(out / "round_1"), "--force"]) == 1
+    assert str(path) in capsys.readouterr().err
+    assert _tree(out) == before
 
 
 def _corrupt_uncertainty(finished_run, tmp_path, edit):

@@ -12,6 +12,9 @@ call outside ``volume.py`` names the array kind the file must hold; and no
 string literal outside ``pipeline.py`` names a file of the run directory's
 layout, which ``pipeline`` alone knows.
 
+Every function name ``bench/spans.py`` derives a metric from is a function in
+its module's ``__all__``, but for a listed few whose functions are gone.
+
 A fresh interpreter that imports the package and runs a pipeline loads no
 scipy module; only a surface distance loads ``scipy.spatial``.
 """
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -136,7 +140,7 @@ def test_every_load_outside_volume_names_a_kind():
 
 
 LAYOUT_FILES = (
-    "config.json", "state.json", "report.json", "globals.json", "uncertainty.json",
+    "config.json", "state.json", "report.json", "uncertainty.json",
     "refine_audit.json", "summary.json", "train_log.jsonl", "params.vxar",
 )
 
@@ -168,6 +172,46 @@ def test_only_pipeline_names_run_directory_files():
         if p.name != "pipeline.py"
     }
     assert {path: lines for path, lines in found.items() if lines} == {}
+
+
+def traced_names(source: str) -> set[str]:
+    """The ``layer.function`` names ``bench/spans.py`` derives metrics from: the
+    arguments of ``busy``, ``calls`` and ``size``, the keys of ``SIZES`` and the
+    members of ``MARKS``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("busy", "calls", "size"):
+            names.update(a.value for a in node.args if isinstance(a, ast.Constant))
+        elif isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in ("SIZES", "MARKS"):
+            value = node.value if isinstance(node.value, ast.Dict) else node.value.args[0]
+            names.update(k.value for k in (value.keys if isinstance(value, ast.Dict) else value.elts))
+    return names
+
+
+def test_traced_names_finds_each_source():
+    source = (
+        'MARKS = frozenset({"a.m"})\nSIZES = {"b.s": f}\nOTHER = {"x.y": g}\n'
+        'def m():\n    return busy("c.b") + calls("d.c") + size("e.s") + rate(1, "z.z")\n'
+    )
+    assert traced_names(source) == {"a.m", "b.s", "c.b", "d.c", "e.s"}
+
+
+# names the benchmark still reads whose functions are gone; their metrics read 0
+DEAD_TRACED = {"specialist.build_feature_matrix", "uncertainty.sample_uncertainty"}
+
+
+def test_every_traced_name_is_a_public_function():
+    # the tracer wraps only functions in a module's ``__all__`` and skips any
+    # other name silently, so a metric derived from it would read 0
+    names = traced_names((ROOT / "bench" / "spans.py").read_text())
+    assert DEAD_TRACED <= names
+
+    def public_function(name: str) -> bool:
+        layer, fn = name.split(".")
+        module = importlib.import_module(f"protoloop.{layer}")
+        return fn in getattr(module, "__all__", ()) and inspect.isfunction(getattr(module, fn, None))
+
+    assert {name for name in names if not public_function(name)} == DEAD_TRACED
 
 
 SCIPY_PROBE = """

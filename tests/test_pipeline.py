@@ -102,13 +102,17 @@ def _label_bytes(state: RoundState) -> dict[str, bytes]:
 # ---------------------------------------------------------------------------
 # round 0
 
-def test_round0_layout_and_reload(main_run):
+def test_round0_layout_and_reload(dataset, main_run):
     states, out = main_run
     r0 = out / "round_0"
     for vid in ("vol_001", "vol_002", "vol_003"):
         assert (r0 / f"{vid}.round0.label").exists()
     assert (r0 / "state.json").exists() and (r0 / "summary.json").exists()
     assert not (out / "round_0.tmp").exists()
+    # one grid per manifest id and nothing else: the global features are computed from them
+    manifest = pipeline.load_manifest(dataset / "manifest.json")
+    want = sorted(f"{e.vol_id}.features.vxar" for e in manifest.entries)
+    assert sorted(p.name for p in (out / "features").iterdir()) == want
 
     back = load_round_state(out, 0)
     assert back.round_index == 0 and not back.refined
@@ -172,7 +176,7 @@ def test_round0_exact_on_ingested_orthogonal_features(tmp_path):
     # config (patch 4, 11 channels) and are still reused: they are not stale
     ctx = build_context(config, extract_allowed=False)
     assert ctx.features["vol_b"].grid_shape == Shape3(2, 2, 2) and ctx.features["vol_b"].channels == 2
-    # a later context reads globals.json, and still refuses grids of unequal channel counts
+    # a later context still refuses grids of unequal channel counts
     grid = FeatureGrid(channels=3, grid_shape=Shape3(2, 2, 2), data=np.zeros((3, 2, 2, 2), np.float32))
     save_array(grid, tmp_path / "run" / "features" / "vol_b.features.vxar")
     with pytest.raises(ValueError, match="channel"):
@@ -181,7 +185,8 @@ def test_round0_exact_on_ingested_orthogonal_features(tmp_path):
 
 def test_round0_from_rebuilt_grids_equals_round0_from_grid_files(tmp_path, monkeypatch):
     """Round 0 rebuilds each grid from its volume's cell table; the prototypes,
-    the initial labels and globals.json are those of the persisted grid files.
+    the initial labels and a later context's global features are those of the
+    persisted grid files.
 
     The extents are not multiples of the patch, and one pool volume's grid is
     ingested from an external file that names no patch size.
@@ -230,10 +235,10 @@ def test_round0_from_rebuilt_grids_equals_round0_from_grid_files(tmp_path, monke
     for vol_id, lab in state.labels.items():
         want = pipeline.initial_pseudo_label(grids[vol_id], protos, lab.shape)
         assert lab.data.tobytes() == want.data.tobytes(), vol_id
-    again = tmp_path / "again"
-    again.mkdir()
-    pipeline.write_globals(again, {v: encoder_mod.global_feature(g) for v, g in grids.items()})
-    assert (again / "globals.json").read_bytes() == (features / "globals.json").read_bytes()
+    got = build_context(config, extract_allowed=False).global_features
+    assert {v: g.tobytes() for v, g in got.items()} == {
+        v: encoder_mod.global_feature(g).tobytes() for v, g in grids.items()
+    }
 
 
 def test_round0_perfect_on_noiseless_clones(tmp_path):
@@ -477,7 +482,7 @@ def test_run_round_refuses_existing_round_before_training(dataset, main_run, mon
         run_round(_config(dataset, out, rounds=2), 1, states[0])
 
 
-def test_refine_round_reads_no_volume_or_grid(dataset, main_run, tmp_path, monkeypatch):
+def test_refine_round_reads_no_volume(dataset, main_run, tmp_path, monkeypatch):
     states, out = main_run
     run = tmp_path / "run"
     shutil.copytree(out, run)
@@ -492,7 +497,12 @@ def test_refine_round_reads_no_volume_or_grid(dataset, main_run, tmp_path, monke
         pipeline, "load_array", lambda path, kind: loads.append(Path(path)) or real(path, kind)
     )
     state = refine_round(_config(dataset, run, rounds=2, force=True), 2)
-    assert loads and all(p.name.endswith((".label", ".label.vxar")) for p in loads)
+    # label files, and the grid of each manifest id for the global features
+    grids = sorted(p for p in loads if p.parent == run / "features")
+    ids = [e.vol_id for e in pipeline.load_manifest(dataset / "manifest.json").entries]
+    assert grids == sorted(run / "features" / f"{v}.features.vxar" for v in ids)
+    labels = [p for p in loads if p not in grids]
+    assert labels and all(p.name.endswith((".label", ".label.vxar")) for p in labels)
     assert _label_bytes(state) == _label_bytes(states[2])
     assert state.pseudo_label_dice == states[2].pseudo_label_dice
     assert not (run / "round_2.tmp").exists() and not (run / "round_2.old").exists()

@@ -310,13 +310,18 @@ def test_manifest_round_trip(tmp_path):
         VolumeEntry(vol_id="b", intensity="b.vxar"),
         VolumeEntry(vol_id="c", intensity="c.vxar", features="c.feat.vxar"),
     )
-    man = DatasetManifest(num_classes=2, entries=entries, exactly_one_labeled=True)
+    man = DatasetManifest(num_classes=2, entries=entries)
     save_manifest(man, tmp_path / "manifest.json")
     back = load_manifest(tmp_path / "manifest.json")
     assert back.num_classes == 2
     assert back.labeled_entry().vol_id == "a"
     assert [e.vol_id for e in back.unlabeled_entries()] == ["b", "c"]
     assert back.base_dir == tmp_path
+    # older manifests carry "exactly_one_labeled": true; the key is ignored
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    assert "exactly_one_labeled" not in doc
+    (tmp_path / "manifest.json").write_text(json.dumps({**doc, "exactly_one_labeled": True}))
+    assert load_manifest(tmp_path / "manifest.json") == back
 
 
 def test_manifest_rejects_duplicate_ids():
@@ -325,16 +330,16 @@ def test_manifest_rejects_duplicate_ids():
         VolumeEntry(vol_id="a", intensity="b.vxar"),
     )
     with pytest.raises(ValueError, match="unique"):
-        DatasetManifest(num_classes=2, entries=entries, exactly_one_labeled=True)
+        DatasetManifest(num_classes=2, entries=entries)
 
 
 def test_manifest_requires_exactly_one_label():
-    entries = (
-        VolumeEntry(vol_id="a", intensity="a.vxar"),
-        VolumeEntry(vol_id="b", intensity="b.vxar"),
-    )
-    with pytest.raises(ValueError, match="labeled"):
-        DatasetManifest(num_classes=2, entries=entries, exactly_one_labeled=True)
+    for labels in ((None, None), ("a.label.vxar", "b.label.vxar")):
+        entries = tuple(
+            VolumeEntry(vol_id=v, intensity=f"{v}.vxar", label=lab) for v, lab in zip("ab", labels)
+        )
+        with pytest.raises(ValueError, match=f"{sum(map(bool, labels))} labeled entries"):
+            DatasetManifest(num_classes=2, entries=entries)
 
 
 @pytest.mark.parametrize("vol_id", ["../x", "a/b", "a.b", "..", "", "vol 1", "x\n", "é", 7])
