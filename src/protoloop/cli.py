@@ -122,7 +122,7 @@ def _cmd_encode(args) -> int:
                 raise FileExistsError(f"{target} exists; pass --force to overwrite")
             target.unlink()  # encode always makes a fresh grid
         vol = load_array(manifest.resolve(entry.intensity), IntensityVolume)
-        grids[entry.vol_id] = entry_grid(entry, manifest, vol, params, target)
+        grids[entry.vol_id] = entry_grid(entry, manifest, params, target, vol)
     uniform_channel_count(grids)
     print(f"encoded {len(grids)} volumes into {out}")
     return 0
@@ -376,3 +376,7 @@ def dispatch(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -1,7 +1,9 @@
 """Round orchestration: propagate once, then train / predict / partition / refine.
 
-Features are extracted (or ingested) exactly once, persisted under the run
-directory, and reused by every later round; after the initial round the raw
+``entry_grid`` is the one code that reuses, makes or refuses a persisted
+feature grid, and only the initial round makes one: it extracts (or ingests)
+each grid exactly once under the run directory.  Every later round and
+``refine_round`` reuse them, and refuse a missing one by file; the raw
 volumes are never re-encoded, which is asserted via the extractor call
 counter.  Per volume a context keeps one float32 cell table (the feature
 grid's values, transposed) plus the float32 intensities and their two z-score
@@ -129,70 +131,40 @@ class RoundState:
 def entry_grid(
     entry: VolumeEntry,
     manifest: DatasetManifest,
-    vol: IntensityVolume,
     encoder: EncoderParams,
     path: Path,
-    extract_allowed: bool = True,
+    vol: IntensityVolume | None = None,
     scalars: tuple[float, float] | None = None,
 ) -> FeatureGrid:
     """The feature grid of one manifest entry, persisted at ``path``.
 
-    A grid already at ``path`` is reused; else the entry's external
-    ``features`` file is ingested; else the built-in encoder extracts one
-    (with ``scalars``, the volume's ``zscore_scalars``, when given), which raises when
-    ``extract_allowed`` is false.  A new grid is written to ``path``.
+    A grid already at ``path`` is reused; one the built-in encoder made must
+    match ``encoder``, one ingested from the entry's external ``features``
+    file is taken as it is.  With no grid there, a given ``vol`` gets one:
+    the external file is ingested, or else the encoder extracts one (with
+    ``scalars``, the volume's ``zscore_scalars``, when given), and it is
+    written to ``path``.  With neither, ``FileNotFoundError`` names ``path``.
     """
     if path.exists():
-        return _load_cached_grid(path, entry, encoder)
-    if entry.features is not None:
-        grid = encoder_mod.ingest_external_features(manifest.resolve(entry.features), vol.shape)
-    elif extract_allowed:
-        grid = encoder_mod.extract_feature_grid(vol, encoder, scalars)
-    else:
-        raise RuntimeError(
-            f"feature grid for {entry.vol_id!r} missing after the initial round; "
-            "re-encoding raw volumes is not allowed"
-        )
-    save_array(grid, path)
-    return grid
-
-
-def _load_cached_grid(path: Path, entry, encoder: EncoderParams) -> FeatureGrid:
-    """A persisted grid; one the built-in encoder made must match ``encoder``.
-    One ingested from the entry's external ``features`` file is taken as it is.
-    """
-    grid = load_array(path, FeatureGrid)
-    if entry.features is None:
+        grid = load_array(path, FeatureGrid)
         want = (encoder.patch_size,) * 3
-        if grid.patch_size != want or grid.channels != encoder.channels:
+        if entry.features is None and (grid.patch_size != want or grid.channels != encoder.channels):
             raise ValueError(
                 f"stale feature grid for {entry.vol_id!r} in {path}: it has "
                 f"patch_size {grid.patch_size} and {grid.channels} channels, but the "
                 f"encoder config has patch_size {want} and {encoder.channels} channels"
             )
+        return grid
+    if vol is None:
+        raise FileNotFoundError(
+            f"{path}: no feature grid for {entry.vol_id!r}; only the initial round makes grids"
+        )
+    if entry.features is not None:
+        grid = encoder_mod.ingest_external_features(manifest.resolve(entry.features), vol.shape)
+    else:
+        grid = encoder_mod.extract_feature_grid(vol, encoder, scalars)
+    save_array(grid, path)
     return grid
-
-
-def _load_entry(
-    config: PipelineConfig,
-    manifest: DatasetManifest,
-    entry: VolumeEntry,
-    extract_allowed: bool,
-) -> tuple[TrainVolumeData, FeatureGrid]:
-    """One manifest entry's factorized voxel features and feature grid.
-
-    The z-score scalars of the intensity volume are computed once; the
-    encoder, when it runs, and the voxel features share them.  The grid comes
-    from ``entry_grid`` at ``_grid_path``; the voxel features hold its values
-    as their cell table, so the caller need not keep it.  Only the float32
-    intensities are kept; no whole-volume float64 array outlives the scalar
-    pass.
-    """
-    vol = load_array(manifest.resolve(entry.intensity), IntensityVolume)
-    scalars = encoder_mod.zscore_scalars(vol.data)
-    path = _grid_path(config, entry.vol_id)
-    grid = entry_grid(entry, manifest, vol, config.encoder, path, extract_allowed, scalars)
-    return TrainVolumeData.from_volume(entry.vol_id, vol, grid, scalars), grid
 
 
 def _grid_path(config: PipelineConfig, vol_id: str) -> Path:
@@ -245,18 +217,24 @@ class PipelineContext:
 def build_context(config: PipelineConfig, extract_allowed: bool = True) -> PipelineContext:
     """Load every manifest entry, in manifest order, and check the labels.
 
-    Grids are computed (or ingested) at most once per volume and persisted
-    under ``<out>/features``, so later rounds and resumed processes reload
-    them instead of touching the extractor again; ``extract_allowed=False``
-    makes a missing grid an error.  Each volume's global feature is computed
-    from its grid as it is loaded.
+    Each volume's grid comes from ``entry_grid`` at ``_grid_path``, which is
+    given the volume only when ``extract_allowed``: round 0 makes the grids
+    it lacks, and a later context refuses a missing one by file.  The
+    volume's z-score scalars are computed once; the encoder, when it runs,
+    and the voxel features share them.  The voxel features hold the grid's
+    values as their cell table and the global feature is computed from it,
+    so the grid is not kept; nor is any whole-volume float64 array.
     """
     t0 = time.perf_counter()
     manifest, labeled_id, gt, truth = _load_inputs(config)
     (config.out_dir / "features").mkdir(parents=True, exist_ok=True)
     features, global_features = {}, {}
     for entry in manifest.entries:
-        features[entry.vol_id], grid = _load_entry(config, manifest, entry, extract_allowed)
+        vol = load_array(manifest.resolve(entry.intensity), IntensityVolume)
+        scalars = encoder_mod.zscore_scalars(vol.data)
+        path = _grid_path(config, entry.vol_id)
+        grid = entry_grid(entry, manifest, config.encoder, path, vol if extract_allowed else None, scalars)
+        features[entry.vol_id] = TrainVolumeData.from_volume(entry.vol_id, vol, grid, scalars)
         global_features[entry.vol_id] = global_feature(grid)
     encoder_mod.uniform_channel_count(features)
     gt_path = manifest.resolve(manifest.labeled_entry().label)
@@ -621,9 +599,6 @@ def run_round(
     if ctx is None:
         ctx = build_context(config, extract_allowed=False)
     pool = _pool_ids(ctx)
-    missing = set(pool) - prev.labels.keys()
-    if missing:
-        raise ValueError(f"previous round lacks labels for {sorted(missing)}")
 
     # fresh model trained from scratch on the current pseudo-label set
     t0 = time.perf_counter()
@@ -690,12 +665,10 @@ def refine_round(config: PipelineConfig, round_index: int) -> RoundState:
         timings=dict(prev.timings),
     )
     manifest, labeled_id, gt, truth = _load_inputs(config)
-    grids = {}
-    for entry in manifest.entries:
-        path = _grid_path(config, entry.vol_id)
-        if not path.is_file():
-            raise FileNotFoundError(f"{path}: no feature grid for {entry.vol_id!r} to vote with")
-        grids[entry.vol_id] = _load_cached_grid(path, entry, config.encoder)
+    grids = {
+        e.vol_id: entry_grid(e, manifest, config.encoder, _grid_path(config, e.vol_id))
+        for e in manifest.entries
+    }
     encoder_mod.uniform_channel_count(grids)
     globals_ = {vol_id: global_feature(grid) for vol_id, grid in grids.items()}
     return _vote_and_persist(replace(config, refine=True), state, log, labeled_id, gt, globals_, truth)

@@ -3,14 +3,17 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from protoloop import cli, pipeline, volume
+from protoloop import __version__, cli, pipeline, volume
 from protoloop.cli import dispatch
 from protoloop.phantom import ClassShape, PhantomSpec, save_spec
 from protoloop.specialist import load_params
@@ -79,6 +82,23 @@ def test_help_and_version_exit_zero(capsys):
     assert dispatch(["--version"]) == 0
     out = capsys.readouterr().out
     assert "protoloop" in out
+
+
+def test_python_m_runs_the_cli():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "protoloop.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120, check=False,
+        )
+
+    version = run("--version")
+    assert (version.returncode, version.stdout) == (0, f"protoloop {__version__}\n")
+    unknown = run("frobnicate")
+    assert unknown.returncode == 1 and "error" in unknown.stderr
 
 
 def test_usage_errors_exit_one(capsys):
@@ -557,10 +577,23 @@ def _refused(out, capsys, file, *named):
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
+def _grid_refused(out, capsys, grid):
+    """``round --prev round_0 --force`` and ``refine`` of round 1 on ``out``
+    exit 1 naming ``grid``, and change no file: a missing grid is not made again."""
+    before = _tree(out)
+    for argv in (
+        ["round", "--prev", str(out / "round_0"), "--force"],
+        ["refine", "--round", str(out / "round_1"), "--force"],
+    ):
+        assert dispatch(argv) == 1
+        assert str(grid) in capsys.readouterr().err, argv
+        assert _tree(out) == before, argv
+
+
 @pytest.mark.parametrize("stale", [False, True], ids=["missing", "stale"])
 def test_refine_refuses_a_missing_or_stale_grid_by_name(finished_run, tmp_path, capsys, stale):
-    """The vote's global features come from the grids; a grid ``round`` would
-    refuse is refused."""
+    """The vote's global features come from the grids; ``round`` and
+    ``refine`` refuse the same grids, by file."""
     out = tmp_path / "run"
     shutil.copytree(finished_run, out)
     grid = out / "features" / "vol_002.features.vxar"
@@ -568,10 +601,34 @@ def test_refine_refuses_a_missing_or_stale_grid_by_name(finished_run, tmp_path, 
     if stale:  # a grid of another channel count than the run's encoder makes
         data = np.zeros((2, 3, 3, 3), np.float32)
         volume.save_array(volume.FeatureGrid(2, Shape3(3, 3, 3), data), grid)
-    before = _tree(out)
-    assert dispatch(["refine", "--round", str(out / "round_1"), "--force"]) == 1
-    assert str(grid) in capsys.readouterr().err
-    assert _tree(out) == before
+    _grid_refused(out, capsys, grid)
+
+
+@pytest.fixture(scope="module")
+def external_run(dataset, tmp_path_factory):
+    """A finished run whose manifest gives ``vol_002`` an external ``features`` file."""
+    root = tmp_path_factory.mktemp("cli_external")
+    data = root / "data"
+    shutil.copytree(dataset, data)
+    encoded = root / "encoded"
+    assert dispatch(["encode", "--manifest", str(data / "manifest.json"), "--out", str(encoded), "--patch", "4"]) == 0
+    shutil.copy(encoded / "vol_002.features.vxar", data / "vol_002.ext.vxar")
+    doc = json.loads((data / "manifest.json").read_text())
+    (entry,) = [v for v in doc["volumes"] if v["id"] == "vol_002"]
+    entry["features"] = "vol_002.ext.vxar"
+    (data / "manifest.json").write_text(json.dumps(doc))
+    out = root / "run"
+    assert dispatch(_run_args(data, out)) == 0
+    return out
+
+
+def test_a_deleted_external_grid_is_refused_not_ingested_again(external_run, tmp_path, capsys):
+    """After round 0 only the persisted grid is read, not the entry's own file."""
+    out = tmp_path / "run"
+    shutil.copytree(external_run, out)
+    grid = out / "features" / "vol_002.features.vxar"
+    grid.unlink()
+    _grid_refused(out, capsys, grid)
 
 
 _DELETE = object()

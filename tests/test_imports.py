@@ -14,6 +14,9 @@ layout, which ``pipeline`` alone knows.
 
 Every function name ``bench/spans.py`` derives a metric from is a function in
 its module's ``__all__``, but for a listed few whose functions are gone.
+Under src/, only ``pipeline.entry_grid`` makes a feature grid or reads a
+persisted one; ``encoder.ingest_external_features``, which it calls, reads
+the entry's own file.
 
 A fresh interpreter that imports the package and runs a pipeline loads no
 scipy module; only a surface distance loads ``scipy.spatial``.
@@ -212,6 +215,62 @@ def test_every_traced_name_is_a_public_function():
         return fn in getattr(module, "__all__", ()) and inspect.isfunction(getattr(module, fn, None))
 
     assert {name for name in names if not public_function(name)} == DEAD_TRACED
+
+
+GRID_MAKERS = ("extract_feature_grid", "ingest_external_features")
+
+
+def grid_calls(source: str, module: str) -> set[tuple[str, str]]:
+    """``(callee, caller)`` for each call of a ``GRID_MAKERS`` function, and of
+    ``load_array`` with the kind ``FeatureGrid``, made in ``module``: the caller
+    is the dotted name of the innermost function around the call, or ``module``."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                kinds = child.args[1:2] + [k.value for k in child.keywords if k.arg == "kind"]
+                if name in GRID_MAKERS:
+                    found.add((name, where))
+                elif name == "load_array" and any(getattr(k, "id", None) == "FeatureGrid" for k in kinds):
+                    found.add(("load_array(FeatureGrid)", where))
+            visit(child, where)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_grid_calls_finds_each_caller():
+    source = (
+        "def f(v):\n    return encoder_mod.extract_feature_grid(v)\n"
+        "def g(p):\n    def h():\n        ingest_external_features(p)\n"
+        "    load_array(p, FeatureGrid)\n    load_array(p, LabelVolume)\n"
+        "def k(p):\n    return load_array(p, kind=FeatureGrid), extract(p)\n"
+        "x = extract_feature_grid(1)\n"
+    )
+    assert grid_calls(source, "m") == {
+        ("extract_feature_grid", "m.f"),
+        ("ingest_external_features", "m.g.h"),
+        ("load_array(FeatureGrid)", "m.g"),
+        ("load_array(FeatureGrid)", "m.k"),
+        ("extract_feature_grid", "m"),
+    }
+
+
+def test_only_entry_grid_makes_or_reads_a_grid():
+    # after round 0 a missing grid is refused by entry_grid; a second path to
+    # the encoder or to a grid file could make it again, or skip that check
+    found = set().union(*(grid_calls(p.read_text(), p.stem) for p in SOURCES))
+    assert found == {
+        ("extract_feature_grid", "pipeline.entry_grid"),
+        ("ingest_external_features", "pipeline.entry_grid"),
+        ("load_array(FeatureGrid)", "pipeline.entry_grid"),
+        ("load_array(FeatureGrid)", "encoder.ingest_external_features"),
+    }
 
 
 SCIPY_PROBE = """

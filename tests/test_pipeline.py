@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import gc
 import json
+import re
 import shutil
 import tracemalloc
 import weakref
@@ -586,6 +587,20 @@ def test_resume_after_round0_matches(dataset, main_run, tmp_path):
     assert state1.partition == states[1].partition
 
 
+def test_round_refuses_a_previous_round_lacking_a_pool_id(dataset, main_run, tmp_path):
+    """Training refuses a pool volume with no pseudo-label before anything is written."""
+    _, out = main_run
+    resumed = tmp_path / "resumed"
+    resumed.mkdir()
+    shutil.copytree(out / "features", resumed / "features")
+    shutil.copytree(out / "round_0", resumed / "round_0")
+    prev = load_round_state(resumed, 0)
+    del prev.labels["vol_002"]
+    with pytest.raises(ValueError, match=r"pseudo-labels missing for \['vol_002'\]"):
+        run_round(_config(dataset, resumed), 1, prev)
+    assert sorted(p.name for p in resumed.iterdir()) == ["features", "round_0"]
+
+
 def test_refine_ablation_keeps_raw(dataset, main_run, tmp_path, monkeypatch):
     states, _ = main_run
     out = tmp_path / "norefine"
@@ -618,19 +633,25 @@ def test_refine_ablation_keeps_raw(dataset, main_run, tmp_path, monkeypatch):
 
 def test_offline_contract_blocks_reencoding(dataset, tmp_path):
     config = _config(dataset, tmp_path / "run")
-    with pytest.raises(RuntimeError, match="not allowed"):
+    grid = tmp_path / "run" / "features" / "vol_000.features.vxar"
+    calls = encoder_mod.extract_call_count()
+    with pytest.raises(FileNotFoundError, match=re.escape(f"{grid}: no feature grid for 'vol_000'")):
         build_context(config, extract_allowed=False)
+    assert encoder_mod.extract_call_count() == calls
+    assert not grid.exists()
 
 
 def test_offline_contract_blocks_reencoding_a_deleted_grid(dataset, tmp_path):
     config = _config(dataset, tmp_path / "run")
     build_context(config)
     build_context(config, extract_allowed=False)  # every grid cached: no extraction
-    (tmp_path / "run" / "features" / "vol_001.features.vxar").unlink()
+    grid = tmp_path / "run" / "features" / "vol_001.features.vxar"
+    grid.unlink()
     calls = encoder_mod.extract_call_count()
-    with pytest.raises(RuntimeError, match="'vol_001' missing after the initial round"):
+    with pytest.raises(FileNotFoundError, match=re.escape(f"{grid}: no feature grid for 'vol_001'")):
         build_context(config, extract_allowed=False)
     assert encoder_mod.extract_call_count() == calls
+    assert not grid.exists()
 
 
 def test_rerun_requires_force(dataset, main_run, tmp_path):
