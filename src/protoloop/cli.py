@@ -11,18 +11,16 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from pathlib import Path
 
 from . import __version__
-from .encoder import EncoderParams, uniform_channel_count
+from .encoder import EncoderParams
 from .metrics import evaluate_pair, format_table, summarize_reports
 from .phantom import generate, load_spec
 from .pipeline import (
     PipelineConfig,
-    entry_grid,
     load_round_state,
     load_run_config,
     parse_round_dir,
@@ -34,7 +32,7 @@ from .pipeline import (
     start_run,
 )
 from .specialist import TrainConfig
-from .volume import IntensityVolume, LabelVolume, load_array, load_manifest
+from .volume import LabelVolume, load_array
 
 __all__ = ["dispatch", "main"]
 
@@ -50,18 +48,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_encoder_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--patch", type=int, default=EncoderParams.patch_size,
-                   help="patch size in voxels (default %(default)s)")
-    p.add_argument(
-        "--no-position", action="store_true", help="drop the positional feature channels"
-    )
-
-
-def _encoder_params(args) -> EncoderParams:
-    return EncoderParams(patch_size=args.patch, include_position=not args.no_position)
-
-
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     """Every run setting, with the library's defaults, so ``init`` records what ``run`` does."""
     p.add_argument("--manifest", required=True, help="dataset manifest JSON")
@@ -69,7 +55,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=PipelineConfig.seed)
     p.add_argument("--truth", default=None, help="ground-truth label dir (quality tracking)")
     p.add_argument("--no-refine", action="store_true", help="disable pseudo-label refinement")
+    p.add_argument("--no-position", action="store_true", help="drop the positional feature channels")
     for flag, kind, default, text in (
+        ("--patch", int, EncoderParams.patch_size, "patch size in voxels"),
         ("--k", int, PipelineConfig.knn, "refinement neighbors"),
         ("--q-unc", float, PipelineConfig.q_unc, "certainty quantile"),
         ("--iters", int, TrainConfig.iterations, "training iterations per round"),
@@ -77,7 +65,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     ):
         p.add_argument(flag, type=kind, default=default, help=f"{text} (default %(default)s)")
     p.add_argument("--force", action="store_true", help="overwrite existing outputs")
-    _add_encoder_flags(p)
 
 
 def _pipeline_config(args, rounds: int) -> PipelineConfig:
@@ -85,7 +72,7 @@ def _pipeline_config(args, rounds: int) -> PipelineConfig:
         manifest_path=args.manifest,
         out_dir=args.out,
         rounds=rounds,
-        encoder=_encoder_params(args),
+        encoder=EncoderParams(patch_size=args.patch, include_position=not args.no_position),
         train=TrainConfig(iterations=args.iters, batch_voxels=args.batch),
         knn=args.k,
         q_unc=args.q_unc,
@@ -106,25 +93,6 @@ def _cmd_synth(args) -> int:
     spec = load_spec(args.spec)
     manifest, _ = generate(spec, out)
     print(f"wrote {len(manifest.entries)} volumes to {out}")
-    return 0
-
-
-def _cmd_encode(args) -> int:
-    manifest = load_manifest(args.manifest)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    params = _encoder_params(args)
-    grids = {}
-    for entry in manifest.entries:
-        target = out / f"{entry.vol_id}.features.vxar"
-        if target.exists():
-            if not args.force:
-                raise FileExistsError(f"{target} exists; pass --force to overwrite")
-            target.unlink()  # encode always makes a fresh grid
-        vol = load_array(manifest.resolve(entry.intensity), IntensityVolume)
-        grids[entry.vol_id] = entry_grid(entry, manifest, params, target, vol)
-    uniform_channel_count(grids)
-    print(f"encoded {len(grids)} volumes into {out}")
     return 0
 
 
@@ -199,56 +167,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _svg_line_chart(series: dict[str, list[tuple[float, float]]], title: str) -> str:
-    """A dependency-free SVG line chart; rounds on x, Dice on y."""
-    width, height, pad = 480, 320, 48
-    xs = [x for pts in series.values() for x, _ in pts]
-    ys = [y for pts in series.values() for _, y in pts]
-    if not xs:
-        raise ValueError("nothing to plot")
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = 0.0, max(1.0, max(ys))
-    span_x = (x1 - x0) or 1.0
-
-    def px(x):
-        return pad + (x - x0) / span_x * (width - 2 * pad)
-
-    def py(y):
-        return height - pad - (y - y0) / (y1 - y0) * (height - 2 * pad)
-
-    colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd"]
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2}" y="20" text-anchor="middle" font-size="14">{title}</text>',
-        f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" y2="{height - pad}" stroke="black"/>',
-        f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" stroke="black"/>',
-    ]
-    for tick in range(int(x0), int(x1) + 1):
-        parts.append(
-            f'<text x="{px(tick)}" y="{height - pad + 16}" text-anchor="middle" '
-            f'font-size="10">{tick}</text>'
-        )
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        y = y0 + frac * (y1 - y0)
-        parts.append(
-            f'<text x="{pad - 6}" y="{py(y) + 3}" text-anchor="end" font-size="10">{y:.2f}</text>'
-        )
-    for i, (name, pts) in enumerate(sorted(series.items())):
-        color = colors[i % len(colors)]
-        path = " ".join(f"{px(x):.1f},{py(y):.1f}" for x, y in pts)
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{path}"/>'
-        )
-        parts.append(
-            f'<text x="{width - pad}" y="{pad + 14 * i}" text-anchor="end" '
-            f'font-size="11" fill="{color}">{name}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
 def _rounds_text(rows: list[dict]) -> str:
     def fmt(x):
         return "-" if x is None else f"{x:.4f}"
@@ -264,7 +182,7 @@ def _rounds_text(rows: list[dict]) -> str:
 
 
 def _cmd_report(args) -> int:
-    """Tabulate the run's rounds from their state files; nothing is written unless all can be."""
+    """Tabulate the run's rounds from their state files and write them to ``report.csv``."""
     run_dir = Path(args.run)
     rows = [  # run_table's rows, with the timings collapsed into two columns
         {k: v for k, v in row.items() if k != "timings"}
@@ -276,25 +194,15 @@ def _cmd_report(args) -> int:
     ]
     if not rows:
         raise ValueError(f"{run_dir} holds no round directory")
-    buf = io.StringIO(newline="")
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
-    writer.writeheader()
-    writer.writerows(rows)
-    outputs = {run_dir / "report.csv": buf.getvalue()}
-    if args.plot:
-        series = {
-            key: points
-            for key in ("pseudo_label_dice", "model_dice")
-            if (points := [(r["round"], r[key]) for r in rows if r[key] is not None])
-        }
-        outputs[run_dir / "report.svg"] = _svg_line_chart(series, "per-round quality")
-    for path in outputs:
-        if path.exists() and not args.force:
-            raise FileExistsError(f"{path} exists; pass --force to overwrite")
-    for path, text in outputs.items():
-        path.write_text(text, newline="")
+    path = run_dir / "report.csv"
+    if path.exists() and not args.force:
+        raise FileExistsError(f"{path} exists; pass --force to overwrite")
+    with path.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
     print(_rounds_text(rows))
-    print("wrote " + ", ".join(map(str, outputs)))
+    print(f"wrote {path}")
     return 0
 
 
@@ -311,13 +219,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("encode", help="extract or ingest feature grids for a manifest")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--force", action="store_true")
-    _add_encoder_flags(p)
-    p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("init", help="run the propagation round (round 0) only")
     _add_run_flags(p)
@@ -346,9 +247,8 @@ def build_parser() -> _Parser:
     p.add_argument("--json", default=None, help="also write the summary as JSON")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("report", help="emit per-round CSV (and SVG chart) for a run")
+    p = sub.add_parser("report", help="emit a per-round CSV for a run")
     p.add_argument("--run", required=True)
-    p.add_argument("--plot", action="store_true")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_report)
 

@@ -16,7 +16,8 @@ round's labels while a round runs.  ``_persist_round``
 is the one writer of a round directory: it writes the whole round under a
 temp name and renames it into place, so a crash never corrupts a persisted
 round, and a round replaced by ``run_round`` (with ``force``) or
-``refine_round`` is swapped out only once the new one is complete.  Only
+``refine_round`` is swapped out only once the new one is complete; the
+rounds after it, built on the old one, are then removed.  Only
 this module knows the run directory's layout, whose round directories are the
 run's record: ``run_table`` tabulates them.
 """
@@ -300,6 +301,7 @@ def _atomic_write_dir(out_dir: Path, name: str, writer) -> Path:
 
 
 _ROUND_DIR = re.compile(r"round_(0|[1-9][0-9]*)")
+_ROUND_ENTRY = re.compile(_ROUND_DIR.pattern + r"(?:\.old|\.tmp)?")
 
 
 def parse_round_dir(path: str | Path) -> tuple[Path, int]:
@@ -309,6 +311,17 @@ def parse_round_dir(path: str | Path) -> tuple[Path, int]:
     if match is None:
         raise ValueError(f"{path} is not a round directory (round_<r>)")
     return path.parent, int(match.group(1))
+
+
+def _later_rounds(out_dir: Path, round_index: int) -> list[Path]:
+    """Every ``round_<k>``, ``round_<k>.old`` and ``round_<k>.tmp`` directory with
+    k > ``round_index``, highest k first."""
+    later = []
+    for path in out_dir.iterdir():
+        match = _ROUND_ENTRY.fullmatch(path.name)
+        if match and path.is_dir() and int(match.group(1)) > round_index:
+            later.append((int(match.group(1)), path))
+    return [path for _, path in sorted(later, reverse=True)]
 
 
 def _restore_round(out_dir: Path, round_index: int) -> Path:
@@ -406,6 +419,10 @@ def _persist_round(
         _dump_json(tmp / "state.json", doc)
 
     _atomic_write_dir(out_dir, f"round_{r}", writer)
+    # the rounds after r were built on the round just replaced; highest first,
+    # so a crash part-way leaves a run whose rounds are still consecutive
+    for path in _later_rounds(out_dir, r):
+        shutil.rmtree(path)
 
 
 def _read_state(out_dir: Path, round_index: int) -> tuple[Path, dict, Partition | None]:
@@ -587,7 +604,8 @@ def run_round(
 
     The model is seeded ``config.seed ^ round_index``, not ``config.train.seed``.
     An existing round is refused before training unless ``config.force`` is
-    set; it is then replaced once the new round is complete.
+    set; it is then replaced once the new round is complete, and every later
+    round is removed.
     """
     if round_index < 1:
         raise ValueError("round_index must be >= 1; round 0 has its own entry point")
@@ -640,8 +658,8 @@ def refine_round(config: PipelineConfig, round_index: int) -> RoundState:
     are kept; the partition, the labels, ``uncertainty.json``, the audit, the
     ``refine`` timing and the Dice are recomputed as ``run_round`` computes
     them, with the global features of the grids round 0 persisted; a missing
-    or stale grid is refused.  A refined round is refused unless
-    ``config.force`` is set.
+    or stale grid is refused.  A refined round, or one with later rounds,
+    which the rewrite removes, is refused unless ``config.force`` is set.
     """
     if round_index < 1:
         raise ValueError("round 0 labels come from propagation; nothing to refine")
@@ -649,6 +667,10 @@ def refine_round(config: PipelineConfig, round_index: int) -> RoundState:
     prev = load_round_state(config.out_dir, round_index)
     if prev.refined and not config.force:
         raise FileExistsError(f"{round_dir} is already refined; pass force to redo")
+    later = _later_rounds(config.out_dir, round_index)
+    if later and not config.force:
+        names = ", ".join(path.name for path in later)
+        raise FileExistsError(f"{round_dir} has later rounds ({names}) that a refine removes; pass force")
     if prev.uncertainties is None or prev.params is None:
         raise ValueError(f"{round_dir} has no model output to refine")
     log_path = round_dir / "train_log.jsonl"
@@ -739,7 +761,8 @@ def run_table(out_dir: Path) -> list[dict]:
 
 
 def _clear_run_dir(out_dir: Path) -> None:
-    """Remove artifacts of a previous run; only paths this pipeline and ``report`` write."""
+    """Remove artifacts of a previous run; only paths this pipeline and ``report`` write,
+    and ``report.svg``, which an earlier version's ``report --plot`` wrote."""
     for name in ("config.json", "report.json", "report.csv", "report.svg"):
         (out_dir / name).unlink(missing_ok=True)
     for p in list(out_dir.glob("round_*")) + [out_dir / "features"]:

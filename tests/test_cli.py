@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, file outputs, reruns, env fallbacks."""
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from protoloop import __version__, cli, pipeline, volume
+from protoloop import __version__, cli, encoder, pipeline, volume
 from protoloop.cli import dispatch
 from protoloop.phantom import ClassShape, PhantomSpec, save_spec
 from protoloop.specialist import load_params
@@ -143,7 +144,7 @@ def test_bad_manifest_leaves_nothing_then_run_succeeds(dataset, tmp_path, capsys
 @pytest.mark.parametrize("labeled", [0, 2])
 def test_manifest_without_exactly_one_label_leaves_nothing(dataset, tmp_path, capsys, labeled):
     """An ``"exactly_one_labeled": false`` a manifest may still carry is ignored:
-    ``init`` and ``encode`` refuse the manifest before writing anything."""
+    ``init`` refuses the manifest before writing anything."""
     doc = json.loads((dataset / "manifest.json").read_text())
     for v in doc["volumes"]:
         for key in ("intensity", "label"):
@@ -159,8 +160,7 @@ def test_manifest_without_exactly_one_label_leaves_nothing(dataset, tmp_path, ca
     argv = _init_args(dataset, tmp_path / "out")
     argv[argv.index("--manifest") + 1] = str(manifest)
     assert dispatch(argv) == 1
-    assert dispatch(["encode", "--manifest", str(manifest), "--out", str(tmp_path / "feats")]) == 1
-    assert capsys.readouterr().err.count(f"{labeled} labeled entries") == 2
+    assert capsys.readouterr().err.count(f"{labeled} labeled entries") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
 
@@ -217,7 +217,7 @@ def test_runtime_failure_exits_two(dataset, tmp_path, monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# synth / encode
+# synth
 
 def test_synth_refuses_rerun_without_force(dataset, tmp_path_factory):
     root = dataset.parent
@@ -232,55 +232,35 @@ def test_synth_bad_spec(tmp_path):
     assert dispatch(["synth", "--spec", str(bad), "--out", str(tmp_path / "d")]) == 1
 
 
-def test_encode_writes_grids_and_globals(dataset, finished_run, tmp_path, capsys):
-    """``encode`` writes the grids the run writes; the global features come
-    from those grids, so no other file is written."""
-    out = tmp_path / "feats"
-    argv = ["encode", "--manifest", str(dataset / "manifest.json"), "--out", str(out), "--patch", "4"]
-    assert dispatch(argv) == 0
-    names = sorted(f"vol_{i:03d}.features.vxar" for i in range(4))
-    assert sorted(p.name for p in out.iterdir()) == names
-    for name in names:
-        assert (out / name).read_bytes() == (finished_run / "features" / name).read_bytes()
-    assert dispatch(argv) == 1  # refuses to overwrite
-    assert dispatch(argv + ["--force"]) == 0
 
+# ---------------------------------------------------------------------------
+# init / run
 
-def test_encode_refuses_a_label_file_as_intensity(dataset, tmp_path, capsys):
-    doc = json.loads((dataset / "manifest.json").read_text())
-    for v in doc["volumes"]:
-        v["intensity"] = str(dataset / v["intensity"])
-    label = str(dataset / doc["volumes"][0]["label"])
-    doc["volumes"][1]["intensity"] = label
-    manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps(doc))
-    out = tmp_path / "f"
-    assert dispatch(["encode", "--manifest", str(manifest), "--out", str(out)]) == 1
-    assert f"{label}: holds LabelVolume, expected IntensityVolume" in capsys.readouterr().err
-    assert not (out / "vol_001.features.vxar").exists()
-
-
-def test_encode_force_replaces_grids_of_another_patch(dataset, tmp_path):
-    # --force makes fresh grids; an old grid of another patch is not "reused"
-    manifest = str(dataset / "manifest.json")
-    argv = ["encode", "--manifest", manifest, "--out", str(tmp_path / "f")]
-    assert dispatch(argv + ["--patch", "6"]) == 0
-    assert dispatch(argv + ["--patch", "4", "--force"]) == 0
-    assert dispatch(["encode", "--manifest", manifest, "--out", str(tmp_path / "g"), "--patch", "4"]) == 0
-    for name in [f"vol_{i:03d}.features.vxar" for i in range(4)]:
-        assert (tmp_path / "f" / name).read_bytes() == (tmp_path / "g" / name).read_bytes()
+def _write_grids(dataset, features_dir, patch):
+    """Each manifest volume's grid at ``patch``, extracted and saved by the library."""
+    manifest = volume.load_manifest(dataset / "manifest.json")
+    features_dir.mkdir(parents=True)
+    for entry in manifest.entries:
+        vol = volume.load_array(manifest.resolve(entry.intensity), volume.IntensityVolume)
+        grid = encoder.extract_feature_grid(vol, encoder.EncoderParams(patch_size=patch))
+        volume.save_array(grid, features_dir / f"{entry.vol_id}.features.vxar")
 
 
 def test_run_reuses_encoded_grids_and_refuses_stale_ones(dataset, finished_run, tmp_path, capsys):
-    manifest = str(dataset / "manifest.json")
     fresh = tmp_path / "fresh"
-    assert dispatch(["encode", "--manifest", manifest, "--out", str(fresh / "features"), "--patch", "4"]) == 0
+    _write_grids(dataset, fresh / "features", 4)
+    names = sorted(f"vol_{i:03d}.features.vxar" for i in range(4))
+    for name in names:  # the library's grids are the run's
+        assert (fresh / "features" / name).read_bytes() == (finished_run / "features" / name).read_bytes()
+    calls = encoder.extract_call_count()
     assert dispatch(_run_args(dataset, fresh)) == 0
+    assert encoder.extract_call_count() == calls  # every grid was reused
+    assert sorted(p.name for p in (fresh / "features").iterdir()) == names
     for path in (finished_run / "round_1").glob("*.label"):
         assert (fresh / "round_1" / path.name).read_bytes() == path.read_bytes()
 
     stale = tmp_path / "stale"
-    assert dispatch(["encode", "--manifest", manifest, "--out", str(stale / "features"), "--patch", "6"]) == 0
+    _write_grids(dataset, stale / "features", 6)
     capsys.readouterr()
     assert dispatch(_run_args(dataset, stale)) == 1  # run asks for patch 4
     err = capsys.readouterr().err
@@ -289,22 +269,42 @@ def test_run_reuses_encoded_grids_and_refuses_stale_ones(dataset, finished_run, 
     assert not (stale / "round_0").exists()
 
 
-# ---------------------------------------------------------------------------
-# init / run
+def test_init_refuses_a_label_file_as_intensity(dataset, tmp_path, capsys):
+    doc = json.loads((dataset / "manifest.json").read_text())
+    for v in doc["volumes"]:
+        for key in ("intensity", "label"):
+            if v.get(key):
+                v[key] = str(dataset / v[key])
+    label = doc["volumes"][0]["label"]
+    doc["volumes"][1]["intensity"] = label
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    argv = _init_args(dataset, out)
+    argv[argv.index("--manifest") + 1] = str(manifest)
+    assert dispatch(argv) == 1
+    assert f"{label}: holds LabelVolume, expected IntensityVolume" in capsys.readouterr().err
+    assert not (out / "features" / "vol_001.features.vxar").exists() and not (out / "round_0").exists()
 
-def test_init_runs_round0_only(dataset, tmp_path):
+def test_init_runs_round0_only(dataset, finished_run, tmp_path):
     out = tmp_path / "run"
     argv = [
         "init",
         "--manifest", str(dataset / "manifest.json"),
         "--out", str(out),
-        "--patch", "4",
+        "--patch", "6",
     ]
     assert dispatch(argv) == 0
     assert (out / "round_0").exists() and (out / "config.json").exists()
     assert not (out / "round_1").exists()
+    argv[argv.index("--patch") + 1] = "4"
     assert dispatch(argv) == 1
     assert dispatch(argv + ["--force"]) == 0
+    # --force makes fresh grids: the old ones, of another patch, are not reused
+    grids = sorted((out / "features").iterdir())
+    assert [p.name for p in grids] == [f"vol_{i:03d}.features.vxar" for i in range(4)]
+    for path in grids:
+        assert path.read_bytes() == (finished_run / "features" / path.name).read_bytes()
 
 
 def test_init_refuses_a_dir_holding_only_a_later_round(dataset, tmp_path, capsys):
@@ -358,12 +358,32 @@ def test_threads_flag_is_gone(dataset, tmp_path):
     assert dispatch(_run_args(dataset, tmp_path / "r", "--threads", "2")) == 1
 
 
+def test_encode_command_is_gone(dataset, tmp_path):
+    # round 0 makes every grid; there is no second way to write one
+    argv = ["encode", "--manifest", str(dataset / "manifest.json"), "--out", str(tmp_path / "f")]
+    assert dispatch(argv) == 1
+    assert dispatch(argv + ["--patch", "4", "--force"]) == 1
+    assert not any(tmp_path.iterdir())
+
+
+def test_report_plot_flag_is_gone(finished_run, tmp_path):
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    before = _tree(run)
+    assert dispatch(["report", "--run", str(run), "--plot"]) == 1
+    assert dispatch(["report", "--run", str(run), "--plot", "--force"]) == 1
+    assert _tree(run) == before
+
+
+def test_the_subcommands_are_these_seven():
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == ["synth", "init", "run", "round", "refine", "eval", "report"]
+
+
 def test_position_weight_flag_is_gone(dataset, tmp_path):
     assert dispatch(_run_args(dataset, tmp_path / "r", "--position-weight", "0.5")) == 1
     assert dispatch(_init_args(dataset, tmp_path / "r", "--position-weight", "0.5")) == 1
-    argv = ["encode", "--manifest", str(dataset / "manifest.json"), "--out", str(tmp_path / "f")]
-    assert dispatch(argv + ["--position-weight", "0.5"]) == 1
-    assert not (tmp_path / "r").exists() and not (tmp_path / "f").exists()
+    assert not (tmp_path / "r").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -610,11 +630,11 @@ def external_run(dataset, tmp_path_factory):
     root = tmp_path_factory.mktemp("cli_external")
     data = root / "data"
     shutil.copytree(dataset, data)
-    encoded = root / "encoded"
-    assert dispatch(["encode", "--manifest", str(data / "manifest.json"), "--out", str(encoded), "--patch", "4"]) == 0
-    shutil.copy(encoded / "vol_002.features.vxar", data / "vol_002.ext.vxar")
     doc = json.loads((data / "manifest.json").read_text())
     (entry,) = [v for v in doc["volumes"] if v["id"] == "vol_002"]
+    vol = volume.load_array(data / entry["intensity"], volume.IntensityVolume)
+    grid = encoder.extract_feature_grid(vol, encoder.EncoderParams(patch_size=4))
+    volume.save_array(grid, data / "vol_002.ext.vxar")
     entry["features"] = "vol_002.ext.vxar"
     (data / "manifest.json").write_text(json.dumps(doc))
     out = root / "run"
@@ -773,6 +793,54 @@ def test_refine_command_rewrites_round(dataset, tmp_path):
     assert dispatch(argv + ["--force"]) == 0
 
 
+def _rounds(run_dir):
+    return sorted(p.name for p in run_dir.iterdir() if p.name.startswith("round_"))
+
+
+def test_refine_retires_the_rounds_after_it(dataset, tmp_path, capsys):
+    """Rewriting round 1 of a two-round run removes round 2, which was trained
+    on the old round 1's labels; no round can then continue from it."""
+    out = tmp_path / "run"
+    assert dispatch(_run_args(dataset, out, "--rounds", "2")) == 0
+    argv = ["refine", "--round", str(out / "round_1"), "--k", "1", "--q-unc", "0.2", "--force"]
+    assert dispatch(argv) == 0
+    assert _rounds(out) == ["round_0", "round_1"]
+    assert dispatch(["report", "--run", str(out)]) == 0
+    assert [row["round"] for row in _report_csv(out)] == ["0", "1"]
+    capsys.readouterr()
+    assert dispatch(["round", "--prev", str(out / "round_2")]) == 1
+    assert "round_2" in capsys.readouterr().err
+    assert _rounds(out) == ["round_0", "round_1"]
+
+
+def test_refine_of_an_unrefined_round_with_later_rounds_needs_force(dataset, tmp_path, capsys):
+    out = tmp_path / "plain"
+    assert dispatch(_run_args(dataset, out, "--no-refine", "--rounds", "2")) == 0
+    before = _tree(out)
+    argv = ["refine", "--round", str(out / "round_1"), "--q-unc", "0.5", "--k", "2"]
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert "later rounds (round_2)" in err and "force" in err
+    assert _tree(out) == before
+    assert dispatch(argv + ["--force"]) == 0
+    assert _rounds(out) == ["round_0", "round_1"]
+
+
+def test_round_force_retires_the_rounds_after_it(dataset, tmp_path, capsys):
+    """Leftovers of later rounds go too: a ``round_<k>.old`` that would be
+    renamed back and a ``round_<k>.tmp``."""
+    out = tmp_path / "run"
+    assert dispatch(_run_args(dataset, out, "--rounds", "2")) == 0
+    (out / "round_2").rename(out / "round_2.old")  # a crash between a round 2 rewrite's renames
+    (out / "round_3.tmp").mkdir()
+    assert dispatch(["round", "--prev", str(out / "round_0"), "--force"]) == 0
+    assert _rounds(out) == ["round_0", "round_1"]
+    assert [row["round"] for row in pipeline.run_table(out)] == [0, 1]
+    capsys.readouterr()
+    assert dispatch(["round", "--prev", str(out / "round_2")]) == 1
+    assert _rounds(out) == ["round_0", "round_1"]
+
+
 def _state_rows(run_dir):
     """``run_table``'s rows, rebuilt by hand from the ``state.json`` of every ``round_<r>``."""
     rows = []
@@ -842,10 +910,12 @@ def test_report_after_refine_shows_the_rewritten_round(dataset, tmp_path, capsys
     # the encoder counts describe the run process; no rewrite can change them
     assert (out / "report.json").read_bytes() == counts
     assert dispatch(["round", "--prev", str(out / "round_1")]) == 0
-    assert dispatch(["round", "--prev", str(out / "round_0"), "--force"]) == 0
-    assert (out / "report.json").read_bytes() == counts
     assert dispatch(["report", "--run", str(out), "--force"]) == 0
     assert [row["round"] for row in _report_csv(out)] == ["0", "1", "2"]
+    assert dispatch(["round", "--prev", str(out / "round_0"), "--force"]) == 0  # retires round 2
+    assert (out / "report.json").read_bytes() == counts
+    assert dispatch(["report", "--run", str(out), "--force"]) == 0
+    assert [row["round"] for row in _report_csv(out)] == ["0", "1"]
     assert pipeline.run_table(out) == _state_rows(out)
 
 
@@ -867,23 +937,12 @@ def test_report_opens_no_array_file(dataset, tmp_path, monkeypatch):
     assert opened
 
 
-def test_report_plot_writes_nothing_when_it_refuses(finished_run, tmp_path, capsys):
-    run = tmp_path / "run"
-    shutil.copytree(finished_run, run)
-    for name in ("report.csv", "report.svg"):
-        (run / name).unlink(missing_ok=True)
-    (run / "report.svg").write_text("kept")
-    assert dispatch(["report", "--run", str(run), "--plot"]) == 1
-    assert "report.svg exists" in capsys.readouterr().err
-    assert not (run / "report.csv").exists() and (run / "report.svg").read_text() == "kept"
-
-
 @pytest.mark.parametrize("command", ["run", "init"])
 def test_force_rerun_removes_the_old_report(dataset, tmp_path, capsys, command):
     out = tmp_path / "run"
     assert dispatch(_run_args(dataset, out, "--rounds", "2")) == 0
-    assert dispatch(["report", "--run", str(out), "--plot"]) == 0
-    assert (out / "report.csv").exists() and (out / "report.svg").exists()
+    assert dispatch(["report", "--run", str(out)]) == 0
+    (out / "report.svg").write_text("<svg/>")  # the chart an earlier version's report --plot wrote
     if command == "run":  # a shorter run without truth: the old report's rows and Dice are stale
         rerun = _run_args(dataset, out, "--force")
         rerun.remove("--truth")
@@ -1082,13 +1141,23 @@ def test_eval_disjoint_ids(dataset, tmp_path, capsys):
     assert "share no volume ids" in capsys.readouterr().err
 
 
-def test_report_csv_and_svg(finished_run, capsys):
-    argv = ["report", "--run", str(finished_run), "--plot"]
+def test_report_csv(finished_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    (run / "report.csv").unlink(missing_ok=True)
+    argv = ["report", "--run", str(run)]
     assert dispatch(argv) == 0
-    csv_text = (finished_run / "report.csv").read_text().splitlines()
-    assert csv_text[0].startswith("round,refined,pseudo_label_dice")
-    assert len(csv_text) >= 3  # header + rounds 0..1 (round 2 added by a prior test)
-    svg = (finished_run / "report.svg").read_text()
-    assert svg.startswith("<svg") and "polyline" in svg
-    assert dispatch(argv) == 1  # outputs exist now
+    csv_text = (run / "report.csv").read_text().splitlines()
+    assert csv_text[0] == (
+        "round,refined,pseudo_label_dice,model_dice,threshold,n_certain,n_uncertain,train_s,other_s"
+    )
+    assert [line.split(",")[0] for line in csv_text[1:]] == ["0", "1"]
+    assert sorted(p.name for p in run.iterdir() if p.name.startswith("report")) == ["report.csv", "report.json"]
+    # a refusal writes nothing: the existing file keeps its bytes
+    (run / "report.csv").write_text("kept")
+    capsys.readouterr()
+    assert dispatch(argv) == 1
+    assert "report.csv exists" in capsys.readouterr().err
+    assert (run / "report.csv").read_text() == "kept"
     assert dispatch(argv + ["--force"]) == 0
+    assert (run / "report.csv").read_text().splitlines() == csv_text
