@@ -366,13 +366,21 @@ def test_encode_command_is_gone(dataset, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
-def test_report_plot_flag_is_gone(finished_run, tmp_path):
+def test_report_plot_writes_nothing_when_it_refuses(finished_run, tmp_path, capsys):
+    # --plot is gone: asking for it is refused and leaves the run as it was
     run = tmp_path / "run"
     shutil.copytree(finished_run, run)
     before = _tree(run)
     assert dispatch(["report", "--run", str(run), "--plot"]) == 1
     assert dispatch(["report", "--run", str(run), "--plot", "--force"]) == 1
     assert _tree(run) == before
+    # a refusal of the report itself writes nothing: the existing file keeps its bytes
+    (run / "report.csv").write_text("kept")
+    capsys.readouterr()
+    assert dispatch(["report", "--run", str(run)]) == 1
+    assert "report.csv exists" in capsys.readouterr().err
+    assert (run / "report.csv").read_text() == "kept"
+    assert not (run / "report.svg").exists()
 
 
 def test_the_subcommands_are_these_seven():
@@ -1141,7 +1149,8 @@ def test_eval_disjoint_ids(dataset, tmp_path, capsys):
     assert "share no volume ids" in capsys.readouterr().err
 
 
-def test_report_csv(finished_run, tmp_path, capsys):
+def test_report_csv_and_svg(finished_run, tmp_path):
+    # the report is the CSV alone: no report.svg is written
     run = tmp_path / "run"
     shutil.copytree(finished_run, run)
     (run / "report.csv").unlink(missing_ok=True)
@@ -1153,11 +1162,6 @@ def test_report_csv(finished_run, tmp_path, capsys):
     )
     assert [line.split(",")[0] for line in csv_text[1:]] == ["0", "1"]
     assert sorted(p.name for p in run.iterdir() if p.name.startswith("report")) == ["report.csv", "report.json"]
-    # a refusal writes nothing: the existing file keeps its bytes
-    (run / "report.csv").write_text("kept")
-    capsys.readouterr()
-    assert dispatch(argv) == 1
-    assert "report.csv exists" in capsys.readouterr().err
-    assert (run / "report.csv").read_text() == "kept"
+    assert dispatch(argv) == 1  # the output exists now
     assert dispatch(argv + ["--force"]) == 0
     assert (run / "report.csv").read_text().splitlines() == csv_text
