@@ -71,21 +71,54 @@ class EncoderParams:
         return BASE_CHANNELS + (3 if self.include_position else 0)
 
 
+# Values cast to float64 at a time; at least 128.  numpy adds n > 128
+# contiguous values as the sum of two halves split at n // 2 - (n // 2) % 8,
+# and n <= 128 in one unsplit block, so a leaf of that tree reduced on its own
+# is the sum numpy takes of it inside the whole.
+_LEAF = 1 << 14
+
+
+def _pairwise_sum(n: int, leaf_sum, start: int = 0) -> float:
+    """``np.add.reduce`` of ``n`` contiguous values, bit for bit, from ``leaf_sum(start, m)``.
+
+    The values are split as numpy splits them, down to leaves of at most
+    ``_LEAF``, and the leaves' sums are added in numpy's order.
+    """
+    if n <= _LEAF:
+        return leaf_sum(start, n)
+    n2 = n // 2 - (n // 2) % 8
+    return _pairwise_sum(n2, leaf_sum, start) + _pairwise_sum(n - n2, leaf_sum, start + n2)
+
+
 def zscore_scalars(data: np.ndarray) -> tuple[float, float]:
     """(offset, scale) of the volume-wide z-score ``(float64(data) - offset) / scale``.
 
     They are ``mean()`` and ``std()`` of the float64 cast, bit for bit: the
-    variance takes numpy's own steps (subtract the mean, square, sum, divide
-    by the count), run in place on the cast, so the pass holds one float64
-    copy of the volume instead of two.  A constant volume (std 0) gets
+    sum of the cast and then the sum of its squared deviations from the mean
+    are taken leaf by leaf along numpy's own pairwise tree, each leaf cast
+    into one buffer of ``_LEAF`` float64 values, and divided by the count.
+    No whole-volume float64 array is made.  A constant volume (std 0) gets
     scale 1: every voxel equals the mean exactly, so it maps to ``+0.0``.
     ``apply_zscore`` applies them to any part of the volume.
     """
-    dev = np.array(data, dtype=np.float64)  # a copy, whatever the input's dtype
-    mean = float(dev.mean())
-    dev -= mean
-    dev *= dev
-    std = math.sqrt(float(dev.sum()) / dev.size)
+    flat = np.asarray(data).reshape(-1)
+    n = flat.size
+    buf = np.empty(min(n, _LEAF), dtype=np.float64)
+
+    def cast(start: int, m: int) -> np.ndarray:
+        leaf = buf[:m]
+        leaf[...] = flat[start:start + m]
+        return leaf
+
+    mean = _pairwise_sum(n, lambda start, m: float(np.add.reduce(cast(start, m)))) / n
+
+    def squares(start: int, m: int) -> float:
+        leaf = cast(start, m)
+        leaf -= mean
+        leaf *= leaf
+        return float(np.add.reduce(leaf))
+
+    std = math.sqrt(_pairwise_sum(n, squares) / n)
     return mean, (std if std != 0.0 else 1.0)
 
 

@@ -6,6 +6,14 @@ intensity noise on top of per-class means.  The first volume is the labeled
 template; ground truth for every volume is written to a separate truth
 directory so pipeline quality can be tracked without leaking labels into the
 manifest.
+
+A volume is synthesized one slab of whole d-planes, about ``_SLAB_VOXELS``
+voxels, at a time: its masks are rasterized into a uint8 label volume and
+its classes checked, then its normals are drawn and its class means added
+into a float32 intensity volume.  No float64 array wider than a slab is made,
+and the slab buffers and the float32 volume are reused by every volume of a
+dataset.  The normals are drawn in C order, so the slabs' draws are the
+values of one whole-volume draw and every file is the same byte for byte.
 """
 from __future__ import annotations
 
@@ -115,44 +123,116 @@ class PhantomSpec:
         return int(round(self.hard_fraction * self.num_volumes))
 
 
+# voxels per slab of synthesis: every volume of up to 64^3 voxels is one slab,
+# and a larger one never holds a float64 array of more than 2 MB
+_SLAB_VOXELS = 1 << 18
+
+
+class _Scratch:
+    """One slab's float64 buffer (the mask's squared distances, then the
+    noise) and two bool buffers, and one float32 volume, reused by every
+    volume of a dataset: after the first volume, synthesis touches no new
+    memory but the labels it keeps."""
+
+    def __init__(self, shape: Shape3):
+        d, h, w = shape.as_tuple()
+        step = max(1, _SLAB_VOXELS // (h * w))
+        self.slabs = [(d0, min(d0 + step, d)) for d0 in range(0, d, step)]
+        n = min(step, d) * h * w
+        self.f64 = np.empty(n)
+        self.mask, self.lobe = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+        self.intensity = np.empty((d, h, w), dtype=np.float32)
+
+    def view(self, buf: np.ndarray, d0: int, d1: int) -> np.ndarray:
+        """``buf``'s first voxels shaped as planes [d0, d1)."""
+        _, h, w = self.intensity.shape
+        return buf[: (d1 - d0) * h * w].reshape(d1 - d0, h, w)
+
+
 def _ellipsoid_mask(
-    shape: Shape3, center: np.ndarray, radii: np.ndarray
+    shape: Shape3, center: np.ndarray, radii: np.ndarray, d0: int, q: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """Voxels whose centers (i + 0.5) fall inside the analytic ellipsoid."""
-    axes = [
+    """Voxels of the planes from ``d0`` on whose centers (i + 0.5) fall inside
+    the analytic ellipsoid, in ``out``; ``q`` is float64 scratch of its shape."""
+    dd, hh, ww = (
         ((np.arange(n) + 0.5) - c) / r
         for n, c, r in zip(shape.as_tuple(), center, radii)
-    ]
-    dd, hh, ww = np.meshgrid(*axes, indexing="ij", sparse=True)
-    return dd**2 + hh**2 + ww**2 <= 1.0
+    )
+    dd, hh, ww = np.meshgrid(dd[d0:d0 + len(q)], hh, ww, indexing="ij", sparse=True)
+    np.add(dd**2 + hh**2, ww**2, out=q)
+    return np.less_equal(q, 1.0, out=out)
 
 
-def _rasterize(shape: Shape3, cs: ClassShape, center: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    mask = _ellipsoid_mask(shape, center, radii)
+def _rasterize(
+    shape: Shape3, cs: ClassShape, center: np.ndarray, radii: np.ndarray,
+    scratch: _Scratch, d0: int, d1: int,
+) -> np.ndarray:
+    q = scratch.view(scratch.f64, d0, d1)
+    mask = _ellipsoid_mask(shape, center, radii, d0, q, scratch.view(scratch.mask, d0, d1))
     if cs.family == "two_ellipsoids":
         shifted = center.copy()
         shifted[1] += _LOBE_OFFSET * radii[1]
-        mask = mask | _ellipsoid_mask(shape, shifted, radii * _LOBE_SCALE)
+        mask |= _ellipsoid_mask(
+            shape, shifted, radii * _LOBE_SCALE, d0, q, scratch.view(scratch.lobe, d0, d1)
+        )
     return mask
 
 
-def _volume_labels(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
-    """Jittered class masks; retried until every class is present."""
+def _volume_labels(spec: PhantomSpec, rng: np.random.Generator, scratch: _Scratch) -> np.ndarray:
+    """Jittered class masks; retried until every class is present.
+
+    Each attempt draws every class's jitter first, then rasterizes the
+    classes and checks which are present one slab at a time (rasterizing
+    draws nothing, so the stream is the same as when each class was drawn
+    just before its mask).
+    """
     extents = np.array(spec.shape.as_tuple(), dtype=np.float64)
+    labels = np.empty(spec.shape.as_tuple(), dtype=np.uint8)
     for _ in range(_MAX_JITTER_ATTEMPTS):
-        labels = np.zeros(spec.shape.as_tuple(), dtype=np.uint8)
-        for cls, cs in enumerate(spec.classes, start=1):
+        placed = []
+        for cs in spec.classes:
             center = np.array(cs.center) * extents
             center += rng.uniform(-spec.center_jitter, spec.center_jitter, size=3)
             radii = np.array(cs.radii) + rng.uniform(
                 -spec.radius_jitter, spec.radius_jitter, size=3
             )
-            radii = np.maximum(radii, 0.5)
-            labels[_rasterize(spec.shape, cs, center, radii)] = cls
-        counts = np.bincount(labels.reshape(-1), minlength=spec.num_classes)
-        if (counts[: spec.num_classes] > 0).all():
+            placed.append((cs, center, np.maximum(radii, 0.5)))
+        present = np.zeros(spec.num_classes, dtype=bool)
+        for d0, d1 in scratch.slabs:
+            slab = labels[d0:d1]
+            slab.fill(0)
+            for cls, (cs, center, radii) in enumerate(placed, start=1):
+                slab[_rasterize(spec.shape, cs, center, radii, scratch, d0, d1)] = cls
+            flags = scratch.view(scratch.mask, d0, d1)
+            for cls in np.flatnonzero(~present).tolist():
+                present[cls] = np.equal(slab, cls, out=flags).any()
+        if present.all():
             return labels
     raise ValueError("could not place every class after bounded jitter retries")
+
+
+def _volume_intensity(
+    spec: PhantomSpec, labels: np.ndarray, sigma: float, rng: np.random.Generator, scratch: _Scratch
+) -> np.ndarray:
+    """float32 of ``normal(0, sigma) + class mean``, one slab at a time, in ``scratch.intensity``.
+
+    ``normal(0.0, sigma)`` draws ``0.0 + sigma * z`` for each standard normal
+    ``z`` in C order, so the slabs' standard normals, scaled and added to
+    ``0.0`` (which turns a ``-0.0`` product into ``+0.0``), are the values of
+    one whole-volume draw and leave the stream where it would.
+    """
+    means = [spec.background_mean] + [cs.intensity_mean for cs in spec.classes]
+    for d0, d1 in scratch.slabs:
+        noise = rng.standard_normal(out=scratch.view(scratch.f64, d0, d1))
+        noise *= sigma
+        noise += 0.0
+        # each voxel gets its class mean added once (noise + mean is mean +
+        # noise bit for bit), with no index array cast from the labels
+        of_class = scratch.view(scratch.mask, d0, d1)
+        for cls, mean in enumerate(means):
+            np.add(noise, mean, out=noise, where=np.equal(labels[d0:d1], cls, out=of_class))
+        scratch.intensity[d0:d1] = noise
+    return scratch.intensity
 
 
 def generate(
@@ -169,29 +249,25 @@ def generate(
     truth_dir.mkdir(exist_ok=True)
 
     n_hard = spec.hard_count
+    scratch = _Scratch(spec.shape)
     entries = []
     truth: dict[str, LabelVolume] = {}
     for i in range(spec.num_volumes):
         vol_id = f"vol_{i:03d}"
         # independent per-volume streams: generation order never matters
         rng = np.random.default_rng([spec.seed, i])
-        label_data = _volume_labels(spec, rng)
+        labels = LabelVolume(spec.shape, spec.num_classes, _volume_labels(spec, rng, scratch))
+        truth[vol_id] = labels
         sigma = spec.noise_sigma
         if spec.hard_sigma is not None and i >= spec.num_volumes - n_hard:
             sigma = spec.hard_sigma
-        means = np.array(
-            [spec.background_mean] + [cs.intensity_mean for cs in spec.classes]
-        )
-        # noise + means is means + noise bit for bit, without a third volume
-        intensity = rng.normal(0.0, sigma, size=label_data.shape)
-        intensity += means[label_data]
 
-        vol = IntensityVolume(spec.shape, intensity.astype(np.float32))
-        labels = LabelVolume(spec.shape, spec.num_classes, label_data)
-        truth[vol_id] = labels
-
+        # written before the next volume refills the scratch volume
         intensity_name = f"{vol_id}.intensity.vxar"
-        save_array(vol, out_dir / intensity_name)
+        save_array(
+            IntensityVolume(spec.shape, _volume_intensity(spec, labels.data, sigma, rng, scratch)),
+            out_dir / intensity_name,
+        )
         save_array(labels, truth_dir / f"{vol_id}.label.vxar")
 
         label_name = None

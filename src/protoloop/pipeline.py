@@ -203,6 +203,8 @@ class PipelineContext:
     """Loaded inputs shared by all rounds of one run.
 
     No feature grid is kept: each volume's ``features`` hold its grid's values.
+    Nor is any whole-volume float64 array: a volume is its float32
+    intensities, its two z-score scalars and its float32 cell table.
     """
 
     config: PipelineConfig
@@ -221,10 +223,11 @@ def build_context(config: PipelineConfig, extract_allowed: bool = True) -> Pipel
     Each volume's grid comes from ``entry_grid`` at ``_grid_path``, which is
     given the volume only when ``extract_allowed``: round 0 makes the grids
     it lacks, and a later context refuses a missing one by file.  The
-    volume's z-score scalars are computed once; the encoder, when it runs,
-    and the voxel features share them.  The voxel features hold the grid's
-    values as their cell table and the global feature is computed from it,
-    so the grid is not kept; nor is any whole-volume float64 array.
+    volume's z-score scalars are computed once, in leaves of its float64
+    cast; the encoder, when it runs, and the voxel features share them.  The
+    voxel features hold the grid's values as their cell table and the global
+    feature is computed from it, so the grid is not kept, and no
+    whole-volume float64 array is made.
     """
     t0 = time.perf_counter()
     manifest, labeled_id, gt, truth = _load_inputs(config)
@@ -337,11 +340,25 @@ def _restore_round(out_dir: Path, round_index: int) -> Path:
     return final
 
 
+def _refuse_later_rounds(config: PipelineConfig, round_index: int, action: str) -> None:
+    """Refuse to rewrite a round that has later rounds, which the rewrite
+    removes, unless ``config.force`` is set; the refusal names them."""
+    if config.force or not config.out_dir.is_dir():
+        return
+    later = _later_rounds(config.out_dir, round_index)
+    if later:
+        names = ", ".join(path.name for path in later)
+        round_dir = config.out_dir / f"round_{round_index}"
+        raise FileExistsError(f"{round_dir} has later rounds ({names}) that {action} removes; pass force")
+
+
 def _refuse_existing(config: PipelineConfig, round_index: int) -> None:
-    """Refuse to recompute a persisted round unless ``config.force`` is set."""
+    """Refuse to recompute a persisted round, or one with later rounds, unless
+    ``config.force`` is set."""
     target = _restore_round(config.out_dir, round_index)
     if target.exists() and not config.force:
         raise FileExistsError(f"{target} already exists; refusing to overwrite without force")
+    _refuse_later_rounds(config, round_index, "writing it")
 
 
 def _dump_json(path: Path, doc) -> None:
@@ -603,9 +620,9 @@ def run_round(
     """Train on the previous round's pseudo-labels, re-predict, partition, refine.
 
     The model is seeded ``config.seed ^ round_index``, not ``config.train.seed``.
-    An existing round is refused before training unless ``config.force`` is
-    set; it is then replaced once the new round is complete, and every later
-    round is removed.
+    An existing round, or a missing one with later rounds, is refused before
+    training unless ``config.force`` is set; it is then replaced once the new
+    round is complete, and every later round is removed.
     """
     if round_index < 1:
         raise ValueError("round_index must be >= 1; round 0 has its own entry point")
@@ -667,10 +684,7 @@ def refine_round(config: PipelineConfig, round_index: int) -> RoundState:
     prev = load_round_state(config.out_dir, round_index)
     if prev.refined and not config.force:
         raise FileExistsError(f"{round_dir} is already refined; pass force to redo")
-    later = _later_rounds(config.out_dir, round_index)
-    if later and not config.force:
-        names = ", ".join(path.name for path in later)
-        raise FileExistsError(f"{round_dir} has later rounds ({names}) that a refine removes; pass force")
+    _refuse_later_rounds(config, round_index, "a refine")
     if prev.uncertainties is None or prev.params is None:
         raise ValueError(f"{round_dir} has no model output to refine")
     log_path = round_dir / "train_log.jsonl"

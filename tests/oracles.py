@@ -3,7 +3,7 @@
 Everything in this file is written straight from the definitions with plain
 Python loops and scalar math, deliberately sharing no code or vectorization
 structure with the package.  These are slow and obvious on purpose: the fast
-implementations are checked against them on small seeded instances.  Five
+implementations are checked against them on small seeded instances.  Six
 sections are exceptions: the per-cell encoder loop and the dense per-voxel
 features share the whole-volume z-score below (and the package's cell LUTs)
 so that the blocked encoder grid and the factorized rows can be required
@@ -11,14 +11,17 @@ byte-equal; the whole-volume encoder builds on the package's blocking,
 sorting and gradient helpers, so that only the package's streaming of one
 row of cells at a time is compared; the voxel-major training loop shares
 the package's row gather, schedules, parameter type and inference so that
-only the step itself is compared; and the dense entropy of an explicit
+only the step itself is compared; the dense entropy of an explicit
 probability volume is vectorized, as the reference for the entropy
-``specialist.infer`` fuses into its prediction pass.
+``specialist.infer`` fuses into its prediction pass; and the whole-volume
+phantom generator is the package's former ``generate``, which made every
+mask, noise draw and class count on the whole volume at once.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -41,7 +44,16 @@ from protoloop.specialist import (
     poly_lr,
     ramp_up_alpha,
 )
-from protoloop.volume import Shape3
+from protoloop.phantom import _LOBE_OFFSET, _LOBE_SCALE, _MAX_JITTER_ATTEMPTS
+from protoloop.volume import (
+    DatasetManifest,
+    IntensityVolume,
+    LabelVolume,
+    Shape3,
+    VolumeEntry,
+    save_array,
+    save_manifest,
+)
 
 EPS = 1e-8
 
@@ -657,3 +669,81 @@ def train_round_loop_oracle(assets, pseudo_labels, config):
             ),
         })
     return params, log
+
+
+# ---------------------------------------------------------------------------
+# phantom synthesis
+
+def _ellipsoid_mask_whole_volume(shape, center, radii):
+    axes = [
+        ((np.arange(n) + 0.5) - c) / r
+        for n, c, r in zip(shape.as_tuple(), center, radii)
+    ]
+    dd, hh, ww = np.meshgrid(*axes, indexing="ij", sparse=True)
+    return dd**2 + hh**2 + ww**2 <= 1.0
+
+
+def _volume_labels_whole_volume(spec, rng):
+    extents = np.array(spec.shape.as_tuple(), dtype=np.float64)
+    for _ in range(_MAX_JITTER_ATTEMPTS):
+        labels = np.zeros(spec.shape.as_tuple(), dtype=np.uint8)
+        for cls, cs in enumerate(spec.classes, start=1):
+            center = np.array(cs.center) * extents
+            center += rng.uniform(-spec.center_jitter, spec.center_jitter, size=3)
+            radii = np.array(cs.radii) + rng.uniform(
+                -spec.radius_jitter, spec.radius_jitter, size=3
+            )
+            radii = np.maximum(radii, 0.5)
+            mask = _ellipsoid_mask_whole_volume(spec.shape, center, radii)
+            if cs.family == "two_ellipsoids":
+                shifted = center.copy()
+                shifted[1] += _LOBE_OFFSET * radii[1]
+                mask = mask | _ellipsoid_mask_whole_volume(
+                    spec.shape, shifted, radii * _LOBE_SCALE
+                )
+            labels[mask] = cls
+        counts = np.bincount(labels.reshape(-1), minlength=spec.num_classes)
+        if (counts[: spec.num_classes] > 0).all():
+            return labels
+    raise ValueError("could not place every class after bounded jitter retries")
+
+
+def generate_whole_volume_oracle(spec, out_dir):
+    """``phantom.generate`` with every mask, noise draw and count made whole-volume.
+
+    It writes through the package's ``save_array`` and ``save_manifest``, so
+    only the package's slabbing is compared.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    truth_dir = out_dir / "truth"
+    truth_dir.mkdir(exist_ok=True)
+    entries, truth = [], {}
+    for i in range(spec.num_volumes):
+        vol_id = f"vol_{i:03d}"
+        rng = np.random.default_rng([spec.seed, i])
+        label_data = _volume_labels_whole_volume(spec, rng)
+        sigma = spec.noise_sigma
+        if spec.hard_sigma is not None and i >= spec.num_volumes - spec.hard_count:
+            sigma = spec.hard_sigma
+        means = np.array(
+            [spec.background_mean] + [cs.intensity_mean for cs in spec.classes]
+        )
+        intensity = rng.normal(0.0, sigma, size=label_data.shape)
+        intensity += means[label_data]
+        vol = IntensityVolume(spec.shape, intensity.astype(np.float32))
+        labels = LabelVolume(spec.shape, spec.num_classes, label_data)
+        truth[vol_id] = labels
+        intensity_name = f"{vol_id}.intensity.vxar"
+        save_array(vol, out_dir / intensity_name)
+        save_array(labels, truth_dir / f"{vol_id}.label.vxar")
+        label_name = None
+        if i == 0:
+            label_name = f"{vol_id}.label.vxar"
+            save_array(labels, out_dir / label_name)
+        entries.append(VolumeEntry(vol_id=vol_id, intensity=intensity_name, label=label_name))
+    manifest = DatasetManifest(
+        num_classes=spec.num_classes, entries=tuple(entries), base_dir=out_dir
+    )
+    save_manifest(manifest, out_dir / "manifest.json")
+    return manifest, truth

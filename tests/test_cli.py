@@ -849,6 +849,26 @@ def test_round_force_retires_the_rounds_after_it(dataset, tmp_path, capsys):
     assert _rounds(out) == ["round_0", "round_1"]
 
 
+def test_round_over_a_missing_round_with_later_rounds_needs_force(dataset, tmp_path, capsys):
+    """Writing round 1 removes round 2 even when round 1 itself was deleted,
+    so it is refused without --force, as a refine is."""
+    out = tmp_path / "run"
+    assert dispatch(_run_args(dataset, out, "--rounds", "2")) == 0
+    shutil.rmtree(out / "round_1")
+    before = _tree(out)
+    round_2 = {p: p.read_bytes() for p in (out / "round_2").rglob("*") if p.is_file()}
+    capsys.readouterr()
+    argv = ["round", "--prev", str(out / "round_0")]
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert "later rounds (round_2)" in err and "force" in err
+    assert _tree(out) == before
+    assert {p: p.read_bytes() for p in (out / "round_2").rglob("*") if p.is_file()} == round_2
+    assert dispatch(argv + ["--force"]) == 0
+    assert _rounds(out) == ["round_0", "round_1"]
+    assert [row["round"] for row in pipeline.run_table(out)] == [0, 1]
+
+
 def _state_rows(run_dir):
     """``run_table``'s rows, rebuilt by hand from the ``state.json`` of every ``round_<r>``."""
     rows = []

@@ -226,9 +226,26 @@ def test_zscore_scalars_are_numpy_mean_and_std_bit_for_bit(values):
     assert _bits(*zscore_scalars(values)) == _bits(*_numpy_scalars(values))
 
 
-@pytest.mark.parametrize("shape", [(64, 64, 64), (37, 129, 5), (1, 1, 1), (3, 1, 1031)], ids=str)
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (64, 64, 64),
+        (37, 129, 5),
+        (1, 1, 1),
+        (3, 1, 1031),
+        (1, 1, 2**14 - 1),  # around one leaf of the streamed sums
+        (1, 1, 2**14 + 1),
+        (1, 1, 2**15 - 1),
+        (1, 1, 2**15 + 1),
+        (1, 1, 2**16 + 8),
+        (1, 3, 2**16 + 7),
+        (101, 173, 179),  # 3,127,487 values: leaves of unequal sizes
+    ],
+    ids=str,
+)
 def test_zscore_scalars_match_numpy_on_large_volumes(shape):
-    # sizes past numpy's pairwise-summation blocks, so the sums' order matters
+    # sizes past numpy's pairwise-summation blocks and the streamed leaves,
+    # so the sums' order matters
     rng = np.random.default_rng(list(shape))
     for values in (rng.normal(size=shape) * 7.0 + 3.0, rng.gamma(0.5, size=shape) * 1e3):
         values = values.astype(np.float32)
@@ -261,26 +278,32 @@ def test_slabbed_grid_byte_equal_to_whole_volume(shape, patch):
             assert grid.data.tobytes() == want.data.tobytes()
 
 
-def _extraction_peak_per_voxel(vol, params, scalars=None) -> float:
+def _peak_per_voxel(fn, *args, voxels) -> float:
     tracemalloc.start()
     try:
-        extract_feature_grid(vol, params, scalars)
+        fn(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / vol.shape.voxels
+    return peak / voxels
+
+
+def test_zscore_scalars_build_no_whole_volume_array():
+    # one leaf's float64 buffer (2**14 values: 0.5 bytes per voxel here); the
+    # whole-volume float64 cast took 8
+    values = np.random.default_rng(65).normal(size=(64, 64, 64)).astype(np.float32)
+    assert _peak_per_voxel(zscore_scalars, values, voxels=values.size) < 1.0
 
 
 def test_extraction_builds_no_whole_volume_array():
-    # the scalar pass's float64 cast (8 bytes per voxel) is the only
-    # whole-volume array; a whole-volume z plus one blocked copy and one
-    # gradient peaks at 24.5.  With the scalars passed in, what is left is
-    # the grid and one row's arrays, about (p + 2) / 64 of the volume each
-    # (4.1 here); one whole-volume float64 array would add 8.
+    # no whole-volume array: a whole-volume z plus one blocked copy and one
+    # gradient peaks at 24.5.  What is left is the grid and one row's arrays,
+    # about (p + 2) / 64 of the volume each (4.1 here), with or without the
+    # scalars passed in; one whole-volume float64 array would add 8.
     vol = _vol(np.random.default_rng(64).normal(size=(64, 64, 64)))
     params = EncoderParams(patch_size=4)
-    assert _extraction_peak_per_voxel(vol, params) <= 10.0
-    assert _extraction_peak_per_voxel(vol, params, zscore_scalars(vol.data)) <= 6.0
+    for scalars in (None, zscore_scalars(vol.data)):
+        assert _peak_per_voxel(extract_feature_grid, vol, params, scalars, voxels=vol.shape.voxels) <= 6.0
 
 
 def test_extract_16_cubed_patch_8_mean_channel():

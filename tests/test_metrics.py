@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +234,39 @@ def test_pseudo_label_quality_composition():
     truth = {f"v{i}": _labels(rng.integers(0, 2, size=(3, 3, 3))) for i in range(4)}
     expect = np.mean([foreground_dice(pseudo[k], truth[k]) for k in pseudo])
     assert pseudo_label_quality(pseudo, truth) == pytest.approx(expect, abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(37, 64, 64), (5, 300, 301), (3, 4, 5)], ids=str)
+def test_foreground_dice_counts_slabs_exactly(shape):
+    # 16-plane slabs with a ragged last one, one plane per slab past the slab
+    # size, and one slab: the whole-volume count's value exactly
+    rng = np.random.default_rng(list(shape))
+    pred, ref = (_labels(rng.integers(0, 3, size=shape) * rng.integers(0, 2, size=shape), 3)
+                 for _ in range(2))
+    p, r = pred.data > 0, ref.data > 0
+    want = 2.0 * int(np.count_nonzero(p & r)) / (int(np.count_nonzero(p)) + int(np.count_nonzero(r)))
+    assert foreground_dice(pred, ref) == want
+    if pred.shape.voxels < 100:
+        assert foreground_dice(pred, ref) == dice_jaccard_oracle(p, r)[0]
+    empty = _labels(np.zeros(shape), 3)
+    assert foreground_dice(empty, empty) == 1.0
+    assert foreground_dice(pred, empty) == 0.0
+
+
+def test_pseudo_label_quality_builds_no_voxel_mask():
+    # one slab's bool intersection (64 KB); the foreground masks and their
+    # intersection took 3 bytes per voxel
+    rng = np.random.default_rng(43)
+    shape = (64, 64, 128)
+    pseudo = {"v": _labels(rng.integers(0, 3, size=shape), 3)}
+    truth = {"v": _labels(rng.integers(0, 3, size=shape), 3)}
+    tracemalloc.start()
+    try:
+        pseudo_label_quality(pseudo, truth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < pseudo["v"].shape.voxels / 4
 
 
 def test_pseudo_label_quality_id_mismatch():

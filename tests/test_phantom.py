@@ -1,11 +1,16 @@
 """Synthetic dataset generator: geometry, noise tiers, manifest layout."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from protoloop import phantom
 from protoloop.phantom import ClassShape, PhantomSpec, generate, load_spec, save_spec
 from protoloop.volume import Shape3, load_array
+
+from .oracles import generate_whole_volume_oracle
 
 
 def _single_class_spec(**overrides):
@@ -201,6 +206,116 @@ def test_hard_volumes_get_extra_noise(tmp_path):
         stds[i] = float(np.std(bg))
     assert stds[0] < 0.1 and stds[1] < 0.1
     assert stds[2] > 0.3 and stds[3] > 0.3
+
+
+# ---------------------------------------------------------------------------
+# slabbed synthesis against the whole-volume generator
+
+_BYTE_EQUAL_SPECS = {
+    # the benchmark's desk fixture: every volume is one slab
+    "desk": dict(
+        num_volumes=24,
+        shape=Shape3(32, 32, 32),
+        num_classes=2,
+        classes=(ClassShape("two_ellipsoids", (0.5, 0.42, 0.5), (7.0, 7.0, 7.0), 1.0),),
+        noise_sigma=0.35,
+        seed=2024,
+    ),
+    # the benchmark's resume fixture: one slab, three classes, hard volumes
+    "resume": dict(
+        num_volumes=12,
+        shape=Shape3(64, 64, 64),
+        num_classes=3,
+        classes=(
+            ClassShape("two_ellipsoids", (0.5, 0.35, 0.5), (10.24, 10.24, 10.24), 1.0),
+            ClassShape("ellipsoid", (0.5, 0.78, 0.5), (6.4, 6.4, 6.4), 2.0),
+        ),
+        noise_sigma=0.35,
+        center_jitter=2.0,
+        hard_fraction=0.25,
+        hard_sigma=0.7,
+        seed=99,
+    ),
+    # slabs of 32 planes and a last slab of 8; both lobes cross the slab edge
+    "ragged-two-lobes": dict(
+        num_volumes=3,
+        shape=Shape3(40, 128, 64),
+        num_classes=2,
+        classes=(ClassShape("two_ellipsoids", (0.75, 0.3, 0.5), (6.0, 20.0, 12.0), 1.0),),
+        noise_sigma=0.3,
+        center_jitter=1.5,
+        radius_jitter=1.0,
+        seed=5,
+    ),
+    # a half-voxel class in the last slab that jitter often leaves empty
+    "jitter-retry": dict(
+        num_volumes=6,
+        shape=Shape3(20, 128, 128),
+        num_classes=3,
+        classes=(
+            ClassShape("ellipsoid", (0.4, 0.5, 0.5), (5.0, 20.0, 20.0), 1.0),
+            ClassShape("ellipsoid", (0.9, 0.5, 0.5), (0.5, 0.5, 0.5), 2.0),
+        ),
+        noise_sigma=0.3,
+        center_jitter=0.5,
+        seed=3,
+    ),
+}
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("name", sorted(_BYTE_EQUAL_SPECS))
+def test_slabbed_generate_byte_equal_to_whole_volume(tmp_path, monkeypatch, name):
+    spec = PhantomSpec(**_BYTE_EQUAL_SPECS[name])
+    masks, rasterize = [], phantom._rasterize
+
+    def recorded(*args):
+        masks.append(args[-2:])  # the slab's planes [d0, d1)
+        return rasterize(*args)
+
+    monkeypatch.setattr(phantom, "_rasterize", recorded)
+    manifest, truth = generate(spec, tmp_path / "slabbed")
+    want_manifest, want_truth = generate_whole_volume_oracle(spec, tmp_path / "whole")
+    got, want = _files(tmp_path / "slabbed"), _files(tmp_path / "whole")
+    assert sorted(got) == sorted(want) and len(got) == 2 * spec.num_volumes + 2
+    for rel in want:
+        assert got[rel] == want[rel], rel
+    assert manifest.entries == want_manifest.entries
+    assert all(truth[v].data.tobytes() == want_truth[v].data.tobytes() for v in want_truth)
+    # the slabs each spec is meant to take
+    slabs = sorted(set(masks))
+    first_try = spec.num_volumes * (spec.num_classes - 1) * len(slabs)
+    if name in ("desk", "resume"):
+        assert slabs == [(0, spec.shape.d)] and len(masks) == first_try
+    elif name == "ragged-two-lobes":
+        assert slabs == [(0, 32), (32, 40)]
+    else:
+        assert slabs == [(0, 16), (16, 20)] and len(masks) > first_try
+
+
+def test_generate_peak_is_one_volume_and_a_slab(tmp_path):
+    # the float32 intensities (4 bytes per voxel) and one slab's float64 and
+    # bool buffers (2.5 MB) on top of the returned labels: 5.7 here; the
+    # whole-volume float64 normals and means took about 22 bytes per voxel
+    spec = PhantomSpec(
+        num_volumes=2,
+        shape=Shape3(128, 128, 128),
+        num_classes=2,
+        classes=(ClassShape("two_ellipsoids", (0.5, 0.42, 0.5), (14.0, 28.0, 28.0), 1.0),),
+        noise_sigma=0.35,
+        center_jitter=4.0,
+    )
+    tracemalloc.start()
+    try:
+        _, truth = generate(spec, tmp_path / "d")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(lab.data.nbytes for lab in truth.values())
+    assert (peak - returned) / spec.shape.voxels < 7.0
 
 
 # ---------------------------------------------------------------------------
