@@ -55,7 +55,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=PipelineConfig.seed)
     p.add_argument("--truth", default=None, help="ground-truth label dir (quality tracking)")
     p.add_argument("--no-refine", action="store_true", help="disable pseudo-label refinement")
-    p.add_argument("--no-position", action="store_true", help="drop the positional feature channels")
     for flag, kind, default, text in (
         ("--patch", int, EncoderParams.patch_size, "patch size in voxels"),
         ("--k", int, PipelineConfig.knn, "refinement neighbors"),
@@ -72,7 +71,7 @@ def _pipeline_config(args, rounds: int) -> PipelineConfig:
         manifest_path=args.manifest,
         out_dir=args.out,
         rounds=rounds,
-        encoder=EncoderParams(patch_size=args.patch, include_position=not args.no_position),
+        encoder=EncoderParams(patch_size=args.patch),
         train=TrainConfig(iterations=args.iters, batch_voxels=args.batch),
         knn=args.k,
         q_unc=args.q_unc,
@@ -194,6 +193,7 @@ def _cmd_report(args) -> int:
     ]
     if not rows:
         raise ValueError(f"{run_dir} holds no round directory")
+    text = _rounds_text(rows)  # every row is read and rendered before report.csv is touched
     path = run_dir / "report.csv"
     if path.exists() and not args.force:
         raise FileExistsError(f"{path} exists; pass --force to overwrite")
@@ -201,7 +201,7 @@ def _cmd_report(args) -> int:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
-    print(_rounds_text(rows))
+    print(text)
     print(f"wrote {path}")
     return 0
 

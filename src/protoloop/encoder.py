@@ -2,8 +2,9 @@
 
 Each volume is z-score normalized, partitioned into non-overlapping cubic
 patches (edge patches truncated), and every patch is summarized by a fixed
-vector of local statistics plus optional patch-center coordinates, each
-divided by its axis extent and scaled by ``POSITION_WEIGHT`` (0.25).
+vector of ``CHANNELS`` values: 8 local statistics, then the 3 patch-center
+coordinates, each divided by its axis extent and scaled by
+``POSITION_WEIGHT`` (0.25).
 The volume is streamed one d-row of cells at a time: a slab of ``p`` planes,
 plus one halo plane on each side for the d-gradient, is z-scored from the
 float32 intensities with the volume's two z-score scalars, and each of its
@@ -44,6 +45,7 @@ __all__ = [
 
 BASE_CHANNELS = 8  # mean, std, min, max, median, mean|dd|, mean|dh|, mean|dw|
 POSITION_WEIGHT = 0.25  # scale of the position channels
+CHANNELS = BASE_CHANNELS + 3  # the statistics, then the d, h, w position
 
 # Diagnostic counter: number of times the built-in extractor ran in this
 # process.  The pipeline freezes it after the initial round to prove that no
@@ -60,15 +62,10 @@ def extract_call_count() -> int:
 @dataclass(frozen=True)
 class EncoderParams:
     patch_size: int = 8  # voxels per grid cell along each axis
-    include_position: bool = True
 
     def __post_init__(self):
         if self.patch_size < 2:
             raise ValueError(f"patch_size={self.patch_size} must be >= 2")
-
-    @property
-    def channels(self) -> int:
-        return BASE_CHANNELS + (3 if self.include_position else 0)
 
 
 # Values cast to float64 at a time; at least 128.  numpy adds n > 128
@@ -192,8 +189,7 @@ def extract_feature_grid(
 
     Channel order: mean, population std, min, max, median, then mean absolute
     central difference along d, h, w — all computed on the z-scored volume —
-    followed (when enabled) by POSITION_WEIGHT * (patch center / axis extent)
-    for d, h, w.
+    then POSITION_WEIGHT * (patch center / axis extent) for d, h, w.
 
     The volume is covered one d-row of cells at a time.  Its ``p`` planes and
     one halo plane on each side (where the volume has one) are z-scored from
@@ -224,7 +220,7 @@ def extract_feature_grid(
     if scalars is None:
         scalars = zscore_scalars(vol.data)
 
-    data = np.empty((params.channels,) + grid_shape.as_tuple(), dtype=np.float64)
+    data = np.empty((CHANNELS,) + grid_shape.as_tuple(), dtype=np.float64)
     for gd in range(grid_shape.d):
         d0, d1 = gd * p, min(depth, gd * p + p)
         lo, hi = max(0, d0 - 1), min(depth, d1 + 1)  # the row plus its halo planes
@@ -249,14 +245,13 @@ def extract_feature_grid(
             for voxels, cells, sizes in regions:
                 data[(5 + axis,) + cells] = _blocked(grad, voxels, sizes).mean(axis=-1)
             del grad
-    if params.include_position:
-        for axis, (extent, n) in enumerate(zip(shape, grid_shape.as_tuple())):
-            start = np.arange(n) * p
-            center = start + np.minimum(p, extent - start) / 2.0
-            pos = POSITION_WEIGHT * center / extent
-            data[BASE_CHANNELS + axis] = pos.reshape([-1 if a == axis else 1 for a in range(3)])
+    for axis, (extent, n) in enumerate(zip(shape, grid_shape.as_tuple())):
+        start = np.arange(n) * p
+        center = start + np.minimum(p, extent - start) / 2.0
+        pos = POSITION_WEIGHT * center / extent
+        data[BASE_CHANNELS + axis] = pos.reshape([-1 if a == axis else 1 for a in range(3)])
     return FeatureGrid(
-        channels=params.channels,
+        channels=CHANNELS,
         grid_shape=grid_shape,
         data=data,
         patch_size=(p, p, p),

@@ -149,11 +149,11 @@ def entry_grid(
     if path.exists():
         grid = load_array(path, FeatureGrid)
         want = (encoder.patch_size,) * 3
-        if entry.features is None and (grid.patch_size != want or grid.channels != encoder.channels):
+        if entry.features is None and (grid.patch_size, grid.channels) != (want, encoder_mod.CHANNELS):
             raise ValueError(
                 f"stale feature grid for {entry.vol_id!r} in {path}: it has "
                 f"patch_size {grid.patch_size} and {grid.channels} channels, but the "
-                f"encoder config has patch_size {want} and {encoder.channels} channels"
+                f"encoder config has patch_size {want} and {encoder_mod.CHANNELS} channels"
             )
         return grid
     if vol is None:
@@ -207,7 +207,6 @@ class PipelineContext:
     intensities, its two z-score scalars and its float32 cell table.
     """
 
-    config: PipelineConfig
     manifest: DatasetManifest
     features: dict[str, TrainVolumeData]
     global_features: dict[str, np.ndarray]
@@ -246,7 +245,6 @@ def build_context(config: PipelineConfig, extract_allowed: bool = True) -> Pipel
     for vol_id, lab in (truth or {}).items():
         _check_label(lab, _truth_path(config, vol_id), "truth", vol_id, features[vol_id].shape)
     return PipelineContext(
-        config=config,
         manifest=manifest,
         features=features,
         global_features=global_features,
@@ -442,30 +440,59 @@ def _persist_round(
         shutil.rmtree(path)
 
 
-def _read_state(out_dir: Path, round_index: int) -> tuple[Path, dict, Partition | None]:
-    """Round ``round_index``'s directory, its parsed ``state.json`` and its partition.
-
-    The file must be an object holding ``round`` and ``labels``; a malformed
-    one is refused by name.
-    """
-    round_dir = _restore_round(out_dir, round_index)
-    path = round_dir / "state.json"
-    doc = _read_json(path)
-    if not isinstance(doc, dict) or "round" not in doc or "labels" not in doc:
-        raise ValueError(f"{path}: not an object holding round and labels")
-    if doc["round"] != round_index:
-        raise ValueError(
-            f"{round_dir}: state file claims round {doc['round']}, expected {round_index}"
-        )
-    return round_dir, doc, _read_partition(doc, path)
-
-
 def _is_finite_number(value) -> bool:
     """``value`` is a finite JSON number: not a boolean, nor an integer beyond float range."""
     try:
         return type(value) in (int, float) and math.isfinite(value)
     except OverflowError:
         return False
+
+
+def _is_file_name(name) -> bool:
+    """``name`` is a string naming a file in its directory: no separator, not ``..``."""
+    return isinstance(name, str) and name not in ("", "..") and Path(name).name == name
+
+
+def _object_of(valid):
+    return lambda value: isinstance(value, dict) and all(map(valid, value.values()))
+
+
+# what each key of state.json must hold, when it is there
+_FILES = ("an object mapping ids to file names in the round directory", _object_of(_is_file_name))
+_DICE = ("a finite number or null", lambda value: value is None or _is_finite_number(value))
+_STATE_FIELDS = {
+    "labels": _FILES,
+    "raw_labels": _FILES,
+    "refined": ("a bool", lambda value: type(value) is bool),
+    "timings": ("an object of finite numbers", _object_of(_is_finite_number)),
+    "pseudo_label_dice": _DICE,
+    "model_dice": _DICE,
+    "params": ("a file name in the round directory", _is_file_name),
+}
+
+
+def _read_state(out_dir: Path, round_index: int) -> tuple[Path, dict, Partition | None]:
+    """Round ``round_index``'s directory, its checked ``state.json`` and its partition.
+
+    The file must be an object holding ``round`` and ``labels``, and each key
+    of ``_STATE_FIELDS`` it holds must hold what that table says; a malformed
+    one is refused by name.  In the returned object an absent ``refined``,
+    ``timings`` or Dice takes the value a round without it means.
+    """
+    round_dir = _restore_round(out_dir, round_index)
+    path = round_dir / "state.json"
+    doc = _read_json(path)
+    if not isinstance(doc, dict) or "round" not in doc or "labels" not in doc:
+        raise ValueError(f"{path}: not an object holding round and labels")
+    if type(doc["round"]) is not int or doc["round"] != round_index:
+        raise ValueError(
+            f"{round_dir}: state file claims round {doc['round']!r}, expected {round_index}"
+        )
+    for key, (what, valid) in _STATE_FIELDS.items():
+        if key in doc and not valid(doc[key]):
+            raise ValueError(f"{path}: {key} is not {what}")
+    doc = {"refined": False, "pseudo_label_dice": None, "model_dice": None, "timings": {}} | doc
+    return round_dir, doc, _read_partition(doc, path)
 
 
 def _read_partition(doc: dict, path: Path) -> Partition | None:
@@ -515,10 +542,10 @@ def load_round_state(out_dir: Path, round_index: int) -> RoundState:
     state = RoundState(
         round_index=round_index,
         labels=load_labels(doc["labels"]),
-        refined=doc.get("refined", False),
-        pseudo_label_dice=doc.get("pseudo_label_dice"),
-        model_dice=doc.get("model_dice"),
-        timings=doc.get("timings", {}),
+        refined=doc["refined"],
+        pseudo_label_dice=doc["pseudo_label_dice"],
+        model_dice=doc["model_dice"],
+        timings=doc["timings"],
         partition=partition,
     )
     if "raw_labels" in doc:
@@ -763,13 +790,13 @@ def run_table(out_dir: Path) -> list[dict]:
         _, doc, part = _read_state(out_dir, r)
         rows.append({
             "round": r,
-            "refined": doc.get("refined", False),
-            "pseudo_label_dice": doc.get("pseudo_label_dice"),
-            "model_dice": doc.get("model_dice"),
+            "refined": doc["refined"],
+            "pseudo_label_dice": doc["pseudo_label_dice"],
+            "model_dice": doc["model_dice"],
             "threshold": part.threshold if part else None,
             "n_certain": len(part.certain) if part else None,
             "n_uncertain": len(part.uncertain) if part else None,
-            "timings": doc.get("timings", {}),
+            "timings": doc["timings"],
         })
     return rows
 
@@ -788,11 +815,12 @@ def _clear_run_dir(out_dir: Path) -> None:
 _DOC_KEYS = {"manifest_path": "manifest"}
 _NESTED = {"encoder": EncoderParams, "train": TrainConfig}
 _NOT_PERSISTED = {"force", "out_dir"}  # an action of one invocation; where the run is loaded from
-# settings an older config.json may name only at these values: module constants,
-# and ``val_manifest``, a labeled validation set (the template is the only label a run reads)
+# settings an older config.json may name only at these values and JSON types: module
+# constants, the position channels the encoder always emits, and ``val_manifest``, a
+# labeled validation set (the template is the only label a run reads)
 _FIXED = {
     "": {"val_manifest": None},
-    "encoder": {"position_weight": encoder_mod.POSITION_WEIGHT},
+    "encoder": {"position_weight": encoder_mod.POSITION_WEIGHT, "include_position": True},
     "train": {name.lower(): getattr(specialist, name) for name in (
         "BASE_LR", "LR_POWER", "MOMENTUM", "WEIGHT_DECAY", "RAMP_FRACTION", "DICE_SMOOTH"
     )},
@@ -827,15 +855,17 @@ def _fields_from_doc(cls, doc, where: str) -> dict:
     """Keyword arguments for ``cls`` from its ``config.json`` object ``doc``, found at ``where``.
 
     Absent and unknown keys are left out; a ``doc`` that is not an object, a value
-    of another JSON type than its field's and a ``_FIXED`` setting at another value are refused.
+    of another JSON type than its field's and a ``_FIXED`` setting at another value
+    or of another type (``1`` equals ``True`` in Python) are refused.
     """
     if not isinstance(doc, dict):
         at = f"sets {where} to" if where else "holds"
         raise ValueError(f"config.json {at} {json.dumps(doc)}; it must be an object")
     prefix = f"{where}." if where else ""
     for key, fixed in _FIXED.get(where, {}).items():
-        if doc.get(key, fixed) != fixed:
-            raise ValueError(f"config.json sets {prefix}{key} to {doc[key]!r}; it is fixed at {fixed!r}")
+        value = doc.get(key, fixed)
+        if type(value) is not type(fixed) or value != fixed:
+            raise ValueError(f"config.json sets {prefix}{key} to {value!r}; it is fixed at {fixed!r}")
     kwargs = {}
     for f in fields(cls):
         key = _DOC_KEYS.get(f.name, f.name)

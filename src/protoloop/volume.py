@@ -375,12 +375,19 @@ class DatasetManifest:
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
+    """The manifest at ``path``.
+
+    ``num_classes`` must be a JSON integer, and each volume's ``intensity``,
+    and its ``label`` and ``features`` where given, strings; a value of another
+    type is refused by file, and by volume id.
+    """
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: malformed manifest ({exc})") from exc
     try:
+        num_classes = doc["num_classes"]
         entries = tuple(
             VolumeEntry(
                 vol_id=v["id"],
@@ -390,13 +397,16 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             )
             for v in doc["volumes"]
         )
-        return DatasetManifest(
-            num_classes=doc["num_classes"],
-            entries=entries,
-            base_dir=path.parent,
-        )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: manifest missing required field ({exc})") from exc
+    if type(num_classes) is not int:
+        raise ValueError(f"{path}: num_classes {json.dumps(num_classes)} is not an integer")
+    for e in entries:
+        for key in ("intensity", "label", "features"):
+            value = getattr(e, key)
+            if not isinstance(value, str) and (key == "intensity" or value is not None):
+                raise ValueError(f"{path}: {key} {json.dumps(value)} of volume {e.vol_id!r} is not a string")
+    return DatasetManifest(num_classes=num_classes, entries=entries, base_dir=path.parent)
 
 
 def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:

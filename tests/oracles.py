@@ -27,6 +27,7 @@ import numpy as np
 
 from protoloop.encoder import (
     BASE_CHANNELS,
+    CHANNELS,
     POSITION_WEIGHT,
     EncoderParams,
     FeatureGrid,
@@ -115,14 +116,13 @@ def central_diff_abs(z, axis):
     return out
 
 
-def patch_features_oracle(data, patch, include_position=True):
+def patch_features_oracle(data, patch):
     """Per-patch statistics, channel for channel, via explicit loops."""
     z = zscore_oracle(data)
     shape = z.shape
     grads = [central_diff_abs(z, a) for a in range(3)]
     gs = tuple(math.ceil(s / patch) for s in shape)
-    channels = 11 if include_position else 8
-    out = np.zeros((channels,) + gs, dtype=np.float64)
+    out = np.zeros((11,) + gs, dtype=np.float64)
     for gd in range(gs[0]):
         for gh in range(gs[1]):
             for gw in range(gs[2]):
@@ -145,11 +145,10 @@ def patch_features_oracle(data, patch, include_position=True):
                     median = 0.5 * (srt[n // 2 - 1] + srt[n // 2])
                 cell = [mean, math.sqrt(var), min(vals), max(vals), median]
                 cell += [math.fsum(g) / n for g in gvals]
-                if include_position:
-                    for a in range(3):
-                        span = stops[a] - starts[a]
-                        center = starts[a] + span / 2.0
-                        cell.append(POSITION_WEIGHT * center / shape[a])
+                for a in range(3):
+                    span = stops[a] - starts[a]
+                    center = starts[a] + span / 2.0
+                    cell.append(POSITION_WEIGHT * center / shape[a])
                 out[:, gd, gh, gw] = cell
     return out
 
@@ -168,7 +167,7 @@ def extract_grid_loop_oracle(vol, params: EncoderParams) -> FeatureGrid:
         np.zeros_like(z) if z.shape[a] < 2 else np.abs(np.gradient(z, axis=a))
         for a in range(3)
     ]
-    data = np.empty((params.channels,) + grid_shape.as_tuple(), dtype=np.float64)
+    data = np.empty((CHANNELS,) + grid_shape.as_tuple(), dtype=np.float64)
     for gd in range(grid_shape.d):
         d0 = gd * p
         for gh in range(grid_shape.h):
@@ -186,13 +185,12 @@ def extract_grid_loop_oracle(vol, params: EncoderParams) -> FeatureGrid:
                 cell[5] = grads[0][sl].mean()
                 cell[6] = grads[1][sl].mean()
                 cell[7] = grads[2][sl].mean()
-                if params.include_position:
-                    for axis, (start, extent) in enumerate(zip((d0, h0, w0), shape)):
-                        span = min(p, extent - start)
-                        center = start + span / 2.0
-                        cell[8 + axis] = POSITION_WEIGHT * center / extent
+                for axis, (start, extent) in enumerate(zip((d0, h0, w0), shape)):
+                    span = min(p, extent - start)
+                    center = start + span / 2.0
+                    cell[8 + axis] = POSITION_WEIGHT * center / extent
     return FeatureGrid(
-        channels=params.channels, grid_shape=grid_shape, data=data, patch_size=(p, p, p)
+        channels=CHANNELS, grid_shape=grid_shape, data=data, patch_size=(p, p, p)
     )
 
 
@@ -212,7 +210,7 @@ def extract_grid_whole_volume_oracle(vol, params: EncoderParams) -> FeatureGrid:
         for parts in itertools.product(*(_axis_parts(s, p) for s in shape))
     ]
     z = zscore(vol.data)
-    data = np.empty((params.channels,) + grid_shape.as_tuple(), dtype=np.float64)
+    data = np.empty((CHANNELS,) + grid_shape.as_tuple(), dtype=np.float64)
     for voxels, cells, sizes in regions:
         blocks = _blocked(z, voxels, sizes)
         out = data[(slice(None),) + cells]
@@ -223,14 +221,13 @@ def extract_grid_whole_volume_oracle(vol, params: EncoderParams) -> FeatureGrid:
         grad = _abs_gradient(z, axis)
         for voxels, cells, sizes in regions:
             data[(5 + axis,) + cells] = _blocked(grad, voxels, sizes).mean(axis=-1)
-    if params.include_position:
-        for axis, (extent, n) in enumerate(zip(shape, grid_shape.as_tuple())):
-            start = np.arange(n) * p
-            center = start + np.minimum(p, extent - start) / 2.0
-            pos = POSITION_WEIGHT * center / extent
-            data[BASE_CHANNELS + axis] = pos.reshape([-1 if a == axis else 1 for a in range(3)])
+    for axis, (extent, n) in enumerate(zip(shape, grid_shape.as_tuple())):
+        start = np.arange(n) * p
+        center = start + np.minimum(p, extent - start) / 2.0
+        pos = POSITION_WEIGHT * center / extent
+        data[BASE_CHANNELS + axis] = pos.reshape([-1 if a == axis else 1 for a in range(3)])
     return FeatureGrid(
-        channels=params.channels, grid_shape=grid_shape, data=data, patch_size=(p, p, p)
+        channels=CHANNELS, grid_shape=grid_shape, data=data, patch_size=(p, p, p)
     )
 
 

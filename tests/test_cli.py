@@ -68,6 +68,16 @@ def _init_args(dataset, out, *extra):
     return ["init", *argv[1:i], *argv[i + 2:]]
 
 
+def _absolute_manifest(dataset) -> dict:
+    """The dataset's manifest with every file it names as an absolute path."""
+    doc = json.loads((dataset / "manifest.json").read_text())
+    for v in doc["volumes"]:
+        for key in ("intensity", "label", "features"):
+            if v.get(key):
+                v[key] = str(dataset / v[key])
+    return doc
+
+
 @pytest.fixture(scope="module")
 def finished_run(dataset, tmp_path_factory):
     out = tmp_path_factory.mktemp("cli_run")
@@ -112,11 +122,7 @@ def test_usage_errors_exit_one(capsys):
 
 @pytest.mark.parametrize("vol_id", ["../escaped", "vol.x"])
 def test_run_rejects_hostile_volume_id(dataset, tmp_path, capsys, vol_id):
-    doc = json.loads((dataset / "manifest.json").read_text())
-    for v in doc["volumes"]:
-        for key in ("intensity", "label", "features"):
-            if v.get(key):
-                v[key] = str(dataset / v[key])
+    doc = _absolute_manifest(dataset)
     doc["volumes"][-1]["id"] = vol_id
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(doc))
@@ -145,11 +151,7 @@ def test_bad_manifest_leaves_nothing_then_run_succeeds(dataset, tmp_path, capsys
 def test_manifest_without_exactly_one_label_leaves_nothing(dataset, tmp_path, capsys, labeled):
     """An ``"exactly_one_labeled": false`` a manifest may still carry is ignored:
     ``init`` refuses the manifest before writing anything."""
-    doc = json.loads((dataset / "manifest.json").read_text())
-    for v in doc["volumes"]:
-        for key in ("intensity", "label"):
-            if v.get(key):
-                v[key] = str(dataset / v[key])
+    doc = _absolute_manifest(dataset)
     doc["exactly_one_labeled"] = False
     if labeled == 0:
         del doc["volumes"][0]["label"]
@@ -164,12 +166,37 @@ def test_manifest_without_exactly_one_label_leaves_nothing(dataset, tmp_path, ca
     assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
 
+@pytest.mark.parametrize("volume, key, value", [
+    (None, "num_classes", 2.0),
+    (None, "num_classes", "2"),
+    (None, "num_classes", True),
+    (1, "intensity", 3),
+    (1, "features", 3),
+    (0, "label", ["vol_000.label.vxar"]),
+])
+def test_manifest_field_of_another_type_leaves_nothing(dataset, tmp_path, capsys, volume, key, value):
+    """Before, ``"num_classes": 2.0`` passed every check and ``run`` failed in
+    training after writing round 0, ``"2"`` was called a missing field, and a
+    path that is not a string exited 2.  Now the manifest is refused by file,
+    and by volume id, before anything is written."""
+    doc = _absolute_manifest(dataset)
+    named = [str(tmp_path / "manifest.json"), f"{key} {json.dumps(value)}"]
+    if volume is None:
+        doc[key] = value
+    else:
+        doc["volumes"][volume][key] = value
+        named.append(repr(doc["volumes"][volume]["id"]))
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    for argv in (_run_args(dataset, tmp_path / "out"), _init_args(dataset, tmp_path / "out")):
+        argv[argv.index("--manifest") + 1] = str(tmp_path / "manifest.json")
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert all(n in err for n in named), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
+
 def test_manifest_naming_missing_volume_leaves_nothing_then_run_succeeds(dataset, tmp_path, capsys):
-    doc = json.loads((dataset / "manifest.json").read_text())
-    for v in doc["volumes"]:
-        for key in ("intensity", "label", "features"):
-            if v.get(key):
-                v[key] = str(dataset / v[key])
+    doc = _absolute_manifest(dataset)
     doc["volumes"][-1]["intensity"] = str(dataset / "missing.vxar")
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(doc))
@@ -270,11 +297,7 @@ def test_run_reuses_encoded_grids_and_refuses_stale_ones(dataset, finished_run, 
 
 
 def test_init_refuses_a_label_file_as_intensity(dataset, tmp_path, capsys):
-    doc = json.loads((dataset / "manifest.json").read_text())
-    for v in doc["volumes"]:
-        for key in ("intensity", "label"):
-            if v.get(key):
-                v[key] = str(dataset / v[key])
+    doc = _absolute_manifest(dataset)
     label = doc["volumes"][0]["label"]
     doc["volumes"][1]["intensity"] = label
     manifest = tmp_path / "manifest.json"
@@ -389,9 +412,54 @@ def test_the_subcommands_are_these_seven():
 
 
 def test_position_weight_flag_is_gone(dataset, tmp_path):
-    assert dispatch(_run_args(dataset, tmp_path / "r", "--position-weight", "0.5")) == 1
-    assert dispatch(_init_args(dataset, tmp_path / "r", "--position-weight", "0.5")) == 1
+    # so is --no-position: the encoder always emits its position channels
+    for flag in (["--position-weight", "0.5"], ["--no-position"]):
+        assert dispatch(_run_args(dataset, tmp_path / "r", *flag)) == 1
+        assert dispatch(_init_args(dataset, tmp_path / "r", *flag)) == 1
     assert not (tmp_path / "r").exists()
+
+
+def _config_leaves(run_dir) -> dict:
+    """``config.json`` of ``run_dir`` as ``{"section.key" or "key": value}``."""
+    doc = json.loads((run_dir / "config.json").read_text())
+    leaves = {}
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            leaves.update({f"{key}.{name}": v for name, v in value.items()})
+        else:
+            leaves[key] = value
+    return leaves
+
+
+def test_every_run_flag_sets_a_persisted_field_of_its_own(dataset, tmp_path):
+    """Guard: with every run flag at a non-default value, every persisted field
+    differs from a default ``init``'s, one field per flag, so no flag outlives
+    its field and no field lacks its flag.  ``train.seed`` has no flag: each
+    round trains seeded ``seed ^ r``.  ``init`` records one round; ``--rounds``
+    is ``run``'s."""
+    manifest = tmp_path / "manifest.json"  # another path than the default run's
+    manifest.write_text(json.dumps(_absolute_manifest(dataset)))
+    flags = {
+        "--manifest": str(manifest), "--seed": "5", "--truth": str(dataset / "truth"),
+        "--no-refine": None, "--patch": "4", "--k": "2", "--q-unc": "0.5", "--iters": "5",
+        "--batch": "64", "--rounds": "2",
+    }
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert dispatch(["init", "--manifest", str(dataset / "manifest.json"), "--out", str(tmp_path / "default")]) == 0
+    default = _config_leaves(tmp_path / "default")
+    for command in ("run", "init"):
+        used = {flag: value for flag, value in flags.items() if command == "run" or flag != "--rounds"}
+        options = {o for a in sub.choices[command]._actions for o in a.option_strings}
+        assert options - {"-h", "--help", "--out", "--force"} == used.keys()
+        argv = [command, "--out", str(tmp_path / command)]
+        for flag, value in used.items():
+            argv += [flag] if value is None else [flag, value]
+        assert dispatch(argv) == 0
+        leaves = _config_leaves(tmp_path / command)
+        assert leaves.keys() == default.keys()
+        differ = {key for key in leaves if leaves[key] != default[key]}
+        assert differ == default.keys() - {"train.seed"} - ({"rounds"} if command == "init" else set())
+        assert len(differ) == len(used)  # a flag that sets nothing would leave one field short
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +496,8 @@ def test_round_requires_config(tmp_path):
 
 @pytest.mark.parametrize("section, key, value", [
     ("encoder", "position_weight", 0.5),
+    ("encoder", "include_position", False),
+    ("encoder", "include_position", "true"),
     ("train", "base_lr", 0.02),
     ("train", "lr_power", 0.8),
     ("train", "momentum", 0.85),
@@ -439,8 +509,8 @@ def test_round_requires_config(tmp_path):
 def test_config_drift_in_a_fixed_setting_is_refused(finished_run, tmp_path, capsys, section, key, value):
     """An older config.json may name a setting that is now a constant; at
     another value, the rounds after it are not trained under that value.  A
-    run that named a labeled validation manifest, which no run reads now, is
-    refused by that key the same way."""
+    run that named a labeled validation manifest, which no run reads now, or an
+    encoder without its position channels, is refused by that key the same way."""
     out = tmp_path / "run"
     shutil.copytree(finished_run, out)
     doc = json.loads((out / "config.json").read_text())
@@ -675,15 +745,29 @@ _DELETE = object()
         (None, "partition", []),
         (None, "labels", _DELETE),
         (None, "round", _DELETE),
+        (None, "labels", ["a"]),
+        ("labels", "vol_001", "../round_0/vol_001.round0.label"),
+        ("raw_labels", "vol_001", 7),
+        (None, "refined", "no"),
+        (None, "timings", "x"),
+        ("timings", "train", float("nan")),
+        (None, "pseudo_label_dice", "high"),
+        (None, "model_dice", True),
+        (None, "params", 5),
+        (None, "params", "../round_0/params.vxar"),
     ],
     ids=[
         "no-threshold", "nan-threshold", "true-threshold", "certain-5", "uncertain-int",
         "null-labeled_id", "uncertain-labeled_id", "partition-list", "no-labels", "no-round",
+        "labels-list", "label-outside-round", "raw_label-int", "refined-string", "timings-string",
+        "nan-timing", "string-dice", "true-dice", "params-int", "params-outside-round",
     ],
 )
 def test_state_json_malformed_is_refused_by_name(finished_run, tmp_path, capsys, section, key, value):
-    """Before, these made ``round`` and ``refine`` exit 2 with a TypeError or
-    a KeyError; ``report`` now refuses them too."""
+    """Before, these made ``round`` and ``refine`` exit 2 with a TypeError, an
+    AttributeError or a KeyError, or read on: ``"refined": "no"`` as refined,
+    and a label file outside the round as the volume's labels.  ``report``
+    refuses them too, and leaves an existing ``report.csv`` as it was."""
     out = tmp_path / "run"
     shutil.copytree(finished_run, out)
     path = out / "round_1" / "state.json"
@@ -698,6 +782,10 @@ def test_state_json_malformed_is_refused_by_name(finished_run, tmp_path, capsys,
     assert dispatch(["report", "--run", str(out)]) == 1
     assert str(path) in capsys.readouterr().err
     assert not (out / "report.csv").exists()
+    (out / "report.csv").write_text("an earlier report\n")
+    assert dispatch(["report", "--run", str(out), "--force"]) == 1
+    assert str(path) in capsys.readouterr().err
+    assert (out / "report.csv").read_text() == "an earlier report\n"
 
 
 @pytest.mark.parametrize("text", ["[]", "null", '{"round": 1, '])

@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from protoloop.encoder import (
     BASE_CHANNELS,
+    CHANNELS,
     EncoderParams,
     FeatureGrid,
     extract_call_count,
@@ -47,8 +48,7 @@ def test_params_validation():
     EncoderParams(patch_size=2)
     with pytest.raises(ValueError):
         EncoderParams(patch_size=1)
-    assert EncoderParams().channels == 11
-    assert EncoderParams(include_position=False).channels == 8
+    assert CHANNELS == 11
 
 
 def test_constant_volume_zero_statistics():
@@ -65,11 +65,9 @@ def test_grid_shape_and_channels():
     grid = extract_feature_grid(_vol(np.zeros((8, 8, 8))), EncoderParams(patch_size=8))
     assert grid.grid_shape.as_tuple() == (1, 1, 1)
     assert grid.channels == 11
-    grid = extract_feature_grid(
-        _vol(np.zeros((9, 8, 3))), EncoderParams(patch_size=4, include_position=False)
-    )
+    grid = extract_feature_grid(_vol(np.zeros((9, 8, 3))), EncoderParams(patch_size=4))
     assert grid.grid_shape.as_tuple() == (3, 2, 1)  # ceil division, edge truncation
-    assert grid.channels == 8
+    assert grid.channels == 11
 
 
 def test_extract_matches_oracle_seeded():
@@ -77,35 +75,31 @@ def test_extract_matches_oracle_seeded():
     for trial in range(6):
         shape = tuple(int(rng.integers(3, 11)) for _ in range(3))
         p = int(rng.integers(2, 5))
-        include = bool(trial % 2)
         data = rng.normal(size=shape)
-        grid = extract_feature_grid(
-            _vol(data), EncoderParams(patch_size=p, include_position=include)
-        )
-        expect = patch_features_oracle(data.astype(np.float32), p, include_position=include)
-        if not include:
-            expect = expect[:BASE_CHANNELS]
+        grid = extract_feature_grid(_vol(data), EncoderParams(patch_size=p))
+        expect = patch_features_oracle(data.astype(np.float32), p)
         np.testing.assert_allclose(grid.data, expect, atol=1e-6)
 
 
-def _assert_matches_loop(data, patch, include_position=True):
+def _assert_matches_loop(data, patch, pass_scalars=False):
+    """With ``pass_scalars`` the volume's z-score scalars are passed in, as ``build_context`` does."""
     vol = _vol(data)
-    params = EncoderParams(patch_size=patch, include_position=include_position)
-    grid = extract_feature_grid(vol, params)
+    params = EncoderParams(patch_size=patch)
+    grid = extract_feature_grid(vol, params, zscore_scalars(vol.data) if pass_scalars else None)
     expect = extract_grid_loop_oracle(vol, params)
     assert grid.grid_shape == expect.grid_shape
     assert grid.patch_size == expect.patch_size == (patch, patch, patch)
     assert grid.data.tobytes() == expect.data.tobytes()
 
 
-@pytest.mark.parametrize("include_position", [True, False])
+@pytest.mark.parametrize("pass_scalars", [True, False])
 @pytest.mark.parametrize("patch", [2, 3, 4, 8])
 @pytest.mark.parametrize(
     "shape", [(16, 16, 16), (13, 17, 23), (9, 8, 3), (30, 31, 29)], ids=str
 )
-def test_blocked_grid_byte_equal_to_loop(shape, patch, include_position):
+def test_blocked_grid_byte_equal_to_loop(shape, patch, pass_scalars):
     rng = np.random.default_rng([*shape, patch])
-    _assert_matches_loop(rng.normal(size=shape) * 3.0 + 1.0, patch, include_position)
+    _assert_matches_loop(rng.normal(size=shape) * 3.0 + 1.0, patch, pass_scalars)
 
 
 @pytest.mark.parametrize("shape", [(1, 12, 10), (9, 1, 7), (6, 5, 1), (1, 1, 9)], ids=str)
@@ -124,7 +118,6 @@ def test_blocked_grid_byte_equal_axis_of_extent_one(shape, patch):
 def test_blocked_grid_byte_equal_volume_smaller_than_patch(shape):
     data = np.random.default_rng(11).normal(size=shape)
     _assert_matches_loop(data, 8)
-    _assert_matches_loop(data, 8, include_position=False)
 
 
 @pytest.mark.parametrize("patch", [2, 3, 8])
@@ -268,14 +261,13 @@ _SLAB_SHAPES = [
 def test_slabbed_grid_byte_equal_to_whole_volume(shape, patch):
     rng = np.random.default_rng([*shape, patch, 1])
     for data in (rng.normal(size=shape) * 3.0 + 1.0, np.full(shape, 7.25)):
-        for include_position in (True, False):
-            vol = _vol(data)
-            params = EncoderParams(patch_size=patch, include_position=include_position)
-            grid = extract_feature_grid(vol, params)
-            want = extract_grid_whole_volume_oracle(vol, params)
-            assert grid.grid_shape == want.grid_shape
-            assert grid.patch_size == want.patch_size
-            assert grid.data.tobytes() == want.data.tobytes()
+        vol = _vol(data)
+        params = EncoderParams(patch_size=patch)
+        grid = extract_feature_grid(vol, params)
+        want = extract_grid_whole_volume_oracle(vol, params)
+        assert grid.grid_shape == want.grid_shape
+        assert grid.patch_size == want.patch_size
+        assert grid.data.tobytes() == want.data.tobytes()
 
 
 def _peak_per_voxel(fn, *args, voxels) -> float:

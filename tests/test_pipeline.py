@@ -766,10 +766,13 @@ def test_stale_feature_cache_refused(dataset, tmp_path):
     calls = encoder_mod.extract_call_count()
     with pytest.raises(ValueError, match=r"stale feature grid for 'vol_000'.*\(4, 4, 4\).*\(2, 2, 2\)"):
         build_context(_config(dataset, out, encoder=EncoderParams(patch_size=2)))
-    with pytest.raises(ValueError, match=r"stale feature grid.* 11 channels.* 8 channels"):
-        build_context(
-            _config(dataset, out, encoder=EncoderParams(patch_size=4, include_position=False))
-        )
+    # a grid of another channel count, such as one an encoder without the
+    # position channels wrote, is refused by its file and not made again
+    path = out / "features" / "vol_000.features.vxar"
+    grid = load_array(path, FeatureGrid)
+    save_array(FeatureGrid(8, grid.grid_shape, grid.data[:8], grid.patch_size), path)
+    with pytest.raises(ValueError, match=re.escape(f"in {path}: it has patch_size (4, 4, 4) and 8 channels")):
+        build_context(_config(dataset, out))
     assert encoder_mod.extract_call_count() == calls
 
 
@@ -814,7 +817,7 @@ def test_context_keeps_four_bytes_per_voxel(tmp_path):
             out_dir=tmp_path / f"run_{patch}",
             encoder=encoder,
         )
-        bound = 4 + 4 * encoder.channels / patch**3 + 0.3
+        bound = 4 + 4 * encoder_mod.CHANNELS / patch**3 + 0.3
         for extract_allowed in (True, False):  # round 0, then a later round's reload
             tracemalloc.start()
             try:
@@ -853,7 +856,7 @@ def test_config_doc_round_trips_every_field(tmp_path):
         manifest_path=tmp_path / "m.json",
         out_dir=tmp_path / "run",
         rounds=4,
-        encoder=EncoderParams(patch_size=6, include_position=False),
+        encoder=EncoderParams(patch_size=6),
         train=TrainConfig(iterations=77, batch_voxels=128, seed=3),
         knn=7,
         q_unc=0.8,
@@ -873,7 +876,7 @@ def test_config_doc_round_trips_every_field(tmp_path):
             assert value != default, f.name
     doc = json.loads(json.dumps(_config_doc(config)))
     assert "force" not in doc and "out_dir" not in doc
-    assert sorted(doc["encoder"]) == ["include_position", "patch_size"]
+    assert sorted(doc["encoder"]) == ["patch_size"]
     assert sorted(doc["train"]) == ["batch_voxels", "iterations", "seed"]
     assert _config_from_doc(doc, config.out_dir) == config
     del doc["manifest"]

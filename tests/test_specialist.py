@@ -232,7 +232,7 @@ def test_fixed_settings_keep_their_values():
     )
     assert fixed == (0.01, 0.9, 0.9, 1e-4, 0.3, 1e-5, 0.25)
     assert [f.name for f in fields(TrainConfig)] == ["iterations", "batch_voxels", "seed"]
-    assert [f.name for f in fields(EncoderParams)] == ["patch_size", "include_position"]
+    assert [f.name for f in fields(EncoderParams)] == ["patch_size"]
 
 
 def test_zero_lr_step_is_noop():
