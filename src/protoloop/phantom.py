@@ -18,7 +18,7 @@ values of one whole-volume draw and every file is the same byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -290,33 +290,63 @@ def generate(
 # ---------------------------------------------------------------------------
 # JSON spec files for the CLI
 
+def _of_types(types, length=None):
+    """A check that a JSON value is of one of ``types``; with ``length``, a list of that many (-1: any)."""
+    if length is None:
+        return lambda v: type(v) in types
+    return lambda v: isinstance(v, list) and length in (-1, len(v)) and all(type(x) in types for x in v)
+
+
+# the JSON a spec key takes, by its field's annotation
+_JSON_TYPES = {
+    "int": ("an integer", _of_types((int,))),
+    "float": ("a number", _of_types((int, float))),
+    "float | None": ("a number or null", _of_types((int, float, type(None)))),
+    "str": ("a string", _of_types((str,))),
+    "Shape3": ("a list of three integers", _of_types((int,), 3)),
+    "tuple[float, float, float]": ("a list of three numbers", _of_types((int, float), 3)),
+    "tuple[ClassShape, ...]": ("a list of objects", _of_types((dict,), -1)),
+}
+
+
+def _spec_fields(cls, doc: dict, path: Path, where: str, required=()) -> dict:
+    """Keyword arguments for ``cls`` from the keys of ``doc`` that name its
+    fields, found at ``where`` in the spec file at ``path``; a missing field
+    without a default or in ``required``, and a value of another JSON type
+    than ``_JSON_TYPES`` gives its annotation, are refused by file and key."""
+    kwargs = {}
+    for f in fields(cls):
+        if f.name not in doc:
+            if f.name in required or f.default is MISSING:
+                raise ValueError(f"{path}: phantom spec missing required field {where}{f.name}")
+            continue
+        what, valid = _JSON_TYPES[f.type]
+        if not valid(doc[f.name]):
+            raise ValueError(f"{path}: {where}{f.name} is {json.dumps(doc[f.name])}; it must be {what}")
+        kwargs[f.name] = tuple(doc[f.name]) if isinstance(doc[f.name], list) else doc[f.name]
+    return kwargs
+
+
 def load_spec(path: str | Path) -> PhantomSpec:
-    doc = json.loads(Path(path).read_text())
+    """The spec at ``path``; invalid JSON and a value the spec refuses are
+    refused by file, as ``_spec_fields`` refuses a missing or mistyped one."""
+    path = Path(path)
     try:
-        classes = tuple(
-            ClassShape(
-                family=c.get("family", "ellipsoid"),
-                center=tuple(c["center"]),
-                radii=tuple(c["radii"]),
-                intensity_mean=c["intensity_mean"],
-            )
-            for c in doc["classes"]
-        )
-        return PhantomSpec(
-            num_volumes=doc["num_volumes"],
-            shape=Shape3(*doc["shape"]),
-            num_classes=doc["num_classes"],
-            classes=classes,
-            background_mean=doc.get("background_mean", 0.0),
-            noise_sigma=doc.get("noise_sigma", 0.1),
-            center_jitter=doc.get("center_jitter", 0.0),
-            radius_jitter=doc.get("radius_jitter", 0.0),
-            hard_fraction=doc.get("hard_fraction", 0.0),
-            hard_sigma=doc.get("hard_sigma"),
-            seed=doc.get("seed", 0),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: phantom spec missing required field ({exc})") from exc
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a phantom spec must be an object")
+    kwargs = _spec_fields(PhantomSpec, doc, path, "")
+    required = ("center", "radii", "intensity_mean")
+    classes = [
+        _spec_fields(ClassShape, c, path, f"classes[{i}].", required) for i, c in enumerate(kwargs["classes"])
+    ]
+    try:
+        classes = tuple(ClassShape(**c) for c in classes)
+        return PhantomSpec(**kwargs | {"shape": Shape3(*kwargs["shape"]), "classes": classes})
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_spec(spec: PhantomSpec, path: str | Path) -> None:

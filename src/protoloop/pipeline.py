@@ -18,8 +18,8 @@ temp name and renames it into place, so a crash never corrupts a persisted
 round, and a round replaced by ``run_round`` (with ``force``) or
 ``refine_round`` is swapped out only once the new one is complete; the
 rounds after it, built on the old one, are then removed.  Only
-this module knows the run directory's layout, whose round directories are the
-run's record: ``run_table`` tabulates them.
+this module knows the run directory's layout, in which each round's
+``state.json`` is the round's one record: ``run_table`` tabulates them.
 """
 from __future__ import annotations
 
@@ -50,7 +50,7 @@ from .specialist import (
     save_params,
     train_round,
 )
-from .uncertainty import Partition, partition_by_quantile, partition_report
+from .uncertainty import Partition, partition_by_quantile
 from .volume import (
     DatasetManifest,
     FeatureGrid,
@@ -364,8 +364,17 @@ def _dump_json(path: Path, doc) -> None:
 
 
 def _read_json(path: Path):
+    """The JSON at ``path``; invalid JSON and a key given twice in one object are refused."""
+
+    def unique_keys(pairs):
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+            raise ValueError(f"{path}: key {key!r} appears twice in one object")
+        return doc
+
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
 
@@ -383,6 +392,7 @@ def _persist_round(
     extra: dict | None = None,
     train_log: list[dict] | None = None,
 ) -> None:
+    """Write round ``state`` as ``out_dir/round_<r>``; ``state.json`` also holds the keys of ``extra``."""
     r = state.round_index
 
     def writer(tmp: Path) -> None:
@@ -419,13 +429,8 @@ def _persist_round(
                 "labeled_id": state.partition.labeled_id,
             }
         if state.uncertainties is not None:
-            _dump_json(
-                tmp / "uncertainty.json",
-                partition_report(r, state.partition, state.uncertainties),
-            )
-        if extra:
-            for name, payload in extra.items():
-                _dump_json(tmp / name, payload)
+            doc["uncertainties"] = state.uncertainties
+        doc.update(extra or {})
         if train_log is not None:
             # JSON lines: one record per optimization step
             (tmp / "train_log.jsonl").write_text(
@@ -468,6 +473,7 @@ _STATE_FIELDS = {
     "pseudo_label_dice": _DICE,
     "model_dice": _DICE,
     "params": ("a file name in the round directory", _is_file_name),
+    "uncertainties": ("an object mapping ids to mean entropies", lambda value: isinstance(value, dict)),
 }
 
 
@@ -476,8 +482,10 @@ def _read_state(out_dir: Path, round_index: int) -> tuple[Path, dict, Partition 
 
     The file must be an object holding ``round`` and ``labels``, and each key
     of ``_STATE_FIELDS`` it holds must hold what that table says; a malformed
-    one is refused by name.  In the returned object an absent ``refined``,
-    ``timings`` or Dice takes the value a round without it means.
+    one is refused by name, as are ``uncertainties`` by the id of a value that
+    is not a finite JSON number >= 0, or of one the model did or did not label.
+    In the returned object an absent ``refined``, ``timings`` or Dice takes the
+    value a round without it means.
     """
     round_dir = _restore_round(out_dir, round_index)
     path = round_dir / "state.json"
@@ -491,6 +499,14 @@ def _read_state(out_dir: Path, round_index: int) -> tuple[Path, dict, Partition 
     for key, (what, valid) in _STATE_FIELDS.items():
         if key in doc and not valid(doc[key]):
             raise ValueError(f"{path}: {key} is not {what}")
+    if "uncertainties" in doc:
+        unc, ids = doc["uncertainties"], doc.get("raw_labels", doc["labels"]).keys()
+        for vol_id, value in unc.items():
+            if not (_is_finite_number(value) and value >= 0):
+                raise ValueError(f"{path}: uncertainty {value!r} of {vol_id!r} is not a finite number >= 0")
+        missing, unknown = sorted(ids - unc.keys()), sorted(unc.keys() - ids)
+        if missing or unknown:
+            raise ValueError(f"{path}: uncertainties lack ids {missing} and hold unknown ids {unknown}")
     doc = {"refined": False, "pseudo_label_dice": None, "model_dice": None, "timings": {}} | doc
     return round_dir, doc, _read_partition(doc, path)
 
@@ -524,11 +540,8 @@ def _read_partition(doc: dict, path: Path) -> Partition | None:
 
 
 def load_round_state(out_dir: Path, round_index: int) -> RoundState:
-    """Reload a persisted round; the inverse of the per-round persistence.
-
-    ``uncertainty.json`` must hold one finite, non-negative number per volume
-    the round's model labeled; anything else is refused by file and id.
-    """
+    """Reload a persisted round from its ``state.json``, as ``_read_state`` checks
+    it; the inverse of ``_persist_round``."""
     round_dir, doc, partition = _read_state(out_dir, round_index)
 
     loaded: dict[str, LabelVolume] = {}  # labels and raw_labels may name one file
@@ -554,38 +567,8 @@ def load_round_state(out_dir: Path, round_index: int) -> RoundState:
         state.raw_labels = state.labels
     if "params" in doc:
         state.params, _ = load_params(round_dir / doc["params"])
-    unc_file = round_dir / "uncertainty.json"
-    if unc_file.exists():
-        state.uncertainties = _read_uncertainties(unc_file, state.raw_labels or {})
+    state.uncertainties = doc.get("uncertainties")
     return state
-
-
-def _read_uncertainties(path: Path, ids) -> dict[str, float]:
-    """The ``uncertainty`` of each sample of ``partition_report``'s file at ``path``.
-
-    The file must be an object holding a ``samples`` list, with one sample per
-    id in ``ids`` and no other: a string ``id`` and an ``uncertainty`` that is
-    a finite, non-negative JSON number (a boolean is not one).
-    """
-    doc = _read_json(path)
-    samples = doc.get("samples") if isinstance(doc, dict) else None
-    if not isinstance(samples, list):
-        raise ValueError(f"{path}: not an object holding a samples list")
-    out = {}
-    for sample in samples:
-        vol_id = sample.get("id") if isinstance(sample, dict) else None
-        if not isinstance(vol_id, str):
-            raise ValueError(f"{path}: sample id {vol_id!r} is not a string")
-        value = sample.get("uncertainty")
-        if not (_is_finite_number(value) and value >= 0):
-            raise ValueError(f"{path}: uncertainty {value!r} of {vol_id!r} is not a finite number >= 0")
-        if vol_id in out:
-            raise ValueError(f"{path}: {vol_id!r} appears twice")
-        out[vol_id] = float(value)
-    missing, unknown = sorted(set(ids) - out.keys()), sorted(out.keys() - set(ids))
-    if missing or unknown:
-        raise ValueError(f"{path}: no sample for {missing}; samples of unknown ids {unknown}")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -624,17 +607,8 @@ def run_round0(config: PipelineConfig, ctx: PipelineContext | None = None) -> Ro
     if ctx.truth is not None:
         state.pseudo_label_dice = pseudo_label_quality(labels, ctx.truth)
 
-    summary = {
-        "round": 0,
-        "volumes": [
-            {
-                "id": vol_id,
-                "foreground_fraction": float((labels[vol_id].data > 0).mean()),
-            }
-            for vol_id in sorted(labels)
-        ],
-    }
-    _persist_round(config.out_dir, state, extra={"summary.json": summary})
+    fractions = {vol_id: np.count_nonzero(lab.data) / lab.data.size for vol_id, lab in labels.items()}
+    _persist_round(config.out_dir, state, extra={"foreground_fraction": fractions})
     return state
 
 
@@ -698,11 +672,12 @@ def run_round(
 def refine_round(config: PipelineConfig, round_index: int) -> RoundState:
     """Redo persisted round ``round_index``'s vote at ``config.knn`` and ``config.q_unc``.
 
-    The model's labels, uncertainties, ``params.vxar`` and ``train_log.jsonl``
-    are kept; the partition, the labels, ``uncertainty.json``, the audit, the
-    ``refine`` timing and the Dice are recomputed as ``run_round`` computes
-    them, with the global features of the grids round 0 persisted; a missing
-    or stale grid is refused.  A refined round, or one with later rounds,
+    The model's labels and ``uncertainties``, ``params.vxar`` and
+    ``train_log.jsonl`` are kept, and a round without them is refused; the
+    partition, the labels, the ``refine_audit``, the ``refine`` timing and the
+    Dice are recomputed as ``run_round`` computes them, with the global
+    features of the grids round 0 persisted; a missing or stale grid is
+    refused.  A refined round, or one with later rounds,
     which the rewrite removes, is refused unless ``config.force`` is set.
     """
     if round_index < 1:
@@ -713,7 +688,7 @@ def refine_round(config: PipelineConfig, round_index: int) -> RoundState:
         raise FileExistsError(f"{round_dir} is already refined; pass force to redo")
     _refuse_later_rounds(config, round_index, "a refine")
     if prev.uncertainties is None or prev.params is None:
-        raise ValueError(f"{round_dir} has no model output to refine")
+        raise ValueError(f"{round_dir / 'state.json'} lacks uncertainties or params: no model output to refine")
     log_path = round_dir / "train_log.jsonl"
     try:
         log = [json.loads(line) for line in log_path.read_text().splitlines()]
@@ -770,10 +745,7 @@ def _vote_and_persist(
             pseudo_label_quality(state.labels, truth) if voted else state.model_dice
         )
 
-    extra = {
-        "refine_audit.json": {"round": state.round_index, "refined": config.refine, "queries": audit},
-    }
-    _persist_round(config.out_dir, state, extra=extra, train_log=train_log)
+    _persist_round(config.out_dir, state, extra={"refine_audit": audit}, train_log=train_log)
     return state
 
 
@@ -825,6 +797,8 @@ _FIXED = {
         "BASE_LR", "LR_POWER", "MOMENTUM", "WEIGHT_DECAY", "RAMP_FRACTION", "DICE_SMOOTH"
     )},
 }
+# neither read nor refused: versions up to 314cd6f wrote out_dir, and a run loads from where it is
+_IGNORED = {"": {"out_dir"}}
 
 
 def _config_doc(config: PipelineConfig) -> dict:
@@ -854,14 +828,20 @@ _DOC_TYPES = {
 def _fields_from_doc(cls, doc, where: str) -> dict:
     """Keyword arguments for ``cls`` from its ``config.json`` object ``doc``, found at ``where``.
 
-    Absent and unknown keys are left out; a ``doc`` that is not an object, a value
-    of another JSON type than its field's and a ``_FIXED`` setting at another value
-    or of another type (``1`` equals ``True`` in Python) are refused.
+    Absent keys are left out; a ``doc`` that is not an object, a key that is
+    neither a persisted field, a ``_FIXED`` setting nor an ``_IGNORED`` one, a
+    value of another JSON type than its field's and a ``_FIXED`` setting at
+    another value or of another type (``1`` equals ``True`` in Python) are refused.
     """
     if not isinstance(doc, dict):
         at = f"sets {where} to" if where else "holds"
         raise ValueError(f"config.json {at} {json.dumps(doc)}; it must be an object")
     prefix = f"{where}." if where else ""
+    known = {_DOC_KEYS.get(f.name, f.name) for f in fields(cls) if f.name not in _NOT_PERSISTED}
+    unknown = sorted(doc.keys() - known - _FIXED.get(where, {}).keys() - _IGNORED.get(where, set()))
+    if unknown:
+        names = ", ".join(prefix + key for key in unknown)
+        raise ValueError(f"config.json sets {names}, which this version does not read")
     for key, fixed in _FIXED.get(where, {}).items():
         value = doc.get(key, fixed)
         if type(value) is not type(fixed) or value != fixed:

@@ -3,8 +3,9 @@
 A sample's uncertainty is the mean voxel-wise entropy (natural log) of its
 predicted class probabilities, which ``specialist.infer`` computes in the same
 pass as the labels; the pool's uncertainties are a plain ``{volume id:
-nats}`` dict.  The pool is split at a nearest-rank quantile of those scores;
-the labeled template always counts as certain.
+nats}`` dict, which ``pipeline`` records as the round's ``uncertainties``.
+The pool is split at a nearest-rank quantile of those scores; the labeled
+template always counts as certain.
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 __all__ = [
     "Partition",
     "partition_by_quantile",
-    "partition_report",
 ]
 
 
@@ -63,16 +63,3 @@ def partition_by_quantile(
         labeled_id=labeled_id,
     )
 
-
-def partition_report(
-    round_index: int, partition: Partition, uncertainties: dict[str, float]
-) -> dict:
-    """JSON-ready uncertainty report for one round, samples by id."""
-    return {
-        "round": round_index,
-        "threshold": partition.threshold,
-        "samples": [
-            {"id": vol_id, "uncertainty": value, "certain": vol_id in partition.certain}
-            for vol_id, value in sorted(uncertainties.items())
-        ],
-    }

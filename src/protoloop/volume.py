@@ -357,10 +357,10 @@ class DatasetManifest:
             raise ValueError("manifest has no volumes")
         ids = [e.vol_id for e in entries]
         if len(set(ids)) != len(ids):
-            raise ValueError("volume ids are not unique")
-        labeled = [e for e in entries if e.label is not None]
+            raise ValueError(f"volume ids {sorted({i for i in ids if ids.count(i) > 1})} are not unique")
+        labeled = [e.vol_id for e in entries if e.label is not None]
         if len(labeled) != 1:
-            raise ValueError(f"manifest has {len(labeled)} labeled entries; it needs exactly one")
+            raise ValueError(f"manifest has {len(labeled)} labeled entries {labeled}; it needs exactly one")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "base_dir", Path(self.base_dir))
 
@@ -379,7 +379,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
     ``num_classes`` must be a JSON integer, and each volume's ``intensity``,
     and its ``label`` and ``features`` where given, strings; a value of another
-    type is refused by file, and by volume id.
+    type, and what the dataclasses refuse, are refused by file and volume id.
     """
     path = Path(path)
     try:
@@ -397,16 +397,18 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             )
             for v in doc["volumes"]
         )
+        if type(num_classes) is not int:
+            raise ValueError(f"num_classes {json.dumps(num_classes)} is not an integer")
+        for e in entries:
+            for key in ("intensity", "label", "features"):
+                value = getattr(e, key)
+                if not isinstance(value, str) and (key == "intensity" or value is not None):
+                    raise ValueError(f"{key} {json.dumps(value)} of volume {e.vol_id!r} is not a string")
+        return DatasetManifest(num_classes=num_classes, entries=entries, base_dir=path.parent)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: manifest missing required field ({exc})") from exc
-    if type(num_classes) is not int:
-        raise ValueError(f"{path}: num_classes {json.dumps(num_classes)} is not an integer")
-    for e in entries:
-        for key in ("intensity", "label", "features"):
-            value = getattr(e, key)
-            if not isinstance(value, str) and (key == "intensity" or value is not None):
-                raise ValueError(f"{path}: {key} {json.dumps(value)} of volume {e.vol_id!r} is not a string")
-    return DatasetManifest(num_classes=num_classes, entries=entries, base_dir=path.parent)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:

@@ -195,6 +195,30 @@ def test_manifest_field_of_another_type_leaves_nothing(dataset, tmp_path, capsys
     assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
 
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda doc: doc["volumes"][1].update(id="../x"), ["volume id '../x'"]),
+        (lambda doc: doc.update(num_classes=300), ["num_classes=300"]),
+        (lambda doc: doc["volumes"][2].update(id="vol_001"), ["volume ids ['vol_001'] are not unique"]),
+        (lambda doc: doc["volumes"][1].update(label=doc["volumes"][0]["label"]), ["['vol_000', 'vol_001']"]),
+    ],
+    ids=["path-id", "300-classes", "duplicated-id", "two-labeled"],
+)
+def test_manifest_the_dataset_contract_refuses_is_named(dataset, tmp_path, capsys, edit, named):
+    """Before, ``init`` refused these naming neither the manifest nor, for a
+    duplicated id or two labeled entries, the ids."""
+    doc = _absolute_manifest(dataset)
+    edit(doc)
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    argv = _init_args(dataset, tmp_path / "out")
+    argv[argv.index("--manifest") + 1] = str(tmp_path / "manifest.json")
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert all(n in err for n in [f"{tmp_path / 'manifest.json'}: ", *named]), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
+
 def test_manifest_naming_missing_volume_leaves_nothing_then_run_succeeds(dataset, tmp_path, capsys):
     doc = _absolute_manifest(dataset)
     doc["volumes"][-1]["intensity"] = str(dataset / "missing.vxar")
@@ -253,10 +277,35 @@ def test_synth_refuses_rerun_without_force(dataset, tmp_path_factory):
     assert dispatch(["synth", "--spec", str(spec_file), "--out", str(dataset), "--force"]) == 0
 
 
-def test_synth_bad_spec(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"num_volumes": 2}')
-    assert dispatch(["synth", "--spec", str(bad), "--out", str(tmp_path / "d")]) == 1
+def test_synth_bad_spec(tmp_path, capsys):
+    """A malformed spec exits 1 naming the file, and the key where there is
+    one, before ``--out`` is made.  Before, ``"num_volumes": 2.5`` and
+    ``"seed": 1.5`` exited 2 after making ``--out/truth/``, ``"3"`` and ``"x"``
+    were called missing fields, ``"classes": {"a": 1}`` exited 2 and invalid
+    JSON was not named by file."""
+    save_spec(_spec(), tmp_path / "good.json")
+    good = json.loads((tmp_path / "good.json").read_text())
+    center = {"center": "x", "radii": [3.5, 3.5, 3.5], "intensity_mean": 1.0}
+    rows = [  # (the spec's text, or keys set in a good spec; what the refusal names)
+        ('{"num_volumes": 2}', "missing required field shape"),
+        ('{"num_volumes": ', "not valid JSON"),
+        ("[]", "must be an object"),
+        ({"num_volumes": 2.5}, "num_volumes is 2.5; it must be an integer"),
+        ({"seed": 1.5}, "seed is 1.5"),
+        ({"num_volumes": "3"}, 'num_volumes is "3"'),
+        ({"noise_sigma": "x"}, 'noise_sigma is "x"; it must be a number'),
+        ({"classes": {"a": 1}}, "classes is"),
+        ({"classes": [center]}, 'classes[0].center is "x"'),
+        ({"shape": [12, 12]}, "shape is [12, 12]"),
+        ({"num_classes": 300}, "num_classes=300 outside [2, 256]"),
+    ]
+    bad, out = tmp_path / "bad.json", tmp_path / "d"
+    for spec, named in rows:
+        bad.write_text(spec if isinstance(spec, str) else json.dumps(good | spec))
+        assert dispatch(["synth", "--spec", str(bad), "--out", str(out)]) == 1, spec
+        err = capsys.readouterr().err
+        assert str(bad) in err and named in err, err
+        assert not out.exists(), spec
 
 
 
@@ -655,20 +704,28 @@ def test_a_resumed_round_leaves_globals_json_alone(finished_run, tmp_path):
     shutil.copytree(finished_run, out)
     globals_json = out / "features" / "globals.json"
     globals_json.write_text("[]")
-    audit = "round_1/refine_audit.json"
     assert dispatch(["round", "--prev", str(out / "round_0"), "--force"]) == 0
-    assert (out / audit).read_bytes() == (finished_run / audit).read_bytes()
+    assert _round_key(out, "refine_audit") == _round_key(finished_run, "refine_audit")
     refine = ["refine", "--round", str(out / "round_1"), "--q-unc", "0.5", "--k", "2", "--force"]
     assert dispatch(refine) == 0
-    assert (out / audit).read_bytes() == (finished_run / audit).read_bytes()
+    assert _round_key(out, "refine_audit") == _round_key(finished_run, "refine_audit")
     assert globals_json.read_text() == "[]"
 
 
+def _round_key(run_dir, key, r=1):
+    """``key`` of round ``r``'s ``state.json`` in ``run_dir``."""
+    return json.loads((run_dir / f"round_{r}" / "state.json").read_text())[key]
+
+
 def _refused(out, capsys, file, *named):
-    """``round`` and ``refine`` on ``out`` exit 1 naming ``file`` and each of
-    ``named``, and write nothing: every file keeps its bytes."""
+    """``round``, ``refine`` and ``report`` on ``out`` exit 1 naming ``file`` and
+    each of ``named``, and write nothing: every file keeps its bytes."""
     before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
-    for argv in (["round", "--prev", str(out / "round_1")], ["refine", "--round", str(out / "round_1"), "--force"]):
+    for argv in (
+        ["round", "--prev", str(out / "round_1")],
+        ["refine", "--round", str(out / "round_1"), "--force"],
+        ["report", "--run", str(out)],
+    ):
         assert dispatch(argv) == 1
         err = capsys.readouterr().err
         assert file in err and all(n in err for n in named), err
@@ -806,9 +863,8 @@ def test_state_json_partition_keys_beyond_the_four_are_ignored(finished_run, tmp
     path.write_text(json.dumps(doc))
     assert dispatch(["report", "--run", str(out)]) == 0
     assert dispatch(["round", "--prev", str(out / "round_1")]) == 0
-    audit = "round_1/refine_audit.json"
     assert dispatch(["refine", "--round", str(out / "round_1"), "--force"]) == 0
-    assert (out / audit).read_bytes() == (finished_run / audit).read_bytes()
+    assert _round_key(out, "refine_audit") == _round_key(finished_run, "refine_audit")
 
 
 def test_train_log_line_that_is_not_json_is_refused_by_name(finished_run, tmp_path, capsys):
@@ -822,16 +878,17 @@ def test_train_log_line_that_is_not_json_is_refused_by_name(finished_run, tmp_pa
     assert _tree(out) == before
 
 
-def _corrupt_uncertainty(finished_run, tmp_path, edit):
-    """A copy of ``finished_run`` whose round 1 ``uncertainty.json`` samples went
-    through ``edit``, and the id of the second sample."""
+def _corrupt_uncertainties(finished_run, tmp_path, text):
+    """A copy of ``finished_run`` whose round 1 ``state.json`` holds, as its
+    ``uncertainties``, the JSON text ``text(uncertainties, vol_id)`` returns,
+    with ``vol_id`` the second id; and that id."""
     out = tmp_path / "run"
     shutil.copytree(finished_run, out)
-    path = out / "round_1" / "uncertainty.json"
+    path = out / "round_1" / "state.json"
     doc = json.loads(path.read_text())
-    vol_id = doc["samples"][1]["id"]
-    edit(doc["samples"])
-    path.write_text(json.dumps(doc))
+    unc = doc.pop("uncertainties")
+    vol_id = sorted(unc)[1]
+    path.write_text(json.dumps(doc)[:-1] + f', "uncertainties": {text(unc, vol_id)}}}')
     return out, vol_id
 
 
@@ -840,24 +897,27 @@ def _corrupt_uncertainty(finished_run, tmp_path, edit):
     ["0.12", None, True, -0.5, float("nan"), float("inf"), pytest.param(10**400, id="10**400")],
 )
 def test_uncertainty_json_value_that_is_not_a_finite_number_is_refused(finished_run, tmp_path, capsys, bad):
-    out, vol_id = _corrupt_uncertainty(finished_run, tmp_path, lambda s: s[1].update(uncertainty=bad))
-    _refused(out, capsys, "uncertainty.json", repr(vol_id))
+    """Each volume's mean entropy, a value of ``state.json``'s ``uncertainties``
+    (once ``uncertainty.json``), must be a finite JSON number >= 0."""
+    out, vol_id = _corrupt_uncertainties(finished_run, tmp_path, lambda unc, i: json.dumps(unc | {i: bad}))
+    _refused(out, capsys, str(out / "round_1" / "state.json"), repr(vol_id))
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "text",
     [
-        lambda s: s.pop(1),
-        lambda s: s[1].update(id="vol_999"),
-        lambda s: s.append(dict(s[1])),
+        lambda unc, i: json.dumps({k: v for k, v in unc.items() if k != i}),
+        lambda unc, i: json.dumps({("vol_999" if k == i else k): v for k, v in unc.items()}),
+        lambda unc, i: json.dumps(unc)[:-1] + f', "{i}": 0.5}}',
     ],
     ids=["missing", "unknown", "duplicated"],
 )
-def test_uncertainty_json_ids_other_than_the_rounds_are_refused(finished_run, tmp_path, capsys, edit):
-    """Before, a missing id let ``refine --force`` rewrite the round without its
-    labels, and a duplicated one let ``round`` run on."""
-    out, vol_id = _corrupt_uncertainty(finished_run, tmp_path, edit)
-    _refused(out, capsys, "uncertainty.json", repr(vol_id))
+def test_uncertainty_json_ids_other_than_the_rounds_are_refused(finished_run, tmp_path, capsys, text):
+    """``uncertainties`` must hold each id the model labeled once and no other.
+    A missing id would let ``refine --force`` rewrite the round without its
+    labels, and a key written twice would be read as its last value."""
+    out, vol_id = _corrupt_uncertainties(finished_run, tmp_path, text)
+    _refused(out, capsys, str(out / "round_1" / "state.json"), repr(vol_id))
 
 
 @pytest.mark.parametrize(
@@ -865,10 +925,55 @@ def test_uncertainty_json_ids_other_than_the_rounds_are_refused(finished_run, tm
     ['{"samples": ', "[]", '{"samples": {}}', '{"samples": [7]}', '{"samples": [{"id": 7, "uncertainty": 0.1}]}'],
 )
 def test_uncertainty_json_that_is_not_an_object_of_samples_is_refused(finished_run, tmp_path, capsys, text):
+    """``uncertainties`` must be an object of samples, id to mean entropy: a
+    list, the old ``uncertainty.json`` layout and a cut-off text are refused."""
+    out, _ = _corrupt_uncertainties(finished_run, tmp_path, lambda unc, i: text)
+    _refused(out, capsys, str(out / "round_1" / "state.json"))
+
+
+def _round_files(run_dir):
+    """Each round directory of ``run_dir`` and its files that are not label files."""
+    return {
+        d.name: sorted(p.name for p in d.iterdir() if not p.name.endswith(".label"))
+        for d in run_dir.iterdir()
+        if d.name.startswith("round_")
+    }
+
+
+def test_a_round_directory_holds_state_json_and_its_files_only(dataset, tmp_path):
+    """``state.json`` is each round's one record: it holds the uncertainties,
+    the vote's audit and round 0's foreground fractions, which side files
+    held before, and a rewritten round holds no more."""
+    want = {"round_0": ["state.json"], "round_1": ["params.vxar", "state.json", "train_log.jsonl"]}
+    for name, extra in (("refined", ()), ("plain", ("--no-refine",))):
+        assert dispatch(_run_args(dataset, tmp_path / name, *extra)) == 0
+        assert _round_files(tmp_path / name) == want, name
+    argv = ["refine", "--round", str(tmp_path / "refined" / "round_1"), "--q-unc", "0.75", "--force"]
+    assert dispatch(argv) == 0
+    assert _round_files(tmp_path / "refined") == want
+
+
+def test_a_round_without_uncertainties_resumes_but_is_not_refined(finished_run, tmp_path, capsys):
+    """A run an earlier version wrote keeps the uncertainties, the audit and the
+    foreground fractions in side files, which are not read: ``report``
+    tabulates it and ``round`` continues from its labels, while ``refine``,
+    which needs the uncertainties, is refused by ``state.json``."""
     out = tmp_path / "run"
     shutil.copytree(finished_run, out)
-    (out / "round_1" / "uncertainty.json").write_text(text)
-    _refused(out, capsys, "uncertainty.json")
+    side_files = {"foreground_fraction": "summary", "uncertainties": "uncertainty", "refine_audit": "refine_audit"}
+    for path in out.glob("round_*/state.json"):
+        doc = json.loads(path.read_text())
+        for key in side_files.keys() & doc.keys():
+            (path.parent / f"{side_files[key]}.json").write_text(json.dumps(doc.pop(key)))
+        path.write_text(json.dumps(doc))
+    before = _tree(out)
+    assert dispatch(["refine", "--round", str(out / "round_1"), "--force"]) == 1
+    err = capsys.readouterr().err
+    assert f"{out / 'round_1' / 'state.json'} lacks uncertainties" in err, err
+    assert _tree(out) == before
+    assert dispatch(["report", "--run", str(out)]) == 0
+    assert dispatch(["round", "--prev", str(out / "round_1")]) == 0
+    assert _round_key(out, "uncertainties", r=2)
 
 
 def test_refine_command_rewrites_round(dataset, tmp_path):
@@ -883,8 +988,7 @@ def test_refine_command_rewrites_round(dataset, tmp_path):
         if vid in doc["partition"]["uncertain"]:
             assert name.endswith(".refined.label")
         assert (round_dir / name).exists()
-    audit = json.loads((round_dir / "refine_audit.json").read_text())
-    assert audit["refined"] is True and len(audit["queries"]) >= 1
+    assert len(doc["refine_audit"]) >= 1
     assert dispatch(argv) == 1  # already refined
     assert dispatch(argv + ["--force"]) == 0
 
@@ -1187,7 +1291,9 @@ def test_refine_force_crash_keeps_old_round(dataset, tmp_path, monkeypatch, caps
     after = _files(out / "round_1")
     assert after["params.vxar"] == before["params.vxar"]
     assert after["train_log.jsonl"] == before["train_log.jsonl"]
-    assert after["uncertainty.json"] != before["uncertainty.json"]  # partitioned at q 0.75
+    after_doc, before_doc = json.loads(after["state.json"]), json.loads(before["state.json"])
+    assert after_doc["uncertainties"] == before_doc["uncertainties"]
+    assert after_doc["partition"] != before_doc["partition"]  # partitioned at q 0.75
     assert sorted(p.name for p in out.iterdir() if p.name.startswith("round_")) == ["round_0", "round_1"]
 
 

@@ -142,10 +142,7 @@ def test_every_load_outside_volume_names_a_kind():
     assert {path: lines for path, lines in found.items() if lines} == {}
 
 
-LAYOUT_FILES = (
-    "config.json", "state.json", "report.json", "uncertainty.json",
-    "refine_audit.json", "summary.json", "train_log.jsonl", "params.vxar",
-)
+LAYOUT_FILES = ("config.json", "state.json", "report.json", "train_log.jsonl", "params.vxar")
 
 
 def layout_names(source: str) -> list[int]:

@@ -108,7 +108,7 @@ def test_round0_layout_and_reload(dataset, main_run):
     r0 = out / "round_0"
     for vid in ("vol_001", "vol_002", "vol_003"):
         assert (r0 / f"{vid}.round0.label").exists()
-    assert (r0 / "state.json").exists() and (r0 / "summary.json").exists()
+    assert (r0 / "state.json").exists()
     assert not (out / "round_0.tmp").exists()
     # one grid per manifest id and nothing else: the global features are computed from them
     manifest = pipeline.load_manifest(dataset / "manifest.json")
@@ -119,9 +119,11 @@ def test_round0_layout_and_reload(dataset, main_run):
     assert back.round_index == 0 and not back.refined
     assert _label_bytes(back) == _label_bytes(states[0])
 
-    summary = json.loads((r0 / "summary.json").read_text())
-    for row in summary["volumes"]:
-        assert 0.0 < row["foreground_fraction"] < 1.0
+    fractions = json.loads((r0 / "state.json").read_text())["foreground_fraction"]
+    assert sorted(fractions) == ["vol_001", "vol_002", "vol_003"]
+    for vid, fraction in fractions.items():
+        assert fraction == (states[0].labels[vid].data > 0).mean()
+        assert 0.0 < fraction < 1.0
 
 
 def test_round0_quality_tracked(main_run):
@@ -395,7 +397,7 @@ def test_run_pipeline_frees_old_rounds(dataset, tmp_path, monkeypatch):
 
 
 def test_round1_files_and_partition_records(main_run):
-    _, out = main_run
+    states, out = main_run
     r1 = out / "round_1"
     state_doc = json.loads((r1 / "state.json").read_text())
     assert state_doc["refined"] is True
@@ -409,19 +411,18 @@ def test_round1_files_and_partition_records(main_run):
     assert (r1 / "params.vxar").exists()
     assert (r1 / "train_log.jsonl").exists()
 
-    unc = json.loads((r1 / "uncertainty.json").read_text())
-    assert unc["round"] == 1
-    assert isinstance(unc["threshold"], float)
-    flags = {s["id"]: s["certain"] for s in unc["samples"]}
-    assert set(flags) == {"vol_001", "vol_002", "vol_003"}
+    unc = state_doc["uncertainties"]
+    assert unc == states[1].uncertainties
+    assert sorted(unc) == ["vol_001", "vol_002", "vol_003"]
+    threshold = state_doc["partition"]["threshold"]
+    assert isinstance(threshold, float) and threshold in unc.values()
     # the stored certain set additionally holds the always-certain template
     pool_certain = set(state_doc["partition"]["certain"]) - {"vol_000"}
-    assert sorted(pool_certain) == sorted(k for k, v in flags.items() if v)
+    assert sorted(pool_certain) == sorted(k for k, v in unc.items() if v <= threshold)
 
-    audit = json.loads((r1 / "refine_audit.json").read_text())
-    assert audit["round"] == 1 and audit["refined"] is True
-    assert len(audit["queries"]) == len(state_doc["partition"]["uncertain"]) > 0
-    for q in audit["queries"]:
+    audit = state_doc["refine_audit"]
+    assert len(audit) == len(state_doc["partition"]["uncertain"]) > 0
+    for q in audit:
         sims = [n["similarity"] for n in q["neighbors"]]
         assert sims == sorted(sims, reverse=True)
         assert all(n["weight"] >= 0.0 for n in q["neighbors"])
@@ -627,8 +628,7 @@ def test_refine_ablation_keeps_raw(dataset, main_run, tmp_path, monkeypatch):
     doc = json.loads((out / "round_1" / "state.json").read_text())
     for vid, name in doc["labels"].items():
         assert name == f"{vid}.round1.raw.label"
-    audit = json.loads((out / "round_1" / "refine_audit.json").read_text())
-    assert audit["queries"] == []
+    assert doc["refine_audit"] == []
 
 
 def test_offline_contract_blocks_reencoding(dataset, tmp_path):
@@ -885,15 +885,13 @@ def test_config_doc_round_trips_every_field(tmp_path):
 
 
 def test_previous_config_format_loads_and_resumes(dataset, main_run, tmp_path, monkeypatch):
-    """A config.json of an earlier format still resumes: window/stride keys, an
-    ``out_dir`` key, and input paths relative to the directory it is loaded from.
-
-    This also pins the decision on the removed consistency-term settings: a
-    config.json naming ``lambda_max``, ``ema_decay`` or ``noise_sigma`` still
-    loads, those keys are ignored, and later rounds train with the
-    ``sup + alpha * pseudo`` loss.  So are ``val_interval`` and a null
+    """A config.json of an earlier format still resumes: an ``out_dir`` key,
+    input paths relative to the directory it is loaded from, the module
+    constants and position settings at their fixed values, and a null
     ``val_manifest``, which every run wrote before the labeled validation set
-    was removed."""
+    was removed.  The keys earlier formats wrote that no ``_FIXED`` entry
+    holds (``window``, ``stride``, ``threads``, and the consistency-term and
+    validation settings) are refused instead; see the test below."""
     states, out = main_run
     resumed = tmp_path / "resumed"
     resumed.mkdir()
@@ -907,17 +905,13 @@ def test_previous_config_format_loads_and_resumes(dataset, main_run, tmp_path, m
         "encoder": {"patch_size": 4, "include_position": True, "position_weight": 0.25},
         "train": {
             "iterations": 60, "base_lr": 0.01, "lr_power": 0.9, "momentum": 0.9,
-            "weight_decay": 0.0001, "batch_voxels": 64, "lambda_max": 0.1,
-            "ramp_fraction": 0.3, "ema_decay": 0.99, "noise_sigma": 0.1,
-            "dice_smooth": 1e-05, "val_interval": 250,
+            "weight_decay": 0.0001, "batch_voxels": 64, "ramp_fraction": 0.3,
+            "dice_smooth": 1e-05,
         },
         "knn": 2,
         "q_unc": 0.5,
         "seed": 7,
         "refine": True,
-        "window": [8, 8, 8],
-        "stride": 3,
-        "threads": 1,
         "val_manifest": None,
         "truth_dir": f"{dataset.name}/truth",
     }
@@ -926,3 +920,31 @@ def test_previous_config_format_loads_and_resumes(dataset, main_run, tmp_path, m
     assert config == _config(dataset, resumed, rounds=2)
     state1 = run_round(config, 1, load_round_state(resumed, 0))
     assert _label_bytes(state1) == _label_bytes(states[1])
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        (None, "threads", 1),
+        (None, "window", [8, 8, 8]),
+        (None, "stride", 3),
+        ("train", "val_interval", 250),
+        ("train", "lambda_max", 0.1),
+        ("train", "ema_decay", 0.99),
+        ("train", "noise_sigma", 0.1),
+        (None, "kn", 1),
+        ("train", "iteration", 99999),
+        ("encoder", "out_dir", "elsewhere"),  # ignored at the top level only
+    ],
+)
+def test_config_json_key_this_version_does_not_read_is_refused(dataset, tmp_path, section, key, value):
+    """Before, each was dropped silently: a typo such as ``kn`` or
+    ``train.iteration`` ran with the default, and a setting of an older
+    version (which ``window``, ``stride``, ``threads`` and the consistency and
+    validation settings are) looked as if it still took effect."""
+    config = _config(dataset, tmp_path / "run")
+    doc = json.loads(json.dumps(_config_doc(config)))
+    (doc[section] if section else doc)[key] = value
+    name = f"{section}.{key}" if section else key
+    with pytest.raises(ValueError, match=f"config.json sets {re.escape(name)}, which this version does not read"):
+        _config_from_doc(doc, config.out_dir)

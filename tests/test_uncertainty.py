@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from protoloop.uncertainty import Partition, partition_by_quantile, partition_report
+from protoloop.uncertainty import Partition, partition_by_quantile
 
 from .oracles import entropy_map, entropy_oracle, quantile_threshold_oracle, sample_uncertainty
 
@@ -150,13 +150,3 @@ def test_partition_type_invariants():
             certain=frozenset({"b"}), uncertain=frozenset(), threshold=0.5, labeled_id="a"
         )
 
-
-def test_partition_report_shape():
-    unc = {"b": 0.9, "a": 0.1}
-    part = partition_by_quantile(unc, "t", 0.5)
-    doc = partition_report(2, part, unc)
-    assert doc["round"] == 2
-    assert doc["threshold"] == part.threshold
-    assert [s["id"] for s in doc["samples"]] == ["a", "b"]
-    assert doc["samples"][0]["certain"] is True
-    assert doc["samples"][1]["certain"] is False
