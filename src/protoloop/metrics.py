@@ -14,6 +14,7 @@ scores a pipeline run computes are numpy only.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,9 +209,14 @@ def foreground_dice(pred: LabelVolume, ref: LabelVolume) -> float:
 
 
 def pseudo_label_quality(
-    pseudo: dict[str, LabelVolume], truth: dict[str, LabelVolume]
+    pseudo: dict[str, LabelVolume], truth: Mapping[str, LabelVolume]
 ) -> float:
-    """Mean foreground Dice of a pseudo-label set against ground truth."""
+    """Mean foreground Dice of a pseudo-label set against ground truth.
+
+    Each truth volume is looked up once, when its volume is scored, and not
+    kept, so a ``truth`` mapping that reads its values from files has one
+    volume in memory at a time.
+    """
     if pseudo.keys() != truth.keys():
         raise ValueError(
             f"id mismatch: pseudo {sorted(pseudo)} vs truth {sorted(truth)}"

@@ -310,10 +310,15 @@ _JSON_TYPES = {
 
 
 def _spec_fields(cls, doc: dict, path: Path, where: str, required=()) -> dict:
-    """Keyword arguments for ``cls`` from the keys of ``doc`` that name its
-    fields, found at ``where`` in the spec file at ``path``; a missing field
-    without a default or in ``required``, and a value of another JSON type
-    than ``_JSON_TYPES`` gives its annotation, are refused by file and key."""
+    """Keyword arguments for ``cls`` from the keys of ``doc``, which name its
+    fields, found at ``where`` in the spec file at ``path``; a key that names
+    no field, a missing field without a default or in ``required``, and a
+    value of another JSON type than ``_JSON_TYPES`` gives its annotation, are
+    refused by file and key."""
+    unknown = sorted(doc.keys() - {f.name for f in fields(cls)})
+    if unknown:
+        names = ", ".join(where + key for key in unknown)
+        raise ValueError(f"{path}: phantom spec sets {names}, which is not a setting")
     kwargs = {}
     for f in fields(cls):
         if f.name not in doc:

@@ -10,9 +10,12 @@ grid's values, transposed) plus the float32 intensities and their two z-score
 scalars: 4 + 4 C / p^3 bytes per voxel, 4.69 at patch 4 and 4.09 at patch 8
 with the built-in encoder's 11 channels.  Round 0 rebuilds each grid from its
 table when it needs it, one volume at a time.  z is computed where it is
-used, per-voxel feature rows are never materialized, inference covers each
-whole volume with no windowing, and ``run_pipeline`` keeps only the previous
-round's labels while a round runs.  ``_persist_round``
+used, per-voxel feature rows are never materialized, and inference covers
+each whole volume with no windowing.  Per voxel, what is resident is the
+intensities, the cell tables and one pool label set: the truth is read one
+volume at a time when a round is scored, ``run_pipeline`` reads each round's
+input back from disk, as the ``round`` command does, and ``run_round`` drops
+the previous round's labels once the head is trained.  ``_persist_round``
 is the one writer of a round directory: it writes the whole round under a
 temp name and renames it into place, so a crash never corrupts a persisted
 round, and a round replaced by ``run_round`` (with ``force``) or
@@ -29,6 +32,7 @@ import os
 import re
 import shutil
 import time
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -198,13 +202,35 @@ def _truth_path(config: PipelineConfig, vol_id: str) -> Path:
     return config.truth_dir / f"{vol_id}.label.vxar"
 
 
+class _TruthFiles(Mapping):
+    """The pool's truth labels by volume id, each read from its file when it is
+    looked up and checked against the manifest's class count, so code that
+    scores volume by volume holds one truth volume at a time."""
+
+    def __init__(self, config: PipelineConfig, manifest: DatasetManifest):
+        self.paths = {e.vol_id: _truth_path(config, e.vol_id) for e in manifest.unlabeled_entries()}
+        self.num_classes = manifest.num_classes
+
+    def __getitem__(self, vol_id: str) -> LabelVolume:
+        return _load_label(self.paths[vol_id], self.num_classes)
+
+    def __iter__(self):
+        return iter(self.paths)
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+
 @dataclass
 class PipelineContext:
     """Loaded inputs shared by all rounds of one run.
 
-    No feature grid is kept: each volume's ``features`` hold its grid's values.
-    Nor is any whole-volume float64 array: a volume is its float32
-    intensities, its two z-score scalars and its float32 cell table.
+    Per voxel, what stays resident is a volume's float32 intensities and its
+    float32 cell table (each volume's ``features``; no feature grid and no
+    whole-volume float64 array is kept), plus the template's label.  The
+    pool's truth is kept as its files and read one volume at a time when a
+    round is scored, so a round adds one pool label set: the previous round's
+    labels until the head is trained, then its own.
     """
 
     manifest: DatasetManifest
@@ -212,7 +238,7 @@ class PipelineContext:
     global_features: dict[str, np.ndarray]
     labeled_id: str
     labeled_gt: LabelVolume
-    truth: dict[str, LabelVolume] | None = None
+    truth: _TruthFiles | None = None
     build_s: float = 0.0  # wall time of build_context: loading and feature extraction
 
 
@@ -242,8 +268,8 @@ def build_context(config: PipelineConfig, extract_allowed: bool = True) -> Pipel
     encoder_mod.uniform_channel_count(features)
     gt_path = manifest.resolve(manifest.labeled_entry().label)
     _check_label(gt, gt_path, "template", labeled_id, features[labeled_id].shape)
-    for vol_id, lab in (truth or {}).items():
-        _check_label(lab, _truth_path(config, vol_id), "truth", vol_id, features[vol_id].shape)
+    for vol_id in truth or ():  # read, checked and dropped one at a time
+        _check_label(truth[vol_id], truth.paths[vol_id], "truth", vol_id, features[vol_id].shape)
     return PipelineContext(
         manifest=manifest,
         features=features,
@@ -255,20 +281,16 @@ def build_context(config: PipelineConfig, extract_allowed: bool = True) -> Pipel
     )
 
 
-def _load_inputs(config: PipelineConfig) -> tuple[DatasetManifest, str, LabelVolume, dict | None]:
-    """The manifest, the template's id and label, and the pool's truth if configured.
+def _load_inputs(config: PipelineConfig) -> tuple[DatasetManifest, str, LabelVolume, _TruthFiles | None]:
+    """The manifest, the template's id and label, and the pool's truth files if configured.
 
-    Every label is checked against the manifest's class count.
+    The template's label is checked against the manifest's class count; each
+    truth label is, when it is read.
     """
     manifest = load_manifest(config.manifest_path)
     labeled = manifest.labeled_entry()
     gt = _load_label(manifest.resolve(labeled.label), manifest.num_classes)
-    truth = None
-    if config.truth_dir is not None:
-        truth = {
-            e.vol_id: _load_label(_truth_path(config, e.vol_id), manifest.num_classes)
-            for e in manifest.unlabeled_entries()
-        }
+    truth = None if config.truth_dir is None else _TruthFiles(config, manifest)
     return manifest, labeled.vol_id, gt, truth
 
 
@@ -620,6 +642,10 @@ def run_round(
 ) -> RoundState:
     """Train on the previous round's pseudo-labels, re-predict, partition, refine.
 
+    ``prev`` is spent: once the head is trained its ``labels`` become empty
+    and its ``raw_labels`` None, so from then on the round holds its own labels
+    and no others unless the caller keeps them elsewhere; a caller that needs
+    round r - 1's labels afterwards reloads them with ``load_round_state``.
     The model is seeded ``config.seed ^ round_index``, not ``config.train.seed``.
     An existing round, or a missing one with later rounds, is refused before
     training unless ``config.force`` is set; it is then replaced once the new
@@ -646,6 +672,8 @@ def run_round(
     )
     train_cfg = replace(config.train, seed=config.seed ^ round_index)
     params, log = train_round(assets, prev.labels, train_cfg)
+    # the head is trained: nothing reads the previous round's labels again
+    prev.labels, prev.raw_labels = {}, None
     t_train = time.perf_counter() - t0
 
     # predict and score every unlabeled volume
@@ -702,6 +730,7 @@ def refine_round(config: PipelineConfig, round_index: int) -> RoundState:
         params=prev.params,
         timings=dict(prev.timings),
     )
+    del prev  # its voted labels are replaced
     manifest, labeled_id, gt, truth = _load_inputs(config)
     grids = {
         e.vol_id: entry_grid(e, manifest, config.encoder, _grid_path(config, e.vol_id))
@@ -719,7 +748,7 @@ def _vote_and_persist(
     labeled_id: str,
     labeled_gt: LabelVolume,
     global_features: dict[str, np.ndarray],
-    truth: dict[str, LabelVolume] | None,
+    truth: _TruthFiles | None,
 ) -> RoundState:
     """Partition and vote on the model output in ``state``, record Dice, persist.
 
@@ -929,20 +958,22 @@ def run_pipeline(config: PipelineConfig) -> RoundState:
     """Run round 0 through round R, write the run's encoder-call counts to ``report.json``,
     and return round R's state.
 
-    Only the previous round's state is held while a round runs; every round
-    is persisted, and ``load_round_state`` reads it back.  No later process
-    can encode (``build_context(extract_allowed=False)`` raises instead), so
-    rewriting a round never makes these counts stale.
+    Each round reads the previous one back with ``load_round_state``, as the
+    ``round`` command does, and no earlier state is held while it runs: the
+    labels it reads are dropped once its head is trained.  No
+    later process can encode (``build_context(extract_allowed=False)`` raises
+    instead), so rewriting a round never makes these counts stale.
     """
     start_run(config)
 
     calls_start = encoder_mod.extract_call_count()
     ctx = build_context(config)
-    state = run_round0(config, ctx=ctx)
+    run_round0(config, ctx=ctx)
     calls_after_round0 = encoder_mod.extract_call_count() - calls_start
 
     for r in range(1, config.rounds + 1):
-        state = run_round(config, r, state, ctx=ctx)
+        state = None  # round r - 1's state is not held while round r runs
+        state = run_round(config, r, load_round_state(config.out_dir, r - 1), ctx=ctx)
 
     calls_total = encoder_mod.extract_call_count() - calls_start
     if calls_total != calls_after_round0:

@@ -40,7 +40,7 @@ def compute_prototypes(grid: FeatureGrid, labels: LabelVolume) -> np.ndarray:
     """
     _require_grid_within(grid, labels.shape)
     cell_labels = nearest_resample_labels(labels, grid.grid_shape)
-    feats = grid.data.astype(np.float64).reshape(grid.channels, -1)
+    feats = grid.data.reshape(grid.channels, -1)
     flat = cell_labels.data.reshape(-1)
 
     vectors = np.zeros((labels.num_classes, grid.channels), dtype=np.float64)
@@ -49,7 +49,9 @@ def compute_prototypes(grid: FeatureGrid, labels: LabelVolume) -> np.ndarray:
         count = int(mask.sum())
         if count == 0:
             continue
-        mean = feats[:, mask].sum(axis=1) / (count + EPS)
+        # one channel's cells of the class at a time, cast and summed: the
+        # sums of a float64 copy of the grid, with no copy of the grid
+        mean = np.array([row[mask].astype(np.float64).sum() for row in feats]) / (count + EPS)
         norm = float(np.linalg.norm(mean))
         if norm == 0.0:
             continue
@@ -65,13 +67,20 @@ def similarity_maps(grid: FeatureGrid, protos: np.ndarray) -> np.ndarray:
 
     Returns (num_classes, d', h', w') float64.  Cells with zero-norm features
     score 0 against every present class; absent classes are -inf everywhere.
+    The one whole-grid temporary is the grid's float64 copy, which is divided
+    by the norms in place: the norms sum the channels' squares one channel at
+    a time, in ``np.linalg.norm``'s order, and so have its bits.
     """
     feats = grid.data.astype(np.float64).reshape(grid.channels, -1)
-    norms = np.linalg.norm(feats, axis=0)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    unit = feats / safe
-    sims = protos @ unit  # (num_classes, cells)
-    sims[:, norms == 0.0] = 0.0
+    norms, square = np.square(feats[0]), np.empty(feats.shape[1])
+    for row in feats[1:]:
+        norms += np.square(row, out=square)
+    np.sqrt(norms, out=norms)
+    zero = norms == 0.0
+    norms[zero] = 1.0
+    feats /= norms
+    sims = protos @ feats  # (num_classes, cells)
+    sims[:, zero] = 0.0
     sims[~protos.any(axis=1), :] = NEG_INF
     return sims.reshape((len(protos),) + grid.grid_shape.as_tuple())
 

@@ -374,12 +374,20 @@ class DatasetManifest:
         return self.base_dir / rel
 
 
+def _refuse_unknown_keys(doc: dict, known: tuple[str, ...], where: str, ignored: tuple[str, ...] = ()) -> None:
+    """Refuse a key of ``doc``, found at ``where``, that is neither ``known`` nor ``ignored``."""
+    unknown = sorted(doc.keys() - set(known) - set(ignored))
+    if unknown:
+        raise ValueError(f"{where} has unknown keys {unknown}; it may hold {', '.join(known)}")
+
+
 def load_manifest(path: str | Path) -> DatasetManifest:
     """The manifest at ``path``.
 
     ``num_classes`` must be a JSON integer, and each volume's ``intensity``,
     and its ``label`` and ``features`` where given, strings; a value of another
-    type, and what the dataclasses refuse, are refused by file and volume id.
+    type, a key the manifest or an entry does not read, and what the
+    dataclasses refuse, are refused by file and volume id.
     """
     path = Path(path)
     try:
@@ -388,6 +396,10 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         raise ValueError(f"{path}: malformed manifest ({exc})") from exc
     try:
         num_classes = doc["num_classes"]
+        # older versions wrote ``exactly_one_labeled``; nothing reads it
+        _refuse_unknown_keys(doc, ("num_classes", "volumes"), "the manifest", ignored=("exactly_one_labeled",))
+        for v in doc["volumes"]:
+            _refuse_unknown_keys(v, ("id", "intensity", "label", "features"), f"volume {v['id']!r}")
         entries = tuple(
             VolumeEntry(
                 vol_id=v["id"],

@@ -166,6 +166,29 @@ def test_manifest_without_exactly_one_label_leaves_nothing(dataset, tmp_path, ca
     assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
 
+@pytest.mark.parametrize("command", ["init", "run"])
+def test_unknown_manifest_keys_leave_nothing(dataset, tmp_path, capsys, command):
+    """A key the manifest does not read, in a volume entry or at its top
+    level, exits 1 naming the manifest, the volume id and the key, and makes
+    no run directory.  Before, an entry's misspelled ``featurs`` was dropped
+    and ``init`` encoded that volume with the built-in encoder."""
+    good = _absolute_manifest(dataset)
+    typo = json.loads(json.dumps(good))
+    typo["volumes"][1]["featurs"] = "vol_001.ext.vxar"
+    manifest, out = tmp_path / "manifest.json", tmp_path / "out"
+    argv = (_init_args if command == "init" else _run_args)(dataset, out)
+    argv[argv.index("--manifest") + 1] = str(manifest)
+    for doc, named in (
+        (typo, "volume 'vol_001' has unknown keys ['featurs']"),
+        (good | {"num_volumes": 4}, "the manifest has unknown keys ['num_volumes']"),
+    ):
+        manifest.write_text(json.dumps(doc))
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{manifest}: {named}" in err, err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("volume, key, value", [
     (None, "num_classes", 2.0),
     (None, "num_classes", "2"),
@@ -306,6 +329,25 @@ def test_synth_bad_spec(tmp_path, capsys):
         err = capsys.readouterr().err
         assert str(bad) in err and named in err, err
         assert not out.exists(), spec
+
+
+def test_synth_refuses_unknown_spec_keys(tmp_path, capsys):
+    """A key the spec does not read, at the top level or in a class, exits 1
+    naming the file and the key before ``--out`` is made.  Before, a
+    misspelled ``noise_sigm`` was dropped and the default noise used."""
+    save_spec(_spec(), tmp_path / "good.json")
+    good = json.loads((tmp_path / "good.json").read_text())
+    shape = good["classes"][0]
+    bad, out = tmp_path / "bad.json", tmp_path / "d"
+    for doc, named in (
+        (good | {"noise_sigm": 0.9}, "sets noise_sigm, which is not a setting"),
+        (good | {"classes": [shape | {"intensity_men": 2.0}]}, "sets classes[0].intensity_men,"),
+    ):
+        bad.write_text(json.dumps(doc))
+        assert dispatch(["synth", "--spec", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: phantom spec {named}" in err, err
+        assert not out.exists()
 
 
 

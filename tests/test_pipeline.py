@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from protoloop import encoder as encoder_mod
-from protoloop import pipeline, specialist
+from protoloop import cli, pipeline, specialist
 from protoloop.encoder import EncoderParams, FeatureGrid
 from protoloop.phantom import ClassShape, PhantomSpec, generate
 from protoloop.pipeline import (
@@ -80,12 +80,14 @@ def _config(dataset, out_dir, **over):
 
 
 def _drive(config: PipelineConfig) -> list[RoundState]:
-    """Every round's state, from rounds run as ``run_pipeline`` runs them: on one context."""
+    """Every round's state, from rounds run as ``run_pipeline`` runs them: on one
+    context, each from the previous round read back (``run_round`` spends the
+    state it is given)."""
     start_run(config)
     ctx = build_context(config)
     states = [run_round0(config, ctx=ctx)]
     for r in range(1, config.rounds + 1):
-        states.append(run_round(config, r, states[-1], ctx=ctx))
+        states.append(run_round(config, r, load_round_state(config.out_dir, r - 1), ctx=ctx))
     return states
 
 
@@ -394,6 +396,70 @@ def test_run_pipeline_frees_old_rounds(dataset, tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "run_round", watched)
     last = run_pipeline(_config(dataset, tmp_path / "run", rounds=3))
     assert last.round_index == 3 and checked == [0, 1]
+
+
+def _watch_label_lifetimes(monkeypatch) -> dict[int, int]:
+    """Watch every label array of each round, taken where the round's labels are
+    made (``_persist_round``) or read back (``load_round_state``, also as the
+    CLI imported it).  At round r's first ``infer``, after a collection, the
+    returned dict records how many arrays of round r - 1 are still alive."""
+    refs: dict[int, list] = {}
+    alive_at: dict[int, int] = {}
+    real_persist, real_load, real_infer = pipeline._persist_round, pipeline.load_round_state, pipeline.infer
+
+    def watch(state):
+        for labels in (state.labels, state.raw_labels or {}):
+            for lab in labels.values():
+                root = lab.data
+                while isinstance(root.base, np.ndarray):  # the array that owns the memory
+                    root = root.base
+                refs.setdefault(state.round_index, []).append(weakref.ref(root))
+        return state
+
+    def persist(out_dir, state, *args, **kwargs):
+        return real_persist(out_dir, watch(state), *args, **kwargs)
+
+    def load(out_dir, round_index):
+        return watch(real_load(out_dir, round_index))
+
+    def infer(params, data):
+        r = max(refs) + 1  # rounds up to r - 1 are persisted; round r is not yet
+        if r not in alive_at:
+            gc.collect()
+            alive_at[r] = sum(ref() is not None for ref in refs[r - 1])
+        return real_infer(params, data)
+
+    monkeypatch.setattr(pipeline, "_persist_round", persist)
+    monkeypatch.setattr(pipeline, "load_round_state", load)
+    monkeypatch.setattr(cli, "load_round_state", load)
+    monkeypatch.setattr(pipeline, "infer", infer)
+    return alive_at
+
+
+def test_run_pipeline_holds_no_previous_label_at_inference(dataset, tmp_path, monkeypatch):
+    """A round holds one pool label set: once its head is trained, no label
+    volume of the round before it is alive."""
+    alive_at = _watch_label_lifetimes(monkeypatch)
+    last = run_pipeline(_config(dataset, tmp_path / "run", rounds=2))
+    assert last.round_index == 2 and alive_at == {1: 0, 2: 0}
+    assert json.loads((tmp_path / "run" / "round_2" / "state.json").read_text())["refine_audit"]  # a vote ran
+
+
+def test_round_command_holds_no_previous_label_at_inference(dataset, tmp_path, monkeypatch):
+    """As under ``run_pipeline``: ``round`` reads round r - 1 back from disk
+    and drops its labels once the head is trained."""
+    alive_at = _watch_label_lifetimes(monkeypatch)
+    out = tmp_path / "cli"
+    argv = [
+        "init", "--manifest", str(dataset / "manifest.json"), "--out", str(out),
+        "--truth", str(dataset / "truth"), "--patch", "4", "--iters", "60", "--batch", "64",
+        "--k", "2", "--q-unc", "0.5", "--seed", "7",
+    ]
+    assert cli.dispatch(argv) == 0
+    for prev in ("round_0", "round_1"):
+        assert cli.dispatch(["round", "--prev", str(out / prev)]) == 0
+    assert alive_at == {1: 0, 2: 0}
+    assert json.loads((out / "round_2" / "state.json").read_text())["refine_audit"]  # a vote ran
 
 
 def test_round1_files_and_partition_records(main_run):
@@ -802,6 +868,8 @@ def test_context_keeps_four_bytes_per_voxel(tmp_path):
     # being 8 bytes per (h, w) position (0.17 per voxel at depth 48), and the
     # small objects.  A float64 (n_cells, C + 1) table would add 1.5 at p = 4
     # and a float64 z volume 8.  The template's uint8 label is not counted.
+    # With truth_dir set the bound is the same: the truth is read one volume
+    # at a time when a round is scored, where keeping it would add 0.75.
     spec = PhantomSpec(
         num_volumes=4,
         shape=Shape3(48, 48, 48),
@@ -810,12 +878,13 @@ def test_context_keeps_four_bytes_per_voxel(tmp_path):
         seed=22,
     )
     generate(spec, tmp_path / "data")
-    for patch in (8, 4):
+    for patch, truth_dir in ((8, None), (4, None), (4, tmp_path / "data" / "truth")):
         encoder = EncoderParams(patch_size=patch)
         config = PipelineConfig(
             manifest_path=tmp_path / "data" / "manifest.json",
             out_dir=tmp_path / f"run_{patch}",
             encoder=encoder,
+            truth_dir=truth_dir,
         )
         bound = 4 + 4 * encoder_mod.CHANNELS / patch**3 + 0.3
         for extract_allowed in (True, False):  # round 0, then a later round's reload
@@ -826,7 +895,8 @@ def test_context_keeps_four_bytes_per_voxel(tmp_path):
             finally:
                 tracemalloc.stop()
             voxels = sum(f.n_voxels for f in ctx.features.values())
-            assert (kept - ctx.labeled_gt.data.nbytes) / voxels <= bound, (patch, extract_allowed)
+            assert (kept - ctx.labeled_gt.data.nbytes) / voxels <= bound, (patch, truth_dir, extract_allowed)
+            assert (ctx.truth is None) == (truth_dir is None)
             del ctx
 
 

@@ -179,6 +179,61 @@ def test_round0_allocates_no_per_voxel_floats():
     assert peak <= 4 * shape.voxels, f"{peak / shape.voxels:.1f} bytes per voxel"
 
 
+def test_prototypes_and_similarities_have_the_whole_grid_bits():
+    # computed per channel, they equal bit for bit the whole-grid float64
+    # expressions they replace, past numpy's 8192-element buffer as well
+    rng = np.random.default_rng(7)
+    for channels, side in ((11, 24), (3, 5), (1, 9)):
+        data = rng.normal(size=(channels, side, side, side)).astype(np.float32)
+        data[:, 0, 0] = 0.0  # zero-norm cells
+        grid = FeatureGrid(channels, Shape3(side, side, side), data)
+        cell_labels = rng.integers(0, 3, size=(side, side, side))
+        protos = compute_prototypes(grid, _labels(cell_labels, 3))
+        feats = grid.data.astype(np.float64).reshape(channels, -1)
+        for c in range(3):
+            mask = cell_labels.reshape(-1) == c
+            mean = feats[:, mask].sum(axis=1) / (int(mask.sum()) + 1e-8)
+            assert protos[c].tobytes() == (mean / float(np.linalg.norm(mean))).tobytes()
+        norms = np.linalg.norm(feats, axis=0)
+        sims = protos @ (feats / np.where(norms == 0.0, 1.0, norms))
+        sims[:, norms == 0.0] = 0.0
+        assert similarity_maps(grid, protos).tobytes() == sims.tobytes()
+
+
+def test_propagation_peak_per_cell():
+    # above its inputs, initial_pseudo_label holds the grid's float64 copy
+    # (8 C bytes per cell), divided by the norms in place, the norms and one
+    # channel's squares (16), the similarities (8 k), a bool mask and small
+    # objects, then its output; one more whole-grid float64 temporary, such as
+    # np.linalg.norm's squares or a unit copy, adds 8 C.  compute_prototypes
+    # holds a class mask and one channel's cells of a class at a time, where a
+    # float64 copy of the grid and its masked copy held up to 16 C per cell
+    rng = np.random.default_rng(5)
+    channels, k, side = 11, 2, 24
+    grid = FeatureGrid(
+        channels, Shape3(side, side, side), rng.normal(size=(channels, side, side, side)).astype(np.float32)
+    )
+    template = _labels(rng.integers(0, k, size=(side,) * 3), k)
+    cells = grid.grid_shape.voxels
+    tracemalloc.start()
+    try:
+        protos = compute_prototypes(grid, template)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / cells <= 16, f"{peak / cells:.1f} bytes per cell"
+    for scale in (1, 2):
+        shape = Shape3(*(side * scale,) * 3)
+        tracemalloc.start()
+        try:
+            labels = initial_pseudo_label(grid, protos, shape)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        per_cell = (peak - labels.data.nbytes) / cells
+        assert per_cell <= 8 * channels + 8 * k + 24, f"{per_cell:.1f} bytes per cell at scale {scale}"
+
+
 def test_volume_smaller_than_grid_rejected():
     protos = np.array([[1.0], [0.0]])
     with pytest.raises(ValueError, match="larger than the volume"):
