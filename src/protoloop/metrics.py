@@ -209,21 +209,28 @@ def foreground_dice(pred: LabelVolume, ref: LabelVolume) -> float:
 
 
 def pseudo_label_quality(
-    pseudo: dict[str, LabelVolume], truth: Mapping[str, LabelVolume]
-) -> float:
-    """Mean foreground Dice of a pseudo-label set against ground truth.
+    pseudo: dict[str, LabelVolume], truth: Mapping[str, LabelVolume], *others: dict[str, LabelVolume]
+) -> float | tuple[float, ...]:
+    """Mean foreground Dice of a pseudo-label set against ground truth; with
+    ``others``, label sets of the same ids, the tuple of every set's mean.
 
-    Each truth volume is looked up once, when its volume is scored, and not
-    kept, so a ``truth`` mapping that reads its values from files has one
-    volume in memory at a time.
+    Each truth volume is looked up once, when its volume is scored in every
+    set, and not kept, so a ``truth`` mapping that reads its values from files
+    has one volume in memory at a time and reads each file once.
     """
-    if pseudo.keys() != truth.keys():
-        raise ValueError(
-            f"id mismatch: pseudo {sorted(pseudo)} vs truth {sorted(truth)}"
-        )
+    for labels in (pseudo, *others):
+        if labels.keys() != truth.keys():
+            raise ValueError(f"id mismatch: pseudo {sorted(labels)} vs truth {sorted(truth)}")
     if not pseudo:
         raise ValueError("empty pseudo-label set")
-    return float(np.mean([foreground_dice(pseudo[i], truth[i]) for i in sorted(pseudo)]))
+    dice = [[] for _ in (pseudo, *others)]
+    for i in sorted(pseudo):
+        ref = truth[i]
+        for scores, labels in zip(dice, (pseudo, *others)):
+            scores.append(foreground_dice(labels[i], ref))
+        del ref  # dropped before the next truth volume is read
+    means = tuple(float(np.mean(scores)) for scores in dice)
+    return means if others else means[0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ values of one whole-volume draw and every file is the same byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +26,12 @@ import numpy as np
 from .volume import (
     DatasetManifest,
     IntensityVolume,
+    JsonRules,
     LabelVolume,
     Shape3,
     VolumeEntry,
+    from_doc,
+    read_json,
     save_array,
     save_manifest,
 )
@@ -290,90 +293,19 @@ def generate(
 # ---------------------------------------------------------------------------
 # JSON spec files for the CLI
 
-def _of_types(types, length=None):
-    """A check that a JSON value is of one of ``types``; with ``length``, a list of that many (-1: any)."""
-    if length is None:
-        return lambda v: type(v) in types
-    return lambda v: isinstance(v, list) and length in (-1, len(v)) and all(type(x) in types for x in v)
-
-
-# the JSON a spec key takes, by its field's annotation
-_JSON_TYPES = {
-    "int": ("an integer", _of_types((int,))),
-    "float": ("a number", _of_types((int, float))),
-    "float | None": ("a number or null", _of_types((int, float, type(None)))),
-    "str": ("a string", _of_types((str,))),
-    "Shape3": ("a list of three integers", _of_types((int,), 3)),
-    "tuple[float, float, float]": ("a list of three numbers", _of_types((int, float), 3)),
-    "tuple[ClassShape, ...]": ("a list of objects", _of_types((dict,), -1)),
-}
-
-
-def _spec_fields(cls, doc: dict, path: Path, where: str, required=()) -> dict:
-    """Keyword arguments for ``cls`` from the keys of ``doc``, which name its
-    fields, found at ``where`` in the spec file at ``path``; a key that names
-    no field, a missing field without a default or in ``required``, and a
-    value of another JSON type than ``_JSON_TYPES`` gives its annotation, are
-    refused by file and key."""
-    unknown = sorted(doc.keys() - {f.name for f in fields(cls)})
-    if unknown:
-        names = ", ".join(where + key for key in unknown)
-        raise ValueError(f"{path}: phantom spec sets {names}, which is not a setting")
-    kwargs = {}
-    for f in fields(cls):
-        if f.name not in doc:
-            if f.name in required or f.default is MISSING:
-                raise ValueError(f"{path}: phantom spec missing required field {where}{f.name}")
-            continue
-        what, valid = _JSON_TYPES[f.type]
-        if not valid(doc[f.name]):
-            raise ValueError(f"{path}: {where}{f.name} is {json.dumps(doc[f.name])}; it must be {what}")
-        kwargs[f.name] = tuple(doc[f.name]) if isinstance(doc[f.name], list) else doc[f.name]
-    return kwargs
+# a class must set its geometry and intensity, though ClassShape has defaults for them
+_SPEC = JsonRules(
+    PhantomSpec, nested={"classes": JsonRules(ClassShape, required=("center", "radii", "intensity_mean"))}
+)
 
 
 def load_spec(path: str | Path) -> PhantomSpec:
-    """The spec at ``path``; invalid JSON and a value the spec refuses are
-    refused by file, as ``_spec_fields`` refuses a missing or mistyped one."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: a phantom spec must be an object")
-    kwargs = _spec_fields(PhantomSpec, doc, path, "")
-    required = ("center", "radii", "intensity_mean")
-    classes = [
-        _spec_fields(ClassShape, c, path, f"classes[{i}].", required) for i, c in enumerate(kwargs["classes"])
-    ]
-    try:
-        classes = tuple(ClassShape(**c) for c in classes)
-        return PhantomSpec(**kwargs | {"shape": Shape3(*kwargs["shape"]), "classes": classes})
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    """The spec at ``path``, read by ``volume.from_doc``, which refuses what it
+    cannot read by file and key path."""
+    return from_doc(_SPEC, read_json(path), path)
 
 
 def save_spec(spec: PhantomSpec, path: str | Path) -> None:
-    doc = {
-        "num_volumes": spec.num_volumes,
-        "shape": list(spec.shape.as_tuple()),
-        "num_classes": spec.num_classes,
-        "classes": [
-            {
-                "family": cs.family,
-                "center": list(cs.center),
-                "radii": list(cs.radii),
-                "intensity_mean": cs.intensity_mean,
-            }
-            for cs in spec.classes
-        ],
-        "background_mean": spec.background_mean,
-        "noise_sigma": spec.noise_sigma,
-        "center_jitter": spec.center_jitter,
-        "radius_jitter": spec.radius_jitter,
-        "hard_fraction": spec.hard_fraction,
-        "hard_sigma": spec.hard_sigma,
-        "seed": spec.seed,
-    }
+    """Write ``spec`` as the JSON object ``load_spec`` reads back: each field by its name."""
+    doc = asdict(spec) | {"shape": list(spec.shape.as_tuple())}
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -23,17 +23,22 @@ round, and a round replaced by ``run_round`` (with ``force``) or
 rounds after it, built on the old one, are then removed.  Only
 this module knows the run directory's layout, in which each round's
 ``state.json`` is the round's one record: ``run_table`` tabulates them.
+
+A run is invariant to the order of the manifest's entries, to a renaming of
+the ids that keeps their sort order and to doubling every intensity: every
+label file, grid and ``params.vxar`` is the same byte for byte.  A renaming
+that changes the ids' sort order changes the training draws, because
+``train_round`` draws pool volumes by position in the pool sorted by id.
 """
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 import shutil
 import time
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,12 +64,16 @@ from .volume import (
     DatasetManifest,
     FeatureGrid,
     IntensityVolume,
+    JsonRules,
     LabelVolume,
     Shape3,
     VolumeEntry,
+    check_object,
+    from_doc,
     load_array,
     load_manifest,
     read_header,
+    read_json,
     save_array,
 )
 
@@ -385,22 +394,6 @@ def _dump_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _read_json(path: Path):
-    """The JSON at ``path``; invalid JSON and a key given twice in one object are refused."""
-
-    def unique_keys(pairs):
-        doc = dict(pairs)
-        if len(doc) < len(pairs):
-            key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
-            raise ValueError(f"{path}: key {key!r} appears twice in one object")
-        return doc
-
-    try:
-        return json.loads(path.read_text(), object_pairs_hook=unique_keys)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from None
-
-
 def _label_name(vol_id: str, round_index: int, refined: bool) -> str:
     if round_index == 0:
         return f"{vol_id}.round0.label"
@@ -467,98 +460,52 @@ def _persist_round(
         shutil.rmtree(path)
 
 
-def _is_finite_number(value) -> bool:
-    """``value`` is a finite JSON number: not a boolean, nor an integer beyond float range."""
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _is_file_name(name) -> bool:
-    """``name`` is a string naming a file in its directory: no separator, not ``..``."""
-    return isinstance(name, str) and name not in ("", "..") and Path(name).name == name
-
-
-def _object_of(valid):
-    return lambda value: isinstance(value, dict) and all(map(valid, value.values()))
-
-
-# what each key of state.json must hold, when it is there
-_FILES = ("an object mapping ids to file names in the round directory", _object_of(_is_file_name))
-_DICE = ("a finite number or null", lambda value: value is None or _is_finite_number(value))
-_STATE_FIELDS = {
-    "labels": _FILES,
-    "raw_labels": _FILES,
-    "refined": ("a bool", lambda value: type(value) is bool),
-    "timings": ("an object of finite numbers", _object_of(_is_finite_number)),
-    "pseudo_label_dice": _DICE,
-    "model_dice": _DICE,
-    "params": ("a file name in the round directory", _is_file_name),
-    "uncertainties": ("an object mapping ids to mean entropies", lambda value: isinstance(value, dict)),
+# what each key of state.json holds, when it is there; a key not read, such as
+# the vote's audit, is ignored, and so is a partition's, as older run
+# directories hold such keys
+_STATE_TYPES = {
+    "round": "int",
+    "refined": "bool",
+    "labels": "dict[str, FileName]",
+    "raw_labels": "dict[str, FileName]",
+    "timings": "dict[str, float]",
+    "pseudo_label_dice": "float | None",
+    "model_dice": "float | None",
+    "params": "FileName",
+    "uncertainties": "dict[str, float]",
+    "partition": "Partition",
 }
+_PARTITION = JsonRules(Partition, ignored=None)
 
 
 def _read_state(out_dir: Path, round_index: int) -> tuple[Path, dict, Partition | None]:
     """Round ``round_index``'s directory, its checked ``state.json`` and its partition.
 
-    The file must be an object holding ``round`` and ``labels``, and each key
-    of ``_STATE_FIELDS`` it holds must hold what that table says; a malformed
-    one is refused by name, as are ``uncertainties`` by the id of a value that
-    is not a finite JSON number >= 0, or of one the model did or did not label.
-    In the returned object an absent ``refined``, ``timings`` or Dice takes the
-    value a round without it means.
+    The file must hold ``round`` and ``labels``, and each key of
+    ``_STATE_TYPES`` it holds what that table says, as ``check_object``
+    checks it; ``uncertainties`` must also hold a value >= 0 for each id the
+    model labeled and no other.  In the returned object an absent
+    ``refined``, ``timings`` or Dice takes the value a round without it means.
     """
     round_dir = _restore_round(out_dir, round_index)
     path = round_dir / "state.json"
-    doc = _read_json(path)
-    if not isinstance(doc, dict) or "round" not in doc or "labels" not in doc:
-        raise ValueError(f"{path}: not an object holding round and labels")
-    if type(doc["round"]) is not int or doc["round"] != round_index:
+    doc = read_json(path)
+    check_object(doc, _STATE_TYPES, path, required=("round", "labels"), ignored=None)
+    if doc["round"] != round_index:
         raise ValueError(
             f"{round_dir}: state file claims round {doc['round']!r}, expected {round_index}"
         )
-    for key, (what, valid) in _STATE_FIELDS.items():
-        if key in doc and not valid(doc[key]):
-            raise ValueError(f"{path}: {key} is not {what}")
     if "uncertainties" in doc:
         unc, ids = doc["uncertainties"], doc.get("raw_labels", doc["labels"]).keys()
         for vol_id, value in unc.items():
-            if not (_is_finite_number(value) and value >= 0):
-                raise ValueError(f"{path}: uncertainty {value!r} of {vol_id!r} is not a finite number >= 0")
+            if value < 0:
+                raise ValueError(f"{path}: uncertainties.{vol_id} is {value}; it must be >= 0")
         missing, unknown = sorted(ids - unc.keys()), sorted(unc.keys() - ids)
         if missing or unknown:
             raise ValueError(f"{path}: uncertainties lack ids {missing} and hold unknown ids {unknown}")
     doc = {"refined": False, "pseudo_label_dice": None, "model_dice": None, "timings": {}} | doc
-    return round_dir, doc, _read_partition(doc, path)
-
-
-def _read_partition(doc: dict, path: Path) -> Partition | None:
-    """The ``partition`` of ``state.json`` ``doc``, read from ``path``; None when it has none.
-
-    It must hold lists of string ids ``certain`` and ``uncertain``, a finite
-    number ``threshold`` and a string ``labeled_id``; other keys are ignored.
-    """
-    if "partition" not in doc:
-        return None
-    part = doc["partition"] if isinstance(doc["partition"], dict) else {}
-    kwargs = {key: part.get(key) for key in ("certain", "uncertain", "threshold", "labeled_id")}
-    if not (
-        all(
-            isinstance(ids, list) and all(isinstance(i, str) for i in ids)
-            for ids in (kwargs["certain"], kwargs["uncertain"])
-        )
-        and _is_finite_number(kwargs["threshold"])
-        and isinstance(kwargs["labeled_id"], str)
-    ):
-        raise ValueError(
-            f"{path}: partition is not an object holding certain and uncertain id lists, "
-            "a finite threshold and a string labeled_id"
-        )
-    try:
-        return Partition(**kwargs)
-    except ValueError as exc:
-        raise ValueError(f"{path}: partition: {exc}") from None
+    partition = from_doc(_PARTITION, doc["partition"], path, "partition") if "partition" in doc else None
+    return round_dir, doc, partition
 
 
 def load_round_state(out_dir: Path, round_index: int) -> RoundState:
@@ -766,13 +713,14 @@ def _vote_and_persist(
         state.labels, audit = refine_all(votable, state.partition, global_features, config.knn)
     state.timings["refine"] = time.perf_counter() - t0
     if truth is not None:
-        state.model_dice = pseudo_label_quality(state.raw_labels, truth)
         # without a vote (refine off, or no uncertain volume) the labels are
-        # the raw labels, and so is their Dice
-        voted = any(lab is not state.raw_labels[i] for i, lab in state.labels.items())
-        state.pseudo_label_dice = (
-            pseudo_label_quality(state.labels, truth) if voted else state.model_dice
-        )
+        # the raw labels, and so is their Dice; with one, both sets are scored
+        # against one read of each truth file
+        raw, voted = state.raw_labels, state.labels
+        if any(lab is not raw[i] for i, lab in voted.items()):
+            state.model_dice, state.pseudo_label_dice = pseudo_label_quality(raw, truth, voted)
+        else:
+            state.model_dice = state.pseudo_label_dice = pseudo_label_quality(raw, truth)
 
     _persist_round(config.out_dir, state, extra={"refine_audit": audit}, train_log=train_log)
     return state
@@ -812,100 +760,46 @@ def _clear_run_dir(out_dir: Path) -> None:
             shutil.rmtree(p)
 
 
-# config.json keys that differ from the PipelineConfig field names
-_DOC_KEYS = {"manifest_path": "manifest"}
-_NESTED = {"encoder": EncoderParams, "train": TrainConfig}
-_NOT_PERSISTED = {"force", "out_dir"}  # an action of one invocation; where the run is loaded from
-# settings an older config.json may name only at these values and JSON types: module
-# constants, the position channels the encoder always emits, and ``val_manifest``, a
-# labeled validation set (the template is the only label a run reads)
-_FIXED = {
-    "": {"val_manifest": None},
-    "encoder": {"position_weight": encoder_mod.POSITION_WEIGHT, "include_position": True},
-    "train": {name.lower(): getattr(specialist, name) for name in (
-        "BASE_LR", "LR_POWER", "MOMENTUM", "WEIGHT_DECAY", "RAMP_FRACTION", "DICE_SMOOTH"
-    )},
-}
-# neither read nor refused: versions up to 314cd6f wrote out_dir, and a run loads from where it is
-_IGNORED = {"": {"out_dir"}}
+# How config.json is read: a key named apart from its PipelineConfig field
+# (``keys``), the fields a run does not persist (``not_read``: an action of one
+# invocation, and where the run is loaded from), and its retired settings
+# (``fixed``), which may appear only at these values and JSON types: module
+# constants, the position channels the encoder always emits, and
+# ``val_manifest``, a labeled validation set (the template is the only label a
+# run reads).  ``out_dir`` is neither read nor refused: versions up to 314cd6f
+# wrote it, and a run loads from where it is.
+_CONFIG = JsonRules(
+    PipelineConfig,
+    keys={"manifest_path": "manifest"},
+    not_read=frozenset({"force", "out_dir"}),
+    fixed={"val_manifest": None},
+    ignored=frozenset({"out_dir"}),
+    nested={
+        "encoder": JsonRules(
+            EncoderParams,
+            fixed={"position_weight": encoder_mod.POSITION_WEIGHT, "include_position": True},
+        ),
+        "train": JsonRules(TrainConfig, fixed={name.lower(): getattr(specialist, name) for name in (
+            "BASE_LR", "LR_POWER", "MOMENTUM", "WEIGHT_DECAY", "RAMP_FRACTION", "DICE_SMOOTH"
+        )}),
+    },
+)
 
 
 def _config_doc(config: PipelineConfig) -> dict:
-    doc = {}
-    for f in fields(PipelineConfig):
-        if f.name in _NOT_PERSISTED:
-            continue
-        value = getattr(config, f.name)
-        if f.name in _NESTED:
-            value = asdict(value)
-        elif isinstance(value, Path):
-            value = str(value)
-        doc[_DOC_KEYS.get(f.name, f.name)] = value
-    return doc
+    """The ``config.json`` object of ``config``, which ``_config_from_doc`` reads back."""
+    return {
+        _CONFIG.keys.get(name, name): str(value) if isinstance(value, Path) else value
+        for name, value in asdict(config).items()
+        if name not in _CONFIG.not_read
+    }
 
 
-# the JSON values a config.json field takes, by the field's annotation
-_DOC_TYPES = {
-    "int": ("an int", lambda v: type(v) is int),
-    "float": ("a number", lambda v: type(v) in (int, float)),
-    "bool": ("a bool", lambda v: type(v) is bool),
-    "Path": ("a string", lambda v: type(v) is str),
-    "Path | None": ("a string or null", lambda v: v is None or type(v) is str),
-}
-
-
-def _fields_from_doc(cls, doc, where: str) -> dict:
-    """Keyword arguments for ``cls`` from its ``config.json`` object ``doc``, found at ``where``.
-
-    Absent keys are left out; a ``doc`` that is not an object, a key that is
-    neither a persisted field, a ``_FIXED`` setting nor an ``_IGNORED`` one, a
-    value of another JSON type than its field's and a ``_FIXED`` setting at
-    another value or of another type (``1`` equals ``True`` in Python) are refused.
-    """
-    if not isinstance(doc, dict):
-        at = f"sets {where} to" if where else "holds"
-        raise ValueError(f"config.json {at} {json.dumps(doc)}; it must be an object")
-    prefix = f"{where}." if where else ""
-    known = {_DOC_KEYS.get(f.name, f.name) for f in fields(cls) if f.name not in _NOT_PERSISTED}
-    unknown = sorted(doc.keys() - known - _FIXED.get(where, {}).keys() - _IGNORED.get(where, set()))
-    if unknown:
-        names = ", ".join(prefix + key for key in unknown)
-        raise ValueError(f"config.json sets {names}, which this version does not read")
-    for key, fixed in _FIXED.get(where, {}).items():
-        value = doc.get(key, fixed)
-        if type(value) is not type(fixed) or value != fixed:
-            raise ValueError(f"config.json sets {prefix}{key} to {value!r}; it is fixed at {fixed!r}")
-    kwargs = {}
-    for f in fields(cls):
-        key = _DOC_KEYS.get(f.name, f.name)
-        if f.name in _NOT_PERSISTED or key not in doc:
-            continue
-        value, name = doc[key], prefix + key
-        if f.name in _NESTED:
-            value = _construct(_NESTED[f.name], name, **_fields_from_doc(_NESTED[f.name], value, name))
-        elif not _DOC_TYPES[f.type][1](value):
-            raise ValueError(
-                f"config.json sets {name} to {json.dumps(value)}; it takes {_DOC_TYPES[f.type][0]}"
-            )
-        kwargs[f.name] = value
-    return kwargs
-
-
-def _construct(cls, where: str, **kwargs):
-    """``cls(**kwargs)``; a value the constructor refuses is reported as ``config.json``'s at ``where``."""
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ValueError(f"config.json {where}: {exc}") from None
-
-
-def _config_from_doc(doc, out_dir: Path) -> PipelineConfig:
-    """Inverse of ``_config_doc``; absent keys take defaults, and values are checked
-    as ``_fields_from_doc`` checks them and then as ``PipelineConfig`` does."""
-    kwargs = _fields_from_doc(PipelineConfig, doc, "")
-    if "manifest_path" not in kwargs:
-        raise ValueError("config document has no manifest")
-    return _construct(PipelineConfig, "top level", out_dir=Path(out_dir), **kwargs)
+def _config_from_doc(doc: dict, out_dir: Path) -> PipelineConfig:
+    """The config ``_CONFIG`` reads from the ``config.json`` object ``doc`` of
+    the run in ``out_dir``; absent keys take defaults."""
+    out_dir = Path(out_dir)
+    return from_doc(_CONFIG, doc, out_dir / "config.json", out_dir=out_dir)
 
 
 def load_run_config(run_dir: Path, **over) -> PipelineConfig:
@@ -913,7 +807,7 @@ def load_run_config(run_dir: Path, **over) -> PipelineConfig:
     config_file = Path(run_dir) / "config.json"
     if not config_file.exists():
         raise ValueError(f"{run_dir} has no config.json; initialize a run first")
-    config = _config_from_doc(_read_json(config_file), run_dir)
+    config = _config_from_doc(read_json(config_file), run_dir)
     return replace(config, **{k: v for k, v in over.items() if v is not None})
 
 

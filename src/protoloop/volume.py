@@ -9,14 +9,20 @@ compression, no chunking, so save/load round-trips are bit-exact.
 :func:`load_array` is the one reader: it reads the payload straight into the
 array it returns, given the kind a file must hold it refuses any other, and
 every refusal is an :class:`ArrayFormatError` that names the file.
+
+This module also reads every JSON document a run takes, the manifest among
+them: :func:`read_json` refuses a malformed file, and :func:`from_doc` builds
+a dataclass from an object that :func:`check_object` has checked against one
+type table, ``_JSON_TYPES``; each refusal names the file and the key path.
 """
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +35,10 @@ __all__ = [
     "FeatureGrid",
     "VolumeEntry",
     "DatasetManifest",
+    "JsonRules",
+    "read_json",
+    "check_object",
+    "from_doc",
     "read_header",
     "read_blob",
     "write_blob",
@@ -313,6 +323,190 @@ def load_array(path: str | Path, kind: type | None = None):
 
 
 # ---------------------------------------------------------------------------
+# JSON documents: one reader for the manifest, the phantom spec, config.json
+# and state.json
+
+def _is_number(value) -> bool:
+    """``value`` is a finite JSON number: not a bool, nor an integer beyond float range."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _is_file_name(value) -> bool:
+    """``value`` is a string naming a file in its directory: no separator, not ``..``."""
+    return type(value) is str and value not in ("", "..") and Path(value).name == value
+
+
+def _of(kind, length: int | None = None):
+    """A check that a JSON value is of type ``kind``, a list of ``length`` items where given."""
+    return lambda value: type(value) is kind and (length is None or len(value) == length)
+
+
+# The JSON value each annotation takes: what a refusal calls it, a check of it,
+# and for a list or an object of members, the members' annotation.  Everywhere
+# "a number" is a finite JSON number that is not a bool.
+_JSON_TYPES = {
+    "int": ("an integer", _of(int), None),
+    "bool": ("a bool", _of(bool), None),
+    "float": ("a number", _is_number, None),
+    "float | None": ("a number or null", lambda value: value is None or _is_number(value), None),
+    "str": ("a string", _of(str), None),
+    "str | None": ("a string or null", lambda value: value is None or type(value) is str, None),
+    "Path": ("a string", _of(str), None),
+    "Path | None": ("a string or null", lambda value: value is None or type(value) is str, None),
+    "Shape3": ("a list of three integers", _of(list, 3), "int"),
+    "tuple[float, float, float]": ("a list of three numbers", _of(list, 3), "float"),
+    "frozenset[str]": ("a list of strings", _of(list), "str"),
+    "tuple[ClassShape, ...]": ("a list of objects", _of(list), "ClassShape"),
+    "tuple[VolumeEntry, ...]": ("a list of objects", _of(list), "VolumeEntry"),
+    **dict.fromkeys(
+        ("ClassShape", "VolumeEntry", "EncoderParams", "TrainConfig", "Partition"), ("an object", _of(dict), None)
+    ),
+    # state.json's own: the files it names are in its round directory
+    "FileName": ("a file name in its directory", _is_file_name, None),
+    "dict[str, FileName]": ("an object of file names", _of(dict), "FileName"),
+    "dict[str, float]": ("an object of numbers", _of(dict), "float"),
+}
+
+
+def _key_path(at: str, key, value=None) -> str:
+    """The key path of an object's ``key``, or of the list item ``value`` at index
+    ``key``, under ``at``; an item with a string ``id`` is named by it (``volumes[vol_003]``)."""
+    if isinstance(key, str):
+        return f"{at}.{key}" if at else key
+    if isinstance(value, dict) and type(value.get("id")) is str:
+        key = value["id"]
+    return f"{at}[{key}]"
+
+
+class _Twice(dict):
+    """A JSON object in which the key ``twice`` appears more than once."""
+
+
+class _Constant(str):
+    """``NaN``, ``Infinity`` or ``-Infinity``, for which JSON has no number."""
+
+
+def _object_of_pairs(pairs: list) -> dict:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys, doc = [key for key, _ in pairs], _Twice(doc)
+        doc.twice = next(key for i, key in enumerate(keys) if key in keys[:i])
+    return doc
+
+
+def _refusal(value, at: str) -> str | None:
+    """Why ``value``, at key path ``at``, is refused: its first duplicated key or constant; or None."""
+    if isinstance(value, _Constant):
+        return f"{at} is {value}, which is not a JSON number"
+    if isinstance(value, _Twice):
+        return f"key {_key_path(at, value.twice)} appears twice in one object"
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            found = _refusal(item, _key_path(at, key, item))
+            if found:
+                return found
+    return None
+
+
+def read_json(path: str | Path) -> dict:
+    """The JSON object in the file at ``path``.  Invalid JSON, a top level that
+    is not an object, a key given twice in one object and the constants ``NaN``,
+    ``Infinity`` and ``-Infinity`` are refused by file, the last two by key path too."""
+    try:
+        doc = json.loads(Path(path).read_text(), object_pairs_hook=_object_of_pairs, parse_constant=_Constant)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    refusal = _refusal(doc, "") if isinstance(doc, dict) else "the top level must be an object"
+    if refusal:
+        raise ValueError(f"{path}: {refusal}")
+    return doc
+
+
+def _check_value(value, annotation: str, path, at: str) -> None:
+    what, valid, members = _JSON_TYPES[annotation]
+    if not valid(value):
+        raise ValueError(f"{path}: {at} is {json.dumps(value)}; it must be {what}")
+    if members:
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            _check_value(item, members, path, _key_path(at, key, item))
+
+
+def check_object(doc: dict, types: dict[str, str], path, at: str = "", required=(), ignored=()) -> None:
+    """Refuse the object ``doc``, at key path ``at`` in the file ``path``, by
+    file and key path, if it holds a key neither in ``types`` nor ``ignored``
+    (None: every other key), lacks a ``required`` key, or holds a value of
+    another JSON type than its annotation in ``types`` takes in ``_JSON_TYPES``."""
+    unknown = [] if ignored is None else sorted(doc.keys() - types.keys() - set(ignored))
+    if unknown:
+        raise ValueError(f"{path}: unknown key {', '.join(_key_path(at, key) for key in unknown)}")
+    for key in required:
+        if key not in doc:
+            raise ValueError(f"{path}: missing required field {_key_path(at, key)}")
+    for key, annotation in types.items():
+        if key in doc:
+            _check_value(doc[key], annotation, path, _key_path(at, key))
+
+
+@dataclass(frozen=True)
+class JsonRules:
+    """How one document reads a dataclass from a JSON object: its own rules, as data."""
+
+    cls: type
+    keys: dict = field(default_factory=dict)  # field name -> JSON key, where they differ
+    not_read: frozenset = frozenset()  # fields no document sets
+    required: tuple = ()  # fields with defaults that a document must still set
+    fixed: dict = field(default_factory=dict)  # retired keys, allowed only at this value and JSON type
+    ignored: frozenset | None = frozenset()  # keys neither read nor refused; None: every other key
+    nested: dict = field(default_factory=dict)  # field name -> rules of its object, or of each in its list
+
+
+def _construct(path, at: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a ValueError it raises is reported by file ``path`` and key path ``at``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {at + ': ' if at else ''}{exc}") from None
+
+
+def from_doc(rules: JsonRules, doc: dict, path, at: str = "", **given):
+    """``rules.cls`` from ``given`` and the JSON object ``doc``, at key path
+    ``at`` in the file ``path``, which :func:`check_object` checks against the
+    fields' annotations; a field without a default, or in ``rules.required``,
+    must be set.  A nested object becomes its dataclass, a ``Shape3`` list a
+    ``Shape3`` and any other list a tuple."""
+    read = {rules.keys.get(f.name, f.name): f for f in fields(rules.cls) if f.name not in rules.not_read}
+    required = [
+        key for key, f in read.items()
+        if f.name in rules.required or (f.default is MISSING and f.default_factory is MISSING)
+    ]
+    ignored = None if rules.ignored is None else {*rules.ignored, *rules.fixed}
+    check_object(doc, {key: f.type for key, f in read.items()}, path, at, required, ignored)
+    for key, fixed in rules.fixed.items():
+        value = doc.get(key, fixed)
+        if type(value) is not type(fixed) or value != fixed:  # 1 == True in Python
+            where = _key_path(at, key)
+            raise ValueError(f"{path}: {where} is {json.dumps(value)}; it is fixed at {json.dumps(fixed)}")
+    kwargs = dict(given)
+    for key, f in read.items():
+        if key not in doc:
+            continue
+        value, where, nested = doc[key], _key_path(at, key), rules.nested.get(f.name)
+        if nested and type(value) is list:
+            value = tuple(from_doc(nested, v, path, _key_path(where, i, v)) for i, v in enumerate(value))
+        elif nested:
+            value = from_doc(nested, value, path, where)
+        elif f.type == "Shape3":
+            value = _construct(path, where, Shape3, *value)
+        elif type(value) is list:
+            value = tuple(value)
+        kwargs[f.name] = value
+    return _construct(path, at, rules.cls, **kwargs)
+
+
+# ---------------------------------------------------------------------------
 # dataset manifest
 
 _VOL_ID = re.compile(r"[A-Za-z0-9_-]+")
@@ -374,53 +568,19 @@ class DatasetManifest:
         return self.base_dir / rel
 
 
-def _refuse_unknown_keys(doc: dict, known: tuple[str, ...], where: str, ignored: tuple[str, ...] = ()) -> None:
-    """Refuse a key of ``doc``, found at ``where``, that is neither ``known`` nor ``ignored``."""
-    unknown = sorted(doc.keys() - set(known) - set(ignored))
-    if unknown:
-        raise ValueError(f"{where} has unknown keys {unknown}; it may hold {', '.join(known)}")
+# older manifests hold ``exactly_one_labeled``, which nothing reads
+_MANIFEST = JsonRules(
+    DatasetManifest,
+    keys={"entries": "volumes"},
+    not_read=frozenset({"base_dir"}),
+    ignored=frozenset({"exactly_one_labeled"}),
+    nested={"entries": JsonRules(VolumeEntry, keys={"vol_id": "id"})},
+)
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
-    """The manifest at ``path``.
-
-    ``num_classes`` must be a JSON integer, and each volume's ``intensity``,
-    and its ``label`` and ``features`` where given, strings; a value of another
-    type, a key the manifest or an entry does not read, and what the
-    dataclasses refuse, are refused by file and volume id.
-    """
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: malformed manifest ({exc})") from exc
-    try:
-        num_classes = doc["num_classes"]
-        # older versions wrote ``exactly_one_labeled``; nothing reads it
-        _refuse_unknown_keys(doc, ("num_classes", "volumes"), "the manifest", ignored=("exactly_one_labeled",))
-        for v in doc["volumes"]:
-            _refuse_unknown_keys(v, ("id", "intensity", "label", "features"), f"volume {v['id']!r}")
-        entries = tuple(
-            VolumeEntry(
-                vol_id=v["id"],
-                intensity=v["intensity"],
-                label=v.get("label"),
-                features=v.get("features"),
-            )
-            for v in doc["volumes"]
-        )
-        if type(num_classes) is not int:
-            raise ValueError(f"num_classes {json.dumps(num_classes)} is not an integer")
-        for e in entries:
-            for key in ("intensity", "label", "features"):
-                value = getattr(e, key)
-                if not isinstance(value, str) and (key == "intensity" or value is not None):
-                    raise ValueError(f"{key} {json.dumps(value)} of volume {e.vol_id!r} is not a string")
-        return DatasetManifest(num_classes=num_classes, entries=entries, base_dir=path.parent)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: manifest missing required field ({exc})") from exc
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    """The manifest at ``path``, read by :func:`from_doc`; its ``base_dir`` is the file's directory."""
+    return from_doc(_MANIFEST, read_json(path), path, base_dir=Path(path).parent)
 
 
 def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:

@@ -168,21 +168,25 @@ def test_manifest_without_exactly_one_label_leaves_nothing(dataset, tmp_path, ca
 
 @pytest.mark.parametrize("command", ["init", "run"])
 def test_unknown_manifest_keys_leave_nothing(dataset, tmp_path, capsys, command):
-    """A key the manifest does not read, in a volume entry or at its top
-    level, exits 1 naming the manifest, the volume id and the key, and makes
-    no run directory.  Before, an entry's misspelled ``featurs`` was dropped
-    and ``init`` encoded that volume with the built-in encoder."""
+    """A key the manifest does not read, or one given twice in one object, in
+    a volume entry or at its top level, exits 1 naming the manifest and the
+    key path, and makes no run directory.  Before, an entry's misspelled
+    ``featurs`` was dropped and ``init`` encoded that volume with the
+    built-in encoder, and a key given twice was read as its last value."""
     good = _absolute_manifest(dataset)
     typo = json.loads(json.dumps(good))
     typo["volumes"][1]["featurs"] = "vol_001.ext.vxar"
     manifest, out = tmp_path / "manifest.json", tmp_path / "out"
     argv = (_init_args if command == "init" else _run_args)(dataset, out)
     argv[argv.index("--manifest") + 1] = str(manifest)
+    text = json.dumps(good)
     for doc, named in (
-        (typo, "volume 'vol_001' has unknown keys ['featurs']"),
-        (good | {"num_volumes": 4}, "the manifest has unknown keys ['num_volumes']"),
+        (typo, "unknown key volumes[vol_001].featurs"),
+        (good | {"num_volumes": 4}, "unknown key num_volumes"),
+        (text[:-1] + ', "num_classes": 3}', "key num_classes appears twice in one object"),
+        (text.replace('"id": "vol_001"', '"id": "vol_001", "id": "vol_001"'), "key volumes[vol_001].id appears twice"),
     ):
-        manifest.write_text(json.dumps(doc))
+        manifest.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         assert dispatch(argv) == 1
         err = capsys.readouterr().err
         assert f"{manifest}: {named}" in err, err
@@ -203,12 +207,12 @@ def test_manifest_field_of_another_type_leaves_nothing(dataset, tmp_path, capsys
     path that is not a string exited 2.  Now the manifest is refused by file,
     and by volume id, before anything is written."""
     doc = _absolute_manifest(dataset)
-    named = [str(tmp_path / "manifest.json"), f"{key} {json.dumps(value)}"]
     if volume is None:
         doc[key] = value
     else:
         doc["volumes"][volume][key] = value
-        named.append(repr(doc["volumes"][volume]["id"]))
+        key = f"volumes[{doc['volumes'][volume]['id']}].{key}"
+    named = [str(tmp_path / "manifest.json"), f"{key} is {json.dumps(value)}"]
     (tmp_path / "manifest.json").write_text(json.dumps(doc))
     for argv in (_run_args(dataset, tmp_path / "out"), _init_args(dataset, tmp_path / "out")):
         argv[argv.index("--manifest") + 1] = str(tmp_path / "manifest.json")
@@ -305,7 +309,9 @@ def test_synth_bad_spec(tmp_path, capsys):
     one, before ``--out`` is made.  Before, ``"num_volumes": 2.5`` and
     ``"seed": 1.5`` exited 2 after making ``--out/truth/``, ``"3"`` and ``"x"``
     were called missing fields, ``"classes": {"a": 1}`` exited 2 and invalid
-    JSON was not named by file."""
+    JSON was not named by file.  A key given twice was read as its last
+    value, and ``NaN`` or ``Infinity`` made ``synth`` fail part-way, after
+    making ``--out/truth/``."""
     save_spec(_spec(), tmp_path / "good.json")
     good = json.loads((tmp_path / "good.json").read_text())
     center = {"center": "x", "radii": [3.5, 3.5, 3.5], "intensity_mean": 1.0}
@@ -321,6 +327,12 @@ def test_synth_bad_spec(tmp_path, capsys):
         ({"classes": [center]}, 'classes[0].center is "x"'),
         ({"shape": [12, 12]}, "shape is [12, 12]"),
         ({"num_classes": 300}, "num_classes=300 outside [2, 256]"),
+        (json.dumps(good)[:-1] + ', "seed": 3}', "key seed appears twice in one object"),
+        (json.dumps(good).replace('"family": ', '"family": "ellipsoid", "family": '), "key classes[0].family appears twice"),
+        ({"noise_sigma": float("nan")}, "noise_sigma is NaN, which is not a JSON number"),
+        ({"background_mean": float("inf")}, "background_mean is Infinity,"),
+        ({"classes": [good["classes"][0] | {"intensity_mean": float("nan")}]}, "classes[0].intensity_mean is NaN,"),
+        ({"classes": [good["classes"][0] | {"center": [float("nan"), 0.5, 0.5]}]}, "classes[0].center[0] is NaN,"),
     ]
     bad, out = tmp_path / "bad.json", tmp_path / "d"
     for spec, named in rows:
@@ -340,13 +352,13 @@ def test_synth_refuses_unknown_spec_keys(tmp_path, capsys):
     shape = good["classes"][0]
     bad, out = tmp_path / "bad.json", tmp_path / "d"
     for doc, named in (
-        (good | {"noise_sigm": 0.9}, "sets noise_sigm, which is not a setting"),
-        (good | {"classes": [shape | {"intensity_men": 2.0}]}, "sets classes[0].intensity_men,"),
+        (good | {"noise_sigm": 0.9}, "unknown key noise_sigm"),
+        (good | {"classes": [shape | {"intensity_men": 2.0}]}, "unknown key classes[0].intensity_men"),
     ):
         bad.write_text(json.dumps(doc))
         assert dispatch(["synth", "--spec", str(bad), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert f"{bad}: phantom spec {named}" in err, err
+        assert f"{bad}: {named}" in err, err
         assert not out.exists()
 
 
@@ -611,11 +623,12 @@ def test_config_drift_in_a_fixed_setting_is_refused(finished_run, tmp_path, caps
     (out / "config.json").write_text(json.dumps(doc))
     before = _tree(out)
     name = f"{section}.{key}" if section else key
-    with pytest.raises(ValueError, match=re.escape(f"config.json sets {name} to {value!r}; it is fixed at")):
+    named = f"config.json: {name} is {json.dumps(value)}; it is fixed at"
+    with pytest.raises(ValueError, match=re.escape(named)):
         pipeline.load_run_config(out)
     assert dispatch(["round", "--prev", str(out / "round_1")]) == 1
     assert dispatch(["refine", "--round", str(out / "round_1"), "--force"]) == 1
-    assert capsys.readouterr().err.count(f"config.json sets {name} to") == 2
+    assert capsys.readouterr().err.count(named) == 2
     assert _tree(out) == before
 
 
@@ -646,7 +659,7 @@ def test_config_value_of_another_type_is_refused(finished_run, tmp_path, capsys,
     assert dispatch(["round", "--prev", str(out / "round_1")]) == 1
     assert dispatch(["refine", "--round", str(out / "round_1"), "--force"]) == 1
     err = capsys.readouterr().err
-    assert err.count(f"config.json sets {key} to {json.dumps(value)};") == 2
+    assert err.count(f"config.json: {key} is {json.dumps(value)};") == 2
     assert _tree(out) == before
 
 
@@ -668,7 +681,7 @@ def test_config_value_out_of_range_is_refused_by_key(finished_run, tmp_path, cap
     (doc[section[0]] if section else doc)[name] = value
     (out / "config.json").write_text(json.dumps(doc))
     before = _tree(out)
-    named = f"config.json {section[0] if section else 'top level'}: {name}={value} "
+    named = f"config.json: {section[0] + ': ' if section else ''}{name}={value} "
     with pytest.raises(ValueError, match=re.escape(named)):
         pipeline.load_run_config(out)
     assert dispatch(["round", "--prev", str(out / "round_1")]) == 1
@@ -679,14 +692,29 @@ def test_config_value_out_of_range_is_refused_by_key(finished_run, tmp_path, cap
     assert _tree(out) == before
 
 
-@pytest.mark.parametrize("text", ["[]", "null", '{"manifest": '])
-def test_config_json_that_is_not_an_object_is_refused_by_name(finished_run, tmp_path, capsys, text):
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("[]", "config.json: "),
+        ("null", "config.json: "),
+        ('{"manifest": ', "config.json: "),
+        (lambda text: text.replace('"knn": ', '"knn": 2, "knn": '), "config.json: key knn appears twice"),
+        (
+            lambda text: text.replace('"iterations": ', '"iterations": 5, "iterations": '),
+            "config.json: key train.iterations appears twice",
+        ),
+    ],
+    ids=["[]", "null", '{"manifest": ', "twice", "twice-in-train"],
+)
+def test_config_json_that_is_not_an_object_is_refused_by_name(finished_run, tmp_path, capsys, text, named):
+    """So is one that gives a key twice in one object, named by its key path."""
     out = tmp_path / "run"
     shutil.copytree(finished_run, out)
-    (out / "config.json").write_text(text)
+    path = out / "config.json"
+    path.write_text(text(path.read_text()) if callable(text) else text)
     before = _tree(out)
     assert dispatch(["round", "--prev", str(out / "round_1")]) == 1
-    assert "config.json" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
     assert _tree(out) == before
 
 
@@ -887,13 +915,31 @@ def test_state_json_malformed_is_refused_by_name(finished_run, tmp_path, capsys,
     assert (out / "report.csv").read_text() == "an earlier report\n"
 
 
-@pytest.mark.parametrize("text", ["[]", "null", '{"round": 1, '])
-def test_state_json_that_is_not_an_object_is_refused_by_name(finished_run, tmp_path, capsys, text):
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("[]", "the top level must be an object"),
+        ("null", "the top level must be an object"),
+        ('{"round": 1, ', "not valid JSON"),
+        (lambda text: text.replace('"refined": ', '"refined": true, "refined": '), "key refined appears twice"),
+        (
+            lambda text: text.replace('"threshold": ', '"threshold": 0.5, "threshold": '),
+            "key partition.threshold appears twice",
+        ),
+        # the vote's audit is not read, and is refused all the same
+        (lambda text: text.replace('"weight": ', '"weight": 1, "weight": ', 1), "key refine_audit["),
+        (lambda text: text.replace('"weight": ', '"weight": NaN, "was": ', 1), "is NaN, which is not a JSON number"),
+    ],
+    ids=["[]", "null", '{"round": 1, ', "twice", "twice-in-partition", "twice-unread", "nan-unread"],
+)
+def test_state_json_that_is_not_an_object_is_refused_by_name(finished_run, tmp_path, capsys, text, named):
+    """So is one that gives a key twice in one object, or holds ``NaN``,
+    anywhere in it, named by its key path."""
     out = tmp_path / "run"
     shutil.copytree(finished_run, out)
     path = out / "round_1" / "state.json"
-    path.write_text(text)
-    _refused(out, capsys, str(path))
+    path.write_text(text(path.read_text()) if callable(text) else text)
+    _refused(out, capsys, str(path), named)
 
 
 def test_state_json_partition_keys_beyond_the_four_are_ignored(finished_run, tmp_path, capsys):
@@ -942,24 +988,24 @@ def test_uncertainty_json_value_that_is_not_a_finite_number_is_refused(finished_
     """Each volume's mean entropy, a value of ``state.json``'s ``uncertainties``
     (once ``uncertainty.json``), must be a finite JSON number >= 0."""
     out, vol_id = _corrupt_uncertainties(finished_run, tmp_path, lambda unc, i: json.dumps(unc | {i: bad}))
-    _refused(out, capsys, str(out / "round_1" / "state.json"), repr(vol_id))
+    _refused(out, capsys, str(out / "round_1" / "state.json"), f"uncertainties.{vol_id} is ")
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, named",
     [
-        lambda unc, i: json.dumps({k: v for k, v in unc.items() if k != i}),
-        lambda unc, i: json.dumps({("vol_999" if k == i else k): v for k, v in unc.items()}),
-        lambda unc, i: json.dumps(unc)[:-1] + f', "{i}": 0.5}}',
+        (lambda unc, i: json.dumps({k: v for k, v in unc.items() if k != i}), "lack ids ['{}']"),
+        (lambda unc, i: json.dumps({("vol_999" if k == i else k): v for k, v in unc.items()}), "lack ids ['{}']"),
+        (lambda unc, i: json.dumps(unc)[:-1] + f', "{i}": 0.5}}', "key uncertainties.{} appears twice"),
     ],
     ids=["missing", "unknown", "duplicated"],
 )
-def test_uncertainty_json_ids_other_than_the_rounds_are_refused(finished_run, tmp_path, capsys, text):
+def test_uncertainty_json_ids_other_than_the_rounds_are_refused(finished_run, tmp_path, capsys, text, named):
     """``uncertainties`` must hold each id the model labeled once and no other.
     A missing id would let ``refine --force`` rewrite the round without its
     labels, and a key written twice would be read as its last value."""
     out, vol_id = _corrupt_uncertainties(finished_run, tmp_path, text)
-    _refused(out, capsys, str(out / "round_1" / "state.json"), repr(vol_id))
+    _refused(out, capsys, str(out / "round_1" / "state.json"), named.format(vol_id))
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -234,6 +235,22 @@ def test_pseudo_label_quality_composition():
     truth = {f"v{i}": _labels(rng.integers(0, 2, size=(3, 3, 3))) for i in range(4)}
     expect = np.mean([foreground_dice(pseudo[k], truth[k]) for k in pseudo])
     assert pseudo_label_quality(pseudo, truth) == pytest.approx(expect, abs=1e-12)
+    # more sets are scored against one lookup of each truth volume, each mean
+    # bit for bit, and a looked-up volume is dropped before the next is read
+    looked_up, alive = [], []
+
+    class Read(dict):
+        def __getitem__(self, key):
+            assert all(ref() is None for ref in alive), "an earlier truth volume is alive"
+            looked_up.append(key)
+            lab = super().__getitem__(key)
+            fresh = LabelVolume(lab.shape, lab.num_classes, lab.data.copy())
+            alive.append(weakref.ref(fresh))
+            return fresh
+
+    got = pseudo_label_quality(pseudo, Read(truth), truth, pseudo)
+    assert got == (pseudo_label_quality(pseudo, truth), 1.0, pseudo_label_quality(pseudo, truth))
+    assert sorted(looked_up) == sorted(truth)
 
 
 @pytest.mark.parametrize("shape", [(37, 64, 64), (5, 300, 301), (3, 4, 5)], ids=str)
@@ -273,6 +290,8 @@ def test_pseudo_label_quality_id_mismatch():
     lab = _labels(np.zeros((1, 1, 1)))
     with pytest.raises(ValueError):
         pseudo_label_quality({"a": lab}, {"b": lab})
+    with pytest.raises(ValueError, match="id mismatch"):
+        pseudo_label_quality({"a": lab}, {"a": lab}, {"b": lab})
 
 
 def test_summary_and_table():

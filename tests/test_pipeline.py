@@ -612,16 +612,84 @@ def test_pipeline_deterministic(dataset, main_run, tmp_path):
     assert states[1].partition == again[1].partition
 
 
-def test_truth_only_scores(dataset, tmp_path):
+# the benchmark's tiny fixture and run settings: a run of two rounds in well under a second
+_TINY = PhantomSpec(
+    num_volumes=5,
+    shape=Shape3(16, 16, 16),
+    num_classes=2,
+    classes=(ClassShape("ellipsoid", (0.5, 0.5, 0.5), (4.0, 4.0, 4.0), 1.0),),
+    noise_sigma=0.3,
+    seed=7,
+)
+
+
+def _tiny_outputs(manifest: Path, out: Path) -> dict[str, bytes]:
+    """Every grid, label file and ``params.vxar`` of a run on ``manifest``, by relative path."""
+    run_pipeline(PipelineConfig(
+        manifest_path=manifest, out_dir=out, rounds=2, encoder=EncoderParams(patch_size=4),
+        train=TrainConfig(iterations=100, batch_voxels=512, seed=0), knn=2, q_unc=0.5, seed=11,
+    ))
+    files = [*out.glob("features/*.vxar"), *out.glob("round_*/*.label"), *out.glob("round_*/params.vxar")]
+    return {str(p.relative_to(out)): p.read_bytes() for p in files}
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    generate(_TINY, root / "data")
+    return root / "data", _tiny_outputs(root / "data" / "manifest.json", root / "plain")
+
+
+def _reverse_volumes(doc, data, root):
+    doc["volumes"].reverse()
+
+
+def _prefix_ids(doc, data, root):
+    for entry in doc["volumes"]:
+        entry["id"] = f"p_{entry['id']}"  # one common prefix keeps the ids' sort order
+
+
+def _double_intensities(doc, data, root):
+    for entry in doc["volumes"]:
+        vol = load_array(data / entry["intensity"], IntensityVolume)
+        entry["intensity"] = str(root / Path(entry["intensity"]).name)
+        save_array(IntensityVolume(vol.shape, vol.data * 2), entry["intensity"])
+
+
+@pytest.mark.parametrize("transform", [_reverse_volumes, _prefix_ids, _double_intensities])
+def test_a_run_is_invariant_to_what_should_not_matter(tiny, tmp_path, transform):
+    """The manifest's order, ids renamed in their sort order and intensities
+    scaled by 2 leave every grid, label file and ``params.vxar`` byte for
+    byte: the pool is walked in id order and intensities are z-scored."""
+    data, want = tiny
+    doc = json.loads((data / "manifest.json").read_text())
+    for entry in doc["volumes"]:
+        for key in ("intensity", "label"):
+            if key in entry:
+                entry[key] = str(data / entry[key])
+    transform(doc, data, tmp_path)
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    got = _tiny_outputs(tmp_path / "manifest.json", tmp_path / "run")
+    assert len(want) == 23 and {name.replace("/p_", "/"): b for name, b in got.items()} == want
+
+
+def test_truth_only_scores(dataset, tmp_path, monkeypatch):
     """Truth labels are read for the recorded Dice alone: with and without
-    them, every label file and every parameter file is the same byte for byte."""
+    them, every label file and every parameter file is the same byte for byte.
+    Each truth file is read once when the context is checked and once per
+    round, a voted round scoring its raw and voted labels against one read."""
 
     def outputs(run_dir):
         files = sorted(run_dir.glob("round_*/*.label")) + sorted(run_dir.glob("round_*/params.vxar"))
         return {str(p.relative_to(run_dir)): p.read_bytes() for p in files}
 
+    reads, load_label = [], pipeline._load_label
+    monkeypatch.setattr(pipeline, "_load_label", lambda path, n: reads.append(path) or load_label(path, n))
     scored, blind = tmp_path / "scored", tmp_path / "blind"
-    assert run_pipeline(_config(dataset, scored, rounds=2)).pseudo_label_dice is not None
+    last = run_pipeline(_config(dataset, scored, rounds=2))
+    assert last.pseudo_label_dice is not None and last.pseudo_label_dice != last.model_dice  # a vote ran
+    truth = sorted((dataset / "truth").glob("vol_*.label.vxar"))[1:]  # vol_000 is the template
+    assert sorted(path for path in reads if path.parent == dataset / "truth") == sorted(truth * 4)
     assert run_pipeline(_config(dataset, blind, rounds=2, truth_dir=None)).pseudo_label_dice is None
     want = outputs(scored)
     assert any(name.endswith("params.vxar") for name in want)
@@ -1016,5 +1084,5 @@ def test_config_json_key_this_version_does_not_read_is_refused(dataset, tmp_path
     doc = json.loads(json.dumps(_config_doc(config)))
     (doc[section] if section else doc)[key] = value
     name = f"{section}.{key}" if section else key
-    with pytest.raises(ValueError, match=f"config.json sets {re.escape(name)}, which this version does not read"):
+    with pytest.raises(ValueError, match=re.escape(f"config.json: unknown key {name}")):
         _config_from_doc(doc, config.out_dir)

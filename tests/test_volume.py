@@ -5,6 +5,7 @@ import json
 import re
 import struct
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from protoloop import pipeline, volume
+from protoloop.encoder import EncoderParams
+from protoloop.phantom import ClassShape, PhantomSpec
+from protoloop.pipeline import PipelineConfig
 from protoloop.prototype import compute_prototypes
+from protoloop.specialist import TrainConfig
+from protoloop.uncertainty import Partition
 from protoloop.volume import (
     MAGIC,
     ArrayFormatError,
@@ -353,7 +360,8 @@ def test_manifest_rejects_hostile_ids(tmp_path, vol_id):
         ],
     }
     (tmp_path / "m.json").write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="volume id"):
+    named = "volume id" if isinstance(vol_id, str) else re.escape("volumes[1].id is 7; it must be a string")
+    with pytest.raises(ValueError, match=named):
         load_manifest(tmp_path / "m.json")
 
 
@@ -366,6 +374,19 @@ def test_manifest_missing_field(tmp_path):
     (tmp_path / "m.json").write_text(json.dumps({"volumes": []}))
     with pytest.raises(ValueError):
         load_manifest(tmp_path / "m.json")
+
+
+@pytest.mark.parametrize(
+    "cls", [PhantomSpec, ClassShape, VolumeEntry, DatasetManifest, PipelineConfig, EncoderParams, TrainConfig, Partition]
+)
+def test_every_field_read_from_json_has_a_json_type(cls):
+    """Each field annotation of a dataclass a JSON document is read into, and
+    each annotation of ``state.json``'s own table, has an entry in the one type
+    table, as have the members an entry names: a new field with a new
+    annotation fails here, not at a user's first load."""
+    annotations = [f.type for f in fields(cls)] + list(pipeline._STATE_TYPES.values())
+    annotations += [members for _, _, members in volume._JSON_TYPES.values() if members is not None]
+    assert [a for a in annotations if a not in volume._JSON_TYPES] == []
 
 
 # ---------------------------------------------------------------------------
