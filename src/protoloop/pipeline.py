@@ -12,23 +12,26 @@ with the built-in encoder's 11 channels.  Round 0 rebuilds each grid from its
 table when it needs it, one volume at a time.  z is computed where it is
 used, per-voxel feature rows are never materialized, and inference covers
 each whole volume with no windowing.  Per voxel, what is resident is the
-intensities, the cell tables and one pool label set: the truth is read one
-volume at a time when a round is scored, ``run_pipeline`` reads each round's
-input back from disk, as the ``round`` command does, and ``run_round`` drops
-the previous round's labels once the head is trained.  ``_persist_round``
-is the one writer of a round directory: it writes the whole round under a
-temp name and renames it into place, so a crash never corrupts a persisted
-round, and a round replaced by ``run_round`` (with ``force``) or
-``refine_round`` is swapped out only once the new one is complete; the
-rounds after it, built on the old one, are then removed.  Only
+intensities, the cell tables and one pool label set: the truth is read and
+checked one volume at a time when a round is scored, ``run_pipeline`` reads
+each round's input back from disk, as the ``round`` command does, and
+``run_round`` drops the previous round's labels once the head is trained.
+``_persist_round`` is the one writer of a round directory: it writes the
+whole round under a temp name and renames it into place, so a crash never
+corrupts a persisted round, and a round replaced by ``run_round`` (with
+``force``) or ``refine_round`` is swapped out only once the new one is
+complete; the rounds after it, built on the old one, are then removed.  Only
 this module knows the run directory's layout, in which each round's
 ``state.json`` is the round's one record: ``run_table`` tabulates them.
 
 A run is invariant to the order of the manifest's entries, to a renaming of
-the ids that keeps their sort order and to doubling every intensity: every
-label file, grid and ``params.vxar`` is the same byte for byte.  A renaming
-that changes the ids' sort order changes the training draws, because
-``train_round`` draws pool volumes by position in the pool sorted by id.
+the ids that keeps their sort order, to doubling every intensity and to
+running OpenBLAS on one thread: every label file, grid and ``params.vxar``
+is the same byte for byte.  Under any positive affine map of the
+intensities only the z-score keeps the labels, which tests hold to >= 99.9%
+of voxels and a Dice within 1e-4.  A renaming that changes the ids' sort
+order changes the training draws, because ``train_round`` draws pool volumes
+by position in the pool sorted by id.
 """
 from __future__ import annotations
 
@@ -121,6 +124,10 @@ class PipelineConfig:
             raise ValueError(f"knn={self.knn} must be >= 1")
         if not 0.0 < self.q_unc <= 1.0:
             raise ValueError(f"q_unc={self.q_unc} outside (0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed} must be >= 0")
+        if self.train.seed != 0:  # a round's model is seeded seed ^ round
+            raise ValueError(f"train.seed={self.train.seed} is fixed at 0; set seed")
 
 
 @dataclass
@@ -213,15 +220,20 @@ def _truth_path(config: PipelineConfig, vol_id: str) -> Path:
 
 class _TruthFiles(Mapping):
     """The pool's truth labels by volume id, each read from its file when it is
-    looked up and checked against the manifest's class count, so code that
-    scores volume by volume holds one truth volume at a time."""
+    looked up and checked against the manifest's class count and its volume's
+    shape in ``shapes``, so code that scores volume by volume holds one truth
+    volume at a time; no other code reads a truth file."""
 
-    def __init__(self, config: PipelineConfig, manifest: DatasetManifest):
+    def __init__(self, config: PipelineConfig, manifest: DatasetManifest, shapes: Mapping[str, Shape3]):
         self.paths = {e.vol_id: _truth_path(config, e.vol_id) for e in manifest.unlabeled_entries()}
         self.num_classes = manifest.num_classes
+        self.shapes = shapes
 
     def __getitem__(self, vol_id: str) -> LabelVolume:
-        return _load_label(self.paths[vol_id], self.num_classes)
+        path = self.paths[vol_id]
+        lab = _load_label(path, self.num_classes)
+        _check_label(lab, path, "truth", vol_id, self.shapes[vol_id])
+        return lab
 
     def __iter__(self):
         return iter(self.paths)
@@ -237,9 +249,9 @@ class PipelineContext:
     Per voxel, what stays resident is a volume's float32 intensities and its
     float32 cell table (each volume's ``features``; no feature grid and no
     whole-volume float64 array is kept), plus the template's label.  The
-    pool's truth is kept as its files and read one volume at a time when a
-    round is scored, so a round adds one pool label set: the previous round's
-    labels until the head is trained, then its own.
+    pool's truth is kept as its files, each read and checked only when a
+    round scores its volume, so a round adds one pool label set: the previous
+    round's labels until the head is trained, then its own.
     """
 
     manifest: DatasetManifest
@@ -252,7 +264,7 @@ class PipelineContext:
 
 
 def build_context(config: PipelineConfig, extract_allowed: bool = True) -> PipelineContext:
-    """Load every manifest entry, in manifest order, and check the labels.
+    """Load every manifest entry, in manifest order, and check the template's label.
 
     Each volume's grid comes from ``entry_grid`` at ``_grid_path``, which is
     given the volume only when ``extract_allowed``: round 0 makes the grids
@@ -261,10 +273,10 @@ def build_context(config: PipelineConfig, extract_allowed: bool = True) -> Pipel
     cast; the encoder, when it runs, and the voxel features share them.  The
     voxel features hold the grid's values as their cell table and the global
     feature is computed from it, so the grid is not kept, and no
-    whole-volume float64 array is made.
+    whole-volume float64 array is made.  No truth file is read here.
     """
     t0 = time.perf_counter()
-    manifest, labeled_id, gt, truth = _load_inputs(config)
+    manifest, labeled_id, gt = _load_inputs(config)
     (config.out_dir / "features").mkdir(parents=True, exist_ok=True)
     features, global_features = {}, {}
     for entry in manifest.entries:
@@ -277,30 +289,23 @@ def build_context(config: PipelineConfig, extract_allowed: bool = True) -> Pipel
     encoder_mod.uniform_channel_count(features)
     gt_path = manifest.resolve(manifest.labeled_entry().label)
     _check_label(gt, gt_path, "template", labeled_id, features[labeled_id].shape)
-    for vol_id in truth or ():  # read, checked and dropped one at a time
-        _check_label(truth[vol_id], truth.paths[vol_id], "truth", vol_id, features[vol_id].shape)
+    shapes = {vol_id: data.shape for vol_id, data in features.items()}
     return PipelineContext(
         manifest=manifest,
         features=features,
         global_features=global_features,
         labeled_id=labeled_id,
         labeled_gt=gt,
-        truth=truth,
+        truth=None if config.truth_dir is None else _TruthFiles(config, manifest, shapes),
         build_s=time.perf_counter() - t0,
     )
 
 
-def _load_inputs(config: PipelineConfig) -> tuple[DatasetManifest, str, LabelVolume, _TruthFiles | None]:
-    """The manifest, the template's id and label, and the pool's truth files if configured.
-
-    The template's label is checked against the manifest's class count; each
-    truth label is, when it is read.
-    """
+def _load_inputs(config: PipelineConfig) -> tuple[DatasetManifest, str, LabelVolume]:
+    """The manifest, and the template's id and label, checked against the manifest's class count."""
     manifest = load_manifest(config.manifest_path)
     labeled = manifest.labeled_entry()
-    gt = _load_label(manifest.resolve(labeled.label), manifest.num_classes)
-    truth = None if config.truth_dir is None else _TruthFiles(config, manifest)
-    return manifest, labeled.vol_id, gt, truth
+    return manifest, labeled.vol_id, _load_label(manifest.resolve(labeled.label), manifest.num_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +598,7 @@ def run_round(
     and its ``raw_labels`` None, so from then on the round holds its own labels
     and no others unless the caller keeps them elsewhere; a caller that needs
     round r - 1's labels afterwards reloads them with ``load_round_state``.
-    The model is seeded ``config.seed ^ round_index``, not ``config.train.seed``.
+    The model is seeded ``config.seed ^ round_index``; ``config.train.seed`` is fixed at 0.
     An existing round, or a missing one with later rounds, is refused before
     training unless ``config.force`` is set; it is then replaced once the new
     round is complete, and every later round is removed.
@@ -678,13 +683,16 @@ def refine_round(config: PipelineConfig, round_index: int) -> RoundState:
         timings=dict(prev.timings),
     )
     del prev  # its voted labels are replaced
-    manifest, labeled_id, gt, truth = _load_inputs(config)
+    manifest, labeled_id, gt = _load_inputs(config)
     grids = {
         e.vol_id: entry_grid(e, manifest, config.encoder, _grid_path(config, e.vol_id))
         for e in manifest.entries
     }
     encoder_mod.uniform_channel_count(grids)
     globals_ = {vol_id: global_feature(grid) for vol_id, grid in grids.items()}
+    # the model's labels have their volumes' shapes
+    shapes = {vol_id: lab.shape for vol_id, lab in state.raw_labels.items()}
+    truth = None if config.truth_dir is None else _TruthFiles(config, manifest, shapes)
     return _vote_and_persist(replace(config, refine=True), state, log, labeled_id, gt, globals_, truth)
 
 
@@ -701,7 +709,8 @@ def _vote_and_persist(
 
     The pool is split at ``config.q_unc``; with ``config.refine`` the uncertain
     volumes get a ``config.knn`` vote in which the template votes with its
-    ground truth.  The ``refine`` timing covers both steps.
+    ground truth.  The ``refine`` timing covers both steps.  With ``truth``,
+    the raw and the voted labels are scored against one read of each truth file.
     """
     t0 = time.perf_counter()
     state.partition = partition_by_quantile(state.uncertainties, labeled_id, config.q_unc)
@@ -713,14 +722,7 @@ def _vote_and_persist(
         state.labels, audit = refine_all(votable, state.partition, global_features, config.knn)
     state.timings["refine"] = time.perf_counter() - t0
     if truth is not None:
-        # without a vote (refine off, or no uncertain volume) the labels are
-        # the raw labels, and so is their Dice; with one, both sets are scored
-        # against one read of each truth file
-        raw, voted = state.raw_labels, state.labels
-        if any(lab is not raw[i] for i, lab in voted.items()):
-            state.model_dice, state.pseudo_label_dice = pseudo_label_quality(raw, truth, voted)
-        else:
-            state.model_dice = state.pseudo_label_dice = pseudo_label_quality(raw, truth)
+        state.model_dice, state.pseudo_label_dice = pseudo_label_quality(state.raw_labels, truth, state.labels)
 
     _persist_round(config.out_dir, state, extra={"refine_audit": audit}, train_log=train_log)
     return state
@@ -764,7 +766,8 @@ def _clear_run_dir(out_dir: Path) -> None:
 # (``keys``), the fields a run does not persist (``not_read``: an action of one
 # invocation, and where the run is loaded from), and its retired settings
 # (``fixed``), which may appear only at these values and JSON types: module
-# constants, the position channels the encoder always emits, and
+# constants, ``train.seed`` (a round's model is seeded ``seed ^ round``), the
+# position channels the encoder always emits, and
 # ``val_manifest``, a labeled validation set (the template is the only label a
 # run reads).  ``out_dir`` is neither read nor refused: versions up to 314cd6f
 # wrote it, and a run loads from where it is.
@@ -779,9 +782,10 @@ _CONFIG = JsonRules(
             EncoderParams,
             fixed={"position_weight": encoder_mod.POSITION_WEIGHT, "include_position": True},
         ),
-        "train": JsonRules(TrainConfig, fixed={name.lower(): getattr(specialist, name) for name in (
-            "BASE_LR", "LR_POWER", "MOMENTUM", "WEIGHT_DECAY", "RAMP_FRACTION", "DICE_SMOOTH"
-        )}),
+        "train": JsonRules(TrainConfig, fixed={"seed": 0} | {
+            name.lower(): getattr(specialist, name)
+            for name in ("BASE_LR", "LR_POWER", "MOMENTUM", "WEIGHT_DECAY", "RAMP_FRACTION", "DICE_SMOOTH")
+        }),
     },
 )
 

@@ -391,6 +391,10 @@ def train_round(
         flat = lab.data.reshape(-1)
         if len(flat) != vol.n_voxels:
             raise ValueError(f"pseudo-label shape mismatch for {vol.vol_id!r}")
+        if lab.num_classes != assets.num_classes:
+            raise ValueError(
+                f"pseudo-label of {vol.vol_id!r} has {lab.num_classes} classes, the run {assets.num_classes}"
+            )
         targets[vol.vol_id] = flat
 
     # the weights and their momentum stay plain arrays updated in place; a

@@ -480,6 +480,15 @@ def test_zero_flag_is_refused_not_defaulted(dataset, tmp_path, capsys, flag):
     assert not (tmp_path / "r" / "config.json").exists()
 
 
+@pytest.mark.parametrize("args", [_run_args, _init_args], ids=["run", "init"])
+def test_negative_seed_is_refused_before_anything_is_written(dataset, tmp_path, capsys, args):
+    argv = args(dataset, tmp_path / "r")
+    argv[argv.index("--seed") + 1] = "-1"
+    assert dispatch(argv) == 1
+    assert "seed=-1 must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_threads_flag_is_gone(dataset, tmp_path):
     assert dispatch(_run_args(dataset, tmp_path / "r", "--threads", "2")) == 1
 
@@ -592,6 +601,18 @@ def test_round_refuses_prev_that_is_not_the_previous_round(dataset, tmp_path, ca
     assert sorted(p.relative_to(out) for p in out.rglob("*")) == before
 
 
+def test_round_refuses_a_pseudo_label_of_another_class_count(dataset, tmp_path, capsys):
+    """A round-0 label rewritten with 5 classes in a 2-class run is refused by id, not trained on."""
+    out = tmp_path / "r"
+    assert dispatch(_init_args(dataset, out)) == 0
+    path = out / "round_0" / "vol_002.round0.label"
+    lab = volume.load_array(path, volume.LabelVolume)
+    volume.save_array(volume.LabelVolume(lab.shape, 5, np.where(lab.data > 0, 4, 0)), path)
+    assert dispatch(["round", "--prev", str(out / "round_0")]) == 1
+    assert "pseudo-label of 'vol_002' has 5 classes, the run 2" in capsys.readouterr().err
+    assert not (out / "round_1").exists()
+
+
 def test_round_requires_config(tmp_path):
     (tmp_path / "round_0").mkdir()
     assert dispatch(["round", "--prev", str(tmp_path / "round_0")]) == 1
@@ -607,18 +628,20 @@ def test_round_requires_config(tmp_path):
     ("train", "weight_decay", 2e-4),
     ("train", "ramp_fraction", 0.4),
     ("train", "dice_smooth", 1e-4),
+    ("train", "seed", 3),
     (None, "val_manifest", "/data/val/manifest.json"),
 ])
 def test_config_drift_in_a_fixed_setting_is_refused(finished_run, tmp_path, capsys, section, key, value):
     """An older config.json may name a setting that is now a constant; at
     another value, the rounds after it are not trained under that value.  A
     run that named a labeled validation manifest, which no run reads now, or an
-    encoder without its position channels, is refused by that key the same way."""
+    encoder without its position channels, is refused by that key the same way,
+    and so is a ``train.seed`` other than 0, which no round reads."""
     out = tmp_path / "run"
     shutil.copytree(finished_run, out)
     doc = json.loads((out / "config.json").read_text())
     where = doc[section] if section else doc
-    assert key not in where
+    assert where.get(key, 0) == 0  # absent, or train.seed at its fixed 0
     where[key] = value
     (out / "config.json").write_text(json.dumps(doc))
     before = _tree(out)
@@ -670,6 +693,7 @@ def test_config_value_of_another_type_is_refused(finished_run, tmp_path, capsys,
     ("train.iterations", 0),
     ("train.batch_voxels", 1),
     ("encoder.patch_size", 1),
+    ("seed", -1),
 ])
 def test_config_value_out_of_range_is_refused_by_key(finished_run, tmp_path, capsys, key, value):
     """A value of the right type that the config's own checks refuse is named

@@ -358,6 +358,17 @@ def test_train_round_missing_pseudo_labels():
         train_round(assets, {}, TrainConfig(iterations=1, batch_voxels=8))
 
 
+def test_train_round_pseudo_label_of_another_class_count():
+    """A pseudo-label with more classes than the run's would train on an all-zero one-hot row."""
+    rng = np.random.default_rng(3)
+    assets, pseudo, _, _ = _separable_assets(rng)
+    vol_id = assets.pool[0].vol_id
+    lab = pseudo[vol_id]
+    pseudo[vol_id] = LabelVolume(lab.shape, 5, np.where(lab.data > 0, 4, 0))
+    with pytest.raises(ValueError, match=f"pseudo-label of '{vol_id}' has 5 classes, the run 2"):
+        train_round(assets, pseudo, TrainConfig(iterations=1, batch_voxels=8))
+
+
 def test_log_contains_schedule_fields():
     rng = np.random.default_rng(6)
     assets, pseudo, _, _ = _separable_assets(rng)
