@@ -77,6 +77,7 @@ from .volume import (
     load_manifest,
     read_header,
     read_json,
+    read_shape,
     save_array,
 )
 
@@ -287,8 +288,6 @@ def build_context(config: PipelineConfig, extract_allowed: bool = True) -> Pipel
         features[entry.vol_id] = TrainVolumeData.from_volume(entry.vol_id, vol, grid, scalars)
         global_features[entry.vol_id] = global_feature(grid)
     encoder_mod.uniform_channel_count(features)
-    gt_path = manifest.resolve(manifest.labeled_entry().label)
-    _check_label(gt, gt_path, "template", labeled_id, features[labeled_id].shape)
     shapes = {vol_id: data.shape for vol_id, data in features.items()}
     return PipelineContext(
         manifest=manifest,
@@ -302,10 +301,14 @@ def build_context(config: PipelineConfig, extract_allowed: bool = True) -> Pipel
 
 
 def _load_inputs(config: PipelineConfig) -> tuple[DatasetManifest, str, LabelVolume]:
-    """The manifest, and the template's id and label, checked against the manifest's class count."""
+    """The manifest, and the template's id and label, checked against the
+    manifest's class count and the shape its intensity file's header records."""
     manifest = load_manifest(config.manifest_path)
     labeled = manifest.labeled_entry()
-    return manifest, labeled.vol_id, _load_label(manifest.resolve(labeled.label), manifest.num_classes)
+    path = manifest.resolve(labeled.label)
+    gt = _load_label(path, manifest.num_classes)
+    _check_label(gt, path, "template", labeled.vol_id, read_shape(manifest.resolve(labeled.intensity)))
+    return manifest, labeled.vol_id, gt
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +516,14 @@ def _read_state(out_dir: Path, round_index: int) -> tuple[Path, dict, Partition 
     return round_dir, doc, partition
 
 
-def load_round_state(out_dir: Path, round_index: int) -> RoundState:
+def load_round_state(out_dir: Path, round_index: int, raw_labels: bool = False) -> RoundState:
     """Reload a persisted round from its ``state.json``, as ``_read_state`` checks
-    it; the inverse of ``_persist_round``."""
+    it; the inverse of ``_persist_round``.
+
+    Training reads a round's ``labels`` only, so a refined round's raw labels,
+    which the vote replaced on its uncertain volumes, are read only with
+    ``raw_labels``; without it the state's ``raw_labels`` is None.
+    """
     round_dir, doc, partition = _read_state(out_dir, round_index)
 
     loaded: dict[str, LabelVolume] = {}  # labels and raw_labels may name one file
@@ -535,9 +543,9 @@ def load_round_state(out_dir: Path, round_index: int) -> RoundState:
         timings=doc["timings"],
         partition=partition,
     )
-    if "raw_labels" in doc:
+    if raw_labels and "raw_labels" in doc:
         state.raw_labels = load_labels(doc["raw_labels"])
-    elif round_index >= 1:  # unrefined: the round's labels are the model's
+    elif raw_labels and round_index >= 1:  # unrefined: the round's labels are the model's
         state.raw_labels = state.labels
     if "params" in doc:
         state.params, _ = load_params(round_dir / doc["params"])
@@ -663,7 +671,7 @@ def refine_round(config: PipelineConfig, round_index: int) -> RoundState:
     if round_index < 1:
         raise ValueError("round 0 labels come from propagation; nothing to refine")
     round_dir = config.out_dir / f"round_{round_index}"
-    prev = load_round_state(config.out_dir, round_index)
+    prev = load_round_state(config.out_dir, round_index, raw_labels=True)
     if prev.refined and not config.force:
         raise FileExistsError(f"{round_dir} is already refined; pass force to redo")
     _refuse_later_rounds(config, round_index, "a refine")

@@ -16,8 +16,10 @@ in size.  A product over the whole cell table of a 128^3 volume at p = 4
 (32768 cells) is large enough to wake OpenBLAS's worker pool, whose threads
 then spin on the CPU after the call returns; one row's product (1024 cells
 there) runs on the calling thread.  A voxel's label is the lowest class at
-the max of its softmax numerators, computed class-major
-(``volume.class_argmax``).
+the max of its softmax numerators, read with its entropy in the same slab
+pass and without ``volume.class_argmax``: with two classes from the logit
+margin ``l1 - l0`` (one exp per voxel), with more from the numerators,
+where the top class's is exactly 1.0.
 
 Every round trains a fresh zero-initialized model with SGD on the loss
 ``sup + alpha * pseudo``: cross-entropy/soft-Dice on the labeled voxels
@@ -33,8 +35,10 @@ rows, filled in place: each row block's float32 cells are gathered from its
 volume's cell table and cast into the buffer, and its last column is filled
 with the voxels' z.  Its logits are ``(k, n)`` and every softmax and Dice
 reduction runs over the class axis or along one class row.  One matmul gives
-the model's logits and one the gradient.  ``loss_and_grad`` takes the buffer
-and the two target arrays and returns the loss terms as a plain tuple.  The
+the model's logits and one the gradient, and the elementwise loss work runs
+once over both halves; only the sums that define each half's loss stay per
+half.  ``loss_and_grad`` takes the buffer and the two target arrays and
+returns the loss terms as a plain tuple.  The
 weights and momentum stay plain arrays updated in place, and the per-step log
 is one preallocated array.
 """
@@ -48,7 +52,7 @@ import numpy as np
 
 from .encoder import apply_zscore, zscore_scalars
 from .volume import ArrayFormatError, FeatureGrid, IntensityVolume, LabelVolume, Shape3
-from .volume import class_argmax, nearest_axis_indices, read_blob, write_blob
+from .volume import nearest_axis_indices, read_blob, write_blob
 
 __all__ = [
     "SpecialistParams",
@@ -169,36 +173,6 @@ def poly_lr(iteration: int, total: int) -> float:
     return BASE_LR * (1.0 - iteration / total) ** LR_POWER
 
 
-def _ce_dice_terms(
-    logits: np.ndarray, probs: np.ndarray, lse: np.ndarray, targets: np.ndarray, out: np.ndarray
-) -> float:
-    """0.5*(cross-entropy + soft Dice) over one (k, n) block of voxels.
-
-    ``probs`` and ``lse`` (the logsumexp per voxel) come from the softmax of
-    the whole batch.  Writes dL/dlogits into ``out`` and returns the loss.
-    """
-    k, n = logits.shape
-    onehot = (targets == np.arange(k)[:, None]).astype(np.float64)
-    ce = float((lse - (onehot * logits).sum(axis=0)).sum()) / n
-
-    # soft Dice averaged over all classes on this block
-    inter = (probs * onehot).sum(axis=1)
-    denom = probs.sum(axis=1) + onehot.sum(axis=1) + DICE_SMOOTH
-    dice_c = (2.0 * inter + DICE_SMOOTH) / denom
-    dice_loss = float(1.0 - dice_c.sum() / k)
-    # d dice_c / d probs[c, i] = (2*onehot - dice_c) / denom  (per class c),
-    # then back through softmax: dL/dz = p * (g - sum_k g_k p_k)
-    g = (dice_c[:, None] - 2.0 * onehot) / (k * denom)[:, None]
-    g -= (g * probs).sum(axis=0)
-    g *= probs
-    # plus the cross-entropy gradient (p - onehot) / n
-    np.subtract(probs, onehot, out=out)
-    out /= n
-    out += g
-    out *= 0.5
-    return 0.5 * (ce + dice_loss)
-
-
 def loss_and_grad(
     params: tuple[np.ndarray, np.ndarray],
     x: np.ndarray,
@@ -211,25 +185,59 @@ def loss_and_grad(
     ``x`` stacks the ``len(labeled_y)`` labeled rows and then the
     ``len(pseudo_y)`` pseudo-labeled rows, so one matmul covers both.
     total = sup + alpha * pseudo, where sup and pseudo are 0.5*(CE + soft
-    Dice) on the labeled and pseudo-labeled voxels.  Logits are class-major,
-    (k, n): one matmul gives the logits on every row of the batch and one the
-    gradient, ``G @ x`` with ``G = [d_sup | alpha * d_pseudo]`` the per-voxel
-    logit gradients.
+    Dice) on the labeled and pseudo-labeled voxels, each averaged over its
+    own half.  Logits are class-major, (k, n): one matmul gives the logits
+    on every row of the batch and one the gradient, ``G @ x`` with
+    ``G = [d_sup | alpha * d_pseudo]`` the per-voxel logit gradients.  The
+    elementwise work runs once over the whole batch; only the sums that
+    define a half's loss and its Dice terms are taken per half.
+
+    The soft-Dice gradient through the softmax is ``p * (g - sum_k g_k p_k)``
+    with ``g = (dice_c - 2*onehot) / (k*denom_c)`` per class c, so ``g``
+    takes one of two values per class and half.
     """
     w, b = params
+    k = len(b)
     n_l = len(labeled_y)
-    lab, pse = slice(0, n_l), slice(n_l, None)
+    halves = ((slice(0, n_l), n_l), (slice(n_l, None), len(pseudo_y)))
 
     logits = w @ x.T
     logits += b[:, None]
     probs, top, total = _softmax(logits)
     lse = top + np.log(total)
 
-    grad = np.empty_like(logits)
-    sup = _ce_dice_terms(logits[:, lab], probs[:, lab], lse[lab], labeled_y, grad[:, lab])
-    pseudo = _ce_dice_terms(logits[:, pse], probs[:, pse], lse[pse], pseudo_y, grad[:, pse])
-    grad[:, pse] *= alpha
+    classes = np.arange(k)[:, None]
+    hot = np.empty(logits.shape, dtype=bool)
+    np.equal(labeled_y, classes, out=hot[:, :n_l])
+    np.equal(pseudo_y, classes, out=hot[:, n_l:])
+    onehot = hot.astype(np.float64)
+    target_logits = onehot * logits
+    inter = probs * onehot
 
+    terms, g = [], np.empty_like(logits)
+    for half, n in halves:
+        ce = float((lse[half] - target_logits[:, half].sum(axis=0)).sum()) / n
+        denom = probs[:, half].sum(axis=1) + onehot[:, half].sum(axis=1) + DICE_SMOOTH
+        dice_c = (2.0 * inter[:, half].sum(axis=1) + DICE_SMOOTH) / denom
+        terms.append(0.5 * (ce + float(1.0 - dice_c.sum() / k)))
+        scale = (k * denom)[:, None]
+        g[:, half] = np.where(hot[:, half], (dice_c[:, None] - 2.0) / scale, dice_c[:, None] / scale)
+    # back through the softmax.  Class sums stay per half: numpy sums the
+    # classes of a one-voxel half pairwise once k >= 8, so a whole-batch sum
+    # would round differently there
+    weighted = g * probs
+    for half, _ in halves:
+        g[:, half] -= weighted[:, half].sum(axis=0)
+    g *= probs
+    # plus the cross-entropy gradient (p - onehot) / n
+    grad = np.subtract(probs, onehot, out=onehot)
+    for half, n in halves:
+        grad[:, half] /= n
+    grad += g
+    grad *= 0.5
+    grad[:, n_l:] *= alpha
+
+    sup, pseudo = terms
     return (sup + alpha * pseudo, sup, pseudo), (grad @ x, grad.sum(axis=1))
 
 
@@ -494,25 +502,70 @@ def voxel_logits(
         yield sl, logits
 
 
+def _margin_slab(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Two-class labels of one slab into ``labels``, and its entropy sum.
+
+    Both depend on the margin ``m = l1 - l0`` alone: the lower class's
+    ``s = logits - max`` is ``-|m|``, so with ``e = exp(-|m|)`` the softmax
+    numerators are 1 and ``e``.  The label is 1 iff ``m > 0`` and ``e < 1``
+    (where exp rounds ``e`` to 1 the lower class wins), and the entropy is
+    ``log(1 + e) - (-|m|) e / (1 + e)``: the values the general softmax path
+    computes, bit for bit, with one exp per voxel.  ``logits`` is overwritten.
+    """
+    e, s = logits  # the rows l0 and l1, reused in place
+    np.subtract(s, e, out=s)  # m
+    np.greater(s, 0.0, out=labels)
+    np.copysign(s, -1.0, out=s)  # -|m|
+    np.exp(s, out=e)
+    labels &= e < 1.0
+    s *= e
+    e += 1.0  # the sum of the numerators
+    s /= e
+    np.log(e, out=e)
+    e -= s
+    return float(e.sum())
+
+
+def _softmax_slab(s: np.ndarray, labels: np.ndarray) -> float:
+    """Labels of one slab of k >= 3 classes into ``labels``, and its entropy sum.
+
+    With ``s = logits - max`` and ``e = exp(s)``, the entropy is
+    ``log(sum e) - sum(e * s) / sum e``, so no probability volume is built.
+    The top class's numerator is exp(0) = 1.0 exactly and no other exceeds
+    it, so the label, the lowest class at the max of ``e``, is the number of
+    leading classes whose numerator is not 1.0.  The label is taken on
+    ``e``, not on ``s``: exp can round two logits one ulp apart to the same
+    value, and the lower class wins.  ``s`` is overwritten.
+    """
+    s -= s.max(axis=0)
+    e = np.exp(s)
+    below = e[0] != 1.0
+    np.copyto(labels, below)
+    for c in range(1, len(e) - 1):
+        below &= e[c] != 1.0
+        labels += below
+    total = e.sum(axis=0)
+    e *= s
+    return float((np.log(total) - e.sum(axis=0) / total).sum())
+
+
 def infer(params: SpecialistParams, data: TrainVolumeData) -> tuple[LabelVolume, float]:
     """Labels and mean voxel entropy (nats) of one volume.
 
-    Softmax, labels and entropy are fused: with ``s = logits - max`` and
-    ``e = exp(s)``, the label is the lowest class at the max of ``e``
-    (``volume.class_argmax``, written straight into the label volume) and the
-    entropy is ``log(sum e) - sum(e * s) / sum e``, so no probability volume
-    is built.  The label is taken on ``e``, not on ``s``: ``exp`` can round
-    two logits one ulp apart to the same value, and the lower class wins.
+    Labels and entropy are computed together, one slab of ``voxel_logits``
+    at a time and written straight into the label volume: two classes read
+    the logit margin (``_margin_slab``), more classes the softmax
+    numerators (``_softmax_slab``).  A voxel's label is the lowest class at
+    the max of its softmax numerators.  A NaN or infinite logit makes the
+    entropy NaN, and the volume is refused.
     """
     labels = np.empty(data.n_voxels, dtype=np.uint8)
+    slab = _margin_slab if params.num_classes == 2 else _softmax_slab
     entropy_sum = 0.0
-    for sl, s in voxel_logits(params, data):
-        s -= s.max(axis=0)
-        e = np.exp(s)
-        class_argmax(e, out=labels[sl])
-        total = e.sum(axis=0)
-        e *= s
-        entropy_sum += float((np.log(total) - e.sum(axis=0) / total).sum())
+    for sl, logits in voxel_logits(params, data):
+        entropy_sum += slab(logits, labels[sl])
+    if math.isnan(entropy_sum):
+        raise ValueError(f"NaN class score in the logits of {data.vol_id!r}")
     return (
         LabelVolume(data.shape, params.num_classes, labels.reshape(data.shape.as_tuple())),
         entropy_sum / data.n_voxels,

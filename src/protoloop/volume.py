@@ -40,6 +40,7 @@ __all__ = [
     "check_object",
     "from_doc",
     "read_header",
+    "read_shape",
     "read_blob",
     "write_blob",
     "save_array",
@@ -206,6 +207,11 @@ def read_header(path: str | Path) -> dict:
     """The header of one array file; its payload is not read."""
     with open(path, "rb") as fh:
         return _read_header(fh, path)
+
+
+def read_shape(path: str | Path) -> Shape3:
+    """The shape the header of one array file records; its payload is not read."""
+    return _header_shape(read_header(path), path)
 
 
 def read_blob(path: str | Path) -> tuple[dict, memoryview]:

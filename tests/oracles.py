@@ -3,7 +3,7 @@
 Everything in this file is written straight from the definitions with plain
 Python loops and scalar math, deliberately sharing no code or vectorization
 structure with the package.  These are slow and obvious on purpose: the fast
-implementations are checked against them on small seeded instances.  Six
+implementations are checked against them on small seeded instances.  Eight
 sections are exceptions: the per-cell encoder loop and the dense per-voxel
 features share the whole-volume z-score below (and the package's cell LUTs)
 so that the blocked encoder grid and the factorized rows can be required
@@ -15,7 +15,11 @@ only the step itself is compared; the dense entropy of an explicit
 probability volume is vectorized, as the reference for the entropy
 ``specialist.infer`` fuses into its prediction pass; and the whole-volume
 phantom generator is the package's former ``generate``, which made every
-mask, noise draw and class count on the whole volume at once.
+mask, noise draw and class count on the whole volume at once.  The package's
+former ``infer``, which took every label through ``volume.class_argmax``,
+and its former ``loss_and_grad``, which ran the elementwise work once per
+batch half, are kept as they were, on the package's ``voxel_logits`` and
+softmax, so that the current kernels can be required bit-equal to them.
 """
 from __future__ import annotations
 
@@ -41,13 +45,17 @@ from protoloop.specialist import (
     MOMENTUM,
     WEIGHT_DECAY,
     SpecialistParams,
+    TrainVolumeData,
+    _softmax,
     cell_index_luts,
     poly_lr,
     ramp_up_alpha,
+    voxel_logits,
 )
 from protoloop.phantom import _LOBE_OFFSET, _LOBE_SCALE, _MAX_JITTER_ATTEMPTS
 from protoloop.volume import (
     DatasetManifest,
+    class_argmax,
     IntensityVolume,
     LabelVolume,
     Shape3,
@@ -577,6 +585,101 @@ def finite_diff_grad(loss_fn, weights, bias, h=1e-6):
         bm[idx] -= h
         db[idx] = (loss_fn(weights, bp) - loss_fn(weights, bm)) / (2.0 * h)
     return dw, db
+
+
+# ---------------------------------------------------------------------------
+# the former per-half loss and softmax inference
+#
+# ``specialist.loss_and_grad`` and ``specialist.infer`` as they were before
+# the fused batch pass and the two-class margin path, verbatim.
+
+def _ce_dice_terms(
+    logits: np.ndarray, probs: np.ndarray, lse: np.ndarray, targets: np.ndarray, out: np.ndarray
+) -> float:
+    """0.5*(cross-entropy + soft Dice) over one (k, n) block of voxels.
+
+    ``probs`` and ``lse`` (the logsumexp per voxel) come from the softmax of
+    the whole batch.  Writes dL/dlogits into ``out`` and returns the loss.
+    """
+    k, n = logits.shape
+    onehot = (targets == np.arange(k)[:, None]).astype(np.float64)
+    ce = float((lse - (onehot * logits).sum(axis=0)).sum()) / n
+
+    # soft Dice averaged over all classes on this block
+    inter = (probs * onehot).sum(axis=1)
+    denom = probs.sum(axis=1) + onehot.sum(axis=1) + DICE_SMOOTH
+    dice_c = (2.0 * inter + DICE_SMOOTH) / denom
+    dice_loss = float(1.0 - dice_c.sum() / k)
+    # d dice_c / d probs[c, i] = (2*onehot - dice_c) / denom  (per class c),
+    # then back through softmax: dL/dz = p * (g - sum_k g_k p_k)
+    g = (dice_c[:, None] - 2.0 * onehot) / (k * denom)[:, None]
+    g -= (g * probs).sum(axis=0)
+    g *= probs
+    # plus the cross-entropy gradient (p - onehot) / n
+    np.subtract(probs, onehot, out=out)
+    out /= n
+    out += g
+    out *= 0.5
+    return 0.5 * (ce + dice_loss)
+
+
+def loss_and_grad_oracle(
+    params: tuple[np.ndarray, np.ndarray],
+    x: np.ndarray,
+    labeled_y: np.ndarray,
+    pseudo_y: np.ndarray,
+    alpha: float,
+) -> tuple[tuple[float, float, float], tuple[np.ndarray, np.ndarray]]:
+    """Round loss terms ``(total, sup, pseudo)`` and the analytic gradient in (weights, bias).
+
+    ``x`` stacks the ``len(labeled_y)`` labeled rows and then the
+    ``len(pseudo_y)`` pseudo-labeled rows, so one matmul covers both.
+    total = sup + alpha * pseudo, where sup and pseudo are 0.5*(CE + soft
+    Dice) on the labeled and pseudo-labeled voxels.  Logits are class-major,
+    (k, n): one matmul gives the logits on every row of the batch and one the
+    gradient, ``G @ x`` with ``G = [d_sup | alpha * d_pseudo]`` the per-voxel
+    logit gradients.
+    """
+    w, b = params
+    n_l = len(labeled_y)
+    lab, pse = slice(0, n_l), slice(n_l, None)
+
+    logits = w @ x.T
+    logits += b[:, None]
+    probs, top, total = _softmax(logits)
+    lse = top + np.log(total)
+
+    grad = np.empty_like(logits)
+    sup = _ce_dice_terms(logits[:, lab], probs[:, lab], lse[lab], labeled_y, grad[:, lab])
+    pseudo = _ce_dice_terms(logits[:, pse], probs[:, pse], lse[pse], pseudo_y, grad[:, pse])
+    grad[:, pse] *= alpha
+
+    return (sup + alpha * pseudo, sup, pseudo), (grad @ x, grad.sum(axis=1))
+
+
+def infer_oracle(params: SpecialistParams, data: TrainVolumeData) -> tuple[LabelVolume, float]:
+    """Labels and mean voxel entropy (nats) of one volume.
+
+    Softmax, labels and entropy are fused: with ``s = logits - max`` and
+    ``e = exp(s)``, the label is the lowest class at the max of ``e``
+    (``volume.class_argmax``, written straight into the label volume) and the
+    entropy is ``log(sum e) - sum(e * s) / sum e``, so no probability volume
+    is built.  The label is taken on ``e``, not on ``s``: ``exp`` can round
+    two logits one ulp apart to the same value, and the lower class wins.
+    """
+    labels = np.empty(data.n_voxels, dtype=np.uint8)
+    entropy_sum = 0.0
+    for sl, s in voxel_logits(params, data):
+        s -= s.max(axis=0)
+        e = np.exp(s)
+        class_argmax(e, out=labels[sl])
+        total = e.sum(axis=0)
+        e *= s
+        entropy_sum += float((np.log(total) - e.sum(axis=0) / total).sum())
+    return (
+        LabelVolume(data.shape, params.num_classes, labels.reshape(data.shape.as_tuple())),
+        entropy_sum / data.n_voxels,
+    )
 
 
 # ---------------------------------------------------------------------------

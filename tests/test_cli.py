@@ -853,6 +853,26 @@ def test_refine_refuses_a_missing_or_stale_grid_by_name(finished_run, tmp_path, 
     _grid_refused(out, capsys, grid)
 
 
+def test_refine_refuses_a_template_label_of_another_shape_by_name(dataset, tmp_path, capsys):
+    """``refine`` checks the template's label against the shape its intensity
+    file's header records, and refuses it as ``round`` does, by file."""
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    out = tmp_path / "run"
+    assert dispatch(_run_args(data, out)) == 0
+    label = data / volume.load_manifest(data / "manifest.json").labeled_entry().label
+    volume.save_array(volume.LabelVolume(Shape3(10, 12, 12), 2, np.zeros((10, 12, 12), np.uint8)), label)
+    before = _tree(out)
+    for argv in (
+        ["refine", "--round", str(out / "round_1"), "--force"],
+        ["round", "--prev", str(out / "round_0"), "--force"],
+    ):
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{label}: template label of 'vol_000' has shape (10, 12, 12)" in err, argv
+        assert _tree(out) == before, argv
+
+
 @pytest.fixture(scope="module")
 def external_run(dataset, tmp_path_factory):
     """A finished run whose manifest gives ``vol_002`` an external ``features`` file."""
@@ -1267,6 +1287,14 @@ def test_report_opens_no_array_file(dataset, tmp_path, monkeypatch):
     assert opened == []
     pipeline.load_round_state(run, 1)  # the spies see the label files a state load opens
     assert opened
+    # the next round reads one label file of its input round per pool volume:
+    # the voted labels it trains on, not the raw labels the vote replaced
+    opened.clear()
+    assert dispatch(["round", "--prev", str(run / "round_1")]) == 0
+    doc = json.loads((run / "round_1" / "state.json").read_text())
+    assert doc["refined"] and doc["raw_labels"] != doc["labels"]
+    read = sorted(path.name for path in opened if path.parent == run / "round_1")
+    assert read == sorted(doc["labels"].values()) and len(read) == 3
 
 
 @pytest.mark.parametrize("command", ["run", "init"])

@@ -10,7 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +48,8 @@ from protoloop.volume import (
     save_manifest,
     write_blob,
 )
+
+from .oracles import infer_oracle, loss_and_grad_oracle
 
 
 @pytest.fixture(scope="module")
@@ -515,7 +517,7 @@ def test_certain_volumes_name_their_raw_file(main_run, monkeypatch):
     monkeypatch.setattr(
         pipeline, "load_array", lambda path, kind: loads.append(path) or real(path, kind)
     )
-    back = load_round_state(out, 1)
+    back = load_round_state(out, 1, raw_labels=True)
     assert len(loads) == len(set(loads)) == len(list((out / "round_1").glob("*.label")))
     assert all(back.labels[v] is back.raw_labels[v] for v in certain)
 
@@ -582,7 +584,7 @@ def test_refine_round_reads_no_volume(dataset, main_run, tmp_path, monkeypatch):
 
 def test_round_state_round_trip_full(main_run):
     states, out = main_run
-    back = load_round_state(out, 1)
+    back = load_round_state(out, 1, raw_labels=True)
     assert _label_bytes(back) == _label_bytes(states[1])
     assert {k: v.data.tobytes() for k, v in back.raw_labels.items()} == {
         k: v.data.tobytes() for k, v in states[1].raw_labels.items()
@@ -725,6 +727,62 @@ def test_a_run_is_invariant_to_one_blas_thread(tiny, tmp_path):
     assert _run_files(out) == want
 
 
+def _round_records(out: Path) -> dict[str, bytes]:
+    """Every label file, ``params.vxar`` and ``train_log.jsonl`` of the run in
+    ``out``, and each ``state.json`` without its ``timings``, by relative path."""
+    records = {}
+    for path in sorted(out.glob("round_*/*")):
+        name = str(path.relative_to(out))
+        if path.name == "state.json":
+            doc = json.loads(path.read_text())
+            del doc["timings"]
+            records[name] = json.dumps(doc, sort_keys=True).encode()
+        elif path.suffix == ".label" or path.name in ("params.vxar", "train_log.jsonl"):
+            records[name] = path.read_bytes()
+    return records
+
+
+@pytest.mark.parametrize("num_classes", [2, 3])
+def test_a_run_on_the_former_kernels_is_byte_identical(tiny, tmp_path, monkeypatch, num_classes):
+    """The two-class margin inference and the whole-batch loss pass change no
+    output: a run with the former softmax ``infer`` and per-half
+    ``loss_and_grad`` writes every label file, ``params.vxar``,
+    ``train_log.jsonl`` and ``state.json`` but its timings byte for byte."""
+    data, _ = tiny
+    plain = data.parent / "plain"
+    if num_classes == 3:
+        second = ClassShape("ellipsoid", (0.35, 0.4, 0.6), (2.5, 3.0, 2.0), 2.0)
+        data = tmp_path / "data"
+        generate(replace(_TINY, num_classes=3, classes=_TINY.classes + (second,)), data)
+        plain = tmp_path / "plain"
+        _tiny_outputs(data / "manifest.json", plain)
+    monkeypatch.setattr(specialist, "loss_and_grad", loss_and_grad_oracle)
+    monkeypatch.setattr(pipeline, "infer", infer_oracle)
+    _tiny_outputs(data / "manifest.json", tmp_path / "former")
+    want = _round_records(plain)
+    assert len(want) == 23 and _round_records(tmp_path / "former") == want
+
+
+def test_a_non_finite_logit_is_refused_before_the_round_is_written(dataset, tmp_path, monkeypatch):
+    """An infinite logit in one volume's inference stops the round before it is persisted."""
+    config = _config(dataset, tmp_path / "run")
+    start_run(config)
+    run_round0(config)
+    before = sorted(p.name for p in config.out_dir.iterdir())
+    real = specialist.voxel_logits
+
+    def poisoned(params, data):
+        for sl, logits in real(params, data):
+            if data.vol_id == "vol_002":
+                logits[0, 5] = np.inf
+            yield sl, logits
+
+    monkeypatch.setattr(specialist, "voxel_logits", poisoned)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN class score.*'vol_002'"):
+        run_round(config, 1, load_round_state(config.out_dir, 0))
+    assert sorted(p.name for p in config.out_dir.iterdir()) == before
+
+
 def test_truth_only_scores(dataset, tmp_path, monkeypatch):
     """Truth labels are read for the recorded Dice alone: with and without
     them, every label file and every parameter file is the same byte for byte.
@@ -759,11 +817,14 @@ def test_context_reads_no_truth(dataset, tmp_path, monkeypatch):
 
 
 def test_reloaded_rounds_keep_their_raw_labels(dataset, tmp_path):
-    """An unrefined round reloads with the raw labels it held in memory, round 0 with none."""
+    """Asked for them, an unrefined round reloads with the raw labels it held
+    in memory, round 0 with none; unasked, no round has any."""
     config = _config(dataset, tmp_path / "plain", refine=False)
     states = _drive(config)
-    assert states[0].raw_labels is None and load_round_state(config.out_dir, 0).raw_labels is None
-    back = load_round_state(config.out_dir, 1)
+    assert states[0].raw_labels is None
+    assert load_round_state(config.out_dir, 0, raw_labels=True).raw_labels is None
+    assert load_round_state(config.out_dir, 1).raw_labels is None
+    back = load_round_state(config.out_dir, 1, raw_labels=True)
     assert {k: v.data.tobytes() for k, v in back.raw_labels.items()} == {
         k: v.data.tobytes() for k, v in states[1].raw_labels.items()
     }

@@ -8,6 +8,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from protoloop import encoder as encoder_mod
 from protoloop import specialist
@@ -28,11 +30,14 @@ from protoloop.specialist import (
 )
 from protoloop.volume import IntensityVolume, LabelVolume, Shape3
 
+from . import oracles
 from .oracles import (
     build_feature_matrix,
     entropy_oracle,
     finite_diff_grad,
     forward,
+    infer_oracle,
+    loss_and_grad_oracle,
     per_voxel_features,
     sample_uncertainty,
     softmax_argmax_oracle,
@@ -297,6 +302,43 @@ def test_gradient_matches_finite_differences():
         scale = max(np.abs(dw).max(), np.abs(db).max(), np.abs(fd_w).max(), 1e-8)
         assert np.abs(dw - fd_w).max() / scale < 1e-4
         assert np.abs(db - fd_b).max() / scale < 1e-4
+
+
+def _bits(*values) -> bytes:
+    return b"".join(np.asarray(v, dtype=np.float64).tobytes() for v in values)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(2, 9),
+    n_l=st.integers(1, 40),
+    odd=st.booleans(),
+    missing=st.sampled_from([None, "labeled", "pseudo"]),
+    alpha=st.sampled_from([0.0, 1.0, None]),
+)
+@example(seed=4, k=9, n_l=1, odd=False, missing=None, alpha=None)
+def test_fused_loss_equals_per_half_loss_bit_for_bit(seed, k, n_l, odd, missing, alpha):
+    # the whole-batch pass against the per-half pass it replaced: loss
+    # terms, d_w and d_b, bit for bit, also where a class is absent from a
+    # half (its Dice term is then the smoothing ratio), on odd batches, and
+    # on one-voxel halves, whose class sums numpy takes pairwise at k >= 8
+    rng = np.random.default_rng(seed)
+    n_p = n_l + odd
+    f = int(rng.integers(1, 7))
+    x = rng.normal(size=(n_l + n_p, f))
+    labeled_y = rng.integers(0, k, size=n_l).astype(np.uint8)
+    pseudo_y = rng.integers(0, k, size=n_p).astype(np.uint8)
+    if missing is not None:
+        half = labeled_y if missing == "labeled" else pseudo_y
+        absent = int(rng.integers(k))
+        half[half == absent] = (absent + 1) % k
+    params = (rng.normal(scale=float(rng.choice([0.1, 1.0, 10.0])), size=(k, f)), rng.normal(size=k))
+    alpha = float(rng.uniform()) if alpha is None else alpha
+    terms, (d_w, d_b) = loss_and_grad(params, x, labeled_y, pseudo_y, alpha)
+    want_terms, (want_w, want_b) = loss_and_grad_oracle(params, x, labeled_y, pseudo_y, alpha)
+    assert _bits(*terms) == _bits(*want_terms)
+    assert d_w.tobytes() == want_w.tobytes() and d_b.tobytes() == want_b.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +631,123 @@ def test_infer_from_row_slabs_matches_unpatched_and_dense(case, slab_planes, num
     assert entropy == pytest.approx(want_entropy, rel=1e-13, abs=1e-15)  # summed per slab
     probs = forward(params, build_feature_matrix(vol, grid))
     assert labels.data.reshape(-1).tobytes() == np.argmax(probs, axis=1).astype(np.uint8).tobytes()
+
+
+def _same_inference(got, want):
+    (labels, entropy), (want_labels, want_entropy) = got, want
+    assert labels.num_classes == want_labels.num_classes
+    assert labels.data.tobytes() == want_labels.data.tobytes()
+    assert _bits(entropy) == _bits(want_entropy)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.sampled_from([2, 3]),
+    shape=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
+    ties=st.sampled_from(["none", "zero", "equal_rows"]),
+    slab_planes=st.integers(1, 4),
+)
+def test_infer_equals_former_infer_on_volumes(seed, k, shape, ties, slab_planes):
+    # labels and entropy bit for bit against the former softmax inference,
+    # with exact ties from a zero model or from two equal weight rows
+    rng = np.random.default_rng(seed)
+    grid_shape = tuple(int(rng.integers(1, s + 1)) for s in shape)
+    channels = int(rng.integers(1, 5))
+    data = _factorized(
+        _vol(rng.normal(size=shape)), _grid(rng.normal(size=(channels,) + grid_shape).astype(np.float32))
+    )
+    weights, bias = rng.normal(size=(k, channels + 1)), rng.normal(size=k)
+    if ties == "zero":
+        weights, bias = np.zeros_like(weights), np.zeros_like(bias)
+    elif ties == "equal_rows":
+        pair = rng.choice(k, size=2, replace=False)
+        weights[pair[1]], bias[pair[1]] = weights[pair[0]], bias[pair[0]]
+    params = SpecialistParams(weights, bias)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(specialist, "_SLAB_VOXELS", slab_planes * shape[1] * shape[2])
+        _same_inference(infer(params, data), infer_oracle(params, data))
+
+
+def _logits_volume(logits: np.ndarray, slabs: int = 2):
+    """Factorized data and a model of ``logits``'s width whose ``voxel_logits``,
+    patched in ``specialist`` and in the oracles, yields copies of ``logits``
+    split into ``slabs`` slabs."""
+    k, n = logits.shape
+    bounds = np.linspace(0, n, slabs + 1).astype(int)
+
+    def fake(params, data):
+        for a, b in zip(bounds, bounds[1:]):
+            yield slice(a, b), logits[:, a:b].copy()
+
+    data = _rows_data("v", np.zeros((n, 2)))
+    return data, SpecialistParams.zeros(k, 2), fake
+
+
+def _infer_on_logits(logits, slabs=2):
+    data, params, fake = _logits_volume(logits, slabs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(specialist, "voxel_logits", fake)
+        patch.setattr(oracles, "voxel_logits", fake)
+        _same_inference(infer(params, data), infer_oracle(params, data))
+
+
+_LOGIT = st.floats(-60.0, 60.0, allow_nan=False, allow_subnormal=False)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    k=st.sampled_from([2, 3]),
+    columns=st.lists(st.tuples(_LOGIT, _LOGIT, _LOGIT), min_size=1, max_size=40),
+)
+def test_infer_equals_former_infer_on_random_logits(k, columns):
+    _infer_on_logits(np.array(columns)[:, :k].T.copy())
+
+
+def _ulps_from(x: float, j: int) -> float:
+    """``x`` moved by ``j`` ulps."""
+    for _ in range(abs(j)):
+        x = float(np.nextafter(x, np.inf if j > 0 else -np.inf))
+    return x
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    k=st.sampled_from([2, 3]),
+    columns=st.lists(
+        st.tuples(
+            st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+            st.integers(-4, 4),
+            st.integers(-4, 4),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+def test_infer_equals_former_infer_on_margins_of_a_few_ulps(k, columns):
+    # every other logit is a few ulps from the first: at small ulps exp
+    # rounds the lower numerator to 1 and the lower class must win
+    rows = [[base, *(_ulps_from(base, j) for j in ups)] for base, *ups in columns]
+    _infer_on_logits(np.array(rows)[:, :k].T.copy())
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_infer_equals_former_infer_on_signed_zeros(k):
+    # every combination of signed zeros and the smallest magnitudes
+    zeros = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300)
+    _infer_on_logits(np.array(np.meshgrid(*[zeros] * k)).reshape(k, -1), slabs=3)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_infer_refuses_a_non_finite_logit(k, bad):
+    logits = np.random.default_rng(54).normal(size=(k, 30))
+    logits[k - 1, 17] = bad
+    data, params, fake = _logits_volume(logits)
+    with pytest.MonkeyPatch.context() as patch, np.errstate(invalid="ignore"):
+        patch.setattr(specialist, "voxel_logits", fake)
+        with pytest.raises(ValueError, match="NaN class score"):
+            infer(params, data)
 
 
 def test_infer_peak_memory_is_slabs_not_volume():
