@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from .pipeline import (
     start_run,
 )
 from .specialist import TrainConfig
-from .volume import LabelVolume, load_array
+from .volume import LabelVolume, load_array, write_json
 
 __all__ = ["dispatch", "main"]
 
@@ -162,7 +161,7 @@ def _cmd_eval(args) -> int:
     summary = summarize_reports(reports)
     print(format_table(summary))
     if args.json:
-        Path(args.json).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        write_json(args.json, summary)
     return 0
 
 

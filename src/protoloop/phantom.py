@@ -17,7 +17,6 @@ values of one whole-volume draw and every file is the same byte for byte.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -34,6 +33,7 @@ from .volume import (
     read_json,
     save_array,
     save_manifest,
+    write_json,
 )
 
 __all__ = ["ClassShape", "PhantomSpec", "generate", "load_spec", "save_spec"]
@@ -308,4 +308,4 @@ def load_spec(path: str | Path) -> PhantomSpec:
 def save_spec(spec: PhantomSpec, path: str | Path) -> None:
     """Write ``spec`` as the JSON object ``load_spec`` reads back: each field by its name."""
     doc = asdict(spec) | {"shape": list(spec.shape.as_tuple())}
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)

@@ -54,7 +54,6 @@ from .prototype import compute_prototypes, initial_pseudo_label
 from .refine import refine_all
 from .specialist import (
     SpecialistParams,
-    TrainAssets,
     TrainConfig,
     TrainVolumeData,
     infer,
@@ -79,6 +78,7 @@ from .volume import (
     read_json,
     read_shape,
     save_array,
+    write_json,
 )
 
 __all__ = [
@@ -127,8 +127,6 @@ class PipelineConfig:
             raise ValueError(f"q_unc={self.q_unc} outside (0, 1]")
         if self.seed < 0:
             raise ValueError(f"seed={self.seed} must be >= 0")
-        if self.train.seed != 0:  # a round's model is seeded seed ^ round
-            raise ValueError(f"train.seed={self.train.seed} is fixed at 0; set seed")
 
 
 @dataclass
@@ -398,10 +396,6 @@ def _refuse_existing(config: PipelineConfig, round_index: int) -> None:
     _refuse_later_rounds(config, round_index, "writing it")
 
 
-def _dump_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 def _label_name(vol_id: str, round_index: int, refined: bool) -> str:
     if round_index == 0:
         return f"{vol_id}.round0.label"
@@ -442,7 +436,7 @@ def _persist_round(
             save_array(state.labels[vol_id], tmp / name)
             doc["labels"][vol_id] = name
         if state.params is not None:
-            save_params(state.params, tmp / "params.vxar", r, iteration=-1)
+            save_params(state.params, tmp / "params.vxar", r)
             doc["params"] = "params.vxar"
         if state.partition is not None:
             doc["partition"] = {
@@ -459,7 +453,7 @@ def _persist_round(
             (tmp / "train_log.jsonl").write_text(
                 "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in train_log)
             )
-        _dump_json(tmp / "state.json", doc)
+        write_json(tmp / "state.json", doc)
 
     _atomic_write_dir(out_dir, f"round_{r}", writer)
     # the rounds after r were built on the round just replaced; highest first,
@@ -548,7 +542,7 @@ def load_round_state(out_dir: Path, round_index: int, raw_labels: bool = False) 
     elif raw_labels and round_index >= 1:  # unrefined: the round's labels are the model's
         state.raw_labels = state.labels
     if "params" in doc:
-        state.params, _ = load_params(round_dir / doc["params"])
+        state.params = load_params(round_dir / doc["params"])
     state.uncertainties = doc.get("uncertainties")
     return state
 
@@ -606,7 +600,7 @@ def run_round(
     and its ``raw_labels`` None, so from then on the round holds its own labels
     and no others unless the caller keeps them elsewhere; a caller that needs
     round r - 1's labels afterwards reloads them with ``load_round_state``.
-    The model is seeded ``config.seed ^ round_index``; ``config.train.seed`` is fixed at 0.
+    The model is seeded ``config.seed ^ round_index``.
     An existing round, or a missing one with later rounds, is refused before
     training unless ``config.force`` is set; it is then replaced once the new
     round is complete, and every later round is removed.
@@ -624,14 +618,10 @@ def run_round(
 
     # fresh model trained from scratch on the current pseudo-label set
     t0 = time.perf_counter()
-    assets = TrainAssets(
-        num_classes=ctx.manifest.num_classes,
-        labeled=ctx.features[ctx.labeled_id],
-        labeled_targets=ctx.labeled_gt.data.reshape(-1),
-        pool=tuple(ctx.features[v] for v in pool),
+    params, log = train_round(
+        ctx.features[ctx.labeled_id], ctx.labeled_gt, [ctx.features[v] for v in pool],
+        prev.labels, config.train, seed=config.seed ^ round_index,
     )
-    train_cfg = replace(config.train, seed=config.seed ^ round_index)
-    params, log = train_round(assets, prev.labels, train_cfg)
     # the head is trained: nothing reads the previous round's labels again
     prev.labels, prev.raw_labels = {}, None
     t_train = time.perf_counter() - t0
@@ -857,7 +847,7 @@ def start_run(config: PipelineConfig) -> None:
             raise FileExistsError(f"{out} already holds a run; pass force to overwrite")
         _clear_run_dir(out)
     out.mkdir(parents=True, exist_ok=True)
-    _dump_json(out / "config.json", _config_doc(config))
+    write_json(out / "config.json", _config_doc(config))
 
 
 def run_pipeline(config: PipelineConfig) -> RoundState:
@@ -887,7 +877,7 @@ def run_pipeline(config: PipelineConfig) -> RoundState:
             f"offline contract violated: {calls_total - calls_after_round0} encoder "
             "calls after the initial round"
         )
-    _dump_json(config.out_dir / "report.json", {
+    write_json(config.out_dir / "report.json", {
         "encoder_calls_after_round0": calls_after_round0,
         "encoder_calls_total": calls_total,
         "offline_contract_honored": calls_total == calls_after_round0,

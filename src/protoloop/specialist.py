@@ -24,9 +24,10 @@ where the top class's is exactly 1.0.
 Every round trains a fresh zero-initialized model with SGD on the loss
 ``sup + alpha * pseudo``: cross-entropy/soft-Dice on the labeled voxels
 plus the same on the pseudo-labeled voxels, weighted by a ramped ``alpha``.
-Gradients are analytic.  The schedule is the same for every run: learning rate
-0.01 * (1 - t/T)^0.9 over T steps, momentum 0.9, weight decay 1e-4, ``alpha``
-ramped from 0 to 1 over the first 30% of the steps, and Dice smoothing 1e-5.
+Gradients are analytic.  The schedule is the same for every run and is
+written in ``train_round``'s step loop: learning rate 0.01 * (1 - t/T)^0.9
+over T steps, momentum 0.9, weight decay 1e-4, ``alpha`` ramped from 0 to 1
+over the first 30% of the steps, and Dice smoothing 1e-5.
 
 A step has k = 2-3 classes and about a dozen features, so its cost is the
 number of numpy calls, not arithmetic.  The step is therefore class-major:
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -58,10 +59,6 @@ __all__ = [
     "SpecialistParams",
     "TrainConfig",
     "TrainVolumeData",
-    "TrainAssets",
-    "cell_index_luts",
-    "ramp_up_alpha",
-    "poly_lr",
     "loss_and_grad",
     "train_round",
     "voxel_logits",
@@ -116,35 +113,19 @@ DICE_SMOOTH = 1e-5
 class TrainConfig:
     iterations: int = 3000      # per round; desk-scale default
     batch_voxels: int = 4096    # half labeled, half from one pseudo volume
-    seed: int = 0
+    seed: InitVar[int] = 0      # not a setting: round r is seeded seed ^ r; 0 only
 
-    def __post_init__(self):
+    def __post_init__(self, seed: int):
         if self.iterations < 1:
             raise ValueError(f"iterations={self.iterations} must be >= 1")
         if self.batch_voxels < 2:
             raise ValueError(f"batch_voxels={self.batch_voxels} must be >= 2")
+        if seed != 0:
+            raise ValueError(f"train.seed={seed} is fixed at 0; set seed")
 
 
 # ---------------------------------------------------------------------------
-# per-voxel features
-
-def cell_index_luts(vol_shape: Shape3, grid_shape: Shape3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-axis lookup tables mapping voxel index -> cell index.
-
-    The map is ``volume.nearest_axis_indices``'s centre-aligned rescaling,
-    not the encoder's patches (``voxel // patch``).  The two agree on an
-    extent that is a multiple of the patch; on any other extent some voxels
-    read a cell whose patch does not contain them (4 of 30 per axis at
-    30 voxels and patch 8).  Changing that changes outputs, so it stays.
-    """
-    return tuple(
-        nearest_axis_indices(g, v)
-        for g, v in zip(grid_shape.as_tuple(), vol_shape.as_tuple())
-    )
-
-
-# ---------------------------------------------------------------------------
-# softmax / schedules / loss
+# softmax / loss
 
 def _softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Softmax over axis 0 of class-major (k, n) logits: (probs, max, sum of exp)."""
@@ -153,24 +134,6 @@ def _softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     total = probs.sum(axis=0)
     probs /= total
     return probs, top, total
-
-
-def ramp_up_alpha(iteration: int, total: int) -> float:
-    """Linear 0 -> 1 ramp over the first ``RAMP_FRACTION`` of iterations, then flat."""
-    if total < 1:
-        raise ValueError("total iterations must be >= 1")
-    if not 0 <= iteration <= total:
-        raise ValueError(f"iteration {iteration} outside [0, {total}]")
-    return min(1.0, iteration / (RAMP_FRACTION * total))
-
-
-def poly_lr(iteration: int, total: int) -> float:
-    """Polynomial decay BASE_LR * (1 - t/total)^LR_POWER; exactly 0 at t == total."""
-    if total < 1:
-        raise ValueError("total iterations must be >= 1")
-    if not 0 <= iteration <= total:
-        raise ValueError(f"iteration {iteration} outside [0, {total}]")
-    return BASE_LR * (1.0 - iteration / total) ** LR_POWER
 
 
 def loss_and_grad(
@@ -250,8 +213,15 @@ class TrainVolumeData:
 
     The feature row of voxel (d, h, w) is ``cells[cell(d, h, w)]`` followed by
     its z, ``(float64(values[i]) - offset) / scale`` with
-    ``i = (d * H + h) * W + w``, where ``cell`` reads the per-axis
-    ``cell_index_luts``.  Memory is the float32 cell table, the grid's values
+    ``i = (d * H + h) * W + w``, where ``cell`` reads the per-axis lookup
+    tables ``luts`` from voxel index to cell index.  Their map is
+    ``volume.nearest_axis_indices``'s centre-aligned rescaling, not the
+    encoder's patches (``voxel // patch``).  The two agree on an extent that
+    is a multiple of the patch; on any other extent some voxels read a cell
+    whose patch does not contain them (4 of 30 per axis at 30 voxels and
+    patch 8).  Changing that changes outputs, so it stays.
+
+    Memory is the float32 cell table, the grid's values
     transposed once to ``(n_cells, C)``, plus the float32 intensities (4
     bytes per voxel) and lookup tables of ``H * W`` entries; z is computed
     where it is used, with ``zscore_scalars``'s offset and scale, so it has
@@ -288,7 +258,9 @@ class TrainVolumeData:
             )
         if not (math.isfinite(self.offset) and math.isfinite(self.scale) and self.scale != 0):
             raise ValueError(f"bad z-score scalars offset={self.offset!r} scale={self.scale!r}")
-        luts = cell_index_luts(self.shape, self.grid_shape)
+        luts = tuple(
+            nearest_axis_indices(g, v) for g, v in zip(self.grid_shape.as_tuple(), self.shape.as_tuple())
+        )
         _, gh, gw = self.grid_shape.as_tuple()
         object.__setattr__(self, "cells", np.ascontiguousarray(cells))
         object.__setattr__(self, "values", values)
@@ -352,25 +324,6 @@ class TrainVolumeData:
         return out
 
 
-@dataclass(frozen=True)
-class TrainAssets:
-    """Everything train_round needs besides the pseudo-labels themselves."""
-
-    num_classes: int
-    labeled: TrainVolumeData
-    labeled_targets: np.ndarray  # (n_voxels,) ground-truth classes
-    pool: tuple[TrainVolumeData, ...]  # unlabeled volumes, sorted by id
-
-    def __post_init__(self):
-        if len(self.labeled_targets) != self.labeled.n_voxels:
-            raise ValueError("labeled targets do not match labeled features")
-        if not self.pool:
-            raise ValueError("training pool is empty")
-        ids = [v.vol_id for v in self.pool]
-        if ids != sorted(ids):
-            raise ValueError("pool must be sorted by volume id")
-
-
 # per-step columns of the training log, after "iter"
 _LOG_FIELDS = (
     "lr", "alpha", "loss", "l_sup", "l_pseudo", "grad_norm", "param_norm",
@@ -378,39 +331,52 @@ _LOG_FIELDS = (
 
 
 def train_round(
-    assets: TrainAssets,
+    labeled: TrainVolumeData,
+    labeled_gt: LabelVolume,
+    pool: list[TrainVolumeData],
     pseudo_labels: dict[str, LabelVolume],
     config: TrainConfig,
+    seed: int,
 ) -> tuple[SpecialistParams, list[dict]]:
-    """Train a fresh model for one round on the current pseudo-label set.
+    """Train a fresh model, seeded ``seed``, for one round on the current pseudo-label set.
 
+    ``labeled_gt`` is the template's label; its class count is the model's.
     Every step draws half the batch from the labeled template and half from
-    one sampled pseudo-labeled volume.  Returns the final iterate and the
-    per-step training log: the schedule, the loss terms, the gradient norm
-    ||(dW, db)|| before weight decay and the parameter norm ||(W, b)|| after
-    the update.
+    one pool volume, drawn by its position in the pool sorted by id.  Returns
+    the final iterate and the per-step training log: the schedule, the loss
+    terms, the gradient norm ||(dW, db)|| before weight decay and the
+    parameter norm ||(W, b)|| after the update.
     """
-    missing = {v.vol_id for v in assets.pool} - pseudo_labels.keys()
+    if labeled_gt.shape != labeled.shape:
+        raise ValueError(
+            f"template label has shape {labeled_gt.shape.as_tuple()}, its volume {labeled.shape.as_tuple()}"
+        )
+    if not pool:
+        raise ValueError("training pool is empty")
+    pool = sorted(pool, key=lambda vol: vol.vol_id)
+    num_classes = labeled_gt.num_classes
+    missing = {v.vol_id for v in pool} - pseudo_labels.keys()
     if missing:
         raise ValueError(f"pseudo-labels missing for {sorted(missing)}")
     targets = {}
-    for vol in assets.pool:
+    for vol in pool:
         lab = pseudo_labels[vol.vol_id]
         flat = lab.data.reshape(-1)
         if len(flat) != vol.n_voxels:
             raise ValueError(f"pseudo-label shape mismatch for {vol.vol_id!r}")
-        if lab.num_classes != assets.num_classes:
+        if lab.num_classes != num_classes:
             raise ValueError(
-                f"pseudo-label of {vol.vol_id!r} has {lab.num_classes} classes, the run {assets.num_classes}"
+                f"pseudo-label of {vol.vol_id!r} has {lab.num_classes} classes, the run {num_classes}"
             )
         targets[vol.vol_id] = flat
+    labeled_targets = labeled_gt.data.reshape(-1)
 
     # the weights and their momentum stay plain arrays updated in place; a
     # SpecialistParams is built only to validate and to return
-    num_features = assets.labeled.num_features
-    rng = np.random.default_rng(config.seed)
-    w = np.zeros((assets.num_classes, num_features))
-    b = np.zeros(assets.num_classes)
+    num_features = labeled.num_features
+    rng = np.random.default_rng(seed)
+    w = np.zeros((num_classes, num_features))
+    b = np.zeros(num_classes)
     vel_w = np.zeros_like(w)
     vel_b = np.zeros_like(b)
 
@@ -422,17 +388,15 @@ def train_round(
     log = np.empty((total, len(_LOG_FIELDS)))
 
     for t in range(total):
-        lr = poly_lr(t, total)
-        alpha = ramp_up_alpha(t, total)
+        lr = BASE_LR * (1.0 - t / total) ** LR_POWER
+        alpha = min(1.0, t / (RAMP_FRACTION * total))
 
-        pick = assets.pool[int(rng.integers(len(assets.pool)))]
-        li = rng.integers(0, assets.labeled.n_voxels, size=n_lab)
+        pick = pool[int(rng.integers(len(pool)))]
+        li = rng.integers(0, labeled.n_voxels, size=n_lab)
         pi = rng.integers(0, pick.n_voxels, size=n_pse)
-        assets.labeled.rows(li, out=x_lab)
+        labeled.rows(li, out=x_lab)
         pick.rows(pi, out=x_pse)
-        terms, (d_w, d_b) = loss_and_grad(
-            (w, b), x, assets.labeled_targets[li], targets[pick.vol_id][pi], alpha
-        )
+        terms, (d_w, d_b) = loss_and_grad((w, b), x, labeled_targets[li], targets[pick.vol_id][pi], alpha)
         if not math.isfinite(terms[0]):
             raise ValueError(f"non-finite loss at iteration {t}")
         grad_norm = math.sqrt(np.vdot(d_w, d_w) + np.vdot(d_b, d_b))
@@ -575,9 +539,7 @@ def infer(params: SpecialistParams, data: TrainVolumeData) -> tuple[LabelVolume,
 # ---------------------------------------------------------------------------
 # parameter files
 
-def save_params(
-    params: SpecialistParams, path, round_index: int, iteration: int
-) -> None:
+def save_params(params: SpecialistParams, path, round_index: int) -> None:
     """One f32 tensor [weights | bias] plus JSON meta, in the array container."""
     tensor = np.hstack([params.weights, params.bias[:, None]]).astype("<f4")
     header = {
@@ -588,12 +550,12 @@ def save_params(
         "features": params.num_features,
         "num_classes": params.num_classes,
         "round": round_index,
-        "iteration": iteration,
+        "iteration": -1,  # the final iterate
     }
     write_blob(path, header, tensor.tobytes())
 
 
-def load_params(path) -> tuple[SpecialistParams, dict]:
+def load_params(path) -> SpecialistParams:
     """The inverse of ``save_params``; any other file is an ``ArrayFormatError`` naming it."""
     header, payload = read_blob(path)
     shape = header.get("shape")
@@ -604,5 +566,4 @@ def load_params(path) -> tuple[SpecialistParams, dict]:
     ):
         raise ArrayFormatError(f"{path}: not a parameter file (header {header}, {len(payload)} payload bytes)")
     tensor = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)
-    params = SpecialistParams(weights=tensor[:, :-1], bias=tensor[:, -1])
-    return params, header
+    return SpecialistParams(weights=tensor[:, :-1], bias=tensor[:, -1])

@@ -37,6 +37,7 @@ __all__ = [
     "DatasetManifest",
     "JsonRules",
     "read_json",
+    "write_json",
     "check_object",
     "from_doc",
     "read_header",
@@ -431,6 +432,12 @@ def read_json(path: str | Path) -> dict:
     return doc
 
 
+def write_json(path: str | Path, doc: dict) -> None:
+    """Write ``doc`` to ``path`` indented, with sorted keys and a final newline: the
+    form of every JSON document the package writes."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def _check_value(value, annotation: str, path, at: str) -> None:
     what, valid, members = _JSON_TYPES[annotation]
     if not valid(value):
@@ -543,7 +550,8 @@ class VolumeEntry:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """The dataset contract: unique ids, and exactly one labeled entry, the template."""
+    """The dataset contract: unique ids, exactly one labeled entry, the template,
+    and at least one unlabeled entry, the pool."""
 
     num_classes: int
     entries: tuple[VolumeEntry, ...]
@@ -561,6 +569,8 @@ class DatasetManifest:
         labeled = [e.vol_id for e in entries if e.label is not None]
         if len(labeled) != 1:
             raise ValueError(f"manifest has {len(labeled)} labeled entries {labeled}; it needs exactly one")
+        if len(entries) == 1:
+            raise ValueError("manifest has no unlabeled volume; it needs at least one besides the template")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "base_dir", Path(self.base_dir))
 
@@ -598,11 +608,7 @@ def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
         if e.features is not None:
             entry["features"] = e.features
         volumes.append(entry)
-    doc = {
-        "num_classes": manifest.num_classes,
-        "volumes": volumes,
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, {"num_classes": manifest.num_classes, "volumes": volumes})
 
 
 # ---------------------------------------------------------------------------

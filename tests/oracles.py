@@ -5,13 +5,14 @@ Python loops and scalar math, deliberately sharing no code or vectorization
 structure with the package.  These are slow and obvious on purpose: the fast
 implementations are checked against them on small seeded instances.  Eight
 sections are exceptions: the per-cell encoder loop and the dense per-voxel
-features share the whole-volume z-score below (and the package's cell LUTs)
-so that the blocked encoder grid and the factorized rows can be required
-byte-equal; the whole-volume encoder builds on the package's blocking,
-sorting and gradient helpers, so that only the package's streaming of one
-row of cells at a time is compared; the voxel-major training loop shares
-the package's row gather, schedules, parameter type and inference so that
-only the step itself is compared; the dense entropy of an explicit
+features share the whole-volume z-score below (and the package's voxel ->
+cell map, ``volume.nearest_axis_indices``) so that the blocked encoder grid
+and the factorized rows can be required byte-equal; the whole-volume encoder
+builds on the package's blocking, sorting and gradient helpers, so that only
+the package's streaming of one row of cells at a time is compared; the
+voxel-major training loop shares the package's row gather, parameter type
+and inference so that only the step itself is compared, and writes the
+schedule's two formulas itself; the dense entropy of an explicit
 probability volume is vectorized, as the reference for the entropy
 ``specialist.infer`` fuses into its prediction pass; and the whole-volume
 phantom generator is the package's former ``generate``, which made every
@@ -41,15 +42,15 @@ from protoloop.encoder import (
     _order_statistics,
 )
 from protoloop.specialist import (
+    BASE_LR,
     DICE_SMOOTH,
+    LR_POWER,
     MOMENTUM,
+    RAMP_FRACTION,
     WEIGHT_DECAY,
     SpecialistParams,
     TrainVolumeData,
     _softmax,
-    cell_index_luts,
-    poly_lr,
-    ramp_up_alpha,
     voxel_logits,
 )
 from protoloop.phantom import _LOBE_OFFSET, _LOBE_SCALE, _MAX_JITTER_ATTEMPTS
@@ -60,6 +61,7 @@ from protoloop.volume import (
     LabelVolume,
     Shape3,
     VolumeEntry,
+    nearest_axis_indices,
     save_array,
     save_manifest,
 )
@@ -368,22 +370,27 @@ def round0_oracle(template_grid, template_labels, query_grid, num_classes, vol_s
 # intensities and two z-score scalars.
 # The dense forms below are the reference its factorized rows, logits, labels
 # and entropies are checked against.  They reuse the whole-volume z-score above
-# and the package's voxel -> cell LUTs on purpose, so that gathered rows must
+# and the package's voxel -> cell map on purpose, so that gathered rows must
 # be byte-equal.
+
+def _cell_luts(vol, grid):
+    """Per-axis voxel index -> cell index, as ``TrainVolumeData`` maps them."""
+    return [nearest_axis_indices(g, v) for g, v in zip(grid.grid_shape.as_tuple(), vol.shape.as_tuple())]
+
 
 def per_voxel_features(vol, grid, index):
     """Feature vector of one voxel: its cell's features plus z-scored intensity."""
     d, h, w = index
     if not (0 <= d < vol.shape.d and 0 <= h < vol.shape.h and 0 <= w < vol.shape.w):
         raise ValueError(f"voxel index {index} outside volume {vol.shape.as_tuple()}")
-    luts = cell_index_luts(vol.shape, grid.grid_shape)
+    luts = _cell_luts(vol, grid)
     cell = grid.data[:, luts[0][d], luts[1][h], luts[2][w]].astype(np.float64)
     return np.concatenate([cell, [zscore(vol.data)[d, h, w]]])
 
 
 def build_feature_matrix(vol, grid):
     """(n_voxels, channels + 1) float64 feature matrix in row-major voxel order."""
-    luts = cell_index_luts(vol.shape, grid.grid_shape)
+    luts = _cell_luts(vol, grid)
     cells = grid.data[:, luts[0]][:, :, luts[1]][:, :, :, luts[2]].astype(np.float64)
     flat = cells.reshape(grid.channels, -1).T
     z = zscore(vol.data).reshape(-1, 1)
@@ -732,11 +739,13 @@ def loss_and_grad_rows_oracle(params, lx, ly, px, py, alpha):
     return (total, sup, pseudo), (d_w, d_b)
 
 
-def train_round_loop_oracle(assets, pseudo_labels, config):
+def train_round_loop_oracle(labeled, labeled_gt, pool, pseudo_labels, config, seed):
     """(final SpecialistParams, per-step log dicts) of one round, voxel-major."""
-    targets = {v.vol_id: pseudo_labels[v.vol_id].data.reshape(-1) for v in assets.pool}
-    rng = np.random.default_rng(config.seed)
-    params = SpecialistParams.zeros(assets.num_classes, assets.labeled.num_features)
+    pool = sorted(pool, key=lambda v: v.vol_id)
+    labeled_targets = labeled_gt.data.reshape(-1)
+    targets = {v.vol_id: pseudo_labels[v.vol_id].data.reshape(-1) for v in pool}
+    rng = np.random.default_rng(seed)
+    params = SpecialistParams.zeros(labeled_gt.num_classes, labeled.num_features)
     vel_w = np.zeros_like(params.weights)
     vel_b = np.zeros_like(params.bias)
     n_lab = config.batch_voxels // 2
@@ -744,13 +753,13 @@ def train_round_loop_oracle(assets, pseudo_labels, config):
     total = config.iterations
     log = []
     for t in range(total):
-        lr = poly_lr(t, total)
-        alpha = ramp_up_alpha(t, total)
-        pick = assets.pool[int(rng.integers(len(assets.pool)))]
-        li = rng.integers(0, assets.labeled.n_voxels, size=n_lab)
+        lr = BASE_LR * (1.0 - t / total) ** LR_POWER
+        alpha = min(1.0, t / (RAMP_FRACTION * total))
+        pick = pool[int(rng.integers(len(pool)))]
+        li = rng.integers(0, labeled.n_voxels, size=n_lab)
         pi = rng.integers(0, pick.n_voxels, size=n_pse)
         (loss, sup, pse), (d_w, d_b) = loss_and_grad_rows_oracle(
-            params, assets.labeled.rows(li), assets.labeled_targets[li],
+            params, labeled.rows(li), labeled_targets[li],
             pick.rows(pi), targets[pick.vol_id][pi], alpha,
         )
         grad_norm = float(np.linalg.norm(np.concatenate([d_w.ravel(), d_b])))

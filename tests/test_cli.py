@@ -229,8 +229,9 @@ def test_manifest_field_of_another_type_leaves_nothing(dataset, tmp_path, capsys
         (lambda doc: doc.update(num_classes=300), ["num_classes=300"]),
         (lambda doc: doc["volumes"][2].update(id="vol_001"), ["volume ids ['vol_001'] are not unique"]),
         (lambda doc: doc["volumes"][1].update(label=doc["volumes"][0]["label"]), ["['vol_000', 'vol_001']"]),
+        (lambda doc: doc.update(volumes=doc["volumes"][:1]), ["manifest has no unlabeled volume"]),
     ],
-    ids=["path-id", "300-classes", "duplicated-id", "two-labeled"],
+    ids=["path-id", "300-classes", "duplicated-id", "two-labeled", "template-only"],
 )
 def test_manifest_the_dataset_contract_refuses_is_named(dataset, tmp_path, capsys, edit, named):
     """Before, ``init`` refused these naming neither the manifest nor, for a
@@ -244,6 +245,26 @@ def test_manifest_the_dataset_contract_refuses_is_named(dataset, tmp_path, capsy
     err = capsys.readouterr().err
     assert all(n in err for n in [f"{tmp_path / 'manifest.json'}: ", *named]), err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("truth", [False, True])
+def test_template_only_manifest_leaves_out_empty(dataset, tmp_path, capsys, truth):
+    """Before, ``run`` failed in training after writing ``config.json``, the
+    grids and an empty round 0, and with ``--truth`` in scoring round 0
+    (``init``, in the table above, exited 0).  Now the manifest is refused
+    before anything is written."""
+    doc = _absolute_manifest(dataset)
+    doc["volumes"] = doc["volumes"][:1]
+    manifest, out = tmp_path / "manifest.json", tmp_path / "out"
+    manifest.write_text(json.dumps(doc))
+    out.mkdir()
+    argv = _run_args(dataset, out)
+    argv[argv.index("--manifest") + 1] = str(manifest)
+    if not truth:
+        del argv[argv.index("--truth"):argv.index("--truth") + 2]
+    assert dispatch(argv) == 1
+    assert f"{manifest}: manifest has no unlabeled volume" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_manifest_naming_missing_volume_leaves_nothing_then_run_succeeds(dataset, tmp_path, capsys):
@@ -546,9 +567,8 @@ def _config_leaves(run_dir) -> dict:
 def test_every_run_flag_sets_a_persisted_field_of_its_own(dataset, tmp_path):
     """Guard: with every run flag at a non-default value, every persisted field
     differs from a default ``init``'s, one field per flag, so no flag outlives
-    its field and no field lacks its flag.  ``train.seed`` has no flag: each
-    round trains seeded ``seed ^ r``.  ``init`` records one round; ``--rounds``
-    is ``run``'s."""
+    its field and no field lacks its flag.  ``init`` records one round;
+    ``--rounds`` is ``run``'s."""
     manifest = tmp_path / "manifest.json"  # another path than the default run's
     manifest.write_text(json.dumps(_absolute_manifest(dataset)))
     flags = {
@@ -570,7 +590,7 @@ def test_every_run_flag_sets_a_persisted_field_of_its_own(dataset, tmp_path):
         leaves = _config_leaves(tmp_path / command)
         assert leaves.keys() == default.keys()
         differ = {key for key in leaves if leaves[key] != default[key]}
-        assert differ == default.keys() - {"train.seed"} - ({"rounds"} if command == "init" else set())
+        assert differ == default.keys() - ({"rounds"} if command == "init" else set())
         assert len(differ) == len(used)  # a flag that sets nothing would leave one field short
 
 
@@ -613,6 +633,30 @@ def test_round_refuses_a_pseudo_label_of_another_class_count(dataset, tmp_path, 
     assert not (out / "round_1").exists()
 
 
+def test_round_refuses_a_pseudo_label_of_another_shape(dataset, tmp_path, capsys):
+    out = tmp_path / "r"
+    assert dispatch(_init_args(dataset, out)) == 0
+    path = out / "round_0" / "vol_001.round0.label"
+    lab = volume.load_array(path, volume.LabelVolume)
+    half = lab.shape.d // 2  # a label of half its volume's depth
+    volume.save_array(volume.LabelVolume(volume.Shape3(half, lab.shape.h, lab.shape.w), 2, lab.data[:half]), path)
+    assert dispatch(["round", "--prev", str(out / "round_0")]) == 1
+    assert "pseudo-label shape mismatch for 'vol_001'" in capsys.readouterr().err
+    assert not (out / "round_1").exists()
+
+
+def test_a_state_file_of_another_round_is_refused(finished_run, tmp_path, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    assert dispatch(["round", "--prev", str(out / "round_1")]) == 0
+    shutil.copyfile(out / "round_1" / "state.json", out / "round_2" / "state.json")
+    named = f"{out / 'round_2'}: state file claims round 1, expected 2"
+    assert dispatch(["round", "--prev", str(out / "round_2")]) == 1
+    assert dispatch(["report", "--run", str(out)]) == 1
+    assert capsys.readouterr().err.count(named) == 2
+    assert not (out / "round_3").exists()
+
+
 def test_round_requires_config(tmp_path):
     (tmp_path / "round_0").mkdir()
     assert dispatch(["round", "--prev", str(tmp_path / "round_0")]) == 1
@@ -641,7 +685,7 @@ def test_config_drift_in_a_fixed_setting_is_refused(finished_run, tmp_path, caps
     shutil.copytree(finished_run, out)
     doc = json.loads((out / "config.json").read_text())
     where = doc[section] if section else doc
-    assert where.get(key, 0) == 0  # absent, or train.seed at its fixed 0
+    assert key not in where  # a new run writes none of these keys
     where[key] = value
     (out / "config.json").write_text(json.dumps(doc))
     before = _tree(out)

@@ -1118,29 +1118,28 @@ def test_config_doc_round_trips_every_field(tmp_path):
         out_dir=tmp_path / "run",
         rounds=4,
         encoder=EncoderParams(patch_size=6),
-        train=TrainConfig(iterations=77, batch_voxels=128, seed=0),
+        train=TrainConfig(iterations=77, batch_voxels=128),
         knn=7,
         q_unc=0.8,
         seed=5,
         refine=False,
         truth_dir=tmp_path / "truth",
     )
-    # every persisted field differs from its default, so a dropped one shows;
-    # train.seed is fixed at 0 (a round's model is seeded seed ^ round)
+    # every persisted field differs from its default, so a dropped one shows
     defaults = PipelineConfig(manifest_path=tmp_path / "x.json", out_dir=tmp_path / "y")
     for f in fields(PipelineConfig):
         if f.name == "force":
             continue
         value, default = getattr(config, f.name), getattr(defaults, f.name)
         if is_dataclass(value):
-            changed = [getattr(value, g.name) != getattr(default, g.name) for g in fields(value) if g.name != "seed"]
+            changed = [getattr(value, g.name) != getattr(default, g.name) for g in fields(value)]
             assert all(changed)
         else:
             assert value != default, f.name
     doc = json.loads(json.dumps(_config_doc(config)))
     assert "force" not in doc and "out_dir" not in doc
     assert sorted(doc["encoder"]) == ["patch_size"]
-    assert sorted(doc["train"]) == ["batch_voxels", "iterations", "seed"]
+    assert sorted(doc["train"]) == ["batch_voxels", "iterations"]
     assert _config_from_doc(doc, config.out_dir) == config
     del doc["manifest"]
     with pytest.raises(ValueError, match="manifest"):
@@ -1152,9 +1151,10 @@ def test_previous_config_format_loads_and_resumes(dataset, main_run, tmp_path, m
     input paths relative to the directory it is loaded from, the module
     constants and position settings at their fixed values, and a null
     ``val_manifest``, which every run wrote before the labeled validation set
-    was removed.  The keys earlier formats wrote that no ``_FIXED`` entry
-    holds (``window``, ``stride``, ``threads``, and the consistency-term and
-    validation settings) are refused instead; see the test below."""
+    was removed, and ``train.seed`` at 0.  The keys earlier formats wrote
+    that no ``_FIXED`` entry holds (``window``, ``stride``, ``threads``, and
+    the consistency-term and validation settings) are refused instead; see
+    the test below."""
     states, out = main_run
     resumed = tmp_path / "resumed"
     resumed.mkdir()
@@ -1169,7 +1169,7 @@ def test_previous_config_format_loads_and_resumes(dataset, main_run, tmp_path, m
         "train": {
             "iterations": 60, "base_lr": 0.01, "lr_power": 0.9, "momentum": 0.9,
             "weight_decay": 0.0001, "batch_voxels": 64, "ramp_fraction": 0.3,
-            "dice_smooth": 1e-05,
+            "dice_smooth": 1e-05, "seed": 0,
         },
         "knn": 2,
         "q_unc": 0.5,

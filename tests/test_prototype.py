@@ -66,6 +66,21 @@ def test_prototype_matches_oracle_seeded():
                 assert abs(np.linalg.norm(protos[cls]) - 1.0) < 1e-6
 
 
+def test_prototype_of_a_zero_mean_class_is_a_zero_row():
+    # class 0's cells carry +e0 and -e0: their mean is the zero vector, which has no direction
+    labels = np.array([0, 0, 1], dtype=np.uint8).reshape(3, 1, 1)
+    data = np.zeros((2, 3, 1, 1))
+    data[0, 0], data[0, 1], data[1, 2] = 1.0, -1.0, 2.0
+    protos = compute_prototypes(_grid(data), _labels(labels, 2))
+    assert protos.tolist() == [[0.0, 0.0], [0.0, 1.0]]
+
+
+def test_all_zero_template_grid_yields_no_prototype():
+    labels = np.array([0, 1, 1], dtype=np.uint8).reshape(3, 1, 1)
+    with pytest.raises(ValueError, match="template grid yields no usable class prototype"):
+        compute_prototypes(_grid(np.zeros((2, 3, 1, 1))), _labels(labels, 2))
+
+
 def test_prototype_absent_class():
     data = np.ones((2, 2, 2, 2))
     labels = np.ones((2, 2, 2), dtype=np.uint8)  # class 2 never appears

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import os
+import re
 import time
 import tracemalloc
 from dataclasses import fields, replace
@@ -16,19 +17,16 @@ from protoloop import specialist
 from protoloop.encoder import EncoderParams, FeatureGrid
 from protoloop.specialist import (
     SpecialistParams,
-    TrainAssets,
     TrainConfig,
     TrainVolumeData,
     infer,
     load_params,
     loss_and_grad,
-    poly_lr,
-    ramp_up_alpha,
     save_params,
     train_round,
     voxel_logits,
 )
-from protoloop.volume import IntensityVolume, LabelVolume, Shape3
+from protoloop.volume import IntensityVolume, LabelVolume, Shape3, read_header
 
 from . import oracles
 from .oracles import (
@@ -210,25 +208,6 @@ def test_forward_matches_softmax_oracle():
         assert probs.sum() == pytest.approx(1.0, abs=1e-6)
 
 
-def test_ramp_up_alpha_schedule():
-    assert ramp_up_alpha(0, 1000) == 0.0
-    assert ramp_up_alpha(300, 1000) == pytest.approx(1.0)
-    assert ramp_up_alpha(500, 1000) == 1.0
-    values = [ramp_up_alpha(t, 1000) for t in range(0, 1001, 25)]
-    assert all(b >= a for a, b in zip(values, values[1:]))
-    assert all(0.0 <= v <= 1.0 for v in values)
-    with pytest.raises(ValueError):
-        ramp_up_alpha(5, 0)
-    with pytest.raises(ValueError):
-        ramp_up_alpha(11, 10)
-
-
-def test_poly_lr_schedule():
-    assert poly_lr(0, 100) == pytest.approx(0.01)
-    assert poly_lr(100, 100) == 0.0
-    assert poly_lr(50, 100) == pytest.approx(0.01 * 0.5**0.9)
-
-
 def test_fixed_settings_keep_their_values():
     # every frozen Dice value and label digest was made with these
     fixed = (
@@ -236,8 +215,15 @@ def test_fixed_settings_keep_their_values():
         specialist.RAMP_FRACTION, specialist.DICE_SMOOTH, encoder_mod.POSITION_WEIGHT,
     )
     assert fixed == (0.01, 0.9, 0.9, 1e-4, 0.3, 1e-5, 0.25)
-    assert [f.name for f in fields(TrainConfig)] == ["iterations", "batch_voxels", "seed"]
+    assert [f.name for f in fields(TrainConfig)] == ["iterations", "batch_voxels"]
     assert [f.name for f in fields(EncoderParams)] == ["patch_size"]
+
+
+def test_train_seed_is_accepted_at_zero_only():
+    # a round's model is seeded seed ^ round; a train seed is not a setting
+    assert TrainConfig(seed=0) == TrainConfig()
+    with pytest.raises(ValueError, match="train.seed=3 is fixed at 0; set seed"):
+        TrainConfig(seed=3)
 
 
 def test_zero_lr_step_is_noop():
@@ -358,21 +344,15 @@ def _separable_assets(rng, n=64, noise=0.05):
     pseudo = {
         "u": LabelVolume(Shape3(4, 4, 4), 2, pool_y.astype(np.uint8).reshape(4, 4, 4))
     }
-    return (
-        TrainAssets(
-            num_classes=2, labeled=labeled, labeled_targets=labeled_y, pool=(pool_u,)
-        ),
-        pseudo,
-        pool_u,
-        pool_y,
-    )
+    labeled_gt = LabelVolume(labeled.shape, 2, labeled_y.astype(np.uint8).reshape(n, 1, 1))
+    return (labeled, labeled_gt, [pool_u]), pseudo, pool_u, pool_y
 
 
 def test_train_round_fits_separable_fixture():
     rng = np.random.default_rng(1234)
-    assets, pseudo, pool_u, pool_y = _separable_assets(rng)
-    config = TrainConfig(iterations=500, batch_voxels=64, seed=5)
-    params, log = train_round(assets, pseudo, config)
+    inputs, pseudo, pool_u, pool_y = _separable_assets(rng)
+    config = TrainConfig(iterations=500, batch_voxels=64)
+    params, log = train_round(*inputs, pseudo, config, seed=5)
     pred = infer(params, pool_u)[0].data.reshape(-1)
     p, t = pred > 0, pool_y > 0
     dice = 2.0 * np.logical_and(p, t).sum() / max(1, p.sum() + t.sum())
@@ -384,10 +364,10 @@ def test_train_round_fits_separable_fixture():
 
 def test_train_round_deterministic():
     rng = np.random.default_rng(77)
-    assets, pseudo, _, _ = _separable_assets(rng)
-    config = TrainConfig(iterations=50, batch_voxels=32, seed=9)
-    params_a, log_a = train_round(assets, pseudo, config)
-    params_b, log_b = train_round(assets, pseudo, config)
+    inputs, pseudo, _, _ = _separable_assets(rng)
+    config = TrainConfig(iterations=50, batch_voxels=32)
+    params_a, log_a = train_round(*inputs, pseudo, config, seed=9)
+    params_b, log_b = train_round(*inputs, pseudo, config, seed=9)
     assert params_a.weights.tobytes() == params_b.weights.tobytes()
     assert params_a.bias.tobytes() == params_b.bias.tobytes()
     assert log_a == log_b
@@ -395,32 +375,65 @@ def test_train_round_deterministic():
 
 def test_train_round_missing_pseudo_labels():
     rng = np.random.default_rng(3)
-    assets, pseudo, _, _ = _separable_assets(rng)
+    inputs, pseudo, _, _ = _separable_assets(rng)
     with pytest.raises(ValueError, match="missing"):
-        train_round(assets, {}, TrainConfig(iterations=1, batch_voxels=8))
+        train_round(*inputs, {}, TrainConfig(iterations=1, batch_voxels=8), seed=0)
+
+
+def test_train_round_refuses_a_template_label_of_another_shape_and_an_empty_pool():
+    rng = np.random.default_rng(3)
+    (labeled, labeled_gt, pool), pseudo, _, _ = _separable_assets(rng)
+    config = TrainConfig(iterations=1, batch_voxels=8)
+    other = LabelVolume(Shape3(4, 4, 4), 2, labeled_gt.data.reshape(4, 4, 4))
+    with pytest.raises(ValueError, match=re.escape("template label has shape (4, 4, 4), its volume (64, 1, 1)")):
+        train_round(labeled, other, pool, pseudo, config, seed=0)
+    with pytest.raises(ValueError, match="training pool is empty"):
+        train_round(labeled, labeled_gt, [], pseudo, config, seed=0)
 
 
 def test_train_round_pseudo_label_of_another_class_count():
     """A pseudo-label with more classes than the run's would train on an all-zero one-hot row."""
     rng = np.random.default_rng(3)
-    assets, pseudo, _, _ = _separable_assets(rng)
-    vol_id = assets.pool[0].vol_id
+    inputs, pseudo, _, _ = _separable_assets(rng)
+    vol_id = inputs[2][0].vol_id
     lab = pseudo[vol_id]
     pseudo[vol_id] = LabelVolume(lab.shape, 5, np.where(lab.data > 0, 4, 0))
     with pytest.raises(ValueError, match=f"pseudo-label of '{vol_id}' has 5 classes, the run 2"):
-        train_round(assets, pseudo, TrainConfig(iterations=1, batch_voxels=8))
+        train_round(*inputs, pseudo, TrainConfig(iterations=1, batch_voxels=8), seed=0)
 
 
 def test_log_contains_schedule_fields():
     rng = np.random.default_rng(6)
-    assets, pseudo, _, _ = _separable_assets(rng)
-    config = TrainConfig(iterations=10, batch_voxels=16, seed=0)
-    _, log = train_round(assets, pseudo, config)
+    inputs, pseudo, _, _ = _separable_assets(rng)
+    config = TrainConfig(iterations=10, batch_voxels=16)
+    _, log = train_round(*inputs, pseudo, config, seed=0)
     for rec in log:
         assert list(rec) == [
             "iter", "lr", "alpha", "loss", "l_sup", "l_pseudo", "grad_norm", "param_norm",
         ]
         assert type(rec["iter"]) is int
+
+
+def _schedule_log():
+    rng = np.random.default_rng(6)
+    inputs, pseudo, _, _ = _separable_assets(rng)
+    _, log = train_round(*inputs, pseudo, TrainConfig(iterations=100, batch_voxels=16), seed=0)
+    return log
+
+
+def test_poly_lr_schedule():
+    # lr = 0.01 (1 - t/T)^0.9 decays from 0.01 and is still > 0 at the last step
+    lr = [rec["lr"] for rec in _schedule_log()]
+    assert lr[0] == 0.01 and lr[50] == pytest.approx(0.01 * 0.5**0.9)
+    assert all(b < a for a, b in zip(lr, lr[1:])) and lr[-1] > 0.0
+
+
+def test_ramp_up_alpha_schedule():
+    # alpha ramps from 0 to 1 over the first 30% of the steps
+    alpha = [rec["alpha"] for rec in _schedule_log()]
+    assert alpha[0] == 0.0 and alpha[30] == pytest.approx(1.0) and alpha[50] == 1.0
+    assert all(b >= a for a, b in zip(alpha, alpha[1:]))
+    assert all(0.0 <= v <= 1.0 for v in alpha)
 
 
 def _oracle_assets(num_classes, seed=90):
@@ -443,13 +456,8 @@ def _oracle_assets(num_classes, seed=90):
         flip = rng.random(len(y)) < 0.1
         y = np.where(flip, rng.integers(0, num_classes, size=len(y)), y).astype(np.uint8)
         pseudo[data.vol_id] = LabelVolume(data.shape, num_classes, y.reshape(data.shape.as_tuple()))
-    assets = TrainAssets(
-        num_classes=num_classes,
-        labeled=labeled,
-        labeled_targets=labeled_y,
-        pool=tuple(data for data, _ in pool),
-    )
-    return assets, pseudo
+    labeled_gt = LabelVolume(labeled.shape, num_classes, labeled_y.reshape(labeled.shape.as_tuple()))
+    return (labeled, labeled_gt, [data for data, _ in pool]), pseudo
 
 
 @pytest.mark.parametrize("batch_voxels", [37, 48])
@@ -458,14 +466,14 @@ def test_train_round_matches_loop_oracle(num_classes, batch_voxels):
     # the class-major step against the voxel-major loop it replaced: same
     # draws, so only summation order separates the two
     iterations = 120
-    assets, pseudo = _oracle_assets(num_classes)
-    config = TrainConfig(iterations=iterations, batch_voxels=batch_voxels, seed=3)
-    params, log = train_round(assets, pseudo, config)
-    want, want_log = train_round_loop_oracle(assets, pseudo, config)
+    inputs, pseudo = _oracle_assets(num_classes)
+    config = TrainConfig(iterations=iterations, batch_voxels=batch_voxels)
+    params, log = train_round(*inputs, pseudo, config, seed=3)
+    want, want_log = train_round_loop_oracle(*inputs, pseudo, config, seed=3)
 
     for got, ref in ((params.weights, want.weights), (params.bias, want.bias)):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-    for data in assets.pool:
+    for data in inputs[2]:
         assert infer(params, data)[0].data.tobytes() == infer(want, data)[0].data.tobytes()
     assert len(log) == len(want_log) == iterations
     for rec, ref in zip(log, want_log):
@@ -489,11 +497,8 @@ def test_batch_buffer_byte_equal_dense_rows(monkeypatch):
         name: LabelVolume(Shape3(*ODD_SHAPE), 2, rng.integers(0, 2, size=ODD_SHAPE).astype(np.uint8))
         for name in ("u0", "u1")
     }
-    assets = TrainAssets(
-        num_classes=2, labeled=data["t"], labeled_targets=rng.integers(0, 2, size=n),
-        pool=(data["u0"], data["u1"]),
-    )
-    config = TrainConfig(iterations=3, batch_voxels=61, seed=8)
+    labeled_gt = LabelVolume(Shape3(*ODD_SHAPE), 2, rng.integers(0, 2, size=ODD_SHAPE).astype(np.uint8))
+    config = TrainConfig(iterations=3, batch_voxels=61)
     seen = []
     real = specialist.loss_and_grad
 
@@ -502,9 +507,9 @@ def test_batch_buffer_byte_equal_dense_rows(monkeypatch):
         return real(params, x, *rest)
 
     monkeypatch.setattr(specialist, "loss_and_grad", spy)
-    train_round(assets, pseudo, config)
+    train_round(data["t"], labeled_gt, [data["u0"], data["u1"]], pseudo, config, seed=8)
 
-    draw = np.random.default_rng(config.seed)
+    draw = np.random.default_rng(8)
     n_lab, n_pse = 30, 31
     for x in seen:
         pick = ("u0", "u1")[int(draw.integers(2))]
@@ -518,12 +523,11 @@ def test_batch_buffer_byte_equal_dense_rows(monkeypatch):
 def test_train_round_rejects_non_finite_features():
     # a non-finite feature makes the loss non-finite at the first step
     rng = np.random.default_rng(14)
-    assets, pseudo, _, _ = _separable_assets(rng)
-    rows = assets.labeled.rows(np.arange(assets.labeled.n_voxels))
+    (labeled, labeled_gt, pool), pseudo, _, _ = _separable_assets(rng)
+    rows = labeled.rows(np.arange(labeled.n_voxels))
     rows[:, 0] = np.inf
-    assets = replace(assets, labeled=_rows_data("t", rows))
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite loss"):
-        train_round(assets, pseudo, TrainConfig(iterations=3, batch_voxels=16))
+        train_round(_rows_data("t", rows), labeled_gt, pool, pseudo, TrainConfig(iterations=3, batch_voxels=16), seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -863,11 +867,12 @@ def test_params_round_trip(tmp_path):
         weights=rng.normal(size=(3, 5)).astype(np.float32).astype(np.float64),
         bias=rng.normal(size=3).astype(np.float32).astype(np.float64),
     )
-    save_params(params, tmp_path / "p.vxar", round_index=2, iteration=99)
-    back, meta = load_params(tmp_path / "p.vxar")
+    save_params(params, tmp_path / "p.vxar", round_index=2)
+    back = load_params(tmp_path / "p.vxar")
     np.testing.assert_array_equal(back.weights, params.weights)
     np.testing.assert_array_equal(back.bias, params.bias)
-    assert meta["round"] == 2 and meta["iteration"] == 99
+    meta = read_header(tmp_path / "p.vxar")
+    assert meta["round"] == 2 and meta["iteration"] == -1
     assert meta["num_classes"] == 3 and meta["features"] == 5
 
 

@@ -173,10 +173,12 @@ _CONTAINER_ERRORS = ("bad magic", "truncated header", "malformed header", "heade
         (_file(_F32 | {"shape": [1, 1, 1], "channels": 1, "patch_size": [True] * 3}, bytes(4)),
          "bad patch_size"),
         (_file(_U8 | {"shape": [1, 1, 2], "num_classes": True}, bytes(2)), "bad num_classes"),
+        (_file(_F32 | {"shape": [1, 2, 3], "dtype": "f64"}, bytes(48)), "unknown dtype 'f64'"),
+        (_file(_F32 | {"shape": [1, 2, 3], "order": "col-major"}, bytes(24)), "unsupported order 'col-major'"),
     ],
     ids=["magic", "short-magic", "truncated-header", "malformed-header", "header-list",
          "short-payload", "long-payload", "bool-shape", "bool-channels", "bool-patch-size",
-         "bool-num-classes"],
+         "bool-num-classes", "f64-dtype", "col-major-order"],
 )
 def test_malformed_file_refused_by_name(tmp_path, blob, message):
     path = tmp_path / "bad.vxar"
