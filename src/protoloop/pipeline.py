@@ -16,6 +16,8 @@ intensities, the cell tables and one pool label set: the truth is read and
 checked one volume at a time when a round is scored, ``run_pipeline`` reads
 each round's input back from disk, as the ``round`` command does, and
 ``run_round`` drops the previous round's labels once the head is trained.
+``_entry_label`` reads every label of a manifest volume (the template's,
+the truth and the model's) and checks it against its volume's header.
 ``_persist_round`` is the one writer of a round directory: it writes the
 whole round under a temp name and renames it into place, so a crash never
 corrupts a persisted round, and a round replaced by ``run_round`` (with
@@ -68,7 +70,6 @@ from .volume import (
     IntensityVolume,
     JsonRules,
     LabelVolume,
-    Shape3,
     VolumeEntry,
     check_object,
     from_doc,
@@ -204,13 +205,17 @@ def _load_label(path: Path, num_classes: int) -> LabelVolume:
     return LabelVolume(lab.shape, num_classes, lab.data)
 
 
-def _check_label(lab: LabelVolume, path: Path, kind: str, vol_id: str, shape: Shape3) -> None:
-    """Refuse ``lab``, read from ``path``, unless it has its intensity volume's ``shape``."""
+def _entry_label(path: Path, manifest: DatasetManifest, entry: VolumeEntry, kind: str) -> LabelVolume:
+    """The ``kind`` label at ``path`` of manifest ``entry``, with ``_load_label``'s class count;
+    a shape other than the one its intensity file's header records is refused, naming ``path``."""
+    lab = _load_label(path, manifest.num_classes)
+    shape = read_shape(manifest.resolve(entry.intensity))
     if lab.shape != shape:
         raise ValueError(
-            f"{path}: {kind} label of {vol_id!r} has shape {lab.shape.as_tuple()}, "
+            f"{path}: {kind} label of {entry.vol_id!r} has shape {lab.shape.as_tuple()}, "
             f"its intensity volume {shape.as_tuple()}"
         )
+    return lab
 
 
 def _truth_path(config: PipelineConfig, vol_id: str) -> Path:
@@ -218,27 +223,22 @@ def _truth_path(config: PipelineConfig, vol_id: str) -> Path:
 
 
 class _TruthFiles(Mapping):
-    """The pool's truth labels by volume id, each read from its file when it is
-    looked up and checked against the manifest's class count and its volume's
-    shape in ``shapes``, so code that scores volume by volume holds one truth
+    """The pool's truth labels by volume id, each read by ``_entry_label`` when
+    it is looked up, so code that scores volume by volume holds one truth
     volume at a time; no other code reads a truth file."""
 
-    def __init__(self, config: PipelineConfig, manifest: DatasetManifest, shapes: Mapping[str, Shape3]):
-        self.paths = {e.vol_id: _truth_path(config, e.vol_id) for e in manifest.unlabeled_entries()}
-        self.num_classes = manifest.num_classes
-        self.shapes = shapes
+    def __init__(self, config: PipelineConfig, manifest: DatasetManifest):
+        self.config, self.manifest = config, manifest
+        self.entries = {e.vol_id: e for e in manifest.unlabeled_entries()}
 
     def __getitem__(self, vol_id: str) -> LabelVolume:
-        path = self.paths[vol_id]
-        lab = _load_label(path, self.num_classes)
-        _check_label(lab, path, "truth", vol_id, self.shapes[vol_id])
-        return lab
+        return _entry_label(_truth_path(self.config, vol_id), self.manifest, self.entries[vol_id], "truth")
 
     def __iter__(self):
-        return iter(self.paths)
+        return iter(self.entries)
 
     def __len__(self) -> int:
-        return len(self.paths)
+        return len(self.entries)
 
 
 @dataclass
@@ -286,26 +286,22 @@ def build_context(config: PipelineConfig, extract_allowed: bool = True) -> Pipel
         features[entry.vol_id] = TrainVolumeData.from_volume(entry.vol_id, vol, grid, scalars)
         global_features[entry.vol_id] = global_feature(grid)
     encoder_mod.uniform_channel_count(features)
-    shapes = {vol_id: data.shape for vol_id, data in features.items()}
     return PipelineContext(
         manifest=manifest,
         features=features,
         global_features=global_features,
         labeled_id=labeled_id,
         labeled_gt=gt,
-        truth=None if config.truth_dir is None else _TruthFiles(config, manifest, shapes),
+        truth=None if config.truth_dir is None else _TruthFiles(config, manifest),
         build_s=time.perf_counter() - t0,
     )
 
 
 def _load_inputs(config: PipelineConfig) -> tuple[DatasetManifest, str, LabelVolume]:
-    """The manifest, and the template's id and label, checked against the
-    manifest's class count and the shape its intensity file's header records."""
+    """The manifest, and the template's id and label, as ``_entry_label`` checks it."""
     manifest = load_manifest(config.manifest_path)
     labeled = manifest.labeled_entry()
-    path = manifest.resolve(labeled.label)
-    gt = _load_label(path, manifest.num_classes)
-    _check_label(gt, path, "template", labeled.vol_id, read_shape(manifest.resolve(labeled.intensity)))
+    gt = _entry_label(manifest.resolve(labeled.label), manifest, labeled, "template")
     return manifest, labeled.vol_id, gt
 
 
@@ -510,41 +506,25 @@ def _read_state(out_dir: Path, round_index: int) -> tuple[Path, dict, Partition 
     return round_dir, doc, partition
 
 
-def load_round_state(out_dir: Path, round_index: int, raw_labels: bool = False) -> RoundState:
+def load_round_state(out_dir: Path, round_index: int) -> RoundState:
     """Reload a persisted round from its ``state.json``, as ``_read_state`` checks
     it; the inverse of ``_persist_round``.
 
-    Training reads a round's ``labels`` only, so a refined round's raw labels,
-    which the vote replaced on its uncertain volumes, are read only with
-    ``raw_labels``; without it the state's ``raw_labels`` is None.
+    Training reads a round's ``labels`` only, so the state's ``raw_labels`` is
+    None: ``refine_round`` reads the model's labels itself.
     """
     round_dir, doc, partition = _read_state(out_dir, round_index)
-
-    loaded: dict[str, LabelVolume] = {}  # labels and raw_labels may name one file
-
-    def load_labels(mapping):
-        for name in mapping.values():
-            if name not in loaded:
-                loaded[name] = load_array(round_dir / name, LabelVolume)
-        return {vol_id: loaded[name] for vol_id, name in mapping.items()}
-
-    state = RoundState(
+    return RoundState(
         round_index=round_index,
-        labels=load_labels(doc["labels"]),
+        labels={vol_id: load_array(round_dir / name, LabelVolume) for vol_id, name in doc["labels"].items()},
         refined=doc["refined"],
+        partition=partition,
+        uncertainties=doc.get("uncertainties"),
+        params=load_params(round_dir / doc["params"]) if "params" in doc else None,
         pseudo_label_dice=doc["pseudo_label_dice"],
         model_dice=doc["model_dice"],
         timings=doc["timings"],
-        partition=partition,
     )
-    if raw_labels and "raw_labels" in doc:
-        state.raw_labels = load_labels(doc["raw_labels"])
-    elif raw_labels and round_index >= 1:  # unrefined: the round's labels are the model's
-        state.raw_labels = state.labels
-    if "params" in doc:
-        state.params = load_params(round_dir / doc["params"])
-    state.uncertainties = doc.get("uncertainties")
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +543,6 @@ def run_round0(config: PipelineConfig, ctx: PipelineContext | None = None) -> Ro
     """
     _refuse_existing(config, 0)
     if ctx is None:
-        config.out_dir.mkdir(parents=True, exist_ok=True)
         ctx = build_context(config)
 
     t0 = time.perf_counter()
@@ -615,6 +594,9 @@ def run_round(
     if ctx is None:
         ctx = build_context(config, extract_allowed=False)
     pool = _pool_ids(ctx)
+    held = sorted(prev.labels)
+    if held != pool:
+        raise ValueError(f"round {prev.round_index} labels {held}, the manifest's pool is {pool}")
 
     # fresh model trained from scratch on the current pseudo-label set
     t0 = time.perf_counter()
@@ -655,42 +637,48 @@ def refine_round(config: PipelineConfig, round_index: int) -> RoundState:
     partition, the labels, the ``refine_audit``, the ``refine`` timing and the
     Dice are recomputed as ``run_round`` computes them, with the global
     features of the grids round 0 persisted; a missing or stale grid is
-    refused.  A refined round, or one with later rounds,
-    which the rewrite removes, is refused unless ``config.force`` is set.
+    refused.  The model's labels, each read by ``_entry_label``, must be the
+    manifest's pool; no voted label is read.  A refined round, or one with
+    later rounds, which the rewrite removes, is refused unless ``force``.
     """
     if round_index < 1:
         raise ValueError("round 0 labels come from propagation; nothing to refine")
-    round_dir = config.out_dir / f"round_{round_index}"
-    prev = load_round_state(config.out_dir, round_index, raw_labels=True)
-    if prev.refined and not config.force:
+    round_dir, doc, _ = _read_state(config.out_dir, round_index)
+    if doc["refined"] and not config.force:
         raise FileExistsError(f"{round_dir} is already refined; pass force to redo")
     _refuse_later_rounds(config, round_index, "a refine")
-    if prev.uncertainties is None or prev.params is None:
+    if "uncertainties" not in doc or "params" not in doc:
         raise ValueError(f"{round_dir / 'state.json'} lacks uncertainties or params: no model output to refine")
     log_path = round_dir / "train_log.jsonl"
     try:
         log = [json.loads(line) for line in log_path.read_text().splitlines()]
     except json.JSONDecodeError as exc:
         raise ValueError(f"{log_path}: a line is not valid JSON ({exc})") from None
+    manifest, labeled_id, gt = _load_inputs(config)
+    key = "raw_labels" if "raw_labels" in doc else "labels"  # the model's labels
+    pool = {e.vol_id: e for e in manifest.unlabeled_entries()}
+    if sorted(doc[key]) != sorted(pool):
+        raise ValueError(
+            f"{round_dir / 'state.json'} {key} {sorted(doc[key])}, the manifest's pool is {sorted(pool)}"
+        )
     state = RoundState(
         round_index=round_index,
         labels={},
-        raw_labels=prev.raw_labels,
-        uncertainties=prev.uncertainties,
-        params=prev.params,
-        timings=dict(prev.timings),
+        raw_labels={
+            vol_id: _entry_label(round_dir / name, manifest, pool[vol_id], "raw")
+            for vol_id, name in doc[key].items()
+        },
+        uncertainties=doc["uncertainties"],
+        params=load_params(round_dir / doc["params"]),
+        timings=doc["timings"],
     )
-    del prev  # its voted labels are replaced
-    manifest, labeled_id, gt = _load_inputs(config)
     grids = {
         e.vol_id: entry_grid(e, manifest, config.encoder, _grid_path(config, e.vol_id))
         for e in manifest.entries
     }
     encoder_mod.uniform_channel_count(grids)
     globals_ = {vol_id: global_feature(grid) for vol_id, grid in grids.items()}
-    # the model's labels have their volumes' shapes
-    shapes = {vol_id: lab.shape for vol_id, lab in state.raw_labels.items()}
-    truth = None if config.truth_dir is None else _TruthFiles(config, manifest, shapes)
+    truth = None if config.truth_dir is None else _TruthFiles(config, manifest)
     return _vote_and_persist(replace(config, refine=True), state, log, labeled_id, gt, globals_, truth)
 
 

@@ -16,7 +16,7 @@ import pytest
 
 from protoloop import __version__, cli, encoder, pipeline, volume
 from protoloop.cli import dispatch
-from protoloop.phantom import ClassShape, PhantomSpec, save_spec
+from protoloop.phantom import ClassShape, PhantomSpec, generate, save_spec
 from protoloop.specialist import load_params
 from protoloop.volume import Shape3
 
@@ -917,6 +917,91 @@ def test_refine_refuses_a_template_label_of_another_shape_by_name(dataset, tmp_p
         assert _tree(out) == before, argv
 
 
+@pytest.mark.parametrize("truth", [True, False], ids=["truth", "blind"])
+def test_refine_refuses_a_raw_label_of_another_shape_by_name(dataset, tmp_path, capsys, truth):
+    """``refine`` reads the model's labels through the check the template's and
+    the truth's pass, and refuses one of another shape than its intensity
+    volume by file, whether or not the run scores against truth."""
+    out = tmp_path / "run"
+    argv = _run_args(dataset, out)
+    if not truth:
+        del argv[argv.index("--truth"):argv.index("--truth") + 2]
+    assert dispatch(argv) == 0
+    raw = out / "round_1" / _round_key(out, "raw_labels")["vol_001"]
+    volume.save_array(volume.LabelVolume(Shape3(6, 12, 12), 2, np.zeros((6, 12, 12), np.uint8)), raw)
+    before = _tree(out)
+    assert dispatch(["refine", "--round", str(out / "round_1"), "--force"]) == 1
+    err = capsys.readouterr().err
+    assert f"{raw}: raw label of 'vol_001' has shape (6, 12, 12), its intensity volume (12, 12, 12)" in err
+    assert _tree(out) == before
+
+
+@pytest.mark.parametrize("command", ["round", "refine"])
+def test_a_round_naming_a_volume_outside_the_pool_is_refused(finished_run, tmp_path, capsys, command):
+    """A ``state.json`` whose labels name an id the manifest's pool lacks is
+    refused by ``round`` before training and by ``refine`` before the vote."""
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    path = out / "round_1" / "state.json"
+    doc = json.loads(path.read_text())
+    for key in ("labels", "raw_labels", "uncertainties"):
+        doc[key]["vol_999"] = doc[key]["vol_001"]
+    path.write_text(json.dumps(doc))
+    before = _tree(out)
+    if command == "round":
+        argv, named = ["round", "--prev", str(out / "round_1"), "--force"], "round 1 labels"
+    else:
+        argv, named = ["refine", "--round", str(out / "round_1"), "--force"], f"{path} raw_labels"
+    assert dispatch(argv) == 1
+    pool = ["vol_001", "vol_002", "vol_003"]
+    assert f"{named} {pool + ['vol_999']}, the manifest's pool is {pool}" in capsys.readouterr().err
+    assert _tree(out) == before and not (out / "round_2").exists()
+
+
+def _mixed_shape_dataset(root: Path) -> Path:
+    """A manifest of four 16^3 volumes, the template among them, and three
+    (20, 18, 22) volumes of one class spec, with every volume's truth."""
+    classes = (ClassShape("ellipsoid", (0.5, 0.5, 0.5), (4.0, 4.0, 4.0), 1.0),)
+    (root / "truth").mkdir(parents=True)
+    entries = []
+    for part, (n, shape) in enumerate(((4, Shape3(16, 16, 16)), (3, Shape3(20, 18, 22)))):
+        spec = PhantomSpec(n, shape, 2, classes, noise_sigma=0.3, seed=7 + part)
+        for e in generate(spec, root / f"part{part}")[0].entries:
+            vol_id = f"vol_{len(entries):03d}"
+            label = None if part or e.label is None else f"part{part}/{e.label}"  # one template
+            entries.append(volume.VolumeEntry(vol_id, f"part{part}/{e.intensity}", label))
+            truth = root / f"part{part}" / "truth" / f"{e.vol_id}.label.vxar"
+            shutil.copy(truth, root / "truth" / f"{vol_id}.label.vxar")
+    volume.save_manifest(volume.DatasetManifest(2, tuple(entries)), root / "manifest.json")
+    return root
+
+
+def test_a_pool_of_mixed_volume_shapes_runs_and_refines(tmp_path):
+    """Every round's labels have their own volume's shape, and ``refine``,
+    whose vote resamples neighbors of another shape, records a Dice."""
+    data = _mixed_shape_dataset(tmp_path / "data")
+    out = tmp_path / "run"
+    argv = ["run", "--manifest", str(data / "manifest.json"), "--out", str(out), "--truth", str(data / "truth"),
+            "--patch", "4", "--rounds", "2", "--iters", "100", "--batch", "512", "--k", "2", "--seed", "11"]
+    manifest = volume.load_manifest(data / "manifest.json")
+    shapes = {e.vol_id: volume.read_shape(manifest.resolve(e.intensity)) for e in manifest.entries}
+    assert set(shapes.values()) == {Shape3(16, 16, 16), Shape3(20, 18, 22)}
+
+    def check_shapes(rounds):
+        for r in range(rounds):
+            doc = json.loads((out / f"round_{r}" / "state.json").read_text())
+            for vol_id, name in doc["labels"].items() | doc.get("raw_labels", {}).items():
+                assert volume.read_shape(out / f"round_{r}" / name) == shapes[vol_id], (r, name)
+
+    assert dispatch(argv) == 0
+    check_shapes(3)
+    assert dispatch(["refine", "--round", str(out / "round_1"), "--q-unc", "0.4", "--force"]) == 0
+    check_shapes(2)
+    doc = json.loads((out / "round_1" / "state.json").read_text())
+    assert doc["refined"] and doc["partition"]["uncertain"] and doc["pseudo_label_dice"] > 0
+    assert any(shapes[n["id"]] != shapes[q["id"]] for q in doc["refine_audit"] for n in q["neighbors"])
+
+
 @pytest.fixture(scope="module")
 def external_run(dataset, tmp_path_factory):
     """A finished run whose manifest gives ``vol_002`` an external ``features`` file."""
@@ -1339,6 +1424,14 @@ def test_report_opens_no_array_file(dataset, tmp_path, monkeypatch):
     assert doc["refined"] and doc["raw_labels"] != doc["labels"]
     read = sorted(path.name for path in opened if path.parent == run / "round_1")
     assert read == sorted(doc["labels"].values()) and len(read) == 3
+    # refine reads one label file of its round per pool volume: the model's
+    # labels it votes on, not the voted labels it replaces
+    opened.clear()
+    doc = json.loads((run / "round_2" / "state.json").read_text())
+    assert any(name.endswith(".refined.label") for name in doc["labels"].values())
+    assert dispatch(["refine", "--round", str(run / "round_2"), "--force"]) == 0
+    read = sorted(path.name for path in opened if path.parent == run / "round_2")
+    assert read == sorted(doc["raw_labels"].values()) and len(read) == 3
 
 
 @pytest.mark.parametrize("command", ["run", "init"])

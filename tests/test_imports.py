@@ -16,7 +16,9 @@ Every function name ``bench/spans.py`` derives a metric from is a function in
 its module's ``__all__``, but for a listed few whose functions are gone.
 Under src/, only ``pipeline.entry_grid`` makes a feature grid or reads a
 persisted one; ``encoder.ingest_external_features``, which it calls, reads
-the entry's own file.
+the entry's own file.  In ``pipeline``, only ``_entry_label`` calls
+``_load_label``, and a label file is loaded only there and in
+``load_round_state``.
 
 A fresh interpreter that imports the package and runs a pipeline loads no
 scipy module; only a surface distance loads ``scipy.spatial``.
@@ -217,10 +219,11 @@ def test_every_traced_name_is_a_public_function():
 GRID_MAKERS = ("extract_feature_grid", "ingest_external_features")
 
 
-def grid_calls(source: str, module: str) -> set[tuple[str, str]]:
-    """``(callee, caller)`` for each call of a ``GRID_MAKERS`` function, and of
-    ``load_array`` with the kind ``FeatureGrid``, made in ``module``: the caller
-    is the dotted name of the innermost function around the call, or ``module``."""
+def call_sites(source: str, module: str) -> set[tuple[str, str]]:
+    """``(callee, caller)`` for each call of a named function made in ``module``:
+    a ``load_array`` call with a kind is named with it, as ``load_array(FeatureGrid)``,
+    and the caller is the dotted name of the innermost function around the
+    call, or ``module``."""
     found = set()
 
     def visit(node, where):
@@ -231,14 +234,21 @@ def grid_calls(source: str, module: str) -> set[tuple[str, str]]:
             if isinstance(child, ast.Call):
                 name = getattr(child.func, "id", getattr(child.func, "attr", None))
                 kinds = child.args[1:2] + [k.value for k in child.keywords if k.arg == "kind"]
-                if name in GRID_MAKERS:
+                if name == "load_array" and kinds and getattr(kinds[0], "id", None):
+                    name = f"load_array({kinds[0].id})"
+                if name is not None:
                     found.add((name, where))
-                elif name == "load_array" and any(getattr(k, "id", None) == "FeatureGrid" for k in kinds):
-                    found.add(("load_array(FeatureGrid)", where))
             visit(child, where)
 
     visit(ast.parse(source), module)
     return found
+
+
+def grid_calls(source: str, module: str) -> set[tuple[str, str]]:
+    """The ``call_sites`` of a ``GRID_MAKERS`` function, and of ``load_array`` with
+    the kind ``FeatureGrid``, in ``module``."""
+    grid_callees = {*GRID_MAKERS, "load_array(FeatureGrid)"}
+    return {(callee, caller) for callee, caller in call_sites(source, module) if callee in grid_callees}
 
 
 def test_grid_calls_finds_each_caller():
@@ -267,6 +277,19 @@ def test_only_entry_grid_makes_or_reads_a_grid():
         ("ingest_external_features", "pipeline.entry_grid"),
         ("load_array(FeatureGrid)", "pipeline.entry_grid"),
         ("load_array(FeatureGrid)", "encoder.ingest_external_features"),
+    }
+
+
+def test_only_entry_label_reads_a_label_of_a_manifest_volume():
+    # the template's label, each truth label and the model's labels refine
+    # re-votes are checked against their volume's header by _entry_label; a
+    # second reader could skip that check. A round reload reads the labels
+    # the pipeline itself wrote, one file per volume id.
+    found = call_sites((ROOT / "src" / "protoloop" / "pipeline.py").read_text(), "pipeline")
+    assert {site for site in found if site[0] in ("_load_label", "load_array(LabelVolume)")} == {
+        ("_load_label", "pipeline._entry_label"),
+        ("load_array(LabelVolume)", "pipeline._load_label"),
+        ("load_array(LabelVolume)", "pipeline.load_round_state"),
     }
 
 

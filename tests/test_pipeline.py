@@ -108,6 +108,11 @@ def _label_bytes(state: RoundState) -> dict[str, bytes]:
     return {k: v.data.tobytes() for k, v in state.labels.items()}
 
 
+def _named_bytes(round_dir: Path, names: dict[str, str]) -> dict[str, bytes]:
+    """The payload of each label file of ``round_dir`` that ``names`` gives a volume id."""
+    return {k: load_array(round_dir / name, LabelVolume).data.tobytes() for k, name in names.items()}
+
+
 # ---------------------------------------------------------------------------
 # round 0
 
@@ -517,9 +522,14 @@ def test_certain_volumes_name_their_raw_file(main_run, monkeypatch):
     monkeypatch.setattr(
         pipeline, "load_array", lambda path, kind: loads.append(path) or real(path, kind)
     )
-    back = load_round_state(out, 1, raw_labels=True)
-    assert len(loads) == len(set(loads)) == len(list((out / "round_1").glob("*.label")))
-    assert all(back.labels[v] is back.raw_labels[v] for v in certain)
+    back = load_round_state(out, 1)
+    # a reload reads the round's labels, each file once, and no raw label the vote replaced
+    rd = out / "round_1"
+    doc = json.loads((rd / "state.json").read_text())
+    assert sorted(loads) == sorted(rd / name for name in doc["labels"].values())
+    assert back.raw_labels is None
+    raw = _named_bytes(rd, doc["raw_labels"])
+    assert all(back.labels[v].data.tobytes() == raw[v] for v in certain)
 
 
 def test_round_with_refined_copies_still_loads(dataset, main_run, tmp_path):
@@ -584,9 +594,11 @@ def test_refine_round_reads_no_volume(dataset, main_run, tmp_path, monkeypatch):
 
 def test_round_state_round_trip_full(main_run):
     states, out = main_run
-    back = load_round_state(out, 1, raw_labels=True)
+    back = load_round_state(out, 1)
     assert _label_bytes(back) == _label_bytes(states[1])
-    assert {k: v.data.tobytes() for k, v in back.raw_labels.items()} == {
+    assert back.raw_labels is None
+    doc = json.loads((out / "round_1" / "state.json").read_text())
+    assert _named_bytes(out / "round_1", doc["raw_labels"]) == {
         k: v.data.tobytes() for k, v in states[1].raw_labels.items()
     }
     assert back.partition == states[1].partition
@@ -817,15 +829,17 @@ def test_context_reads_no_truth(dataset, tmp_path, monkeypatch):
 
 
 def test_reloaded_rounds_keep_their_raw_labels(dataset, tmp_path):
-    """Asked for them, an unrefined round reloads with the raw labels it held
-    in memory, round 0 with none; unasked, no round has any."""
+    """An unrefined round persists as its labels the raw labels it held in
+    memory, round 0 holds none; a reloaded round has no raw labels."""
     config = _config(dataset, tmp_path / "plain", refine=False)
     states = _drive(config)
     assert states[0].raw_labels is None
-    assert load_round_state(config.out_dir, 0, raw_labels=True).raw_labels is None
-    assert load_round_state(config.out_dir, 1).raw_labels is None
-    back = load_round_state(config.out_dir, 1, raw_labels=True)
-    assert {k: v.data.tobytes() for k, v in back.raw_labels.items()} == {
+    assert load_round_state(config.out_dir, 0).raw_labels is None
+    back = load_round_state(config.out_dir, 1)
+    assert back.raw_labels is None
+    doc = json.loads((config.out_dir / "round_1" / "state.json").read_text())
+    assert "raw_labels" not in doc
+    assert _named_bytes(config.out_dir / "round_1", doc["labels"]) == {
         k: v.data.tobytes() for k, v in states[1].raw_labels.items()
     }
 
@@ -846,7 +860,7 @@ def test_resume_after_round0_matches(dataset, main_run, tmp_path):
 
 
 def test_round_refuses_a_previous_round_lacking_a_pool_id(dataset, main_run, tmp_path):
-    """Training refuses a pool volume with no pseudo-label before anything is written."""
+    """A round refuses a previous round lacking a pool volume before anything is written."""
     _, out = main_run
     resumed = tmp_path / "resumed"
     resumed.mkdir()
@@ -854,7 +868,8 @@ def test_round_refuses_a_previous_round_lacking_a_pool_id(dataset, main_run, tmp
     shutil.copytree(out / "round_0", resumed / "round_0")
     prev = load_round_state(resumed, 0)
     del prev.labels["vol_002"]
-    with pytest.raises(ValueError, match=r"pseudo-labels missing for \['vol_002'\]"):
+    message = "round 0 labels ['vol_001', 'vol_003'], the manifest's pool is ['vol_001', 'vol_002', 'vol_003']"
+    with pytest.raises(ValueError, match=re.escape(message)):
         run_round(_config(dataset, resumed), 1, prev)
     assert sorted(p.name for p in resumed.iterdir()) == ["features", "round_0"]
 
