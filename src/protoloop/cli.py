@@ -148,19 +148,17 @@ def _collect_labels(dir_path: Path) -> dict[str, Path]:
 
 
 def _cmd_eval(args) -> int:
+    if args.json and Path(args.json).exists() and not args.force:
+        raise FileExistsError(f"{args.json} exists; pass --force to overwrite")
     pred = _collect_labels(Path(args.pred))
     truth = _collect_labels(Path(args.truth))
     shared = sorted(pred.keys() & truth.keys())
     if not shared:
         raise ValueError("prediction and truth directories share no volume ids")
-    reports = []
-    for vol_id in shared:
-        p = load_array(pred[vol_id], LabelVolume)
-        t = load_array(truth[vol_id], LabelVolume)
-        if p.num_classes != t.num_classes:  # a headerless label takes the larger count, as in a run
-            n = max(p.num_classes, t.num_classes)
-            p, t = load_label(pred[vol_id], n), load_label(truth[vol_id], n)
-        reports.append(evaluate_pair(p, t))
+    # every pair is scored at the largest class count, which a headerless label takes, as in a run
+    paths = [files[vol_id] for files in (pred, truth) for vol_id in shared]
+    n = max(load_array(path, LabelVolume).num_classes for path in paths)
+    reports = [evaluate_pair(load_label(pred[vol_id], n), load_label(truth[vol_id], n)) for vol_id in shared]
     summary = summarize_reports(reports)
     print(format_table(summary))
     if args.json:
@@ -247,6 +245,7 @@ def build_parser() -> _Parser:
     p.add_argument("--pred", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--json", default=None, help="also write the summary as JSON")
+    p.add_argument("--force", action="store_true", help="overwrite an existing --json file")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("report", help="emit a per-round CSV for a run")

@@ -203,13 +203,16 @@ _COLUMNS = ("dice", "jaccard", "hd95", "asd")
 
 
 def summarize_reports(reports: list[MetricReport]) -> dict:
-    """Mean and population std of every metric over cases, JSON-ready.
+    """Mean and population std of every metric over cases, which must score one class set; JSON-ready.
 
     Dice/Jaccard are reported in percent, distances in voxel units.
     """
     if not reports:
         raise ValueError("no cases to summarize")
-    classes = sorted(reports[0].per_class)
+    class_sets = sorted({tuple(sorted(r.per_class)) for r in reports})
+    if len(class_sets) > 1:
+        raise ValueError(f"reports score different class sets {class_sets}; score every case at one class count")
+    classes = class_sets[0]
     rows: dict[str, list[ClassMetrics]] = {
         f"class_{c}": [r.per_class[c] for r in reports] for c in classes
     }

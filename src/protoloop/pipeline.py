@@ -25,6 +25,9 @@ corrupts a persisted round, and a round replaced by ``run_round`` (with
 complete; the rounds after it, built on the old one, are then removed.  Only
 this module knows the run directory's layout, in which each round's
 ``state.json`` is the round's one record: ``run_table`` tabulates them.
+``_round_entries``, the one listing of a run's rounds, finds its ``round_<k>``,
+``round_<k>.old`` and ``round_<k>.tmp`` directories for every code that reads,
+retires or clears rounds; no other ``round_*`` name marks a run or is removed.
 
 A run is invariant to the order of the manifest's entries, to a renaming of
 the ids that keeps their sort order, to doubling every intensity and to
@@ -332,28 +335,27 @@ def _atomic_write_dir(out_dir: Path, name: str, writer) -> Path:
     return final
 
 
-_ROUND_DIR = re.compile(r"round_(0|[1-9][0-9]*)")
-_ROUND_ENTRY = re.compile(_ROUND_DIR.pattern + r"(?:\.old|\.tmp)?")
+_ROUND_ENTRY = re.compile(r"round_(0|[1-9][0-9]*)(\.old|\.tmp)?")
 
 
 def parse_round_dir(path: str | Path) -> tuple[Path, int]:
     """The run directory and round index of a ``round_<r>`` directory path."""
     path = Path(path)
-    match = _ROUND_DIR.fullmatch(path.name)
-    if match is None:
+    match = _ROUND_ENTRY.fullmatch(path.name)
+    if match is None or match.group(2):
         raise ValueError(f"{path} is not a round directory (round_<r>)")
     return path.parent, int(match.group(1))
 
 
-def _later_rounds(out_dir: Path, round_index: int) -> list[Path]:
-    """Every ``round_<k>``, ``round_<k>.old`` and ``round_<k>.tmp`` directory with
-    k > ``round_index``, highest k first."""
-    later = []
-    for path in out_dir.iterdir():
-        match = _ROUND_ENTRY.fullmatch(path.name)
-        if match and path.is_dir() and int(match.group(1)) > round_index:
-            later.append((int(match.group(1)), path))
-    return [path for _, path in sorted(later, reverse=True)]
+def _round_entries(out_dir: Path) -> list[tuple[int, str, Path]]:
+    """``(k, suffix, path)`` for every ``round_<k>``, ``round_<k>.old`` and
+    ``round_<k>.tmp`` directory in ``out_dir``, highest k first and, for one k,
+    ``.tmp``, ``.old``, then the round; ``[]`` when ``out_dir`` is not a directory."""
+    if not out_dir.is_dir():
+        return []
+    matches = ((_ROUND_ENTRY.fullmatch(path.name), path) for path in out_dir.iterdir())
+    entries = [(int(m.group(1)), m.group(2) or "", path) for m, path in matches if m and path.is_dir()]
+    return sorted(entries, reverse=True)
 
 
 def _restore_round(out_dir: Path, round_index: int) -> Path:
@@ -372,11 +374,10 @@ def _restore_round(out_dir: Path, round_index: int) -> Path:
 def _refuse_later_rounds(config: PipelineConfig, round_index: int, action: str) -> None:
     """Refuse to rewrite a round that has later rounds, which the rewrite
     removes, unless ``config.force`` is set; the refusal names them."""
-    if config.force or not config.out_dir.is_dir():
+    if config.force:
         return
-    later = _later_rounds(config.out_dir, round_index)
-    if later:
-        names = ", ".join(path.name for path in later)
+    names = ", ".join(path.name for k, _, path in _round_entries(config.out_dir) if k > round_index)
+    if names:
         round_dir = config.out_dir / f"round_{round_index}"
         raise FileExistsError(f"{round_dir} has later rounds ({names}) that {action} removes; pass force")
 
@@ -452,7 +453,7 @@ def _persist_round(
     _atomic_write_dir(out_dir, f"round_{r}", writer)
     # the rounds after r were built on the round just replaced; highest first,
     # so a crash part-way leaves a run whose rounds are still consecutive
-    for path in _later_rounds(out_dir, r):
+    for path in [path for k, _, path in _round_entries(out_dir) if k > r]:
         shutil.rmtree(path)
 
 
@@ -719,9 +720,8 @@ def run_table(out_dir: Path) -> list[dict]:
     is all that is left of round r, and is then renamed back.
     """
     out_dir = Path(out_dir)
-    names = {p.name.removesuffix(".old") for p in out_dir.iterdir() if p.is_dir()}
     rows = []
-    for r in sorted(int(m.group(1)) for m in map(_ROUND_DIR.fullmatch, names) if m):
+    for r in sorted({k for k, suffix, _ in _round_entries(out_dir) if suffix != ".tmp"}):
         _, doc, part = _read_state(out_dir, r)
         rows.append({
             "round": r,
@@ -737,13 +737,13 @@ def run_table(out_dir: Path) -> list[dict]:
 
 
 def _clear_run_dir(out_dir: Path) -> None:
-    """Remove artifacts of a previous run; only paths this pipeline and ``report`` write,
-    and ``report.svg``, which an earlier version's ``report --plot`` wrote."""
+    """Remove a previous run: each of ``_round_entries``, ``features/``, the files this pipeline
+    and ``report`` write, and ``report.svg``, which an earlier version's ``report --plot`` wrote."""
     for name in ("config.json", "report.json", "report.csv", "report.svg"):
         (out_dir / name).unlink(missing_ok=True)
-    for p in list(out_dir.glob("round_*")) + [out_dir / "features"]:
-        if p.is_dir():
-            shutil.rmtree(p)
+    for path in [path for _, _, path in _round_entries(out_dir)] + [out_dir / "features"]:
+        if path.is_dir():
+            shutil.rmtree(path)
 
 
 # How config.json is read: a key named apart from its PipelineConfig field
@@ -816,8 +816,8 @@ def start_run(config: PipelineConfig) -> None:
     volume's truth label when ``config.truth_dir`` is set, must exist; so a
     missing or malformed manifest, or a missing volume or truth file, leaves
     the directory untouched.  A directory that already holds a run (a
-    ``config.json`` or any ``round_*``) is refused unless ``config.force`` is
-    set; then that run's artifacts are removed first.
+    ``config.json`` or any entry of ``_round_entries``) is refused unless
+    ``config.force`` is set; then ``_clear_run_dir`` removes that run first.
     """
     manifest = load_manifest(config.manifest_path)
     missing = [(f"{config.manifest_path} names missing files", _missing_files(manifest))]
@@ -827,7 +827,7 @@ def start_run(config: PipelineConfig) -> None:
     if named:
         raise FileNotFoundError("; ".join(named))
     out = config.out_dir
-    if (out / "config.json").exists() or any(out.glob("round_*")):
+    if (out / "config.json").exists() or _round_entries(out):
         if not config.force:
             raise FileExistsError(f"{out} already holds a run; pass force to overwrite")
         _clear_run_dir(out)

@@ -455,7 +455,7 @@ def test_init_runs_round0_only(dataset, finished_run, tmp_path):
 
 
 def test_init_refuses_a_dir_holding_only_a_later_round(dataset, tmp_path, capsys):
-    # the same rule as run: a config.json or any round_* marks a run
+    # the same rule as run: a config.json or any round entry marks a run
     out = tmp_path / "run"
     (out / "round_2").mkdir(parents=True)
     argv = ["init", "--manifest", str(dataset / "manifest.json"), "--out", str(out), "--patch", "4"]
@@ -464,6 +464,38 @@ def test_init_refuses_a_dir_holding_only_a_later_round(dataset, tmp_path, capsys
     assert not (out / "config.json").exists() and not (out / "round_0").exists()
     assert dispatch(argv + ["--force"]) == 0
     assert not (out / "round_2").exists() and (out / "round_0").exists()
+
+
+def test_init_force_removes_round_entries_and_keeps_other_round_names(dataset, tmp_path):
+    """``--force`` removes ``config.json`` and every ``round_<k>``, ``round_<k>.old``
+    and ``round_<k>.tmp`` directory, and no other ``round_*`` path.  Before, it
+    also removed ``round_backup/`` and ``round_01/``."""
+    out = tmp_path / "run"
+    for name in ("round_1.tmp", "round_2.old", "round_backup", "round_01"):
+        (out / name).mkdir(parents=True)
+    (out / "config.json").write_text("{}")
+    (out / "round_backup" / "keep.txt").write_text("kept")
+    (out / "round_01" / "keep.txt").write_text("kept")
+    (out / "round_notes.txt").write_text("notes")
+    argv = ["init", "--manifest", str(dataset / "manifest.json"), "--out", str(out), "--patch", "4", "--force"]
+    assert dispatch(argv) == 0
+    assert (out / "round_0" / "state.json").is_file()
+    assert not (out / "round_1.tmp").exists() and not (out / "round_2.old").exists()
+    assert (out / "round_backup" / "keep.txt").read_text() == "kept"
+    assert (out / "round_01" / "keep.txt").read_text() == "kept"
+    assert (out / "round_notes.txt").read_text() == "notes"
+
+
+def test_init_into_a_dir_holding_only_other_round_names_needs_no_force(dataset, tmp_path):
+    """A ``round_*`` name that is no round entry does not mark a run.  Before,
+    ``init`` refused a directory holding only ``round_notes.txt`` as a run."""
+    out = tmp_path / "run"
+    (out / "round_backup").mkdir(parents=True)
+    (out / "round_notes.txt").write_text("notes")
+    argv = ["init", "--manifest", str(dataset / "manifest.json"), "--out", str(out), "--patch", "4"]
+    assert dispatch(argv) == 0
+    assert (out / "round_0" / "state.json").is_file() and (out / "round_backup").is_dir()
+    assert (out / "round_notes.txt").read_text() == "notes"
 
 
 def test_run_writes_report(dataset, finished_run, capsys):
@@ -1663,9 +1695,72 @@ def test_eval_reads_a_headerless_label_at_the_pairs_class_count(dataset, tmp_pat
     assert rows["class_2"]["dice"]["mean"] == 0.0  # the truth has no class 2
     capsys.readouterr()
     volume.save_array(ref, truth_dir / "vol_001.label.vxar")  # the header names 2 classes
-    assert dispatch(argv) == 1
+    assert dispatch(argv + ["--force"]) == 1
     err = capsys.readouterr().err
     assert f"{truth_dir / 'vol_001.label.vxar'}: label has 2 classes, expected 3" in err
+
+
+@pytest.mark.parametrize("header", [False, True])
+def test_eval_scores_every_pair_at_the_largest_class_count(dataset, tmp_path, capsys, header):
+    """Pairs whose class count differs from volume to volume are all scored at
+    the largest: a headerless label takes it, and one whose header names
+    another count is refused by file.  Before, both exited 2 on a ``KeyError``."""
+    pred_dir, truth_dir = tmp_path / "pred", tmp_path / "truth"
+    for vol_id, num_classes in (("vol_001", 3), ("vol_002", 2)):
+        ref = volume.load_array(dataset / "truth" / f"{vol_id}.label.vxar", volume.LabelVolume)
+        data = ref.data.copy()
+        data[data.shape[0] // 2:] *= num_classes - 1  # vol_001 has class 2 in its upper half
+        assert data.max() == num_classes - 1
+        headerless = {"dtype": "u8", "shape": list(ref.shape.as_tuple()), "order": "row-major"}
+        for directory in (pred_dir, truth_dir):
+            directory.mkdir(exist_ok=True)
+            path = directory / f"{vol_id}.label.vxar"
+            if header:
+                volume.save_array(volume.LabelVolume(ref.shape, num_classes, data), path)
+            else:
+                volume.write_blob(path, headerless, data)
+    out_json = tmp_path / "eval.json"
+    argv = ["eval", "--pred", str(pred_dir), "--truth", str(truth_dir), "--json", str(out_json)]
+    if header:
+        assert dispatch(argv) == 1
+        assert f"{pred_dir / 'vol_002.label.vxar'}: label has 2 classes, expected 3" in capsys.readouterr().err
+        assert not out_json.exists()
+        return
+    assert dispatch(argv) == 0
+    rows = json.loads(out_json.read_text())["rows"]
+    assert sorted(rows) == ["class_1", "class_2", "foreground"]
+    assert rows["foreground"]["dice"]["mean"] == pytest.approx(100.0)
+
+
+def test_eval_json_refuses_an_existing_file_without_force(dataset, tmp_path, capsys):
+    """``eval --json`` refuses an existing file before it scores anything, as
+    every writing command does; ``--force`` rewrites it.  Before, it was
+    overwritten without a word."""
+    truth = str(dataset / "truth")
+    out_json = tmp_path / "precious.json"
+    out_json.write_text("precious")
+    argv = ["eval", "--pred", truth, "--truth", truth, "--json", str(out_json)]
+    assert dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert f"{out_json} exists; pass --force to overwrite" in captured.err
+    assert captured.out == "" and out_json.read_text() == "precious"
+    assert dispatch(argv + ["--force"]) == 0
+    assert json.loads(out_json.read_text())["rows"]["foreground"]["dice"]["mean"] == pytest.approx(100.0)
+
+
+def test_report_ignores_round_names_that_are_no_round_entry(finished_run, tmp_path, capsys):
+    """``round_backup/``, ``round_01/`` and a ``round_notes.txt`` file are not
+    rounds: ``report`` tabulates the same rows with them as without them."""
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    (out / "report.csv").unlink(missing_ok=True)
+    assert dispatch(["report", "--run", str(out)]) == 0
+    rows = _report_csv(out)
+    for name in ("round_backup", "round_01"):
+        shutil.copytree(out / "round_1", out / name)  # each holds a state.json of a round
+    (out / "round_notes.txt").write_text("notes")
+    assert dispatch(["report", "--run", str(out), "--force"]) == 0
+    assert _report_csv(out) == rows
 
 
 @pytest.mark.parametrize("command", ["round", "refine"])

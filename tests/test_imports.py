@@ -19,7 +19,7 @@ Under src/, only ``pipeline.entry_grid`` makes a feature grid or reads a
 persisted one; ``encoder.ingest_external_features``, which it calls, reads
 the entry's own file.  In ``pipeline``, only ``_entry_label`` calls
 ``load_label``, and a label file is loaded only there and in
-``load_round_state``.
+``load_round_state``; only ``_round_entries`` lists a directory.
 
 A fresh interpreter that imports the package and runs a pipeline loads no
 scipy module; only a surface distance loads ``scipy.spatial``.
@@ -335,6 +335,32 @@ def test_only_entry_label_reads_a_label_of_a_manifest_volume():
         ("load_label", "pipeline._entry_label"),
         ("load_array(LabelVolume)", "pipeline.load_round_state"),
     }
+
+
+LISTERS = ("iterdir", "glob", "rglob", "listdir", "scandir", "walk")
+
+
+def listings(source: str, module: str) -> set[tuple[str, str]]:
+    """The ``call_sites`` of a ``LISTERS`` function in ``module``."""
+    return {(callee, caller) for callee, caller in call_sites(source, module) if callee in LISTERS}
+
+
+def test_listings_finds_each_caller():
+    source = (
+        "def f(d):\n    return sorted(d.iterdir())\n"
+        "def g(d):\n    def h():\n        d.glob('round_*')\n    os.scandir(d)\n    d.is_dir()\n"
+        "x = [p for p in Path('.').rglob('*')]\n"
+    )
+    assert listings(source, "m") == {
+        ("iterdir", "m.f"), ("glob", "m.g.h"), ("scandir", "m.g"), ("rglob", "m"),
+    }
+
+
+def test_only_round_entries_lists_a_directory_in_pipeline():
+    # one rule says what a round of a run directory is: a second listing could
+    # take a round_* name that is no round for one, refuse over it or delete it
+    found = listings((ROOT / "src" / "protoloop" / "pipeline.py").read_text(), "pipeline")
+    assert found == {("iterdir", "pipeline._round_entries")}
 
 
 SCIPY_PROBE = """

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -335,3 +336,12 @@ def test_summary_and_table():
     table = format_table(summary)
     assert "Dice[%]" in table and "95HD" in table
     assert "foreground" in table
+
+
+def test_summary_refuses_reports_of_different_class_sets():
+    # before, the classes came from the first report: a KeyError, or rows silently dropped
+    two = evaluate_pair(_labels(np.ones((2, 2, 2))), _labels(np.ones((2, 2, 2))))
+    three = evaluate_pair(_labels(np.full((2, 2, 2), 2), 3), _labels(np.full((2, 2, 2), 2), 3))
+    for reports in ([three, two], [two, three]):
+        with pytest.raises(ValueError, match=re.escape("reports score different class sets [(1,), (1, 2)]")):
+            summarize_reports(reports)

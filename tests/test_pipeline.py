@@ -29,6 +29,7 @@ from protoloop.pipeline import (
     build_context,
     load_round_state,
     load_run_config,
+    parse_round_dir,
     refine_round,
     run_pipeline,
     run_round,
@@ -941,6 +942,15 @@ def test_force_clears_previous_run(dataset, tmp_path):
     last = run_pipeline(_config(dataset, out, force=True))
     assert last.round_index == 1
     assert run_table(out)[0]["round"] == first[0]["round"] == 0
+
+
+@pytest.mark.parametrize("name", ["round_3.old", "round_3.tmp", "round_01", "round_", "round_backup"])
+def test_parse_round_dir_refuses_all_but_a_round(tmp_path, name):
+    # a .old or .tmp entry is a round entry of the run directory, but not a round to read
+    with pytest.raises(ValueError, match=re.escape(f"{tmp_path / name} is not a round directory (round_<r>)")):
+        parse_round_dir(tmp_path / name)
+    assert parse_round_dir(tmp_path / "round_0") == (tmp_path, 0)
+    assert parse_round_dir(tmp_path / "round_30") == (tmp_path, 30)
 
 
 def _misname_intensity(data_dir: Path, vol_id: str) -> None:
