@@ -28,6 +28,7 @@ this module knows the run directory's layout, in which each round's
 ``_round_entries``, the one listing of a run's rounds, finds its ``round_<k>``,
 ``round_<k>.old`` and ``round_<k>.tmp`` directories for every code that reads,
 retires or clears rounds; no other ``round_*`` name marks a run or is removed.
+``_remove`` removes every entry that goes, and unlinks a link, never its target.
 
 A run is invariant to the order of the manifest's entries, to a renaming of
 the ids that keeps their sort order, to doubling every intensity and to
@@ -40,6 +41,7 @@ by position in the pool sorted by id.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
@@ -309,29 +311,38 @@ def _load_inputs(config: PipelineConfig) -> tuple[DatasetManifest, str, LabelVol
 # ---------------------------------------------------------------------------
 # persistence
 
+def _remove(path: Path) -> None:
+    """Remove ``path`` if it exists; a link or a file is unlinked, never a link's target."""
+    if path.is_dir() and not path.is_symlink():
+        shutil.rmtree(path)
+    else:
+        path.unlink(missing_ok=True)
+
+
 def _atomic_write_dir(out_dir: Path, name: str, writer) -> Path:
     """Populate ``out_dir/name`` via a temp directory and a final rename.
 
-    An existing ``name`` is moved aside only once ``writer`` has finished, so
-    a failed writer leaves it as it was; its temp directory is removed.
-    """
+    Whatever is at ``name``, a link or a file too, is moved aside to ``name.old`` only once
+    ``writer`` has finished, so a failed writer leaves it as it was.  ``_remove`` removes a
+    stale ``name.tmp``, and best-effort a failed writer's temp directory and the ``.old``."""
     final = out_dir / name
     tmp = out_dir / f"{name}.tmp"
-    if tmp.exists():
-        shutil.rmtree(tmp)  # stale leftover from a crashed run; invisible to readers
+    _remove(tmp)  # stale leftover from a crashed run; invisible to readers
     tmp.mkdir(parents=True)
     try:
         writer(tmp)
     except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
+        with contextlib.suppress(OSError):
+            _remove(tmp)
         raise
     old = out_dir / f"{name}.old"
-    if final.exists():
+    if os.path.lexists(final):
         # a directory cannot be renamed onto a non-empty one: move the old aside first
-        shutil.rmtree(old, ignore_errors=True)
+        _remove(old)
         os.replace(final, old)
     os.replace(tmp, final)
-    shutil.rmtree(old, ignore_errors=True)
+    with contextlib.suppress(OSError):
+        _remove(old)
     return final
 
 
@@ -383,10 +394,10 @@ def _refuse_later_rounds(config: PipelineConfig, round_index: int, action: str) 
 
 
 def _refuse_existing(config: PipelineConfig, round_index: int) -> None:
-    """Refuse to recompute a persisted round, or one with later rounds, unless
-    ``config.force`` is set."""
+    """Refuse to recompute a persisted round (any entry at ``round_<r>``, a dangling
+    link too), or one with later rounds, unless ``config.force`` is set."""
     target = _restore_round(config.out_dir, round_index)
-    if target.exists() and not config.force:
+    if os.path.lexists(target) and not config.force:
         raise FileExistsError(f"{target} already exists; refusing to overwrite without force")
     _refuse_later_rounds(config, round_index, "writing it")
 
@@ -454,7 +465,7 @@ def _persist_round(
     # the rounds after r were built on the round just replaced; highest first,
     # so a crash part-way leaves a run whose rounds are still consecutive
     for path in [path for k, _, path in _round_entries(out_dir) if k > r]:
-        shutil.rmtree(path)
+        _remove(path)
 
 
 # what each key of state.json holds, when it is there; a key not read, such as
@@ -737,13 +748,12 @@ def run_table(out_dir: Path) -> list[dict]:
 
 
 def _clear_run_dir(out_dir: Path) -> None:
-    """Remove a previous run: each of ``_round_entries``, ``features/``, the files this pipeline
-    and ``report`` write, and ``report.svg``, which an earlier version's ``report --plot`` wrote."""
-    for name in ("config.json", "report.json", "report.csv", "report.svg"):
-        (out_dir / name).unlink(missing_ok=True)
-    for path in [path for _, _, path in _round_entries(out_dir)] + [out_dir / "features"]:
-        if path.is_dir():
-            shutil.rmtree(path)
+    """Remove a previous run by ``_remove``: ``_round_entries``, ``features``, the files this
+    pipeline and ``report`` write, ``report.svg`` from an earlier ``report --plot``, and
+    ``config.json`` last, so a clear that stops part-way still leaves a run."""
+    names = ("features", "report.json", "report.csv", "report.svg", "config.json")
+    for path in [path for _, _, path in _round_entries(out_dir)] + [out_dir / name for name in names]:
+        _remove(path)
 
 
 # How config.json is read: a key named apart from its PipelineConfig field

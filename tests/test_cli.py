@@ -1354,6 +1354,101 @@ def test_round_over_a_missing_round_with_later_rounds_needs_force(dataset, tmp_p
     assert [row["round"] for row in pipeline.run_table(out)] == [0, 1]
 
 
+def _bytes_under(root):
+    """Every file under ``root`` by relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _link_round_2(out, elsewhere):
+    (out / "round_2").symlink_to(elsewhere, target_is_directory=True)
+
+
+def _link_features(out, elsewhere):
+    shutil.rmtree(out / "features")
+    (out / "features").symlink_to(elsewhere, target_is_directory=True)
+
+
+def _stale_tmp_file(out, elsewhere):
+    (out / "round_1.tmp").write_text("stale")
+
+
+def _link_round_1(out, elsewhere):
+    (out / "round_1").rename(elsewhere / "round_1")
+    (out / "round_1").symlink_to(elsewhere / "round_1", target_is_directory=True)
+
+
+_ROUND_0_FORCE = ["round", "--prev", "{out}/round_0", "--force"]
+
+
+@pytest.mark.parametrize(
+    "setup, argv, entries",
+    [
+        (_link_round_2, "init", ["config.json", "features", "round_0"]),
+        (_link_round_2, _ROUND_0_FORCE, ["config.json", "features", "round_0", "round_1"]),
+        (_link_features, "init", ["config.json", "features", "round_0"]),
+        (_stale_tmp_file, _ROUND_0_FORCE, ["config.json", "features", "round_0", "round_1"]),
+        (
+            _link_round_1,
+            ["refine", "--round", "{out}/round_1", "--force"],
+            ["config.json", "features", "round_0", "round_1"],
+        ),
+    ],
+    ids=[
+        "init-over-a-linked-round",
+        "round-over-a-linked-later-round",
+        "init-over-linked-features",
+        "round-over-a-stale-tmp-file",
+        "refine-of-a-linked-round",
+    ],
+)
+def test_a_removal_unlinks_a_link_and_never_touches_its_target(dataset, tmp_path, setup, argv, entries):
+    """A run-directory entry that is a link or a file is unlinked, and the
+    directory a link points to is left as it was.  Before, ``init --force``
+    and ``round --force`` exited 2 part-way on a linked entry or a stale
+    ``round_1.tmp`` file, and ``refine`` of a linked round left a
+    ``round_1.old`` link behind."""
+    out = tmp_path / "run"
+    _init_and_round(dataset, out)
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    (elsewhere / "keep.txt").write_text("kept")
+    setup(out, elsewhere)
+    before = _bytes_under(elsewhere)
+    argv = _init_args(dataset, out, "--force") if argv == "init" else [a.format(out=out) for a in argv]
+    assert dispatch(argv) == 0
+    assert sorted(p.name for p in out.iterdir()) == entries
+    assert not any(p.is_symlink() for p in out.iterdir())
+    assert (elsewhere / "keep.txt").read_text() == "kept"
+    assert _bytes_under(elsewhere) == before
+    rounds = [f"round_{row['round']}" for row in pipeline.run_table(out)]
+    assert rounds == [name for name in entries if name.startswith("round_")]
+
+
+@pytest.mark.parametrize("occupant", ["dangling-link", "file"])
+def test_anything_at_a_round_is_refused_without_force(dataset, tmp_path, capsys, occupant):
+    """A file, a link or a dangling link at ``round_<r>`` is refused as a round
+    is, before anything is trained or written; with ``--force`` it is replaced
+    by a real round and nothing of it is left.  Before, a dangling link was
+    trained over, and the swap then failed, leaving ``round_2.tmp``."""
+    out = tmp_path / "run"
+    _init_and_round(dataset, out)
+    if occupant == "file":
+        (out / "round_2").write_text("not a round")
+    else:
+        (out / "round_2").symlink_to(tmp_path / "gone", target_is_directory=True)
+    before = _tree(out)
+    capsys.readouterr()
+    argv = ["round", "--prev", str(out / "round_1")]
+    assert dispatch(argv) == 1
+    assert f"{out / 'round_2'} already exists" in capsys.readouterr().err
+    assert not os.path.lexists(out / "round_2.tmp")
+    assert _tree(out) == before
+    assert dispatch(argv + ["--force"]) == 0
+    assert (out / "round_2").is_dir() and not (out / "round_2").is_symlink()
+    assert sorted(p.name for p in out.iterdir()) == ["config.json", "features", "round_0", "round_1", "round_2"]
+    assert [row["round"] for row in pipeline.run_table(out)] == [0, 1, 2]
+
+
 def _state_rows(run_dir):
     """``run_table``'s rows, rebuilt by hand from the ``state.json`` of every ``round_<r>``."""
     rows = []

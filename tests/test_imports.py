@@ -19,7 +19,8 @@ Under src/, only ``pipeline.entry_grid`` makes a feature grid or reads a
 persisted one; ``encoder.ingest_external_features``, which it calls, reads
 the entry's own file.  In ``pipeline``, only ``_entry_label`` calls
 ``load_label``, and a label file is loaded only there and in
-``load_round_state``; only ``_round_entries`` lists a directory.
+``load_round_state``; only ``_round_entries`` lists a directory, and only
+``_remove`` removes a path.
 
 A fresh interpreter that imports the package and runs a pipeline loads no
 scipy module; only a surface distance loads ``scipy.spatial``.
@@ -361,6 +362,33 @@ def test_only_round_entries_lists_a_directory_in_pipeline():
     # take a round_* name that is no round for one, refuse over it or delete it
     found = listings((ROOT / "src" / "protoloop" / "pipeline.py").read_text(), "pipeline")
     assert found == {("iterdir", "pipeline._round_entries")}
+
+
+REMOVERS = ("rmtree", "unlink", "rmdir", "remove")
+
+
+def removals(source: str, module: str) -> set[tuple[str, str]]:
+    """The ``call_sites`` of a ``REMOVERS`` function in ``module``."""
+    return {(callee, caller) for callee, caller in call_sites(source, module) if callee in REMOVERS}
+
+
+def test_removals_finds_each_caller():
+    source = (
+        "def f(p):\n    shutil.rmtree(p, ignore_errors=True)\n"
+        "def g(d):\n    def h():\n        (d / 'x').unlink(missing_ok=True)\n    os.rmdir(d)\n"
+        "    os.replace(d, d)\n    d.rename(d)\n"
+        "os.remove('y')\n"
+    )
+    assert removals(source, "m") == {
+        ("rmtree", "m.f"), ("unlink", "m.g.h"), ("rmdir", "m.g"), ("remove", "m"),
+    }
+
+
+def test_only_remove_removes_a_path_in_pipeline():
+    # one rule says how an entry of a run directory goes: a second remover
+    # could follow a link into its target, or keep a link or a file it skips
+    found = removals((ROOT / "src" / "protoloop" / "pipeline.py").read_text(), "pipeline")
+    assert found == {("rmtree", "pipeline._remove"), ("unlink", "pipeline._remove")}
 
 
 SCIPY_PROBE = """

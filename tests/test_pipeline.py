@@ -343,6 +343,35 @@ def test_stale_tmp_dir_cleared(dataset, tmp_path):
     assert not stale.exists()
 
 
+def test_remove_unlinks_a_link_and_never_touches_its_target(tmp_path):
+    """``_remove`` removes a directory with its contents, unlinks a file, a link
+    to a directory, a link to a file and a dangling link, and takes a missing
+    path as removed; no link's target changes, nor one linked from inside a
+    removed directory."""
+    elsewhere = tmp_path / "elsewhere"
+    (elsewhere / "sub").mkdir(parents=True)
+    (elsewhere / "keep.txt").write_text("kept")
+    (elsewhere / "sub" / "keep.txt").write_text("kept too")
+
+    def targets():
+        return {str(p.relative_to(elsewhere)): p.read_bytes() for p in elsewhere.rglob("*") if p.is_file()}
+
+    before = targets()
+    run = tmp_path / "run"
+    (run / "dir" / "inner").mkdir(parents=True)
+    (run / "dir" / "inner" / "f").write_text("x")
+    (run / "dir" / "link").symlink_to(elsewhere, target_is_directory=True)
+    (run / "file").write_text("x")
+    (run / "dir_link").symlink_to(elsewhere / "sub", target_is_directory=True)
+    (run / "file_link").symlink_to(elsewhere / "keep.txt")
+    (run / "dangling").symlink_to(tmp_path / "gone")
+    for name in ("dir", "file", "dir_link", "file_link", "dangling", "missing"):
+        pipeline._remove(run / name)
+        assert not os.path.lexists(run / name), name
+    assert list(run.iterdir()) == []
+    assert targets() == before
+
+
 # ---------------------------------------------------------------------------
 # later rounds
 
@@ -942,6 +971,29 @@ def test_force_clears_previous_run(dataset, tmp_path):
     last = run_pipeline(_config(dataset, out, force=True))
     assert last.round_index == 1
     assert run_table(out)[0]["round"] == first[0]["round"] == 0
+
+
+def test_a_clear_that_stops_part_way_still_holds_a_run(dataset, tmp_path, monkeypatch):
+    """``config.json`` is removed last, so a ``force`` clear that fails part-way
+    leaves a directory that a plain start refuses, not a bare ``features/``
+    whose grids it would reuse."""
+    out = tmp_path / "run"
+    start_run(_config(dataset, out))
+    run_round0(_config(dataset, out))
+    real = pipeline._remove
+
+    def remove(path):
+        if path.name == "features":
+            raise OSError(f"cannot remove {path}")
+        real(path)
+
+    monkeypatch.setattr(pipeline, "_remove", remove)
+    with pytest.raises(OSError, match="cannot remove"):
+        start_run(_config(dataset, out, force=True))
+    monkeypatch.undo()
+    assert not (out / "round_0").exists() and (out / "config.json").is_file()
+    with pytest.raises(FileExistsError, match="already holds a run"):
+        start_run(_config(dataset, out))
 
 
 @pytest.mark.parametrize("name", ["round_3.old", "round_3.tmp", "round_01", "round_", "round_backup"])
